@@ -37,6 +37,7 @@ __all__ = [
     "error_sweep",
     "gamma_diagnostics",
     "compare_bs",
+    "loglog_fit",
 ]
 
 DEFAULT_WINDOW = (60.0, 140.0)
@@ -147,7 +148,7 @@ def error_sweep(payoff: PayoffSpec, params: ModelParams,
         records = [_pdelta_error(*job) for job in jobs]
 
     n_fit = max(2, len(deltas) // 2)
-    slope, intercept, r2 = _plain_loglog_fit(
+    slope, intercept, _, r2 = loglog_fit(
         np.array(deltas[:n_fit]),
         np.array([r.error for r in records[:n_fit]]),
     )
@@ -160,17 +161,32 @@ def _pdelta_error_star(args) -> SweepRecord:
     return _pdelta_error(*args)
 
 
-def _plain_loglog_fit(deltas: np.ndarray, errors: np.ndarray) -> tuple[float, float, float]:
-    if np.any(errors <= 0.0):
-        # degenerate: error identically zero cannot be log-fitted
-        return float("nan"), float("nan"), 0.0
-    x = np.log(deltas)
-    y = np.log(errors)
-    slope, intercept = np.polyfit(x, y, 1)
-    yhat = intercept + slope * x
-    ss_res = float(np.sum((y - yhat) ** 2))
-    ss_tot = float(np.sum((y - np.mean(y)) ** 2))
-    return float(slope), float(intercept), 1.0 - (ss_res / ss_tot if ss_tot > 0 else 0.0)
+def loglog_fit(x: np.ndarray, y: np.ndarray,
+               se: Optional[np.ndarray] = None) -> tuple[float, float, float, float]:
+    """Weighted least squares of log(y) on log(x).
+
+    Returns (slope, intercept, slope stderr, r2). Weights come from the
+    delta-method stderr of the log value, se(log y) = se(y)/y; ``se=None``
+    gives unit weights. Values y <= 0 cannot be log-fitted: if any occurs,
+    slope, intercept and stderr are NaN and r2 is 0.
+    """
+    y = np.asarray(y, float)
+    if np.any(y <= 0.0):
+        return float("nan"), float("nan"), float("nan"), 0.0
+    lx = np.log(x)
+    ly = np.log(y)
+    w = np.ones_like(ly) if se is None else 1.0 / (se / y) ** 2
+    wsum = np.sum(w)
+    xbar = np.sum(w * lx) / wsum
+    ybar = np.sum(w * ly) / wsum
+    sxx = np.sum(w * (lx - xbar) ** 2)
+    slope = float(np.sum(w * (lx - xbar) * (ly - ybar)) / sxx)
+    intercept = float(ybar - slope * xbar)
+    resid = ly - (intercept + slope * lx)
+    ss_res = float(np.sum(w * resid ** 2))
+    ss_tot = float(np.sum(w * (ly - ybar) ** 2))
+    r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
+    return slope, intercept, float(np.sqrt(1.0 / sxx)), r2
 
 
 @dataclass(frozen=True)

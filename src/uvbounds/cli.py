@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import platform
 import sys
 import time
@@ -23,13 +24,14 @@ import scipy
 
 from . import __version__
 from .analysis import compare_bs, error_sweep, gamma_diagnostics
-from .config import ConfigError, RunSettings, load_config, settings_to_flat_dict
-from .core import SolverError, validate_params
+from .config import RunSettings, load_config, settings_to_flat_dict
+from .core import SolverError
 from .csvio import surface_to_csv, write_csv
 from .linsolve import LinearSolveError
 from .montecarlo import coupling_rate_study, simulate_cir
 from .solver_p0p1 import solve_p0p1
 from .solver_pdelta import TAG_NAMES, solve_pdelta
+from .stepping import check_inputs
 
 __all__ = ["run", "main"]
 
@@ -89,10 +91,8 @@ def run(argv) -> int:
     out_dir = Path(args.out)
     try:
         settings = load_config(args.config, args.overrides)
-        violations = validate_params(settings.model)
-        if violations:
-            raise ConfigError("invalid model parameters: " + "; ".join(violations))
-    except ConfigError as exc:
+        check_inputs(settings.model)
+    except ValueError as exc:  # ConfigError included
         return _fail(out_dir, 2, exc)
 
     try:
@@ -106,9 +106,7 @@ def run(argv) -> int:
         results, outputs = _DISPATCH[args.command](settings, out_dir, args)
     except (SolverError, LinearSolveError) as exc:
         return _fail(out_dir, 3, exc)
-    except ConfigError as exc:
-        return _fail(out_dir, 2, exc)
-    except ValueError as exc:  # invalid parameters/preconditions
+    except ValueError as exc:  # invalid configuration, parameters or preconditions
         return _fail(out_dir, 2, exc)
     except OSError as exc:
         return _fail(out_dir, 4, exc)
@@ -129,15 +127,25 @@ def run(argv) -> int:
         },
         "timings_s": {"total": elapsed},
         "outputs": outputs,
-        "results": results,
+        "results": _finite_or_null(results),
     }
     try:
         with (out_dir / "manifest.json").open("w") as fh:
-            json.dump(manifest, fh, indent=2, sort_keys=True)
+            json.dump(manifest, fh, indent=2, sort_keys=True, allow_nan=False)
             fh.write("\n")
     except OSError as exc:
         return _fail(out_dir, 4, exc)
     return 0
+
+
+def _finite_or_null(results: dict) -> dict:
+    """Map non-finite float results to None, so the manifest stays strict JSON."""
+    out = dict(results)
+    for key, value in results.items():
+        if isinstance(value, float) and not math.isfinite(value):
+            print(f"warning: result {key} is {value}; written as null", file=sys.stderr)
+            out[key] = None
+    return out
 
 
 def _fail(out_dir: Path, code: int, exc: Exception) -> int:

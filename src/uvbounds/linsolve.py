@@ -22,10 +22,8 @@ import scipy.sparse.linalg as spla
 log = logging.getLogger(__name__)
 
 __all__ = [
-    "TriDiag",
     "BandedSystem",
     "LinearSolveError",
-    "solve_tridiag",
     "solve_tridiag_batch",
     "solve_banded",
 ]
@@ -45,31 +43,6 @@ class LinearSolveError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class TriDiag:
-    """Tridiagonal matrix: lower/upper have length n-1, main has length n."""
-
-    lower: np.ndarray
-    main: np.ndarray
-    upper: np.ndarray
-
-    def __post_init__(self) -> None:
-        lo = np.asarray(self.lower, float)
-        mi = np.asarray(self.main, float)
-        up = np.asarray(self.upper, float)
-        if mi.ndim != 1 or lo.shape != (len(mi) - 1,) or up.shape != (len(mi) - 1,):
-            raise ValueError("TriDiag: need main of length n and lower/upper of length n-1")
-        object.__setattr__(self, "lower", lo)
-        object.__setattr__(self, "main", mi)
-        object.__setattr__(self, "upper", up)
-
-    def matvec(self, x: np.ndarray) -> np.ndarray:
-        y = self.main * x
-        y[:-1] += self.upper * x[1:]
-        y[1:] += self.lower * x[:-1]
-        return y
-
-
-@dataclass(frozen=True)
 class BandedSystem:
     """Sparse system from the 2D scheme: at most 9 nonzeros per row."""
 
@@ -83,15 +56,6 @@ class BandedSystem:
             raise ValueError("BandedSystem: matrix must be square and match the rhs")
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "rhs", b)
-
-    def validate(self) -> None:
-        """Check finiteness and sparsity-pattern symmetry (test helper)."""
-        if not np.all(np.isfinite(self.matrix.data)) or not np.all(np.isfinite(self.rhs)):
-            raise ValueError("BandedSystem: non-finite entries")
-        pattern = self.matrix.copy()
-        pattern.data = np.ones_like(pattern.data)
-        if (pattern != pattern.T).nnz != 0:
-            raise ValueError("BandedSystem: sparsity pattern is not symmetric")
 
 
 def _check_residual(residual: np.ndarray, rhs: np.ndarray, tol: float, what: str,
@@ -152,18 +116,6 @@ def _check_pivots(den: np.ndarray, row: int) -> None:
         raise LinearSolveError(
             f"tridiagonal solve: singular pivot at row {row} (system {sys_idx})"
         )
-
-
-def solve_tridiag(system: TriDiag, rhs: np.ndarray, lin_tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Solve one tridiagonal system; residual-checked."""
-    rhs = np.asarray(rhs, float)
-    if rhs.shape != system.main.shape:
-        raise ValueError("solve_tridiag: rhs length does not match the system")
-    x = solve_tridiag_batch(
-        system.lower[None, :], system.main[None, :], system.upper[None, :],
-        rhs[None, :], lin_tol=lin_tol,
-    )
-    return x[0]
 
 
 def solve_banded(system: BandedSystem, lin_tol: float = DEFAULT_TOL,

@@ -23,7 +23,9 @@ from typing import Callable, Sequence, Union
 
 import numpy as np
 
-from .core import ModelParams, validate_params
+from .analysis import loglog_fit
+from .core import ModelParams
+from .stepping import check_inputs
 
 __all__ = [
     "PathBundle",
@@ -90,40 +92,6 @@ def brownian_increments(seed: int, step: int, n_paths: int, rho: float,
     return dw, dwz
 
 
-def _check_counts(n_steps: int, n_paths: int) -> None:
-    if n_steps < 1 or n_paths < 1:
-        raise ValueError(f"need n_steps >= 1 and n_paths >= 1 "
-                         f"(got {n_steps}, {n_paths})")
-
-
-def _check_params(params: ModelParams) -> None:
-    violations = validate_params(params)
-    if violations:
-        raise ValueError("invalid model parameters: " + "; ".join(violations))
-
-
-def simulate_cir(params: ModelParams, n_steps: int, n_paths: int,
-                 seed: int) -> np.ndarray:
-    """Full-truncation Euler paths of the variance process.
-
-    Returns the reported (truncated, nonnegative) paths with shape
-    (n_paths, n_steps + 1). At delta = 0 every path is frozen at z0.
-    """
-    _check_params(params)
-    _check_counts(n_steps, n_paths)
-    dt = params.T / n_steps
-    state = np.full(n_paths, params.z0, dtype=float)
-    out = np.empty((n_paths, n_steps + 1))
-    out[:, 0] = np.maximum(state, 0.0)
-    for k in range(n_steps):
-        zp = np.maximum(state, 0.0)
-        _, dwz = brownian_increments(seed, k, n_paths, params.rho, dt)
-        state = state + params.delta * params.kappa * (params.theta - zp) * dt \
-            + np.sqrt(params.delta) * np.sqrt(zp) * dwz
-        out[:, k + 1] = np.maximum(state, 0.0)
-    return out
-
-
 def _control_values(control: Control, t: float, x: np.ndarray, z: np.ndarray,
                     params: ModelParams) -> np.ndarray:
     if callable(control):
@@ -135,6 +103,36 @@ def _control_values(control: Control, t: float, x: np.ndarray, z: np.ndarray,
     return q
 
 
+def _advance_paths(params: ModelParams, control: Control, n_steps: int,
+                   n_paths: int, seed: int,
+                   record: Callable = lambda k, z, x_d, x_f: None):
+    """Step the variance state and both coupled assets from 0 to T.
+
+    The one path kernel behind every simulation here. ``record(k, z, x_d,
+    x_f)`` sees the raw (untruncated) variance state and the two assets at
+    every time level k = 0..n_steps. Returns the terminal (z, x_d, x_f).
+    """
+    check_inputs(params)
+    if n_steps < 1 or n_paths < 1:
+        raise ValueError(f"need n_steps >= 1 and n_paths >= 1 "
+                         f"(got {n_steps}, {n_paths})")
+    dt = params.T / n_steps
+    z_state = np.full(n_paths, params.z0, dtype=float)
+    x_d = np.full(n_paths, params.x0, dtype=float)
+    x_f = np.full(n_paths, params.x0, dtype=float)
+    record(0, z_state, x_d, x_f)
+    for k in range(n_steps):
+        zp = np.maximum(z_state, 0.0)
+        dw, dwz = brownian_increments(seed, k, n_paths, params.rho, dt)
+        q = _control_values(control, k * dt, x_d, zp, params)
+        x_d = x_d * np.exp(-0.5 * q * q * zp * dt + q * np.sqrt(zp) * dw)
+        x_f = x_f * np.exp(-0.5 * q * q * params.z0 * dt + q * np.sqrt(params.z0) * dw)
+        z_state = z_state + params.delta * params.kappa * (params.theta - zp) * dt \
+            + np.sqrt(params.delta) * np.sqrt(zp) * dwz
+        record(k + 1, z_state, x_d, x_f)
+    return z_state, x_d, x_f
+
+
 def simulate_coupled_asset(params: ModelParams, control: Control, n_steps: int,
                            n_paths: int, seed: int) -> PathBundle:
     """Coupled asset paths under moving and frozen variance.
@@ -144,49 +142,42 @@ def simulate_coupled_asset(params: ModelParams, control: Control, n_steps: int,
     (t_k, X_k, Z_k). Keeps full paths; for large path counts where only
     terminals matter, see ``coupling_rate_study``.
     """
-    _check_params(params)
-    _check_counts(n_steps, n_paths)
-    dt = params.T / n_steps
-    times = np.arange(n_steps + 1) * dt
-
-    z_state = np.full(n_paths, params.z0, dtype=float)
     z_out = np.empty((n_paths, n_steps + 1))
     x_d = np.empty_like(z_out)
     x_f = np.empty_like(z_out)
-    z_out[:, 0] = params.z0
-    x_d[:, 0] = params.x0
-    x_f[:, 0] = params.x0
 
-    for k in range(n_steps):
-        zp = np.maximum(z_state, 0.0)
-        dw, dwz = brownian_increments(seed, k, n_paths, params.rho, dt)
-        q = _control_values(control, times[k], x_d[:, k], zp, params)
-        x_d[:, k + 1] = x_d[:, k] * np.exp(-0.5 * q * q * zp * dt + q * np.sqrt(zp) * dw)
-        x_f[:, k + 1] = x_f[:, k] * np.exp(
-            -0.5 * q * q * params.z0 * dt + q * np.sqrt(params.z0) * dw)
-        z_state = z_state + params.delta * params.kappa * (params.theta - zp) * dt \
-            + np.sqrt(params.delta) * np.sqrt(zp) * dwz
-        z_out[:, k + 1] = np.maximum(z_state, 0.0)
+    def record(k, z, xd, xf):
+        z_out[:, k] = np.maximum(z, 0.0)
+        x_d[:, k] = xd
+        x_f[:, k] = xf
 
+    _advance_paths(params, control, n_steps, n_paths, seed, record)
+    times = np.arange(n_steps + 1) * (params.T / n_steps)
     return PathBundle(times=times, z_paths=z_out, x_paths_delta=x_d,
                       x_paths_frozen=x_f, seed=seed)
+
+
+def simulate_cir(params: ModelParams, n_steps: int, n_paths: int,
+                 seed: int) -> np.ndarray:
+    """Full-truncation Euler paths of the variance process.
+
+    Returns the reported (truncated, nonnegative) paths with shape
+    (n_paths, n_steps + 1). At delta = 0 every path is frozen at z0.
+    """
+    out = np.empty((n_paths, n_steps + 1))
+
+    def record(k, z, x_d, x_f):
+        out[:, k] = np.maximum(z, 0.0)
+
+    # the variance path does not depend on the control the assets follow
+    _advance_paths(params, params.u, n_steps, n_paths, seed, record)
+    return out
 
 
 def _terminal_gap_sq(params: ModelParams, control: Control, n_steps: int,
                      n_paths: int, seed: int) -> np.ndarray:
     """(X_T^moving - X_T^frozen)^2 without materializing full paths."""
-    dt = params.T / n_steps
-    z_state = np.full(n_paths, params.z0, dtype=float)
-    x_d = np.full(n_paths, params.x0, dtype=float)
-    x_f = np.full(n_paths, params.x0, dtype=float)
-    for k in range(n_steps):
-        zp = np.maximum(z_state, 0.0)
-        dw, dwz = brownian_increments(seed, k, n_paths, params.rho, dt)
-        q = _control_values(control, k * dt, x_d, zp, params)
-        x_d = x_d * np.exp(-0.5 * q * q * zp * dt + q * np.sqrt(zp) * dw)
-        x_f = x_f * np.exp(-0.5 * q * q * params.z0 * dt + q * np.sqrt(params.z0) * dw)
-        z_state = z_state + params.delta * params.kappa * (params.theta - zp) * dt \
-            + np.sqrt(params.delta) * np.sqrt(zp) * dwz
+    _, x_d, x_f = _advance_paths(params, control, n_steps, n_paths, seed)
     return (x_d - x_f) ** 2
 
 
@@ -201,8 +192,6 @@ def coupling_rate_study(params: ModelParams, delta_list: Sequence[float],
     than with independent streams. Controls default to the two constant
     band endpoints.
     """
-    _check_params(params)
-    _check_counts(n_steps, n_paths)
     deltas = np.asarray(sorted(set(float(d) for d in delta_list), reverse=True))
     if len(deltas) < 2:
         raise ValueError("rate study needs at least two distinct delta values")
@@ -220,32 +209,8 @@ def coupling_rate_study(params: ModelParams, delta_list: Sequence[float],
                                   n_paths, seed)
             est[i] = float(np.mean(sq))
             se[i] = float(np.std(sq, ddof=1) / np.sqrt(n_paths))
-        slope, intercept, slope_se, r2 = _loglog_fit(deltas, est, se)
+        slope, intercept, slope_se, r2 = loglog_fit(deltas, est, se)
         fits.append(RateFit(control=name, deltas=deltas, estimates=est, stderrs=se,
                             slope=slope, slope_stderr=slope_se, intercept=intercept,
                             r2=r2))
     return RateStudy(fits=fits, n_paths=n_paths, n_steps=n_steps, seed=seed)
-
-
-def _loglog_fit(deltas: np.ndarray, est: np.ndarray,
-                se: np.ndarray) -> tuple[float, float, float, float]:
-    """Weighted least squares of log(est) on log(delta).
-
-    Weights come from the delta-method stderr of the log estimate,
-    se(log m) = se(m)/m.
-    """
-    x = np.log(deltas)
-    y = np.log(est)
-    sigma = np.where(est > 0, se / est, np.inf)
-    w = 1.0 / sigma ** 2
-    wsum = np.sum(w)
-    xbar = np.sum(w * x) / wsum
-    ybar = np.sum(w * y) / wsum
-    sxx = np.sum(w * (x - xbar) ** 2)
-    slope = float(np.sum(w * (x - xbar) * (y - ybar)) / sxx)
-    intercept = float(ybar - slope * xbar)
-    resid = y - (intercept + slope * x)
-    ss_res = float(np.sum(w * resid ** 2))
-    ss_tot = float(np.sum(w * (y - ybar) ** 2))
-    r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
-    return slope, intercept, float(np.sqrt(1.0 / sxx)), r2

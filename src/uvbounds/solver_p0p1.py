@@ -1,23 +1,18 @@
-"""Backward predictor-corrector solver for the leading-order worst-case
-price and its first correction.
+"""Leading-order worst-case price P0 and its first correction P1.
 
 The leading-order equation has no z-derivatives, so each variance slice
-is an independent 1D problem and one time step is a batch of tridiagonal
-solves. The control field is bang-bang: the upper band slope wherever the
-scaled second difference is nonnegative (deadband ties included), the
-lower slope where it is negative. A predictor pass evaluates the control
-on the known time level; corrector passes re-evaluate it on the weighted
-average of the two levels and re-solve.
+is an independent 1D problem and one implicit step is a batch of
+tridiagonal solves. Its control field is bang-bang: the upper band slope
+wherever the scaled second difference is nonnegative (deadband ties
+included), the lower slope where it is negative.
 
-The correction term solves a linear equation with the same diffusion
-operator, frozen control, and an explicit cross-derivative source built
-from the leading-order surfaces of the step; its terminal condition is
-zero. The source is proportional to the correlation, so it vanishes
-identically when rho = 0.
+The correction solves a linear equation with the same diffusion
+operator, the frozen control of each completed P0 sub-step, and an
+explicit cross-derivative source built from the two P0 levels of that
+sub-step; its terminal condition is zero. The source is proportional to
+the correlation, so it vanishes identically when rho = 0.
 
-The first backward step can be split into fully implicit sub-steps
-(``rannacher_steps``) to damp the oscillation a trapezoidal scheme
-develops from kinked payoffs.
+Both march backward through the shared stepper in ``stepping``.
 """
 
 from __future__ import annotations
@@ -27,18 +22,13 @@ from typing import Optional
 
 import numpy as np
 
-from .core import GridSpec, ModelParams, SolverConfig, SolverError, Surface, validate_params
-from .linsolve import LinearSolveError, solve_tridiag_batch
+from .core import GridSpec, ModelParams, SolverConfig, Surface
+from .linsolve import solve_tridiag_batch
 from .payoff import PayoffSpec, terminal_surface
 from .stencils import lxx_values, lxz_values, sign_with_deadband
+from .stepping import check_inputs, march
 
-__all__ = [
-    "P0P1Solution",
-    "step_p0_predictor",
-    "step_p0_corrector",
-    "step_p1",
-    "solve_p0p1",
-]
+__all__ = ["P0P1Solution", "solve_p0p1"]
 
 
 @dataclass(frozen=True)
@@ -62,30 +52,23 @@ class P0P1Solution:
     p1_history: Optional[list[Surface]] = None
 
 
-def _diffusion_coeff(q: np.ndarray, params: ModelParams, grid: GridSpec) -> np.ndarray:
-    """0.5 * q^2 * z * x^2, zeroed on the x-boundary rows (zero-gamma BC)."""
+def _solve_slicewise(q: np.ndarray, v_next: np.ndarray, source: Optional[np.ndarray],
+                     params: ModelParams, grid: GridSpec, dt: float, theta: float,
+                     lin_tol: float) -> np.ndarray:
+    """One weighted implicit step of dv/dt + a*d_xx v + source = 0, per slice.
+
+    Solves (I - theta*dt*A) v_new = (I + (1-theta)*dt*A) v_next + dt*source
+    with A = a * d_xx, batched over the z-slices. The coefficient is
+    a = 0.5 * q^2 * z * x^2, zeroed on the x-boundary rows (zero-gamma BC).
+    """
     x = grid.x_nodes()[:, None]
     z = grid.z_nodes()[None, :]
     a = 0.5 * q * q * z * x * x
     a[0, :] = 0.0
     a[-1, :] = 0.0
-    return a
-
-
-def _apply_diffusion(a: np.ndarray, v: np.ndarray, grid: GridSpec) -> np.ndarray:
-    out = np.zeros_like(v)
-    out[1:-1] = a[1:-1] * (v[2:] + v[:-2] - 2.0 * v[1:-1]) / grid.dx ** 2
-    return out
-
-
-def _solve_slicewise(a: np.ndarray, v_next: np.ndarray, source: Optional[np.ndarray],
-                     grid: GridSpec, dt: float, theta: float, lin_tol: float) -> np.ndarray:
-    """One weighted implicit step of dv/dt + a*d_xx v + source = 0, per slice.
-
-    Solves (I - theta*dt*A) v_new = (I + (1-theta)*dt*A) v_next + dt*source
-    with A = a * d_xx, batched over the z-slices.
-    """
-    rhs = v_next + (1.0 - theta) * dt * _apply_diffusion(a, v_next, grid)
+    a_dxx = np.zeros_like(v_next)
+    a_dxx[1:-1] = a[1:-1] * (v_next[2:] + v_next[:-2] - 2.0 * v_next[1:-1]) / grid.dx ** 2
+    rhs = v_next + (1.0 - theta) * dt * a_dxx
     if source is not None:
         src = source.copy()
         src[0, :] = 0.0   # x-boundary rows evolve as identity
@@ -102,115 +85,28 @@ def _solve_slicewise(a: np.ndarray, v_next: np.ndarray, source: Optional[np.ndar
 
 
 def _select_q(working: np.ndarray, params: ModelParams, grid: GridSpec,
-              gamma_eps: float) -> np.ndarray:
+              gamma_eps: float) -> tuple[np.ndarray, None]:
+    """Bang-bang control on a working surface; it carries no candidate tags."""
     branch = sign_with_deadband(lxx_values(working, grid), gamma_eps)
-    return np.where(branch > 0, params.u, params.d)
+    return np.where(branch > 0, params.u, params.d), None
 
 
-def _advance_p0(v_next: np.ndarray, params: ModelParams, grid: GridSpec,
-                config: SolverConfig, dt: float, theta: float,
-                gamma_eps: float) -> tuple[np.ndarray, np.ndarray]:
-    """Predictor plus corrector passes for one (sub-)step; returns (v_new, q)."""
-    q = _select_q(v_next, params, grid, gamma_eps)
-    v_new = _solve_slicewise(_diffusion_coeff(q, params, grid), v_next, None,
-                             grid, dt, theta, config.lin_tol)
-    for _ in range(config.corrector_passes):
-        working = theta * v_new + (1.0 - theta) * v_next
-        q_new = _select_q(working, params, grid, gamma_eps)
-        if np.array_equal(q_new, q):
-            break  # same control, same linear system: solution already exact
-        q = q_new
-        v_new = _solve_slicewise(_diffusion_coeff(q, params, grid), v_next, None,
-                                 grid, dt, theta, config.lin_tol)
-    return v_new, q
-
-
-def _advance_p1(p1_next: np.ndarray, q: np.ndarray, p0_new: np.ndarray,
-                p0_next: np.ndarray, params: ModelParams, grid: GridSpec,
-                config: SolverConfig, dt: float, theta: float) -> np.ndarray:
-    p0_avg = theta * p0_new + (1.0 - theta) * p0_next
-    source = params.rho * q * lxz_values(p0_avg, grid)
-    return _solve_slicewise(_diffusion_coeff(q, params, grid), p1_next, source,
-                            grid, dt, theta, config.lin_tol)
-
-
-def _check_inputs(params: ModelParams, grid: GridSpec) -> None:
-    violations = validate_params(params)
-    if violations:
-        raise ValueError("invalid model parameters: " + "; ".join(violations))
-    if grid.n_x < 3:
-        raise ValueError("solver grids need n_x >= 3")
-
-
-# -- public step operations --------------------------------------------------
-
-def step_p0_predictor(next_surface: Surface, params: ModelParams, grid: GridSpec,
-                      config: SolverConfig, *, dt: Optional[float] = None,
-                      theta: Optional[float] = None) -> tuple[Surface, np.ndarray]:
-    """Predictor half of one backward step for the leading-order price.
-
-    The control is evaluated on the known (later) time level. Returns the
-    provisional surface one level earlier and the control field used.
-    """
-    _check_inputs(params, grid)
-    dt = grid.dt(params.T) if dt is None else dt
-    theta = config.cn_weight if theta is None else theta
+def _scheme(params: ModelParams, grid: GridSpec, config: SolverConfig):
+    """The (select, solve) pair of P0, and the P1 step that follows each P0 step."""
     geps = config.resolve_gamma_eps(params)
-    v_next = np.asarray(next_surface.values, float)
-    q = _select_q(v_next, params, grid, geps)
-    try:
-        v_new = _solve_slicewise(_diffusion_coeff(q, params, grid), v_next, None,
-                                 grid, dt, theta, config.lin_tol)
-    except LinearSolveError as exc:
-        raise SolverError(f"predictor step into level "
-                          f"{next_surface.time_index - 1}: {exc}") from exc
-    return Surface(v_new, grid, next_surface.time_index - 1), q
 
+    def select(w: np.ndarray):
+        return _select_q(w, params, grid, geps)
 
-def step_p0_corrector(next_surface: Surface, provisional: Surface,
-                      params: ModelParams, grid: GridSpec, config: SolverConfig, *,
-                      dt: Optional[float] = None,
-                      theta: Optional[float] = None) -> tuple[Surface, np.ndarray]:
-    """Corrector half: re-evaluate the control on the weighted average of
-    the two levels and re-solve the step with it."""
-    _check_inputs(params, grid)
-    dt = grid.dt(params.T) if dt is None else dt
-    theta = config.cn_weight if theta is None else theta
-    geps = config.resolve_gamma_eps(params)
-    v_next = np.asarray(next_surface.values, float)
-    working = theta * np.asarray(provisional.values, float) + (1.0 - theta) * v_next
-    q = _select_q(working, params, grid, geps)
-    try:
-        v_new = _solve_slicewise(_diffusion_coeff(q, params, grid), v_next, None,
-                                 grid, dt, theta, config.lin_tol)
-    except LinearSolveError as exc:
-        raise SolverError(f"corrector step into level "
-                          f"{next_surface.time_index - 1}: {exc}") from exc
-    return Surface(v_new, grid, next_surface.time_index - 1), q
+    def solve(q: np.ndarray, v_next: np.ndarray, dt: float, theta: float) -> np.ndarray:
+        return _solve_slicewise(q, v_next, None, params, grid, dt, theta, config.lin_tol)
 
+    def solve_p1(v_next, q, u_new, u_next, dt: float, theta: float) -> np.ndarray:
+        u_avg = theta * u_new + (1.0 - theta) * u_next
+        source = params.rho * q * lxz_values(u_avg, grid)
+        return _solve_slicewise(q, v_next, source, params, grid, dt, theta, config.lin_tol)
 
-def step_p1(p1_next: Surface, q_field: np.ndarray, p0_new: Surface,
-            p0_next: Surface, params: ModelParams, grid: GridSpec,
-            config: SolverConfig, *, dt: Optional[float] = None,
-            theta: Optional[float] = None) -> Surface:
-    """One backward step of the linear correction equation.
-
-    Uses the frozen control of the completed leading-order step and the
-    cross-derivative source evaluated on the weighted average of the two
-    leading-order levels.
-    """
-    _check_inputs(params, grid)
-    dt = grid.dt(params.T) if dt is None else dt
-    theta = config.cn_weight if theta is None else theta
-    try:
-        v_new = _advance_p1(np.asarray(p1_next.values, float), np.asarray(q_field, float),
-                            np.asarray(p0_new.values, float),
-                            np.asarray(p0_next.values, float),
-                            params, grid, config, dt, theta)
-    except LinearSolveError as exc:
-        raise SolverError(f"correction step into level "
-                          f"{p1_next.time_index - 1}: {exc}") from exc
-    return Surface(v_new, grid, p1_next.time_index - 1)
+    return select, solve, solve_p1
 
 
 def solve_p0p1(payoff: PayoffSpec, params: ModelParams, grid: GridSpec,
@@ -218,43 +114,29 @@ def solve_p0p1(payoff: PayoffSpec, params: ModelParams, grid: GridSpec,
                keep_history: bool = False) -> P0P1Solution:
     """Full backward sweep for the leading-order price and first correction.
 
-    Terminal conditions are the payoff and zero. Each step runs the
-    predictor, the corrector pass(es), then the correction step with the
-    corrected control; the first step optionally splits into fully
-    implicit sub-steps.
+    Terminal conditions are the payoff and zero. Every P0 sub-step is
+    followed by the P1 sub-step with its control.
     """
     config = config or SolverConfig()
-    _check_inputs(params, grid)
-    geps = config.resolve_gamma_eps(params)
-    dt = grid.dt(params.T)
+    check_inputs(params, grid)
+    select, solve, solve_p1 = _scheme(params, grid, config)
 
     term = terminal_surface(payoff, grid)
-    u = np.asarray(term.values, float).copy()
-    v = np.zeros_like(u)
-    q_hist = np.empty((grid.n_t, grid.n_x, grid.n_z))
+    v = np.zeros((grid.n_x, grid.n_z))
     u_hist = [term] if keep_history else None
     v_hist = [Surface(v, grid, grid.n_t)] if keep_history else None
 
-    for n in range(grid.n_t - 1, -1, -1):
-        first = n == grid.n_t - 1
-        if first and config.rannacher_steps > 0:
-            substeps, theta = config.rannacher_steps, 1.0
-        else:
-            substeps, theta = 1, config.cn_weight
-        dt_sub = dt / substeps
-        try:
-            for _ in range(substeps):
-                u_new, q = _advance_p0(u, params, grid, config, dt_sub, theta, geps)
-                v = _advance_p1(v, q, u_new, u, params, grid, config, dt_sub, theta)
-                u = u_new
-        except LinearSolveError as exc:
-            raise SolverError(f"backward step into time level {n} failed: {exc}") from exc
-        q_hist[n] = q
-        if keep_history:
-            u_hist.insert(0, Surface(u, grid, n))
-            v_hist.insert(0, Surface(v, grid, n))
+    def p1_step(q, u_new, u_next, dt, theta):
+        nonlocal v
+        v = solve_p1(v, q, u_new, u_next, dt, theta)
 
-    q_hist.setflags(write=False)
+    def record(n, u):
+        u_hist.insert(0, Surface(u, grid, n))
+        v_hist.insert(0, Surface(v, grid, n))
+
+    u, q_hist, _ = march(np.asarray(term.values, float), grid, params.T, config,
+                         select, solve, source_step=p1_step,
+                         on_level=record if keep_history else None)
     return P0P1Solution(
         p0=Surface(u, grid, 0),
         p1=Surface(v, grid, 0),

@@ -1,11 +1,10 @@
-"""Predictor-corrector solver for the full 2D worst-case price.
+"""The full 2D worst-case price P^delta.
 
-Each backward step freezes the pointwise optimal control field, assembles
-the weighted implicit system on the flattened (x, z) grid (a 9-point
-footprint: axial neighbors from the two diffusions and the drift, corner
-neighbors from the cross term), and solves it with the banded kernel. The
-corrector re-evaluates the control on the weighted average of the two
-time levels and re-solves.
+It marches backward through the shared stepper in ``stepping``. Its
+implicit step assembles the weighted system on the flattened (x, z) grid
+(a 9-point footprint: axial neighbors from the two diffusions and the
+drift, corner neighbors from the cross term) and solves it with the
+banded kernel.
 
 Control selection at a node compares three candidate values of the
 quadratic q -> 0.5*q^2*Gxx + q*rho*sqrt(delta)*Gxz, where Gxx and Gxz are
@@ -31,17 +30,17 @@ from typing import Optional
 import numpy as np
 import scipy.sparse as sp
 
-from .core import GridSpec, ModelParams, SolverConfig, SolverError, Surface, validate_params
-from .linsolve import BandedSystem, LinearSolveError, solve_banded
+from .core import GridSpec, ModelParams, SolverConfig, Surface
+from .linsolve import BandedSystem, solve_banded
 from .payoff import PayoffSpec, terminal_surface
 from .stencils import dxx_matrix, dxz_matrix, dz_matrix, dzz_matrix, \
     lxx_values, lxz_values
+from .stepping import check_inputs, march
 
 __all__ = [
     "PdeltaSolution",
     "TAG_A", "TAG_B", "TAG_C", "TAG_NAMES",
     "select_q",
-    "step_pdelta",
     "solve_pdelta",
 ]
 
@@ -151,64 +150,24 @@ class _Assembler:
         return a.tocsr()
 
 
-def _implicit_step(w_next: np.ndarray, gen: sp.csr_matrix, eye: sp.csr_matrix,
-                   dt: float, theta: float, lin_tol: float) -> np.ndarray:
-    flat = w_next.ravel()
-    rhs = flat + (1.0 - theta) * dt * (gen @ flat)
-    system = BandedSystem((eye - theta * dt * gen).tocsr(), rhs)
-    return solve_banded(system, lin_tol=lin_tol).reshape(w_next.shape)
-
-
-def _select_field(w: np.ndarray, params: ModelParams, grid: GridSpec,
-                  gamma_eps: float, paper_exact: bool):
-    return select_q(lxx_values(w, grid), lxz_values(w, grid), params,
-                    gamma_eps, paper_exact)
-
-
-def _advance(w_next: np.ndarray, asm: _Assembler, params: ModelParams,
-             config: SolverConfig, dt: float, theta: float, gamma_eps: float,
-             paper_exact: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    grid = asm.grid
-    q, tags = _select_field(w_next, params, grid, gamma_eps, paper_exact)
-    w_new = _implicit_step(w_next, asm.generator(q, params), asm.eye, dt, theta,
-                           config.lin_tol)
-    for _ in range(config.corrector_passes):
-        working = theta * w_new + (1.0 - theta) * w_next
-        q_new, tags_new = _select_field(working, params, grid, gamma_eps, paper_exact)
-        if np.array_equal(q_new, q):
-            tags = tags_new
-            break
-        q, tags = q_new, tags_new
-        w_new = _implicit_step(w_next, asm.generator(q, params), asm.eye, dt, theta,
-                               config.lin_tol)
-    return w_new, q, tags
-
-
-def _check_inputs(params: ModelParams, grid: GridSpec) -> None:
-    violations = validate_params(params)
-    if violations:
-        raise ValueError("invalid model parameters: " + "; ".join(violations))
-    if grid.n_x < 3:
-        raise ValueError("solver grids need n_x >= 3")
-
-
-def step_pdelta(next_surface: Surface, params: ModelParams, grid: GridSpec,
-                config: SolverConfig, *, paper_exact: bool = False,
-                dt: Optional[float] = None,
-                theta: Optional[float] = None) -> Surface:
-    """One full predictor-corrector step of the 2D scheme."""
-    _check_inputs(params, grid)
-    dt = grid.dt(params.T) if dt is None else dt
-    theta = config.cn_weight if theta is None else theta
+def _scheme(params: ModelParams, grid: GridSpec, config: SolverConfig,
+            paper_exact: bool):
+    """The (select, solve) pair of the 2D equation."""
+    geps = config.resolve_gamma_eps(params)
     asm = _Assembler(grid)
-    try:
-        w_new, _, _ = _advance(np.asarray(next_surface.values, float), asm, params,
-                               config, dt, theta, config.resolve_gamma_eps(params),
-                               paper_exact)
-    except LinearSolveError as exc:
-        raise SolverError(f"2D step into level {next_surface.time_index - 1}: "
-                          f"{exc}") from exc
-    return Surface(w_new, grid, next_surface.time_index - 1)
+
+    def select(w: np.ndarray):
+        return select_q(lxx_values(w, grid), lxz_values(w, grid), params, geps,
+                        paper_exact)
+
+    def solve(q: np.ndarray, w_next: np.ndarray, dt: float, theta: float) -> np.ndarray:
+        gen = asm.generator(q, params)
+        flat = w_next.ravel()
+        rhs = flat + (1.0 - theta) * dt * (gen @ flat)
+        system = BandedSystem((asm.eye - theta * dt * gen).tocsr(), rhs)
+        return solve_banded(system, lin_tol=config.lin_tol).reshape(w_next.shape)
+
+    return select, solve
 
 
 def solve_pdelta(payoff: PayoffSpec, params: ModelParams, grid: GridSpec,
@@ -217,36 +176,17 @@ def solve_pdelta(payoff: PayoffSpec, params: ModelParams, grid: GridSpec,
                  keep_history: bool = False) -> PdeltaSolution:
     """Full backward sweep of the 2D worst-case pricing scheme."""
     config = config or SolverConfig()
-    _check_inputs(params, grid)
-    geps = config.resolve_gamma_eps(params)
-    dt = grid.dt(params.T)
-    asm = _Assembler(grid)
+    check_inputs(params, grid)
+    select, solve = _scheme(params, grid, config, paper_exact)
 
     term = terminal_surface(payoff, grid)
-    w = np.asarray(term.values, float).copy()
-    q_hist = np.empty((grid.n_t, grid.n_x, grid.n_z))
-    tag_hist = np.empty((grid.n_t, grid.n_x, grid.n_z), dtype=np.int8)
     hist = [term] if keep_history else None
 
-    for n in range(grid.n_t - 1, -1, -1):
-        first = n == grid.n_t - 1
-        if first and config.rannacher_steps > 0:
-            substeps, theta = config.rannacher_steps, 1.0
-        else:
-            substeps, theta = 1, config.cn_weight
-        try:
-            for _ in range(substeps):
-                w, q, tags = _advance(w, asm, params, config, dt / substeps, theta,
-                                      geps, paper_exact)
-        except LinearSolveError as exc:
-            raise SolverError(f"2D backward step into time level {n} failed: {exc}") from exc
-        q_hist[n] = q
-        tag_hist[n] = tags
-        if keep_history:
-            hist.insert(0, Surface(w, grid, n))
+    def record(n, w):
+        hist.insert(0, Surface(w, grid, n))
 
-    q_hist.setflags(write=False)
-    tag_hist.setflags(write=False)
+    w, q_hist, tag_hist = march(np.asarray(term.values, float), grid, params.T, config,
+                                select, solve, on_level=record if keep_history else None)
     return PdeltaSolution(
         p_delta=Surface(w, grid, 0),
         q_star_delta=q_hist,

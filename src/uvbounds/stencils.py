@@ -5,8 +5,9 @@ Interior nodes use the classical central formulas:
     d_xx s = (s[i+1,j] + s[i-1,j] - 2 s[i,j]) / dx^2
     d_xz s = (s[i+1,j+1] + s[i-1,j-1] - s[i-1,j+1] - s[i+1,j-1]) / (4 dx dz)
 
-and the analogues for d_x, d_z, d_zz. Boundary rules, used consistently by
-the dense operators and the sparse matrices below:
+and the analogues for d_x, d_z, d_zz. Each operator comes in two forms,
+``*_values`` applied to an (n_x, n_z) array and ``*_matrix`` acting on the
+row-major flattened surface. Boundary rules, used consistently by both:
 
 * d_xx, d_zz are zero on their boundary rows/columns. With the payoff
   affine near both x-boundaries this is exact there, and at z = 0 the
@@ -16,37 +17,25 @@ the dense operators and the sparse matrices below:
   stencil at interior nodes and goes one-sided in whichever direction
   touches a boundary.
 
-The composite operators scale these by coordinate fields: z*x^2 for the
-x-diffusion, x*z for the cross term, z for the z-diffusion, and so on.
+The control selection reads two composite fields, scaled by coordinates:
+z*x^2*d_xx (``lxx_values``) and x*z*d_xz (``lxz_values``).
 
 A degenerate grid with a single z-node makes every z-derivative zero.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 import scipy.sparse as sp
 
-from .core import GridSpec, Surface
+from .core import GridSpec
 
 __all__ = [
-    "StencilField",
-    "d_x", "d_xx", "d_z", "d_zz", "d_xz",
-    "l_xx", "l_zz", "l_xz", "l_x", "l_z1", "l_z2",
+    "dx_values", "dxx_values", "dz_values", "dzz_values", "dxz_values",
+    "lxx_values", "lxz_values",
     "dx_matrix", "dz_matrix", "dxx_matrix", "dzz_matrix", "dxz_matrix",
     "sign_with_deadband",
 ]
-
-
-@dataclass(frozen=True)
-class StencilField:
-    """Result of applying one discrete operator to a surface."""
-
-    values: np.ndarray
-    op: str
-    grid: GridSpec
 
 
 def _require_axis_nodes(s: np.ndarray, axis: int, n: int, op: str) -> None:
@@ -98,22 +87,6 @@ def dxz_values(v: np.ndarray, grid: GridSpec) -> np.ndarray:
     return dx_values(dz_values(v, grid), grid)
 
 
-def _wrap(fn, name):
-    def op(s: Surface) -> StencilField:
-        return StencilField(fn(np.asarray(s.values, float), s.grid), name, s.grid)
-    op.__name__ = name
-    op.__qualname__ = name
-    op.__doc__ = f"Apply the discrete {name} operator to a surface."
-    return op
-
-
-d_x = _wrap(dx_values, "d_x")
-d_xx = _wrap(dxx_values, "d_xx")
-d_z = _wrap(dz_values, "d_z")
-d_zz = _wrap(dzz_values, "d_zz")
-d_xz = _wrap(dxz_values, "d_xz")
-
-
 # -- coefficient fields ------------------------------------------------------
 
 def _coords(grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
@@ -126,36 +99,9 @@ def lxx_values(v: np.ndarray, grid: GridSpec) -> np.ndarray:
     return z * x ** 2 * dxx_values(v, grid)
 
 
-def lzz_values(v: np.ndarray, grid: GridSpec) -> np.ndarray:
-    _, z = _coords(grid)
-    return z * dzz_values(v, grid)
-
-
 def lxz_values(v: np.ndarray, grid: GridSpec) -> np.ndarray:
     x, z = _coords(grid)
     return x * z * dxz_values(v, grid)
-
-
-def lx_values(v: np.ndarray, grid: GridSpec) -> np.ndarray:
-    x, _ = _coords(grid)
-    return x * dx_values(v, grid)
-
-
-def lz1_values(v: np.ndarray, grid: GridSpec) -> np.ndarray:
-    return dz_values(v, grid)
-
-
-def lz2_values(v: np.ndarray, grid: GridSpec) -> np.ndarray:
-    _, z = _coords(grid)
-    return z * dz_values(v, grid)
-
-
-l_xx = _wrap(lxx_values, "l_xx")
-l_zz = _wrap(lzz_values, "l_zz")
-l_xz = _wrap(lxz_values, "l_xz")
-l_x = _wrap(lx_values, "l_x")
-l_z1 = _wrap(lz1_values, "l_z1")
-l_z2 = _wrap(lz2_values, "l_z2")
 
 
 # -- sparse-matrix forms -----------------------------------------------------

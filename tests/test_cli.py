@@ -187,6 +187,22 @@ def test_solver_failure_exits_3_with_error_record(tmp_path, cfg):
     assert "level" in record["message"]
 
 
+def test_nonfinite_results_written_as_null(tmp_path, capsys):
+    # one path gives no stderr, so the fitted slopes are NaN
+    out = tmp_path / "o"
+    code = run(["coupling-rate", "--out", str(out),
+                "--set", "mc.n_paths=1", "--set", "mc.n_steps=5"])
+    assert code == 0
+
+    def reject(name):
+        raise ValueError(f"manifest holds non-JSON constant {name}")
+
+    with open(out / "manifest.json") as fh:
+        record = json.load(fh, parse_constant=reject)
+    assert record["results"] == {"const_d": None, "const_u": None}
+    assert "written as null" in capsys.readouterr().err
+
+
 def test_unwritable_out_exits_4(tmp_path, cfg):
     blocker = tmp_path / "file"
     blocker.write_text("x")

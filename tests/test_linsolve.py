@@ -3,23 +3,25 @@ import pytest
 import scipy.sparse as sp
 
 from uvbounds.core import GridSpec, ModelParams
-from uvbounds.linsolve import (
-    BandedSystem, LinearSolveError, TriDiag, solve_banded, solve_tridiag,
-    solve_tridiag_batch,
-)
+from uvbounds.linsolve import BandedSystem, LinearSolveError, solve_banded, solve_tridiag_batch
+
+
+def solve_one(lower, main, upper, rhs, **kw):
+    """One tridiagonal system through the batch kernel, as a batch of one."""
+    rows = [np.asarray(a, float)[None, :] for a in (lower, main, upper, rhs)]
+    return solve_tridiag_batch(*rows, **kw)[0]
 
 
 def test_identity_returns_rhs():
     n = 7
-    sys_ = TriDiag(np.zeros(n - 1), np.ones(n), np.zeros(n - 1))
     rhs = np.arange(n, dtype=float)
-    np.testing.assert_array_equal(solve_tridiag(sys_, rhs), rhs)
+    np.testing.assert_array_equal(
+        solve_one(np.zeros(n - 1), np.ones(n), np.zeros(n - 1), rhs), rhs)
 
 
 def test_three_by_three_hand_solution():
     # 2x1 - x2 = 1; -x1 + 2x2 - x3 = 1; -x2 + 2x3 = 1  ->  (1.5, 2, 1.5)
-    sys_ = TriDiag(lower=[-1.0, -1.0], main=[2.0, 2.0, 2.0], upper=[-1.0, -1.0])
-    x = solve_tridiag(sys_, np.ones(3))
+    x = solve_one([-1.0, -1.0], [2.0, 2.0, 2.0], [-1.0, -1.0], np.ones(3))
     np.testing.assert_allclose(x, [1.5, 2.0, 1.5], atol=1e-14)
 
 
@@ -31,10 +33,9 @@ def test_random_diagonally_dominant_residual(seed):
     upper = rng.standard_normal(n - 1)
     main = 3.0 + np.abs(rng.standard_normal(n)) + np.abs(lower).max() + np.abs(upper).max()
     main *= rng.choice([-1.0, 1.0], size=n)
-    sys_ = TriDiag(lower, main, upper)
     rhs = rng.standard_normal(n) * 10
-    x = solve_tridiag(sys_, rhs, lin_tol=1e-10)
-    resid = np.abs(sys_.matvec(x) - rhs).max()
+    x = solve_one(lower, main, upper, rhs, lin_tol=1e-10)
+    resid = np.abs(sp.diags([lower, main, upper], [-1, 0, 1]) @ x - rhs).max()
     assert resid <= 1e-10 * (1 + np.abs(rhs).max())
 
 
@@ -47,19 +48,13 @@ def test_batch_matches_individual_solves():
     rhs = rng.standard_normal((nb, n))
     batch = solve_tridiag_batch(lower, main, upper, rhs)
     for b in range(nb):
-        single = solve_tridiag(TriDiag(lower[b], main[b], upper[b]), rhs[b])
+        single = solve_one(lower[b], main[b], upper[b], rhs[b])
         np.testing.assert_array_equal(batch[b], single)
 
 
 def test_singular_pivot_reports_row():
-    sys_ = TriDiag(lower=[0.0, 0.0], main=[1.0, 0.0, 1.0], upper=[0.0, 0.0])
     with pytest.raises(LinearSolveError, match="row 1"):
-        solve_tridiag(sys_, np.ones(3))
-
-
-def test_tridiag_shape_validation():
-    with pytest.raises(ValueError):
-        TriDiag(lower=[1.0], main=[1.0, 1.0, 1.0], upper=[1.0])
+        solve_one([0.0, 0.0], [1.0, 0.0, 1.0], [0.0, 0.0], np.ones(3))
 
 
 # -- banded ---------------------------------------------------------------
@@ -112,7 +107,7 @@ def test_banded_block_diagonal_matches_tridiag():
     x = solve_banded(BandedSystem(a, rhs))
     for j, (lower, main, upper) in enumerate(blocks):
         slice_rhs = rhs.reshape(n_x, n_z)[:, j]
-        want = solve_tridiag(TriDiag(lower, main, upper), slice_rhs)
+        want = solve_one(lower, main, upper, slice_rhs)
         np.testing.assert_allclose(x.reshape(n_x, n_z)[:, j], want, atol=1e-9)
 
 
@@ -132,10 +127,10 @@ def test_singular_banded_raises():
 
 
 def test_banded_validate_finds_nonfinite():
+    # the residual check of the banded solve rejects a NaN matrix
     a = sp.csr_matrix(np.array([[1.0, np.nan], [np.nan, 1.0]]))
-    sys_ = BandedSystem(a, np.ones(2))
-    with pytest.raises(ValueError):
-        sys_.validate()
+    with pytest.raises(LinearSolveError):
+        solve_banded(BandedSystem(a, np.ones(2)))
 
 
 def test_production_matrix_has_nine_point_footprint():

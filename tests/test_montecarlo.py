@@ -3,7 +3,8 @@ import pytest
 
 from uvbounds.core import ModelParams
 from uvbounds.montecarlo import (
-    brownian_increments, coupling_rate_study, simulate_cir, simulate_coupled_asset,
+    _terminal_gap_sq, brownian_increments, coupling_rate_study, simulate_cir,
+    simulate_coupled_asset,
 )
 
 PARAMS = ModelParams(x0=100, z0=0.04, T=0.25, r=0, d=0.75, u=1.25,
@@ -19,6 +20,17 @@ def test_coupled_paths_identical_at_delta_zero():
     b = simulate_coupled_asset(PARAMS.replace(delta=0.0), PARAMS.u, 50, 500, seed=2)
     np.testing.assert_array_equal(b.x_paths_delta, b.x_paths_frozen)
     assert np.all(b.z_paths == PARAMS.z0)
+
+
+def test_simulators_share_one_path_kernel():
+    # same seed: the variance paths and the terminal gap of the rate study
+    # are bitwise those of the full coupled simulation
+    control = lambda t, x, z: np.where(x >= 100.0, PARAMS.d, PARAMS.u)
+    b = simulate_coupled_asset(PARAMS, control, 40, 300, seed=8)
+    np.testing.assert_array_equal(simulate_cir(PARAMS, 40, 300, seed=8), b.z_paths)
+    np.testing.assert_array_equal(
+        _terminal_gap_sq(PARAMS, control, 40, 300, seed=8),
+        (b.x_paths_delta[:, -1] - b.x_paths_frozen[:, -1]) ** 2)
 
 
 def test_bitwise_reproducibility():

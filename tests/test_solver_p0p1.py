@@ -1,16 +1,24 @@
 import numpy as np
 import pytest
 
+from uvbounds import stepping
 from uvbounds.blackscholes import bs_call, bs_payoff_price
-from uvbounds.core import GridSpec, ModelParams, SolverConfig, Surface
+from uvbounds.core import GridSpec, ModelParams, SolverConfig
 from uvbounds.payoff import PayoffSpec, evaluate, terminal_surface
-from uvbounds.solver_p0p1 import solve_p0p1, step_p0_corrector, step_p0_predictor, step_p1
+from uvbounds.solver_p0p1 import _scheme, _select_q, solve_p0p1
 
 PARAMS = ModelParams(x0=100, z0=0.04, T=0.25, r=0, d=0.75, u=1.25,
                      kappa=15, theta=0.04, delta=0.05, rho=-0.9)
 GRID = GridSpec(0, 200, 100, 0, 0.12, 100, 20)
 SMALL = GridSpec(0, 200, 50, 0, 0.12, 16, 8)
 BF = PayoffSpec.butterfly(90, 100, 110)
+
+
+def predictor(term, params, grid, config=SolverConfig()):
+    """The predictor of one trapezoidal step: the shared step, no corrector pass."""
+    select, solve, _ = _scheme(params, grid, config)
+    return stepping.step(term.values, select, solve, grid.dt(params.T),
+                         config.cn_weight, 0)
 
 
 def window(grid, lo=60.0, hi=140.0):
@@ -22,14 +30,14 @@ def test_affine_payoff_is_invariant():
     # payoff x on [0, 200]: zero curvature, zero-gamma boundaries -> frozen
     affine = PayoffSpec.capped_linear(10_000)
     term = terminal_surface(affine, SMALL)
-    prov, q = step_p0_predictor(term, PARAMS, SMALL, SolverConfig())
+    prov, q, _ = predictor(term, PARAMS, SMALL)
     assert np.all(q == PARAMS.u)  # deadband tie resolves up
-    np.testing.assert_allclose(prov.values, term.values, atol=1e-9)
+    np.testing.assert_allclose(prov, term.values, atol=1e-9)
 
 
 def test_predictor_q_all_up_for_convex_payoff():
     term = terminal_surface(PayoffSpec.call(100), GRID)
-    _, q = step_p0_predictor(term, PARAMS, GRID, SolverConfig())
+    _, q, _ = predictor(term, PARAMS, GRID)
     assert np.all(q == PARAMS.u)
 
 
@@ -37,7 +45,7 @@ def test_first_step_q_from_hand_stencil():
     # strikes on nodes: discrete gamma is +0.5 at 90/110, -1 at 100, 0 elsewhere
     grid = GridSpec(0, 200, 101, 0, 0.12, 4, 20)
     term = terminal_surface(BF, grid)
-    _, q = step_p0_predictor(term, PARAMS, grid, SolverConfig())
+    _, q, _ = predictor(term, PARAMS, grid)
     x = grid.x_nodes()
     z = grid.z_nodes()
     expected = np.where(
@@ -48,10 +56,16 @@ def test_first_step_q_from_hand_stencil():
 def test_corrector_idempotent_when_control_unchanged():
     term = terminal_surface(PayoffSpec.call(100), SMALL)
     cfg = SolverConfig()
-    prov, q_pred = step_p0_predictor(term, PARAMS, SMALL, cfg)
-    corr, q_corr = step_p0_corrector(term, prov, PARAMS, SMALL, cfg)
+    dt, theta = SMALL.dt(PARAMS.T), cfg.cn_weight
+    prov, q_pred, _ = predictor(term, PARAMS, SMALL, cfg)
+    working = theta * prov + (1.0 - theta) * term.values
+    q_corr, _ = _select_q(working, PARAMS, SMALL, cfg.resolve_gamma_eps(PARAMS))
     np.testing.assert_array_equal(q_pred, q_corr)
-    np.testing.assert_array_equal(corr.values, prov.values)
+    select, solve, _ = _scheme(PARAMS, SMALL, cfg)
+    np.testing.assert_array_equal(solve(q_corr, term.values, dt, theta), prov)
+    corr, q_step, _ = stepping.step(term.values, select, solve, dt, theta, 1)
+    np.testing.assert_array_equal(q_step, q_pred)
+    np.testing.assert_array_equal(corr, prov)
 
 
 def test_call_price_matches_high_vol_bs_curve():
@@ -154,12 +168,14 @@ def test_solve_failure_carries_time_level_context():
 
 
 def test_step_p1_zero_source_keeps_zero():
-    term_p1 = Surface(np.zeros((SMALL.n_x, SMALL.n_z)), SMALL, SMALL.n_t)
+    params = PARAMS.replace(rho=0.0)
+    cfg = SolverConfig()
     term_p0 = terminal_surface(BF, SMALL)
-    prov, q = step_p0_predictor(term_p0, PARAMS.replace(rho=0.0), SMALL, SolverConfig())
-    out = step_p1(term_p1, q, prov, term_p0, PARAMS.replace(rho=0.0), SMALL,
-                  SolverConfig())
-    assert np.all(out.values == 0.0)
+    prov, q, _ = predictor(term_p0, params, SMALL, cfg)
+    _, _, solve_p1 = _scheme(params, SMALL, cfg)
+    out = solve_p1(np.zeros((SMALL.n_x, SMALL.n_z)), q, prov, term_p0.values,
+                   SMALL.dt(params.T), cfg.cn_weight)
+    assert np.all(out == 0.0)
 
 
 # -- independent dense reference for the correction sign ----------------------

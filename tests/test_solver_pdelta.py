@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
+from uvbounds import stepping
 from uvbounds.blackscholes import bs_call
 from uvbounds.core import GridSpec, ModelParams, SolverConfig, SolverError
 from uvbounds.payoff import PayoffSpec, terminal_surface
 from uvbounds.solver_p0p1 import solve_p0p1
-from uvbounds.solver_pdelta import TAG_A, TAG_B, TAG_C, select_q, solve_pdelta, step_pdelta
+from uvbounds.solver_pdelta import TAG_A, TAG_B, TAG_C, _scheme, select_q, solve_pdelta
 
 PARAMS = ModelParams(x0=100, z0=0.04, T=0.25, r=0, d=0.75, u=1.25,
                      kappa=15, theta=0.04, delta=0.05, rho=-0.9)
@@ -191,10 +192,13 @@ def test_step_matches_single_step_solve():
     cfg = SolverConfig(rannacher_steps=0)
     grid = GridSpec(0, 200, 30, 0, 0.12, 8, 1)
     term = terminal_surface(BF, grid)
-    stepped = step_pdelta(term, PARAMS, grid, cfg)
+    select, solve = _scheme(PARAMS, grid, cfg, paper_exact=False)
+    stepped, q, tags = stepping.step(term.values, select, solve, grid.dt(PARAMS.T),
+                                     cfg.cn_weight, cfg.corrector_passes)
     solved = solve_pdelta(BF, PARAMS, grid, cfg)
-    np.testing.assert_array_equal(stepped.values, solved.p_delta.values)
-    assert stepped.time_index == 0
+    np.testing.assert_array_equal(stepped, solved.p_delta.values)
+    np.testing.assert_array_equal(q, solved.q_star_delta[0])
+    np.testing.assert_array_equal(tags, solved.candidate_tags[0])
 
 
 def test_failure_carries_time_level_context():

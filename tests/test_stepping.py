@@ -1,0 +1,32 @@
+import numpy as np
+from hypothesis import given, settings, strategies as hst
+
+from uvbounds.core import GridSpec, ModelParams
+from uvbounds.payoff import PayoffSpec, evaluate
+from uvbounds.solver_p0p1 import solve_p0p1
+from uvbounds.solver_pdelta import solve_pdelta
+
+PARAMS = ModelParams(x0=100, z0=0.04, T=0.25, r=0, d=0.75, u=1.25,
+                     kappa=15, theta=0.04, delta=0.05, rho=-0.9)
+BF = PayoffSpec.butterfly(90, 100, 110)
+
+
+@settings(max_examples=15, deadline=None, derandomize=True)
+@given(n_x=hst.integers(12, 40), n_z=hst.integers(3, 12), n_t=hst.integers(1, 8),
+       c=hst.floats(-50.0, 50.0))
+def test_constant_shift_of_payoff_shifts_prices(n_x, n_z, n_t, c):
+    # constants lie in the kernel of every operator, so the shared stepper
+    # must carry a shifted payoff to a shifted P0 and P^delta, and leave P1
+    grid = GridSpec(0, 200, n_x, 0, 0.12, n_z, n_t)
+    x = grid.x_nodes()
+    h = evaluate(BF, x)
+    base = PayoffSpec.tabulated(x, h)
+    shifted = PayoffSpec.tabulated(x, h + c)
+    tol = 1e-10 * (1.0 + abs(c))
+
+    a, b = solve_p0p1(base, PARAMS, grid), solve_p0p1(shifted, PARAMS, grid)
+    assert np.max(np.abs(b.p0.values - (a.p0.values + c))) <= tol
+    assert np.max(np.abs(b.p1.values - a.p1.values)) <= tol
+
+    a, b = solve_pdelta(base, PARAMS, grid), solve_pdelta(shifted, PARAMS, grid)
+    assert np.max(np.abs(b.p_delta.values - (a.p_delta.values + c))) <= tol
