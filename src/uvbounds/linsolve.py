@@ -1,10 +1,12 @@
 """Linear kernels for the implicit steps.
 
-Tridiagonal systems (one per variance slice in the 1D solvers) go through
-a vectorized Thomas sweep that handles a whole batch of slices at once.
-The 2D scheme produces a 9-point banded system solved by sparse LU, with
-a diagonally preconditioned BiCGStab fallback for grids too large to
-factor comfortably.
+Every solver step goes through a vectorized Thomas sweep that solves a
+whole batch of tridiagonal systems at once: one per variance slice for P0,
+P1 and the x-stages of the 2D Craig-Sneyd step, one per asset row for its
+z-stages. The banded kernel solves the unsplit 9-point 2D system by sparse
+LU, with a diagonally preconditioned BiCGStab fallback for grids too large
+to factor comfortably; only the reference step the tests compare the
+split scheme with uses it.
 
 Acceptance of a solve is residual-based: every solve verifies
 ``max|A x - b| <= lin_tol * (1 + max|b|)`` and raises otherwise.
@@ -74,7 +76,9 @@ def solve_tridiag_batch(lower: np.ndarray, main: np.ndarray, upper: np.ndarray,
     """Solve a batch of independent tridiagonal systems by the Thomas sweep.
 
     All inputs are (n_systems, n) arrays except lower/upper, which are
-    (n_systems, n-1). Vectorizes over the batch axis.
+    (n_systems, n-1). Vectorizes over the batch axis. The pivots are
+    checked once, after the forward sweep: a singular pivot is reported
+    at its first row, in the first system that has one there.
     """
     main = np.asarray(main, float)
     rhs = np.asarray(rhs, float)
@@ -82,23 +86,26 @@ def solve_tridiag_batch(lower: np.ndarray, main: np.ndarray, upper: np.ndarray,
     upper = np.asarray(upper, float)
     nb, n = main.shape
     if n == 1:
-        _check_pivots(main[:, 0], 0)
+        _check_pivots(main)
         x = rhs / main
         _check_residual((main * x - rhs).ravel(), rhs.ravel(), lin_tol, "tridiagonal batch")
         return x
 
     cp = np.empty((nb, n - 1))
     dp = np.empty((nb, n))
-    den = main[:, 0].copy()
-    _check_pivots(den, 0)
-    cp[:, 0] = upper[:, 0] / den
-    dp[:, 0] = rhs[:, 0] / den
-    for k in range(1, n):
-        den = main[:, k] - lower[:, k - 1] * cp[:, k - 1]
-        _check_pivots(den, k)
-        if k < n - 1:
-            cp[:, k] = upper[:, k] / den
-        dp[:, k] = (rhs[:, k] - lower[:, k - 1] * dp[:, k - 1]) / den
+    piv = np.empty((nb, n))
+    # a bad pivot only spoils its own system; all are checked after the sweep
+    with np.errstate(all="ignore"):
+        piv[:, 0] = main[:, 0]
+        cp[:, 0] = upper[:, 0] / piv[:, 0]
+        dp[:, 0] = rhs[:, 0] / piv[:, 0]
+        for k in range(1, n):
+            piv[:, k] = main[:, k] - lower[:, k - 1] * cp[:, k - 1]
+            den = piv[:, k]
+            if k < n - 1:
+                cp[:, k] = upper[:, k] / den
+            dp[:, k] = (rhs[:, k] - lower[:, k - 1] * dp[:, k - 1]) / den
+    _check_pivots(piv)
     for k in range(n - 2, -1, -1):
         dp[:, k] -= cp[:, k] * dp[:, k + 1]
 
@@ -109,10 +116,12 @@ def solve_tridiag_batch(lower: np.ndarray, main: np.ndarray, upper: np.ndarray,
     return dp
 
 
-def _check_pivots(den: np.ndarray, row: int) -> None:
-    bad = ~np.isfinite(den) | (np.abs(den) < 1e-300)
+def _check_pivots(piv: np.ndarray) -> None:
+    """Raise on the first row, then first system, with a zero or non-finite pivot."""
+    bad = ~np.isfinite(piv) | (np.abs(piv) < 1e-300)
     if np.any(bad):
-        sys_idx = int(np.argmax(bad))
+        row = int(np.argmax(bad.any(axis=0)))
+        sys_idx = int(np.argmax(bad[:, row]))
         raise LinearSolveError(
             f"tridiagonal solve: singular pivot at row {row} (system {sys_idx})"
         )

@@ -197,6 +197,9 @@ def coupling_rate_study(params: ModelParams, delta_list: Sequence[float],
         raise ValueError("rate study needs at least two distinct delta values")
     if np.any(deltas <= 0.0):
         raise ValueError("delta values must be strictly positive (log scale)")
+    if n_paths < 2:
+        raise ValueError(f"rate study needs n_paths >= 2 for its standard errors "
+                         f"(got {n_paths})")
     if controls is None:
         controls = {"const_d": params.d, "const_u": params.u}
 

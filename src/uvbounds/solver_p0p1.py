@@ -53,13 +53,13 @@ class P0P1Solution:
 
 
 def _solve_slicewise(q: np.ndarray, v_next: np.ndarray, source: Optional[np.ndarray],
-                     params: ModelParams, grid: GridSpec, dt: float, theta: float,
-                     lin_tol: float) -> np.ndarray:
+                     grid: GridSpec, dt: float, theta: float, lin_tol: float) -> np.ndarray:
     """One weighted implicit step of dv/dt + a*d_xx v + source = 0, per slice.
 
     Solves (I - theta*dt*A) v_new = (I + (1-theta)*dt*A) v_next + dt*source
     with A = a * d_xx, batched over the z-slices. The coefficient is
     a = 0.5 * q^2 * z * x^2, zeroed on the x-boundary rows (zero-gamma BC).
+    The source is added on every row, boundary rows included.
     """
     x = grid.x_nodes()[:, None]
     z = grid.z_nodes()[None, :]
@@ -70,10 +70,7 @@ def _solve_slicewise(q: np.ndarray, v_next: np.ndarray, source: Optional[np.ndar
     a_dxx[1:-1] = a[1:-1] * (v_next[2:] + v_next[:-2] - 2.0 * v_next[1:-1]) / grid.dx ** 2
     rhs = v_next + (1.0 - theta) * dt * a_dxx
     if source is not None:
-        src = source.copy()
-        src[0, :] = 0.0   # x-boundary rows evolve as identity
-        src[-1, :] = 0.0
-        rhs = rhs + dt * src
+        rhs = rhs + dt * source
 
     c = theta * dt * a / grid.dx ** 2  # (n_x, n_z)
     # batch axis = slice: transpose to (n_z, n_x)
@@ -99,12 +96,14 @@ def _scheme(params: ModelParams, grid: GridSpec, config: SolverConfig):
         return _select_q(w, params, grid, geps)
 
     def solve(q: np.ndarray, v_next: np.ndarray, dt: float, theta: float) -> np.ndarray:
-        return _solve_slicewise(q, v_next, None, params, grid, dt, theta, config.lin_tol)
+        return _solve_slicewise(q, v_next, None, grid, dt, theta, config.lin_tol)
 
     def solve_p1(v_next, q, u_new, u_next, dt: float, theta: float) -> np.ndarray:
         u_avg = theta * u_new + (1.0 - theta) * u_next
         source = params.rho * q * lxz_values(u_avg, grid)
-        return _solve_slicewise(q, v_next, source, params, grid, dt, theta, config.lin_tol)
+        source[0, :] = 0.0   # x-boundary rows evolve as identity
+        source[-1, :] = 0.0
+        return _solve_slicewise(q, v_next, source, grid, dt, theta, config.lin_tol)
 
     return select, solve, solve_p1
 

@@ -1,10 +1,24 @@
 """The full 2D worst-case price P^delta.
 
-It marches backward through the shared stepper in ``stepping``. Its
-implicit step assembles the weighted system on the flattened (x, z) grid
-(a 9-point footprint: axial neighbors from the two diffusions and the
-drift, corner neighbors from the cross term) and solves it with the
-banded kernel.
+It marches backward through the shared stepper in ``stepping``. Its step
+is the Craig-Sneyd operator splitting (Craig & Sneyd 1988; in the form of
+In 't Hout & Foulon 2010 for a mixed-derivative term) of the weighted
+step at the stepper's weight theta. The generator splits into the cross
+term A0 (explicit), the x-diffusion A1 and the variance part A2:
+
+    Y0 = U + dt*(A0 + A1 + A2) U
+    Yj = Y(j-1) + theta*dt*Aj (Yj - U),              j = 1, 2
+    Z0 = Y0 + theta*dt*A0 (Y2 - U)
+    Zj = Z(j-1) + theta*dt*Aj (Zj - U),              j = 1, 2
+
+and the new level is Z2. Each implicit stage is a batch of tridiagonal
+sweeps: per z-slice in x (the P0 slice solver) and per x-row in z. The
+correction weight theta is Craig-Sneyd's 1/2 in the trapezoidal steps
+and 1 in the fully implicit Rannacher start. At delta = 0 both A0 and A2
+vanish and the step is the P0 step, bit for bit. The splitting error
+against the unsplit weighted system is O(dt^2); tests measure it against
+a reference step that assembles that system (a 9-point footprint) and
+solves it by banded LU.
 
 Control selection at a node compares three candidate values of the
 quadratic q -> 0.5*q^2*Gxx + q*rho*sqrt(delta)*Gxz, where Gxx and Gxz are
@@ -31,10 +45,11 @@ import numpy as np
 import scipy.sparse as sp
 
 from .core import GridSpec, ModelParams, SolverConfig, Surface
-from .linsolve import BandedSystem, solve_banded
+from .linsolve import BandedSystem, solve_banded, solve_tridiag_batch
 from .payoff import PayoffSpec, terminal_surface
-from .stencils import dxx_matrix, dxz_matrix, dz_matrix, dzz_matrix, \
-    lxx_values, lxz_values
+from .solver_p0p1 import _solve_slicewise
+from .stencils import _first_diff_1d, _second_diff_1d, dxx_matrix, dxz_matrix, \
+    dz_matrix, dz_values, dzz_matrix, dzz_values, lxx_values, lxz_values
 from .stepping import check_inputs, march
 
 __all__ = [
@@ -120,8 +135,89 @@ def select_q(lxx, lxz, params: ModelParams, gamma_eps: float,
     return q, tag
 
 
+class _Split:
+    """The 2D generator A(q) = A0 + A1 + A2, by parts, for the Craig-Sneyd step.
+
+    * A0 = rho*sqrt(delta)*q*x*z*d_xz, the cross term, always explicit;
+      absent when its coefficient is zero or the grid has one z-node.
+    * A1 = 0.5*q^2*z*x^2*d_xx, implicit in x: the P0 slice solver.
+    * A2 = delta*(0.5*z*d_zz + kappa*(theta - z)*d_z), implicit in z with
+      one tridiagonal system per x-row; absent when delta = 0 or n_z = 1.
+    """
+
+    def __init__(self, params: ModelParams, grid: GridSpec):
+        self.params = params
+        self.grid = grid
+        self.c0 = params.rho * np.sqrt(params.delta)
+        self.has_a0 = self.c0 != 0.0 and grid.n_z > 1
+        self.has_a2 = params.delta > 0.0 and grid.n_z > 1
+        z = grid.z_nodes()
+        self.z = z[None, :]
+        # A2 along one x-row; every row has the same coefficients
+        a2 = params.delta * (
+            sp.diags(0.5 * z) @ _second_diff_1d(grid.n_z, grid.dz)
+            + sp.diags(params.kappa * (params.theta - z)) @ _first_diff_1d(grid.n_z, grid.dz)
+        )
+        self.a2_diags = (a2.diagonal(-1), a2.diagonal(0), a2.diagonal(1))
+
+    def a0(self, q: np.ndarray, w: np.ndarray) -> np.ndarray:
+        return self.c0 * q * lxz_values(w, self.grid)
+
+    def a2(self, w: np.ndarray) -> np.ndarray:
+        p = self.params
+        return p.delta * (0.5 * self.z * dzz_values(w, self.grid)
+                          + p.kappa * (p.theta - self.z) * dz_values(w, self.grid))
+
+    def solve_z(self, rhs: np.ndarray, dt: float, theta: float, lin_tol: float) -> np.ndarray:
+        """(I - theta*dt*A2)^-1 rhs, batched over the x-rows."""
+        shape = rhs.shape
+        lower, main, upper = self.a2_diags
+        c = theta * dt
+        return solve_tridiag_batch(
+            np.broadcast_to(-c * lower, (shape[0], shape[1] - 1)),
+            np.broadcast_to(1.0 - c * main, shape),
+            np.broadcast_to(-c * upper, (shape[0], shape[1] - 1)),
+            rhs, lin_tol=lin_tol)
+
+
+def _scheme(params: ModelParams, grid: GridSpec, config: SolverConfig,
+            paper_exact: bool):
+    """The (select, solve) pair of the 2D equation; ``solve`` is one Craig-Sneyd step."""
+    geps = config.resolve_gamma_eps(params)
+    split = _Split(params, grid)
+    tol = config.lin_tol
+
+    def select(w: np.ndarray):
+        return select_q(lxx_values(w, grid), lxz_values(w, grid), params, geps,
+                        paper_exact)
+
+    def solve(q: np.ndarray, w_next: np.ndarray, dt: float, theta: float) -> np.ndarray:
+        a0_next = split.a0(q, w_next) if split.has_a0 else None
+        a2_next = split.a2(w_next) if split.has_a2 else None
+
+        def stages(explicit):
+            # x-stage: the P0 step's rhs U + (1-theta)*dt*A1 U, plus dt*explicit
+            y = _solve_slicewise(q, w_next, explicit, grid, dt, theta, tol)
+            if a2_next is None:
+                return y
+            return split.solve_z(y - theta * dt * a2_next, dt, theta, tol)
+
+        if a0_next is None:
+            return stages(a2_next)
+        explicit = a0_next if a2_next is None else a0_next + a2_next
+        y = stages(explicit)
+        # correction: the cross term re-evaluated at the predicted level, with
+        # weight theta (1/2, Craig-Sneyd's own, after the Rannacher start)
+        return stages(explicit + theta * (split.a0(q, y) - a0_next))
+
+    return select, solve
+
+
 class _Assembler:
-    """Grid-fixed pieces of the implicit operator, built once per solve."""
+    """The assembled 9-point generator on the flattened (x, z) grid.
+
+    Only the LU reference step (``_lu_solve``) uses it.
+    """
 
     def __init__(self, grid: GridSpec):
         self.grid = grid
@@ -150,24 +246,22 @@ class _Assembler:
         return a.tocsr()
 
 
-def _scheme(params: ModelParams, grid: GridSpec, config: SolverConfig,
-            paper_exact: bool):
-    """The (select, solve) pair of the 2D equation."""
-    geps = config.resolve_gamma_eps(params)
-    asm = _Assembler(grid)
+def _lu_solve(params: ModelParams, grid: GridSpec, lin_tol: float):
+    """Reference implicit step: the unsplit weighted system, by banded LU.
 
-    def select(w: np.ndarray):
-        return select_q(lxx_values(w, grid), lxz_values(w, grid), params, geps,
-                        paper_exact)
+    A drop-in for the Craig-Sneyd ``solve`` of ``_scheme``, so tests can
+    march both and bound the splitting error.
+    """
+    asm = _Assembler(grid)
 
     def solve(q: np.ndarray, w_next: np.ndarray, dt: float, theta: float) -> np.ndarray:
         gen = asm.generator(q, params)
         flat = w_next.ravel()
         rhs = flat + (1.0 - theta) * dt * (gen @ flat)
         system = BandedSystem((asm.eye - theta * dt * gen).tocsr(), rhs)
-        return solve_banded(system, lin_tol=config.lin_tol).reshape(w_next.shape)
+        return solve_banded(system, lin_tol=lin_tol).reshape(w_next.shape)
 
-    return select, solve
+    return solve
 
 
 def solve_pdelta(payoff: PayoffSpec, params: ModelParams, grid: GridSpec,

@@ -1,7 +1,9 @@
+import dataclasses
 import json
 
 import pytest
 
+from uvbounds import cli
 from uvbounds.cli import run
 from uvbounds.csvio import read_csv
 
@@ -187,11 +189,31 @@ def test_solver_failure_exits_3_with_error_record(tmp_path, cfg):
     assert "level" in record["message"]
 
 
-def test_nonfinite_results_written_as_null(tmp_path, capsys):
-    # one path gives no stderr, so the fitted slopes are NaN
+def test_one_path_rate_study_exits_2(tmp_path, cfg):
+    # one path has no sample standard deviation, so no weighted fit
+    out = tmp_path / "o"
+    code = run(["coupling-rate", "--config", cfg, "--out", str(out),
+                "--set", "mc.n_paths=1", "--set", "mc.n_steps=5"])
+    assert code == 2
+    with open(out / "error.json") as fh:
+        record = json.load(fh)
+    assert record["exit_code"] == 2
+    assert "n_paths >= 2" in record["message"]
+
+
+def test_nonfinite_results_written_as_null(tmp_path, capsys, monkeypatch):
+    # a study whose fits come back with NaN slopes
+    real_study = cli.coupling_rate_study
+
+    def nan_slopes(*args, **kwargs):
+        study = real_study(*args, **kwargs)
+        fits = [dataclasses.replace(f, slope=float("nan")) for f in study.fits]
+        return dataclasses.replace(study, fits=fits)
+
+    monkeypatch.setattr(cli, "coupling_rate_study", nan_slopes)
     out = tmp_path / "o"
     code = run(["coupling-rate", "--out", str(out),
-                "--set", "mc.n_paths=1", "--set", "mc.n_steps=5"])
+                "--set", "mc.n_paths=2", "--set", "mc.n_steps=5"])
     assert code == 0
 
     def reject(name):

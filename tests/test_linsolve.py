@@ -57,6 +57,19 @@ def test_singular_pivot_reports_row():
         solve_one([0.0, 0.0], [1.0, 0.0, 1.0], [0.0, 0.0], np.ones(3))
 
 
+def test_singular_pivot_reports_first_row_then_first_system():
+    # zero pivots: system 0 at row 4, systems 1 and 2 at row 3. The earliest
+    # row is reported, and the first system that fails there
+    nb, n = 4, 6
+    main = np.full((nb, n), 2.0)
+    main[0, 4] = 0.0
+    main[1, 3] = 0.0
+    main[2, 3] = 0.0
+    off = np.zeros((nb, n - 1))
+    with pytest.raises(LinearSolveError, match=r"row 3 \(system 1\)"):
+        solve_tridiag_batch(off, main, off, np.ones((nb, n)))
+
+
 # -- banded ---------------------------------------------------------------
 
 def _cn_like_matrix(n_x=12, n_z=9, seed=0):

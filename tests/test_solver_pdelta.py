@@ -6,7 +6,9 @@ from uvbounds.blackscholes import bs_call
 from uvbounds.core import GridSpec, ModelParams, SolverConfig, SolverError
 from uvbounds.payoff import PayoffSpec, terminal_surface
 from uvbounds.solver_p0p1 import solve_p0p1
-from uvbounds.solver_pdelta import TAG_A, TAG_B, TAG_C, _scheme, select_q, solve_pdelta
+from uvbounds.solver_pdelta import TAG_A, TAG_B, TAG_C, _Assembler, _lu_solve, _scheme, \
+    _Split, select_q, solve_pdelta
+from uvbounds.stencils import lxx_values
 
 PARAMS = ModelParams(x0=100, z0=0.04, T=0.25, r=0, d=0.75, u=1.25,
                      kappa=15, theta=0.04, delta=0.05, rho=-0.9)
@@ -76,9 +78,12 @@ def test_select_q_vectorized_matches_scalar():
 # -- full solves ----------------------------------------------------------------
 
 def test_delta_zero_matches_leading_order():
+    # with no cross term and no z-stage the 2D step is the P0 step, bit for bit
     base = solve_p0p1(BF, PARAMS, SMALL)
-    full = solve_pdelta(BF, PARAMS.replace(delta=0.0), SMALL)
-    assert np.max(np.abs(full.p_delta.values - base.p0.values)) < 1e-8
+    for paper_exact in (False, True):
+        full = solve_pdelta(BF, PARAMS.replace(delta=0.0), SMALL, paper_exact=paper_exact)
+        np.testing.assert_array_equal(full.p_delta.values, base.p0.values)
+        np.testing.assert_array_equal(full.q_star_delta, base.q_star0)
 
 
 def test_call_payoff_control_and_price():
@@ -110,7 +115,7 @@ def test_single_slice_grid_reduces_to_frozen_band_problem():
     grid = GridSpec(0, 200, 40, PARAMS.z0, PARAMS.z0, 1, 6)
     full = solve_pdelta(BF, PARAMS, grid)
     base = solve_p0p1(BF, PARAMS, grid)
-    assert np.max(np.abs(full.p_delta.values - base.p0.values)) < 1e-10
+    np.testing.assert_array_equal(full.p_delta.values, base.p0.values)
 
 
 def test_control_in_band_and_undershoot_small():
@@ -125,7 +130,6 @@ def test_control_in_band_and_undershoot_small():
 
 def test_generator_matches_dense_operator_composition():
     from uvbounds import stencils as st
-    from uvbounds.solver_pdelta import _Assembler
 
     rng = np.random.default_rng(17)
     w = rng.standard_normal((SMALL.n_x, SMALL.n_z))
@@ -143,6 +147,43 @@ def test_generator_matches_dense_operator_composition():
                           + PARAMS.kappa * (PARAMS.theta - z) * st.dz_values(w, SMALL))
     )
     np.testing.assert_allclose(via_matrix, expected, atol=1e-10)
+
+
+def test_split_parts_sum_to_generator():
+    rng = np.random.default_rng(23)
+    w = rng.standard_normal((SMALL.n_x, SMALL.n_z))
+    q = rng.uniform(PARAMS.d, PARAMS.u, size=w.shape)
+    split = _Split(PARAMS, SMALL)
+    a1 = 0.5 * q * q * lxx_values(w, SMALL)  # the x-diffusion of the slice solver
+    parts = split.a0(q, w) + a1 + split.a2(w)
+    whole = (_Assembler(SMALL).generator(q, PARAMS) @ w.ravel()).reshape(w.shape)
+    assert np.max(np.abs(parts - whole)) <= 1e-12 * np.max(np.abs(whole))
+    # the z-stage inverts I - c*A2 with the same A2
+    c = 0.01
+    y = split.solve_z(w, c, 1.0, 1e-10)
+    np.testing.assert_allclose(y - c * split.a2(y), w, rtol=0, atol=1e-12)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("delta", [0.05, 1.0])
+@pytest.mark.parametrize("rho", [-0.99, 0.99])
+def test_splitting_gap_to_lu_is_second_order(rho, delta):
+    # the Craig-Sneyd step against the unsplit system solved by banded LU,
+    # both marched with the same control selection: halving dt cuts the
+    # gap by nearly 4 (at least 3)
+    p = PARAMS.replace(rho=rho, delta=delta)
+    cfg = SolverConfig()
+    gaps = []
+    for n_t in (10, 20, 40):
+        grid = GridSpec(0, 200, 60, 0, 0.12, 30, n_t)
+        select, adi = _scheme(p, grid, cfg, paper_exact=False)
+        lu = _lu_solve(p, grid, cfg.lin_tol)
+        term = terminal_surface(BF, grid).values
+        w_adi = stepping.march(term, grid, p.T, cfg, select, adi)[0]
+        w_lu = stepping.march(term, grid, p.T, cfg, select, lu)[0]
+        gaps.append(np.max(np.abs(w_adi - w_lu)))
+    assert gaps[0] >= 3.0 * gaps[1], gaps
+    assert gaps[1] >= 3.0 * gaps[2], gaps
 
 
 def test_price_drift_is_linear_in_delta_when_uncorrelated():
