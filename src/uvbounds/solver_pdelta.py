@@ -17,8 +17,8 @@ correction weight theta is Craig-Sneyd's 1/2 in the trapezoidal steps
 and 1 in the fully implicit Rannacher start. At delta = 0 both A0 and A2
 vanish and the step is the P0 step, bit for bit. The splitting error
 against the unsplit weighted system is O(dt^2); tests measure it against
-a reference step that assembles that system (a 9-point footprint) and
-solves it by banded LU.
+a reference step that probes that system's matrix (a 9-point footprint)
+from the same operators and solves it by sparse LU.
 
 Control selection at a node compares three candidate values of the
 quadratic q -> 0.5*q^2*Gxx + q*rho*sqrt(delta)*Gxz, where Gxx and Gxz are
@@ -42,14 +42,12 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-import scipy.sparse as sp
 
 from .core import GridSpec, ModelParams, SolverConfig, Surface
-from .linsolve import BandedSystem, solve_banded, solve_tridiag_batch
+from .linsolve import LinearSolveError, _check_residual, solve_tridiag_batch
 from .payoff import PayoffSpec, terminal_surface
 from .solver_p0p1 import _solve_slicewise
-from .stencils import _first_diff_1d, _second_diff_1d, dxx_matrix, dxz_matrix, \
-    dz_matrix, dz_values, dzz_matrix, dzz_values, lxx_values, lxz_values
+from .stencils import dz_values, dzz_values, lxx_values, lxz_values
 from .stepping import check_inputs, march
 
 __all__ = [
@@ -87,22 +85,27 @@ class PdeltaSolution:
         return float(np.mean(self.candidate_tags == tag))
 
 
+def _deadband(field, eps: float) -> np.ndarray:
+    field = np.asarray(field, dtype=float)
+    return np.where(np.abs(field) < eps, 0.0, field)
+
+
 def select_q(lxx, lxz, params: ModelParams, gamma_eps: float,
              paper_exact: bool = False):
     """Pointwise optimal control from the two stencil fields.
 
     Vectorized; returns (q, tag) with tags in {TAG_A, TAG_B, TAG_C}. Exact
     ties prefer the upper endpoint, then the lower one, so the selection
-    is deterministic. The interior candidate needs |Gxx| above the
-    deadband in either mode (division guard); the guarded mode further
-    requires Gxx < 0 and q_hat inside [d, u].
+    is deterministic. Both fields count as zero below the deadband
+    ``gamma_eps``. The interior candidate needs |Gxx| above the deadband
+    in either mode (division guard); the guarded mode further requires
+    Gxx < 0 and q_hat inside [d, u].
     """
     scalar = np.isscalar(lxx) and np.isscalar(lxz)
-    a = np.asarray(lxx, dtype=float)
-    # curvature below the deadband counts as zero, so a flat node with no
-    # cross term ties and resolves to the upper endpoint
-    a = np.where(np.abs(a) < gamma_eps, 0.0, a)
-    b = params.rho * np.sqrt(params.delta) * np.asarray(lxz, dtype=float)
+    # fields below the deadband count as zero, so a flat node, where both
+    # are rounding noise, ties and resolves to the upper endpoint
+    a = _deadband(lxx, gamma_eps)
+    b = params.rho * np.sqrt(params.delta) * _deadband(lxz, gamma_eps)
     d, u = params.d, params.u
 
     f_u = 0.5 * u * u * a + u * b
@@ -151,14 +154,14 @@ class _Split:
         self.c0 = params.rho * np.sqrt(params.delta)
         self.has_a0 = self.c0 != 0.0 and grid.n_z > 1
         self.has_a2 = params.delta > 0.0 and grid.n_z > 1
-        z = grid.z_nodes()
-        self.z = z[None, :]
-        # A2 along one x-row; every row has the same coefficients
-        a2 = params.delta * (
-            sp.diags(0.5 * z) @ _second_diff_1d(grid.n_z, grid.dz)
-            + sp.diags(params.kappa * (params.theta - z)) @ _first_diff_1d(grid.n_z, grid.dz)
-        )
-        self.a2_diags = (a2.diagonal(-1), a2.diagonal(0), a2.diagonal(1))
+        self.z = grid.z_nodes()[None, :]
+        # A2 along one x-row (every row has the same coefficients), probed
+        # by three combs: row c of ``comb`` is 1 where j = c (mod 3), and each
+        # output node meets exactly one comb node in its 3-point footprint
+        j = np.arange(grid.n_z)
+        comb = (j[None, :] % 3 == np.arange(3)[:, None]).astype(float)
+        y = self.a2(comb)
+        self.a2_diags = (y[(j[1:] - 1) % 3, j[1:]], y[j % 3, j], y[(j[:-1] + 1) % 3, j[:-1]])
 
     def a0(self, q: np.ndarray, w: np.ndarray) -> np.ndarray:
         return self.c0 * q * lxz_values(w, self.grid)
@@ -213,53 +216,58 @@ def _scheme(params: ModelParams, grid: GridSpec, config: SolverConfig,
     return select, solve
 
 
-class _Assembler:
-    """The assembled 9-point generator on the flattened (x, z) grid.
+def _generator_matrix(split: _Split, q: np.ndarray):
+    """A(q) = A0 + A1 + A2 as a sparse matrix on the row-major flattened grid.
 
-    Only the LU reference step (``_lu_solve``) uses it.
+    Probed from the values-form operators with nine colours (i mod 3,
+    j mod 3): each output node's 3x3 footprint meets exactly one node of
+    each colour, so every probe yields one matrix column per node.
     """
+    import scipy.sparse as sp  # only this test reference needs scipy.sparse
 
-    def __init__(self, grid: GridSpec):
-        self.grid = grid
-        self.dxx = dxx_matrix(grid)
-        self.dxz = dxz_matrix(grid)
-        self.dzz = dzz_matrix(grid)
-        self.dz = dz_matrix(grid)
-        self.eye = sp.identity(grid.n_x * grid.n_z, format="csr")
-        x = grid.x_nodes()[:, None]
-        z = grid.z_nodes()[None, :]
-        self.xz = np.broadcast_to(x * z, (grid.n_x, grid.n_z)).ravel()
-        self.zx2 = np.broadcast_to(z * x * x, (grid.n_x, grid.n_z)).ravel()
-        self.z = np.broadcast_to(z, (grid.n_x, grid.n_z)).ravel()
-
-    def generator(self, q: np.ndarray, params: ModelParams) -> sp.csr_matrix:
-        """Spatial operator with the control field frozen at ``q``."""
-        qf = q.ravel()
-        sqd = np.sqrt(params.delta)
-        a = sp.diags(0.5 * qf * qf * self.zx2) @ self.dxx
-        a = a + sp.diags(params.rho * sqd * qf * self.xz) @ self.dxz
-        if params.delta > 0.0 and self.grid.n_z > 1:
-            a = a + params.delta * (
-                sp.diags(0.5 * self.z) @ self.dzz
-                + sp.diags(params.kappa * (params.theta - self.z)) @ self.dz
-            )
-        return a.tocsr()
+    grid = split.grid
+    n = grid.n_x * grid.n_z
+    i = np.arange(grid.n_x)[:, None]
+    j = np.arange(grid.n_z)[None, :]
+    row = np.arange(n).reshape(grid.n_x, grid.n_z)
+    rows, cols, vals = [], [], []
+    for ci in range(3):
+        for cj in range(3):
+            probe = np.zeros((grid.n_x, grid.n_z))
+            probe[ci::3, cj::3] = 1.0
+            y = split.a0(q, probe) + 0.5 * q * q * lxx_values(probe, grid) + split.a2(probe)
+            # the node of this colour in {i-1, i, i+1} x {j-1, j, j+1}
+            col = (i + (ci - i + 1) % 3 - 1) * grid.n_z + (j + (cj - j + 1) % 3 - 1)
+            hit = y != 0.0
+            rows.append(row[hit])
+            cols.append(col[hit])
+            vals.append(y[hit])
+    return sp.csr_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+                         shape=(n, n))
 
 
 def _lu_solve(params: ModelParams, grid: GridSpec, lin_tol: float):
-    """Reference implicit step: the unsplit weighted system, by banded LU.
+    """Reference implicit step: the unsplit weighted system, by sparse LU.
 
     A drop-in for the Craig-Sneyd ``solve`` of ``_scheme``, so tests can
     march both and bound the splitting error.
     """
-    asm = _Assembler(grid)
+    import scipy.sparse as sp
+    import scipy.sparse.linalg as spla
+
+    split = _Split(params, grid)
 
     def solve(q: np.ndarray, w_next: np.ndarray, dt: float, theta: float) -> np.ndarray:
-        gen = asm.generator(q, params)
+        gen = _generator_matrix(split, q)
         flat = w_next.ravel()
         rhs = flat + (1.0 - theta) * dt * (gen @ flat)
-        system = BandedSystem((asm.eye - theta * dt * gen).tocsr(), rhs)
-        return solve_banded(system, lin_tol=lin_tol).reshape(w_next.shape)
+        a = sp.csc_matrix(sp.identity(len(flat)) - theta * dt * gen)
+        try:
+            x = spla.splu(a).solve(rhs)
+        except RuntimeError as exc:  # exactly singular factor
+            raise LinearSolveError(f"sparse LU failed: {exc}") from exc
+        _check_residual(a @ x - rhs, rhs, lin_tol, "sparse LU")
+        return x.reshape(w_next.shape)
 
     return solve
 

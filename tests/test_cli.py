@@ -36,6 +36,15 @@ def manifest(out_dir):
         return json.load(fh)
 
 
+def strict_json(path):
+    """Load a JSON file, rejecting the non-standard NaN and Infinity constants."""
+    def reject(name):
+        raise ValueError(f"{path.name} holds non-JSON constant {name}")
+
+    with open(path) as fh:
+        return json.load(fh, parse_constant=reject)
+
+
 def test_solve_p0_writes_surface_and_manifest(tmp_path, cfg):
     out = tmp_path / "run"
     assert run(["solve-p0", "--config", cfg, "--out", str(out)]) == 0
@@ -215,14 +224,34 @@ def test_nonfinite_results_written_as_null(tmp_path, capsys, monkeypatch):
     code = run(["coupling-rate", "--out", str(out),
                 "--set", "mc.n_paths=2", "--set", "mc.n_steps=5"])
     assert code == 0
-
-    def reject(name):
-        raise ValueError(f"manifest holds non-JSON constant {name}")
-
-    with open(out / "manifest.json") as fh:
-        record = json.load(fh, parse_constant=reject)
+    record = strict_json(out / "manifest.json")
     assert record["results"] == {"const_d": None, "const_u": None}
     assert "written as null" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("overrides", [
+    ["grid.n_z=1"],
+    ["grid.n_z=1", "grid.z_max=0"],
+    ["grid.n_z=2"],
+    ["grid.n_x=2"],
+    ["solver.cn_weight=0"],
+    ["model.T=1e-6"],
+    ["model.rho=0.999"],
+    ["model.rho=-0.999"],
+], ids=",".join)
+def test_degenerate_pdelta_config_solves_or_exits_2(tmp_path, cfg, overrides):
+    # a degenerate config either solves, with a strict-JSON manifest, or is
+    # a config error with an error record; no exception escapes ``run``
+    out = tmp_path / "o"
+    argv = ["solve-pdelta", "--config", cfg, "--out", str(out)]
+    for kv in overrides:
+        argv += ["--set", kv]
+    code = run(argv)
+    assert code in (0, 2)
+    if code == 0:
+        assert "pdelta_at_x0_z0" in strict_json(out / "manifest.json")["results"]
+    else:
+        assert strict_json(out / "error.json")["exit_code"] == 2
 
 
 def test_unwritable_out_exits_4(tmp_path, cfg):

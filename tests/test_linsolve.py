@@ -3,7 +3,10 @@ import pytest
 import scipy.sparse as sp
 
 from uvbounds.core import GridSpec, ModelParams
-from uvbounds.linsolve import BandedSystem, LinearSolveError, solve_banded, solve_tridiag_batch
+from uvbounds.linsolve import LinearSolveError, solve_tridiag_batch
+from uvbounds.solver_p0p1 import _solve_slicewise
+from uvbounds.solver_pdelta import _generator_matrix, _lu_solve, _Split
+from uvbounds.stencils import lxx_values
 
 
 def solve_one(lower, main, upper, rhs, **kw):
@@ -70,90 +73,66 @@ def test_singular_pivot_reports_first_row_then_first_system():
         solve_tridiag_batch(off, main, off, np.ones((nb, n)))
 
 
-# -- banded ---------------------------------------------------------------
+# -- the LU reference step of the 2D scheme ------------------------------------
 
-def _cn_like_matrix(n_x=12, n_z=9, seed=0):
-    """Implicit-step matrix of the 2D scheme, the real production pattern."""
-    from uvbounds.solver_pdelta import _Assembler
-    rng = np.random.default_rng(seed)
+PARAMS = ModelParams(x0=100, z0=0.04, T=0.25, r=0, d=0.75, u=1.25,
+                     kappa=15, theta=0.04, delta=0.05, rho=-0.9)
+
+
+def _reference(n_x=12, n_z=9, seed=0, params=PARAMS):
+    """The LU step on a production grid, with a random control field in the band."""
     grid = GridSpec(0, 200, n_x, 0, 0.12, n_z, 4)
-    params = ModelParams(x0=100, z0=0.04, T=0.25, r=0, d=0.75, u=1.25,
-                         kappa=15, theta=0.04, delta=0.05, rho=-0.9)
-    asm = _Assembler(grid)
-    q = rng.uniform(params.d, params.u, size=(n_x, n_z))
-    gen = asm.generator(q, params)
-    return (asm.eye - 0.5 * grid.dt(params.T) * gen).tocsr()
+    q = np.random.default_rng(seed).uniform(params.d, params.u, size=(n_x, n_z))
+    return grid, q, _lu_solve(params, grid, 1e-10)
 
 
 def test_banded_identity():
-    n = 30
-    sys_ = BandedSystem(sp.identity(n, format="csr"), np.arange(n, dtype=float))
-    np.testing.assert_allclose(solve_banded(sys_), np.arange(n), atol=1e-14)
+    # dt = 0: the system is the identity
+    _, q, solve = _reference()
+    w = np.arange(q.size, dtype=float).reshape(q.shape)
+    np.testing.assert_allclose(solve(q, w, 0.0, 0.5), w, atol=1e-14)
 
 
 def test_banded_manufactured_solution():
-    a = _cn_like_matrix()
-    rng = np.random.default_rng(5)
-    x_true = rng.standard_normal(a.shape[0])
-    rhs = a @ x_true
-    x = solve_banded(BandedSystem(a, rhs))
-    assert np.max(np.abs(x - x_true)) <= 1e-8
+    # fully implicit: (I - dt*A) w_true, with A applied in values form, solves back
+    grid, q, solve = _reference()
+    split = _Split(PARAMS, grid)
+    w_true = np.random.default_rng(5).standard_normal(q.shape)
+    dt = grid.dt(PARAMS.T)
+    a_w = split.a0(q, w_true) + 0.5 * q * q * lxx_values(w_true, grid) + split.a2(w_true)
+    w = solve(q, w_true - dt * a_w, dt, 1.0)
+    assert np.max(np.abs(w - w_true)) <= 1e-8
 
 
 def test_banded_block_diagonal_matches_tridiag():
-    # no z-coupling: the system is n_z independent tridiagonal problems
-    rng = np.random.default_rng(9)
-    n_x, n_z = 10, 4
-    blocks = []
-    parts = []
-    for _ in range(n_z):
-        lower = rng.standard_normal(n_x - 1) * 0.1
-        upper = rng.standard_normal(n_x - 1) * 0.1
-        main = 2.0 + np.abs(rng.standard_normal(n_x))
-        blocks.append((lower, main, upper))
-        parts.append(sp.diags([lower, main, upper], [-1, 0, 1]))
-    # flat index = i * n_z + j: permute the block-diagonal (j-major) matrix
-    perm = np.arange(n_x * n_z).reshape(n_x, n_z).T.ravel()
-    p = sp.csr_matrix((np.ones(n_x * n_z), (perm, np.arange(n_x * n_z))))
-    a = (p @ sp.block_diag(parts) @ p.T).tocsr()
-    rhs = rng.standard_normal(n_x * n_z)
-    x = solve_banded(BandedSystem(a, rhs))
-    for j, (lower, main, upper) in enumerate(blocks):
-        slice_rhs = rhs.reshape(n_x, n_z)[:, j]
-        want = solve_one(lower, main, upper, slice_rhs)
-        np.testing.assert_allclose(x.reshape(n_x, n_z)[:, j], want, atol=1e-9)
-
-
-def test_iterative_agrees_with_direct():
-    a = _cn_like_matrix(seed=3)
-    rng = np.random.default_rng(3)
-    rhs = rng.standard_normal(a.shape[0])
-    xd = solve_banded(BandedSystem(a, rhs), method="direct")
-    xi = solve_banded(BandedSystem(a, rhs), method="iterative")
-    np.testing.assert_allclose(xi, xd, atol=1e-7)
+    # no z-coupling at delta = 0: the system is one tridiagonal problem per z-slice
+    p = PARAMS.replace(delta=0.0)
+    grid, q, solve = _reference(n_x=10, n_z=4, seed=9, params=p)
+    w = np.random.default_rng(9).standard_normal(q.shape)
+    dt = grid.dt(p.T)
+    want = _solve_slicewise(q, w, None, grid, dt, 0.5, 1e-10)
+    np.testing.assert_allclose(solve(q, w, dt, 0.5), want, atol=1e-9)
 
 
 def test_singular_banded_raises():
-    a = sp.csr_matrix(np.zeros((4, 4)))
+    # 3 x 1 nodes, dx = 1, z = 0.25, q = 1: the generator's middle row is
+    # (0.125, -0.25, 0.125), so at theta*dt = -4 the middle column of
+    # I - theta*dt*A is zero
+    grid = GridSpec(0, 2, 3, 0.25, 0.25, 1, 1)
+    solve = _lu_solve(PARAMS, grid, 1e-10)
     with pytest.raises(LinearSolveError):
-        solve_banded(BandedSystem(a, np.ones(4)))
+        solve(np.ones((3, 1)), np.ones((3, 1)), -4.0, 1.0)
 
 
 def test_banded_validate_finds_nonfinite():
-    # the residual check of the banded solve rejects a NaN matrix
-    a = sp.csr_matrix(np.array([[1.0, np.nan], [np.nan, 1.0]]))
+    # a NaN control puts NaN in the matrix: the solve raises, never returns NaN
+    grid, q, solve = _reference()
+    q[5, 4] = np.nan
     with pytest.raises(LinearSolveError):
-        solve_banded(BandedSystem(a, np.ones(2)))
+        solve(q, np.ones(q.shape), grid.dt(PARAMS.T), 0.5)
 
 
 def test_production_matrix_has_nine_point_footprint():
-    a = _cn_like_matrix()
-    per_row = np.diff(a.indptr)
-    assert per_row.max() <= 9
-    BandedSystem(a, np.zeros(a.shape[0]))  # shape/rhs checks pass
-
-
-def test_unknown_method_rejected():
-    sys_ = BandedSystem(sp.identity(3, format="csr"), np.ones(3))
-    with pytest.raises(ValueError):
-        solve_banded(sys_, method="magic")
+    grid, q, _ = _reference()
+    a = _generator_matrix(_Split(PARAMS, grid), q)
+    assert np.diff(a.indptr).max() <= 9

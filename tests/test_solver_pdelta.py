@@ -6,8 +6,8 @@ from uvbounds.blackscholes import bs_call
 from uvbounds.core import GridSpec, ModelParams, SolverConfig, SolverError
 from uvbounds.payoff import PayoffSpec, terminal_surface
 from uvbounds.solver_p0p1 import solve_p0p1
-from uvbounds.solver_pdelta import TAG_A, TAG_B, TAG_C, _Assembler, _lu_solve, _scheme, \
-    _Split, select_q, solve_pdelta
+from uvbounds.solver_pdelta import TAG_A, TAG_B, TAG_C, _generator_matrix, _lu_solve, \
+    _scheme, _Split, select_q, solve_pdelta
 from uvbounds.stencils import lxx_values
 
 PARAMS = ModelParams(x0=100, z0=0.04, T=0.25, r=0, d=0.75, u=1.25,
@@ -26,6 +26,14 @@ def test_select_q_rho_zero_reduces_to_curvature_sign():
     # deadband tie goes up
     assert select_q(0.0, 5.0, p, GEPS) == (p.u, TAG_A)
     assert select_q(-1e-9, 5.0, p, GEPS) == (p.u, TAG_A)
+
+
+def test_select_q_flat_node_ties_up_whatever_the_cross_term():
+    # both fields inside the deadband: the node is flat, so it ties and goes up,
+    # with either sign of a rounding-level cross term
+    assert PARAMS.rho != 0.0
+    for lxz in (0.5 * GEPS, -0.5 * GEPS):
+        assert select_q(0.0, lxz, PARAMS, GEPS) == (PARAMS.u, TAG_A)
 
 
 def test_select_q_positive_curvature_endpoints_only():
@@ -116,6 +124,12 @@ def test_single_slice_grid_reduces_to_frozen_band_problem():
     full = solve_pdelta(BF, PARAMS, grid)
     base = solve_p0p1(BF, PARAMS, grid)
     np.testing.assert_array_equal(full.p_delta.values, base.p0.values)
+    # so does the LU reference step, built by probing on one z-node
+    cfg = SolverConfig()
+    select, _ = _scheme(PARAMS, grid, cfg, paper_exact=False)
+    w_lu = stepping.march(terminal_surface(BF, grid).values, grid, PARAMS.T, cfg, select,
+                          _lu_solve(PARAMS, grid, cfg.lin_tol))[0]
+    np.testing.assert_allclose(w_lu, base.p0.values, rtol=0, atol=1e-12)
 
 
 def test_control_in_band_and_undershoot_small():
@@ -128,25 +142,32 @@ def test_control_in_band_and_undershoot_small():
     assert sol.p_delta.values.min() >= -1e-3 * 10.0
 
 
-def test_generator_matches_dense_operator_composition():
+@pytest.mark.parametrize("grid", [
+    pytest.param(SMALL, id="40x12"),
+    pytest.param(GridSpec(0, 200, 12, PARAMS.z0, PARAMS.z0, 1, 6), id="12x1"),
+    pytest.param(GridSpec(0, 200, 12, 0, 0.12, 2, 6), id="12x2"),
+    pytest.param(GridSpec(0, 200, 12, 0, 0.12, 3, 6), id="12x3"),
+    pytest.param(GridSpec(0, 200, 3, 0, 0.12, 12, 6), id="3x12"),
+])
+def test_generator_matches_dense_operator_composition(grid):
     from uvbounds import stencils as st
 
     rng = np.random.default_rng(17)
-    w = rng.standard_normal((SMALL.n_x, SMALL.n_z))
-    q = rng.uniform(PARAMS.d, PARAMS.u, size=(SMALL.n_x, SMALL.n_z))
-    asm = _Assembler(SMALL)
-    via_matrix = (asm.generator(q, PARAMS) @ w.ravel()).reshape(w.shape)
+    w = rng.standard_normal((grid.n_x, grid.n_z))
+    q = rng.uniform(PARAMS.d, PARAMS.u, size=(grid.n_x, grid.n_z))
+    gen = _generator_matrix(_Split(PARAMS, grid), q)
+    via_matrix = (gen @ w.ravel()).reshape(w.shape)
 
-    x = SMALL.x_nodes()[:, None]
-    z = SMALL.z_nodes()[None, :]
+    x = grid.x_nodes()[:, None]
+    z = grid.z_nodes()[None, :]
     coeff_xx = 0.5 * q * q * z * x**2
     expected = (
-        coeff_xx * st.dxx_values(w, SMALL)
-        + PARAMS.rho * np.sqrt(PARAMS.delta) * q * x * z * st.dxz_values(w, SMALL)
-        + PARAMS.delta * (0.5 * z * st.dzz_values(w, SMALL)
-                          + PARAMS.kappa * (PARAMS.theta - z) * st.dz_values(w, SMALL))
+        coeff_xx * st.dxx_values(w, grid)
+        + PARAMS.rho * np.sqrt(PARAMS.delta) * q * x * z * st.dxz_values(w, grid)
+        + PARAMS.delta * (0.5 * z * st.dzz_values(w, grid)
+                          + PARAMS.kappa * (PARAMS.theta - z) * st.dz_values(w, grid))
     )
-    np.testing.assert_allclose(via_matrix, expected, atol=1e-10)
+    assert np.max(np.abs(via_matrix - expected)) <= 1e-12 * np.max(np.abs(expected))
 
 
 def test_split_parts_sum_to_generator():
@@ -156,7 +177,7 @@ def test_split_parts_sum_to_generator():
     split = _Split(PARAMS, SMALL)
     a1 = 0.5 * q * q * lxx_values(w, SMALL)  # the x-diffusion of the slice solver
     parts = split.a0(q, w) + a1 + split.a2(w)
-    whole = (_Assembler(SMALL).generator(q, PARAMS) @ w.ravel()).reshape(w.shape)
+    whole = (_generator_matrix(split, q) @ w.ravel()).reshape(w.shape)
     assert np.max(np.abs(parts - whole)) <= 1e-12 * np.max(np.abs(whole))
     # the z-stage inverts I - c*A2 with the same A2
     c = 0.01
@@ -168,7 +189,7 @@ def test_split_parts_sum_to_generator():
 @pytest.mark.parametrize("delta", [0.05, 1.0])
 @pytest.mark.parametrize("rho", [-0.99, 0.99])
 def test_splitting_gap_to_lu_is_second_order(rho, delta):
-    # the Craig-Sneyd step against the unsplit system solved by banded LU,
+    # the Craig-Sneyd step against the unsplit system solved by sparse LU,
     # both marched with the same control selection: halving dt cuts the
     # gap by nearly 4 (at least 3)
     p = PARAMS.replace(rho=rho, delta=delta)
