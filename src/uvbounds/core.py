@@ -204,8 +204,9 @@ class SolverConfig:
 
     Attributes:
         cn_weight: weight on the unknown (earlier-time) level in the
-            weighted time discretization; 0.5 is the trapezoidal scheme,
-            1.0 is fully implicit.
+            weighted time discretization, in [0.5, 1] where the step is
+            unconditionally stable; 0.5 is the trapezoidal scheme, 1.0 is
+            fully implicit.
         corrector_passes: maximum corrector re-solves per step (>= 1);
             passes stop early once the control field stops changing.
         gamma_eps: deadband below which a discrete second derivative is
@@ -223,14 +224,14 @@ class SolverConfig:
     rannacher_steps: int = 2
 
     def __post_init__(self) -> None:
-        if not (0.0 <= self.cn_weight <= 1.0):
-            raise ValueError(f"cn_weight must be in [0, 1] (got {self.cn_weight})")
+        if not (0.5 <= self.cn_weight <= 1.0):
+            raise ValueError(f"cn_weight must be in [0.5, 1] (got {self.cn_weight})")
         if self.corrector_passes < 1:
             raise ValueError("corrector_passes must be >= 1")
-        if self.gamma_eps is not None and self.gamma_eps <= 0.0:
-            raise ValueError("gamma_eps must be positive")
-        if self.lin_tol <= 0.0:
-            raise ValueError("lin_tol must be positive")
+        if self.gamma_eps is not None and not (0.0 < self.gamma_eps < np.inf):
+            raise ValueError(f"gamma_eps must be finite and positive (got {self.gamma_eps})")
+        if not (0.0 < self.lin_tol < np.inf):
+            raise ValueError(f"lin_tol must be finite and positive (got {self.lin_tol})")
         if self.rannacher_steps < 0:
             raise ValueError("rannacher_steps must be >= 0")
 

@@ -12,13 +12,14 @@ term A0 (explicit), the x-diffusion A1 and the variance part A2:
     Zj = Z(j-1) + theta*dt*Aj (Zj - U),              j = 1, 2
 
 and the new level is Z2. Each implicit stage is a batch of tridiagonal
-sweeps: per z-slice in x (the P0 slice solver) and per x-row in z. The
-correction weight theta is Craig-Sneyd's 1/2 in the trapezoidal steps
-and 1 in the fully implicit Rannacher start. At delta = 0 both A0 and A2
-vanish and the step is the P0 step, bit for bit. The splitting error
-against the unsplit weighted system is O(dt^2); tests measure it against
-a reference step that probes that system's matrix (a 9-point footprint)
-from the same operators and solves it by sparse LU.
+sweeps, per z-slice in x and per x-row in z, with diagonals probed from
+the values-form operators. The correction weight theta is Craig-Sneyd's
+1/2 in the trapezoidal steps and 1 in the fully implicit Rannacher start.
+At delta = 0 both A0 and A2 vanish and the step is the x-stage alone:
+P0's step, as ``solver_p0p1`` uses this scheme there. The splitting
+error against the unsplit weighted system is O(dt^2); tests measure it
+against a reference step that probes that system's matrix (a 9-point
+footprint) from the same operators and solves it by sparse LU.
 
 Control selection at a node compares three candidate values of the
 quadratic q -> 0.5*q^2*Gxx + q*rho*sqrt(delta)*Gxz, where Gxx and Gxz are
@@ -46,7 +47,6 @@ import numpy as np
 from .core import GridSpec, ModelParams, SolverConfig, Surface
 from .linsolve import LinearSolveError, _check_residual, solve_tridiag_batch
 from .payoff import PayoffSpec, terminal_surface
-from .solver_p0p1 import _solve_slicewise
 from .stencils import dz_values, dzz_values, lxx_values, lxz_values
 from .stepping import check_inputs, march
 
@@ -138,12 +138,28 @@ def select_q(lxx, lxz, params: ModelParams, gamma_eps: float,
     return q, tag
 
 
+def _diagonals(op, shape: tuple, axis: int) -> tuple:
+    """The (lower, main, upper) diagonals of a 3-point operator along ``axis``.
+
+    Probed by three combs: comb c is 1 where the index along ``axis`` is
+    c (mod 3), so each node's 3-point footprint holds one node of each comb.
+    """
+    k = np.arange(shape[axis])
+    index = k.reshape([-1 if a == axis else 1 for a in range(len(shape))])
+    y = np.stack([op(np.broadcast_to(index % 3 == c, shape).astype(float))
+                  for c in range(3)])
+    y = np.moveaxis(y, axis + 1, 1)  # (colour, node along axis, ...)
+    diags = (y[(k[1:] - 1) % 3, k[1:]], y[k % 3, k], y[(k[:-1] + 1) % 3, k[:-1]])
+    return tuple(np.moveaxis(d, 0, axis) for d in diags)
+
+
 class _Split:
     """The 2D generator A(q) = A0 + A1 + A2, by parts, for the Craig-Sneyd step.
 
     * A0 = rho*sqrt(delta)*q*x*z*d_xz, the cross term, always explicit;
       absent when its coefficient is zero or the grid has one z-node.
-    * A1 = 0.5*q^2*z*x^2*d_xx, implicit in x: the P0 slice solver.
+    * A1 = 0.5*q^2*z*x^2*d_xx, implicit in x with one tridiagonal system
+      per z-slice.
     * A2 = delta*(0.5*z*d_zz + kappa*(theta - z)*d_z), implicit in z with
       one tridiagonal system per x-row; absent when delta = 0 or n_z = 1.
     """
@@ -155,21 +171,30 @@ class _Split:
         self.has_a0 = self.c0 != 0.0 and grid.n_z > 1
         self.has_a2 = params.delta > 0.0 and grid.n_z > 1
         self.z = grid.z_nodes()[None, :]
-        # A2 along one x-row (every row has the same coefficients), probed
-        # by three combs: row c of ``comb`` is 1 where j = c (mod 3), and each
-        # output node meets exactly one comb node in its 3-point footprint
-        j = np.arange(grid.n_z)
-        comb = (j[None, :] % 3 == np.arange(3)[:, None]).astype(float)
-        y = self.a2(comb)
-        self.a2_diags = (y[(j[1:] - 1) % 3, j[1:]], y[j % 3, j], y[(j[:-1] + 1) % 3, j[:-1]])
+        # A1(q) only scales the rows of z*x^2*d_xx: its x-diagonals, one row
+        # per z-slice; A2 has the same coefficients along every x-row
+        self.lxx_diags = tuple(d.T.copy() for d in _diagonals(
+            lambda w: lxx_values(w, grid), (grid.n_x, grid.n_z), 0))
+        self.a2_diags = _diagonals(self.a2, (1, grid.n_z), 1)
 
     def a0(self, q: np.ndarray, w: np.ndarray) -> np.ndarray:
         return self.c0 * q * lxz_values(w, self.grid)
+
+    def a1(self, q: np.ndarray, w: np.ndarray) -> np.ndarray:
+        return 0.5 * q * q * lxx_values(w, self.grid)
 
     def a2(self, w: np.ndarray) -> np.ndarray:
         p = self.params
         return p.delta * (0.5 * self.z * dzz_values(w, self.grid)
                           + p.kappa * (p.theta - self.z) * dz_values(w, self.grid))
+
+    def x_solver(self, q: np.ndarray, c: float, lin_tol: float):
+        """rhs -> (I - c*A1(q))^-1 rhs, batched over the z-slices."""
+        s = 0.5 * (q * q).T
+        lo, mid, up = self.lxx_diags
+        lower, main, upper = -c * (s[:, 1:] * lo), 1.0 - c * (s * mid), -c * (s[:, :-1] * up)
+        return lambda rhs: np.ascontiguousarray(
+            solve_tridiag_batch(lower, main, upper, rhs.T, lin_tol=lin_tol).T)
 
     def solve_z(self, rhs: np.ndarray, dt: float, theta: float, lin_tol: float) -> np.ndarray:
         """(I - theta*dt*A2)^-1 rhs, batched over the x-rows."""
@@ -197,10 +222,12 @@ def _scheme(params: ModelParams, grid: GridSpec, config: SolverConfig,
     def solve(q: np.ndarray, w_next: np.ndarray, dt: float, theta: float) -> np.ndarray:
         a0_next = split.a0(q, w_next) if split.has_a0 else None
         a2_next = split.a2(w_next) if split.has_a2 else None
+        # the x-system and U + (1-theta)*dt*A1 U serve both Craig-Sneyd stages
+        solve_x = split.x_solver(q, theta * dt, tol)
+        rhs_x = w_next + (1.0 - theta) * dt * split.a1(q, w_next)
 
         def stages(explicit):
-            # x-stage: the P0 step's rhs U + (1-theta)*dt*A1 U, plus dt*explicit
-            y = _solve_slicewise(q, w_next, explicit, grid, dt, theta, tol)
+            y = solve_x(rhs_x if explicit is None else rhs_x + dt * explicit)
             if a2_next is None:
                 return y
             return split.solve_z(y - theta * dt * a2_next, dt, theta, tol)
@@ -235,7 +262,7 @@ def _generator_matrix(split: _Split, q: np.ndarray):
         for cj in range(3):
             probe = np.zeros((grid.n_x, grid.n_z))
             probe[ci::3, cj::3] = 1.0
-            y = split.a0(q, probe) + 0.5 * q * q * lxx_values(probe, grid) + split.a2(probe)
+            y = split.a0(q, probe) + split.a1(q, probe) + split.a2(probe)
             # the node of this colour in {i-1, i, i+1} x {j-1, j, j+1}
             col = (i + (ci - i + 1) % 3 - 1) * grid.n_z + (j + (cj - j + 1) % 3 - 1)
             hit = y != 0.0

@@ -4,9 +4,10 @@ Every price steps backward from the terminal level by the weighted step
 (I - theta*dt*A(q)) w_new = (I + (1-theta)*dt*A(q)) w_next, with the
 control field q frozen for the step. A solver supplies only what differs:
 ``select(w) -> (q, tags)``, the optimal control on a working surface and
-its winning-candidate tags (None if it has none), and ``solve(q, w_next,
-dt, theta) -> w_new``, one implicit step. P1 adds a ``source_step(q,
-w_new, w_next, dt, theta)`` that follows every P0 sub-step.
+its winning-candidate tags, and ``solve(q, w_next, dt, theta) -> w_new``,
+one implicit step. P0 and P^delta supply the same pair, P0's at
+delta = 0. P1 adds a ``source_step(q, w_new, w_next, dt, theta)`` that
+follows every P0 sub-step.
 
 Each (sub-)step is a predictor-corrector pair. The predictor selects the
 control on the known level w_next and solves. Each corrector pass
@@ -59,8 +60,8 @@ def march(w: np.ndarray, grid: GridSpec, T: float, config: SolverConfig,
     """Step ``w`` from the terminal level back to t = 0.
 
     Returns (w at t = 0, controls, tags): ``controls[n]`` and ``tags[n]``
-    come from the last sub-step into time level n, and ``tags`` is None
-    when ``select`` gives none. ``on_level(n, w)`` sees every level reached.
+    come from the last sub-step into time level n. ``on_level(n, w)`` sees
+    every level reached.
     """
     dt = grid.dt(T)
     q_hist = np.empty((grid.n_t, grid.n_x, grid.n_z))
@@ -81,11 +82,10 @@ def march(w: np.ndarray, grid: GridSpec, T: float, config: SolverConfig,
         except LinearSolveError as exc:
             raise SolverError(f"backward step into time level {n} failed: {exc}") from exc
         q_hist[n] = q
-        if tags is not None:
-            tag_hist[n] = tags
+        tag_hist[n] = tags
         if on_level is not None:
             on_level(n, w)
 
     q_hist.setflags(write=False)
     tag_hist.setflags(write=False)
-    return w, q_hist, (None if tags is None else tag_hist)
+    return w, q_hist, tag_hist

@@ -254,6 +254,21 @@ def test_degenerate_pdelta_config_solves_or_exits_2(tmp_path, cfg, overrides):
         assert strict_json(out / "error.json")["exit_code"] == 2
 
 
+@pytest.mark.parametrize("override", [
+    "solver.cn_weight=0.25",
+    "solver.gamma_eps=nan",
+    "solver.lin_tol=inf",
+])
+def test_unsafe_solver_setting_exits_2(tmp_path, cfg, override):
+    # each of these once ran to exit 0 with a wrong price or a disabled check
+    out = tmp_path / "o"
+    code = run(["solve-pdelta", "--config", cfg, "--out", str(out), "--set", override])
+    assert code == 2
+    record = strict_json(out / "error.json")
+    assert record["exit_code"] == 2
+    assert override.split("=")[0].split(".")[1] in record["message"]
+
+
 def test_unwritable_out_exits_4(tmp_path, cfg):
     blocker = tmp_path / "file"
     blocker.write_text("x")

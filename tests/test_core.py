@@ -149,6 +149,20 @@ def test_solver_config_validation():
         SolverConfig(corrector_passes=0)
     with pytest.raises(ValueError):
         SolverConfig(gamma_eps=-1.0)
+    # below theta = 1/2 the weighted step is only conditionally stable
+    for weight in (0.0, 0.25, np.nextafter(0.5, 0.0), np.nan):
+        with pytest.raises(ValueError, match="cn_weight"):
+            SolverConfig(cn_weight=weight)
+    assert SolverConfig(cn_weight=0.5).cn_weight == 0.5
+    assert SolverConfig(cn_weight=1.0).cn_weight == 1.0
+    # a NaN or infinite tolerance would switch off the test it sets
+    for bad in (np.nan, np.inf, 0.0):
+        with pytest.raises(ValueError, match="gamma_eps"):
+            SolverConfig(gamma_eps=bad)
+        with pytest.raises(ValueError, match="lin_tol"):
+            SolverConfig(lin_tol=bad)
+    with pytest.raises(ValueError, match="lin_tol"):
+        SolverConfig(lin_tol=-np.inf)
     cfg = SolverConfig()
     assert cfg.resolve_gamma_eps(paper_params()) == pytest.approx(1e-9 * 100**2)
     assert SolverConfig(gamma_eps=1e-7).resolve_gamma_eps(paper_params()) == 1e-7

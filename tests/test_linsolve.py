@@ -2,11 +2,9 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from uvbounds.core import GridSpec, ModelParams
+from uvbounds.core import GridSpec, ModelParams, SolverConfig
 from uvbounds.linsolve import LinearSolveError, solve_tridiag_batch
-from uvbounds.solver_p0p1 import _solve_slicewise
-from uvbounds.solver_pdelta import _generator_matrix, _lu_solve, _Split
-from uvbounds.stencils import lxx_values
+from uvbounds.solver_pdelta import _generator_matrix, _lu_solve, _scheme, _Split
 
 
 def solve_one(lower, main, upper, rhs, **kw):
@@ -99,7 +97,7 @@ def test_banded_manufactured_solution():
     split = _Split(PARAMS, grid)
     w_true = np.random.default_rng(5).standard_normal(q.shape)
     dt = grid.dt(PARAMS.T)
-    a_w = split.a0(q, w_true) + 0.5 * q * q * lxx_values(w_true, grid) + split.a2(w_true)
+    a_w = split.a0(q, w_true) + split.a1(q, w_true) + split.a2(w_true)
     w = solve(q, w_true - dt * a_w, dt, 1.0)
     assert np.max(np.abs(w - w_true)) <= 1e-8
 
@@ -110,7 +108,8 @@ def test_banded_block_diagonal_matches_tridiag():
     grid, q, solve = _reference(n_x=10, n_z=4, seed=9, params=p)
     w = np.random.default_rng(9).standard_normal(q.shape)
     dt = grid.dt(p.T)
-    want = _solve_slicewise(q, w, None, grid, dt, 0.5, 1e-10)
+    _, x_stage = _scheme(p, grid, SolverConfig(lin_tol=1e-10), paper_exact=False)
+    want = x_stage(q, w, dt, 0.5)
     np.testing.assert_allclose(solve(q, w, dt, 0.5), want, atol=1e-9)
 
 

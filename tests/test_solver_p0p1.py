@@ -5,7 +5,7 @@ from uvbounds import stepping
 from uvbounds.blackscholes import bs_call, bs_payoff_price
 from uvbounds.core import GridSpec, ModelParams, SolverConfig
 from uvbounds.payoff import PayoffSpec, evaluate, terminal_surface
-from uvbounds.solver_p0p1 import _scheme, _select_q, solve_p0p1
+from uvbounds.solver_p0p1 import _scheme, solve_p0p1
 
 PARAMS = ModelParams(x0=100, z0=0.04, T=0.25, r=0, d=0.75, u=1.25,
                      kappa=15, theta=0.04, delta=0.05, rho=-0.9)
@@ -59,9 +59,9 @@ def test_corrector_idempotent_when_control_unchanged():
     dt, theta = SMALL.dt(PARAMS.T), cfg.cn_weight
     prov, q_pred, _ = predictor(term, PARAMS, SMALL, cfg)
     working = theta * prov + (1.0 - theta) * term.values
-    q_corr, _ = _select_q(working, PARAMS, SMALL, cfg.resolve_gamma_eps(PARAMS))
-    np.testing.assert_array_equal(q_pred, q_corr)
     select, solve, _ = _scheme(PARAMS, SMALL, cfg)
+    q_corr, _ = select(working)
+    np.testing.assert_array_equal(q_pred, q_corr)
     np.testing.assert_array_equal(solve(q_corr, term.values, dt, theta), prov)
     corr, q_step, _ = stepping.step(term.values, select, solve, dt, theta, 1)
     np.testing.assert_array_equal(q_step, q_pred)

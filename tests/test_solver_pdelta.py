@@ -8,7 +8,7 @@ from uvbounds.payoff import PayoffSpec, terminal_surface
 from uvbounds.solver_p0p1 import solve_p0p1
 from uvbounds.solver_pdelta import TAG_A, TAG_B, TAG_C, _generator_matrix, _lu_solve, \
     _scheme, _Split, select_q, solve_pdelta
-from uvbounds.stencils import lxx_values
+from uvbounds.stencils import sign_with_deadband
 
 PARAMS = ModelParams(x0=100, z0=0.04, T=0.25, r=0, d=0.75, u=1.25,
                      kappa=15, theta=0.04, delta=0.05, rho=-0.9)
@@ -26,6 +26,17 @@ def test_select_q_rho_zero_reduces_to_curvature_sign():
     # deadband tie goes up
     assert select_q(0.0, 5.0, p, GEPS) == (p.u, TAG_A)
     assert select_q(-1e-9, 5.0, p, GEPS) == (p.u, TAG_A)
+    # delta = 0, where P0 takes its control from this rule: in both modes q is
+    # the bang-bang rule on the sign of lxx with the deadband, whatever lxz
+    p0 = PARAMS.replace(delta=0.0)
+    rng = np.random.default_rng(3)
+    lxx = np.concatenate([[GEPS, -GEPS, 0.0, -0.0, np.nextafter(-GEPS, 0.0)],
+                          rng.standard_normal(200) * 10.0 * GEPS])
+    lxz = rng.standard_normal(lxx.size) * 10.0
+    bang_bang = np.where(sign_with_deadband(lxx, GEPS) > 0, p0.u, p0.d)
+    for paper_exact in (False, True):
+        q, _ = select_q(lxx, lxz, p0, GEPS, paper_exact)
+        np.testing.assert_array_equal(q, bang_bang)
 
 
 def test_select_q_flat_node_ties_up_whatever_the_cross_term():
@@ -142,13 +153,16 @@ def test_control_in_band_and_undershoot_small():
     assert sol.p_delta.values.min() >= -1e-3 * 10.0
 
 
-@pytest.mark.parametrize("grid", [
-    pytest.param(SMALL, id="40x12"),
-    pytest.param(GridSpec(0, 200, 12, PARAMS.z0, PARAMS.z0, 1, 6), id="12x1"),
-    pytest.param(GridSpec(0, 200, 12, 0, 0.12, 2, 6), id="12x2"),
-    pytest.param(GridSpec(0, 200, 12, 0, 0.12, 3, 6), id="12x3"),
-    pytest.param(GridSpec(0, 200, 3, 0, 0.12, 12, 6), id="3x12"),
-])
+PROBE_GRIDS = {
+    "40x12": SMALL,
+    "12x1": GridSpec(0, 200, 12, PARAMS.z0, PARAMS.z0, 1, 6),
+    "12x2": GridSpec(0, 200, 12, 0, 0.12, 2, 6),
+    "12x3": GridSpec(0, 200, 12, 0, 0.12, 3, 6),
+    "3x12": GridSpec(0, 200, 3, 0, 0.12, 12, 6),
+}
+
+
+@pytest.mark.parametrize("grid", PROBE_GRIDS.values(), ids=PROBE_GRIDS.keys())
 def test_generator_matches_dense_operator_composition(grid):
     from uvbounds import stencils as st
 
@@ -175,14 +189,26 @@ def test_split_parts_sum_to_generator():
     w = rng.standard_normal((SMALL.n_x, SMALL.n_z))
     q = rng.uniform(PARAMS.d, PARAMS.u, size=w.shape)
     split = _Split(PARAMS, SMALL)
-    a1 = 0.5 * q * q * lxx_values(w, SMALL)  # the x-diffusion of the slice solver
-    parts = split.a0(q, w) + a1 + split.a2(w)
+    parts = split.a0(q, w) + split.a1(q, w) + split.a2(w)
     whole = (_generator_matrix(split, q) @ w.ravel()).reshape(w.shape)
     assert np.max(np.abs(parts - whole)) <= 1e-12 * np.max(np.abs(whole))
     # the z-stage inverts I - c*A2 with the same A2
     c = 0.01
     y = split.solve_z(w, c, 1.0, 1e-10)
     np.testing.assert_allclose(y - c * split.a2(y), w, rtol=0, atol=1e-12)
+    # the x-stage's probed tridiagonal is A1, and the x-stage inverts I - c*A1
+    for grid in PROBE_GRIDS.values():
+        w = rng.standard_normal((grid.n_x, grid.n_z))
+        q = rng.uniform(PARAMS.d, PARAMS.u, size=w.shape)
+        split = _Split(PARAMS, grid)
+        a1 = split.a1(q, w)
+        lower, main, upper = split.lxx_diags  # one row per z-slice
+        tri = main * w.T
+        tri[:, 1:] += lower * w.T[:, :-1]
+        tri[:, :-1] += upper * w.T[:, 1:]
+        assert np.max(np.abs(0.5 * q * q * tri.T - a1)) <= 1e-12 * np.max(np.abs(a1))
+        y = split.x_solver(q, c, 1e-10)(w)
+        np.testing.assert_allclose(y - c * split.a1(q, y), w, rtol=0, atol=1e-12)
 
 
 @pytest.mark.slow
