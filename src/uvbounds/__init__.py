@@ -7,9 +7,9 @@ cross-derivative source), and the full 2D nonlinear problem, and ships
 the Monte Carlo and error-sweep experiments that validate the expansion.
 """
 
-from .core import GridSpec, ModelParams, SolverConfig, Surface, build_grid, validate_params
+from .core import GridSpec, ModelParams, SolverConfig, Surface, validate_params
 from .payoff import PayoffSpec, evaluate, terminal_surface
-from .blackscholes import BsQuote, bs_butterfly, bs_call, bs_put
+from .blackscholes import bs_butterfly, bs_call, bs_put
 from .solver_p0p1 import P0P1Solution, solve_p0p1
 from .solver_pdelta import PdeltaSolution, select_q, solve_pdelta
 from .montecarlo import PathBundle, coupling_rate_study, simulate_cir, simulate_coupled_asset
@@ -18,9 +18,9 @@ from .analysis import SweepReport, compare_bs, error_sweep, gamma_diagnostics
 __version__ = "0.1.0"
 
 __all__ = [
-    "ModelParams", "GridSpec", "SolverConfig", "Surface", "PayoffSpec", "BsQuote",
+    "ModelParams", "GridSpec", "SolverConfig", "Surface", "PayoffSpec",
     "P0P1Solution", "PdeltaSolution", "PathBundle", "SweepReport",
-    "validate_params", "build_grid", "evaluate", "terminal_surface",
+    "validate_params", "evaluate", "terminal_surface",
     "bs_call", "bs_put", "bs_butterfly",
     "solve_p0p1", "solve_pdelta", "select_q",
     "simulate_cir", "simulate_coupled_asset", "coupling_rate_study",

@@ -8,45 +8,25 @@ than any polynomial shortcut.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
-from scipy.special import ndtr
 
 from .payoff import PayoffSpec
 
-__all__ = ["BsQuote", "norm_cdf", "bs_call", "bs_put", "bs_butterfly", "bs_payoff_price"]
-
-
-@dataclass(frozen=True)
-class BsQuote:
-    spot: float
-    strike: float
-    vol: float
-    maturity: float
-    rate: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.spot <= 0 or self.strike <= 0:
-            raise ValueError("spot and strike must be positive")
-        if self.vol <= 0 or self.maturity <= 0:
-            raise ValueError("vol and maturity must be positive")
+__all__ = ["norm_cdf", "bs_call", "bs_put", "bs_butterfly", "bs_payoff_price"]
 
 
 def norm_cdf(x: Union[float, np.ndarray]):
     """Standard normal CDF via erf; |error| below 1e-14 over the real line."""
+    # scipy.special adds ~26 MiB RSS; load it only once a price is asked for
+    from scipy.special import ndtr
+
     return ndtr(x)
 
 
-def bs_call(spot, strike=None, vol=None, maturity=None, rate=0.0):
-    """Black-Scholes call price; vectorized over the spot.
-
-    Accepts a BsQuote as the single argument or the five scalars.
-    """
-    if isinstance(spot, BsQuote):
-        q = spot
-        spot, strike, vol, maturity, rate = q.spot, q.strike, q.vol, q.maturity, q.rate
+def bs_call(spot, strike, vol, maturity, rate=0.0):
+    """Black-Scholes call price; vectorized over the spot."""
     _check_inputs(strike, vol, maturity)
     scalar = np.isscalar(spot)
     s = np.asarray(spot, dtype=float)
@@ -61,11 +41,8 @@ def bs_call(spot, strike=None, vol=None, maturity=None, rate=0.0):
     return float(out) if scalar else out
 
 
-def bs_put(spot, strike=None, vol=None, maturity=None, rate=0.0):
+def bs_put(spot, strike, vol, maturity, rate=0.0):
     """Black-Scholes put via put-call parity."""
-    if isinstance(spot, BsQuote):
-        q = spot
-        spot, strike, vol, maturity, rate = q.spot, q.strike, q.vol, q.maturity, q.rate
     call = bs_call(spot, strike, vol, maturity, rate)
     fwd = strike * np.exp(-rate * maturity)
     return call - spot + fwd if np.isscalar(spot) else call - np.asarray(spot, float) + fwd
@@ -100,11 +77,6 @@ def bs_payoff_price(spec: PayoffSpec, spot, vol: float, maturity: float, rate: f
 
 
 def _check_inputs(strike, vol, maturity) -> None:
-    if strike is None or vol is None or maturity is None:
-        raise ValueError("strike, vol and maturity are required unless a BsQuote is given")
-    if strike <= 0:
-        raise ValueError("strike must be positive")
-    if vol <= 0:
-        raise ValueError("vol must be positive")
-    if maturity <= 0:
-        raise ValueError("maturity must be positive")
+    for name, value in (("strike", strike), ("vol", vol), ("maturity", maturity)):
+        if value is None or value <= 0:
+            raise ValueError(f"{name} must be positive")

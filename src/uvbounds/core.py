@@ -19,7 +19,6 @@ __all__ = [
     "Surface",
     "SolverError",
     "validate_params",
-    "build_grid",
 ]
 
 
@@ -185,17 +184,6 @@ class GridSpec:
 
     def iz_nearest(self, z: float) -> int:
         return int(np.argmin(np.abs(self.z_nodes() - z)))
-
-
-def build_grid(spec: GridSpec, T: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Coordinate vectors (x_i), (z_j), (t_n) for a grid spec.
-
-    x_i = x_min + i*dx and so on; lengths are n_x, n_z and n_t + 1.
-    """
-    if not np.isfinite(T) or T <= 0.0:
-        raise ValueError(f"build_grid: maturity must be positive and finite (got {T})")
-    t = np.arange(spec.n_t + 1) * spec.dt(T)
-    return spec.x_nodes(), spec.z_nodes(), t
 
 
 @dataclass(frozen=True)

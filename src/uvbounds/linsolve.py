@@ -1,9 +1,10 @@
-"""The linear kernel of the implicit steps: a batched Thomas sweep.
+"""The linear kernel of the implicit steps: LAPACK ``dgttrf``/``dgttrs``.
 
-Every solver step goes through one vectorized sweep that solves a whole
-batch of tridiagonal systems at once: one per variance slice for P0, P1
-and the x-stages of the 2D Craig-Sneyd step, one per asset row for its
-z-stages.
+Every solver step ends in a batch of independent tridiagonal systems: one
+per variance slice for P0, P1 and the x-stages of the 2D Craig-Sneyd
+step, one per asset row for its z-stages. ``tridiag_solver`` factors a
+batch once and returns the solve, so a matrix that serves several
+right-hand sides is factored once.
 
 Acceptance of a solve is residual-based: every solve verifies
 ``max|A x - b| <= lin_tol * (1 + max|b|)`` and raises otherwise.
@@ -19,7 +20,7 @@ log = logging.getLogger(__name__)
 
 __all__ = [
     "LinearSolveError",
-    "solve_tridiag_batch",
+    "tridiag_solver",
 ]
 
 DEFAULT_TOL = 1e-10
@@ -37,49 +38,41 @@ def _check_residual(residual: np.ndarray, rhs: np.ndarray, tol: float, what: str
         raise LinearSolveError(f"{what}: residual {res:.3e} exceeds {bound:.3e}")
 
 
-def solve_tridiag_batch(lower: np.ndarray, main: np.ndarray, upper: np.ndarray,
-                        rhs: np.ndarray, lin_tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Solve a batch of independent tridiagonal systems by the Thomas sweep.
+def tridiag_solver(lower: np.ndarray, main: np.ndarray, upper: np.ndarray,
+                   lin_tol: float = DEFAULT_TOL):
+    """Factor a batch of independent tridiagonal systems; return ``solve(rhs)``.
 
-    All inputs are (n_systems, n) arrays except lower/upper, which are
-    (n_systems, n-1). Vectorizes over the batch axis. The pivots are
-    checked once, after the forward sweep: a singular pivot is reported
-    at its first row, in the first system that has one there.
+    ``main`` and the right-hand sides are (n_systems, n) arrays, ``lower``
+    and ``upper`` (n_systems, n-1). The batch is factored as one system
+    whose couplings between consecutive systems are zero: partial pivoting
+    swaps rows only towards a larger sub-diagonal entry, never across a zero
+    coupling, so each system is factored and solved on its own. A singular
+    factor is reported at its first row, in the first system that has one
+    there.
     """
+    # scipy.linalg adds ~25 MiB RSS; load it only once a solve needs it
+    from scipy.linalg.lapack import dgttrf, dgttrs
+
     main = np.asarray(main, float)
-    rhs = np.asarray(rhs, float)
     lower = np.asarray(lower, float)
     upper = np.asarray(upper, float)
     nb, n = main.shape
-    if n == 1:
-        _check_pivots(main)
-        x = rhs / main
-        _check_residual((main * x - rhs).ravel(), rhs.ravel(), lin_tol, "tridiagonal batch")
+    # two trailing identity rows: the scipy wrappers reject systems of order < 3
+    zero = np.zeros((nb, 1))
+    lu = dgttrf(np.append(np.hstack([lower, zero]), 0.0), np.append(main, [1.0, 1.0]),
+                np.append(np.hstack([upper, zero]), 0.0))[:5]  # (dl, d, du, du2, ipiv)
+    _check_pivots(lu[1][:-2].reshape(nb, n))  # U's diagonal
+
+    def solve(rhs: np.ndarray) -> np.ndarray:
+        rhs = np.asarray(rhs, float)
+        x = dgttrs(*lu, np.append(rhs, [0.0, 0.0]))[0][:-2].reshape(nb, n)
+        resid = main * x
+        resid[:, :-1] += upper * x[:, 1:]
+        resid[:, 1:] += lower * x[:, :-1]
+        _check_residual((resid - rhs).ravel(), rhs.ravel(), lin_tol, "tridiagonal batch")
         return x
 
-    cp = np.empty((nb, n - 1))
-    dp = np.empty((nb, n))
-    piv = np.empty((nb, n))
-    # a bad pivot only spoils its own system; all are checked after the sweep
-    with np.errstate(all="ignore"):
-        piv[:, 0] = main[:, 0]
-        cp[:, 0] = upper[:, 0] / piv[:, 0]
-        dp[:, 0] = rhs[:, 0] / piv[:, 0]
-        for k in range(1, n):
-            piv[:, k] = main[:, k] - lower[:, k - 1] * cp[:, k - 1]
-            den = piv[:, k]
-            if k < n - 1:
-                cp[:, k] = upper[:, k] / den
-            dp[:, k] = (rhs[:, k] - lower[:, k - 1] * dp[:, k - 1]) / den
-    _check_pivots(piv)
-    for k in range(n - 2, -1, -1):
-        dp[:, k] -= cp[:, k] * dp[:, k + 1]
-
-    resid = main * dp
-    resid[:, :-1] += upper * dp[:, 1:]
-    resid[:, 1:] += lower * dp[:, :-1]
-    _check_residual((resid - rhs).ravel(), rhs.ravel(), lin_tol, "tridiagonal batch")
-    return dp
+    return solve
 
 
 def _check_pivots(piv: np.ndarray) -> None:

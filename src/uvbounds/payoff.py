@@ -8,13 +8,12 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .core import GridSpec, ModelParams, SolverConfig, Surface
+from .core import GridSpec, Surface
 
 __all__ = [
     "PayoffSpec",
     "evaluate",
     "terminal_surface",
-    "regularize",
     "load_tabulated_csv",
 ]
 
@@ -114,35 +113,6 @@ def terminal_surface(spec: PayoffSpec, grid: GridSpec) -> Surface:
     col = evaluate(spec, grid.x_nodes())
     values = np.repeat(np.asarray(col, float)[:, None], grid.n_z, axis=1)
     return Surface(values, grid, time_index=grid.n_t)
-
-
-def regularize(
-    spec: PayoffSpec,
-    params: ModelParams,
-    eps: float,
-    grid: GridSpec,
-    config: Optional[SolverConfig] = None,
-) -> PayoffSpec:
-    """Smooth a kinked payoff by evolving it for a short time ``eps``.
-
-    Runs the leading-order worst-case solver backward over [T-eps, T] on a
-    single slice frozen at z0 and tabulates the result; the output payoff
-    is smooth at grid resolution and feeds back into any solver as a
-    ``tabulated`` spec.
-    """
-    if not (0.0 < eps <= params.T / 10.0):
-        raise ValueError(f"regularize: eps must lie in (0, T/10] (got {eps})")
-    from .solver_p0p1 import solve_p0p1  # deferred: payoff <-> solver cycle
-
-    config = config or SolverConfig()
-    n_steps = max(1, int(round(eps / grid.dt(params.T))))
-    sub_grid = GridSpec(
-        x_min=grid.x_min, x_max=grid.x_max, n_x=grid.n_x,
-        z_min=params.z0, z_max=params.z0, n_z=1, n_t=n_steps,
-    )
-    sub_params = params.replace(T=eps)
-    sol = solve_p0p1(spec, sub_params, sub_grid, config)
-    return PayoffSpec.tabulated(grid.x_nodes(), sol.p0.values[:, 0])
 
 
 def load_tabulated_csv(path) -> PayoffSpec:

@@ -54,10 +54,13 @@ class P0P1Solution:
 
 
 def _scheme(params: ModelParams, grid: GridSpec, config: SolverConfig):
-    """The (select, solve) pair of P0, the 2D one at delta = 0, and the P1 step."""
-    frozen = params.replace(delta=0.0)
-    select, solve = _scheme_2d(frozen, grid, config, paper_exact=False)
-    split = _Split(frozen, grid)
+    """The (select, solve) pair of P0, the 2D one at delta = 0, and the P1 step.
+
+    The P1 step follows a P0 sub-step with the same control and theta*dt,
+    so it reuses the x-system factor of that sub-step's last solve.
+    """
+    split = _Split(params.replace(delta=0.0), grid)
+    select, solve = _scheme_2d(split, config, paper_exact=False)
 
     def solve_p1(v_next, q, u_new, u_next, dt: float, theta: float) -> np.ndarray:
         u_avg = theta * u_new + (1.0 - theta) * u_next

@@ -8,7 +8,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from uvbounds.blackscholes import BsQuote, bs_butterfly, bs_call, bs_payoff_price, bs_put, norm_cdf
+from uvbounds.blackscholes import bs_butterfly, bs_call, bs_payoff_price, bs_put, norm_cdf
 from uvbounds.payoff import PayoffSpec
 
 mp.mp.dps = 50
@@ -132,12 +132,3 @@ def test_nonpositive_inputs_rejected(kwargs):
         bs_call(100.0, **kwargs)
     with pytest.raises(ValueError):
         bs_call(np.array([-1.0, 50.0]), 100, 0.2, 1.0)
-
-
-def test_quote_validation():
-    with pytest.raises(ValueError):
-        BsQuote(spot=-1, strike=100, vol=0.2, maturity=1.0)
-    with pytest.raises(ValueError):
-        BsQuote(spot=100, strike=100, vol=0.0, maturity=1.0)
-    q = BsQuote(spot=100, strike=100, vol=0.25, maturity=0.25)
-    assert bs_call(q) == pytest.approx(FROZEN_CALLS[(100.0, 100.0, 0.25, 0.25, 0.0)], abs=1e-12)

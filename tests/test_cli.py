@@ -1,8 +1,13 @@
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import uvbounds
 from uvbounds import cli
 from uvbounds.cli import run
 from uvbounds.csvio import read_csv
@@ -284,3 +289,15 @@ def test_paper_preset_is_loadable_default(tmp_path):
     m = manifest(out)
     assert m["config"]["model.rho"] == "-0.9"
     assert m["config"]["grid.n_x"] == "30"
+
+
+def test_import_loads_no_heavy_scipy_subpackage():
+    # each adds ~25 MiB RSS; they load only where a command needs them
+    heavy = ("scipy.special", "scipy.linalg", "scipy.sparse")
+    code = f"import sys, uvbounds.cli; print([m for m in {heavy!r} if m in sys.modules])"
+    src = str(Path(uvbounds.__file__).resolve().parents[1])
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=60)
+    assert out.stdout.strip() == "[]"

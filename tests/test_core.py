@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from uvbounds.core import GridSpec, ModelParams, SolverConfig, Surface, build_grid, validate_params
+from uvbounds.core import GridSpec, ModelParams, SolverConfig, Surface, validate_params
 
 
 def paper_params(**overrides):
@@ -68,7 +68,8 @@ def test_validation_flags_iff_rule_violated(seed):
 
 def test_grid_midpoint_example():
     g = GridSpec(0, 200, 101, 0, 0.12, 4, 20)
-    x, z, t = build_grid(g, 0.25)
+    x, z = g.x_nodes(), g.z_nodes()
+    t = np.arange(g.n_t + 1) * g.dt(0.25)
     assert x[50] == 100.0
     np.testing.assert_allclose(z, [0.0, 0.04, 0.08, 0.12], atol=1e-15)
     assert t[1] - t[0] == 0.0125 and len(t) == 21
@@ -80,14 +81,6 @@ def test_grid_spacing_matches_closed_form():
     dx = (200.0 - 0.0) / 99
     np.testing.assert_array_equal(x, 0.0 + np.arange(100) * dx)
     assert g.dx == dx
-
-
-def test_build_grid_deterministic():
-    g = GridSpec(0, 150, 40, 0.01, 0.2, 7, 5)
-    a = build_grid(g, 1.0)
-    b = build_grid(g, 1.0)
-    for u, v in zip(a, b):
-        np.testing.assert_array_equal(u, v)
 
 
 @pytest.mark.parametrize("kwargs", [

@@ -3,14 +3,18 @@ import pytest
 import scipy.sparse as sp
 
 from uvbounds.core import GridSpec, ModelParams, SolverConfig
-from uvbounds.linsolve import LinearSolveError, solve_tridiag_batch
+from uvbounds.linsolve import LinearSolveError, tridiag_solver
 from uvbounds.solver_pdelta import _generator_matrix, _lu_solve, _scheme, _Split
+
+
+def solve_batch(lower, main, upper, rhs, **kw):
+    return tridiag_solver(lower, main, upper, **kw)(rhs)
 
 
 def solve_one(lower, main, upper, rhs, **kw):
     """One tridiagonal system through the batch kernel, as a batch of one."""
     rows = [np.asarray(a, float)[None, :] for a in (lower, main, upper, rhs)]
-    return solve_tridiag_batch(*rows, **kw)[0]
+    return solve_batch(*rows, **kw)[0]
 
 
 def test_identity_returns_rhs():
@@ -47,10 +51,34 @@ def test_batch_matches_individual_solves():
     upper = rng.standard_normal((nb, n - 1))
     main = 4.0 + np.abs(rng.standard_normal((nb, n)))
     rhs = rng.standard_normal((nb, n))
-    batch = solve_tridiag_batch(lower, main, upper, rhs)
+    batch = solve_batch(lower, main, upper, rhs)
     for b in range(nb):
         single = solve_one(lower[b], main[b], upper[b], rhs[b])
         np.testing.assert_array_equal(batch[b], single)
+
+
+def test_row_interchanges_stay_inside_each_system():
+    # |lower| > |main| makes partial pivoting swap rows; the zero couplings
+    # between the flattened systems keep every swap inside its own system
+    rng = np.random.default_rng(12)
+    nb, n = 6, 9
+    lower = 5.0 + rng.random((nb, n - 1))
+    upper = rng.standard_normal((nb, n - 1))
+    main = 0.1 * rng.standard_normal((nb, n))
+    rhs = rng.standard_normal((nb, n))
+    batch = solve_batch(lower, main, upper, rhs)
+    for b in range(nb):
+        single = solve_one(lower[b], main[b], upper[b], rhs[b])
+        np.testing.assert_array_equal(batch[b], single)
+
+
+def test_zero_thomas_pivot_solves():
+    # [[0, 1], [1, 1]] x = b is nonsingular, though elimination without
+    # pivoting meets a zero pivot in its first row
+    rhs = np.array([2.0, 5.0])
+    x = solve_one([1.0], [0.0, 1.0], [1.0], rhs, lin_tol=1e-12)
+    resid = np.array([x[1], x[0] + x[1]]) - rhs
+    assert np.abs(resid).max() <= 1e-12 * (1 + np.abs(rhs).max())
 
 
 def test_singular_pivot_reports_row():
@@ -68,7 +96,7 @@ def test_singular_pivot_reports_first_row_then_first_system():
     main[2, 3] = 0.0
     off = np.zeros((nb, n - 1))
     with pytest.raises(LinearSolveError, match=r"row 3 \(system 1\)"):
-        solve_tridiag_batch(off, main, off, np.ones((nb, n)))
+        solve_batch(off, main, off, np.ones((nb, n)))
 
 
 # -- the LU reference step of the 2D scheme ------------------------------------
@@ -108,7 +136,7 @@ def test_banded_block_diagonal_matches_tridiag():
     grid, q, solve = _reference(n_x=10, n_z=4, seed=9, params=p)
     w = np.random.default_rng(9).standard_normal(q.shape)
     dt = grid.dt(p.T)
-    _, x_stage = _scheme(p, grid, SolverConfig(lin_tol=1e-10), paper_exact=False)
+    _, x_stage = _scheme(_Split(p, grid), SolverConfig(lin_tol=1e-10), paper_exact=False)
     want = x_stage(q, w, dt, 0.5)
     np.testing.assert_allclose(solve(q, w, dt, 0.5), want, atol=1e-9)
 

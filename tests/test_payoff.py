@@ -1,12 +1,10 @@
 import numpy as np
 import pytest
 
-from uvbounds.core import GridSpec, ModelParams, SolverConfig
-from uvbounds.payoff import PayoffSpec, evaluate, load_tabulated_csv, regularize, terminal_surface
+from uvbounds.core import GridSpec
+from uvbounds.payoff import PayoffSpec, evaluate, load_tabulated_csv, terminal_surface
 
 BF = PayoffSpec.butterfly(90, 100, 110)
-PARAMS = ModelParams(x0=100, z0=0.04, T=0.25, r=0, d=0.75, u=1.25,
-                     kappa=15, theta=0.04, delta=0.05, rho=-0.9)
 
 
 def test_butterfly_peak_and_kinks():
@@ -101,34 +99,3 @@ def test_csv_loader_roundtrip(tmp_path):
     bad.write_text("x,h\n1.0,0.0\noops,1.0\n")
     with pytest.raises(ValueError):
         load_tabulated_csv(bad)
-
-
-# -- regularization ------------------------------------------------------------
-
-GRID = GridSpec(0, 200, 100, 0, 0.12, 5, 20)
-
-
-def test_regularize_tiny_eps_recovers_payoff():
-    reg = regularize(BF, PARAMS, eps=1e-9, grid=GRID, config=SolverConfig(rannacher_steps=0))
-    x = GRID.x_nodes()
-    assert np.max(np.abs(evaluate(reg, x) - evaluate(BF, x))) < 1e-5
-
-
-def test_regularize_butterfly_lowers_peak():
-    eps = GRID.dt(PARAMS.T)  # one solver step
-    reg = regularize(BF, PARAMS, eps, GRID)
-    assert np.max(evaluate(reg, GRID.x_nodes())) < 10.0
-
-
-def test_regularize_call_dominates_raw_payoff():
-    # sup over the band of a convex payoff is worth at least intrinsic value
-    call = PayoffSpec.call(100)
-    eps = GRID.dt(PARAMS.T)
-    reg = regularize(call, PARAMS, eps, GRID)
-    x = GRID.x_nodes()
-    assert np.all(evaluate(reg, x) >= evaluate(call, x) - 1e-8 * 100)
-
-
-def test_regularize_rejects_large_eps():
-    with pytest.raises(ValueError):
-        regularize(BF, PARAMS, eps=PARAMS.T / 2, grid=GRID)

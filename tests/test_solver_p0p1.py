@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from uvbounds import stepping
+from uvbounds import solver_p0p1, solver_pdelta, stepping
 from uvbounds.blackscholes import bs_call, bs_payoff_price
 from uvbounds.core import GridSpec, ModelParams, SolverConfig
 from uvbounds.payoff import PayoffSpec, evaluate, terminal_surface
@@ -165,6 +165,29 @@ def test_solve_failure_carries_time_level_context():
     cfg = SolverConfig(lin_tol=1e-30)
     with pytest.raises(SolverError, match="time level"):
         solve_p0p1(BF, PARAMS, SMALL, cfg)
+
+
+def test_p1_step_reuses_the_p0_factor(monkeypatch):
+    # one x-system factor per P0 solve; every P1 step reuses the last one
+    n_factors, n_solves = [0], [0]
+    factor, scheme = solver_pdelta.tridiag_solver, solver_p0p1._scheme_2d
+
+    def counting_factor(*args):
+        n_factors[0] += 1
+        return factor(*args)
+
+    def counting_scheme(*args, **kwargs):
+        select, solve = scheme(*args, **kwargs)
+
+        def counted(*a):
+            n_solves[0] += 1
+            return solve(*a)
+        return select, counted
+
+    monkeypatch.setattr(solver_pdelta, "tridiag_solver", counting_factor)
+    monkeypatch.setattr(solver_p0p1, "_scheme_2d", counting_scheme)
+    solve_p0p1(BF, PARAMS, SMALL)
+    assert n_factors[0] == n_solves[0] >= SMALL.n_t
 
 
 def test_step_p1_zero_source_keeps_zero():

@@ -1,14 +1,14 @@
 import numpy as np
 import pytest
 
-from uvbounds import stepping
+from uvbounds import solver_pdelta, stepping
 from uvbounds.blackscholes import bs_call
 from uvbounds.core import GridSpec, ModelParams, SolverConfig, SolverError
 from uvbounds.payoff import PayoffSpec, terminal_surface
 from uvbounds.solver_p0p1 import solve_p0p1
 from uvbounds.solver_pdelta import TAG_A, TAG_B, TAG_C, _generator_matrix, _lu_solve, \
     _scheme, _Split, select_q, solve_pdelta
-from uvbounds.stencils import sign_with_deadband
+from uvbounds.stencils import lxx_values, lxz_values, sign_with_deadband
 
 PARAMS = ModelParams(x0=100, z0=0.04, T=0.25, r=0, d=0.75, u=1.25,
                      kappa=15, theta=0.04, delta=0.05, rho=-0.9)
@@ -94,6 +94,24 @@ def test_select_q_vectorized_matches_scalar():
         assert qs == qv[i] and ts == tv[i]
 
 
+@pytest.mark.parametrize("paper_exact", [False, True])
+@pytest.mark.parametrize("params", [PARAMS.replace(rho=0.0), PARAMS.replace(delta=0.0)],
+                         ids=["rho0", "delta0"])
+def test_select_skips_cross_field_where_its_coefficient_is_zero(params, paper_exact):
+    # the scheme's select leaves out lxz when rho*sqrt(delta) = 0; the control
+    # and tags are those of select_q fed the computed field
+    w = np.random.default_rng(29).standard_normal((SMALL.n_x, SMALL.n_z))
+    select, _ = _scheme(_Split(params, SMALL), SolverConfig(), paper_exact)
+    q, tags = select(w)
+    geps = SolverConfig().resolve_gamma_eps(params)
+    q_ref, tags_ref = select_q(lxx_values(w, SMALL), lxz_values(w, SMALL), params, geps,
+                               paper_exact)
+    np.testing.assert_array_equal(q, q_ref)
+    np.testing.assert_array_equal(tags, tags_ref)
+    # where gamma < 0 the unguarded interior candidate wins, clamped to d
+    assert np.any(tags == TAG_C) == paper_exact
+
+
 # -- full solves ----------------------------------------------------------------
 
 def test_delta_zero_matches_leading_order():
@@ -137,7 +155,7 @@ def test_single_slice_grid_reduces_to_frozen_band_problem():
     np.testing.assert_array_equal(full.p_delta.values, base.p0.values)
     # so does the LU reference step, built by probing on one z-node
     cfg = SolverConfig()
-    select, _ = _scheme(PARAMS, grid, cfg, paper_exact=False)
+    select, _ = _scheme(_Split(PARAMS, grid), cfg, paper_exact=False)
     w_lu = stepping.march(terminal_surface(BF, grid).values, grid, PARAMS.T, cfg, select,
                           _lu_solve(PARAMS, grid, cfg.lin_tol))[0]
     np.testing.assert_allclose(w_lu, base.p0.values, rtol=0, atol=1e-12)
@@ -223,7 +241,7 @@ def test_splitting_gap_to_lu_is_second_order(rho, delta):
     gaps = []
     for n_t in (10, 20, 40):
         grid = GridSpec(0, 200, 60, 0, 0.12, 30, n_t)
-        select, adi = _scheme(p, grid, cfg, paper_exact=False)
+        select, adi = _scheme(_Split(p, grid), cfg, paper_exact=False)
         lu = _lu_solve(p, grid, cfg.lin_tol)
         term = terminal_surface(BF, grid).values
         w_adi = stepping.march(term, grid, p.T, cfg, select, adi)[0]
@@ -280,13 +298,42 @@ def test_step_matches_single_step_solve():
     cfg = SolverConfig(rannacher_steps=0)
     grid = GridSpec(0, 200, 30, 0, 0.12, 8, 1)
     term = terminal_surface(BF, grid)
-    select, solve = _scheme(PARAMS, grid, cfg, paper_exact=False)
+    select, solve = _scheme(_Split(PARAMS, grid), cfg, paper_exact=False)
     stepped, q, tags = stepping.step(term.values, select, solve, grid.dt(PARAMS.T),
                                      cfg.cn_weight, cfg.corrector_passes)
     solved = solve_pdelta(BF, PARAMS, grid, cfg)
     np.testing.assert_array_equal(stepped, solved.p_delta.values)
     np.testing.assert_array_equal(q, solved.q_star_delta[0])
     np.testing.assert_array_equal(tags, solved.candidate_tags[0])
+
+
+@pytest.mark.parametrize("cfg,n_z_factors", [(SolverConfig(), 1),
+                                             (SolverConfig(cn_weight=0.6), 2)])
+def test_each_matrix_factored_once(monkeypatch, cfg, n_z_factors):
+    # paper.cfg's time grid: the Rannacher 1*dt/2 and the trapezoidal 0.5*dt
+    # are one theta*dt, so its z-system is factored once per solve_pdelta;
+    # the x-system is factored once per Craig-Sneyd step
+    grid = GridSpec(0, 200, 60, 0, 0.12, 30, 20)  # n_x != n_z tells the systems apart
+    shapes, n_solves = [], [0]
+    factor, scheme = solver_pdelta.tridiag_solver, solver_pdelta._scheme
+
+    def counting_factor(lower, main, upper, lin_tol):
+        shapes.append(np.shape(main))
+        return factor(lower, main, upper, lin_tol)
+
+    def counting_scheme(*args):
+        select, solve = scheme(*args)
+
+        def counted(*a):
+            n_solves[0] += 1
+            return solve(*a)
+        return select, counted
+
+    monkeypatch.setattr(solver_pdelta, "tridiag_solver", counting_factor)
+    monkeypatch.setattr(solver_pdelta, "_scheme", counting_scheme)
+    solve_pdelta(BF, PARAMS, grid, cfg)
+    assert shapes.count((grid.n_x, grid.n_z)) == n_z_factors
+    assert shapes.count((grid.n_z, grid.n_x)) == n_solves[0] >= grid.n_t
 
 
 def test_failure_carries_time_level_context():
