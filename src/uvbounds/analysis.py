@@ -16,7 +16,6 @@ where the expansion is in its asymptotic regime.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -64,7 +63,6 @@ class SweepReport:
     r2: float
     n_fit: int
     window: tuple[float, float]
-    p0_runtime_s: float
     p0p1: P0P1Solution
 
     @property
@@ -76,54 +74,15 @@ class SweepReport:
         return np.array([r.error for r in self.records])
 
 
-def _window_indices(x: np.ndarray, window: tuple[float, float]) -> np.ndarray:
-    lo, hi = window
-    idx = np.where((x >= lo) & (x <= hi))[0]
-    if len(idx) == 0:
-        raise ValueError(f"window {window} contains no grid nodes")
-    return idx
-
-
-def _pdelta_error(payoff: PayoffSpec, params: ModelParams, delta: float,
-                  grid: GridSpec, config: SolverConfig, p0: np.ndarray,
-                  p1: np.ndarray, window: tuple[float, float],
-                  paper_exact: bool) -> SweepRecord:
-    t0 = time.perf_counter()
-    try:
-        sol = solve_pdelta(payoff, params.replace(delta=delta), grid, config,
-                           paper_exact=paper_exact)
-    except SolverError as exc:
-        raise SolverError(f"sweep failed at delta={delta}: {exc}") from exc
-    elapsed = time.perf_counter() - t0
-
-    err = np.abs(sol.p_delta.values - p0 - np.sqrt(delta) * p1)
-    x = grid.x_nodes()
-    z = grid.z_nodes()
-    idx = _window_indices(x, window)
-    sub = err[idx, :]
-    flat = int(np.argmax(sub))
-    i_loc, j_loc = np.unravel_index(flat, sub.shape)
-    return SweepRecord(
-        delta=float(delta),
-        error=float(sub[i_loc, j_loc]),
-        error_full=float(np.max(err)),
-        sup_x=float(x[idx[i_loc]]),
-        sup_z=float(z[j_loc]),
-        runtime_s=elapsed,
-        undershoot=float(min(np.min(sol.p_delta.values), 0.0)),
-    )
-
-
 def error_sweep(payoff: PayoffSpec, params: ModelParams,
                 delta_list: Sequence[float], grid: GridSpec,
                 config: Optional[SolverConfig] = None, *,
                 window: tuple[float, float] = DEFAULT_WINDOW,
-                paper_exact: bool = False,
-                n_workers: int = 1) -> SweepReport:
+                paper_exact: bool = False) -> SweepReport:
     """Per-delta approximation error and its log-log convergence fit.
 
     One leading-order/correction solve serves the whole sweep; each delta
-    costs one 2D solve and those may run in parallel workers.
+    then costs one 2D solve, run in turn in ascending delta order.
     """
     config = config or SolverConfig()
     deltas = sorted(set(float(d) for d in delta_list))
@@ -131,21 +90,38 @@ def error_sweep(payoff: PayoffSpec, params: ModelParams,
         raise ValueError("error_sweep needs at least two distinct delta values")
     if deltas[0] <= 0.0:
         raise ValueError("delta values must be strictly positive")
-    _window_indices(grid.x_nodes(), window)  # fail before the first solve
+    x = grid.x_nodes()
+    z = grid.z_nodes()
+    idx = np.where((x >= window[0]) & (x <= window[1]))[0]
+    if len(idx) == 0:  # fail before the first solve
+        raise ValueError(f"window {window} contains no grid nodes")
 
-    t0 = time.perf_counter()
     base = solve_p0p1(payoff, params, grid, config)
-    p0_runtime = time.perf_counter() - t0
     p0 = np.asarray(base.p0.values)
     p1 = np.asarray(base.p1.values)
 
-    jobs = [(payoff, params, d, grid, config, p0, p1, window, paper_exact)
-            for d in deltas]
-    if n_workers > 1:
-        with ProcessPoolExecutor(max_workers=n_workers) as pool:
-            records = list(pool.map(_pdelta_error_star, jobs))
-    else:
-        records = [_pdelta_error(*job) for job in jobs]
+    records = []
+    for delta in deltas:
+        t0 = time.perf_counter()
+        try:
+            p_delta = solve_pdelta(payoff, params.replace(delta=delta), grid, config,
+                                   paper_exact=paper_exact).p_delta.values
+        except SolverError as exc:
+            raise SolverError(f"sweep failed at delta={delta}: {exc}") from exc
+        elapsed = time.perf_counter() - t0
+
+        err = np.abs(p_delta - p0 - np.sqrt(delta) * p1)
+        sub = err[idx, :]
+        i_loc, j_loc = np.unravel_index(int(np.argmax(sub)), sub.shape)
+        records.append(SweepRecord(
+            delta=delta,
+            error=float(sub[i_loc, j_loc]),
+            error_full=float(np.max(err)),
+            sup_x=float(x[idx[i_loc]]),
+            sup_z=float(z[j_loc]),
+            runtime_s=elapsed,
+            undershoot=float(min(np.min(p_delta), 0.0)),
+        ))
 
     n_fit = max(2, len(deltas) // 2)
     slope, intercept, _, r2 = loglog_fit(
@@ -153,12 +129,7 @@ def error_sweep(payoff: PayoffSpec, params: ModelParams,
         np.array([r.error for r in records[:n_fit]]),
     )
     return SweepReport(records=records, slope=slope, intercept=intercept, r2=r2,
-                       n_fit=n_fit, window=window, p0_runtime_s=p0_runtime,
-                       p0p1=base)
-
-
-def _pdelta_error_star(args) -> SweepRecord:
-    return _pdelta_error(*args)
+                       n_fit=n_fit, window=window, p0p1=base)
 
 
 def loglog_fit(x: np.ndarray, y: np.ndarray,

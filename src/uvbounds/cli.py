@@ -26,7 +26,7 @@ from . import __version__
 from .analysis import compare_bs, error_sweep, gamma_diagnostics
 from .config import RunSettings, load_config, settings_to_flat_dict
 from .core import SolverError
-from .csvio import surface_to_csv, write_csv
+from .csvio import surface_to_csv, write_columns, write_csv
 from .linsolve import LinearSolveError
 from .montecarlo import coupling_rate_study, simulate_cir
 from .solver_p0p1 import solve_p0p1
@@ -71,7 +71,7 @@ def _parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=20240, metavar="U64",
                        help="seed for Monte Carlo subcommands")
         p.add_argument("--threads", type=int, default=1, metavar="N",
-                       help="worker cap for per-delta parallelism")
+                       help="accepted and recorded in the manifest; has no effect")
         p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                        dest="overrides", help="override a config key (repeatable)")
         p.add_argument("--paper-exact", action="store_true",
@@ -188,16 +188,12 @@ def _cmd_solve_pdelta(settings: RunSettings, out: Path, args):
     surface_to_csv(sol.p_delta, out / "pdelta_surface.csv")
     outputs = ["pdelta_surface.csv"]
     if getattr(args, "export_controls", False):
-        x = settings.grid.x_nodes()
-        z = settings.grid.z_nodes()
-        rows = (
-            (n, x[i], z[j], sol.q_star_delta[n, i, j],
-             TAG_NAMES[sol.candidate_tags[n, i, j]])
-            for n in range(settings.grid.n_t)
-            for i in range(settings.grid.n_x)
-            for j in range(settings.grid.n_z)
-        )
-        write_csv(out / "pdelta_controls.csv", ["level", "x", "z", "q", "tag"], rows)
+        grid = settings.grid
+        level, i, j = np.indices((grid.n_t, grid.n_x, grid.n_z)).reshape(3, -1)
+        write_columns(out / "pdelta_controls.csv", ["level", "x", "z", "q", "tag"],
+                      [level, grid.x_nodes()[i], grid.z_nodes()[j],
+                       sol.q_star_delta.ravel(),
+                       np.asarray(TAG_NAMES)[sol.candidate_tags.ravel()]])
         outputs.append("pdelta_controls.csv")
     probe = sol.p_delta.value_at(settings.model.x0, settings.model.z0)
     return {"pdelta_at_x0_z0": probe,
@@ -217,7 +213,7 @@ def _cmd_compare_bs(settings: RunSettings, out: Path, args):
 def _cmd_sweep_error(settings: RunSettings, out: Path, args):
     report = error_sweep(settings.payoff, settings.model, settings.sweep_deltas,
                          settings.grid, settings.solver, window=settings.window,
-                         paper_exact=args.paper_exact, n_workers=max(1, args.threads))
+                         paper_exact=args.paper_exact)
     write_csv(
         out / "sweep.csv",
         ["delta", "error", "error_full", "sup_x", "sup_z", "runtime_s", "undershoot"],

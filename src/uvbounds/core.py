@@ -1,8 +1,8 @@
 """Shared value types: model parameters, grids, surfaces, solver knobs.
 
 Everything here is an immutable value object. Solvers never mutate a
-``Surface`` in place; each backward step produces a fresh one, so surfaces
-can be shared freely across workers.
+``Surface`` in place; each backward step produces a fresh one, so a
+surface can be held and reused across solves without copying.
 """
 
 from __future__ import annotations

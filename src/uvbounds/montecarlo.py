@@ -4,7 +4,7 @@ Randomness comes from counter-based Philox streams: the pair of shocks
 for step k of a run with a given seed lives in its own counter block
 (``Philox(key=seed, counter=k << 128)``), so the draw feeding path p at
 step k is a pure function of (seed, p, k). Runs are bitwise reproducible
-and order-independent; workers can regenerate any step's block without
+and order-independent; any step's block can be regenerated without
 touching the others.
 
 The variance process uses the full-truncation Euler scheme: the state may

@@ -106,7 +106,7 @@ def test_criterion_4_delta_zero_consistency(butterfly_p0p1):
 def test_criterion_5_error_sweep_slope():
     t0 = time.perf_counter()
     deltas = [0.005 * k for k in range(1, 11)]
-    report = error_sweep(BF, PARAMS, deltas, GRID, window=WINDOW, n_workers=4)
+    report = error_sweep(BF, PARAMS, deltas, GRID, window=WINDOW)
     errs = report.errors  # ascending delta
     inversions = []
     for i in range(len(errs) - 1):

@@ -79,13 +79,6 @@ def test_sweep_rejects_bad_delta_lists():
         error_sweep(BF, PARAMS, [0.01], SMALL)
 
 
-def test_sweep_parallel_matches_serial():
-    serial = error_sweep(BF, PARAMS, [0.02, 0.04], SMALL, n_workers=1)
-    parallel = error_sweep(BF, PARAMS, [0.02, 0.04], SMALL, n_workers=2)
-    np.testing.assert_array_equal(serial.errors, parallel.errors)
-    assert serial.slope == parallel.slope
-
-
 def test_window_must_contain_nodes():
     with pytest.raises(ValueError):
         error_sweep(BF, PARAMS, [0.01, 0.02], SMALL, window=(300.0, 400.0))

@@ -90,6 +90,20 @@ def test_sweep_error_row_count_and_fit(tmp_path, cfg):
     assert "slope" in manifest(out)["results"]
 
 
+def test_sweep_error_threads_flag_is_accepted_and_has_no_effect(tmp_path, cfg):
+    outs = {n: tmp_path / f"threads{n}" for n in (1, 3)}
+    for n, out in outs.items():
+        assert run(["sweep-error", "--config", cfg, "--threads", str(n),
+                    "--out", str(out)]) == 0
+        assert manifest(out)["threads"] == n
+    header, rows1 = read_csv(outs[1] / "sweep.csv")
+    _, rows3 = read_csv(outs[3] / "sweep.csv")
+    keep = [k for k, name in enumerate(header) if name != "runtime_s"]
+    assert len(keep) == len(header) - 1
+    assert [[r[k] for k in keep] for r in rows1] == [[r[k] for k in keep] for r in rows3]
+    assert (outs[1] / "sweep_fit.csv").read_bytes() == (outs[3] / "sweep_fit.csv").read_bytes()
+
+
 def test_compare_bs_reproducible_from_config(tmp_path, cfg):
     out1, out2 = tmp_path / "a", tmp_path / "b"
     assert run(["compare-bs", "--config", cfg, "--out", str(out1)]) == 0
@@ -292,8 +306,10 @@ def test_paper_preset_is_loadable_default(tmp_path):
 
 
 def test_import_loads_no_heavy_scipy_subpackage():
-    # each adds ~25 MiB RSS; they load only where a command needs them
-    heavy = ("scipy.special", "scipy.linalg", "scipy.sparse")
+    # each scipy subpackage adds ~25 MiB RSS and loads only where a command
+    # needs it; no command runs a process pool
+    heavy = ("scipy.special", "scipy.linalg", "scipy.sparse",
+             "multiprocessing", "concurrent.futures.process")
     code = f"import sys, uvbounds.cli; print([m for m in {heavy!r} if m in sys.modules])"
     src = str(Path(uvbounds.__file__).resolve().parents[1])
     env = dict(os.environ,
