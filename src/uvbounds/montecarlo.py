@@ -3,9 +3,12 @@
 Randomness comes from counter-based Philox streams: the pair of shocks
 for step k of a run with a given seed lives in its own counter block
 (``Philox(key=seed, counter=k << 128)``), so the draw feeding path p at
-step k is a pure function of (seed, p, k). Runs are bitwise reproducible
-and order-independent; any step's block can be regenerated without
-touching the others.
+step k is a pure function of (seed, p, k). Paths are advanced in chunks
+of ``CHUNK_PATHS``; each chunk takes its next ``(m, 2)`` draws from every
+step's stream, and the chunks run in path order, so together they consume
+exactly the block a single draw of all paths would. Runs are bitwise
+reproducible and do not depend on the chunk size, and one draw per step
+and chunk serves every (delta, control) pair advanced together.
 
 The variance process uses the full-truncation Euler scheme: the state may
 go negative, but drift and diffusion see its positive part and the
@@ -77,6 +80,19 @@ def _stream(seed: int, step: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=seed, counter=step << 128))
 
 
+# Paths advanced together. On coupling-rate (paper.cfg), larger chunks cut
+# numpy call overhead but grow the live state of all pairs; see CHANGES.md
+# for the wall-time and peak-RSS measurements behind this value.
+CHUNK_PATHS = 8192
+
+
+def _correlate(g: np.ndarray, rho: float, dt: float) -> tuple[np.ndarray, np.ndarray]:
+    sq = np.sqrt(dt)
+    dw = sq * g[:, 0]
+    dwz = sq * (rho * g[:, 0] + np.sqrt(1.0 - rho * rho) * g[:, 1])
+    return dw, dwz
+
+
 def brownian_increments(seed: int, step: int, n_paths: int, rho: float,
                         dt: float) -> tuple[np.ndarray, np.ndarray]:
     """Correlated increment pair (dW, dW_z) for one time step.
@@ -85,52 +101,80 @@ def brownian_increments(seed: int, step: int, n_paths: int, rho: float,
     Path p consumes the step-block's draws 2p and 2p+1, so its increments
     do not depend on how many paths the run asked for.
     """
-    g = _stream(seed, step).standard_normal((n_paths, 2))
-    sq = np.sqrt(dt)
-    dw = sq * g[:, 0]
-    dwz = sq * (rho * g[:, 0] + np.sqrt(1.0 - rho * rho) * g[:, 1])
-    return dw, dwz
+    return _correlate(_stream(seed, step).standard_normal((n_paths, 2)), rho, dt)
 
 
-def _control_values(control: Control, t: float, x: np.ndarray, z: np.ndarray,
-                    params: ModelParams) -> np.ndarray:
-    if callable(control):
-        q = np.broadcast_to(np.asarray(control(t, x, z), float), x.shape)
-    else:
-        q = np.full_like(x, float(control))
-    if np.any(q < params.d - 1e-12) or np.any(q > params.u + 1e-12):
-        raise ValueError("control values must lie in [d, u]")
-    return q
+def _check_band(q, params: ModelParams) -> None:
+    # NaN fails both comparisons, so non-finite values are rejected too
+    if not np.all((q >= params.d - 1e-12) & (q <= params.u + 1e-12)):
+        raise ValueError("control values must be finite and lie in [d, u]")
 
 
-def _advance_paths(params: ModelParams, control: Control, n_steps: int,
-                   n_paths: int, seed: int,
-                   record: Callable = lambda k, z, x_d, x_f: None):
-    """Step the variance state and both coupled assets from 0 to T.
+def _advance_paths(params: ModelParams, deltas: Sequence[float],
+                   controls: Sequence[Control], n_steps: int, n_paths: int,
+                   seed: int, record: Callable) -> None:
+    """Step every delta's variance state and every (delta, control) pair's
+    two coupled assets from 0 to T, ``CHUNK_PATHS`` paths at a time.
 
-    The one path kernel behind every simulation here. ``record(k, z, x_d,
-    x_f)`` sees the raw (untruncated) variance state and the two assets at
-    every time level k = 0..n_steps. Returns the terminal (z, x_d, x_f).
+    The one path kernel behind every simulation here; ``params`` gives
+    everything but delta. Pair p = i * len(controls) + j runs delta i under
+    control j; with no controls only the variance is stepped. At every time
+    level k = 0..n_steps, ``record(rows, k, z, x_d, x_f)`` sees the chunk's
+    paths ``rows`` (a slice), the raw (untruncated) variance state ``z[i]``
+    of each delta and the assets ``x_d[p]``, ``x_f[p]`` of each pair.
+
+    A constant control is range-checked once and applied as a scalar; its
+    frozen asset does not depend on delta, so all deltas share it. A
+    callable control is evaluated per step on each pair's moving state
+    (t_k, X_k, Z_k), one chunk of paths at a time, so it must act path by
+    path.
     """
-    check_inputs(params)
     if n_steps < 1 or n_paths < 1:
         raise ValueError(f"need n_steps >= 1 and n_paths >= 1 "
                          f"(got {n_steps}, {n_paths})")
+    for dl in deltas:
+        check_inputs(params.replace(delta=dl))
+    controls = [c if callable(c) else float(c) for c in controls]
+    for c in controls:
+        if not callable(c):
+            _check_band(c, params)
+    n_c = len(controls)
     dt = params.T / n_steps
-    z_state = np.full(n_paths, params.z0, dtype=float)
-    x_d = np.full(n_paths, params.x0, dtype=float)
-    x_f = np.full(n_paths, params.x0, dtype=float)
-    record(0, z_state, x_d, x_f)
-    for k in range(n_steps):
-        zp = np.maximum(z_state, 0.0)
-        dw, dwz = brownian_increments(seed, k, n_paths, params.rho, dt)
-        q = _control_values(control, k * dt, x_d, zp, params)
-        x_d = x_d * np.exp(-0.5 * q * q * zp * dt + q * np.sqrt(zp) * dw)
-        x_f = x_f * np.exp(-0.5 * q * q * params.z0 * dt + q * np.sqrt(params.z0) * dw)
-        z_state = z_state + params.delta * params.kappa * (params.theta - zp) * dt \
-            + np.sqrt(params.delta) * np.sqrt(zp) * dwz
-        record(k + 1, z_state, x_d, x_f)
-    return z_state, x_d, x_f
+    sqrt_z0 = np.sqrt(params.z0)
+    streams = [_stream(seed, k) for k in range(n_steps)]
+    for start in range(0, n_paths, CHUNK_PATHS):
+        rows = slice(start, min(start + CHUNK_PATHS, n_paths))
+        m = rows.stop - rows.start
+        z = [np.full(m, params.z0) for _ in deltas]
+        x_d = [np.full(m, params.x0) for _ in range(len(deltas) * n_c)]
+        # one frozen asset per control, shared by every delta until a
+        # callable control gives each pair its own (updates never act in place)
+        x_f = [np.full(m, params.x0) for _ in range(n_c)] * len(deltas)
+        record(rows, 0, z, x_d, x_f)
+        for k in range(n_steps):
+            dw, dwz = _correlate(streams[k].standard_normal((m, 2)), params.rho, dt)
+            zp = [np.maximum(zi, 0.0) for zi in z]
+            sqrt_zp = [np.sqrt(v) for v in zp]
+            for j, q in enumerate(controls):
+                if not callable(q):
+                    x_f[j::n_c] = [x_f[j] * np.exp(-0.5 * q * q * params.z0 * dt
+                                                   + q * sqrt_z0 * dw)] * len(deltas)
+            for i in range(len(deltas)):
+                for j, c in enumerate(controls):
+                    p = i * n_c + j
+                    q = c
+                    if callable(c):
+                        q = np.broadcast_to(np.asarray(c(k * dt, x_d[p], zp[i]), float),
+                                            (m,))
+                        _check_band(q, params)
+                        x_f[p] = x_f[p] * np.exp(-0.5 * q * q * params.z0 * dt
+                                                 + q * sqrt_z0 * dw)
+                    x_d[p] = x_d[p] * np.exp(-0.5 * q * q * zp[i] * dt
+                                             + q * sqrt_zp[i] * dw)
+            for i, dl in enumerate(deltas):
+                z[i] = z[i] + dl * params.kappa * (params.theta - zp[i]) * dt \
+                    + np.sqrt(dl) * sqrt_zp[i] * dwz
+            record(rows, k + 1, z, x_d, x_f)
 
 
 def simulate_coupled_asset(params: ModelParams, control: Control, n_steps: int,
@@ -146,12 +190,12 @@ def simulate_coupled_asset(params: ModelParams, control: Control, n_steps: int,
     x_d = np.empty_like(z_out)
     x_f = np.empty_like(z_out)
 
-    def record(k, z, xd, xf):
-        z_out[:, k] = np.maximum(z, 0.0)
-        x_d[:, k] = xd
-        x_f[:, k] = xf
+    def record(rows, k, z, xd, xf):
+        z_out[rows, k] = np.maximum(z[0], 0.0)
+        x_d[rows, k] = xd[0]
+        x_f[rows, k] = xf[0]
 
-    _advance_paths(params, control, n_steps, n_paths, seed, record)
+    _advance_paths(params, [params.delta], [control], n_steps, n_paths, seed, record)
     times = np.arange(n_steps + 1) * (params.T / n_steps)
     return PathBundle(times=times, z_paths=z_out, x_paths_delta=x_d,
                       x_paths_frozen=x_f, seed=seed)
@@ -166,19 +210,28 @@ def simulate_cir(params: ModelParams, n_steps: int, n_paths: int,
     """
     out = np.empty((n_paths, n_steps + 1))
 
-    def record(k, z, x_d, x_f):
-        out[:, k] = np.maximum(z, 0.0)
+    def record(rows, k, z, x_d, x_f):
+        out[rows, k] = np.maximum(z[0], 0.0)
 
-    # the variance path does not depend on the control the assets follow
-    _advance_paths(params, params.u, n_steps, n_paths, seed, record)
+    _advance_paths(params, [params.delta], [], n_steps, n_paths, seed, record)
     return out
 
 
-def _terminal_gap_sq(params: ModelParams, control: Control, n_steps: int,
-                     n_paths: int, seed: int) -> np.ndarray:
-    """(X_T^moving - X_T^frozen)^2 without materializing full paths."""
-    _, x_d, x_f = _advance_paths(params, control, n_steps, n_paths, seed)
-    return (x_d - x_f) ** 2
+def _terminal_gap_sq(params: ModelParams, deltas: Sequence[float],
+                     controls: Sequence[Control], n_steps: int, n_paths: int,
+                     seed: int) -> np.ndarray:
+    """(X_T^moving - X_T^frozen)^2 of every (delta, control) pair, one row
+    per pair (delta-major, as in ``_advance_paths``), without
+    materializing full paths."""
+    out = np.empty((len(deltas) * len(controls), n_paths))
+
+    def record(rows, k, z, x_d, x_f):
+        if k == n_steps:
+            for p, (xd, xf) in enumerate(zip(x_d, x_f)):
+                out[p, rows] = (xd - xf) ** 2
+
+    _advance_paths(params, deltas, controls, n_steps, n_paths, seed, record)
+    return out
 
 
 def coupling_rate_study(params: ModelParams, delta_list: Sequence[float],
@@ -189,8 +242,9 @@ def coupling_rate_study(params: ModelParams, delta_list: Sequence[float],
 
     Runs every delta with the same seed (common random numbers), so the
     per-delta estimates move together and the fitted slope is steadier
-    than with independent streams. Controls default to the two constant
-    band endpoints.
+    than with independent streams; all (delta, control) pairs advance
+    together, each step's shocks drawn once. Controls default to the two
+    constant band endpoints.
     """
     deltas = np.asarray(sorted(set(float(d) for d in delta_list), reverse=True))
     if len(deltas) < 2:
@@ -202,16 +256,16 @@ def coupling_rate_study(params: ModelParams, delta_list: Sequence[float],
                          f"(got {n_paths})")
     if controls is None:
         controls = {"const_d": params.d, "const_u": params.u}
+    if not controls:
+        raise ValueError("rate study needs at least one control")
 
+    sq = _terminal_gap_sq(params, deltas, list(controls.values()), n_steps,
+                          n_paths, seed)
     fits = []
-    for name, control in controls.items():
-        est = np.empty(len(deltas))
-        se = np.empty(len(deltas))
-        for i, dl in enumerate(deltas):
-            sq = _terminal_gap_sq(params.replace(delta=dl), control, n_steps,
-                                  n_paths, seed)
-            est[i] = float(np.mean(sq))
-            se[i] = float(np.std(sq, ddof=1) / np.sqrt(n_paths))
+    for j, name in enumerate(controls):
+        rows = sq[j::len(controls)]  # control j's row for each delta
+        est = np.array([float(np.mean(r)) for r in rows])
+        se = np.array([float(np.std(r, ddof=1) / np.sqrt(n_paths)) for r in rows])
         slope, intercept, slope_se, r2 = loglog_fit(deltas, est, se)
         fits.append(RateFit(control=name, deltas=deltas, estimates=est, stderrs=se,
                             slope=slope, slope_stderr=slope_se, intercept=intercept,

@@ -1,14 +1,35 @@
 import numpy as np
 import pytest
 
+from uvbounds import montecarlo
 from uvbounds.core import ModelParams
 from uvbounds.montecarlo import (
-    _terminal_gap_sq, brownian_increments, coupling_rate_study, simulate_cir,
-    simulate_coupled_asset,
+    CHUNK_PATHS, _terminal_gap_sq, brownian_increments, coupling_rate_study,
+    simulate_cir, simulate_coupled_asset,
 )
 
 PARAMS = ModelParams(x0=100, z0=0.04, T=0.25, r=0, d=0.75, u=1.25,
                      kappa=15, theta=0.04, delta=0.05, rho=-0.9)
+SWITCHING = lambda t, x, z: np.where(x >= 100.0, PARAMS.d, PARAMS.u)
+
+
+def _reference_terminals(params, control, n_steps, n_paths, seed):
+    # the unchunked loop: each step's whole block in one draw, the control
+    # as an array on every path
+    dt = params.T / n_steps
+    z = np.full(n_paths, params.z0)
+    x_d = np.full(n_paths, params.x0)
+    x_f = np.full(n_paths, params.x0)
+    for k in range(n_steps):
+        zp = np.maximum(z, 0.0)
+        dw, dwz = brownian_increments(seed, k, n_paths, params.rho, dt)
+        q = control(k * dt, x_d, zp) if callable(control) else control
+        q = np.broadcast_to(np.asarray(q, float), x_d.shape)
+        x_d = x_d * np.exp(-0.5 * q * q * zp * dt + q * np.sqrt(zp) * dw)
+        x_f = x_f * np.exp(-0.5 * q * q * params.z0 * dt + q * np.sqrt(params.z0) * dw)
+        z = z + params.delta * params.kappa * (params.theta - zp) * dt \
+            + np.sqrt(params.delta) * np.sqrt(zp) * dwz
+    return np.maximum(z, 0.0), x_d, x_f
 
 
 def test_frozen_variance_at_delta_zero():
@@ -25,12 +46,57 @@ def test_coupled_paths_identical_at_delta_zero():
 def test_simulators_share_one_path_kernel():
     # same seed: the variance paths and the terminal gap of the rate study
     # are bitwise those of the full coupled simulation
-    control = lambda t, x, z: np.where(x >= 100.0, PARAMS.d, PARAMS.u)
-    b = simulate_coupled_asset(PARAMS, control, 40, 300, seed=8)
+    b = simulate_coupled_asset(PARAMS, SWITCHING, 40, 300, seed=8)
     np.testing.assert_array_equal(simulate_cir(PARAMS, 40, 300, seed=8), b.z_paths)
     np.testing.assert_array_equal(
-        _terminal_gap_sq(PARAMS, control, 40, 300, seed=8),
-        (b.x_paths_delta[:, -1] - b.x_paths_frozen[:, -1]) ** 2)
+        _terminal_gap_sq(PARAMS, [PARAMS.delta], [SWITCHING], 40, 300, seed=8),
+        [(b.x_paths_delta[:, -1] - b.x_paths_frozen[:, -1]) ** 2])
+
+
+@pytest.mark.parametrize("n_paths", [CHUNK_PATHS // 3, CHUNK_PATHS + 3,
+                                     2 * CHUNK_PATHS + 5])
+def test_batched_pairs_bitwise_equal_single_pair_runs(n_paths):
+    # every (delta, control) pair of one batched run equals, bit for bit, its
+    # own single-pair run and the unchunked loop, whatever the chunk split
+    deltas = [0.04, 0.01]
+    controls = {"const_d": PARAMS.d, "const_u": PARAMS.u, "switching": SWITCHING}
+    n_steps, seed = 6, 31
+    gaps = _terminal_gap_sq(PARAMS, deltas, list(controls.values()), n_steps,
+                            n_paths, seed)
+    study = coupling_rate_study(PARAMS, deltas, n_paths, seed, controls, n_steps)
+    for i, dl in enumerate(deltas):
+        p = PARAMS.replace(delta=dl)
+        for j, control in enumerate(controls.values()):
+            b = simulate_coupled_asset(p, control, n_steps, n_paths, seed)
+            z, x_d, x_f = _reference_terminals(p, control, n_steps, n_paths, seed)
+            np.testing.assert_array_equal(b.z_paths[:, -1], z)
+            np.testing.assert_array_equal(b.x_paths_delta[:, -1], x_d)
+            np.testing.assert_array_equal(b.x_paths_frozen[:, -1], x_f)
+            single = (x_d - x_f) ** 2
+            np.testing.assert_array_equal(gaps[i * len(controls) + j], single)
+            assert study.fits[j].estimates[i] == float(np.mean(single))
+            assert study.fits[j].stderrs[i] == float(
+                np.std(single, ddof=1) / np.sqrt(n_paths))
+
+
+def test_study_draws_each_step_block_once(monkeypatch):
+    calls = []
+    real = montecarlo._stream
+
+    def counting(seed, step):
+        calls.append(step)
+        return real(seed, step)
+
+    monkeypatch.setattr(montecarlo, "_stream", counting)
+    n_steps = 7
+    for deltas, controls in (([0.01, 0.02], {"const_u": PARAMS.u}),
+                             ([0.005, 0.01, 0.02], {"const_d": PARAMS.d,
+                                                    "const_u": PARAMS.u,
+                                                    "switching": SWITCHING})):
+        calls.clear()
+        coupling_rate_study(PARAMS, deltas, CHUNK_PATHS + 3, seed=4,
+                            controls=controls, n_steps=n_steps)
+        assert sorted(calls) == list(range(n_steps))
 
 
 def test_bitwise_reproducibility():
@@ -128,6 +194,32 @@ def test_control_outside_band_rejected():
         simulate_coupled_asset(PARAMS, 0.5, 10, 10, seed=1)
     with pytest.raises(ValueError):
         simulate_coupled_asset(PARAMS, lambda t, x, z: np.full_like(x, 2.0), 10, 10, seed=1)
+
+
+def test_non_finite_controls_rejected():
+    with pytest.raises(ValueError, match="finite"):
+        simulate_coupled_asset(PARAMS, float("nan"), 10, 10, seed=1)
+    with pytest.raises(ValueError, match="finite"):
+        simulate_coupled_asset(PARAMS, lambda t, x, z: np.full_like(x, np.nan),
+                               10, 10, seed=1)
+    # one NaN path among admissible ones
+    with pytest.raises(ValueError, match="finite"):
+        simulate_coupled_asset(
+            PARAMS, lambda t, x, z: np.where(np.arange(len(x)) == 3, np.nan, PARAMS.u),
+            10, 10, seed=1)
+
+
+def test_study_validates_controls_before_stepping(monkeypatch):
+    def no_stepping(seed, step):
+        raise AssertionError("a step stream was built")
+
+    monkeypatch.setattr(montecarlo, "_stream", no_stepping)
+    with pytest.raises(ValueError, match="control"):
+        coupling_rate_study(PARAMS, [0.01, 0.02], 100, seed=1, controls={})
+    for bad in (0.5, 1.5, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match=r"\[d, u\]"):
+            coupling_rate_study(PARAMS, [0.01, 0.02], 100, seed=1,
+                                controls={"ok": PARAMS.u, "bad": bad})
 
 
 def test_counts_validated():
