@@ -12,14 +12,14 @@ from .payoff import PayoffSpec, evaluate, terminal_surface
 from .blackscholes import bs_butterfly, bs_call, bs_put
 from .solver_p0p1 import P0P1Solution, solve_p0p1
 from .solver_pdelta import PdeltaSolution, select_q, solve_pdelta
-from .montecarlo import PathBundle, coupling_rate_study, simulate_cir, simulate_coupled_asset
+from .montecarlo import coupling_rate_study, simulate_cir, simulate_coupled_asset
 from .analysis import SweepReport, compare_bs, error_sweep, gamma_diagnostics
 
 __version__ = "0.1.0"
 
 __all__ = [
     "ModelParams", "GridSpec", "SolverConfig", "Surface", "PayoffSpec",
-    "P0P1Solution", "PdeltaSolution", "PathBundle", "SweepReport",
+    "P0P1Solution", "PdeltaSolution", "SweepReport",
     "validate_params", "evaluate", "terminal_surface",
     "bs_call", "bs_put", "bs_butterfly",
     "solve_p0p1", "solve_pdelta", "select_q",

@@ -132,7 +132,7 @@ def load_config(path: Optional[str] = None,
 
 def apply_overrides(raw: dict[str, dict[str, str]],
                     overrides: list[str]) -> dict[str, dict[str, str]]:
-    out = {sec: dict(kv) for sec, kv in raw.items()}
+    update: dict[str, dict[str, str]] = {}
     for item in overrides:
         if "=" not in item:
             raise ConfigError(f"override {item!r} is not of the form section.key=value")
@@ -141,10 +141,8 @@ def apply_overrides(raw: dict[str, dict[str, str]],
         if "." not in dotted:
             raise ConfigError(f"override key {dotted!r} is not of the form section.key")
         sec, key = dotted.split(".", 1)
-        if sec not in SCHEMA or key not in SCHEMA[sec]:
-            raise ConfigError(f"override references unknown key {sec}.{key}")
-        out.setdefault(sec, {})[key] = value.strip()
-    return out
+        update.setdefault(sec, {})[key] = value.strip()
+    return _merge(raw, update)
 
 
 def _as_float(raw, sec: str, key: str) -> float:

@@ -1,5 +1,9 @@
 """Path simulation for the variance process and the coupled asset.
 
+Only the variance process is returned as full paths (``simulate_cir``);
+the coupled asset is returned at maturity only, which is all its checks
+and the rate study read.
+
 Randomness comes from counter-based Philox streams: the pair of shocks
 for step k of a run with a given seed lives in its own counter block
 (``Philox(key=seed, counter=k << 128)``), so the draw feeding path p at
@@ -31,7 +35,6 @@ from .core import ModelParams
 from .stepping import check_inputs
 
 __all__ = [
-    "PathBundle",
     "RateFit",
     "RateStudy",
     "brownian_increments",
@@ -41,17 +44,6 @@ __all__ = [
 ]
 
 Control = Union[float, Callable[[float, np.ndarray, np.ndarray], np.ndarray]]
-
-
-@dataclass(frozen=True)
-class PathBundle:
-    """Simulated paths on a uniform time grid, one row per path."""
-
-    times: np.ndarray
-    z_paths: np.ndarray
-    x_paths_delta: np.ndarray
-    x_paths_frozen: np.ndarray
-    seed: int
 
 
 @dataclass(frozen=True)
@@ -178,27 +170,28 @@ def _advance_paths(params: ModelParams, deltas: Sequence[float],
 
 
 def simulate_coupled_asset(params: ModelParams, control: Control, n_steps: int,
-                           n_paths: int, seed: int) -> PathBundle:
-    """Coupled asset paths under moving and frozen variance.
+                           n_paths: int, seed: int
+                           ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Terminal states ``(z_T, x_T_moving, x_T_frozen)`` of the coupled
+    asset under moving and frozen variance, each of shape (n_paths,).
 
     Both assets see the same Brownian increments and the same control
     path; the control is evaluated on the moving-variance state
-    (t_k, X_k, Z_k). Keeps full paths; for large path counts where only
-    terminals matter, see ``coupling_rate_study``.
+    (t_k, X_k, Z_k). ``z_T`` is the reported (truncated, nonnegative)
+    variance level.
     """
-    z_out = np.empty((n_paths, n_steps + 1))
-    x_d = np.empty_like(z_out)
-    x_f = np.empty_like(z_out)
+    z_T = np.empty(n_paths)
+    x_d = np.empty(n_paths)
+    x_f = np.empty(n_paths)
 
     def record(rows, k, z, xd, xf):
-        z_out[rows, k] = np.maximum(z[0], 0.0)
-        x_d[rows, k] = xd[0]
-        x_f[rows, k] = xf[0]
+        if k == n_steps:
+            z_T[rows] = np.maximum(z[0], 0.0)
+            x_d[rows] = xd[0]
+            x_f[rows] = xf[0]
 
     _advance_paths(params, [params.delta], [control], n_steps, n_paths, seed, record)
-    times = np.arange(n_steps + 1) * (params.T / n_steps)
-    return PathBundle(times=times, z_paths=z_out, x_paths_delta=x_d,
-                      x_paths_frozen=x_f, seed=seed)
+    return z_T, x_d, x_f
 
 
 def simulate_cir(params: ModelParams, n_steps: int, n_paths: int,

@@ -118,20 +118,20 @@ def terminal_surface(spec: PayoffSpec, grid: GridSpec) -> Surface:
 def load_tabulated_csv(path) -> PayoffSpec:
     """Read a tabulated payoff from a two-column CSV (x, h).
 
-    A single non-numeric header row is tolerated and skipped.
+    Only the first non-empty row may fail to parse: it is taken as a header
+    and skipped. Any later malformed row raises ``ValueError``.
     """
     xs: list[float] = []
     hs: list[float] = []
     with open(path, newline="") as fh:
-        for row in csv.reader(fh):
-            if not row:
-                continue
-            try:
-                x, h = float(row[0]), float(row[1])
-            except (ValueError, IndexError):
-                if not xs:
-                    continue  # header row
-                raise ValueError(f"bad tabulated payoff row: {row!r}")
-            xs.append(x)
-            hs.append(h)
+        rows = [row for row in csv.reader(fh) if row]
+    for n, row in enumerate(rows):
+        try:
+            x, h = float(row[0]), float(row[1])
+        except (ValueError, IndexError):
+            if n == 0:
+                continue  # header row
+            raise ValueError(f"bad tabulated payoff row: {row!r}")
+        xs.append(x)
+        hs.append(h)
     return PayoffSpec.tabulated(xs, hs)

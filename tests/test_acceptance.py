@@ -165,11 +165,10 @@ def test_criterion_8_determinism_and_self_convergence(butterfly_p0p1, pdelta_05,
     # seeded Monte Carlo runs reproduce their CSVs bitwise
     files = []
     for tag in ("a", "b"):
-        bundle = simulate_coupled_asset(PARAMS, PARAMS.u, 50, 2000, seed=77)
+        _, x_T, x_T_frozen = simulate_coupled_asset(PARAMS, PARAMS.u, 50, 2000, seed=77)
         path = tmp_path / f"paths_{tag}.csv"
         write_csv(path, ["path", "x_T_moving", "x_T_frozen"],
-                  ((p, bundle.x_paths_delta[p, -1], bundle.x_paths_frozen[p, -1])
-                   for p in range(2000)))
+                  ((p, x_T[p], x_T_frozen[p]) for p in range(2000)))
         files.append(path.read_bytes())
     bitwise = files[0] == files[1]
 

@@ -201,6 +201,15 @@ def test_bad_override_exits_2(tmp_path, cfg):
                 "--set", "nonsense"]) == 2
 
 
+def test_malformed_payoff_table_exits_2(tmp_path):
+    table = tmp_path / "payoff.csv"
+    table.write_text("x,h\nfoo,bar\n5\n1,0\n2,1\n3,1\n")
+    config = tmp_path / "tab.cfg"
+    config.write_text(f"[payoff]\nkind = tabulated\ncsv = {table}\n")
+    assert run(["solve-p0", "--config", str(config),
+                "--out", str(tmp_path / "o")]) == 2
+
+
 def test_invalid_model_exits_2(tmp_path, cfg):
     assert run(["solve-p0", "--config", cfg, "--out", str(tmp_path / "o"),
                 "--set", "model.r=0.05"]) == 2

@@ -38,19 +38,20 @@ def test_frozen_variance_at_delta_zero():
 
 
 def test_coupled_paths_identical_at_delta_zero():
-    b = simulate_coupled_asset(PARAMS.replace(delta=0.0), PARAMS.u, 50, 500, seed=2)
-    np.testing.assert_array_equal(b.x_paths_delta, b.x_paths_frozen)
-    assert np.all(b.z_paths == PARAMS.z0)
+    z_T, x_T, x_T_frozen = simulate_coupled_asset(PARAMS.replace(delta=0.0), PARAMS.u,
+                                                  50, 500, seed=2)
+    np.testing.assert_array_equal(x_T, x_T_frozen)
+    assert np.all(z_T == PARAMS.z0)
 
 
 def test_simulators_share_one_path_kernel():
-    # same seed: the variance paths and the terminal gap of the rate study
-    # are bitwise those of the full coupled simulation
-    b = simulate_coupled_asset(PARAMS, SWITCHING, 40, 300, seed=8)
-    np.testing.assert_array_equal(simulate_cir(PARAMS, 40, 300, seed=8), b.z_paths)
+    # same seed: the terminal variance of the variance paths and the
+    # terminal gap of the rate study are bitwise those of the coupled simulation
+    z_T, x_T, x_T_frozen = simulate_coupled_asset(PARAMS, SWITCHING, 40, 300, seed=8)
+    np.testing.assert_array_equal(simulate_cir(PARAMS, 40, 300, seed=8)[:, -1], z_T)
     np.testing.assert_array_equal(
         _terminal_gap_sq(PARAMS, [PARAMS.delta], [SWITCHING], 40, 300, seed=8),
-        [(b.x_paths_delta[:, -1] - b.x_paths_frozen[:, -1]) ** 2])
+        [(x_T - x_T_frozen) ** 2])
 
 
 @pytest.mark.parametrize("n_paths", [CHUNK_PATHS // 3, CHUNK_PATHS + 3,
@@ -67,11 +68,10 @@ def test_batched_pairs_bitwise_equal_single_pair_runs(n_paths):
     for i, dl in enumerate(deltas):
         p = PARAMS.replace(delta=dl)
         for j, control in enumerate(controls.values()):
-            b = simulate_coupled_asset(p, control, n_steps, n_paths, seed)
+            terminals = simulate_coupled_asset(p, control, n_steps, n_paths, seed)
             z, x_d, x_f = _reference_terminals(p, control, n_steps, n_paths, seed)
-            np.testing.assert_array_equal(b.z_paths[:, -1], z)
-            np.testing.assert_array_equal(b.x_paths_delta[:, -1], x_d)
-            np.testing.assert_array_equal(b.x_paths_frozen[:, -1], x_f)
+            for got, want in zip(terminals, (z, x_d, x_f)):
+                np.testing.assert_array_equal(got, want)
             single = (x_d - x_f) ** 2
             np.testing.assert_array_equal(gaps[i * len(controls) + j], single)
             assert study.fits[j].estimates[i] == float(np.mean(single))
@@ -102,10 +102,10 @@ def test_study_draws_each_step_block_once(monkeypatch):
 def test_bitwise_reproducibility():
     a = simulate_coupled_asset(PARAMS, PARAMS.d, 30, 100, seed=42)
     b = simulate_coupled_asset(PARAMS, PARAMS.d, 30, 100, seed=42)
-    np.testing.assert_array_equal(a.z_paths, b.z_paths)
-    np.testing.assert_array_equal(a.x_paths_delta, b.x_paths_delta)
+    for got, want in zip(a, b):
+        np.testing.assert_array_equal(got, want)
     c = simulate_coupled_asset(PARAMS, PARAMS.d, 30, 100, seed=43)
-    assert not np.array_equal(a.x_paths_delta, c.x_paths_delta)
+    assert not np.array_equal(a[1], c[1])
 
 
 def test_increments_pure_in_seed_step_path():
@@ -146,16 +146,16 @@ def test_cir_mean_matches_closed_form():
 
 def test_terminal_mean_is_martingale_at_frozen_variance():
     n = 20_000
-    b = simulate_coupled_asset(PARAMS.replace(delta=0.0), PARAMS.u, 100, n, seed=11)
-    xt = b.x_paths_delta[:, -1]
+    _, xt, _ = simulate_coupled_asset(PARAMS.replace(delta=0.0), PARAMS.u, 100, n,
+                                      seed=11)
     se = xt.std(ddof=1) / np.sqrt(n)
     assert abs(xt.mean() - PARAMS.x0) < 3 * se
-    assert np.all(b.x_paths_delta > 0)
+    assert np.all(xt > 0)
 
 
 def test_coupling_gap_small_relative_to_price_scale():
-    b = simulate_coupled_asset(PARAMS, PARAMS.u, 100, 20_000, seed=13)
-    msq = np.mean((b.x_paths_delta[:, -1] - b.x_paths_frozen[:, -1]) ** 2)
+    _, x_T, x_T_frozen = simulate_coupled_asset(PARAMS, PARAMS.u, 100, 20_000, seed=13)
+    msq = np.mean((x_T - x_T_frozen) ** 2)
     assert 0.0 < msq < 0.05 * PARAMS.x0**2
 
 

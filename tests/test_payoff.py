@@ -99,3 +99,14 @@ def test_csv_loader_roundtrip(tmp_path):
     bad.write_text("x,h\n1.0,0.0\noops,1.0\n")
     with pytest.raises(ValueError):
         load_tabulated_csv(bad)
+
+
+def test_csv_loader_skips_only_the_first_row(tmp_path):
+    # a second malformed row before the data is an error, not another header
+    bad = tmp_path / "bad.csv"
+    bad.write_text("x,h\nfoo,bar\n5\n1,0\n2,1\n3,1\n")
+    with pytest.raises(ValueError, match="bad tabulated payoff row"):
+        load_tabulated_csv(bad)
+    headless = tmp_path / "headless.csv"
+    headless.write_text("\n1,0\n2,1\n")
+    np.testing.assert_array_equal(load_tabulated_csv(headless).table_x, [1.0, 2.0])

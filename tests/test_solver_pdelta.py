@@ -362,8 +362,8 @@ def test_convex_price_matches_expectation_under_frozen_control():
 
     sol = solve_pdelta(PayoffSpec.call(100), PARAMS, PAPER_GRID)
     pde = sol.p_delta.value_at(PARAMS.x0, PARAMS.z0)
-    bundle = simulate_coupled_asset(PARAMS, PARAMS.u, 200, 100_000, seed=314)
-    payoffs = np.maximum(bundle.x_paths_delta[:, -1] - 100.0, 0.0)
+    _, x_T, _ = simulate_coupled_asset(PARAMS, PARAMS.u, 200, 100_000, seed=314)
+    payoffs = np.maximum(x_T - 100.0, 0.0)
     mc = payoffs.mean()
     se = payoffs.std(ddof=1) / np.sqrt(len(payoffs))
     assert abs(pde - mc) < max(4 * se, 0.05)
@@ -381,7 +381,7 @@ def test_worst_case_price_dominates_fixed_control_valuations():
     controls = [PARAMS.d, PARAMS.u,
                 lambda t, x, z: np.where(x >= 100.0, PARAMS.d, PARAMS.u)]
     for control in controls:
-        bundle = simulate_coupled_asset(PARAMS, control, 200, 100_000, seed=271)
-        values = evaluate(BF, bundle.x_paths_delta[:, -1])
+        _, x_T, _ = simulate_coupled_asset(PARAMS, control, 200, 100_000, seed=271)
+        values = evaluate(BF, x_T)
         se = values.std(ddof=1) / np.sqrt(len(values))
         assert values.mean() - 3 * se <= pde + 0.01
