@@ -77,8 +77,7 @@ class SweepReport:
 def error_sweep(payoff: PayoffSpec, params: ModelParams,
                 delta_list: Sequence[float], grid: GridSpec,
                 config: Optional[SolverConfig] = None, *,
-                window: tuple[float, float] = DEFAULT_WINDOW,
-                paper_exact: bool = False) -> SweepReport:
+                window: tuple[float, float] = DEFAULT_WINDOW) -> SweepReport:
     """Per-delta approximation error and its log-log convergence fit.
 
     One leading-order/correction solve serves the whole sweep; each delta
@@ -104,8 +103,8 @@ def error_sweep(payoff: PayoffSpec, params: ModelParams,
     for delta in deltas:
         t0 = time.perf_counter()
         try:
-            p_delta = solve_pdelta(payoff, params.replace(delta=delta), grid, config,
-                                   paper_exact=paper_exact).p_delta.values
+            p_delta = solve_pdelta(payoff, params.replace(delta=delta), grid,
+                                   config).p_delta.values
         except SolverError as exc:
             raise SolverError(f"sweep failed at delta={delta}: {exc}") from exc
         elapsed = time.perf_counter() - t0

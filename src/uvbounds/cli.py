@@ -30,7 +30,7 @@ from .csvio import surface_to_csv, write_columns, write_csv
 from .linsolve import LinearSolveError
 from .montecarlo import coupling_rate_study, simulate_cir
 from .solver_p0p1 import solve_p0p1
-from .solver_pdelta import TAG_NAMES, solve_pdelta
+from .solver_pdelta import TAG_C, TAG_NAMES, solve_pdelta
 from .stepping import check_inputs
 
 __all__ = ["run", "main"]
@@ -74,8 +74,6 @@ def _parser() -> argparse.ArgumentParser:
                        help="accepted and recorded in the manifest; has no effect")
         p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                        dest="overrides", help="override a config key (repeatable)")
-        p.add_argument("--paper-exact", action="store_true",
-                       help="use the unguarded three-candidate optimizer")
         if name == "solve-pdelta":
             p.add_argument("--export-controls", action="store_true",
                            help="also write the per-level control field CSV")
@@ -117,7 +115,6 @@ def run(argv) -> int:
         "argv": list(argv),
         "seed": args.seed,
         "threads": args.threads,
-        "paper_exact": bool(args.paper_exact),
         "config": settings_to_flat_dict(settings),
         "versions": {
             "uvbounds": __version__,
@@ -183,8 +180,7 @@ def _cmd_solve_p1(settings: RunSettings, out: Path, args):
 
 
 def _cmd_solve_pdelta(settings: RunSettings, out: Path, args):
-    sol = solve_pdelta(settings.payoff, settings.model, settings.grid,
-                       settings.solver, paper_exact=args.paper_exact)
+    sol = solve_pdelta(settings.payoff, settings.model, settings.grid, settings.solver)
     surface_to_csv(sol.p_delta, out / "pdelta_surface.csv")
     outputs = ["pdelta_surface.csv"]
     if getattr(args, "export_controls", False):
@@ -197,7 +193,7 @@ def _cmd_solve_pdelta(settings: RunSettings, out: Path, args):
         outputs.append("pdelta_controls.csv")
     probe = sol.p_delta.value_at(settings.model.x0, settings.model.z0)
     return {"pdelta_at_x0_z0": probe,
-            "interior_tag_fraction": sol.tag_fraction(2)}, outputs
+            "interior_tag_fraction": sol.tag_fraction(TAG_C)}, outputs
 
 
 def _cmd_compare_bs(settings: RunSettings, out: Path, args):
@@ -212,8 +208,7 @@ def _cmd_compare_bs(settings: RunSettings, out: Path, args):
 
 def _cmd_sweep_error(settings: RunSettings, out: Path, args):
     report = error_sweep(settings.payoff, settings.model, settings.sweep_deltas,
-                         settings.grid, settings.solver, window=settings.window,
-                         paper_exact=args.paper_exact)
+                         settings.grid, settings.solver, window=settings.window)
     write_csv(
         out / "sweep.csv",
         ["delta", "error", "error_full", "sup_x", "sup_z", "runtime_s", "undershoot"],
@@ -265,8 +260,7 @@ def _cmd_coupling_rate(settings: RunSettings, out: Path, args):
 
 def _cmd_gamma_diag(settings: RunSettings, out: Path, args):
     base = solve_p0p1(settings.payoff, settings.model, settings.grid, settings.solver)
-    full = solve_pdelta(settings.payoff, settings.model, settings.grid,
-                        settings.solver, paper_exact=args.paper_exact)
+    full = solve_pdelta(settings.payoff, settings.model, settings.grid, settings.solver)
     diag = gamma_diagnostics(base, full)
     write_csv(
         out / "gamma_crossings.csv",

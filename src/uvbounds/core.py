@@ -157,6 +157,11 @@ class GridSpec:
             raise ValueError("GridSpec: require n_z >= 1")
         if self.n_t < 1:
             raise ValueError("GridSpec: require n_t >= 1")
+        for name in ("dx", "dz"):
+            # the second-difference stencils divide by the squared spacing
+            h = getattr(self, name)
+            if not np.isfinite(h * h):
+                raise ValueError(f"GridSpec: {name}**2 overflows; the span is too large")
 
     @property
     def dx(self) -> float:

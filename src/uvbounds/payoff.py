@@ -118,8 +118,9 @@ def terminal_surface(spec: PayoffSpec, grid: GridSpec) -> Surface:
 def load_tabulated_csv(path) -> PayoffSpec:
     """Read a tabulated payoff from a two-column CSV (x, h).
 
-    Only the first non-empty row may fail to parse: it is taken as a header
-    and skipped. Any later malformed row raises ``ValueError``.
+    Only the first non-empty row may hold a cell that is not a number: it
+    is taken as a header and skipped. Every other row must be exactly two
+    numbers; any other row raises ``ValueError``.
     """
     xs: list[float] = []
     hs: list[float] = []
@@ -127,11 +128,13 @@ def load_tabulated_csv(path) -> PayoffSpec:
         rows = [row for row in csv.reader(fh) if row]
     for n, row in enumerate(rows):
         try:
-            x, h = float(row[0]), float(row[1])
-        except (ValueError, IndexError):
+            values = [float(cell) for cell in row]
+        except ValueError:
             if n == 0:
                 continue  # header row
+            values = []
+        if len(values) != 2:
             raise ValueError(f"bad tabulated payoff row: {row!r}")
-        xs.append(x)
-        hs.append(h)
+        xs.append(values[0])
+        hs.append(values[1])
     return PayoffSpec.tabulated(xs, hs)

@@ -60,7 +60,7 @@ def _scheme(params: ModelParams, grid: GridSpec, config: SolverConfig):
     so it reuses the x-system factor of that sub-step's last solve.
     """
     split = _Split(params.replace(delta=0.0), grid)
-    select, solve = _scheme_2d(split, config, paper_exact=False)
+    select, solve = _scheme_2d(split, config)
 
     def solve_p1(v_next, q, u_new, u_next, dt: float, theta: float) -> np.ndarray:
         u_avg = theta * u_new + (1.0 - theta) * u_next

@@ -32,12 +32,11 @@ the scaled second-difference fields of the working surface:
 * the lower endpoint d,
 * the interior stationary point q_hat = -rho*sqrt(delta)*Gxz/Gxx.
 
-In the default guarded mode the interior candidate competes only where it
-genuinely is the supremum over [d, u]: Gxx strictly negative (beyond the
-deadband) and q_hat inside the band. ``paper_exact=True`` runs the
-unconditional three-way comparison instead (any node with usable curvature
-lets the interior value compete); when that candidate wins with q_hat
-outside the band, the applied control is clamped back into [d, u].
+The interior candidate competes only where it is the supremum over [d, u]:
+Gxx strictly negative (beyond the deadband) and q_hat inside the band.
+That one rule is exact. Where the quadratic is concave, its maximum over
+the band is q_hat clamped into [d, u], and a clamped q_hat is an endpoint;
+where it is convex or flat, q_hat is no maximum and an endpoint wins.
 """
 
 from __future__ import annotations
@@ -80,7 +79,6 @@ class PdeltaSolution:
     grid: GridSpec
     config: SolverConfig
     payoff: PayoffSpec
-    paper_exact: bool = False
     history: Optional[list[Surface]] = None
 
     def tag_fraction(self, tag: int) -> float:
@@ -93,16 +91,14 @@ def _deadband(field, eps: float) -> np.ndarray:
     return np.where(np.abs(field) < eps, 0.0, field)
 
 
-def select_q(lxx, lxz, params: ModelParams, gamma_eps: float,
-             paper_exact: bool = False):
+def select_q(lxx, lxz, params: ModelParams, gamma_eps: float):
     """Pointwise optimal control from the two stencil fields.
 
     Vectorized; returns (q, tag) with tags in {TAG_A, TAG_B, TAG_C}. Exact
     ties prefer the upper endpoint, then the lower one, so the selection
     is deterministic. Both fields count as zero below the deadband
-    ``gamma_eps``. The interior candidate needs |Gxx| above the deadband
-    in either mode (division guard); the guarded mode further requires
-    Gxx < 0 and q_hat inside [d, u].
+    ``gamma_eps``. The interior candidate q_hat competes only where
+    Gxx <= -gamma_eps and q_hat lies inside [d, u].
     """
     scalar = np.isscalar(lxx) and np.isscalar(lxz)
     # fields below the deadband count as zero, so a flat node, where both
@@ -114,19 +110,10 @@ def select_q(lxx, lxz, params: ModelParams, gamma_eps: float,
     f_u = 0.5 * u * u * a + u * b
     f_d = 0.5 * d * d * a + d * b
 
-    safe = np.abs(a) >= gamma_eps
-    with np.errstate(divide="ignore", invalid="ignore"):
-        q_hat = np.where(safe, -b / np.where(safe, a, 1.0), 0.0)
-        f_c = np.where(safe, -b * b / (2.0 * np.where(safe, a, 1.0)), -np.inf)
-    if paper_exact:
-        eligible = safe
-        # the unguarded comparison can pick a stationary point outside the
-        # band; the applied control is clamped back into it
-        q_c = np.clip(q_hat, d, u)
-    else:
-        eligible = (a <= -gamma_eps) & (q_hat >= d) & (q_hat <= u)
-        q_c = q_hat
-    f_c = np.where(eligible, f_c, -np.inf)
+    concave = a <= -gamma_eps
+    a_c = np.where(concave, a, -1.0)  # a stand-in elsewhere keeps q_hat finite
+    q_hat = -b / a_c
+    f_c = np.where(concave & (q_hat >= d) & (q_hat <= u), -b * b / (2.0 * a_c), -np.inf)
 
     endpoint_up = f_u >= f_d
     q = np.where(endpoint_up, u, d)
@@ -134,7 +121,7 @@ def select_q(lxx, lxz, params: ModelParams, gamma_eps: float,
     f_best = np.maximum(f_u, f_d)
 
     take_c = f_c > f_best
-    q = np.where(take_c, q_c, q)
+    q = np.where(take_c, q_hat, q)
     tag = np.where(take_c, TAG_C, tag).astype(np.int8)
     if scalar:
         return float(q), int(tag)
@@ -221,7 +208,7 @@ class _Split:
         return self._z[c](rhs)
 
 
-def _scheme(split: _Split, config: SolverConfig, paper_exact: bool):
+def _scheme(split: _Split, config: SolverConfig):
     """The (select, solve) pair of the 2D equation; ``solve`` is one Craig-Sneyd step."""
     params, grid = split.params, split.grid
     geps = config.resolve_gamma_eps(params)
@@ -230,7 +217,7 @@ def _scheme(split: _Split, config: SolverConfig, paper_exact: bool):
     def select(w: np.ndarray):
         # at rho*sqrt(delta) = 0 the cross field is multiplied by zero
         lxz = lxz_values(w, grid) if split.c0 != 0.0 else 0.0
-        return select_q(lxx_values(w, grid), lxz, params, geps, paper_exact)
+        return select_q(lxx_values(w, grid), lxz, params, geps)
 
     def solve(q: np.ndarray, w_next: np.ndarray, dt: float, theta: float) -> np.ndarray:
         a0_next = split.a0(q, w_next) if split.has_a0 else None
@@ -315,12 +302,11 @@ def _lu_solve(params: ModelParams, grid: GridSpec, lin_tol: float):
 
 def solve_pdelta(payoff: PayoffSpec, params: ModelParams, grid: GridSpec,
                  config: Optional[SolverConfig] = None, *,
-                 paper_exact: bool = False,
                  keep_history: bool = False) -> PdeltaSolution:
     """Full backward sweep of the 2D worst-case pricing scheme."""
     config = config or SolverConfig()
     check_inputs(params, grid)
-    select, solve = _scheme(_Split(params, grid), config, paper_exact)
+    select, solve = _scheme(_Split(params, grid), config)
 
     term = terminal_surface(payoff, grid)
     hist = [term] if keep_history else None
@@ -338,6 +324,5 @@ def solve_pdelta(payoff: PayoffSpec, params: ModelParams, grid: GridSpec,
         grid=grid,
         config=config,
         payoff=payoff,
-        paper_exact=paper_exact,
         history=hist,
     )

@@ -257,7 +257,18 @@ def test_nonfinite_results_written_as_null(tmp_path, capsys, monkeypatch):
     assert "written as null" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("overrides", [
+# the result key each subcommand writes to the manifest
+RESULT_KEY = {
+    "solve-p0": "p0_at_x0_z0",
+    "solve-p1": "p1_at_x0_z0",
+    "solve-pdelta": "pdelta_at_x0_z0",
+    "sweep-error": "slope",
+    "simulate-bounds": "n_paths",
+    "coupling-rate": "const_d",
+    "compare-bs": "vol_low",
+    "gamma-diag": "n_crossings_at_z0",
+}
+DEGENERATE = [
     ["grid.n_z=1"],
     ["grid.n_z=1", "grid.z_max=0"],
     ["grid.n_z=2"],
@@ -266,20 +277,53 @@ def test_nonfinite_results_written_as_null(tmp_path, capsys, monkeypatch):
     ["model.T=1e-6"],
     ["model.rho=0.999"],
     ["model.rho=-0.999"],
-], ids=",".join)
-def test_degenerate_pdelta_config_solves_or_exits_2(tmp_path, cfg, overrides):
-    # a degenerate config either solves, with a strict-JSON manifest, or is
-    # a config error with an error record; no exception escapes ``run``
+    ["mc.n_paths=2", "mc.n_steps=1"],
+    ["grid.x_max=1e300"],
+    ["grid.z_max=1e300"],
+]
+GRID_COMMANDS = ["solve-p0", "solve-p1", "solve-pdelta", "sweep-error",
+                 "compare-bs", "gamma-diag"]
+
+
+def run_with(tmp_path, cfg, command, overrides):
     out = tmp_path / "o"
-    argv = ["solve-pdelta", "--config", cfg, "--out", str(out)]
+    argv = [command, "--config", cfg, "--out", str(out)]
     for kv in overrides:
         argv += ["--set", kv]
-    code = run(argv)
+    return run(argv), out
+
+
+def assert_solves_or_exits_2(tmp_path, cfg, command, overrides):
+    # a degenerate config either solves, with a strict-JSON manifest, or is
+    # a config error with an error record; no exception escapes ``run``
+    code, out = run_with(tmp_path, cfg, command, overrides)
     assert code in (0, 2)
     if code == 0:
-        assert "pdelta_at_x0_z0" in strict_json(out / "manifest.json")["results"]
+        assert RESULT_KEY[command] in strict_json(out / "manifest.json")["results"]
     else:
         assert strict_json(out / "error.json")["exit_code"] == 2
+
+
+@pytest.mark.parametrize("overrides", DEGENERATE, ids=",".join)
+def test_degenerate_pdelta_config_solves_or_exits_2(tmp_path, cfg, overrides):
+    assert_solves_or_exits_2(tmp_path, cfg, "solve-pdelta", overrides)
+
+
+@pytest.mark.parametrize("command", [c for c in RESULT_KEY if c != "solve-pdelta"])
+@pytest.mark.parametrize("overrides", DEGENERATE, ids=",".join)
+def test_degenerate_config_solves_or_exits_2(tmp_path, cfg, overrides, command):
+    assert_solves_or_exits_2(tmp_path, cfg, command, overrides)
+
+
+@pytest.mark.parametrize("command", GRID_COMMANDS)
+@pytest.mark.parametrize("override", ["grid.x_max=1e300", "grid.z_max=1e300"])
+def test_huge_grid_span_exits_2(tmp_path, cfg, override, command):
+    # the squared spacing overflows; it once escaped ``run`` as OverflowError
+    code, out = run_with(tmp_path, cfg, command, [override])
+    assert code == 2
+    record = strict_json(out / "error.json")
+    assert record["exit_code"] == 2
+    assert "overflows" in record["message"]
 
 
 @pytest.mark.parametrize("override", [

@@ -136,7 +136,7 @@ def test_banded_block_diagonal_matches_tridiag():
     grid, q, solve = _reference(n_x=10, n_z=4, seed=9, params=p)
     w = np.random.default_rng(9).standard_normal(q.shape)
     dt = grid.dt(p.T)
-    _, x_stage = _scheme(_Split(p, grid), SolverConfig(lin_tol=1e-10), paper_exact=False)
+    _, x_stage = _scheme(_Split(p, grid), SolverConfig(lin_tol=1e-10))
     want = x_stage(q, w, dt, 0.5)
     np.testing.assert_allclose(solve(q, w, dt, 0.5), want, atol=1e-9)
 

@@ -110,3 +110,15 @@ def test_csv_loader_skips_only_the_first_row(tmp_path):
     headless = tmp_path / "headless.csv"
     headless.write_text("\n1,0\n2,1\n")
     np.testing.assert_array_equal(load_tabulated_csv(headless).table_x, [1.0, 2.0])
+
+
+@pytest.mark.parametrize("text", [
+    "x,h\n1,0,9\n2,1\n3,1,foo\n",   # cells after the second
+    "1,0,9\n2,1\n3,1\n",              # a numeric first row is data, not a header
+    "x,h\n1,0\n2,1,\n",               # a trailing empty cell
+], ids=["extra_cells", "numeric_first_row", "trailing_empty_cell"])
+def test_csv_loader_rejects_rows_without_exactly_two_cells(tmp_path, text):
+    path = tmp_path / "wide.csv"
+    path.write_text(text)
+    with pytest.raises(ValueError, match="bad tabulated payoff row"):
+        load_tabulated_csv(path)

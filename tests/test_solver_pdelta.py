@@ -26,17 +26,16 @@ def test_select_q_rho_zero_reduces_to_curvature_sign():
     # deadband tie goes up
     assert select_q(0.0, 5.0, p, GEPS) == (p.u, TAG_A)
     assert select_q(-1e-9, 5.0, p, GEPS) == (p.u, TAG_A)
-    # delta = 0, where P0 takes its control from this rule: in both modes q is
-    # the bang-bang rule on the sign of lxx with the deadband, whatever lxz
+    # delta = 0, where P0 takes its control from this rule: q is the
+    # bang-bang rule on the sign of lxx with the deadband, whatever lxz
     p0 = PARAMS.replace(delta=0.0)
     rng = np.random.default_rng(3)
     lxx = np.concatenate([[GEPS, -GEPS, 0.0, -0.0, np.nextafter(-GEPS, 0.0)],
                           rng.standard_normal(200) * 10.0 * GEPS])
     lxz = rng.standard_normal(lxx.size) * 10.0
     bang_bang = np.where(sign_with_deadband(lxx, GEPS) > 0, p0.u, p0.d)
-    for paper_exact in (False, True):
-        q, _ = select_q(lxx, lxz, p0, GEPS, paper_exact)
-        np.testing.assert_array_equal(q, bang_bang)
+    q, _ = select_q(lxx, lxz, p0, GEPS)
+    np.testing.assert_array_equal(q, bang_bang)
 
 
 def test_select_q_flat_node_ties_up_whatever_the_cross_term():
@@ -75,13 +74,42 @@ def test_select_q_interior_winner_in_band():
     assert q == pytest.approx(1.0, abs=1e-12)
 
 
-def test_select_q_paper_exact_clamps_interior_winner():
-    p = PARAMS.replace(rho=0.0)
-    # concave node, no cross term: the unguarded comparison lets the
-    # stationary value 0 beat two negative endpoint values
-    assert select_q(-1.0, 3.0, p, GEPS) == (p.d, TAG_B)
-    q, tag = select_q(-1.0, 3.0, p, GEPS, paper_exact=True)
-    assert (q, tag) == (p.d, TAG_C)
+@pytest.mark.parametrize("delta", [0.0, 0.05, 1.0])
+@pytest.mark.parametrize("rho", [-0.99, 0.0, 0.5])
+def test_select_q_attains_the_sup_over_the_band(rho, delta):
+    # why one rule is exact: where f(q) = 0.5*q^2*a + q*b is concave its sup
+    # over [d, u] is q_hat clamped into the band, so a clamped q_hat is an
+    # endpoint; where it is convex or flat, an endpoint wins
+    p = PARAMS.replace(rho=rho, delta=delta)
+    c0 = rho * np.sqrt(delta)
+    rng = np.random.default_rng(41)
+    n = 4000
+
+    def field():
+        return rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-7.0, 3.0, n)
+
+    lxx, lxz = field(), field()
+    if c0 != 0.0:
+        # half the nodes concave with q_hat inside the band
+        k = n // 2
+        lxx[:k] = -np.abs(lxx[:k])
+        lxz[:k] = -rng.uniform(p.d, p.u, k) * lxx[:k] / c0
+    q, tag = select_q(lxx, lxz, p, GEPS)
+
+    a = np.where(np.abs(lxx) < GEPS, 0.0, lxx)
+    b = c0 * np.where(np.abs(lxz) < GEPS, 0.0, lxz)
+
+    def f(x):
+        return 0.5 * x * x * a + x * b
+
+    q_hat = np.clip(-b / np.where(a < 0.0, a, -1.0), p.d, p.u)
+    sup = np.maximum(f(p.u), f(p.d))
+    sup = np.where(a < 0.0, np.maximum(sup, f(q_hat)), sup)
+    np.testing.assert_allclose(f(q), sup, rtol=1e-12, atol=0.0)
+    assert np.all((p.d <= q) & (q <= p.u))
+    assert np.all(q[tag == TAG_A] == p.u)
+    assert np.all(q[tag == TAG_B] == p.d)
+    assert np.any(tag == TAG_C) == (c0 != 0.0)
 
 
 def test_select_q_vectorized_matches_scalar():
@@ -94,22 +122,20 @@ def test_select_q_vectorized_matches_scalar():
         assert qs == qv[i] and ts == tv[i]
 
 
-@pytest.mark.parametrize("paper_exact", [False, True])
 @pytest.mark.parametrize("params", [PARAMS.replace(rho=0.0), PARAMS.replace(delta=0.0)],
                          ids=["rho0", "delta0"])
-def test_select_skips_cross_field_where_its_coefficient_is_zero(params, paper_exact):
+def test_select_skips_cross_field_where_its_coefficient_is_zero(params):
     # the scheme's select leaves out lxz when rho*sqrt(delta) = 0; the control
     # and tags are those of select_q fed the computed field
     w = np.random.default_rng(29).standard_normal((SMALL.n_x, SMALL.n_z))
-    select, _ = _scheme(_Split(params, SMALL), SolverConfig(), paper_exact)
+    select, _ = _scheme(_Split(params, SMALL), SolverConfig())
     q, tags = select(w)
     geps = SolverConfig().resolve_gamma_eps(params)
-    q_ref, tags_ref = select_q(lxx_values(w, SMALL), lxz_values(w, SMALL), params, geps,
-                               paper_exact)
+    q_ref, tags_ref = select_q(lxx_values(w, SMALL), lxz_values(w, SMALL), params, geps)
     np.testing.assert_array_equal(q, q_ref)
     np.testing.assert_array_equal(tags, tags_ref)
-    # where gamma < 0 the unguarded interior candidate wins, clamped to d
-    assert np.any(tags == TAG_C) == paper_exact
+    # with no cross term the stationary point is q_hat = 0, outside the band
+    assert not np.any(tags == TAG_C)
 
 
 # -- full solves ----------------------------------------------------------------
@@ -117,10 +143,9 @@ def test_select_skips_cross_field_where_its_coefficient_is_zero(params, paper_ex
 def test_delta_zero_matches_leading_order():
     # with no cross term and no z-stage the 2D step is the P0 step, bit for bit
     base = solve_p0p1(BF, PARAMS, SMALL)
-    for paper_exact in (False, True):
-        full = solve_pdelta(BF, PARAMS.replace(delta=0.0), SMALL, paper_exact=paper_exact)
-        np.testing.assert_array_equal(full.p_delta.values, base.p0.values)
-        np.testing.assert_array_equal(full.q_star_delta, base.q_star0)
+    full = solve_pdelta(BF, PARAMS.replace(delta=0.0), SMALL)
+    np.testing.assert_array_equal(full.p_delta.values, base.p0.values)
+    np.testing.assert_array_equal(full.q_star_delta, base.q_star0)
 
 
 def test_call_payoff_control_and_price():
@@ -138,16 +163,6 @@ def test_interior_candidate_never_fires_without_correlation():
     assert sol.tag_fraction(TAG_C) == 0.0
 
 
-def test_paper_exact_mode_same_prices_more_interior_tags():
-    guarded = solve_pdelta(BF, PARAMS, SMALL)
-    exact = solve_pdelta(BF, PARAMS, SMALL, paper_exact=True)
-    np.testing.assert_allclose(exact.p_delta.values, guarded.p_delta.values,
-                               atol=1e-10)
-    assert exact.tag_fraction(TAG_C) >= guarded.tag_fraction(TAG_C)
-    assert exact.q_star_delta.min() >= PARAMS.d
-    assert exact.q_star_delta.max() <= PARAMS.u
-
-
 def test_single_slice_grid_reduces_to_frozen_band_problem():
     grid = GridSpec(0, 200, 40, PARAMS.z0, PARAMS.z0, 1, 6)
     full = solve_pdelta(BF, PARAMS, grid)
@@ -155,7 +170,7 @@ def test_single_slice_grid_reduces_to_frozen_band_problem():
     np.testing.assert_array_equal(full.p_delta.values, base.p0.values)
     # so does the LU reference step, built by probing on one z-node
     cfg = SolverConfig()
-    select, _ = _scheme(_Split(PARAMS, grid), cfg, paper_exact=False)
+    select, _ = _scheme(_Split(PARAMS, grid), cfg)
     w_lu = stepping.march(terminal_surface(BF, grid).values, grid, PARAMS.T, cfg, select,
                           _lu_solve(PARAMS, grid, cfg.lin_tol))[0]
     np.testing.assert_allclose(w_lu, base.p0.values, rtol=0, atol=1e-12)
@@ -241,7 +256,7 @@ def test_splitting_gap_to_lu_is_second_order(rho, delta):
     gaps = []
     for n_t in (10, 20, 40):
         grid = GridSpec(0, 200, 60, 0, 0.12, 30, n_t)
-        select, adi = _scheme(_Split(p, grid), cfg, paper_exact=False)
+        select, adi = _scheme(_Split(p, grid), cfg)
         lu = _lu_solve(p, grid, cfg.lin_tol)
         term = terminal_surface(BF, grid).values
         w_adi = stepping.march(term, grid, p.T, cfg, select, adi)[0]
@@ -298,7 +313,7 @@ def test_step_matches_single_step_solve():
     cfg = SolverConfig(rannacher_steps=0)
     grid = GridSpec(0, 200, 30, 0, 0.12, 8, 1)
     term = terminal_surface(BF, grid)
-    select, solve = _scheme(_Split(PARAMS, grid), cfg, paper_exact=False)
+    select, solve = _scheme(_Split(PARAMS, grid), cfg)
     stepped, q, tags = stepping.step(term.values, select, solve, grid.dt(PARAMS.T),
                                      cfg.cn_weight, cfg.corrector_passes)
     solved = solve_pdelta(BF, PARAMS, grid, cfg)
