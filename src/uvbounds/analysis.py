@@ -26,7 +26,7 @@ from .core import GridSpec, ModelParams, SolverConfig, SolverError
 from .payoff import PayoffSpec
 from .solver_p0p1 import P0P1Solution, solve_p0p1
 from .solver_pdelta import PdeltaSolution, solve_pdelta
-from .stencils import dxx_values, sign_with_deadband
+from .stencils import deadband, dxx_values
 
 __all__ = [
     "SweepRecord",
@@ -195,8 +195,8 @@ def gamma_diagnostics(p0_solution: P0P1Solution, pdelta_solution: PdeltaSolution
 
     g0 = dxx_values(np.asarray(p0_solution.p0.values), grid)
     gd = dxx_values(np.asarray(pdelta_solution.p_delta.values), grid)
-    b0 = sign_with_deadband(g0, gamma_eps)
-    bd = sign_with_deadband(gd, gamma_eps)
+    b0 = deadband(g0, gamma_eps) >= 0.0
+    bd = deadband(gd, gamma_eps) >= 0.0
 
     x = grid.x_nodes()
     dx = grid.dx

@@ -162,6 +162,9 @@ class GridSpec:
             h = getattr(self, name)
             if not np.isfinite(h * h):
                 raise ValueError(f"GridSpec: {name}**2 overflows; the span is too large")
+        # the x-diffusion coefficient z*x^2 peaks at the far corner
+        if not np.isfinite(self.z_max * (self.x_max * self.x_max)):
+            raise ValueError("GridSpec: z_max * x_max**2 overflows; the span is too large")
 
     @property
     def dx(self) -> float:
@@ -258,31 +261,28 @@ class Surface:
         arr.setflags(write=False)
         object.__setattr__(self, "values", arr)
 
-    def value_at(self, x: float, z: float, order: int = 3) -> float:
+    def value_at(self, x: float, z: float) -> float:
         """Interpolate the surface at an off-grid point.
 
-        Separable Lagrange interpolation of the given order (1 = bilinear,
-        3 = cubic on the 4 nearest nodes per axis, clamped at boundaries).
-        Points outside the grid rectangle are clamped to it.
+        Separable cubic Lagrange interpolation on the 4 nearest nodes per
+        axis (fewer on an axis with fewer nodes), the stencil clamped at the
+        boundaries. Points outside the grid rectangle are clamped to it.
         """
-        xv = self.grid.x_nodes()
-        col = _lagrange_1d(xv, self.values, x, order, axis=0)
+        col = _lagrange_1d(self.grid.x_nodes(), self.values, x)
         if self.grid.n_z == 1:
             return float(col[0])
-        zv = self.grid.z_nodes()
-        return float(_lagrange_1d(zv, col[:, None], z, order, axis=0)[0])
+        return float(_lagrange_1d(self.grid.z_nodes(), col[:, None], z)[0])
 
 
-def _lagrange_1d(nodes: np.ndarray, values: np.ndarray, target: float,
-                 order: int, axis: int) -> np.ndarray:
-    """Interpolate ``values`` along ``axis`` 0 at ``target`` over ``nodes``.
+def _lagrange_1d(nodes: np.ndarray, values: np.ndarray, target: float) -> np.ndarray:
+    """Interpolate ``values`` along axis 0 at ``target`` over ``nodes``.
 
     Returns the remaining axis as an array (so 2D in, 1D out).
     """
     n = len(nodes)
     if n == 1:
         return np.asarray(values[0], dtype=float).reshape(-1)
-    k = min(order, n - 1)
+    k = min(3, n - 1)
     target = float(min(max(target, nodes[0]), nodes[-1]))
     # leftmost node of the (k+1)-point stencil, centered on the target cell
     i0 = int(np.searchsorted(nodes, target) - 1)

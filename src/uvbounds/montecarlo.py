@@ -37,7 +37,6 @@ from .stepping import check_inputs
 __all__ = [
     "RateFit",
     "RateStudy",
-    "brownian_increments",
     "simulate_cir",
     "simulate_coupled_asset",
     "coupling_rate_study",
@@ -83,17 +82,6 @@ def _correlate(g: np.ndarray, rho: float, dt: float) -> tuple[np.ndarray, np.nda
     dw = sq * g[:, 0]
     dwz = sq * (rho * g[:, 0] + np.sqrt(1.0 - rho * rho) * g[:, 1])
     return dw, dwz
-
-
-def brownian_increments(seed: int, step: int, n_paths: int, rho: float,
-                        dt: float) -> tuple[np.ndarray, np.ndarray]:
-    """Correlated increment pair (dW, dW_z) for one time step.
-
-    dW drives the asset, dW_z the variance process; corr(dW, dW_z) = rho.
-    Path p consumes the step-block's draws 2p and 2p+1, so its increments
-    do not depend on how many paths the run asked for.
-    """
-    return _correlate(_stream(seed, step).standard_normal((n_paths, 2)), rho, dt)
 
 
 def _check_band(q, params: ModelParams) -> None:

@@ -37,9 +37,7 @@ class P0P1Solution:
     """Output of the backward sweep at t = 0.
 
     ``q_star0[n]`` is the control field (values in {d, u}) used stepping
-    from time level n+1 down to level n. Full surface histories are kept
-    only on request; index = time level, so history[0] is t = 0 and
-    history[n_t] the terminal condition.
+    from time level n+1 down to level n.
     """
 
     p0: Surface
@@ -49,8 +47,6 @@ class P0P1Solution:
     grid: GridSpec
     config: SolverConfig
     payoff: PayoffSpec
-    p0_history: Optional[list[Surface]] = None
-    p1_history: Optional[list[Surface]] = None
 
 
 def _scheme(params: ModelParams, grid: GridSpec, config: SolverConfig):
@@ -74,8 +70,7 @@ def _scheme(params: ModelParams, grid: GridSpec, config: SolverConfig):
 
 
 def solve_p0p1(payoff: PayoffSpec, params: ModelParams, grid: GridSpec,
-               config: Optional[SolverConfig] = None,
-               keep_history: bool = False) -> P0P1Solution:
+               config: Optional[SolverConfig] = None) -> P0P1Solution:
     """Full backward sweep for the leading-order price and first correction.
 
     Terminal conditions are the payoff and zero. Every P0 sub-step is
@@ -87,20 +82,13 @@ def solve_p0p1(payoff: PayoffSpec, params: ModelParams, grid: GridSpec,
 
     term = terminal_surface(payoff, grid)
     v = np.zeros((grid.n_x, grid.n_z))
-    u_hist = [term] if keep_history else None
-    v_hist = [Surface(v, grid, grid.n_t)] if keep_history else None
 
     def p1_step(q, u_new, u_next, dt, theta):
         nonlocal v
         v = solve_p1(v, q, u_new, u_next, dt, theta)
 
-    def record(n, u):
-        u_hist.insert(0, Surface(u, grid, n))
-        v_hist.insert(0, Surface(v, grid, n))
-
     u, q_hist, _ = march(np.asarray(term.values, float), grid, params.T, config,
-                         select, solve, source_step=p1_step,
-                         on_level=record if keep_history else None)
+                         select, solve, source_step=p1_step)
     return P0P1Solution(
         p0=Surface(u, grid, 0),
         p1=Surface(v, grid, 0),
@@ -109,6 +97,4 @@ def solve_p0p1(payoff: PayoffSpec, params: ModelParams, grid: GridSpec,
         grid=grid,
         config=config,
         payoff=payoff,
-        p0_history=u_hist,
-        p1_history=v_hist,
     )

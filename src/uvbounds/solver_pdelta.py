@@ -20,9 +20,10 @@ Craig-Sneyd's 1/2 in the trapezoidal steps and 1 in the fully implicit
 Rannacher start.
 At delta = 0 both A0 and A2 vanish and the step is the x-stage alone:
 P0's step, as ``solver_p0p1`` uses this scheme there. The splitting
-error against the unsplit weighted system is O(dt^2); tests measure it
-against a reference step that probes that system's matrix (a 9-point
-footprint) from the same operators and solves it by sparse LU.
+error against the unsplit weighted system is O(dt^2); the tests measure
+it against a reference step (``tests/reference.py``) that probes that
+system's matrix (a 9-point footprint) from the same operators and solves
+it by sparse LU.
 
 Control selection at a node compares three candidate values of the
 quadratic q -> 0.5*q^2*Gxx + q*rho*sqrt(delta)*Gxz, where Gxx and Gxz are
@@ -47,9 +48,9 @@ from typing import Optional
 import numpy as np
 
 from .core import GridSpec, ModelParams, SolverConfig, Surface
-from .linsolve import LinearSolveError, _check_residual, tridiag_solver
+from .linsolve import tridiag_solver
 from .payoff import PayoffSpec, terminal_surface
-from .stencils import dz_values, dzz_values, lxx_values, lxz_values
+from .stencils import deadband, dz_values, dzz_values, lxx_values, lxz_values
 from .stepping import check_inputs, march
 
 __all__ = [
@@ -79,16 +80,10 @@ class PdeltaSolution:
     grid: GridSpec
     config: SolverConfig
     payoff: PayoffSpec
-    history: Optional[list[Surface]] = None
 
     def tag_fraction(self, tag: int) -> float:
         """Fraction of (level, node) entries whose winner carries ``tag``."""
         return float(np.mean(self.candidate_tags == tag))
-
-
-def _deadband(field, eps: float) -> np.ndarray:
-    field = np.asarray(field, dtype=float)
-    return np.where(np.abs(field) < eps, 0.0, field)
 
 
 def select_q(lxx, lxz, params: ModelParams, gamma_eps: float):
@@ -100,11 +95,10 @@ def select_q(lxx, lxz, params: ModelParams, gamma_eps: float):
     ``gamma_eps``. The interior candidate q_hat competes only where
     Gxx <= -gamma_eps and q_hat lies inside [d, u].
     """
-    scalar = np.isscalar(lxx) and np.isscalar(lxz)
     # fields below the deadband count as zero, so a flat node, where both
     # are rounding noise, ties and resolves to the upper endpoint
-    a = _deadband(lxx, gamma_eps)
-    b = params.rho * np.sqrt(params.delta) * _deadband(lxz, gamma_eps)
+    a = deadband(lxx, gamma_eps)
+    b = params.rho * np.sqrt(params.delta) * deadband(lxz, gamma_eps)
     d, u = params.d, params.u
 
     f_u = 0.5 * u * u * a + u * b
@@ -123,8 +117,6 @@ def select_q(lxx, lxz, params: ModelParams, gamma_eps: float):
     take_c = f_c > f_best
     q = np.where(take_c, q_hat, q)
     tag = np.where(take_c, TAG_C, tag).astype(np.int8)
-    if scalar:
-        return float(q), int(tag)
     return q, tag
 
 
@@ -244,78 +236,16 @@ def _scheme(split: _Split, config: SolverConfig):
     return select, solve
 
 
-def _generator_matrix(split: _Split, q: np.ndarray):
-    """A(q) = A0 + A1 + A2 as a sparse matrix on the row-major flattened grid.
-
-    Probed from the values-form operators with nine colours (i mod 3,
-    j mod 3): each output node's 3x3 footprint meets exactly one node of
-    each colour, so every probe yields one matrix column per node.
-    """
-    import scipy.sparse as sp  # only this test reference needs scipy.sparse
-
-    grid = split.grid
-    n = grid.n_x * grid.n_z
-    i = np.arange(grid.n_x)[:, None]
-    j = np.arange(grid.n_z)[None, :]
-    row = np.arange(n).reshape(grid.n_x, grid.n_z)
-    rows, cols, vals = [], [], []
-    for ci in range(3):
-        for cj in range(3):
-            probe = np.zeros((grid.n_x, grid.n_z))
-            probe[ci::3, cj::3] = 1.0
-            y = split.a0(q, probe) + split.a1(q, probe) + split.a2(probe)
-            # the node of this colour in {i-1, i, i+1} x {j-1, j, j+1}
-            col = (i + (ci - i + 1) % 3 - 1) * grid.n_z + (j + (cj - j + 1) % 3 - 1)
-            hit = y != 0.0
-            rows.append(row[hit])
-            cols.append(col[hit])
-            vals.append(y[hit])
-    return sp.csr_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-                         shape=(n, n))
-
-
-def _lu_solve(params: ModelParams, grid: GridSpec, lin_tol: float):
-    """Reference implicit step: the unsplit weighted system, by sparse LU.
-
-    A drop-in for the Craig-Sneyd ``solve`` of ``_scheme``, so tests can
-    march both and bound the splitting error.
-    """
-    import scipy.sparse as sp
-    import scipy.sparse.linalg as spla
-
-    split = _Split(params, grid)
-
-    def solve(q: np.ndarray, w_next: np.ndarray, dt: float, theta: float) -> np.ndarray:
-        gen = _generator_matrix(split, q)
-        flat = w_next.ravel()
-        rhs = flat + (1.0 - theta) * dt * (gen @ flat)
-        a = sp.csc_matrix(sp.identity(len(flat)) - theta * dt * gen)
-        try:
-            x = spla.splu(a).solve(rhs)
-        except RuntimeError as exc:  # exactly singular factor
-            raise LinearSolveError(f"sparse LU failed: {exc}") from exc
-        _check_residual(a @ x - rhs, rhs, lin_tol, "sparse LU")
-        return x.reshape(w_next.shape)
-
-    return solve
-
-
 def solve_pdelta(payoff: PayoffSpec, params: ModelParams, grid: GridSpec,
-                 config: Optional[SolverConfig] = None, *,
-                 keep_history: bool = False) -> PdeltaSolution:
+                 config: Optional[SolverConfig] = None) -> PdeltaSolution:
     """Full backward sweep of the 2D worst-case pricing scheme."""
     config = config or SolverConfig()
     check_inputs(params, grid)
     select, solve = _scheme(_Split(params, grid), config)
 
     term = terminal_surface(payoff, grid)
-    hist = [term] if keep_history else None
-
-    def record(n, w):
-        hist.insert(0, Surface(w, grid, n))
-
     w, q_hist, tag_hist = march(np.asarray(term.values, float), grid, params.T, config,
-                                select, solve, on_level=record if keep_history else None)
+                                select, solve)
     return PdeltaSolution(
         p_delta=Surface(w, grid, 0),
         q_star_delta=q_hist,
@@ -324,5 +254,4 @@ def solve_pdelta(payoff: PayoffSpec, params: ModelParams, grid: GridSpec,
         grid=grid,
         config=config,
         payoff=payoff,
-        history=hist,
     )

@@ -20,6 +20,8 @@ matrices they need from these functions. Boundary rules:
 
 The control selection reads two composite fields, scaled by coordinates:
 z*x^2*d_xx (``lxx_values``) and x*z*d_xz (``lxz_values``).
+Sign tests on these fields and on d_xx count magnitudes below a threshold
+as zero through one rule, ``deadband``.
 
 A degenerate grid with a single z-node makes every z-derivative zero.
 """
@@ -33,7 +35,7 @@ from .core import GridSpec
 __all__ = [
     "dx_values", "dxx_values", "dz_values", "dzz_values", "dxz_values",
     "lxx_values", "lxz_values",
-    "sign_with_deadband",
+    "deadband",
 ]
 
 
@@ -103,10 +105,12 @@ def lxz_values(v: np.ndarray, grid: GridSpec) -> np.ndarray:
     return x * z * dxz_values(v, grid)
 
 
-def sign_with_deadband(values: np.ndarray, eps: float) -> np.ndarray:
-    """Branch selector for gamma-sign tests: +1 on the ">= 0" branch.
+def deadband(field, eps: float) -> np.ndarray:
+    """``field`` with magnitudes below ``eps`` set to zero.
 
-    Magnitudes below eps count as zero and fall on the +1 branch, so ties
-    break deterministically toward the upper volatility bound.
+    The one deadband rule of every sign test: a field value inside the
+    band counts as zero, so it falls on the nonnegative branch, and ties
+    break toward the upper volatility bound.
     """
-    return np.where(np.asarray(values) > -eps, 1, -1)
+    field = np.asarray(field, dtype=float)
+    return np.where(np.abs(field) < eps, 0.0, field)

@@ -55,13 +55,11 @@ def step(w_next: np.ndarray, select: Callable, solve: Callable, dt: float,
 
 def march(w: np.ndarray, grid: GridSpec, T: float, config: SolverConfig,
           select: Callable, solve: Callable, *,
-          source_step: Optional[Callable] = None,
-          on_level: Optional[Callable] = None):
+          source_step: Optional[Callable] = None):
     """Step ``w`` from the terminal level back to t = 0.
 
     Returns (w at t = 0, controls, tags): ``controls[n]`` and ``tags[n]``
-    come from the last sub-step into time level n. ``on_level(n, w)`` sees
-    every level reached.
+    come from the last sub-step into time level n.
     """
     dt = grid.dt(T)
     q_hist = np.empty((grid.n_t, grid.n_x, grid.n_z))
@@ -83,8 +81,6 @@ def march(w: np.ndarray, grid: GridSpec, T: float, config: SolverConfig,
             raise SolverError(f"backward step into time level {n} failed: {exc}") from exc
         q_hist[n] = q
         tag_hist[n] = tags
-        if on_level is not None:
-            on_level(n, w)
 
     q_hist.setflags(write=False)
     tag_hist.setflags(write=False)

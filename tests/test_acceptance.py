@@ -13,7 +13,7 @@ import pytest
 
 from uvbounds.analysis import compare_bs, error_sweep, gamma_diagnostics
 from uvbounds.blackscholes import bs_call, bs_payoff_price
-from uvbounds.core import GridSpec, ModelParams
+from uvbounds.core import GridSpec, ModelParams, SolverConfig
 from uvbounds.csvio import write_csv
 from uvbounds.montecarlo import coupling_rate_study, simulate_coupled_asset
 from uvbounds.payoff import PayoffSpec
@@ -80,17 +80,20 @@ def test_criterion_2_dominance(butterfly_p0p1):
                   f"{time.perf_counter() - t0:.1f}s")
 
 
-def test_criterion_3_correction_structure():
+def test_criterion_3_correction_structure(p1_substeps):
     t0 = time.perf_counter()
-    zero = solve_p0p1(BF, PARAMS.replace(rho=0.0), GRID, keep_history=True)
-    all_zero = all(np.all(s.values == 0.0) for s in zero.p1_history)
+    # every P1 sub-step of the rho = 0 solve, the Rannacher start's included
+    solve_p0p1(BF, PARAMS.replace(rho=0.0), GRID)
+    n_checked = len(p1_substeps)
+    all_zero = (n_checked == GRID.n_t - 1 + SolverConfig().rannacher_steps
+                and all(np.all(v == 0.0) for v in p1_substeps))
 
     a = solve_p0p1(BF, PARAMS.replace(rho=-0.9), GRID)
     b = solve_p0p1(BF, PARAMS.replace(rho=0.5), GRID)
     scale = -0.9 / 0.5
     rel = np.max(np.abs(a.p1.values - scale * b.p1.values)) / np.max(np.abs(a.p1.values))
     _check(3, all_zero and rel <= 1e-12,
-           f"rho=0 correction identically zero: {all_zero}; "
+           f"rho=0 correction identically zero at all {n_checked} sub-steps: {all_zero}; "
            f"linearity in rho rel err {rel:.2e} <= 1e-12; "
            f"{time.perf_counter() - t0:.1f}s")
 

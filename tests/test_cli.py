@@ -316,10 +316,17 @@ def test_degenerate_config_solves_or_exits_2(tmp_path, cfg, overrides, command):
 
 
 @pytest.mark.parametrize("command", GRID_COMMANDS)
-@pytest.mark.parametrize("override", ["grid.x_max=1e300", "grid.z_max=1e300"])
-def test_huge_grid_span_exits_2(tmp_path, cfg, override, command):
-    # the squared spacing overflows; it once escaped ``run`` as OverflowError
-    code, out = run_with(tmp_path, cfg, command, [override])
+@pytest.mark.parametrize("overrides", [
+    ["grid.x_max=1e300"],
+    ["grid.z_max=1e300"],
+    ["grid.x_max=1e155"],
+    ["grid.x_max=1.3e154", "grid.z_max=100"],
+], ids=",".join)
+def test_huge_grid_span_exits_2(tmp_path, cfg, overrides, command):
+    # the squared spacing or the x-diffusion coefficient z*x^2 overflows; the
+    # first once escaped ``run`` as OverflowError, the second once ran into a
+    # singular pivot and exit 3
+    code, out = run_with(tmp_path, cfg, command, overrides)
     assert code == 2
     record = strict_json(out / "error.json")
     assert record["exit_code"] == 2

@@ -4,7 +4,8 @@ import scipy.sparse as sp
 
 from uvbounds.core import GridSpec, ModelParams, SolverConfig
 from uvbounds.linsolve import LinearSolveError, tridiag_solver
-from uvbounds.solver_pdelta import _generator_matrix, _lu_solve, _scheme, _Split
+from uvbounds.solver_pdelta import _scheme, _Split
+from reference import generator_matrix, lu_solve
 
 
 def solve_batch(lower, main, upper, rhs, **kw):
@@ -109,7 +110,7 @@ def _reference(n_x=12, n_z=9, seed=0, params=PARAMS):
     """The LU step on a production grid, with a random control field in the band."""
     grid = GridSpec(0, 200, n_x, 0, 0.12, n_z, 4)
     q = np.random.default_rng(seed).uniform(params.d, params.u, size=(n_x, n_z))
-    return grid, q, _lu_solve(params, grid, 1e-10)
+    return grid, q, lu_solve(params, grid, 1e-10)
 
 
 def test_banded_identity():
@@ -146,7 +147,7 @@ def test_singular_banded_raises():
     # (0.125, -0.25, 0.125), so at theta*dt = -4 the middle column of
     # I - theta*dt*A is zero
     grid = GridSpec(0, 2, 3, 0.25, 0.25, 1, 1)
-    solve = _lu_solve(PARAMS, grid, 1e-10)
+    solve = lu_solve(PARAMS, grid, 1e-10)
     with pytest.raises(LinearSolveError):
         solve(np.ones((3, 1)), np.ones((3, 1)), -4.0, 1.0)
 
@@ -161,5 +162,5 @@ def test_banded_validate_finds_nonfinite():
 
 def test_production_matrix_has_nine_point_footprint():
     grid, q, _ = _reference()
-    a = _generator_matrix(_Split(PARAMS, grid), q)
+    a = generator_matrix(_Split(PARAMS, grid), q)
     assert np.diff(a.indptr).max() <= 9

@@ -4,9 +4,10 @@ import pytest
 from uvbounds import montecarlo
 from uvbounds.core import ModelParams
 from uvbounds.montecarlo import (
-    CHUNK_PATHS, _terminal_gap_sq, brownian_increments, coupling_rate_study,
-    simulate_cir, simulate_coupled_asset,
+    CHUNK_PATHS, _terminal_gap_sq, coupling_rate_study, simulate_cir,
+    simulate_coupled_asset,
 )
+from reference import brownian_increments
 
 PARAMS = ModelParams(x0=100, z0=0.04, T=0.25, r=0, d=0.75, u=1.25,
                      kappa=15, theta=0.04, delta=0.05, rho=-0.9)

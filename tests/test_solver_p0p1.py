@@ -124,17 +124,19 @@ def test_correction_proportional_to_correlation():
     assert rel < 1e-12
 
 
-def test_correction_vanishes_without_correlation():
-    sol = solve_p0p1(BF, PARAMS.replace(rho=0.0), SMALL, keep_history=True)
-    for level in sol.p1_history:
-        assert np.all(level.values == 0.0)
+def test_correction_vanishes_without_correlation(p1_substeps):
+    solve_p0p1(BF, PARAMS.replace(rho=0.0), SMALL)
+    assert len(p1_substeps) == SMALL.n_t - 1 + SolverConfig().rannacher_steps
+    for level in p1_substeps:
+        assert np.all(level == 0.0)
 
 
-def test_correction_vanishes_on_single_slice_grid():
+def test_correction_vanishes_on_single_slice_grid(p1_substeps):
     grid = GridSpec(0, 200, 50, PARAMS.z0, PARAMS.z0, 1, 8)
-    sol = solve_p0p1(BF, PARAMS, grid, keep_history=True)
-    for level in sol.p1_history:
-        assert np.all(level.values == 0.0)
+    solve_p0p1(BF, PARAMS, grid)
+    assert len(p1_substeps) == grid.n_t - 1 + SolverConfig().rannacher_steps
+    for level in p1_substeps:
+        assert np.all(level == 0.0)
 
 
 def test_tiny_maturity_recovers_payoff():
@@ -144,15 +146,6 @@ def test_tiny_maturity_recovers_payoff():
     x = grid.x_nodes()
     assert np.max(np.abs(sol.p0.values - evaluate(BF, x)[:, None])) < 1e-3
     assert np.max(np.abs(sol.p1.values)) < 1e-6
-
-
-def test_history_endpoints():
-    sol = solve_p0p1(BF, PARAMS, SMALL, keep_history=True)
-    assert len(sol.p0_history) == SMALL.n_t + 1
-    np.testing.assert_array_equal(
-        sol.p0_history[-1].values, terminal_surface(BF, SMALL).values)
-    assert np.all(sol.p1_history[-1].values == 0.0)
-    np.testing.assert_array_equal(sol.p0_history[0].values, sol.p0.values)
 
 
 def test_nonzero_rate_rejected():

@@ -6,9 +6,9 @@ from uvbounds.blackscholes import bs_call
 from uvbounds.core import GridSpec, ModelParams, SolverConfig, SolverError
 from uvbounds.payoff import PayoffSpec, terminal_surface
 from uvbounds.solver_p0p1 import solve_p0p1
-from uvbounds.solver_pdelta import TAG_A, TAG_B, TAG_C, _generator_matrix, _lu_solve, \
-    _scheme, _Split, select_q, solve_pdelta
-from uvbounds.stencils import lxx_values, lxz_values, sign_with_deadband
+from uvbounds.solver_pdelta import TAG_A, TAG_B, TAG_C, _scheme, _Split, select_q, solve_pdelta
+from uvbounds.stencils import deadband, lxx_values, lxz_values
+from reference import generator_matrix, lu_solve
 
 PARAMS = ModelParams(x0=100, z0=0.04, T=0.25, r=0, d=0.75, u=1.25,
                      kappa=15, theta=0.04, delta=0.05, rho=-0.9)
@@ -33,7 +33,7 @@ def test_select_q_rho_zero_reduces_to_curvature_sign():
     lxx = np.concatenate([[GEPS, -GEPS, 0.0, -0.0, np.nextafter(-GEPS, 0.0)],
                           rng.standard_normal(200) * 10.0 * GEPS])
     lxz = rng.standard_normal(lxx.size) * 10.0
-    bang_bang = np.where(sign_with_deadband(lxx, GEPS) > 0, p0.u, p0.d)
+    bang_bang = np.where(deadband(lxx, GEPS) >= 0.0, p0.u, p0.d)
     q, _ = select_q(lxx, lxz, p0, GEPS)
     np.testing.assert_array_equal(q, bang_bang)
 
@@ -172,7 +172,7 @@ def test_single_slice_grid_reduces_to_frozen_band_problem():
     cfg = SolverConfig()
     select, _ = _scheme(_Split(PARAMS, grid), cfg)
     w_lu = stepping.march(terminal_surface(BF, grid).values, grid, PARAMS.T, cfg, select,
-                          _lu_solve(PARAMS, grid, cfg.lin_tol))[0]
+                          lu_solve(PARAMS, grid, cfg.lin_tol))[0]
     np.testing.assert_allclose(w_lu, base.p0.values, rtol=0, atol=1e-12)
 
 
@@ -202,7 +202,7 @@ def test_generator_matches_dense_operator_composition(grid):
     rng = np.random.default_rng(17)
     w = rng.standard_normal((grid.n_x, grid.n_z))
     q = rng.uniform(PARAMS.d, PARAMS.u, size=(grid.n_x, grid.n_z))
-    gen = _generator_matrix(_Split(PARAMS, grid), q)
+    gen = generator_matrix(_Split(PARAMS, grid), q)
     via_matrix = (gen @ w.ravel()).reshape(w.shape)
 
     x = grid.x_nodes()[:, None]
@@ -223,7 +223,7 @@ def test_split_parts_sum_to_generator():
     q = rng.uniform(PARAMS.d, PARAMS.u, size=w.shape)
     split = _Split(PARAMS, SMALL)
     parts = split.a0(q, w) + split.a1(q, w) + split.a2(w)
-    whole = (_generator_matrix(split, q) @ w.ravel()).reshape(w.shape)
+    whole = (generator_matrix(split, q) @ w.ravel()).reshape(w.shape)
     assert np.max(np.abs(parts - whole)) <= 1e-12 * np.max(np.abs(whole))
     # the z-stage inverts I - c*A2 with the same A2
     c = 0.01
@@ -257,7 +257,7 @@ def test_splitting_gap_to_lu_is_second_order(rho, delta):
     for n_t in (10, 20, 40):
         grid = GridSpec(0, 200, 60, 0, 0.12, 30, n_t)
         select, adi = _scheme(_Split(p, grid), cfg)
-        lu = _lu_solve(p, grid, cfg.lin_tol)
+        lu = lu_solve(p, grid, cfg.lin_tol)
         term = terminal_surface(BF, grid).values
         w_adi = stepping.march(term, grid, p.T, cfg, select, adi)[0]
         w_lu = stepping.march(term, grid, p.T, cfg, select, lu)[0]
@@ -355,12 +355,6 @@ def test_failure_carries_time_level_context():
     cfg = SolverConfig(lin_tol=1e-30)
     with pytest.raises(SolverError, match="time level"):
         solve_pdelta(BF, PARAMS, SMALL, cfg)
-
-
-def test_terminal_level_is_payoff():
-    sol = solve_pdelta(BF, PARAMS, SMALL, keep_history=True)
-    np.testing.assert_array_equal(sol.history[-1].values,
-                                  terminal_surface(BF, SMALL).values)
 
 
 # -- probabilistic cross-checks (independent of every grid/stencil choice) -----

@@ -117,8 +117,10 @@ def test_requires_enough_nodes():
         st.dxx_values(np.zeros((2, 3)), g)
 
 
-def test_sign_with_deadband():
+def test_deadband():
     eps = 1e-6
-    vals = np.array([-1.0, -2e-6, -5e-7, 0.0, 5e-7, 3.0])
-    out = st.sign_with_deadband(vals, eps)
-    np.testing.assert_array_equal(out, [-1, -1, 1, 1, 1, 1])
+    vals = np.array([-1.0, -2e-6, -1e-6, -5e-7, 0.0, 5e-7, 3.0, np.nan])
+    out = st.deadband(vals, eps)
+    np.testing.assert_array_equal(out, [-1.0, -2e-6, -1e-6, 0.0, 0.0, 0.0, 3.0, np.nan])
+    # the sign tests' nonnegative branch: inside the band, or at least eps
+    np.testing.assert_array_equal(out >= 0.0, [0, 0, 0, 1, 1, 1, 1, 0])
