@@ -234,15 +234,14 @@ class BsComparison:
     tol: float
 
 
-def compare_bs(p0_solution: P0P1Solution, payoff: Optional[PayoffSpec] = None,
-               tol: Optional[float] = None) -> BsComparison:
+def compare_bs(p0_solution: P0P1Solution) -> BsComparison:
     """Tabulate P0 at the initial variance level against the Black-Scholes
-    curves priced at the lower and upper band volatilities."""
+    curves priced at the lower and upper band volatilities of the solution's
+    payoff; a node is dominated within a tolerance of 1e-3 * x0."""
     params = p0_solution.params
     grid = p0_solution.grid
-    payoff = payoff if payoff is not None else p0_solution.payoff
-    if tol is None:
-        tol = 1e-3 * params.x0
+    payoff = p0_solution.payoff
+    tol = 1e-3 * params.x0
 
     vol_low, vol_high = params.vol_bounds(params.z0)
     x = grid.x_nodes()

@@ -24,9 +24,9 @@ import scipy
 
 from . import __version__
 from .analysis import compare_bs, error_sweep, gamma_diagnostics
-from .config import RunSettings, load_config, settings_to_flat_dict
+from .config import SCHEMA, RunSettings, load_config, settings_to_flat_dict
 from .core import SolverError
-from .csvio import surface_to_csv, write_columns, write_csv
+from .csvio import surface_to_csv, write_csv
 from .linsolve import LinearSolveError
 from .montecarlo import coupling_rate_study, simulate_cir
 from .solver_p0p1 import solve_p0p1
@@ -41,16 +41,8 @@ _COMMANDS = (
 )
 
 
-_CONFIG_HELP = """\
-configuration keys (INI sections; see also paper.cfg):
-  [model]   x0 z0 T r d u kappa theta delta rho
-  [grid]    x_min x_max n_x z_min z_max n_z n_t
-  [solver]  cn_weight corrector_passes gamma_eps lin_tol rannacher_steps
-  [payoff]  kind (butterfly k1 k2 k3 | call/put strike | capped_linear cap
-            | tabulated csv)
-  [sweep]   deltas window_x_min window_x_max
-  [mc]      n_paths n_steps rate_deltas n_bound_paths
-"""
+_CONFIG_HELP = "configuration keys (INI sections; see also paper.cfg):\n" + "".join(
+    f"  [{sec}] {' '.join(keys)}\n" for sec, keys in SCHEMA.items())
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -186,10 +178,9 @@ def _cmd_solve_pdelta(settings: RunSettings, out: Path, args):
     if getattr(args, "export_controls", False):
         grid = settings.grid
         level, i, j = np.indices((grid.n_t, grid.n_x, grid.n_z)).reshape(3, -1)
-        write_columns(out / "pdelta_controls.csv", ["level", "x", "z", "q", "tag"],
-                      [level, grid.x_nodes()[i], grid.z_nodes()[j],
-                       sol.q_star_delta.ravel(),
-                       np.asarray(TAG_NAMES)[sol.candidate_tags.ravel()]])
+        write_csv(out / "pdelta_controls.csv", ["level", "x", "z", "q", "tag"],
+                  [level, grid.x_nodes()[i], grid.z_nodes()[j], sol.q_star_delta.ravel(),
+                   np.asarray(TAG_NAMES)[sol.candidate_tags.ravel()]])
         outputs.append("pdelta_controls.csv")
     probe = sol.p_delta.value_at(settings.model.x0, settings.model.z0)
     return {"pdelta_at_x0_z0": probe,
@@ -199,9 +190,8 @@ def _cmd_solve_pdelta(settings: RunSettings, out: Path, args):
 def _cmd_compare_bs(settings: RunSettings, out: Path, args):
     sol = solve_p0p1(settings.payoff, settings.model, settings.grid, settings.solver)
     cmp_ = compare_bs(sol)
-    rows = zip(cmp_.x, cmp_.p0, cmp_.bs_low, cmp_.bs_high, cmp_.dominated.astype(int))
-    write_csv(out / "compare_bs.csv",
-              ["x", "p0", "bs_low", "bs_high", "dominated"], rows)
+    write_csv(out / "compare_bs.csv", ["x", "p0", "bs_low", "bs_high", "dominated"],
+              [cmp_.x, cmp_.p0, cmp_.bs_low, cmp_.bs_high, cmp_.dominated.astype(int)])
     return {"vol_low": cmp_.vol_low, "vol_high": cmp_.vol_high,
             "all_dominated": bool(np.all(cmp_.dominated))}, ["compare_bs.csv"]
 
@@ -209,18 +199,13 @@ def _cmd_compare_bs(settings: RunSettings, out: Path, args):
 def _cmd_sweep_error(settings: RunSettings, out: Path, args):
     report = error_sweep(settings.payoff, settings.model, settings.sweep_deltas,
                          settings.grid, settings.solver, window=settings.window)
-    write_csv(
-        out / "sweep.csv",
-        ["delta", "error", "error_full", "sup_x", "sup_z", "runtime_s", "undershoot"],
-        ((r.delta, r.error, r.error_full, r.sup_x, r.sup_z, r.runtime_s, r.undershoot)
-         for r in report.records),
-    )
-    write_csv(
-        out / "sweep_fit.csv",
-        ["slope", "intercept", "r2", "n_fit", "window_x_min", "window_x_max"],
-        [(report.slope, report.intercept, report.r2, report.n_fit,
-          report.window[0], report.window[1])],
-    )
+    fields = ["delta", "error", "error_full", "sup_x", "sup_z", "runtime_s", "undershoot"]
+    write_csv(out / "sweep.csv", fields,
+              [[getattr(r, name) for r in report.records] for name in fields])
+    write_csv(out / "sweep_fit.csv",
+              ["slope", "intercept", "r2", "n_fit", "window_x_min", "window_x_max"],
+              [[report.slope], [report.intercept], [report.r2], [report.n_fit],
+               [report.window[0]], [report.window[1]]])
     return {"slope": report.slope, "r2": report.r2,
             "n_fit": report.n_fit}, ["sweep.csv", "sweep_fit.csv"]
 
@@ -229,13 +214,11 @@ def _cmd_simulate_bounds(settings: RunSettings, out: Path, args):
     m = settings.model
     z = simulate_cir(m, settings.mc_n_steps, settings.mc_n_bound_paths, args.seed)
     times = np.arange(settings.mc_n_steps + 1) * (m.T / settings.mc_n_steps)
-    rows = (
-        (times[k], p, z[p, k], m.d * np.sqrt(z[p, k]), m.u * np.sqrt(z[p, k]))
-        for p in range(z.shape[0])
-        for k in range(z.shape[1])
-    )
+    path_id, k = np.indices(z.shape).reshape(2, -1)
+    vol = np.sqrt(z.ravel())
     write_csv(out / "bounds_paths.csv",
-              ["time", "path_id", "z", "lower_bound", "upper_bound"], rows)
+              ["time", "path_id", "z", "lower_bound", "upper_bound"],
+              [times[k], path_id, z.ravel(), m.d * vol, m.u * vol])
     return {"n_paths": int(z.shape[0])}, ["bounds_paths.csv"]
 
 
@@ -243,18 +226,15 @@ def _cmd_coupling_rate(settings: RunSettings, out: Path, args):
     study = coupling_rate_study(settings.model, settings.mc_rate_deltas,
                                 settings.mc_n_paths, args.seed,
                                 n_steps=settings.mc_n_steps)
-    write_csv(
-        out / "rate.csv",
-        ["control", "delta", "estimate", "stderr"],
-        ((f.control, d, e, s)
-         for f in study.fits
-         for d, e, s in zip(f.deltas, f.estimates, f.stderrs)),
-    )
-    write_csv(
-        out / "rate_fit.csv",
-        ["control", "slope", "slope_stderr", "intercept", "r2"],
-        ((f.control, f.slope, f.slope_stderr, f.intercept, f.r2) for f in study.fits),
-    )
+    fits = study.fits
+    write_csv(out / "rate.csv", ["control", "delta", "estimate", "stderr"],
+              [np.repeat([f.control for f in fits], [len(f.deltas) for f in fits]),
+               np.concatenate([f.deltas for f in fits]),
+               np.concatenate([f.estimates for f in fits]),
+               np.concatenate([f.stderrs for f in fits])])
+    fields = ["control", "slope", "slope_stderr", "intercept", "r2"]
+    write_csv(out / "rate_fit.csv", fields,
+              [[getattr(f, name) for f in fits] for name in fields])
     return {f.control: f.slope for f in study.fits}, ["rate.csv", "rate_fit.csv"]
 
 
@@ -262,20 +242,11 @@ def _cmd_gamma_diag(settings: RunSettings, out: Path, args):
     base = solve_p0p1(settings.payoff, settings.model, settings.grid, settings.solver)
     full = solve_pdelta(settings.payoff, settings.model, settings.grid, settings.solver)
     diag = gamma_diagnostics(base, full)
-    write_csv(
-        out / "gamma_crossings.csv",
-        ["z", "crossing_x"],
-        ((diag.z_values[j], loc)
-         for j in range(len(diag.z_values))
-         for loc in diag.crossings[j]),
-    )
-    write_csv(
-        out / "gamma_mismatch.csv",
-        ["z", "mismatch_width", "n_nodes"],
-        ((diag.z_values[j], diag.mismatch_width[j],
-          int(diag.mismatch_mask[:, j].sum()))
-         for j in range(len(diag.z_values))),
-    )
+    write_csv(out / "gamma_crossings.csv", ["z", "crossing_x"],
+              [np.repeat(diag.z_values, [len(locs) for locs in diag.crossings]),
+               [loc for locs in diag.crossings for loc in locs]])
+    write_csv(out / "gamma_mismatch.csv", ["z", "mismatch_width", "n_nodes"],
+              [diag.z_values, diag.mismatch_width, diag.mismatch_mask.sum(axis=0)])
     z0_cross = diag.crossings_at(settings.model.z0)
     return {"n_crossings_at_z0": len(z0_cross),
             "mismatch_width_at_z0": diag.width_at(settings.model.z0)}, \

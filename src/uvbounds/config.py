@@ -1,21 +1,11 @@
 """Configuration files and the built-in experiment preset.
 
 The file format is INI-style key=value text with one section per
-component. Every key is listed in ``SCHEMA`` below; unknown sections or
-keys are rejected so typos fail loudly. Dotted overrides
-(``section.key=value``) patch the parsed file before anything is built.
-
-Keys
-----
-[model]   x0, z0, T, r, d, u, kappa, theta, delta, rho
-[grid]    x_min, x_max, n_x, z_min, z_max, n_z, n_t
-[solver]  cn_weight, corrector_passes, gamma_eps (or "auto"), lin_tol,
-          rannacher_steps
-[payoff]  kind = butterfly | call | put | capped_linear | tabulated
-          butterfly: k1, k2, k3; call/put: strike; capped_linear: cap;
-          tabulated: csv (path to two-column x,h file)
-[sweep]   deltas (comma list), window_x_min, window_x_max
-[mc]      n_paths, n_steps, rate_deltas (comma list), n_bound_paths
+component. ``PAPER_PRESET`` below holds every key with its default value,
+and ``SCHEMA`` adds the payoff keys that only a non-butterfly kind reads;
+unknown sections or keys are rejected so typos fail loudly. Dotted
+overrides (``section.key=value``) patch the parsed file before anything
+is built.
 """
 
 from __future__ import annotations
@@ -71,15 +61,10 @@ PAPER_PRESET: dict[str, dict[str, str]] = {
     },
 }
 
-SCHEMA: dict[str, tuple[str, ...]] = {
-    "model": ("x0", "z0", "T", "r", "d", "u", "kappa", "theta", "delta", "rho"),
-    "grid": ("x_min", "x_max", "n_x", "z_min", "z_max", "n_z", "n_t"),
-    "solver": ("cn_weight", "corrector_passes", "gamma_eps", "lin_tol",
-               "rannacher_steps"),
-    "payoff": ("kind", "k1", "k2", "k3", "strike", "cap", "csv"),
-    "sweep": ("deltas", "window_x_min", "window_x_max"),
-    "mc": ("n_paths", "n_steps", "rate_deltas", "n_bound_paths"),
-}
+# payoff.kind is butterfly (k1 k2 k3), call or put (strike), capped_linear
+# (cap) or tabulated (csv: path to a two-column x,h file)
+SCHEMA: dict[str, tuple[str, ...]] = {sec: tuple(kv) for sec, kv in PAPER_PRESET.items()}
+SCHEMA["payoff"] += ("strike", "cap", "csv")
 
 
 @dataclass(frozen=True)
@@ -188,13 +173,7 @@ def _build_payoff(raw: dict[str, dict[str, str]]) -> PayoffSpec:
 
 
 def build_settings(raw: dict[str, dict[str, str]]) -> RunSettings:
-    model = ModelParams(
-        x0=_as_float(raw, "model", "x0"), z0=_as_float(raw, "model", "z0"),
-        T=_as_float(raw, "model", "T"), r=_as_float(raw, "model", "r"),
-        d=_as_float(raw, "model", "d"), u=_as_float(raw, "model", "u"),
-        kappa=_as_float(raw, "model", "kappa"), theta=_as_float(raw, "model", "theta"),
-        delta=_as_float(raw, "model", "delta"), rho=_as_float(raw, "model", "rho"),
-    )
+    model = ModelParams(**{key: _as_float(raw, "model", key) for key in SCHEMA["model"]})
     try:
         grid = GridSpec(
             x_min=_as_float(raw, "grid", "x_min"), x_max=_as_float(raw, "grid", "x_max"),

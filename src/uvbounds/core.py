@@ -77,9 +77,9 @@ def validate_params(p: ModelParams) -> list[str]:
     theta*kappa >= 1/2 violated (got 0.1)"``.
     """
     v: list[str] = []
-    for name in ("x0", "z0", "T", "r", "d", "u", "kappa", "theta", "delta", "rho"):
-        if not np.isfinite(getattr(p, name)):
-            v.append(f"{name}: must be finite (got {getattr(p, name)!r})")
+    for f in fields(p):
+        if not np.isfinite(getattr(p, f.name)):
+            v.append(f"{f.name}: must be finite (got {getattr(p, f.name)!r})")
     if v:
         return v
 
@@ -106,6 +106,8 @@ def validate_params(p: ModelParams) -> list[str]:
         v.append(f"T: require T > 0 (got {p.T})")
     if p.x0 <= 0.0:
         v.append(f"x0: require x0 > 0 (got {p.x0})")
+    elif not np.isfinite(p.x0 * p.x0):  # the automatic gamma_eps scales with x0**2
+        v.append(f"x0: x0**2 overflows (got {p.x0})")
     if p.z0 <= 0.0:
         v.append(f"z0: require z0 > 0 (got {p.z0})")
     if p.r != 0.0:

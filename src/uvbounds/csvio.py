@@ -9,13 +9,13 @@ from __future__ import annotations
 
 import csv
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .core import Surface
 
-__all__ = ["fmt", "write_csv", "write_columns", "surface_to_csv", "read_csv"]
+__all__ = ["fmt", "write_csv", "surface_to_csv"]
 
 # rows formatted at a time: bounds the cell strings held at once
 _BLOCK_ROWS = 1 << 14
@@ -30,15 +30,6 @@ def fmt(value) -> str:
     if isinstance(value, (float, np.floating)):
         return format(float(value), ".16e")
     return str(value)
-
-
-def write_csv(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
-    path = Path(path)
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(list(header))
-        for row in rows:
-            writer.writerow([fmt(v) for v in row])
 
 
 def _format_column(values: np.ndarray) -> list:
@@ -56,9 +47,9 @@ def _format_column(values: np.ndarray) -> list:
     return text[inverse].tolist()
 
 
-def write_columns(path, header: Sequence[str], columns: Sequence) -> None:
-    """Write equal-length columns; the bytes equal ``write_csv`` on
-    ``zip(*columns)``, at a cost per distinct value rather than per cell."""
+def write_csv(path, header: Sequence[str], columns: Sequence) -> None:
+    """Write equal-length columns, row ``k`` holding ``fmt`` of each column's
+    ``k``-th cell, at a cost per distinct value rather than per cell."""
     columns = [np.asarray(c) for c in columns]
     with Path(path).open("w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
@@ -70,16 +61,5 @@ def write_columns(path, header: Sequence[str], columns: Sequence) -> None:
 
 def surface_to_csv(surface: Surface, path) -> None:
     """Surface layout: header of z-coordinates, first column x-coordinates."""
-    z = surface.grid.z_nodes()
-    x = surface.grid.x_nodes()
-    header = ["x"] + [fmt(v) for v in z]
-    rows = ([x[i]] + list(surface.values[i, :]) for i in range(surface.grid.n_x))
-    write_csv(path, header, rows)
-
-
-def read_csv(path) -> tuple[list[str], list[list[str]]]:
-    """Read back (header, rows) as raw strings; mainly for tests."""
-    with Path(path).open(newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        return header, [row for row in reader]
+    header = ["x"] + [fmt(v) for v in surface.grid.z_nodes()]
+    write_csv(path, header, [surface.grid.x_nodes(), *surface.values.T])

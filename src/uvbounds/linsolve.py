@@ -23,9 +23,6 @@ __all__ = [
     "tridiag_solver",
 ]
 
-DEFAULT_TOL = 1e-10
-
-
 class LinearSolveError(RuntimeError):
     """Singular pivot or factor, or residual failure, in a linear solve."""
 
@@ -39,7 +36,7 @@ def _check_residual(residual: np.ndarray, rhs: np.ndarray, tol: float, what: str
 
 
 def tridiag_solver(lower: np.ndarray, main: np.ndarray, upper: np.ndarray,
-                   lin_tol: float = DEFAULT_TOL):
+                   lin_tol: float):
     """Factor a batch of independent tridiagonal systems; return ``solve(rhs)``.
 
     ``main`` and the right-hand sides are (n_systems, n) arrays, ``lower``

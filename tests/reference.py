@@ -10,13 +10,20 @@ Not collected by pytest (no ``test_`` prefix); test modules import it as
 * ``brownian_increments``: one step's correlated shocks for all paths in
   a single draw, the unchunked form of what the Monte Carlo path kernel
   draws chunk by chunk.
+* ``write_rows_csv``: the CSV dialect written one row at a time, each cell
+  through ``csvio.fmt``; the package's column writer must match its bytes.
+  ``read_csv`` reads a file back as raw strings.
 """
+
+import csv
+from pathlib import Path
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from uvbounds.core import GridSpec, ModelParams
+from uvbounds.csvio import fmt
 from uvbounds.linsolve import LinearSolveError, _check_residual
 from uvbounds.montecarlo import _correlate, _stream
 from uvbounds.solver_pdelta import _Split
@@ -82,3 +89,18 @@ def brownian_increments(seed: int, step: int, n_paths: int, rho: float,
     do not depend on how many paths the run asked for.
     """
     return _correlate(_stream(seed, step).standard_normal((n_paths, 2)), rho, dt)
+
+
+def write_rows_csv(path, header, rows) -> None:
+    with Path(path).open("w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(list(header))
+        for row in rows:
+            writer.writerow([fmt(v) for v in row])
+
+
+def read_csv(path) -> tuple[list[str], list[list[str]]]:
+    """(header, rows) of a CSV file, every cell a raw string."""
+    with Path(path).open(newline="") as fh:
+        reader = csv.reader(fh)
+        return next(reader), list(reader)

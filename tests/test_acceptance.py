@@ -72,7 +72,8 @@ def test_criterion_1_convex_degeneracy():
 
 def test_criterion_2_dominance(butterfly_p0p1):
     t0 = time.perf_counter()
-    cmp_ = compare_bs(butterfly_p0p1, tol=1e-3 * PARAMS.x0)
+    cmp_ = compare_bs(butterfly_p0p1)
+    assert cmp_.tol == 1e-3 * PARAMS.x0
     win = (cmp_.x >= WINDOW[0]) & (cmp_.x <= WINDOW[1])
     margin = np.min((cmp_.p0 - np.maximum(cmp_.bs_low, cmp_.bs_high))[win])
     ok = bool(np.all(cmp_.dominated[win]))
@@ -171,7 +172,7 @@ def test_criterion_8_determinism_and_self_convergence(butterfly_p0p1, pdelta_05,
         _, x_T, x_T_frozen = simulate_coupled_asset(PARAMS, PARAMS.u, 50, 2000, seed=77)
         path = tmp_path / f"paths_{tag}.csv"
         write_csv(path, ["path", "x_T_moving", "x_T_frozen"],
-                  ((p, x_T[p], x_T_frozen[p]) for p in range(2000)))
+                  [np.arange(2000), x_T, x_T_frozen])
         files.append(path.read_bytes())
     bitwise = files[0] == files[1]
 

@@ -158,9 +158,8 @@ def test_wings_are_vacuously_dominated():
     assert np.all(cmp_.dominated[edge])
 
 
-def test_compare_bs_explicit_payoff_override():
-    sol = solve_p0p1(BF, PARAMS, SMALL)
-    same = compare_bs(sol, payoff=BF)
-    np.testing.assert_array_equal(same.bs_low, compare_bs(sol).bs_low)
+def test_compare_bs_rejects_tabulated_payoff():
+    # a tabulated payoff has no Black-Scholes closed form
+    sol = solve_p0p1(PayoffSpec.tabulated([0, 100, 200], [0, 10, 0]), PARAMS, SMALL)
     with pytest.raises(ValueError):
-        compare_bs(sol, payoff=PayoffSpec.tabulated([1, 2], [0, 1]))
+        compare_bs(sol)

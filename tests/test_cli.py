@@ -10,7 +10,8 @@ import pytest
 import uvbounds
 from uvbounds import cli
 from uvbounds.cli import run
-from uvbounds.csvio import read_csv
+from uvbounds.config import SCHEMA
+from reference import read_csv
 
 SMALL_CFG = """
 [grid]
@@ -147,6 +148,15 @@ def test_gamma_diag_outputs(tmp_path, cfg):
     assert len(rows) == 10
 
 
+def test_gamma_diag_without_crossings_writes_header_only(tmp_path, cfg):
+    # a call's gamma keeps one sign, so no slice has a crossing
+    out = tmp_path / "run"
+    assert run(["gamma-diag", "--config", cfg, "--out", str(out),
+                "--set", "payoff.kind=call", "--set", "payoff.strike=100"]) == 0
+    assert (out / "gamma_crossings.csv").read_text() == "z,crossing_x\n"
+    assert manifest(out)["results"]["n_crossings_at_z0"] == 0
+
+
 def test_override_recorded_in_manifest(tmp_path, cfg):
     out = tmp_path / "run"
     assert run(["solve-p0", "--config", cfg, "--out", str(out),
@@ -171,6 +181,13 @@ def test_manifest_config_reproduces_run(tmp_path, cfg):
     out2 = tmp_path / "b"
     assert run(["solve-p0", "--config", str(cfg2), "--out", str(out2)]) == 0
     assert (out1 / "p0_surface.csv").read_bytes() == (out2 / "p0_surface.csv").read_bytes()
+
+
+def test_help_lists_every_config_key(capsys):
+    assert run(["--help"]) == 0
+    text = capsys.readouterr().out
+    for sec, keys in SCHEMA.items():
+        assert f"[{sec}] {' '.join(keys)}" in text
 
 
 def test_unknown_subcommand_exits_2(capsys):
@@ -331,6 +348,16 @@ def test_huge_grid_span_exits_2(tmp_path, cfg, overrides, command):
     record = strict_json(out / "error.json")
     assert record["exit_code"] == 2
     assert "overflows" in record["message"]
+
+
+@pytest.mark.parametrize("command", GRID_COMMANDS)
+def test_overflowing_x0_exits_2(tmp_path, cfg, command):
+    # the automatic deadband 1e-9 * x0**2 once escaped ``run`` as OverflowError
+    code, out = run_with(tmp_path, cfg, command, ["model.x0=1e160"])
+    assert code == 2
+    record = strict_json(out / "error.json")
+    assert record["exit_code"] == 2
+    assert "x0" in record["message"]
 
 
 @pytest.mark.parametrize("override", [

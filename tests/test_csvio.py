@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 
 from uvbounds import csvio
-from uvbounds.csvio import write_columns, write_csv
+from uvbounds.csvio import write_csv
+from reference import write_rows_csv
 
 
-def test_write_columns_bytes_equal_write_csv(tmp_path, monkeypatch):
+def test_write_csv_bytes_equal_row_reference(tmp_path, monkeypatch):
     # several blocks, with values repeating across and within them
     monkeypatch.setattr(csvio, "_BLOCK_ROWS", 4)
     floats = np.array([0.0, -0.0, 1.5, np.nan, np.inf, -np.inf, 5e-324, 0.1, 1.5, -0.0])
@@ -19,13 +20,13 @@ def test_write_columns_bytes_equal_write_csv(tmp_path, monkeypatch):
                  dtype=object),
     ]
     header = ["i", "f64", "f32", "flag", "tag", "mixed"]
-    write_csv(tmp_path / "rows.csv", header, zip(*columns))
-    write_columns(tmp_path / "cols.csv", header, columns)
+    write_rows_csv(tmp_path / "rows.csv", header, zip(*columns))
+    write_csv(tmp_path / "cols.csv", header, columns)
     assert (tmp_path / "cols.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
 
 
-def test_write_columns_header_only_and_length_check(tmp_path):
-    write_columns(tmp_path / "empty.csv", ["a", "b"], [np.zeros(0), np.zeros(0)])
+def test_write_csv_header_only_and_length_check(tmp_path):
+    write_csv(tmp_path / "empty.csv", ["a", "b"], [np.zeros(0), np.zeros(0)])
     assert (tmp_path / "empty.csv").read_text() == "a,b\n"
     with pytest.raises(ValueError):
-        write_columns(tmp_path / "bad.csv", ["a", "b"], [np.zeros(2), np.zeros(3)])
+        write_csv(tmp_path / "bad.csv", ["a", "b"], [np.zeros(2), np.zeros(3)])

@@ -8,8 +8,8 @@ from uvbounds.solver_pdelta import _scheme, _Split
 from reference import generator_matrix, lu_solve
 
 
-def solve_batch(lower, main, upper, rhs, **kw):
-    return tridiag_solver(lower, main, upper, **kw)(rhs)
+def solve_batch(lower, main, upper, rhs, lin_tol=1e-10):
+    return tridiag_solver(lower, main, upper, lin_tol)(rhs)
 
 
 def solve_one(lower, main, upper, rhs, **kw):
