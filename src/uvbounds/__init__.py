@@ -9,7 +9,7 @@ the Monte Carlo and error-sweep experiments that validate the expansion.
 
 from .core import GridSpec, ModelParams, SolverConfig, Surface, validate_params
 from .payoff import PayoffSpec, evaluate, terminal_surface
-from .blackscholes import bs_butterfly, bs_call, bs_put
+from .blackscholes import bs_call
 from .solver_p0p1 import P0P1Solution, solve_p0p1
 from .solver_pdelta import PdeltaSolution, select_q, solve_pdelta
 from .montecarlo import coupling_rate_study, simulate_cir, simulate_coupled_asset
@@ -21,7 +21,7 @@ __all__ = [
     "ModelParams", "GridSpec", "SolverConfig", "Surface", "PayoffSpec",
     "P0P1Solution", "PdeltaSolution", "SweepReport",
     "validate_params", "evaluate", "terminal_surface",
-    "bs_call", "bs_put", "bs_butterfly",
+    "bs_call",
     "solve_p0p1", "solve_pdelta", "select_q",
     "simulate_cir", "simulate_coupled_asset", "coupling_rate_study",
     "error_sweep", "gamma_diagnostics", "compare_bs",

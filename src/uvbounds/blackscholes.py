@@ -14,7 +14,7 @@ import numpy as np
 
 from .payoff import PayoffSpec
 
-__all__ = ["norm_cdf", "bs_call", "bs_put", "bs_butterfly", "bs_payoff_price"]
+__all__ = ["norm_cdf", "bs_call", "bs_payoff_price"]
 
 
 def norm_cdf(x: Union[float, np.ndarray]):
@@ -41,39 +41,21 @@ def bs_call(spot, strike, vol, maturity, rate=0.0):
     return float(out) if scalar else out
 
 
-def bs_put(spot, strike, vol, maturity, rate=0.0):
-    """Black-Scholes put via put-call parity."""
-    call = bs_call(spot, strike, vol, maturity, rate)
-    fwd = strike * np.exp(-rate * maturity)
-    return call - spot + fwd if np.isscalar(spot) else call - np.asarray(spot, float) + fwd
-
-
-def bs_butterfly(spot, strikes, vol, maturity, rate=0.0):
-    """Price of the 1/-2/1 butterfly as a linear combination of calls."""
-    k1, k2, k3 = strikes
-    return (
-        bs_call(spot, k1, vol, maturity, rate)
-        - 2.0 * bs_call(spot, k2, vol, maturity, rate)
-        + bs_call(spot, k3, vol, maturity, rate)
-    )
-
-
 def bs_payoff_price(spec: PayoffSpec, spot, vol: float, maturity: float, rate: float = 0.0):
-    """Black-Scholes price of any call-decomposable payoff spec.
+    """Black-Scholes price of a payoff from its call decomposition.
 
-    capped_linear uses min(x, K) = K - (K - x)+, so its price is
-    K*exp(-r*tau) - put(K). Tabulated payoffs are not decomposable.
+    h(x) = a + b*x + sum(w * (x - K)+) prices to
+    sum(w * call(K)) + b*spot + a*exp(-rate*maturity); a tabulated payoff
+    has no decomposition and raises ``ValueError``.
     """
-    if spec.kind == "call":
-        return bs_call(spot, spec.strikes[0], vol, maturity, rate)
-    if spec.kind == "put":
-        return bs_put(spot, spec.strikes[0], vol, maturity, rate)
-    if spec.kind == "butterfly":
-        return bs_butterfly(spot, spec.strikes, vol, maturity, rate)
-    if spec.kind == "capped_linear":
-        k = spec.strikes[0]
-        return k * np.exp(-rate * maturity) - bs_put(spot, k, vol, maturity, rate)
-    raise ValueError(f"no closed form for payoff kind {spec.kind!r}")
+    a, b, calls = spec.decomposition()
+    s = np.asarray(spot, dtype=float)
+    out = 0.0
+    # the calls come first, so a put sums as its parity form call - spot + K
+    for w, k in calls:
+        out = out + w * bs_call(spot, k, vol, maturity, rate)
+    out = out + b * s + a * np.exp(-rate * maturity)
+    return float(out) if np.isscalar(spot) else out
 
 
 def _check_inputs(strike, vol, maturity) -> None:

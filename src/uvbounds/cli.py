@@ -29,20 +29,18 @@ from .core import SolverError
 from .csvio import surface_to_csv, write_csv
 from .linsolve import LinearSolveError
 from .montecarlo import coupling_rate_study, simulate_cir
+from .payoff import KINDS
 from .solver_p0p1 import solve_p0p1
 from .solver_pdelta import TAG_C, TAG_NAMES, solve_pdelta
 from .stepping import check_inputs
 
 __all__ = ["run", "main"]
 
-_COMMANDS = (
-    "solve-p0", "solve-p1", "solve-pdelta", "sweep-error",
-    "simulate-bounds", "coupling-rate", "compare-bs", "gamma-diag",
-)
-
-
-_CONFIG_HELP = "configuration keys (INI sections; see also paper.cfg):\n" + "".join(
-    f"  [{sec}] {' '.join(keys)}\n" for sec, keys in SCHEMA.items())
+_CONFIG_HELP = (
+    "configuration keys (INI sections; see also paper.cfg):\n"
+    + "".join(f"  [{sec}] {' '.join(keys)}\n" for sec, keys in SCHEMA.items())
+    + "payoff kinds (payoff.kind) and the [payoff] keys each reads:\n"
+    + "".join(f"  {kind}: {' '.join(keys)}\n" for kind, (keys, _) in KINDS.items()))
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -54,7 +52,7 @@ def _parser() -> argparse.ArgumentParser:
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
+    for name in _DISPATCH:
         p = sub.add_parser(name)
         p.add_argument("--config", default=None, metavar="PATH",
                        help="configuration file (defaults to the built-in preset)")
@@ -258,8 +256,8 @@ _DISPATCH = {
     "solve-p1": _cmd_solve_p1,
     "solve-pdelta": _cmd_solve_pdelta,
     "sweep-error": _cmd_sweep_error,
-    "compare-bs": _cmd_compare_bs,
     "simulate-bounds": _cmd_simulate_bounds,
     "coupling-rate": _cmd_coupling_rate,
+    "compare-bs": _cmd_compare_bs,
     "gamma-diag": _cmd_gamma_diag,
 }

@@ -2,10 +2,10 @@
 
 The file format is INI-style key=value text with one section per
 component. ``PAPER_PRESET`` below holds every key with its default value,
-and ``SCHEMA`` adds the payoff keys that only a non-butterfly kind reads;
-unknown sections or keys are rejected so typos fail loudly. Dotted
-overrides (``section.key=value``) patch the parsed file before anything
-is built.
+and ``SCHEMA`` adds the payoff keys that only another kind in
+``payoff.KINDS`` reads; unknown sections or keys are rejected so typos
+fail loudly. Dotted overrides (``section.key=value``) patch the parsed
+file before anything is built.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from pathlib import Path
 from typing import Optional
 
 from .core import GridSpec, ModelParams, SolverConfig
-from .payoff import PayoffSpec, load_tabulated_csv
+from .payoff import KINDS, PayoffSpec, load_tabulated_csv
 
 __all__ = [
     "ConfigError",
@@ -61,10 +61,9 @@ PAPER_PRESET: dict[str, dict[str, str]] = {
     },
 }
 
-# payoff.kind is butterfly (k1 k2 k3), call or put (strike), capped_linear
-# (cap) or tabulated (csv: path to a two-column x,h file)
 SCHEMA: dict[str, tuple[str, ...]] = {sec: tuple(kv) for sec, kv in PAPER_PRESET.items()}
-SCHEMA["payoff"] += ("strike", "cap", "csv")
+SCHEMA["payoff"] = tuple(dict.fromkeys(
+    SCHEMA["payoff"] + tuple(key for keys, _ in KINDS.values() for key in keys)))
 
 
 @dataclass(frozen=True)
@@ -154,22 +153,15 @@ def _as_float_list(raw, sec: str, key: str) -> tuple[float, ...]:
 def _build_payoff(raw: dict[str, dict[str, str]]) -> PayoffSpec:
     kv = raw.get("payoff", {})
     kind = kv.get("kind", "butterfly")
+    if kind not in KINDS:
+        raise ConfigError(f"unknown payoff kind {kind!r}")
+    keys, calls = KINDS[kind]
     try:
-        if kind == "butterfly":
-            return PayoffSpec.butterfly(float(kv["k1"]), float(kv["k2"]), float(kv["k3"]))
-        if kind == "call":
-            return PayoffSpec.call(float(kv["strike"]))
-        if kind == "put":
-            return PayoffSpec.put(float(kv["strike"]))
-        if kind == "capped_linear":
-            return PayoffSpec.capped_linear(float(kv["cap"]))
-        if kind == "tabulated":
-            return load_tabulated_csv(kv["csv"])
-    except ConfigError:
-        raise
+        if calls is None:  # a tabulated payoff names its two-column x,h file
+            return load_tabulated_csv(kv[keys[0]])
+        return PayoffSpec(kind, tuple(float(kv[key]) for key in keys))
     except (KeyError, ValueError, OSError) as exc:
         raise ConfigError(f"bad payoff section: {exc}") from exc
-    raise ConfigError(f"unknown payoff kind {kind!r}")
 
 
 def build_settings(raw: dict[str, dict[str, str]]) -> RunSettings:

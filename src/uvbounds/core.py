@@ -87,6 +87,8 @@ def validate_params(p: ModelParams) -> list[str]:
         v.append(f"d: require 0 < d < 1 (got {p.d})")
     if not (p.u > 1.0):
         v.append(f"u: require u > 1 (got {p.u})")
+    elif not np.isfinite(p.u * p.u):  # the control selection weighs u**2 * gamma
+        v.append(f"u: u**2 overflows (got {p.u})")
     if p.d >= p.u:
         v.append(f"d,u: require d < u (got d={p.d}, u={p.u})")
     if p.kappa <= 0.0:
@@ -164,6 +166,8 @@ class GridSpec:
             h = getattr(self, name)
             if not np.isfinite(h * h):
                 raise ValueError(f"GridSpec: {name}**2 overflows; the span is too large")
+            if h * h == 0.0 and (name == "dx" or self.n_z > 1):
+                raise ValueError(f"GridSpec: {name}**2 underflows to 0; the span is too small")
         # the x-diffusion coefficient z*x^2 peaks at the far corner
         if not np.isfinite(self.z_max * (self.x_max * self.x_max)):
             raise ValueError("GridSpec: z_max * x_max**2 overflows; the span is too large")
@@ -236,7 +240,11 @@ class SolverConfig:
     def resolve_gamma_eps(self, params: ModelParams) -> float:
         if self.gamma_eps is not None:
             return self.gamma_eps
-        return 1e-9 * params.x0 ** 2
+        geps = 1e-9 * params.x0 ** 2
+        if not geps > 0.0:
+            raise ValueError(f"automatic gamma_eps = 1e-9 * x0**2 underflows to {geps} "
+                             f"(x0 = {params.x0}); set solver.gamma_eps")
+        return geps
 
 
 @dataclass(frozen=True)

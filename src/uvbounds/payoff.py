@@ -11,13 +11,24 @@ import numpy as np
 from .core import GridSpec, Surface
 
 __all__ = [
+    "KINDS",
     "PayoffSpec",
     "evaluate",
     "terminal_surface",
     "load_tabulated_csv",
 ]
 
-_KINDS = ("butterfly", "call", "put", "capped_linear", "tabulated")
+# kind -> (its [payoff] config keys, strikes -> call decomposition (a, b,
+# ((w, K), ...)) of h(x) = a + b*x + sum(w * max(x - K, 0))). A strike kind
+# takes one strike per key, in key order; tabulated has no decomposition.
+KINDS = {
+    "butterfly": (("k1", "k2", "k3"),
+                  lambda k1, k2, k3: (0.0, 0.0, ((1.0, k1), (-2.0, k2), (1.0, k3)))),
+    "call": (("strike",), lambda k: (0.0, 0.0, ((1.0, k),))),
+    "put": (("strike",), lambda k: (k, -1.0, ((1.0, k),))),
+    "capped_linear": (("cap",), lambda k: (0.0, 1.0, ((-1.0, k),))),
+    "tabulated": (("csv",), None),
+}
 
 
 @dataclass(frozen=True)
@@ -34,9 +45,10 @@ class PayoffSpec:
     table_h: Optional[np.ndarray] = None
 
     def __post_init__(self) -> None:
-        if self.kind not in _KINDS:
+        if self.kind not in KINDS:
             raise ValueError(f"unknown payoff kind {self.kind!r}")
-        if self.kind == "tabulated":
+        keys, calls = KINDS[self.kind]
+        if calls is None:
             x = np.asarray(self.table_x, dtype=float)
             h = np.asarray(self.table_h, dtype=float)
             if x.ndim != 1 or x.shape != h.shape or len(x) < 2:
@@ -50,15 +62,12 @@ class PayoffSpec:
             object.__setattr__(self, "table_x", x)
             object.__setattr__(self, "table_h", h)
         else:
-            want = 3 if self.kind == "butterfly" else 1
-            if len(self.strikes) != want:
-                raise ValueError(f"{self.kind} payoff needs {want} strike(s)")
+            if len(self.strikes) != len(keys):
+                raise ValueError(f"{self.kind} payoff needs {len(keys)} strike(s)")
             if any(k <= 0 or not np.isfinite(k) for k in self.strikes):
                 raise ValueError("strikes must be positive and finite")
-            if self.kind == "butterfly":
-                k1, k2, k3 = self.strikes
-                if not (k1 < k2 < k3):
-                    raise ValueError("butterfly strikes must satisfy k1 < k2 < k3")
+            if not np.all(np.diff(self.strikes) > 0):
+                raise ValueError(f"{self.kind} strikes must satisfy {' < '.join(keys)}")
 
     @classmethod
     def butterfly(cls, k1: float, k2: float, k3: float) -> "PayoffSpec":
@@ -80,6 +89,16 @@ class PayoffSpec:
     def tabulated(cls, x, h) -> "PayoffSpec":
         return cls("tabulated", (), np.asarray(x, float), np.asarray(h, float))
 
+    def decomposition(self) -> tuple[float, float, tuple[tuple[float, float], ...]]:
+        """``(a, b, ((w, K), ...))`` with h(x) = a + b*x + sum(w * max(x - K, 0)).
+
+        Raises ``ValueError`` for a tabulated payoff, which has none.
+        """
+        calls = KINDS[self.kind][1]
+        if calls is None:
+            raise ValueError(f"payoff kind {self.kind!r} has no call decomposition")
+        return calls(*self.strikes)
+
 
 def evaluate(spec: PayoffSpec, x: Union[float, np.ndarray]):
     """Payoff value h(x); vectorized over x.
@@ -88,21 +107,13 @@ def evaluate(spec: PayoffSpec, x: Union[float, np.ndarray]):
     constant extrapolation outside it.
     """
     xa = np.asarray(x, dtype=float)
-    if spec.kind == "butterfly":
-        k1, k2, k3 = spec.strikes
-        out = (
-            np.maximum(xa - k1, 0.0)
-            - 2.0 * np.maximum(xa - k2, 0.0)
-            + np.maximum(xa - k3, 0.0)
-        )
-    elif spec.kind == "call":
-        out = np.maximum(xa - spec.strikes[0], 0.0)
-    elif spec.kind == "put":
-        out = np.maximum(spec.strikes[0] - xa, 0.0)
-    elif spec.kind == "capped_linear":
-        out = np.minimum(xa, spec.strikes[0])
-    else:
+    if spec.kind == "tabulated":
         out = np.interp(xa, spec.table_x, spec.table_h)
+    else:
+        a, b, calls = spec.decomposition()
+        out = a + b * xa
+        for w, k in calls:
+            out = out + w * np.maximum(xa - k, 0.0)
     if np.isscalar(x) or (isinstance(x, np.ndarray) and x.ndim == 0):
         return float(out)
     return out

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -11,6 +12,7 @@ import uvbounds
 from uvbounds import cli
 from uvbounds.cli import run
 from uvbounds.config import SCHEMA
+from uvbounds.payoff import KINDS
 from reference import read_csv
 
 SMALL_CFG = """
@@ -188,6 +190,8 @@ def test_help_lists_every_config_key(capsys):
     text = capsys.readouterr().out
     for sec, keys in SCHEMA.items():
         assert f"[{sec}] {' '.join(keys)}" in text
+    for kind, (keys, _) in KINDS.items():
+        assert f"  {kind}: {' '.join(keys)}\n" in text
 
 
 def test_unknown_subcommand_exits_2(capsys):
@@ -338,26 +342,53 @@ def test_degenerate_config_solves_or_exits_2(tmp_path, cfg, overrides, command):
     ["grid.z_max=1e300"],
     ["grid.x_max=1e155"],
     ["grid.x_max=1.3e154", "grid.z_max=100"],
+    ["grid.x_max=2.2e-309"],
 ], ids=",".join)
 def test_huge_grid_span_exits_2(tmp_path, cfg, overrides, command):
-    # the squared spacing or the x-diffusion coefficient z*x^2 overflows; the
-    # first once escaped ``run`` as OverflowError, the second once ran into a
-    # singular pivot and exit 3
+    # the squared spacing or the x-diffusion coefficient z*x^2 overflows, or
+    # the squared spacing underflows to 0; the first once escaped ``run`` as
+    # OverflowError, the others once ran into a singular pivot and exit 3
     code, out = run_with(tmp_path, cfg, command, overrides)
     assert code == 2
     record = strict_json(out / "error.json")
     assert record["exit_code"] == 2
-    assert "overflows" in record["message"]
+    span = float(overrides[0].split("=")[1])
+    assert ("underflows" if span < 1 else "overflows") in record["message"]
 
 
-@pytest.mark.parametrize("command", GRID_COMMANDS)
-def test_overflowing_x0_exits_2(tmp_path, cfg, command):
-    # the automatic deadband 1e-9 * x0**2 once escaped ``run`` as OverflowError
-    code, out = run_with(tmp_path, cfg, command, ["model.x0=1e160"])
+@pytest.mark.parametrize("command,override", [
+    *(pytest.param(c, "model.x0=1e160", id=c) for c in GRID_COMMANDS),
+    *(pytest.param(c, "model.u=1e300", id=f"model.u=1e300-{c}") for c in GRID_COMMANDS),
+])
+def test_overflowing_x0_exits_2(tmp_path, cfg, command, override):
+    # the automatic deadband 1e-9 * x0**2 once escaped ``run`` as OverflowError;
+    # u**2 once overflowed in the control selection and ran into exit 3
+    code, out = run_with(tmp_path, cfg, command, [override])
     assert code == 2
     record = strict_json(out / "error.json")
     assert record["exit_code"] == 2
-    assert "x0" in record["message"]
+    assert override.split("=")[0].split(".")[1] in record["message"]
+
+
+@pytest.mark.parametrize("command", GRID_COMMANDS)
+def test_underflowing_automatic_gamma_eps_exits_2(tmp_path, cfg, command):
+    # 1e-9 * x0**2 underflows to 0; this once ran to exit 0 with a 0/0 in
+    # the control selection and a subnormal price
+    code, out = run_with(tmp_path, cfg, command, ["model.x0=1e-300"])
+    assert code == 2
+    record = strict_json(out / "error.json")
+    assert record["exit_code"] == 2
+    assert "gamma_eps" in record["message"] and "x0" in record["message"]
+
+
+@pytest.mark.parametrize("command", GRID_COMMANDS)
+def test_tiny_x0_with_explicit_gamma_eps_solves(tmp_path, cfg, command):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out = run_with(tmp_path, cfg, command,
+                             ["model.x0=1e-300", "solver.gamma_eps=1e-9"])
+    assert code == 0
+    assert RESULT_KEY[command] in strict_json(out / "manifest.json")["results"]
 
 
 @pytest.mark.parametrize("override", [

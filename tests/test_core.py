@@ -90,6 +90,7 @@ def test_grid_spacing_matches_closed_form():
     dict(x_min=0, x_max=5, n_x=1, z_min=0, z_max=1, n_z=5, n_t=2),      # too few x
     dict(x_min=0, x_max=5, n_x=10, z_min=0.3, z_max=0.2, n_z=5, n_t=2), # inverted z
     dict(x_min=0, x_max=5, n_x=10, z_min=0, z_max=1, n_z=5, n_t=0),     # no steps
+    dict(x_min=0, x_max=5, n_x=10, z_min=0, z_max=1e-310, n_z=5, n_t=2),  # dz**2 == 0
 ])
 def test_bad_grid_specs_rejected(kwargs):
     with pytest.raises(ValueError):
