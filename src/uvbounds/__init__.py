@@ -7,7 +7,7 @@ cross-derivative source), and the full 2D nonlinear problem, and ships
 the Monte Carlo and error-sweep experiments that validate the expansion.
 """
 
-from .core import GridSpec, ModelParams, SolverConfig, Surface, validate_params
+from .core import GridSpec, ModelParams, SolverConfig, Surface
 from .payoff import PayoffSpec, evaluate, terminal_surface
 from .blackscholes import bs_call
 from .solver_p0p1 import P0P1Solution, solve_p0p1
@@ -20,7 +20,7 @@ __version__ = "0.1.0"
 __all__ = [
     "ModelParams", "GridSpec", "SolverConfig", "Surface", "PayoffSpec",
     "P0P1Solution", "PdeltaSolution", "SweepReport",
-    "validate_params", "evaluate", "terminal_surface",
+    "evaluate", "terminal_surface",
     "bs_call",
     "solve_p0p1", "solve_pdelta", "select_q",
     "simulate_cir", "simulate_coupled_asset", "coupling_rate_study",

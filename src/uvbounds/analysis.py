@@ -94,17 +94,17 @@ def error_sweep(payoff: PayoffSpec, params: ModelParams,
     idx = np.where((x >= window[0]) & (x <= window[1]))[0]
     if len(idx) == 0:  # fail before the first solve
         raise ValueError(f"window {window} contains no grid nodes")
+    models = [params.replace(delta=delta) for delta in deltas]  # a delta above 1 raises here
 
     base = solve_p0p1(payoff, params, grid, config)
     p0 = np.asarray(base.p0.values)
     p1 = np.asarray(base.p1.values)
 
     records = []
-    for delta in deltas:
+    for delta, model in zip(deltas, models):
         t0 = time.perf_counter()
         try:
-            p_delta = solve_pdelta(payoff, params.replace(delta=delta), grid,
-                                   config).p_delta.values
+            p_delta = solve_pdelta(payoff, model, grid, config).p_delta.values
         except SolverError as exc:
             raise SolverError(f"sweep failed at delta={delta}: {exc}") from exc
         elapsed = time.perf_counter() - t0

@@ -27,7 +27,9 @@ def norm_cdf(x: Union[float, np.ndarray]):
 
 def bs_call(spot, strike, vol, maturity, rate=0.0):
     """Black-Scholes call price; vectorized over the spot."""
-    _check_inputs(strike, vol, maturity)
+    for name, value in (("strike", strike), ("vol", vol), ("maturity", maturity)):
+        if value is None or value <= 0:
+            raise ValueError(f"{name} must be positive")
     scalar = np.isscalar(spot)
     s = np.asarray(spot, dtype=float)
     if np.any(s < 0):
@@ -57,8 +59,3 @@ def bs_payoff_price(spec: PayoffSpec, spot, vol: float, maturity: float, rate: f
     out = out + b * s + a * np.exp(-rate * maturity)
     return float(out) if np.isscalar(spot) else out
 
-
-def _check_inputs(strike, vol, maturity) -> None:
-    for name, value in (("strike", strike), ("vol", vol), ("maturity", maturity)):
-        if value is None or value <= 0:
-            raise ValueError(f"{name} must be positive")

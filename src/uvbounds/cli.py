@@ -32,7 +32,6 @@ from .montecarlo import coupling_rate_study, simulate_cir
 from .payoff import KINDS
 from .solver_p0p1 import solve_p0p1
 from .solver_pdelta import TAG_C, TAG_NAMES, solve_pdelta
-from .stepping import check_inputs
 
 __all__ = ["run", "main"]
 
@@ -79,7 +78,6 @@ def run(argv) -> int:
     out_dir = Path(args.out)
     try:
         settings = load_config(args.config, args.overrides)
-        check_inputs(settings.model)
     except ValueError as exc:  # ConfigError included
         return _fail(out_dir, 2, exc)
 

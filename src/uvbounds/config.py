@@ -165,7 +165,7 @@ def _build_payoff(raw: dict[str, dict[str, str]]) -> PayoffSpec:
 
 
 def build_settings(raw: dict[str, dict[str, str]]) -> RunSettings:
-    model = ModelParams(**{key: _as_float(raw, "model", key) for key in SCHEMA["model"]})
+    model = {key: _as_float(raw, "model", key) for key in SCHEMA["model"]}
     try:
         grid = GridSpec(
             x_min=_as_float(raw, "grid", "x_min"), x_max=_as_float(raw, "grid", "x_max"),
@@ -187,7 +187,6 @@ def build_settings(raw: dict[str, dict[str, str]]) -> RunSettings:
         raise ConfigError(str(exc)) from exc
 
     return RunSettings(
-        model=model,
         grid=grid,
         solver=solver,
         payoff=_build_payoff(raw),
@@ -199,6 +198,9 @@ def build_settings(raw: dict[str, dict[str, str]]) -> RunSettings:
         mc_rate_deltas=_as_float_list(raw, "mc", "rate_deltas"),
         mc_n_bound_paths=_as_int(raw, "mc", "n_bound_paths"),
         raw=raw,
+        # built last, so a config with several faults reports the others first;
+        # its ValueError lists every violated model rule
+        model=ModelParams(**model),
     )
 
 

@@ -7,6 +7,7 @@ surface can be held and reused across solves without copying.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass, fields
 from typing import Optional
 
@@ -18,7 +19,6 @@ __all__ = [
     "SolverConfig",
     "Surface",
     "SolverError",
-    "validate_params",
 ]
 
 
@@ -30,15 +30,18 @@ class SolverError(RuntimeError):
 class ModelParams:
     """Market and variance-process parameters.
 
+    Construction (including ``replace``) raises ValueError listing every
+    violated rule, so a model that exists is valid.
+
     Attributes:
-        x0: initial asset price (currency units)
-        z0: initial variance level of the bound-driving process
-        T: maturity in years
+        x0: initial asset price (currency units), x0 > 0
+        z0: initial variance level of the bound-driving process, z0 > 0
+        T: maturity in years, T > 0
         r: risk-free rate; only r = 0 is supported by the solvers
         d: lower slope of the volatility band (0 < d < 1)
         u: upper slope of the volatility band (u > 1)
         kappa: mean-reversion speed of the variance process (1/years)
-        theta: long-run variance mean
+        theta: long-run variance mean; kappa*theta >= 1/2 (Feller)
         delta: slow-scale parameter in [0, 1]
         rho: correlation between asset and variance shocks, |rho| < 1
     """
@@ -57,64 +60,58 @@ class ModelParams:
     def __post_init__(self) -> None:
         for f in fields(self):
             object.__setattr__(self, f.name, float(getattr(self, f.name)))
+        violations = self._violations()
+        if violations:
+            raise ValueError("invalid model parameters: " + "; ".join(violations))
+
+    def _violations(self) -> list[str]:
+        """Every violated rule, each naming the offending field(s), e.g.
+        ``"theta*kappa: Feller condition theta*kappa >= 1/2 violated (got 0.1)"``."""
+        v = [f"{f.name}: must be finite (got {getattr(self, f.name)!r})"
+             for f in fields(self) if not np.isfinite(getattr(self, f.name))]
+        if v:
+            return v
+
+        if not (0.0 < self.d < 1.0):
+            v.append(f"d: require 0 < d < 1 (got {self.d})")
+        if not (self.u > 1.0):
+            v.append(f"u: require u > 1 (got {self.u})")
+        elif not np.isfinite(self.u * self.u):  # the control selection weighs u**2 * gamma
+            v.append(f"u: u**2 overflows (got {self.u})")
+        if self.d >= self.u:
+            v.append(f"d,u: require d < u (got d={self.d}, u={self.u})")
+        if self.kappa <= 0.0:
+            v.append(f"kappa: require kappa > 0 (got {self.kappa})")
+        if self.theta <= 0.0:
+            v.append(f"theta: require theta > 0 (got {self.theta})")
+        if self.theta * self.kappa < 0.5:
+            v.append(
+                f"theta*kappa: Feller condition theta*kappa >= 1/2 violated "
+                f"(got {self.theta * self.kappa})"
+            )
+        if not (abs(self.rho) < 1.0):
+            v.append(f"rho: require |rho| < 1 (got {self.rho})")
+        if not (0.0 <= self.delta <= 1.0):
+            v.append(f"delta: require 0 <= delta <= 1 (got {self.delta})")
+        if self.T <= 0.0:
+            v.append(f"T: require T > 0 (got {self.T})")
+        if self.x0 <= 0.0:
+            v.append(f"x0: require x0 > 0 (got {self.x0})")
+        elif not np.isfinite(self.x0 * self.x0):  # the automatic gamma_eps scales with x0**2
+            v.append(f"x0: x0**2 overflows (got {self.x0})")
+        if self.z0 <= 0.0:
+            v.append(f"z0: require z0 > 0 (got {self.z0})")
+        if self.r != 0.0:
+            v.append(f"r: unsupported — solvers implement r = 0 only (got {self.r})")
+        return v
 
     def replace(self, **changes) -> "ModelParams":
-        kwargs = {f.name: getattr(self, f.name) for f in fields(self)}
-        kwargs.update(changes)
-        return ModelParams(**kwargs)
+        return dataclasses.replace(self, **changes)
 
     def vol_bounds(self, z: float) -> tuple[float, float]:
         """Volatility band [d*sqrt(z), u*sqrt(z)] at variance level z."""
         s = float(np.sqrt(z))
         return self.d * s, self.u * s
-
-
-def validate_params(p: ModelParams) -> list[str]:
-    """Return every violated parameter rule, empty list if all hold.
-
-    This is a reporting operation: it never raises. Each entry names the
-    offending field(s) and the rule, e.g. ``"theta*kappa: Feller condition
-    theta*kappa >= 1/2 violated (got 0.1)"``.
-    """
-    v: list[str] = []
-    for f in fields(p):
-        if not np.isfinite(getattr(p, f.name)):
-            v.append(f"{f.name}: must be finite (got {getattr(p, f.name)!r})")
-    if v:
-        return v
-
-    if not (0.0 < p.d < 1.0):
-        v.append(f"d: require 0 < d < 1 (got {p.d})")
-    if not (p.u > 1.0):
-        v.append(f"u: require u > 1 (got {p.u})")
-    elif not np.isfinite(p.u * p.u):  # the control selection weighs u**2 * gamma
-        v.append(f"u: u**2 overflows (got {p.u})")
-    if p.d >= p.u:
-        v.append(f"d,u: require d < u (got d={p.d}, u={p.u})")
-    if p.kappa <= 0.0:
-        v.append(f"kappa: require kappa > 0 (got {p.kappa})")
-    if p.theta <= 0.0:
-        v.append(f"theta: require theta > 0 (got {p.theta})")
-    if p.theta * p.kappa < 0.5:
-        v.append(
-            f"theta*kappa: Feller condition theta*kappa >= 1/2 violated "
-            f"(got {p.theta * p.kappa})"
-        )
-    if not (abs(p.rho) < 1.0):
-        v.append(f"rho: require |rho| < 1 (got {p.rho})")
-    if not (0.0 <= p.delta <= 1.0):
-        v.append(f"delta: require 0 <= delta <= 1 (got {p.delta})")
-    if p.T <= 0.0:
-        v.append(f"T: require T > 0 (got {p.T})")
-    if p.x0 <= 0.0:
-        v.append(f"x0: require x0 > 0 (got {p.x0})")
-    elif not np.isfinite(p.x0 * p.x0):  # the automatic gamma_eps scales with x0**2
-        v.append(f"x0: x0**2 overflows (got {p.x0})")
-    if p.z0 <= 0.0:
-        v.append(f"z0: require z0 > 0 (got {p.z0})")
-    if p.r != 0.0:
-        v.append(f"r: unsupported — solvers implement r = 0 only (got {p.r})")
-    return v
 
 
 @dataclass(frozen=True)
@@ -123,7 +120,8 @@ class GridSpec:
 
     ``n_x`` and ``n_z`` count grid nodes including the boundary nodes, so
     the spacings are dx = (x_max - x_min)/(n_x - 1) and likewise for dz.
-    ``n_t`` counts time steps; there are n_t + 1 time levels.
+    ``n_t`` counts time steps; there are n_t + 1 time levels. The solvers'
+    second differences need an interior, so ``n_x >= 3``.
 
     The degenerate case ``n_z == 1`` (with z_min == z_max) is allowed and
     collapses the problem to a single variance slice; all z-derivatives
@@ -155,8 +153,8 @@ class GridSpec:
                 raise ValueError("GridSpec: n_z == 1 requires z_min == z_max")
         elif self.z_min >= self.z_max:
             raise ValueError("GridSpec: require z_min < z_max")
-        if self.n_x < 2:
-            raise ValueError("GridSpec: require n_x >= 2")
+        if self.n_x < 3:
+            raise ValueError("GridSpec: require n_x >= 3")
         if self.n_z < 1:
             raise ValueError("GridSpec: require n_z >= 1")
         if self.n_t < 1:
@@ -257,7 +255,6 @@ class Surface:
 
     values: np.ndarray
     grid: GridSpec
-    time_index: int
 
     def __post_init__(self) -> None:
         arr = np.array(self.values, dtype=float, copy=True)
@@ -279,8 +276,6 @@ class Surface:
         boundaries. Points outside the grid rectangle are clamped to it.
         """
         col = _lagrange_1d(self.grid.x_nodes(), self.values, x)
-        if self.grid.n_z == 1:
-            return float(col[0])
         return float(_lagrange_1d(self.grid.z_nodes(), col[:, None], z)[0])
 
 

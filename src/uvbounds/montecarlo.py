@@ -32,7 +32,6 @@ import numpy as np
 
 from .analysis import loglog_fit
 from .core import ModelParams
-from .stepping import check_inputs
 
 __all__ = [
     "RateFit",
@@ -112,8 +111,6 @@ def _advance_paths(params: ModelParams, deltas: Sequence[float],
     if n_steps < 1 or n_paths < 1:
         raise ValueError(f"need n_steps >= 1 and n_paths >= 1 "
                          f"(got {n_steps}, {n_paths})")
-    for dl in deltas:
-        check_inputs(params.replace(delta=dl))
     controls = [c if callable(c) else float(c) for c in controls]
     for c in controls:
         if not callable(c):
@@ -239,6 +236,8 @@ def coupling_rate_study(params: ModelParams, delta_list: Sequence[float],
         controls = {"const_d": params.d, "const_u": params.u}
     if not controls:
         raise ValueError("rate study needs at least one control")
+    for delta in deltas:
+        params.replace(delta=delta)  # a delta above 1 raises here
 
     sq = _terminal_gap_sq(params, deltas, list(controls.values()), n_steps,
                           n_paths, seed)

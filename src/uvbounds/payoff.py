@@ -123,7 +123,7 @@ def terminal_surface(spec: PayoffSpec, grid: GridSpec) -> Surface:
     """Terminal condition on the grid: values[i, j] = h(x_i) for every j."""
     col = evaluate(spec, grid.x_nodes())
     values = np.repeat(np.asarray(col, float)[:, None], grid.n_z, axis=1)
-    return Surface(values, grid, time_index=grid.n_t)
+    return Surface(values, grid)
 
 
 def load_tabulated_csv(path) -> PayoffSpec:

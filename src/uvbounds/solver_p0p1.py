@@ -27,7 +27,7 @@ from .core import GridSpec, ModelParams, SolverConfig, Surface
 from .payoff import PayoffSpec, terminal_surface
 from .solver_pdelta import _scheme as _scheme_2d, _Split
 from .stencils import lxz_values
-from .stepping import check_inputs, march
+from .stepping import march
 
 __all__ = ["P0P1Solution", "solve_p0p1"]
 
@@ -77,7 +77,6 @@ def solve_p0p1(payoff: PayoffSpec, params: ModelParams, grid: GridSpec,
     followed by the P1 sub-step with its control.
     """
     config = config or SolverConfig()
-    check_inputs(params, grid)
     select, solve, solve_p1 = _scheme(params, grid, config)
 
     term = terminal_surface(payoff, grid)
@@ -90,8 +89,8 @@ def solve_p0p1(payoff: PayoffSpec, params: ModelParams, grid: GridSpec,
     u, q_hist, _ = march(np.asarray(term.values, float), grid, params.T, config,
                          select, solve, source_step=p1_step)
     return P0P1Solution(
-        p0=Surface(u, grid, 0),
-        p1=Surface(v, grid, 0),
+        p0=Surface(u, grid),
+        p1=Surface(v, grid),
         q_star0=q_hist,
         params=params,
         grid=grid,

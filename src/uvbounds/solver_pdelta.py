@@ -51,7 +51,7 @@ from .core import GridSpec, ModelParams, SolverConfig, Surface
 from .linsolve import tridiag_solver
 from .payoff import PayoffSpec, terminal_surface
 from .stencils import deadband, dz_values, dzz_values, lxx_values, lxz_values
-from .stepping import check_inputs, march
+from .stepping import march
 
 __all__ = [
     "PdeltaSolution",
@@ -240,14 +240,13 @@ def solve_pdelta(payoff: PayoffSpec, params: ModelParams, grid: GridSpec,
                  config: Optional[SolverConfig] = None) -> PdeltaSolution:
     """Full backward sweep of the 2D worst-case pricing scheme."""
     config = config or SolverConfig()
-    check_inputs(params, grid)
     select, solve = _scheme(_Split(params, grid), config)
 
     term = terminal_surface(payoff, grid)
     w, q_hist, tag_hist = march(np.asarray(term.values, float), grid, params.T, config,
                                 select, solve)
     return PdeltaSolution(
-        p_delta=Surface(w, grid, 0),
+        p_delta=Surface(w, grid),
         q_star_delta=q_hist,
         candidate_tags=tag_hist,
         params=params,

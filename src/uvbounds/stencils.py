@@ -76,15 +76,11 @@ def dz_values(v: np.ndarray, grid: GridSpec) -> np.ndarray:
 
 def dzz_values(v: np.ndarray, grid: GridSpec) -> np.ndarray:
     out = np.zeros_like(v, dtype=float)
-    if grid.n_z < 3:
-        return out
     out[:, 1:-1] = (v[:, 2:] + v[:, :-2] - 2.0 * v[:, 1:-1]) / grid.dz ** 2
     return out
 
 
 def dxz_values(v: np.ndarray, grid: GridSpec) -> np.ndarray:
-    if grid.n_z == 1:
-        return np.zeros_like(v, dtype=float)
     return dx_values(dz_values(v, grid), grid)
 
 

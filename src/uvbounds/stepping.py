@@ -24,19 +24,10 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import GridSpec, ModelParams, SolverConfig, SolverError, validate_params
+from .core import GridSpec, SolverConfig, SolverError
 from .linsolve import LinearSolveError
 
-__all__ = ["check_inputs", "step", "march"]
-
-
-def check_inputs(params: ModelParams, grid: Optional[GridSpec] = None) -> None:
-    """Raise ValueError on invalid parameters or a grid too small to solve on."""
-    violations = validate_params(params)
-    if violations:
-        raise ValueError("invalid model parameters: " + "; ".join(violations))
-    if grid is not None and grid.n_x < 3:
-        raise ValueError("solver grids need n_x >= 3")
+__all__ = ["step", "march"]
 
 
 def step(w_next: np.ndarray, select: Callable, solve: Callable, dt: float,

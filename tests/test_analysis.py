@@ -79,6 +79,15 @@ def test_sweep_rejects_bad_delta_lists():
         error_sweep(BF, PARAMS, [0.01], SMALL)
 
 
+def test_sweep_rejects_delta_above_one_before_any_solve(monkeypatch):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("the sweep solved before checking its deltas")
+
+    monkeypatch.setattr(analysis, "solve_p0p1", no_solve)
+    with pytest.raises(ValueError, match="delta: require 0 <= delta <= 1"):
+        error_sweep(BF, PARAMS, [0.01, 0.02, 0.03, 1.5], SMALL)
+
+
 def test_window_must_contain_nodes():
     with pytest.raises(ValueError):
         error_sweep(BF, PARAMS, [0.01, 0.02], SMALL, window=(300.0, 400.0))

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from uvbounds.core import GridSpec, ModelParams, SolverConfig, Surface, validate_params
+from uvbounds.config import load_config
+from uvbounds.core import GridSpec, ModelParams, SolverConfig, Surface
 
 
 def paper_params(**overrides):
@@ -11,38 +12,49 @@ def paper_params(**overrides):
     return ModelParams(**base)
 
 
+def violations(**overrides) -> list[str]:
+    """The rules a model built with ``overrides`` violates, empty if it builds."""
+    try:
+        paper_params(**overrides)
+    except ValueError as exc:
+        head, _, rules = str(exc).partition(": ")
+        assert head == "invalid model parameters"
+        return rules.split("; ")
+    return []
+
+
 def test_paper_parameters_are_valid():
-    assert validate_params(paper_params()) == []
+    assert violations() == []
 
 
 def test_feller_condition_examples():
     # kappa=15, theta=0.04 -> product 0.6, fine
-    assert not any("Feller" in v for v in validate_params(paper_params(kappa=15, theta=0.04)))
+    assert not any("Feller" in v for v in violations(kappa=15, theta=0.04))
     # kappa=1, theta=0.1 -> product 0.1, violated
-    bad = validate_params(paper_params(kappa=1, theta=0.1))
+    bad = violations(kappa=1, theta=0.1)
     assert any("Feller" in v for v in bad)
 
 
 def test_band_ordering_violation():
-    out = validate_params(paper_params(d=1.5, u=1.25))
+    out = violations(d=1.5, u=1.25)
     assert any(v.startswith("d:") for v in out)
     assert any(v.startswith("d,u:") for v in out)
 
 
 def test_nonzero_rate_reported_as_unsupported():
-    out = validate_params(paper_params(r=0.03))
+    out = violations(r=0.03)
     assert any("unsupported" in v for v in out)
 
 
 def test_nonfinite_field_reported_first():
-    out = validate_params(paper_params(kappa=float("nan")))
+    out = violations(kappa=float("nan"))
     assert len(out) == 1 and "finite" in out[0]
 
 
 @pytest.mark.parametrize("seed", range(8))
 def test_validation_flags_iff_rule_violated(seed):
     rng = np.random.default_rng(seed)
-    p = paper_params(
+    p = dict(
         d=rng.uniform(0.3, 1.4),
         u=rng.uniform(0.8, 1.8),
         kappa=rng.uniform(0.1, 30.0),
@@ -53,17 +65,31 @@ def test_validation_flags_iff_rule_violated(seed):
         x0=rng.uniform(-50.0, 200.0),
         z0=rng.uniform(-0.05, 0.2),
     )
-    out = validate_params(p)
-    assert any("Feller" in v for v in out) == (p.theta * p.kappa < 0.5)
-    assert any(v.startswith("d:") for v in out) == (not 0 < p.d < 1)
-    assert any(v.startswith("u:") for v in out) == (p.u <= 1)
-    assert any(v.startswith("rho:") for v in out) == (abs(p.rho) >= 1)
-    assert any(v.startswith("delta:") for v in out) == (not 0 <= p.delta <= 1)
-    assert any(v.startswith("T:") for v in out) == (p.T <= 0)
-    assert any(v.startswith("x0:") for v in out) == (p.x0 <= 0)
-    assert any(v.startswith("z0:") for v in out) == (p.z0 <= 0)
+    out = violations(**p)
+    assert any("Feller" in v for v in out) == (p["theta"] * p["kappa"] < 0.5)
+    assert any(v.startswith("d:") for v in out) == (not 0 < p["d"] < 1)
+    assert any(v.startswith("u:") for v in out) == (p["u"] <= 1)
+    assert any(v.startswith("rho:") for v in out) == (abs(p["rho"]) >= 1)
+    assert any(v.startswith("delta:") for v in out) == (not 0 <= p["delta"] <= 1)
+    assert any(v.startswith("T:") for v in out) == (p["T"] <= 0)
+    assert any(v.startswith("x0:") for v in out) == (p["x0"] <= 0)
+    assert any(v.startswith("z0:") for v in out) == (p["z0"] <= 0)
     if not out:
-        assert validate_params(p) == []  # stable on repeat
+        assert paper_params(**p).replace() == paper_params(**p)  # stable on repeat
+
+
+def test_every_way_of_building_a_model_checks_it():
+    want = "invalid model parameters: d: require 0 < d < 1 (got 1.5); " \
+           "d,u: require d < u (got d=1.5, u=1.25)"
+    builds = [
+        lambda: paper_params(d=1.5),
+        lambda: paper_params().replace(d=1.5),
+        lambda: load_config(None, ["model.d=1.5"]),
+    ]
+    for build in builds:
+        with pytest.raises(ValueError) as info:
+            build()
+        assert str(info.value) == want
 
 
 def test_grid_midpoint_example():
@@ -88,6 +114,7 @@ def test_grid_spacing_matches_closed_form():
     dict(x_min=0, x_max=float("inf"), n_x=10, z_min=0, z_max=1, n_z=5, n_t=2),
     dict(x_min=-1, x_max=5, n_x=10, z_min=0, z_max=1, n_z=5, n_t=2),    # negative x
     dict(x_min=0, x_max=5, n_x=1, z_min=0, z_max=1, n_z=5, n_t=2),      # too few x
+    dict(x_min=0, x_max=5, n_x=2, z_min=0, z_max=1, n_z=5, n_t=2),      # no x-interior
     dict(x_min=0, x_max=5, n_x=10, z_min=0.3, z_max=0.2, n_z=5, n_t=2), # inverted z
     dict(x_min=0, x_max=5, n_x=10, z_min=0, z_max=1, n_z=5, n_t=0),     # no steps
     dict(x_min=0, x_max=5, n_x=10, z_min=0, z_max=1e-310, n_z=5, n_t=2),  # dz**2 == 0
@@ -105,13 +132,13 @@ def test_degenerate_single_z_slice_allowed():
 
 def test_surface_is_read_only_and_shape_checked():
     g = GridSpec(0, 10, 5, 0, 1, 3, 2)
-    s = Surface(np.zeros((5, 3)), g, 0)
+    s = Surface(np.zeros((5, 3)), g)
     with pytest.raises(ValueError):
         s.values[0, 0] = 1.0
     with pytest.raises(ValueError):
-        Surface(np.zeros((4, 3)), g, 0)
+        Surface(np.zeros((4, 3)), g)
     with pytest.raises(ValueError):
-        Surface(np.full((5, 3), np.nan), g, 0)
+        Surface(np.full((5, 3), np.nan), g)
 
 
 def test_surface_interpolation_reproduces_cubics():
@@ -120,7 +147,7 @@ def test_surface_interpolation_reproduces_cubics():
     x = g.x_nodes()[:, None]
     z = g.z_nodes()[None, :]
     vals = 0.5 * x**3 - x + 2 + 3 * z**2 * 0 + z  # cubic in x, linear in z
-    s = Surface(vals, g, 0)
+    s = Surface(vals, g)
     for xt, zt in [(3.3, 0.55), (0.1, 0.02), (9.9, 0.98)]:
         want = 0.5 * xt**3 - xt + 2 + zt
         assert s.value_at(xt, zt) == pytest.approx(want, abs=1e-10)
@@ -130,7 +157,7 @@ def test_surface_bilinear_interpolation():
     g = GridSpec(0, 10, 11, 0, 1, 6, 2)
     x = g.x_nodes()[:, None]
     z = g.z_nodes()[None, :]
-    s = Surface(2.0 * x + 3.0 * z + 1.0, g, 0)
+    s = Surface(2.0 * x + 3.0 * z + 1.0, g)
     # the cubic stencil reproduces a bilinear function exactly
     assert s.value_at(4.5, 0.3) == pytest.approx(2 * 4.5 + 3 * 0.3 + 1, abs=1e-12)
     # clamped outside the rectangle

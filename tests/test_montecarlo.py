@@ -180,6 +180,8 @@ def test_rate_study_rejects_nonpositive_delta():
         coupling_rate_study(PARAMS, [0.0, 0.01], 100, seed=1)
     with pytest.raises(ValueError):
         coupling_rate_study(PARAMS, [0.01], 100, seed=1)
+    with pytest.raises(ValueError, match="delta: require 0 <= delta <= 1"):
+        coupling_rate_study(PARAMS, [0.01, 1.5], 100, seed=1)
 
 
 def test_rate_stderr_shrinks_with_path_count():

@@ -46,7 +46,6 @@ def test_terminal_surface_constant_in_z():
     col = surf.values[i100, :]
     assert np.all(col == col[0])
     np.testing.assert_array_equal(surf.values, np.tile(surf.values[:, :1], (1, 100)))
-    assert surf.time_index == grid.n_t
 
 
 def test_terminal_surface_peak_column_on_aligned_grid():

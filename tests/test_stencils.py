@@ -109,10 +109,14 @@ def test_single_slice_z_operators_vanish():
     assert np.all(st.dz_values(s, g) == 0)
     assert np.all(st.dzz_values(s, g) == 0)
     assert np.all(st.dxz_values(s, g) == 0)
+    # two slices: no z-interior, so d_zz is zero on both boundary columns
+    g = GridSpec(0, 10, 9, 0.5, 1.5, 2, 2)
+    s = np.random.default_rng(1).standard_normal((9, 2))
+    assert np.all(st.dzz_values(s, g) == 0)
 
 
 def test_requires_enough_nodes():
-    g = GridSpec(0, 10, 2, 0, 1, 3, 2)
+    g = GridSpec(0, 10, 3, 0, 1, 3, 2)
     with pytest.raises(ValueError):
         st.dxx_values(np.zeros((2, 3)), g)
 
