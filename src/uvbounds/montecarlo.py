@@ -21,6 +21,16 @@ which keeps each increment exactly mean-one, and the frozen-variance
 companion process is driven by the *same* Brownian increments
 (synchronous coupling), so their squared terminal gap isolates the effect
 of the moving variance level.
+
+Under a constant control q the log-Euler asset at maturity is
+x0 * exp(q*S_a - q^2*S_b/2), with S_a = sum sqrt(Z+) dW and
+S_b = sum Z+ dt over the steps. So the kernel steps variance *lanes*, not
+assets: lane 0 is the frozen level (delta = 0, which keeps it at z0
+exactly) and lane 1 + i the level of delta i, each carrying its two sums,
+and every constant control's moving and frozen assets come from one
+``exp`` at maturity. A control that depends on the state is stepped: its
+pair carries the two assets' exponents and advances them by the same
+formula.
 """
 
 from __future__ import annotations
@@ -70,10 +80,11 @@ def _stream(seed: int, step: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=seed, counter=step << 128))
 
 
-# Paths advanced together. On coupling-rate (paper.cfg), larger chunks cut
-# numpy call overhead but grow the live state of all pairs; see CHANGES.md
-# for the wall-time and peak-RSS measurements behind this value.
-CHUNK_PATHS = 8192
+# Paths advanced together. A chunk's state is six stacked (1 + n_delta, m)
+# arrays: on coupling-rate (paper.cfg), 8192 paths run about 6% faster but
+# peak 2.5 MiB higher, 2048 save 0.6 MiB at no gain in time. See CHANGES.md
+# for the measurements behind this value.
+CHUNK_PATHS = 4096
 
 
 def _correlate(g: np.ndarray, rho: float, dt: float) -> tuple[np.ndarray, np.ndarray]:
@@ -89,24 +100,39 @@ def _check_band(q, params: ModelParams) -> None:
         raise ValueError("control values must be finite and lie in [d, u]")
 
 
+def _log_growth(q, s_a, s_b):
+    """The log-Euler exponent q*S_a - q^2*S_b/2 of an asset under control q,
+    from S_a, the sum of sqrt(Z+)*dW, and S_b, the sum of Z+*dt."""
+    return q * s_a - 0.5 * q * q * s_b
+
+
 def _advance_paths(params: ModelParams, deltas: Sequence[float],
                    controls: Sequence[Control], n_steps: int, n_paths: int,
-                   seed: int, record: Callable) -> None:
-    """Step every delta's variance state and every (delta, control) pair's
-    two coupled assets from 0 to T, ``CHUNK_PATHS`` paths at a time.
+                   seed: int, record: Callable | None = None,
+                   terminal: Callable | None = None) -> None:
+    """Step every delta's variance lane from 0 to T, ``CHUNK_PATHS`` paths
+    at a time, and settle the two coupled assets of every (delta, control)
+    pair at maturity.
 
     The one path kernel behind every simulation here; ``params`` gives
-    everything but delta. Pair p = i * len(controls) + j runs delta i under
-    control j; with no controls only the variance is stepped. At every time
-    level k = 0..n_steps, ``record(rows, k, z, x_d, x_f)`` sees the chunk's
-    paths ``rows`` (a slice), the raw (untruncated) variance state ``z[i]``
-    of each delta and the assets ``x_d[p]``, ``x_f[p]`` of each pair.
-
-    A constant control is range-checked once and applied as a scalar; its
-    frozen asset does not depend on delta, so all deltas share it. A
-    callable control is evaluated per step on each pair's moving state
+    everything but delta. A chunk's variance state is one stacked
+    ``(1 + len(deltas), m)`` array: lane 0 is the frozen level (delta = 0,
+    so it stays z0 exactly) and lane 1 + i runs delta i. Each lane sums
+    the two parts of the asset's log-Euler exponent, S_a = sum sqrt(Z+) dW
+    and S_b = sum Z+ dt (scaled by dt once, at maturity). A constant
+    control q then gives both assets of its pairs by one ``exp``,
+    x0 * exp(q*S_a - q^2*S_b/2), read from the delta's lane (moving) and
+    from lane 0 (frozen); it is range-checked once and never stepped. A
+    callable control is evaluated per step on its pair's moving state
     (t_k, X_k, Z_k), one chunk of paths at a time, so it must act path by
-    path.
+    path; its pair carries the two assets' exponents and advances them by
+    the same formula, step by step.
+
+    At every time level k = 0..n_steps, ``record(rows, k, z)`` sees the
+    chunk's paths ``rows`` (a slice) and the raw (untruncated) lanes
+    ``z``. At maturity, ``terminal(rows, p, x_d, x_f)`` gets the moving
+    and frozen assets of pair p = i * len(controls) + j (delta i under
+    control j), one pair at a time.
     """
     if n_steps < 1 or n_paths < 1:
         raise ValueError(f"need n_steps >= 1 and n_paths >= 1 "
@@ -115,43 +141,56 @@ def _advance_paths(params: ModelParams, deltas: Sequence[float],
     for c in controls:
         if not callable(c):
             _check_band(c, params)
-    n_c = len(controls)
+    pairs = [(1 + i, c) for i in range(len(deltas)) for c in controls]
     dt = params.T / n_steps
-    sqrt_z0 = np.sqrt(params.z0)
+    lane_delta = np.array([0.0, *deltas])[:, None]
+    drift = lane_delta * params.kappa
+    vol = np.sqrt(lane_delta)
     streams = [_stream(seed, k) for k in range(n_steps)]
     for start in range(0, n_paths, CHUNK_PATHS):
         rows = slice(start, min(start + CHUNK_PATHS, n_paths))
         m = rows.stop - rows.start
-        z = [np.full(m, params.z0) for _ in deltas]
-        x_d = [np.full(m, params.x0) for _ in range(len(deltas) * n_c)]
-        # one frozen asset per control, shared by every delta until a
-        # callable control gives each pair its own (updates never act in place)
-        x_f = [np.full(m, params.x0) for _ in range(n_c)] * len(deltas)
-        record(rows, 0, z, x_d, x_f)
+        z = np.full((len(lane_delta), m), params.z0)
+        zp, sqrt_zp, tmp = np.empty_like(z), np.empty_like(z), np.empty_like(z)
+        s_a, s_b = np.zeros_like(z), np.zeros_like(z)
+        # moving and frozen exponents of each callable control's pair
+        stepped = {p: (np.zeros(m), np.zeros(m))
+                   for p, (_, c) in enumerate(pairs) if callable(c)}
+        if record is not None:
+            record(rows, 0, z)
         for k in range(n_steps):
             dw, dwz = _correlate(streams[k].standard_normal((m, 2)), params.rho, dt)
-            zp = [np.maximum(zi, 0.0) for zi in z]
-            sqrt_zp = [np.sqrt(v) for v in zp]
-            for j, q in enumerate(controls):
-                if not callable(q):
-                    x_f[j::n_c] = [x_f[j] * np.exp(-0.5 * q * q * params.z0 * dt
-                                                   + q * sqrt_z0 * dw)] * len(deltas)
-            for i in range(len(deltas)):
-                for j, c in enumerate(controls):
-                    p = i * n_c + j
-                    q = c
-                    if callable(c):
-                        q = np.broadcast_to(np.asarray(c(k * dt, x_d[p], zp[i]), float),
-                                            (m,))
-                        _check_band(q, params)
-                        x_f[p] = x_f[p] * np.exp(-0.5 * q * q * params.z0 * dt
-                                                 + q * sqrt_z0 * dw)
-                    x_d[p] = x_d[p] * np.exp(-0.5 * q * q * zp[i] * dt
-                                             + q * sqrt_zp[i] * dw)
-            for i, dl in enumerate(deltas):
-                z[i] = z[i] + dl * params.kappa * (params.theta - zp[i]) * dt \
-                    + np.sqrt(dl) * sqrt_zp[i] * dwz
-            record(rows, k + 1, z, x_d, x_f)
+            np.maximum(z, 0.0, out=zp)
+            np.sqrt(zp, out=sqrt_zp)
+            np.multiply(sqrt_zp, dw, out=tmp)  # each lane's step of S_a
+            for p, (e_d, e_f) in stepped.items():
+                lane, c = pairs[p]
+                q = np.broadcast_to(np.asarray(c(k * dt, params.x0 * np.exp(e_d),
+                                                 zp[lane]), float), (m,))
+                _check_band(q, params)
+                e_d += _log_growth(q, tmp[lane], zp[lane] * dt)
+                e_f += _log_growth(q, tmp[0], zp[0] * dt)
+            s_a += tmp
+            s_b += zp
+            # z + delta*kappa*(theta - zp)*dt + sqrt(delta)*sqrt_zp*dwz, term
+            # by term in that order, so each lane rounds as the scalar formula
+            np.subtract(params.theta, zp, out=tmp)
+            tmp *= drift
+            tmp *= dt
+            z += tmp
+            np.multiply(vol, sqrt_zp, out=tmp)
+            tmp *= dwz
+            z += tmp
+            if record is not None:
+                record(rows, k + 1, z)
+        s_b *= dt
+        for p, (lane, c) in enumerate(pairs):
+            if callable(c):
+                e_d, e_f = stepped[p]
+            else:
+                e_d = _log_growth(c, s_a[lane], s_b[lane])
+                e_f = _log_growth(c, s_a[0], s_b[0])
+            terminal(rows, p, params.x0 * np.exp(e_d), params.x0 * np.exp(e_f))
 
 
 def simulate_coupled_asset(params: ModelParams, control: Control, n_steps: int,
@@ -169,13 +208,16 @@ def simulate_coupled_asset(params: ModelParams, control: Control, n_steps: int,
     x_d = np.empty(n_paths)
     x_f = np.empty(n_paths)
 
-    def record(rows, k, z, xd, xf):
+    def record(rows, k, z):
         if k == n_steps:
-            z_T[rows] = np.maximum(z[0], 0.0)
-            x_d[rows] = xd[0]
-            x_f[rows] = xf[0]
+            z_T[rows] = np.maximum(z[1], 0.0)
 
-    _advance_paths(params, [params.delta], [control], n_steps, n_paths, seed, record)
+    def terminal(rows, p, xd, xf):
+        x_d[rows] = xd
+        x_f[rows] = xf
+
+    _advance_paths(params, [params.delta], [control], n_steps, n_paths, seed,
+                   record, terminal)
     return z_T, x_d, x_f
 
 
@@ -188,8 +230,8 @@ def simulate_cir(params: ModelParams, n_steps: int, n_paths: int,
     """
     out = np.empty((n_paths, n_steps + 1))
 
-    def record(rows, k, z, x_d, x_f):
-        out[rows, k] = np.maximum(z[0], 0.0)
+    def record(rows, k, z):
+        out[rows, k] = np.maximum(z[1], 0.0)
 
     _advance_paths(params, [params.delta], [], n_steps, n_paths, seed, record)
     return out
@@ -203,12 +245,11 @@ def _terminal_gap_sq(params: ModelParams, deltas: Sequence[float],
     materializing full paths."""
     out = np.empty((len(deltas) * len(controls), n_paths))
 
-    def record(rows, k, z, x_d, x_f):
-        if k == n_steps:
-            for p, (xd, xf) in enumerate(zip(x_d, x_f)):
-                out[p, rows] = (xd - xf) ** 2
+    def terminal(rows, p, x_d, x_f):
+        out[p, rows] = (x_d - x_f) ** 2
 
-    _advance_paths(params, deltas, controls, n_steps, n_paths, seed, record)
+    _advance_paths(params, deltas, controls, n_steps, n_paths, seed,
+                   terminal=terminal)
     return out
 
 

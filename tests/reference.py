@@ -10,6 +10,13 @@ Not collected by pytest (no ``test_`` prefix); test modules import it as
 * ``brownian_increments``: one step's correlated shocks for all paths in
   a single draw, the unchunked form of what the Monte Carlo path kernel
   draws chunk by chunk.
+* ``exponent_sum_terminals``: one (delta, control) pair's terminal states
+  by the unchunked loop in the kernel's own form (log-Euler exponent
+  sums, one ``exp`` at maturity), bit for bit what the kernel returns.
+  ``product_terminals`` is the same scheme as a product of per-step
+  ``exp`` factors; it differs from the kernel by rounding only.
+* ``nearest_node_control``: a 2D solve's control field as the path
+  kernel's ``(t, x, z) -> q`` callable, read at the nearest grid node.
 * ``write_rows_csv``: the CSV dialect written one row at a time, each cell
   through ``csvio.fmt``; the package's column writer must match its bytes.
   ``read_csv`` reads a file back as raw strings.
@@ -89,6 +96,74 @@ def brownian_increments(seed: int, step: int, n_paths: int, rho: float,
     do not depend on how many paths the run asked for.
     """
     return _correlate(_stream(seed, step).standard_normal((n_paths, 2)), rho, dt)
+
+
+def exponent_sum_terminals(params: ModelParams, control, n_steps: int,
+                           n_paths: int, seed: int):
+    """(z_T, x_T_moving, x_T_frozen) of one pair, all paths in one block.
+
+    S_a = sum sqrt(Z+) dW and S_b = sum Z+ of each variance level give a
+    constant control's asset as x0 * exp(q*S_a - q^2*S_b*dt/2); a callable
+    control's exponent is summed step by step, and the callable sees
+    x0 * exp(exponent).
+    """
+    dt = params.T / n_steps
+    z = np.full(n_paths, params.z0)
+    s_a, s_b = np.zeros(n_paths), np.zeros(n_paths)
+    s_a_f, s_b_f = np.zeros(n_paths), np.zeros(n_paths)
+    e_d, e_f = np.zeros(n_paths), np.zeros(n_paths)
+    for k in range(n_steps):
+        zp = np.maximum(z, 0.0)
+        dw, dwz = brownian_increments(seed, k, n_paths, params.rho, dt)
+        a, a_f = np.sqrt(zp) * dw, np.sqrt(params.z0) * dw
+        if callable(control):
+            q = np.broadcast_to(np.asarray(
+                control(k * dt, params.x0 * np.exp(e_d), zp), float), z.shape)
+            e_d = e_d + (q * a - 0.5 * q * q * (zp * dt))
+            e_f = e_f + (q * a_f - 0.5 * q * q * (params.z0 * dt))
+        s_a, s_b = s_a + a, s_b + zp
+        s_a_f, s_b_f = s_a_f + a_f, s_b_f + params.z0
+        z = z + params.delta * params.kappa * (params.theta - zp) * dt \
+            + np.sqrt(params.delta) * np.sqrt(zp) * dwz
+    if not callable(control):
+        q = float(control)
+        e_d = q * s_a - 0.5 * q * q * (s_b * dt)
+        e_f = q * s_a_f - 0.5 * q * q * (s_b_f * dt)
+    return np.maximum(z, 0.0), params.x0 * np.exp(e_d), params.x0 * np.exp(e_f)
+
+
+def product_terminals(params: ModelParams, control, n_steps: int, n_paths: int,
+                      seed: int):
+    """The same terminal states as a product of one ``exp`` factor per step."""
+    dt = params.T / n_steps
+    z = np.full(n_paths, params.z0)
+    x_d = np.full(n_paths, params.x0)
+    x_f = np.full(n_paths, params.x0)
+    for k in range(n_steps):
+        zp = np.maximum(z, 0.0)
+        dw, dwz = brownian_increments(seed, k, n_paths, params.rho, dt)
+        q = control(k * dt, x_d, zp) if callable(control) else control
+        q = np.broadcast_to(np.asarray(q, float), x_d.shape)
+        x_d = x_d * np.exp(-0.5 * q * q * zp * dt + q * np.sqrt(zp) * dw)
+        x_f = x_f * np.exp(-0.5 * q * q * params.z0 * dt + q * np.sqrt(params.z0) * dw)
+        z = z + params.delta * params.kappa * (params.theta - zp) * dt \
+            + np.sqrt(params.delta) * np.sqrt(zp) * dwz
+    return np.maximum(z, 0.0), x_d, x_f
+
+
+def nearest_node_control(q_star_delta: np.ndarray, grid: GridSpec, T: float):
+    """The control ``q_star_delta[n]`` of time step [t_n, t_n+1), read at the
+    grid node nearest to each path's (x, z); off-grid states are clamped."""
+    dt = grid.dt(T)
+    dz = grid.dz or 1.0  # one slice: every z rounds to node 0
+
+    def control(t: float, x: np.ndarray, z: np.ndarray) -> np.ndarray:
+        n = min(int(t / dt), grid.n_t - 1)
+        i = np.clip(np.rint((x - grid.x_min) / grid.dx), 0, grid.n_x - 1).astype(int)
+        j = np.clip(np.rint((z - grid.z_min) / dz), 0, grid.n_z - 1).astype(int)
+        return q_star_delta[n][i, j]
+
+    return control
 
 
 def write_rows_csv(path, header, rows) -> None:

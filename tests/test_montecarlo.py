@@ -7,30 +7,13 @@ from uvbounds.montecarlo import (
     CHUNK_PATHS, _terminal_gap_sq, coupling_rate_study, simulate_cir,
     simulate_coupled_asset,
 )
-from reference import brownian_increments
+from reference import (
+    brownian_increments, exponent_sum_terminals, product_terminals,
+)
 
 PARAMS = ModelParams(x0=100, z0=0.04, T=0.25, r=0, d=0.75, u=1.25,
                      kappa=15, theta=0.04, delta=0.05, rho=-0.9)
 SWITCHING = lambda t, x, z: np.where(x >= 100.0, PARAMS.d, PARAMS.u)
-
-
-def _reference_terminals(params, control, n_steps, n_paths, seed):
-    # the unchunked loop: each step's whole block in one draw, the control
-    # as an array on every path
-    dt = params.T / n_steps
-    z = np.full(n_paths, params.z0)
-    x_d = np.full(n_paths, params.x0)
-    x_f = np.full(n_paths, params.x0)
-    for k in range(n_steps):
-        zp = np.maximum(z, 0.0)
-        dw, dwz = brownian_increments(seed, k, n_paths, params.rho, dt)
-        q = control(k * dt, x_d, zp) if callable(control) else control
-        q = np.broadcast_to(np.asarray(q, float), x_d.shape)
-        x_d = x_d * np.exp(-0.5 * q * q * zp * dt + q * np.sqrt(zp) * dw)
-        x_f = x_f * np.exp(-0.5 * q * q * params.z0 * dt + q * np.sqrt(params.z0) * dw)
-        z = z + params.delta * params.kappa * (params.theta - zp) * dt \
-            + np.sqrt(params.delta) * np.sqrt(zp) * dwz
-    return np.maximum(z, 0.0), x_d, x_f
 
 
 def test_frozen_variance_at_delta_zero():
@@ -39,10 +22,11 @@ def test_frozen_variance_at_delta_zero():
 
 
 def test_coupled_paths_identical_at_delta_zero():
-    z_T, x_T, x_T_frozen = simulate_coupled_asset(PARAMS.replace(delta=0.0), PARAMS.u,
-                                                  50, 500, seed=2)
-    np.testing.assert_array_equal(x_T, x_T_frozen)
-    assert np.all(z_T == PARAMS.z0)
+    for control in (PARAMS.u, SWITCHING):
+        z_T, x_T, x_T_frozen = simulate_coupled_asset(PARAMS.replace(delta=0.0), control,
+                                                      50, 500, seed=2)
+        np.testing.assert_array_equal(x_T, x_T_frozen)
+        assert np.all(z_T == PARAMS.z0)
 
 
 def test_simulators_share_one_path_kernel():
@@ -56,7 +40,8 @@ def test_simulators_share_one_path_kernel():
 
 
 @pytest.mark.parametrize("n_paths", [CHUNK_PATHS // 3, CHUNK_PATHS + 3,
-                                     2 * CHUNK_PATHS + 5])
+                                     2 * CHUNK_PATHS + 5],
+                         ids=["part_chunk", "one_chunk_plus_3", "two_chunks_plus_5"])
 def test_batched_pairs_bitwise_equal_single_pair_runs(n_paths):
     # every (delta, control) pair of one batched run equals, bit for bit, its
     # own single-pair run and the unchunked loop, whatever the chunk split
@@ -70,7 +55,7 @@ def test_batched_pairs_bitwise_equal_single_pair_runs(n_paths):
         p = PARAMS.replace(delta=dl)
         for j, control in enumerate(controls.values()):
             terminals = simulate_coupled_asset(p, control, n_steps, n_paths, seed)
-            z, x_d, x_f = _reference_terminals(p, control, n_steps, n_paths, seed)
+            z, x_d, x_f = exponent_sum_terminals(p, control, n_steps, n_paths, seed)
             for got, want in zip(terminals, (z, x_d, x_f)):
                 np.testing.assert_array_equal(got, want)
             single = (x_d - x_f) ** 2
@@ -78,6 +63,26 @@ def test_batched_pairs_bitwise_equal_single_pair_runs(n_paths):
             assert study.fits[j].estimates[i] == float(np.mean(single))
             assert study.fits[j].stderrs[i] == float(
                 np.std(single, ddof=1) / np.sqrt(n_paths))
+
+
+@pytest.mark.parametrize("control", [PARAMS.d, PARAMS.u, SWITCHING],
+                         ids=["const_d", "const_u", "switching"])
+def test_exponent_sums_match_product_of_step_factors(control):
+    # one exp of the summed exponent against the product of one exp factor
+    # per step: rounding apart, the same scheme. Measured at 100 steps on
+    # 20,000 paths: assets 3.6e-15 relative, gap means 5.1e-15 relative
+    # (largest at the smallest delta, where the gap is smallest). A flipped
+    # switching control would move an asset by ~1e-2.
+    n_steps, n_paths, seed = 100, 20_000, 3
+    for delta in (0.00125, 0.05):
+        p = PARAMS.replace(delta=delta)
+        z, x_d, x_f = simulate_coupled_asset(p, control, n_steps, n_paths, seed)
+        z_ref, x_d_ref, x_f_ref = product_terminals(p, control, n_steps, n_paths, seed)
+        np.testing.assert_array_equal(z, z_ref)
+        np.testing.assert_allclose(x_d, x_d_ref, rtol=1e-13, atol=0)
+        np.testing.assert_allclose(x_f, x_f_ref, rtol=1e-13, atol=0)
+        assert np.mean((x_d - x_f) ** 2) == pytest.approx(
+            np.mean((x_d_ref - x_f_ref) ** 2), rel=1e-12)
 
 
 def test_study_draws_each_step_block_once(monkeypatch):

@@ -114,6 +114,25 @@ def test_solution_independent_of_variance_dynamics():
     np.testing.assert_array_equal(a.q_star0, b.q_star0)
 
 
+@pytest.mark.parametrize("payoff", [BF, PayoffSpec.call(100)], ids=["butterfly", "call"])
+def test_p0_depends_on_slice_and_maturity_only_through_their_product(payoff):
+    # a P0 step sees z and dt only through q^2*z*dt, and its control
+    # selection compares z*x^2*d_xx with gamma_eps: slice z over maturity T
+    # is slice z' over T*z/z' once gamma_eps scales by z'/z. Not bitwise,
+    # since z*dt rounds differently; measured at most 2.7e-15 of max |P0|
+    # (exact when z'/z is a power of two).
+    z, geps = PARAMS.z0, SolverConfig().resolve_gamma_eps(PARAMS)
+    base = solve_p0p1(payoff, PARAMS, GridSpec(0, 200, 100, z, z, 1, 20),
+                      SolverConfig(gamma_eps=geps))
+    scale = np.max(np.abs(base.p0.values))
+    for z2 in (0.0225, 0.09, 0.5):
+        sol = solve_p0p1(payoff, PARAMS.replace(T=PARAMS.T * z / z2),
+                         GridSpec(0, 200, 100, z2, z2, 1, 20),
+                         SolverConfig(gamma_eps=geps * z2 / z))
+        assert np.max(np.abs(sol.p0.values - base.p0.values)) <= 1e-13 * scale
+        np.testing.assert_array_equal(sol.q_star0, base.q_star0)
+
+
 def test_correction_proportional_to_correlation():
     a = solve_p0p1(BF, PARAMS.replace(rho=-0.9), SMALL)
     b = solve_p0p1(BF, PARAMS.replace(rho=0.5), SMALL)
