@@ -2,16 +2,15 @@
 driven by a slowly varying square-root variance process.
 
 The package solves the leading-order worst-case price (a family of 1D
-nonlinear problems), its first correction (linear, with a
-cross-derivative source), and the full 2D nonlinear problem, and ships
+nonlinear problems), its first correction (1D linear problems with a
+slice-local source), and the full 2D nonlinear problem, and ships
 the Monte Carlo and error-sweep experiments that validate the expansion.
 """
 
 from .core import GridSpec, ModelParams, SolverConfig, Surface
 from .payoff import PayoffSpec, evaluate, terminal_surface
 from .blackscholes import bs_call
-from .solver_p0p1 import P0P1Solution, solve_p0p1
-from .solver_pdelta import PdeltaSolution, select_q, solve_pdelta
+from .solver_pdelta import P0P1Solution, PdeltaSolution, select_q, solve_p0p1, solve_pdelta
 from .montecarlo import coupling_rate_study, simulate_cir, simulate_coupled_asset
 from .analysis import SweepReport, compare_bs, error_sweep, gamma_diagnostics
 

@@ -24,8 +24,7 @@ import numpy as np
 from .blackscholes import bs_payoff_price
 from .core import GridSpec, ModelParams, SolverConfig, SolverError
 from .payoff import PayoffSpec
-from .solver_p0p1 import P0P1Solution, solve_p0p1
-from .solver_pdelta import PdeltaSolution, solve_pdelta
+from .solver_pdelta import P0P1Solution, PdeltaSolution, solve_p0p1, solve_pdelta
 from .stencils import deadband, dxx_values
 
 __all__ = [

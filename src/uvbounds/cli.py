@@ -30,8 +30,7 @@ from .csvio import surface_to_csv, write_csv
 from .linsolve import LinearSolveError
 from .montecarlo import coupling_rate_study, simulate_cir
 from .payoff import KINDS
-from .solver_p0p1 import solve_p0p1
-from .solver_pdelta import TAG_C, TAG_NAMES, solve_pdelta
+from .solver_pdelta import TAG_C, TAG_NAMES, solve_p0p1, solve_pdelta
 
 __all__ = ["run", "main"]
 

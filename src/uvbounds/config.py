@@ -164,6 +164,23 @@ def _build_payoff(raw: dict[str, dict[str, str]]) -> PayoffSpec:
         raise ConfigError(f"bad payoff section: {exc}") from exc
 
 
+def _check_resolution(grid: GridSpec, payoff: PayoffSpec) -> None:
+    """Each kink of a closed-form payoff must lie in [x_min, x_max], with an
+    x-node strictly between adjacent kinks; tabulated payoffs are not checked."""
+    if KINDS[payoff.kind][1] is None:
+        return
+    kinks = [k for _, k in payoff.decomposition()[2]]
+    outside = [f"{k:g}" for k in kinks if not grid.x_min <= k <= grid.x_max]
+    if outside:
+        raise ConfigError(f"payoff kink(s) {', '.join(outside)} lie outside the grid "
+                          f"[x_min, x_max] = [{grid.x_min:g}, {grid.x_max:g}]")
+    x = grid.x_nodes()
+    for a, b in zip(kinks, kinks[1:]):
+        if not ((x > a) & (x < b)).any():
+            raise ConfigError(f"grid has no x-node strictly between the payoff kinks "
+                              f"{a:g} and {b:g} (dx = {grid.dx:g}); raise grid.n_x")
+
+
 def build_settings(raw: dict[str, dict[str, str]]) -> RunSettings:
     model = {key: _as_float(raw, "model", key) for key in SCHEMA["model"]}
     try:
@@ -186,10 +203,12 @@ def build_settings(raw: dict[str, dict[str, str]]) -> RunSettings:
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
+    payoff = _build_payoff(raw)
+    _check_resolution(grid, payoff)
     return RunSettings(
         grid=grid,
         solver=solver,
-        payoff=_build_payoff(raw),
+        payoff=payoff,
         sweep_deltas=_as_float_list(raw, "sweep", "deltas"),
         window=(_as_float(raw, "sweep", "window_x_min"),
                 _as_float(raw, "sweep", "window_x_max")),

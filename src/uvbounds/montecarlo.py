@@ -126,13 +126,13 @@ def _advance_paths(params: ModelParams, deltas: Sequence[float],
     callable control is evaluated per step on its pair's moving state
     (t_k, X_k, Z_k), one chunk of paths at a time, so it must act path by
     path; its pair carries the two assets' exponents and advances them by
-    the same formula, step by step.
+    the same formula, step by step. With no pairs, only the delta lanes step.
 
     At every time level k = 0..n_steps, ``record(rows, k, z)`` sees the
-    chunk's paths ``rows`` (a slice) and the raw (untruncated) lanes
-    ``z``. At maturity, ``terminal(rows, p, x_d, x_f)`` gets the moving
-    and frozen assets of pair p = i * len(controls) + j (delta i under
-    control j), one pair at a time.
+    chunk's paths ``rows`` (a slice) and the raw (untruncated) lanes of
+    the deltas, ``z[i]`` for delta i. At maturity, ``terminal(rows, p,
+    x_d, x_f)`` gets the moving and frozen assets of pair
+    p = i * len(controls) + j (delta i under control j), one pair at a time.
     """
     if n_steps < 1 or n_paths < 1:
         raise ValueError(f"need n_steps >= 1 and n_paths >= 1 "
@@ -143,7 +143,8 @@ def _advance_paths(params: ModelParams, deltas: Sequence[float],
             _check_band(c, params)
     pairs = [(1 + i, c) for i in range(len(deltas)) for c in controls]
     dt = params.T / n_steps
-    lane_delta = np.array([0.0, *deltas])[:, None]
+    frozen = [0.0] if pairs else []  # lane 0 only settles the pairs' frozen assets
+    lane_delta = np.array([*frozen, *deltas])[:, None]
     drift = lane_delta * params.kappa
     vol = np.sqrt(lane_delta)
     streams = [_stream(seed, k) for k in range(n_steps)]
@@ -157,12 +158,15 @@ def _advance_paths(params: ModelParams, deltas: Sequence[float],
         stepped = {p: (np.zeros(m), np.zeros(m))
                    for p, (_, c) in enumerate(pairs) if callable(c)}
         if record is not None:
-            record(rows, 0, z)
+            record(rows, 0, z[len(frozen):])
         for k in range(n_steps):
             dw, dwz = _correlate(streams[k].standard_normal((m, 2)), params.rho, dt)
             np.maximum(z, 0.0, out=zp)
             np.sqrt(zp, out=sqrt_zp)
-            np.multiply(sqrt_zp, dw, out=tmp)  # each lane's step of S_a
+            if pairs:  # the sums only settle the pairs' assets
+                np.multiply(sqrt_zp, dw, out=tmp)  # each lane's step of S_a
+                s_a += tmp
+                s_b += zp
             for p, (e_d, e_f) in stepped.items():
                 lane, c = pairs[p]
                 q = np.broadcast_to(np.asarray(c(k * dt, params.x0 * np.exp(e_d),
@@ -170,8 +174,6 @@ def _advance_paths(params: ModelParams, deltas: Sequence[float],
                 _check_band(q, params)
                 e_d += _log_growth(q, tmp[lane], zp[lane] * dt)
                 e_f += _log_growth(q, tmp[0], zp[0] * dt)
-            s_a += tmp
-            s_b += zp
             # z + delta*kappa*(theta - zp)*dt + sqrt(delta)*sqrt_zp*dwz, term
             # by term in that order, so each lane rounds as the scalar formula
             np.subtract(params.theta, zp, out=tmp)
@@ -182,7 +184,7 @@ def _advance_paths(params: ModelParams, deltas: Sequence[float],
             tmp *= dwz
             z += tmp
             if record is not None:
-                record(rows, k + 1, z)
+                record(rows, k + 1, z[len(frozen):])
         s_b *= dt
         for p, (lane, c) in enumerate(pairs):
             if callable(c):
@@ -210,7 +212,7 @@ def simulate_coupled_asset(params: ModelParams, control: Control, n_steps: int,
 
     def record(rows, k, z):
         if k == n_steps:
-            z_T[rows] = np.maximum(z[1], 0.0)
+            z_T[rows] = np.maximum(z[0], 0.0)
 
     def terminal(rows, p, xd, xf):
         x_d[rows] = xd
@@ -231,7 +233,7 @@ def simulate_cir(params: ModelParams, n_steps: int, n_paths: int,
     out = np.empty((n_paths, n_steps + 1))
 
     def record(rows, k, z):
-        out[rows, k] = np.maximum(z[1], 0.0)
+        out[rows, k] = np.maximum(z[0], 0.0)
 
     _advance_paths(params, [params.delta], [], n_steps, n_paths, seed, record)
     return out

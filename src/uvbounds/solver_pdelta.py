@@ -1,6 +1,6 @@
-"""The full 2D worst-case price P^delta.
+"""The full 2D worst-case price P^delta, and its expansion P0 + sqrt(delta)*P1.
 
-It marches backward through the shared stepper in ``stepping``. Its step
+P^delta marches backward through the shared stepper in ``stepping``. Its step
 is the Craig-Sneyd operator splitting (Craig & Sneyd 1988; in the form of
 In 't Hout & Foulon 2010 for a mixed-derivative term) of the weighted
 step at the stepper's weight theta. The generator splits into the cross
@@ -18,12 +18,11 @@ factored once: the x-system once per step, for both stages, and the
 constant z-system once per theta*dt. The correction weight theta is
 Craig-Sneyd's 1/2 in the trapezoidal steps and 1 in the fully implicit
 Rannacher start.
-At delta = 0 both A0 and A2 vanish and the step is the x-stage alone:
-P0's step, as ``solver_p0p1`` uses this scheme there. The splitting
-error against the unsplit weighted system is O(dt^2); the tests measure
-it against a reference step (``tests/reference.py``) that probes that
-system's matrix (a 9-point footprint) from the same operators and solves
-it by sparse LU.
+At delta = 0 both A0 and A2 vanish and the step is the x-stage alone.
+The splitting error against the unsplit weighted system is O(dt^2); the
+tests measure it against a reference step (``tests/reference.py``) that
+probes that system's matrix (a 9-point footprint) from the same operators
+and solves it by sparse LU.
 
 Control selection at a node compares three candidate values of the
 quadratic q -> 0.5*q^2*Gxx + q*rho*sqrt(delta)*Gxz, where Gxx and Gxz are
@@ -38,6 +37,14 @@ Gxx strictly negative (beyond the deadband) and q_hat inside the band.
 That one rule is exact. Where the quadratic is concave, its maximum over
 the band is q_hat clamped into [d, u], and a clamped q_hat is an endpoint;
 where it is convex or flat, q_hat is no maximum and an endpoint wins.
+
+P0 is this scheme at delta = 0: a bang-bang control, one 1D problem per
+slice. P1 is linear, with P0's x-stage and controls, zero terminal data
+and the source rho*q*x*z*d_xz P0, which is local to the slice: P0 is
+Q(z*(T - t), x), so z*d_z P0 = (T - t)*z*d_tau Q, and a P0 sub-step gives
+z*d_tau Q as (u_new - u_next)/dt. So the source is
+rho*q*x*(tau/dt)*d_x(u_new - u_next), with tau the time to maturity at
+the sub-step's theta-average.
 """
 
 from __future__ import annotations
@@ -50,13 +57,15 @@ import numpy as np
 from .core import GridSpec, ModelParams, SolverConfig, Surface
 from .linsolve import tridiag_solver
 from .payoff import PayoffSpec, terminal_surface
-from .stencils import deadband, dz_values, dzz_values, lxx_values, lxz_values
+from .stencils import deadband, dx_values, dz_values, dzz_values, lxx_values, lxz_values
 from .stepping import march
 
 __all__ = [
+    "P0P1Solution",
     "PdeltaSolution",
     "TAG_A", "TAG_B", "TAG_C", "TAG_NAMES",
     "select_q",
+    "solve_p0p1",
     "solve_pdelta",
 ]
 
@@ -84,6 +93,23 @@ class PdeltaSolution:
     def tag_fraction(self, tag: int) -> float:
         """Fraction of (level, node) entries whose winner carries ``tag``."""
         return float(np.mean(self.candidate_tags == tag))
+
+
+@dataclass(frozen=True)
+class P0P1Solution:
+    """Output of the leading-order backward sweep at t = 0.
+
+    ``q_star0[n]`` is the control field (values in {d, u}) used stepping
+    from time level n+1 down to level n.
+    """
+
+    p0: Surface
+    p1: Surface
+    q_star0: np.ndarray
+    params: ModelParams
+    grid: GridSpec
+    config: SolverConfig
+    payoff: PayoffSpec
 
 
 def select_q(lxx, lxz, params: ModelParams, gamma_eps: float):
@@ -249,6 +275,57 @@ def solve_pdelta(payoff: PayoffSpec, params: ModelParams, grid: GridSpec,
         p_delta=Surface(w, grid),
         q_star_delta=q_hist,
         candidate_tags=tag_hist,
+        params=params,
+        grid=grid,
+        config=config,
+        payoff=payoff,
+    )
+
+
+def _scheme_p0p1(params: ModelParams, grid: GridSpec, config: SolverConfig):
+    """P0's (select, solve), the 2D pair at delta = 0, and the P1 step, which
+    reuses the x-system factor of the P0 sub-step it follows (same q, theta*dt)."""
+    split = _Split(params.replace(delta=0.0), grid)
+    select, solve = _scheme(split, config)
+    x = grid.x_nodes()[:, None]
+
+    def solve_p1(v_next, q, u_new, u_next, dt: float, theta: float,
+                 tau: float) -> np.ndarray:
+        # dt * rho*q*x*z*d_xz P0, with z*d_z P0 = tau*(u_new - u_next)/dt
+        source = params.rho * tau * q * x * dx_values(u_new - u_next, grid)
+        source[0, :] = 0.0   # x-boundary rows evolve as identity
+        source[-1, :] = 0.0
+        rhs = v_next + (1.0 - theta) * dt * split.a1(q, v_next) + source
+        return split.x_solver(q, theta * dt, config.lin_tol)(rhs)
+
+    return select, solve, solve_p1
+
+
+def solve_p0p1(payoff: PayoffSpec, params: ModelParams, grid: GridSpec,
+               config: Optional[SolverConfig] = None) -> P0P1Solution:
+    """Full backward sweep for the leading-order price and first correction.
+
+    Terminal conditions are the payoff and zero. Every P0 sub-step is
+    followed by the P1 sub-step with its control.
+    """
+    config = config or SolverConfig()
+    select, solve, solve_p1 = _scheme_p0p1(params, grid, config)
+
+    term = terminal_surface(payoff, grid)
+    v = np.zeros((grid.n_x, grid.n_z))
+    elapsed = 0.0  # T - t at the known level of the next sub-step
+
+    def p1_step(q, u_new, u_next, dt, theta):
+        nonlocal v, elapsed
+        v = solve_p1(v, q, u_new, u_next, dt, theta, elapsed + theta * dt)
+        elapsed += dt
+
+    u, q_hist, _ = march(np.asarray(term.values, float), grid, params.T, config,
+                         select, solve, source_step=p1_step)
+    return P0P1Solution(
+        p0=Surface(u, grid),
+        p1=Surface(v, grid),
+        q_star0=q_hist,
         params=params,
         grid=grid,
         config=config,

@@ -7,7 +7,8 @@ control field q frozen for the step. A solver supplies only what differs:
 its winning-candidate tags, and ``solve(q, w_next, dt, theta) -> w_new``,
 one implicit step. P0 and P^delta supply the same pair, P0's at
 delta = 0. P1 adds a ``source_step(q, w_new, w_next, dt, theta)`` that
-follows every P0 sub-step.
+follows every P0 sub-step and builds its source from that sub-step's two
+levels.
 
 Each (sub-)step is a predictor-corrector pair. The predictor selects the
 control on the known level w_next and solves. Each corrector pass

@@ -1,6 +1,6 @@
 import pytest
 
-from uvbounds import solver_p0p1
+from uvbounds import solver_pdelta
 
 
 @pytest.fixture
@@ -8,7 +8,7 @@ def p1_substeps(monkeypatch):
     """Every P1 sub-step's new level, in step order, across the
     ``solve_p0p1`` calls the test makes."""
     levels = []
-    scheme = solver_p0p1._scheme
+    scheme = solver_pdelta._scheme_p0p1
 
     def recording_scheme(*args):
         select, solve, solve_p1 = scheme(*args)
@@ -18,5 +18,5 @@ def p1_substeps(monkeypatch):
             return levels[-1]
         return select, solve, recorded
 
-    monkeypatch.setattr(solver_p0p1, "_scheme", recording_scheme)
+    monkeypatch.setattr(solver_pdelta, "_scheme_p0p1", recording_scheme)
     return levels

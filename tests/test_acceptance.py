@@ -17,7 +17,7 @@ from uvbounds.core import GridSpec, ModelParams, SolverConfig
 from uvbounds.csvio import write_csv
 from uvbounds.montecarlo import coupling_rate_study, simulate_coupled_asset
 from uvbounds.payoff import PayoffSpec
-from uvbounds.solver_p0p1 import solve_p0p1
+from uvbounds.solver_pdelta import solve_p0p1
 from uvbounds.solver_pdelta import solve_pdelta
 
 PARAMS = ModelParams(x0=100, z0=0.04, T=0.25, r=0, d=0.75, u=1.25,

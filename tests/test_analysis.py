@@ -5,7 +5,7 @@ from uvbounds import analysis
 from uvbounds.analysis import compare_bs, error_sweep, gamma_diagnostics
 from uvbounds.core import GridSpec, ModelParams
 from uvbounds.payoff import PayoffSpec
-from uvbounds.solver_p0p1 import solve_p0p1
+from uvbounds.solver_pdelta import solve_p0p1
 from uvbounds.solver_pdelta import solve_pdelta
 
 PARAMS = ModelParams(x0=100, z0=0.04, T=0.25, r=0, d=0.75, u=1.25,

@@ -356,6 +356,24 @@ def test_huge_grid_span_exits_2(tmp_path, cfg, overrides, command):
     assert ("underflows" if span < 1 else "overflows") in record["message"]
 
 
+@pytest.mark.parametrize("command", GRID_COMMANDS)
+@pytest.mark.parametrize("override,message", [
+    pytest.param("grid.x_max=1.3e154", "no x-node strictly between the payoff kinks 90 and 100",
+                 id="grid.x_max=1.3e154"),
+    pytest.param("grid.x_max=95", "kink(s) 100, 110 lie outside the grid", id="grid.x_max=95"),
+    pytest.param("grid.x_min=95", "kink(s) 90 lie outside the grid", id="grid.x_min=95"),
+])
+def test_grid_that_misses_the_payoff_kinks_exits_2(tmp_path, cfg, command, override,
+                                                   message):
+    # on the 40x10x4 grid, x_max = 1.3e154 makes dx = 3.3e152, and the
+    # butterfly once priced to 0.0 with exit 0
+    code, out = run_with(tmp_path, cfg, command, [override])
+    assert code == 2
+    record = strict_json(out / "error.json")
+    assert record["exit_code"] == 2
+    assert message in record["message"]
+
+
 @pytest.mark.parametrize("command,override", [
     *(pytest.param(c, "model.x0=1e160", id=c) for c in GRID_COMMANDS),
     *(pytest.param(c, "model.u=1e300", id=f"model.u=1e300-{c}") for c in GRID_COMMANDS),

@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from uvbounds import solver_p0p1, solver_pdelta, stepping
+from uvbounds import solver_pdelta, stepping
 from uvbounds.blackscholes import bs_call, bs_payoff_price
 from uvbounds.core import GridSpec, ModelParams, SolverConfig
 from uvbounds.payoff import PayoffSpec, evaluate, terminal_surface
-from uvbounds.solver_p0p1 import _scheme, solve_p0p1
+from uvbounds.solver_pdelta import _scheme_p0p1, solve_p0p1
 
 PARAMS = ModelParams(x0=100, z0=0.04, T=0.25, r=0, d=0.75, u=1.25,
                      kappa=15, theta=0.04, delta=0.05, rho=-0.9)
@@ -16,7 +16,7 @@ BF = PayoffSpec.butterfly(90, 100, 110)
 
 def predictor(term, params, grid, config=SolverConfig()):
     """The predictor of one trapezoidal step: the shared step, no corrector pass."""
-    select, solve, _ = _scheme(params, grid, config)
+    select, solve, _ = _scheme_p0p1(params, grid, config)
     return stepping.step(term.values, select, solve, grid.dt(params.T),
                          config.cn_weight, 0)
 
@@ -59,7 +59,7 @@ def test_corrector_idempotent_when_control_unchanged():
     dt, theta = SMALL.dt(PARAMS.T), cfg.cn_weight
     prov, q_pred, _ = predictor(term, PARAMS, SMALL, cfg)
     working = theta * prov + (1.0 - theta) * term.values
-    select, solve, _ = _scheme(PARAMS, SMALL, cfg)
+    select, solve, _ = _scheme_p0p1(PARAMS, SMALL, cfg)
     q_corr, _ = select(working)
     np.testing.assert_array_equal(q_pred, q_corr)
     np.testing.assert_array_equal(solve(q_corr, term.values, dt, theta), prov)
@@ -133,6 +133,23 @@ def test_p0_depends_on_slice_and_maturity_only_through_their_product(payoff):
         np.testing.assert_array_equal(sol.q_star0, base.q_star0)
 
 
+@pytest.mark.parametrize("payoff", [BF, PayoffSpec.call(100)], ids=["butterfly", "call"])
+def test_p1_scales_with_the_slice_under_the_time_change(payoff):
+    # P1 = R(z*(T - t), x)/z with R free of z: slice z' over maturity
+    # T*z/z', scaled by z'/z, is slice z over T. Measured at most 2e-13
+    # of max |P1|.
+    z, geps = PARAMS.z0, SolverConfig().resolve_gamma_eps(PARAMS)
+    base = solve_p0p1(payoff, PARAMS, GridSpec(0, 200, 100, z, z, 1, 20),
+                      SolverConfig(gamma_eps=geps))
+    scale = np.max(np.abs(base.p1.values))
+    assert scale > 0.0
+    for z2 in (0.0225, 0.09, 0.5):
+        sol = solve_p0p1(payoff, PARAMS.replace(T=PARAMS.T * z / z2),
+                         GridSpec(0, 200, 100, z2, z2, 1, 20),
+                         SolverConfig(gamma_eps=geps * z2 / z))
+        assert np.max(np.abs(z2 / z * sol.p1.values - base.p1.values)) <= 1e-12 * scale
+
+
 def test_correction_proportional_to_correlation():
     a = solve_p0p1(BF, PARAMS.replace(rho=-0.9), SMALL)
     b = solve_p0p1(BF, PARAMS.replace(rho=0.5), SMALL)
@@ -150,12 +167,25 @@ def test_correction_vanishes_without_correlation(p1_substeps):
         assert np.all(level == 0.0)
 
 
-def test_correction_vanishes_on_single_slice_grid(p1_substeps):
-    grid = GridSpec(0, 200, 50, PARAMS.z0, PARAMS.z0, 1, 8)
-    solve_p0p1(BF, PARAMS, grid)
-    assert len(p1_substeps) == grid.n_t - 1 + SolverConfig().rannacher_steps
-    for level in p1_substeps:
-        assert np.all(level == 0.0)
+def test_single_slice_correction_equals_its_column_of_the_2d_solve():
+    # the P1 source reads only its own slice, so a one-slice grid at z_j
+    # reproduces column j of the 2D solve
+    j = GRID.iz_nearest(PARAMS.z0)
+    z = GRID.z_nodes()[j]
+    full = solve_p0p1(BF, PARAMS, GRID)
+    one = solve_p0p1(BF, PARAMS, GridSpec(0, 200, 100, z, z, 1, 20))
+    assert np.max(np.abs(one.p1.values)) > 0.0
+    np.testing.assert_array_equal(one.p1.values[:, 0], full.p1.values[:, j])
+    np.testing.assert_array_equal(one.p0.values[:, 0], full.p0.values[:, j])
+
+
+def test_paper_probe_of_correction_is_near_the_fine_single_slice_probe():
+    # the fine one-slice grid costs about 0.1 s; measured gap 2.3e-4
+    fine = solve_p0p1(BF, PARAMS, GridSpec(0, 200, 1600, PARAMS.z0, PARAMS.z0, 1, 320))
+    sol = solve_p0p1(BF, PARAMS, GRID)
+    gap = (sol.p1.value_at(PARAMS.x0, PARAMS.z0)
+           - fine.p1.value_at(PARAMS.x0, PARAMS.z0))
+    assert abs(gap) <= 1e-3
 
 
 def test_tiny_maturity_recovers_payoff():
@@ -182,7 +212,7 @@ def test_solve_failure_carries_time_level_context():
 def test_p1_step_reuses_the_p0_factor(monkeypatch):
     # one x-system factor per P0 solve; every P1 step reuses the last one
     n_factors, n_solves = [0], [0]
-    factor, scheme = solver_pdelta.tridiag_solver, solver_p0p1._scheme_2d
+    factor, scheme = solver_pdelta.tridiag_solver, solver_pdelta._scheme
 
     def counting_factor(*args):
         n_factors[0] += 1
@@ -197,7 +227,7 @@ def test_p1_step_reuses_the_p0_factor(monkeypatch):
         return select, counted
 
     monkeypatch.setattr(solver_pdelta, "tridiag_solver", counting_factor)
-    monkeypatch.setattr(solver_p0p1, "_scheme_2d", counting_scheme)
+    monkeypatch.setattr(solver_pdelta, "_scheme", counting_scheme)
     solve_p0p1(BF, PARAMS, SMALL)
     assert n_factors[0] == n_solves[0] >= SMALL.n_t
 
@@ -207,9 +237,10 @@ def test_step_p1_zero_source_keeps_zero():
     cfg = SolverConfig()
     term_p0 = terminal_surface(BF, SMALL)
     prov, q, _ = predictor(term_p0, params, SMALL, cfg)
-    _, _, solve_p1 = _scheme(params, SMALL, cfg)
+    _, _, solve_p1 = _scheme_p0p1(params, SMALL, cfg)
+    dt = SMALL.dt(params.T)
     out = solve_p1(np.zeros((SMALL.n_x, SMALL.n_z)), q, prov, term_p0.values,
-                   SMALL.dt(params.T), cfg.cn_weight)
+                   dt, cfg.cn_weight, cfg.cn_weight * dt)
     assert np.all(out == 0.0)
 
 

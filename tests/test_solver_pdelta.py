@@ -5,8 +5,8 @@ from uvbounds import solver_pdelta, stepping
 from uvbounds.blackscholes import bs_call
 from uvbounds.core import GridSpec, ModelParams, SolverConfig, SolverError
 from uvbounds.payoff import PayoffSpec, terminal_surface
-from uvbounds.solver_p0p1 import solve_p0p1
-from uvbounds.solver_pdelta import TAG_A, TAG_B, TAG_C, _scheme, _Split, select_q, solve_pdelta
+from uvbounds.solver_pdelta import (TAG_A, TAG_B, TAG_C, _scheme, _Split, select_q,
+                                    solve_p0p1, solve_pdelta)
 from uvbounds.stencils import deadband, lxx_values, lxz_values
 from reference import generator_matrix, lu_solve, nearest_node_control
 
