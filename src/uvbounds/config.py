@@ -181,6 +181,18 @@ def _check_resolution(grid: GridSpec, payoff: PayoffSpec) -> None:
                               f"{a:g} and {b:g} (dx = {grid.dx:g}); raise grid.n_x")
 
 
+def _check_initial_state(model: ModelParams, grid: GridSpec) -> None:
+    """Every price is reported at (x0, z0), so that point must lie on the grid."""
+    outside = [f"model.{name} = {v:g} lies outside the grid's "
+               f"[{axis}_min, {axis}_max] = [{lo:g}, {hi:g}]"
+               for name, axis, v, lo, hi in (
+                   ("x0", "x", model.x0, grid.x_min, grid.x_max),
+                   ("z0", "z", model.z0, grid.z_min, grid.z_max))
+               if not lo <= v <= hi]
+    if outside:
+        raise ConfigError("; ".join(outside))
+
+
 def build_settings(raw: dict[str, dict[str, str]]) -> RunSettings:
     model = {key: _as_float(raw, "model", key) for key in SCHEMA["model"]}
     try:
@@ -205,7 +217,12 @@ def build_settings(raw: dict[str, dict[str, str]]) -> RunSettings:
 
     payoff = _build_payoff(raw)
     _check_resolution(grid, payoff)
+    # built last, so a config with several faults reports the others first;
+    # its ValueError lists every violated model rule
+    model_params = ModelParams(**model)
+    _check_initial_state(model_params, grid)
     return RunSettings(
+        model=model_params,
         grid=grid,
         solver=solver,
         payoff=payoff,
@@ -217,9 +234,6 @@ def build_settings(raw: dict[str, dict[str, str]]) -> RunSettings:
         mc_rate_deltas=_as_float_list(raw, "mc", "rate_deltas"),
         mc_n_bound_paths=_as_int(raw, "mc", "n_bound_paths"),
         raw=raw,
-        # built last, so a config with several faults reports the others first;
-        # its ValueError lists every violated model rule
-        model=ModelParams(**model),
     )
 
 

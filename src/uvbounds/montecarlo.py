@@ -27,16 +27,15 @@ x0 * exp(q*S_a - q^2*S_b/2), with S_a = sum sqrt(Z+) dW and
 S_b = sum Z+ dt over the steps. So the kernel steps variance *lanes*, not
 assets: lane 0 is the frozen level (delta = 0, which keeps it at z0
 exactly) and lane 1 + i the level of delta i, each carrying its two sums,
-and every constant control's moving and frozen assets come from one
-``exp`` at maturity. A control that depends on the state is stepped: its
-pair carries the two assets' exponents and advances them by the same
-formula.
+and every control's moving and frozen assets come from one ``exp`` at
+maturity. Controls are therefore constants in [d, u]: the coupling rate
+needs only the two band endpoints.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence, Union
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -50,9 +49,6 @@ __all__ = [
     "simulate_coupled_asset",
     "coupling_rate_study",
 ]
-
-Control = Union[float, Callable[[float, np.ndarray, np.ndarray], np.ndarray]]
-
 
 @dataclass(frozen=True)
 class RateFit:
@@ -94,9 +90,9 @@ def _correlate(g: np.ndarray, rho: float, dt: float) -> tuple[np.ndarray, np.nda
     return dw, dwz
 
 
-def _check_band(q, params: ModelParams) -> None:
+def _check_band(q: float, params: ModelParams) -> None:
     # NaN fails both comparisons, so non-finite values are rejected too
-    if not np.all((q >= params.d - 1e-12) & (q <= params.u + 1e-12)):
+    if not params.d - 1e-12 <= q <= params.u + 1e-12:
         raise ValueError("control values must be finite and lie in [d, u]")
 
 
@@ -107,7 +103,7 @@ def _log_growth(q, s_a, s_b):
 
 
 def _advance_paths(params: ModelParams, deltas: Sequence[float],
-                   controls: Sequence[Control], n_steps: int, n_paths: int,
+                   controls: Sequence[float], n_steps: int, n_paths: int,
                    seed: int, record: Callable | None = None,
                    terminal: Callable | None = None) -> None:
     """Step every delta's variance lane from 0 to T, ``CHUNK_PATHS`` paths
@@ -119,14 +115,12 @@ def _advance_paths(params: ModelParams, deltas: Sequence[float],
     ``(1 + len(deltas), m)`` array: lane 0 is the frozen level (delta = 0,
     so it stays z0 exactly) and lane 1 + i runs delta i. Each lane sums
     the two parts of the asset's log-Euler exponent, S_a = sum sqrt(Z+) dW
-    and S_b = sum Z+ dt (scaled by dt once, at maturity). A constant
-    control q then gives both assets of its pairs by one ``exp``,
+    and S_b = sum Z+ dt (scaled by dt once, at maturity). Each control is
+    a constant q, range-checked once before any stream is built and never
+    stepped: it gives the assets of its pairs by one ``exp`` each,
     x0 * exp(q*S_a - q^2*S_b/2), read from the delta's lane (moving) and
-    from lane 0 (frozen); it is range-checked once and never stepped. A
-    callable control is evaluated per step on its pair's moving state
-    (t_k, X_k, Z_k), one chunk of paths at a time, so it must act path by
-    path; its pair carries the two assets' exponents and advances them by
-    the same formula, step by step. With no pairs, only the delta lanes step.
+    from lane 0 (frozen, settled once per control and chunk). With no
+    controls, only the delta lanes step.
 
     At every time level k = 0..n_steps, ``record(rows, k, z)`` sees the
     chunk's paths ``rows`` (a slice) and the raw (untruncated) lanes of
@@ -137,13 +131,11 @@ def _advance_paths(params: ModelParams, deltas: Sequence[float],
     if n_steps < 1 or n_paths < 1:
         raise ValueError(f"need n_steps >= 1 and n_paths >= 1 "
                          f"(got {n_steps}, {n_paths})")
-    controls = [c if callable(c) else float(c) for c in controls]
+    controls = [float(c) for c in controls]
     for c in controls:
-        if not callable(c):
-            _check_band(c, params)
-    pairs = [(1 + i, c) for i in range(len(deltas)) for c in controls]
+        _check_band(c, params)
     dt = params.T / n_steps
-    frozen = [0.0] if pairs else []  # lane 0 only settles the pairs' frozen assets
+    frozen = [0.0] if controls else []  # lane 0 only settles the frozen assets
     lane_delta = np.array([*frozen, *deltas])[:, None]
     drift = lane_delta * params.kappa
     vol = np.sqrt(lane_delta)
@@ -154,26 +146,16 @@ def _advance_paths(params: ModelParams, deltas: Sequence[float],
         z = np.full((len(lane_delta), m), params.z0)
         zp, sqrt_zp, tmp = np.empty_like(z), np.empty_like(z), np.empty_like(z)
         s_a, s_b = np.zeros_like(z), np.zeros_like(z)
-        # moving and frozen exponents of each callable control's pair
-        stepped = {p: (np.zeros(m), np.zeros(m))
-                   for p, (_, c) in enumerate(pairs) if callable(c)}
         if record is not None:
             record(rows, 0, z[len(frozen):])
         for k in range(n_steps):
             dw, dwz = _correlate(streams[k].standard_normal((m, 2)), params.rho, dt)
             np.maximum(z, 0.0, out=zp)
             np.sqrt(zp, out=sqrt_zp)
-            if pairs:  # the sums only settle the pairs' assets
+            if controls:  # the sums only settle the controls' assets
                 np.multiply(sqrt_zp, dw, out=tmp)  # each lane's step of S_a
                 s_a += tmp
                 s_b += zp
-            for p, (e_d, e_f) in stepped.items():
-                lane, c = pairs[p]
-                q = np.broadcast_to(np.asarray(c(k * dt, params.x0 * np.exp(e_d),
-                                                 zp[lane]), float), (m,))
-                _check_band(q, params)
-                e_d += _log_growth(q, tmp[lane], zp[lane] * dt)
-                e_f += _log_growth(q, tmp[0], zp[0] * dt)
             # z + delta*kappa*(theta - zp)*dt + sqrt(delta)*sqrt_zp*dwz, term
             # by term in that order, so each lane rounds as the scalar formula
             np.subtract(params.theta, zp, out=tmp)
@@ -186,25 +168,22 @@ def _advance_paths(params: ModelParams, deltas: Sequence[float],
             if record is not None:
                 record(rows, k + 1, z[len(frozen):])
         s_b *= dt
-        for p, (lane, c) in enumerate(pairs):
-            if callable(c):
-                e_d, e_f = stepped[p]
-            else:
-                e_d = _log_growth(c, s_a[lane], s_b[lane])
-                e_f = _log_growth(c, s_a[0], s_b[0])
-            terminal(rows, p, params.x0 * np.exp(e_d), params.x0 * np.exp(e_f))
+        x_f = [params.x0 * np.exp(_log_growth(c, s_a[0], s_b[0])) for c in controls]
+        for i in range(len(deltas)):
+            for j, c in enumerate(controls):
+                x_d = params.x0 * np.exp(_log_growth(c, s_a[1 + i], s_b[1 + i]))
+                terminal(rows, i * len(controls) + j, x_d, x_f[j])
 
 
-def simulate_coupled_asset(params: ModelParams, control: Control, n_steps: int,
+def simulate_coupled_asset(params: ModelParams, control: float, n_steps: int,
                            n_paths: int, seed: int
                            ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Terminal states ``(z_T, x_T_moving, x_T_frozen)`` of the coupled
     asset under moving and frozen variance, each of shape (n_paths,).
 
-    Both assets see the same Brownian increments and the same control
-    path; the control is evaluated on the moving-variance state
-    (t_k, X_k, Z_k). ``z_T`` is the reported (truncated, nonnegative)
-    variance level.
+    Both assets see the same Brownian increments under the same constant
+    control, which must lie in [d, u]. ``z_T`` is the reported (truncated,
+    nonnegative) variance level.
     """
     z_T = np.empty(n_paths)
     x_d = np.empty(n_paths)
@@ -240,7 +219,7 @@ def simulate_cir(params: ModelParams, n_steps: int, n_paths: int,
 
 
 def _terminal_gap_sq(params: ModelParams, deltas: Sequence[float],
-                     controls: Sequence[Control], n_steps: int, n_paths: int,
+                     controls: Sequence[float], n_steps: int, n_paths: int,
                      seed: int) -> np.ndarray:
     """(X_T^moving - X_T^frozen)^2 of every (delta, control) pair, one row
     per pair (delta-major, as in ``_advance_paths``), without
@@ -256,16 +235,14 @@ def _terminal_gap_sq(params: ModelParams, deltas: Sequence[float],
 
 
 def coupling_rate_study(params: ModelParams, delta_list: Sequence[float],
-                        n_paths: int, seed: int,
-                        controls: dict[str, Control] | None = None,
-                        n_steps: int = 200) -> RateStudy:
+                        n_paths: int, seed: int, n_steps: int = 200) -> RateStudy:
     """Squared terminal coupling gap against delta, with a log-log fit.
 
     Runs every delta with the same seed (common random numbers), so the
     per-delta estimates move together and the fitted slope is steadier
     than with independent streams; all (delta, control) pairs advance
-    together, each step's shocks drawn once. Controls default to the two
-    constant band endpoints.
+    together, each step's shocks drawn once. The controls are the two
+    constant band endpoints, fitted as ``const_d`` and ``const_u``.
     """
     deltas = np.asarray(sorted(set(float(d) for d in delta_list), reverse=True))
     if len(deltas) < 2:
@@ -275,13 +252,10 @@ def coupling_rate_study(params: ModelParams, delta_list: Sequence[float],
     if n_paths < 2:
         raise ValueError(f"rate study needs n_paths >= 2 for its standard errors "
                          f"(got {n_paths})")
-    if controls is None:
-        controls = {"const_d": params.d, "const_u": params.u}
-    if not controls:
-        raise ValueError("rate study needs at least one control")
     for delta in deltas:
         params.replace(delta=delta)  # a delta above 1 raises here
 
+    controls = {"const_d": params.d, "const_u": params.u}
     sq = _terminal_gap_sq(params, deltas, list(controls.values()), n_steps,
                           n_paths, seed)
     fits = []

@@ -15,8 +15,9 @@ Not collected by pytest (no ``test_`` prefix); test modules import it as
   sums, one ``exp`` at maturity), bit for bit what the kernel returns.
   ``product_terminals`` is the same scheme as a product of per-step
   ``exp`` factors; it differs from the kernel by rounding only.
-* ``nearest_node_control``: a 2D solve's control field as the path
-  kernel's ``(t, x, z) -> q`` callable, read at the nearest grid node.
+* ``nearest_node_control``: a 2D solve's control field as the reference
+  simulator's ``(t, x, z) -> q`` callable, read at the nearest grid node.
+  The package's path kernel takes constant controls only.
 * ``write_rows_csv``: the CSV dialect written one row at a time, each cell
   through ``csvio.fmt``; the package's column writer must match its bytes.
   ``read_csv`` reads a file back as raw strings.
@@ -153,7 +154,9 @@ def product_terminals(params: ModelParams, control, n_steps: int, n_paths: int,
 
 def nearest_node_control(q_star_delta: np.ndarray, grid: GridSpec, T: float):
     """The control ``q_star_delta[n]`` of time step [t_n, t_n+1), read at the
-    grid node nearest to each path's (x, z); off-grid states are clamped."""
+    grid node nearest to each path's (x, z); off-grid states are clamped.
+    The callable is the reference simulator's (``exponent_sum_terminals``,
+    ``product_terminals``), not the package kernel's."""
     dt = grid.dt(T)
     dz = grid.dz or 1.0  # one slice: every z rounds to node 0
 

@@ -146,7 +146,6 @@ def test_criterion_7_coupling_rate():
     study = coupling_rate_study(
         PARAMS, [0.00125, 0.0025, 0.005, 0.01, 0.02, 0.04],
         n_paths=100_000, seed=20240, n_steps=200,
-        controls={"const_d": PARAMS.d, "const_u": PARAMS.u},
     )
     slopes = {f.control: f.slope for f in study.fits}
     ok = all(s >= 0.85 for s in slopes.values())

@@ -374,6 +374,23 @@ def test_grid_that_misses_the_payoff_kinks_exits_2(tmp_path, cfg, command, overr
     assert message in record["message"]
 
 
+@pytest.mark.parametrize("command", GRID_COMMANDS)
+@pytest.mark.parametrize("overrides,message", [
+    pytest.param(["grid.n_z=1", "grid.z_min=0.08", "grid.z_max=0.08"],
+                 "model.z0 = 0.04 lies outside the grid's [z_min, z_max]", id="z0"),
+    pytest.param(["model.x0=250"], "model.x0 = 250 lies outside the grid's [x_min, x_max]",
+                 id="x0"),
+])
+def test_initial_state_off_the_grid_exits_2(tmp_path, cfg, command, overrides, message):
+    # each once ran to exit 0: the probe named *_at_x0_z0 read the nearest
+    # slice (z = 0.08) or a clamped boundary value
+    code, out = run_with(tmp_path, cfg, command, overrides)
+    assert code == 2
+    record = strict_json(out / "error.json")
+    assert record["exit_code"] == 2
+    assert message in record["message"]
+
+
 @pytest.mark.parametrize("command,override", [
     *(pytest.param(c, "model.x0=1e160", id=c) for c in GRID_COMMANDS),
     *(pytest.param(c, "model.u=1e300", id=f"model.u=1e300-{c}") for c in GRID_COMMANDS),

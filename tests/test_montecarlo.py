@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from uvbounds import montecarlo
+from uvbounds.analysis import loglog_fit
 from uvbounds.core import ModelParams
 from uvbounds.montecarlo import (
     CHUNK_PATHS, _terminal_gap_sq, coupling_rate_study, simulate_cir,
@@ -13,6 +14,8 @@ from reference import (
 
 PARAMS = ModelParams(x0=100, z0=0.04, T=0.25, r=0, d=0.75, u=1.25,
                      kappa=15, theta=0.04, delta=0.05, rho=-0.9)
+# a state-dependent control: the kernel prices constants only, so it runs
+# on the reference simulator
 SWITCHING = lambda t, x, z: np.where(x >= 100.0, PARAMS.d, PARAMS.u)
 
 
@@ -22,7 +25,7 @@ def test_frozen_variance_at_delta_zero():
 
 
 def test_coupled_paths_identical_at_delta_zero():
-    for control in (PARAMS.u, SWITCHING):
+    for control in (PARAMS.d, PARAMS.u):
         z_T, x_T, x_T_frozen = simulate_coupled_asset(PARAMS.replace(delta=0.0), control,
                                                       50, 500, seed=2)
         np.testing.assert_array_equal(x_T, x_T_frozen)
@@ -32,10 +35,10 @@ def test_coupled_paths_identical_at_delta_zero():
 def test_simulators_share_one_path_kernel():
     # same seed: the terminal variance of the variance paths and the
     # terminal gap of the rate study are bitwise those of the coupled simulation
-    z_T, x_T, x_T_frozen = simulate_coupled_asset(PARAMS, SWITCHING, 40, 300, seed=8)
+    z_T, x_T, x_T_frozen = simulate_coupled_asset(PARAMS, PARAMS.d, 40, 300, seed=8)
     np.testing.assert_array_equal(simulate_cir(PARAMS, 40, 300, seed=8)[:, -1], z_T)
     np.testing.assert_array_equal(
-        _terminal_gap_sq(PARAMS, [PARAMS.delta], [SWITCHING], 40, 300, seed=8),
+        _terminal_gap_sq(PARAMS, [PARAMS.delta], [PARAMS.d], 40, 300, seed=8),
         [(x_T - x_T_frozen) ** 2])
 
 
@@ -46,11 +49,12 @@ def test_batched_pairs_bitwise_equal_single_pair_runs(n_paths):
     # every (delta, control) pair of one batched run equals, bit for bit, its
     # own single-pair run and the unchunked loop, whatever the chunk split
     deltas = [0.04, 0.01]
-    controls = {"const_d": PARAMS.d, "const_u": PARAMS.u, "switching": SWITCHING}
+    controls = {"const_d": PARAMS.d, "const_u": PARAMS.u}  # the study's pair
     n_steps, seed = 6, 31
     gaps = _terminal_gap_sq(PARAMS, deltas, list(controls.values()), n_steps,
                             n_paths, seed)
-    study = coupling_rate_study(PARAMS, deltas, n_paths, seed, controls, n_steps)
+    study = coupling_rate_study(PARAMS, deltas, n_paths, seed, n_steps)
+    assert [f.control for f in study.fits] == list(controls)
     for i, dl in enumerate(deltas):
         p = PARAMS.replace(delta=dl)
         for j, control in enumerate(controls.values()):
@@ -65,9 +69,10 @@ def test_batched_pairs_bitwise_equal_single_pair_runs(n_paths):
                 np.std(single, ddof=1) / np.sqrt(n_paths))
 
 
-@pytest.mark.parametrize("control", [PARAMS.d, PARAMS.u, SWITCHING],
-                         ids=["const_d", "const_u", "switching"])
-def test_exponent_sums_match_product_of_step_factors(control):
+@pytest.mark.parametrize("simulate, control", [
+    (simulate_coupled_asset, PARAMS.d), (simulate_coupled_asset, PARAMS.u),
+    (exponent_sum_terminals, SWITCHING)], ids=["const_d", "const_u", "switching"])
+def test_exponent_sums_match_product_of_step_factors(simulate, control):
     # one exp of the summed exponent against the product of one exp factor
     # per step: rounding apart, the same scheme. Measured at 100 steps on
     # 20,000 paths: assets 3.6e-15 relative, gap means 5.1e-15 relative
@@ -76,7 +81,7 @@ def test_exponent_sums_match_product_of_step_factors(control):
     n_steps, n_paths, seed = 100, 20_000, 3
     for delta in (0.00125, 0.05):
         p = PARAMS.replace(delta=delta)
-        z, x_d, x_f = simulate_coupled_asset(p, control, n_steps, n_paths, seed)
+        z, x_d, x_f = simulate(p, control, n_steps, n_paths, seed)
         z_ref, x_d_ref, x_f_ref = product_terminals(p, control, n_steps, n_paths, seed)
         np.testing.assert_array_equal(z, z_ref)
         np.testing.assert_allclose(x_d, x_d_ref, rtol=1e-13, atol=0)
@@ -95,13 +100,9 @@ def test_study_draws_each_step_block_once(monkeypatch):
 
     monkeypatch.setattr(montecarlo, "_stream", counting)
     n_steps = 7
-    for deltas, controls in (([0.01, 0.02], {"const_u": PARAMS.u}),
-                             ([0.005, 0.01, 0.02], {"const_d": PARAMS.d,
-                                                    "const_u": PARAMS.u,
-                                                    "switching": SWITCHING})):
+    for deltas in ([0.01, 0.02], [0.005, 0.01, 0.02]):
         calls.clear()
-        coupling_rate_study(PARAMS, deltas, CHUNK_PATHS + 3, seed=4,
-                            controls=controls, n_steps=n_steps)
+        coupling_rate_study(PARAMS, deltas, CHUNK_PATHS + 3, seed=4, n_steps=n_steps)
         assert sorted(calls) == list(range(n_steps))
 
 
@@ -167,17 +168,27 @@ def test_coupling_gap_small_relative_to_price_scale():
 
 def test_rate_study_slopes_near_one():
     study = coupling_rate_study(
-        PARAMS, [0.005, 0.01, 0.02, 0.04], n_paths=20_000, seed=20240, n_steps=100,
-        controls={
-            "const_d": PARAMS.d,
-            "const_u": PARAMS.u,
-            "switching": lambda t, x, z: np.where(x >= 100.0, PARAMS.d, PARAMS.u),
-        },
-    )
-    assert {f.control for f in study.fits} == {"const_d", "const_u", "switching"}
+        PARAMS, [0.005, 0.01, 0.02, 0.04], n_paths=20_000, seed=20240, n_steps=100)
+    assert [f.control for f in study.fits] == ["const_d", "const_u"]
     for f in study.fits:
         assert f.slope == pytest.approx(1.0, abs=0.15)
         assert np.all(np.diff(f.deltas) < 0)  # sorted descending internally
+
+
+def test_switching_control_slope_near_one():
+    # the rate study's fit of a state-dependent control, one reference run
+    # per delta on common random numbers
+    deltas = np.array([0.04, 0.02, 0.01, 0.005])
+    n_paths = 20_000
+    est, se = [], []
+    for delta in deltas:
+        _, x_d, x_f = exponent_sum_terminals(PARAMS.replace(delta=delta), SWITCHING,
+                                             100, n_paths, seed=20240)
+        sq = (x_d - x_f) ** 2
+        est.append(float(np.mean(sq)))
+        se.append(float(np.std(sq, ddof=1) / np.sqrt(n_paths)))
+    slope, _, _, _ = loglog_fit(deltas, np.array(est), np.array(se))
+    assert slope == pytest.approx(1.0, abs=0.15)
 
 
 def test_rate_study_rejects_nonpositive_delta():
@@ -190,31 +201,23 @@ def test_rate_study_rejects_nonpositive_delta():
 
 
 def test_rate_stderr_shrinks_with_path_count():
-    kw = dict(n_steps=50, controls={"const_u": PARAMS.u})
-    small = coupling_rate_study(PARAMS, [0.01, 0.02, 0.04], 10_000, seed=5, **kw)
-    big = coupling_rate_study(PARAMS, [0.01, 0.02, 0.04], 20_000, seed=5, **kw)
-    ratio = big.fits[0].slope_stderr / small.fits[0].slope_stderr
-    assert ratio == pytest.approx(1 / np.sqrt(2), abs=0.12)
+    small = coupling_rate_study(PARAMS, [0.01, 0.02, 0.04], 10_000, seed=5, n_steps=50)
+    big = coupling_rate_study(PARAMS, [0.01, 0.02, 0.04], 20_000, seed=5, n_steps=50)
+    for f_small, f_big in zip(small.fits, big.fits):
+        ratio = f_big.slope_stderr / f_small.slope_stderr
+        assert ratio == pytest.approx(1 / np.sqrt(2), abs=0.12)
 
 
 def test_control_outside_band_rejected():
-    with pytest.raises(ValueError):
-        simulate_coupled_asset(PARAMS, 0.5, 10, 10, seed=1)
-    with pytest.raises(ValueError):
-        simulate_coupled_asset(PARAMS, lambda t, x, z: np.full_like(x, 2.0), 10, 10, seed=1)
+    for bad in (0.5, 2.0):
+        with pytest.raises(ValueError):
+            simulate_coupled_asset(PARAMS, bad, 10, 10, seed=1)
 
 
 def test_non_finite_controls_rejected():
-    with pytest.raises(ValueError, match="finite"):
-        simulate_coupled_asset(PARAMS, float("nan"), 10, 10, seed=1)
-    with pytest.raises(ValueError, match="finite"):
-        simulate_coupled_asset(PARAMS, lambda t, x, z: np.full_like(x, np.nan),
-                               10, 10, seed=1)
-    # one NaN path among admissible ones
-    with pytest.raises(ValueError, match="finite"):
-        simulate_coupled_asset(
-            PARAMS, lambda t, x, z: np.where(np.arange(len(x)) == 3, np.nan, PARAMS.u),
-            10, 10, seed=1)
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="finite"):
+            simulate_coupled_asset(PARAMS, bad, 10, 10, seed=1)
 
 
 def test_study_validates_controls_before_stepping(monkeypatch):
@@ -222,12 +225,9 @@ def test_study_validates_controls_before_stepping(monkeypatch):
         raise AssertionError("a step stream was built")
 
     monkeypatch.setattr(montecarlo, "_stream", no_stepping)
-    with pytest.raises(ValueError, match="control"):
-        coupling_rate_study(PARAMS, [0.01, 0.02], 100, seed=1, controls={})
     for bad in (0.5, 1.5, float("nan"), float("inf")):
         with pytest.raises(ValueError, match=r"\[d, u\]"):
-            coupling_rate_study(PARAMS, [0.01, 0.02], 100, seed=1,
-                                controls={"ok": PARAMS.u, "bad": bad})
+            simulate_coupled_asset(PARAMS, bad, 10, 100, seed=1)
 
 
 def test_counts_validated():

@@ -8,7 +8,9 @@ from uvbounds.payoff import PayoffSpec, terminal_surface
 from uvbounds.solver_pdelta import (TAG_A, TAG_B, TAG_C, _scheme, _Split, select_q,
                                     solve_p0p1, solve_pdelta)
 from uvbounds.stencils import deadband, lxx_values, lxz_values
-from reference import generator_matrix, lu_solve, nearest_node_control
+from reference import (
+    exponent_sum_terminals, generator_matrix, lu_solve, nearest_node_control,
+)
 
 PARAMS = ModelParams(x0=100, z0=0.04, T=0.25, r=0, d=0.75, u=1.25,
                      kappa=15, theta=0.04, delta=0.05, rho=-0.9)
@@ -358,6 +360,9 @@ def test_failure_carries_time_level_context():
 
 
 # -- probabilistic cross-checks (independent of every grid/stencil choice) -----
+# The simulations run on the reference simulator, which takes the scheme's
+# own state-dependent control; for a constant control it is bitwise the
+# package's path kernel.
 
 PAPER_GRID = GridSpec(0, 200, 100, 0, 0.12, 100, 20)
 
@@ -367,11 +372,9 @@ def test_convex_price_matches_expectation_under_frozen_control():
     # a convex payoff pins the control at u, so the scheme solves a linear
     # problem whose value is a plain expectation over the coupled paths;
     # the simulation knows nothing about stencils or boundaries
-    from uvbounds.montecarlo import simulate_coupled_asset
-
     sol = solve_pdelta(PayoffSpec.call(100), PARAMS, PAPER_GRID)
     pde = sol.p_delta.value_at(PARAMS.x0, PARAMS.z0)
-    _, x_T, _ = simulate_coupled_asset(PARAMS, PARAMS.u, 200, 100_000, seed=314)
+    _, x_T, _ = exponent_sum_terminals(PARAMS, PARAMS.u, 200, 100_000, seed=314)
     payoffs = np.maximum(x_T - 100.0, 0.0)
     mc = payoffs.mean()
     se = payoffs.std(ddof=1) / np.sqrt(len(payoffs))
@@ -382,7 +385,6 @@ def test_convex_price_matches_expectation_under_frozen_control():
 def test_worst_case_price_dominates_fixed_control_valuations():
     # the 2D price is a sup over admissible controls: simulating any fixed
     # rule must value the payoff below it
-    from uvbounds.montecarlo import simulate_coupled_asset
     from uvbounds.payoff import evaluate
 
     sol = solve_pdelta(BF, PARAMS, PAPER_GRID)
@@ -390,7 +392,7 @@ def test_worst_case_price_dominates_fixed_control_valuations():
     controls = [PARAMS.d, PARAMS.u,
                 lambda t, x, z: np.where(x >= 100.0, PARAMS.d, PARAMS.u)]
     for control in controls:
-        _, x_T, _ = simulate_coupled_asset(PARAMS, control, 200, 100_000, seed=271)
+        _, x_T, _ = exponent_sum_terminals(PARAMS, control, 200, 100_000, seed=271)
         values = evaluate(BF, x_T)
         se = values.std(ddof=1) / np.sqrt(len(values))
         assert values.mean() - 3 * se <= pde + 0.01
@@ -407,13 +409,12 @@ def test_worst_case_price_attained_by_its_own_control(grid):
     # sits 0.018 (100x100x20) and 0.007 (200x200x40) below P^delta, within
     # 0.0032; the 0.03 allowance covers that discretization gap. 40,000
     # paths give se = 0.018.
-    from uvbounds.montecarlo import simulate_coupled_asset
     from uvbounds.payoff import evaluate
 
     sol = solve_pdelta(BF, PARAMS, grid)
     pde = sol.p_delta.value_at(PARAMS.x0, PARAMS.z0)
     control = nearest_node_control(sol.q_star_delta, grid, PARAMS.T)
-    _, x_T, _ = simulate_coupled_asset(PARAMS, control, 800, 40_000, seed=2011)
+    _, x_T, _ = exponent_sum_terminals(PARAMS, control, 800, 40_000, seed=2011)
     values = evaluate(BF, x_T)
     se = values.std(ddof=1) / np.sqrt(len(values))
     assert abs(values.mean() - pde) <= 3 * se + 0.03
