@@ -6,15 +6,32 @@ step, one per asset row for its z-stages. ``tridiag_solver`` factors a
 batch once and returns the solve, so a matrix that serves several
 right-hand sides is factored once.
 
+The two routines come from scipy's compiled LAPACK wrappers, the
+extension module ``scipy/linalg/_flapack``, loaded by file path on the
+first factor. Importing them as ``scipy.linalg.lapack`` would run the
+``scipy.linalg`` package init, whose array-API layer copies the numpy
+namespace and so forces the lazy imports of ``numpy.f2py``,
+``numpy.testing``, ``numpy.ma`` and ``numpy.random``. With the CLI
+loaded, that import took 0.19-0.31 s and 25 MiB RSS, against 5-17 ms and
+2.5-4 MiB for the extension alone (2-core x86-64 host, Python 3.11.7,
+numpy 2.4.6, scipy 1.17.1). The f2py wrappers, with their argument
+checks, are the same objects ``scipy.linalg.lapack`` exports.
+
 Acceptance of a solve is residual-based: every solve verifies
 ``max|A x - b| <= lin_tol * (1 + max|b|)`` and raises otherwise.
 """
 
 from __future__ import annotations
 
+import functools
+import importlib.machinery
+import importlib.util
 import logging
+import sys
+from pathlib import Path
 
 import numpy as np
+import scipy
 
 log = logging.getLogger(__name__)
 
@@ -25,6 +42,28 @@ __all__ = [
 
 class LinearSolveError(RuntimeError):
     """Singular pivot or factor, or residual failure, in a linear solve."""
+
+
+@functools.cache
+def _flapack():
+    """scipy's compiled LAPACK wrappers, without the ``scipy.linalg`` package."""
+    name = "scipy.linalg._flapack"
+    if name in sys.modules:  # scipy.linalg is imported already
+        return sys.modules[name]
+    stem = Path(scipy.__file__).parent / "linalg" / "_flapack"
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        path = stem.with_name(stem.name + suffix)
+        if path.is_file():
+            spec = importlib.util.spec_from_file_location(name, path)
+            module = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(module)
+            # the interpreter registers an extension module as it loads it; a
+            # later import of scipy.linalg, finding no entry, then binds the
+            # module (the same wrappers) as the package's attribute
+            sys.modules.pop(name, None)
+            return module
+    raise ImportError(f"scipy's LAPACK extension not found: {stem} with a suffix "
+                      f"in {importlib.machinery.EXTENSION_SUFFIXES}")
 
 
 def _check_residual(residual: np.ndarray, rhs: np.ndarray, tol: float, what: str) -> None:
@@ -47,22 +86,20 @@ def tridiag_solver(lower: np.ndarray, main: np.ndarray, upper: np.ndarray,
     factor is reported at its first row, in the first system that has one
     there.
     """
-    # scipy.linalg adds ~25 MiB RSS; load it only once a solve needs it
-    from scipy.linalg.lapack import dgttrf, dgttrs
-
+    lapack = _flapack()
     main = np.asarray(main, float)
     lower = np.asarray(lower, float)
     upper = np.asarray(upper, float)
     nb, n = main.shape
     # two trailing identity rows: the scipy wrappers reject systems of order < 3
     zero = np.zeros((nb, 1))
-    lu = dgttrf(np.append(np.hstack([lower, zero]), 0.0), np.append(main, [1.0, 1.0]),
-                np.append(np.hstack([upper, zero]), 0.0))[:5]  # (dl, d, du, du2, ipiv)
+    lu = lapack.dgttrf(np.append(np.hstack([lower, zero]), 0.0), np.append(main, [1.0, 1.0]),
+                       np.append(np.hstack([upper, zero]), 0.0))[:5]  # (dl, d, du, du2, ipiv)
     _check_pivots(lu[1][:-2].reshape(nb, n))  # U's diagonal
 
     def solve(rhs: np.ndarray) -> np.ndarray:
         rhs = np.asarray(rhs, float)
-        x = dgttrs(*lu, np.append(rhs, [0.0, 0.0]))[0][:-2].reshape(nb, n)
+        x = lapack.dgttrs(*lu, np.append(rhs, [0.0, 0.0]))[0][:-2].reshape(nb, n)
         resid = main * x
         resid[:, :-1] += upper * x[:, 1:]
         resid[:, 1:] += lower * x[:, :-1]

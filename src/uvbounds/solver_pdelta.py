@@ -15,9 +15,11 @@ and the new level is Z2. Each implicit stage is a batch of tridiagonal
 solves by LAPACK ``dgttrf``/``dgttrs``, per z-slice in x and per x-row in
 z, with diagonals probed from the values-form operators. Each matrix is
 factored once: the x-system once per step, for both stages, and the
-constant z-system once per theta*dt. The correction weight theta is
-Craig-Sneyd's 1/2 in the trapezoidal steps and 1 in the fully implicit
-Rannacher start.
+constant z-system once per theta*dt. Likewise, each stencil field of a
+surface (z*x^2*d_xx, x*z*d_xz and A2 of it) is computed once; the control
+selection and the solves from that surface share it. The correction
+weight theta is Craig-Sneyd's 1/2 in the trapezoidal steps and 1 in the
+fully implicit Rannacher start.
 At delta = 0 both A0 and A2 vanish and the step is the x-stage alone.
 The splitting error against the unsplit weighted system is O(dt^2); the
 tests measure it against a reference step (``tests/reference.py``) that
@@ -50,6 +52,7 @@ the sub-step's theta-average.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -129,20 +132,21 @@ def select_q(lxx, lxz, params: ModelParams, gamma_eps: float):
 
     f_u = 0.5 * u * u * a + u * b
     f_d = 0.5 * d * d * a + d * b
-
-    concave = a <= -gamma_eps
-    a_c = np.where(concave, a, -1.0)  # a stand-in elsewhere keeps q_hat finite
-    q_hat = -b / a_c
-    f_c = np.where(concave & (q_hat >= d) & (q_hat <= u), -b * b / (2.0 * a_c), -np.inf)
-
     endpoint_up = f_u >= f_d
     q = np.where(endpoint_up, u, d)
-    tag = np.where(endpoint_up, TAG_A, TAG_B).astype(np.int8)
-    f_best = np.maximum(f_u, f_d)
+    tag = np.where(endpoint_up, np.int8(TAG_A), np.int8(TAG_B))
 
-    take_c = f_c > f_best
-    q = np.where(take_c, q_hat, q)
-    tag = np.where(take_c, TAG_C, tag).astype(np.int8)
+    # the interior candidate, computed on the concave nodes only
+    concave = np.broadcast_to(a <= -gamma_eps, q.shape)
+    a_c = np.broadcast_to(a, q.shape)[concave]
+    b_c = np.broadcast_to(b, q.shape)[concave]
+    q_hat = -b_c / a_c
+    wins = ((q_hat >= d) & (q_hat <= u)
+            & (-b_c * b_c / (2.0 * a_c) > np.maximum(f_u[concave], f_d[concave])))
+    take = concave.copy()
+    take[concave] = wins
+    q[take] = q_hat[wins]
+    tag[take] = TAG_C
     return q, tag
 
 
@@ -226,24 +230,56 @@ class _Split:
         return self._z[c](rhs)
 
 
+class _Fields:
+    """The stencil fields of one surface that a 2D step reads, each computed on first use."""
+
+    def __init__(self, split: _Split, w: np.ndarray):
+        self.split, self.w = split, w
+
+    @cached_property
+    def lxx(self) -> np.ndarray:
+        return lxx_values(self.w, self.split.grid)
+
+    @cached_property
+    def lxz(self) -> np.ndarray:
+        return lxz_values(self.w, self.split.grid)
+
+    @cached_property
+    def a2(self) -> np.ndarray:
+        return self.split.a2(self.w)
+
+
 def _scheme(split: _Split, config: SolverConfig):
     """The (select, solve) pair of the 2D equation; ``solve`` is one Craig-Sneyd step."""
     params, grid = split.params, split.grid
     geps = config.resolve_gamma_eps(params)
     tol = config.lin_tol
+    # the fields of the two surfaces used last, the latest last, matched by
+    # identity as in _Split.x_solver (surfaces are never changed in place):
+    # a sub-step's select and its solves share w_next's, although each
+    # corrector pass selects on a new surface between two solves
+    recent = []
+
+    def fields(w: np.ndarray) -> _Fields:
+        hit = [f for f in recent if f.w is w]
+        f = hit[0] if hit else _Fields(split, w)
+        recent[:] = [g for g in recent if g is not f][-1:] + [f]
+        return f
 
     def select(w: np.ndarray):
+        f = fields(w)
         # at rho*sqrt(delta) = 0 the cross field is multiplied by zero
-        lxz = lxz_values(w, grid) if split.c0 != 0.0 else 0.0
-        return select_q(lxx_values(w, grid), lxz, params, geps)
+        return select_q(f.lxx, f.lxz if split.c0 != 0.0 else 0.0, params, geps)
 
     def solve(q: np.ndarray, w_next: np.ndarray, dt: float, theta: float) -> np.ndarray:
-        a0_next = split.a0(q, w_next) if split.has_a0 else None
-        a2_next = split.a2(w_next) if split.has_a2 else None
+        f = fields(w_next)
+        # A0 and A1 of w_next, as _Split.a0 and _Split.a1 from its fields
+        a0_next = split.c0 * q * f.lxz if split.has_a0 else None
+        a2_next = f.a2 if split.has_a2 else None
         # one factor of the x-system and U + (1-theta)*dt*A1 U serve both
         # Craig-Sneyd stages
         solve_x = split.x_solver(q, theta * dt, tol)
-        rhs_x = w_next + (1.0 - theta) * dt * split.a1(q, w_next)
+        rhs_x = w_next + (1.0 - theta) * dt * (0.5 * q * q * f.lxx)
 
         def stages(explicit):
             y = solve_x(rhs_x if explicit is None else rhs_x + dt * explicit)

@@ -19,7 +19,9 @@ matrices they need from these functions. Boundary rules:
   touches a boundary.
 
 The control selection reads two composite fields, scaled by coordinates:
-z*x^2*d_xx (``lxx_values``) and x*z*d_xz (``lxz_values``).
+z*x^2*d_xx (``lxx_values``) and x*z*d_xz (``lxz_values``). Their
+coefficient arrays z*x^2 and x*z depend on the grid alone, so each grid's
+pair is built once and kept read-only.
 Sign tests on these fields and on d_xx count magnitudes below a threshold
 as zero through one rule, ``deadband``.
 
@@ -27,6 +29,8 @@ A degenerate grid with a single z-node makes every z-derivative zero.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -86,19 +90,22 @@ def dxz_values(v: np.ndarray, grid: GridSpec) -> np.ndarray:
 
 # -- coefficient fields ------------------------------------------------------
 
-def _coords(grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
-    """x and z as broadcastable (n_x, 1) and (1, n_z) arrays."""
-    return grid.x_nodes()[:, None], grid.z_nodes()[None, :]
+@functools.lru_cache(maxsize=8)
+def _coefficients(grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
+    """The read-only (n_x, n_z) arrays z*x^2 and x*z of a grid."""
+    x, z = grid.x_nodes()[:, None], grid.z_nodes()[None, :]
+    fields = (z * x ** 2, x * z)
+    for f in fields:
+        f.setflags(write=False)
+    return fields
 
 
 def lxx_values(v: np.ndarray, grid: GridSpec) -> np.ndarray:
-    x, z = _coords(grid)
-    return z * x ** 2 * dxx_values(v, grid)
+    return _coefficients(grid)[0] * dxx_values(v, grid)
 
 
 def lxz_values(v: np.ndarray, grid: GridSpec) -> np.ndarray:
-    x, z = _coords(grid)
-    return x * z * dxz_values(v, grid)
+    return _coefficients(grid)[1] * dxz_values(v, grid)
 
 
 def deadband(field, eps: float) -> np.ndarray:

@@ -458,15 +458,33 @@ def test_paper_preset_is_loadable_default(tmp_path):
     assert m["config"]["grid.n_x"] == "30"
 
 
+def _fresh_python(code: str) -> str:
+    """The stdout of ``python -c code`` in a new process that imports this package."""
+    src = str(Path(uvbounds.__file__).resolve().parents[1])
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True, timeout=120).stdout
+
+
 def test_import_loads_no_heavy_scipy_subpackage():
     # each scipy subpackage adds ~25 MiB RSS and loads only where a command
     # needs it; no command runs a process pool
     heavy = ("scipy.special", "scipy.linalg", "scipy.sparse",
              "multiprocessing", "concurrent.futures.process")
     code = f"import sys, uvbounds.cli; print([m for m in {heavy!r} if m in sys.modules])"
-    src = str(Path(uvbounds.__file__).resolve().parents[1])
-    env = dict(os.environ,
-               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True, timeout=60)
-    assert out.stdout.strip() == "[]"
+    assert _fresh_python(code).strip() == "[]"
+
+
+def test_error_sweep_never_imports_the_scipy_linalg_package(tmp_path):
+    # the tridiagonal kernel loads scipy's compiled LAPACK wrappers by file
+    # path; the scipy.linalg package init would cost ~0.2 s and ~25 MiB
+    argv = ["sweep-error", "--config", str(Path(__file__).resolve().parents[1] / "paper.cfg"),
+            "--set", "grid.n_x=40", "--set", "grid.n_z=10", "--set", "grid.n_t=4",
+            "--out", str(tmp_path / "sweep")]
+    code = ("import sys; from uvbounds import linsolve; from uvbounds.cli import run; "
+            f"status = run({argv!r}); print(status, 'scipy.linalg' in sys.modules); "
+            # importing scipy.linalg afterwards finds the same wrappers
+            "import scipy.linalg; "
+            "print(scipy.linalg._flapack.dgttrs is linsolve._flapack().dgttrs)")
+    assert _fresh_python(code).split() == ["0", "False", "True"]

@@ -1,7 +1,12 @@
+import re
+import sys
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from uvbounds import linsolve
 from uvbounds.core import GridSpec, ModelParams, SolverConfig
 from uvbounds.linsolve import LinearSolveError, tridiag_solver
 from uvbounds.solver_pdelta import _scheme, _Split
@@ -98,6 +103,38 @@ def test_singular_pivot_reports_first_row_then_first_system():
     off = np.zeros((nb, n - 1))
     with pytest.raises(LinearSolveError, match=r"row 3 \(system 1\)"):
         solve_batch(off, main, off, np.ones((nb, n)))
+
+
+def test_loaded_lapack_is_bitwise_scipy_linalg_lapack(monkeypatch):
+    # the extension loaded by file path gives scipy.linalg.lapack's factors
+    # and solutions, bit for bit, on a batch laid out as tridiag_solver does
+    from scipy.linalg import lapack
+
+    monkeypatch.delitem(sys.modules, "scipy.linalg._flapack")  # load it by path
+    ours = linsolve._flapack.__wrapped__()  # past the cache
+    rng = np.random.default_rng(17)
+    n = 300
+    dl, du = rng.standard_normal(n - 1), rng.standard_normal(n - 1)
+    d = rng.standard_normal(n) + rng.choice([-3.0, 3.0], n)
+    dl[::25] = 0.0  # zero couplings between systems of 25
+    du[24::25] = 0.0
+    rhs = rng.standard_normal((n, 3))
+    lu = ours.dgttrf(dl, d, du)
+    assert lu[-1] == 0
+    pairs = [*zip(lu, lapack.dgttrf(dl, d, du)),
+             *zip(ours.dgttrs(*lu[:5], rhs), lapack.dgttrs(*lu[:5], rhs))]
+    for got, want in pairs:
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
+def test_missing_lapack_extension_names_its_path(monkeypatch, tmp_path):
+    fake_scipy = tmp_path / "scipy"
+    (fake_scipy / "linalg").mkdir(parents=True)
+    monkeypatch.setattr(linsolve, "scipy",
+                        SimpleNamespace(__file__=str(fake_scipy / "__init__.py")))
+    monkeypatch.delitem(sys.modules, "scipy.linalg._flapack", raising=False)
+    with pytest.raises(ImportError, match=re.escape(str(fake_scipy / "linalg" / "_flapack"))):
+        linsolve._flapack.__wrapped__()  # past the cache
 
 
 # -- the LU reference step of the 2D scheme ------------------------------------

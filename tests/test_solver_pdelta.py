@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as hst
 
 from uvbounds import solver_pdelta, stepping
 from uvbounds.blackscholes import bs_call
 from uvbounds.core import GridSpec, ModelParams, SolverConfig, SolverError
 from uvbounds.payoff import PayoffSpec, terminal_surface
-from uvbounds.solver_pdelta import (TAG_A, TAG_B, TAG_C, _scheme, _Split, select_q,
-                                    solve_p0p1, solve_pdelta)
+from uvbounds.solver_pdelta import (TAG_A, TAG_B, TAG_C, _scheme, _scheme_p0p1, _Split,
+                                    select_q, solve_p0p1, solve_pdelta)
 from uvbounds.stencils import deadband, lxx_values, lxz_values
 from reference import (
     exponent_sum_terminals, generator_matrix, lu_solve, nearest_node_control,
@@ -351,6 +352,75 @@ def test_each_matrix_factored_once(monkeypatch, cfg, n_z_factors):
     solve_pdelta(BF, PARAMS, grid, cfg)
     assert shapes.count((grid.n_x, grid.n_z)) == n_z_factors
     assert shapes.count((grid.n_z, grid.n_x)) == n_solves[0] >= grid.n_t
+
+
+@pytest.mark.parametrize("passes", [1, 2])
+@pytest.mark.parametrize("rho,delta", [(-0.9, 0.05), (0.0, 0.05), (-0.9, 0.0)])
+def test_each_stencil_field_computed_once_per_surface(monkeypatch, rho, delta, passes):
+    # every select reads a new surface and computes its lxx, and its lxz
+    # where the cross term is live; the solves from w_next reuse them, so
+    # only each solve's predicted level adds an lxz. _Split probes lxx 3 times
+    p = PARAMS.replace(rho=rho, delta=delta)
+    grid = GridSpec(0, 200, 30, 0, 0.12, 10, 6)
+    calls = dict.fromkeys(["lxx", "lxz", "select", "solve"], 0)
+    scheme = solver_pdelta._scheme
+
+    def counting(name, fn):
+        def counted(*args):
+            calls[name] += 1
+            return fn(*args)
+        return counted
+
+    def counting_scheme(*args):
+        select, solve = scheme(*args)
+        return counting("select", select), counting("solve", solve)
+
+    monkeypatch.setattr(solver_pdelta, "lxx_values", counting("lxx", lxx_values))
+    monkeypatch.setattr(solver_pdelta, "lxz_values", counting("lxz", lxz_values))
+    monkeypatch.setattr(solver_pdelta, "_scheme", counting_scheme)
+    solve_pdelta(BF, p, grid, SolverConfig(corrector_passes=passes))
+    # some corrector pass re-solved from w_next after selecting on a new surface
+    assert calls["solve"] > grid.n_t + 1
+    assert calls["lxx"] == 3 + calls["select"]
+    cross = rho * np.sqrt(delta) != 0.0
+    assert calls["lxz"] == (calls["select"] + calls["solve"] if cross else 0)
+
+
+def _assert_bitwise(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(n_x=hst.integers(3, 16), n_z=hst.integers(1, 8),
+       rho=hst.sampled_from([-0.99, 0.0, 0.5]), delta=hst.sampled_from([0.0, 0.05, 1.0]),
+       theta=hst.sampled_from([0.5, 1.0]), seed=hst.integers(0, 2 ** 16))
+def test_field_cache_never_changes_a_step(n_x, n_z, rho, delta, theta, seed):
+    # the schemes keep a surface's stencil fields by identity. Steps on w and
+    # on another surface, in turn, again after the other was selected, and
+    # on w.copy() (a cache miss), agree bit for bit with a select and a
+    # solve by fresh schemes, which reuse nothing; for P^delta and for P0
+    p = PARAMS.replace(rho=rho, delta=delta)
+    z_lo, z_hi = (0.04, 0.04) if n_z == 1 else (0.0, 0.12)
+    grid = GridSpec(0, 200, n_x, z_lo, z_hi, n_z, 4)
+    rng = np.random.default_rng(seed)
+    w = terminal_surface(BF, grid).values + rng.standard_normal((n_x, n_z))
+    other = 10.0 * rng.standard_normal((n_x, n_z))
+    cfg, dt = SolverConfig(), 0.02
+    for make in (lambda: _scheme(_Split(p, grid), cfg),
+                 lambda: _scheme_p0p1(p, grid, cfg)[:2]):
+        def fresh_step(v):
+            q, tags = make()[0](v)
+            return q, tags, make()[1](q, v.copy(), dt, theta)
+
+        want = {"w": fresh_step(w), "other": fresh_step(other)}
+        select, solve = make()
+        for name, v in [("w", w), ("other", other), ("w", w), ("w", w.copy()),
+                        ("other", other), ("w", w)]:
+            q, tags = select(v)
+            select(other)
+            for a, b in zip((q, tags, solve(q, v, dt, theta)), want[name]):
+                _assert_bitwise(a, b)
 
 
 def test_failure_carries_time_level_context():
