@@ -91,15 +91,24 @@ def tridiag_solver(lower: np.ndarray, main: np.ndarray, upper: np.ndarray,
     lower = np.asarray(lower, float)
     upper = np.asarray(upper, float)
     nb, n = main.shape
-    # two trailing identity rows: the scipy wrappers reject systems of order < 3
-    zero = np.zeros((nb, 1))
-    lu = lapack.dgttrf(np.append(np.hstack([lower, zero]), 0.0), np.append(main, [1.0, 1.0]),
-                       np.append(np.hstack([upper, zero]), 0.0))[:5]  # (dl, d, du, du2, ipiv)
+    # the batch as one system of order nb*n + 2, built in place: two trailing
+    # identity rows, since the scipy wrappers reject systems of order < 3
+    dl, du = np.zeros(nb * n + 1), np.zeros(nb * n + 1)
+    dl[:-1].reshape(nb, n)[:, :-1] = lower
+    du[:-1].reshape(nb, n)[:, :-1] = upper
+    d = np.empty(nb * n + 2)
+    d[:-2].reshape(nb, n)[...] = main
+    d[-2:] = 1.0
+    lu = lapack.dgttrf(dl, d, du, overwrite_dl=1, overwrite_d=1,
+                       overwrite_du=1)[:5]  # (dl, d, du, du2, ipiv)
     _check_pivots(lu[1][:-2].reshape(nb, n))  # U's diagonal
 
     def solve(rhs: np.ndarray) -> np.ndarray:
         rhs = np.asarray(rhs, float)
-        x = lapack.dgttrs(*lu, np.append(rhs, [0.0, 0.0]))[0][:-2].reshape(nb, n)
+        b = np.empty(nb * n + 2)
+        b[:-2].reshape(nb, n)[...] = rhs
+        b[-2:] = 0.0
+        x = lapack.dgttrs(*lu, b, overwrite_b=1)[0][:-2].reshape(nb, n)
         resid = main * x
         resid[:, :-1] += upper * x[:, 1:]
         resid[:, 1:] += lower * x[:, :-1]

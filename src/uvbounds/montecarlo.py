@@ -11,8 +11,15 @@ step k is a pure function of (seed, p, k). Paths are advanced in chunks
 of ``CHUNK_PATHS``; each chunk takes its next ``(m, 2)`` draws from every
 step's stream, and the chunks run in path order, so together they consume
 exactly the block a single draw of all paths would. Runs are bitwise
-reproducible and do not depend on the chunk size, and one draw per step
-and chunk serves every (delta, control) pair advanced together.
+reproducible, the paths do not depend on the chunk size, and one draw per
+step and chunk serves every (delta, control) pair advanced together.
+
+The rate study keeps no per-path array: each chunk's squared gaps are
+reduced to their count, mean and centred sum of squares, merged in path
+order by the pairwise update of Chan, Golub & LeVeque (1983). Its memory
+is therefore independent of the path count. The merged moments depend on
+``CHUNK_PATHS`` at round-off only (below 1e-15 relative); a run of one
+chunk gives bitwise ``np.mean`` and ``np.std(ddof=1)``.
 
 The variance process uses the full-truncation Euler scheme: the state may
 go negative, but drift and diffusion see its positive part and the
@@ -25,11 +32,12 @@ of the moving variance level.
 Under a constant control q the log-Euler asset at maturity is
 x0 * exp(q*S_a - q^2*S_b/2), with S_a = sum sqrt(Z+) dW and
 S_b = sum Z+ dt over the steps. So the kernel steps variance *lanes*, not
-assets: lane 0 is the frozen level (delta = 0, which keeps it at z0
-exactly) and lane 1 + i the level of delta i, each carrying its two sums,
-and every control's moving and frozen assets come from one ``exp`` at
-maturity. Controls are therefore constants in [d, u]: the coupling rate
-needs only the two band endpoints.
+assets: lane i is the level of delta i, carrying its two sums. The frozen
+level stays at z0 exactly and is not stepped: its S_a sums sqrt(z0) dW
+per path, and its S_b, z0 dt at every step, is one scalar. Every control's
+moving and frozen assets come from one ``exp`` at maturity. Controls are
+therefore constants in [d, u]: the coupling rate needs only the two band
+endpoints.
 """
 
 from __future__ import annotations
@@ -76,10 +84,11 @@ def _stream(seed: int, step: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=seed, counter=step << 128))
 
 
-# Paths advanced together. A chunk's state is six stacked (1 + n_delta, m)
-# arrays: on coupling-rate (paper.cfg), 8192 paths run about 6% faster but
-# peak 2.5 MiB higher, 2048 save 0.6 MiB at no gain in time. See CHANGES.md
-# for the measurements behind this value.
+# Paths advanced together. A chunk's state is six stacked (n_delta, m)
+# arrays, and the run's memory does not grow with the path count. On
+# coupling-rate (paper.cfg, 2-core x86-64 host, one thread, 5 runs each),
+# 4096 paths peak at 39.5 MiB RSS in a median 1.92 s; 8192 run 10% faster
+# but peak 1.9 MiB higher, 2048 save 1.3 MiB and run 3% slower.
 CHUNK_PATHS = 4096
 
 
@@ -112,21 +121,23 @@ def _advance_paths(params: ModelParams, deltas: Sequence[float],
 
     The one path kernel behind every simulation here; ``params`` gives
     everything but delta. A chunk's variance state is one stacked
-    ``(1 + len(deltas), m)`` array: lane 0 is the frozen level (delta = 0,
-    so it stays z0 exactly) and lane 1 + i runs delta i. Each lane sums
-    the two parts of the asset's log-Euler exponent, S_a = sum sqrt(Z+) dW
-    and S_b = sum Z+ dt (scaled by dt once, at maturity). Each control is
-    a constant q, range-checked once before any stream is built and never
+    ``(len(deltas), m)`` array, lane i running delta i. Each lane sums the
+    two parts of the asset's log-Euler exponent, S_a = sum sqrt(Z+) dW and
+    S_b = sum Z+ dt (scaled by dt once, at maturity). The frozen level is
+    z0 at every step, so it is not stepped: its S_a is an ``(m,)`` array
+    summing sqrt(z0) dW and its S_b a scalar summing z0. Each control is a
+    constant q, range-checked once before any stream is built and never
     stepped: it gives the assets of its pairs by one ``exp`` each,
     x0 * exp(q*S_a - q^2*S_b/2), read from the delta's lane (moving) and
-    from lane 0 (frozen, settled once per control and chunk). With no
-    controls, only the delta lanes step.
+    from the frozen sums (settled once per control and chunk). With no
+    controls, the sums are not stepped.
 
     At every time level k = 0..n_steps, ``record(rows, k, z)`` sees the
-    chunk's paths ``rows`` (a slice) and the raw (untruncated) lanes of
-    the deltas, ``z[i]`` for delta i. At maturity, ``terminal(rows, p,
-    x_d, x_f)`` gets the moving and frozen assets of pair
-    p = i * len(controls) + j (delta i under control j), one pair at a time.
+    chunk's paths ``rows`` (a slice) and the raw (untruncated) lanes,
+    ``z[i]`` for delta i. At maturity, ``terminal(rows, p, x_d, x_f)``
+    gets the moving and frozen assets of pair p = i * len(controls) + j
+    (delta i under control j), one pair at a time; the chunks run in path
+    order.
     """
     if n_steps < 1 or n_paths < 1:
         raise ValueError(f"need n_steps >= 1 and n_paths >= 1 "
@@ -135,10 +146,10 @@ def _advance_paths(params: ModelParams, deltas: Sequence[float],
     for c in controls:
         _check_band(c, params)
     dt = params.T / n_steps
-    frozen = [0.0] if controls else []  # lane 0 only settles the frozen assets
-    lane_delta = np.array([*frozen, *deltas])[:, None]
+    lane_delta = np.array(deltas, dtype=float)[:, None]
     drift = lane_delta * params.kappa
     vol = np.sqrt(lane_delta)
+    sqrt_z0 = np.sqrt(params.z0)
     streams = [_stream(seed, k) for k in range(n_steps)]
     for start in range(0, n_paths, CHUNK_PATHS):
         rows = slice(start, min(start + CHUNK_PATHS, n_paths))
@@ -146,8 +157,9 @@ def _advance_paths(params: ModelParams, deltas: Sequence[float],
         z = np.full((len(lane_delta), m), params.z0)
         zp, sqrt_zp, tmp = np.empty_like(z), np.empty_like(z), np.empty_like(z)
         s_a, s_b = np.zeros_like(z), np.zeros_like(z)
+        s_a0, s_b0 = np.zeros(m), 0.0  # the frozen level's sums
         if record is not None:
-            record(rows, 0, z[len(frozen):])
+            record(rows, 0, z)
         for k in range(n_steps):
             dw, dwz = _correlate(streams[k].standard_normal((m, 2)), params.rho, dt)
             np.maximum(z, 0.0, out=zp)
@@ -156,6 +168,8 @@ def _advance_paths(params: ModelParams, deltas: Sequence[float],
                 np.multiply(sqrt_zp, dw, out=tmp)  # each lane's step of S_a
                 s_a += tmp
                 s_b += zp
+                s_a0 += sqrt_z0 * dw
+                s_b0 += params.z0
             # z + delta*kappa*(theta - zp)*dt + sqrt(delta)*sqrt_zp*dwz, term
             # by term in that order, so each lane rounds as the scalar formula
             np.subtract(params.theta, zp, out=tmp)
@@ -166,12 +180,13 @@ def _advance_paths(params: ModelParams, deltas: Sequence[float],
             tmp *= dwz
             z += tmp
             if record is not None:
-                record(rows, k + 1, z[len(frozen):])
+                record(rows, k + 1, z)
         s_b *= dt
-        x_f = [params.x0 * np.exp(_log_growth(c, s_a[0], s_b[0])) for c in controls]
+        s_b0 *= dt
+        x_f = [params.x0 * np.exp(_log_growth(c, s_a0, s_b0)) for c in controls]
         for i in range(len(deltas)):
             for j, c in enumerate(controls):
-                x_d = params.x0 * np.exp(_log_growth(c, s_a[1 + i], s_b[1 + i]))
+                x_d = params.x0 * np.exp(_log_growth(c, s_a[i], s_b[i]))
                 terminal(rows, i * len(controls) + j, x_d, x_f[j])
 
 
@@ -220,18 +235,35 @@ def simulate_cir(params: ModelParams, n_steps: int, n_paths: int,
 
 def _terminal_gap_sq(params: ModelParams, deltas: Sequence[float],
                      controls: Sequence[float], n_steps: int, n_paths: int,
-                     seed: int) -> np.ndarray:
-    """(X_T^moving - X_T^frozen)^2 of every (delta, control) pair, one row
-    per pair (delta-major, as in ``_advance_paths``), without
-    materializing full paths."""
-    out = np.empty((len(deltas) * len(controls), n_paths))
+                     seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and standard error of (X_T^moving - X_T^frozen)^2 for every
+    (delta, control) pair, one entry per pair (delta-major, as in
+    ``_advance_paths``), in memory independent of ``n_paths``.
+
+    Each chunk's gaps give their mean and centred sum of squares, and the
+    chunks merge in path order: the first is assigned, each later one
+    joins by Chan's update, M2 = M2_a + M2_b + d^2 n_a n_b / n with d the
+    difference of the means.
+    """
+    mean = np.empty(len(deltas) * len(controls))
+    m2 = np.empty_like(mean)
 
     def terminal(rows, p, x_d, x_f):
-        out[p, rows] = (x_d - x_f) ** 2
+        gap = (x_d - x_f) ** 2
+        mean_b = np.mean(gap)
+        m2_b = np.sum((gap - mean_b) ** 2)
+        n_a, n_b = rows.start, rows.stop - rows.start  # n_a paths merged so far
+        if n_a == 0:
+            mean[p], m2[p] = mean_b, m2_b
+        else:
+            n = n_a + n_b
+            d = mean_b - mean[p]
+            mean[p] = mean[p] + d * n_b / n
+            m2[p] = m2[p] + m2_b + d * d * n_a * n_b / n
 
     _advance_paths(params, deltas, controls, n_steps, n_paths, seed,
                    terminal=terminal)
-    return out
+    return mean, np.sqrt(m2 / (n_paths - 1)) / np.sqrt(n_paths)
 
 
 def coupling_rate_study(params: ModelParams, delta_list: Sequence[float],
@@ -256,13 +288,12 @@ def coupling_rate_study(params: ModelParams, delta_list: Sequence[float],
         params.replace(delta=delta)  # a delta above 1 raises here
 
     controls = {"const_d": params.d, "const_u": params.u}
-    sq = _terminal_gap_sq(params, deltas, list(controls.values()), n_steps,
-                          n_paths, seed)
+    mean, stderr = _terminal_gap_sq(params, deltas, list(controls.values()),
+                                    n_steps, n_paths, seed)
     fits = []
     for j, name in enumerate(controls):
-        rows = sq[j::len(controls)]  # control j's row for each delta
-        est = np.array([float(np.mean(r)) for r in rows])
-        se = np.array([float(np.std(r, ddof=1) / np.sqrt(n_paths)) for r in rows])
+        est = mean[j::len(controls)]  # control j's entry for each delta
+        se = stderr[j::len(controls)]
         slope, intercept, slope_se, r2 = loglog_fit(deltas, est, se)
         fits.append(RateFit(control=name, deltas=deltas, estimates=est, stderrs=se,
                             slope=slope, slope_stderr=slope_se, intercept=intercept,

@@ -15,6 +15,9 @@ Not collected by pytest (no ``test_`` prefix); test modules import it as
   sums, one ``exp`` at maturity), bit for bit what the kernel returns.
   ``product_terminals`` is the same scheme as a product of per-step
   ``exp`` factors; it differs from the kernel by rounding only.
+* ``chunk_moments``: mean and standard error of a full row of squared
+  gaps, merged block by block with the rule the rate study streams its
+  chunks by, so bit for bit what the study returns.
 * ``nearest_node_control``: a 2D solve's control field as the reference
   simulator's ``(t, x, z) -> q`` callable, read at the nearest grid node.
   The package's path kernel takes constant controls only.
@@ -150,6 +153,27 @@ def product_terminals(params: ModelParams, control, n_steps: int, n_paths: int,
         z = z + params.delta * params.kappa * (params.theta - zp) * dt \
             + np.sqrt(params.delta) * np.sqrt(zp) * dwz
     return np.maximum(z, 0.0), x_d, x_f
+
+
+def chunk_moments(gaps: np.ndarray, chunk: int) -> tuple[float, float]:
+    """(mean, stderr) of ``gaps`` from its blocks of ``chunk`` entries: each
+    block's mean and centred sum of squares, the first block taken as is
+    and each later one merged by Chan's pairwise update."""
+    n_a, mean, m2 = 0, 0.0, 0.0
+    for start in range(0, len(gaps), chunk):
+        block = gaps[start:start + chunk]
+        n_b = len(block)
+        mean_b = np.mean(block)
+        m2_b = np.sum((block - mean_b) ** 2)
+        if n_a == 0:
+            mean, m2 = mean_b, m2_b
+        else:
+            n = n_a + n_b
+            d = mean_b - mean
+            mean = mean + d * n_b / n
+            m2 = m2 + m2_b + d * d * n_a * n_b / n
+        n_a += n_b
+    return float(mean), float(np.sqrt(m2 / (n_a - 1)) / np.sqrt(n_a))
 
 
 def nearest_node_control(q_star_delta: np.ndarray, grid: GridSpec, T: float):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,7 @@ from uvbounds.montecarlo import (
     simulate_coupled_asset,
 )
 from reference import (
-    brownian_increments, exponent_sum_terminals, product_terminals,
+    brownian_increments, chunk_moments, exponent_sum_terminals, product_terminals,
 )
 
 PARAMS = ModelParams(x0=100, z0=0.04, T=0.25, r=0, d=0.75, u=1.25,
@@ -32,14 +34,27 @@ def test_coupled_paths_identical_at_delta_zero():
         assert np.all(z_T == PARAMS.z0)
 
 
+def _gap_moments(gaps: np.ndarray) -> tuple[float, float]:
+    # what the rate study must give for one pair's full row of squared gaps:
+    # within one chunk the two-pass moments, beyond it their chunk merge
+    n = len(gaps)
+    if n <= CHUNK_PATHS:
+        return float(np.mean(gaps)), float(np.std(gaps, ddof=1) / np.sqrt(n))
+    return chunk_moments(gaps, CHUNK_PATHS)
+
+
 def test_simulators_share_one_path_kernel():
     # same seed: the terminal variance of the variance paths and the
-    # terminal gap of the rate study are bitwise those of the coupled simulation
-    z_T, x_T, x_T_frozen = simulate_coupled_asset(PARAMS, PARAMS.d, 40, 300, seed=8)
-    np.testing.assert_array_equal(simulate_cir(PARAMS, 40, 300, seed=8)[:, -1], z_T)
-    np.testing.assert_array_equal(
-        _terminal_gap_sq(PARAMS, [PARAMS.delta], [PARAMS.d], 40, 300, seed=8),
-        [(x_T - x_T_frozen) ** 2])
+    # squared-gap moments of the rate study are bitwise those of the
+    # coupled simulation, within one chunk and across three
+    for n_paths in (300, 2 * CHUNK_PATHS + 5):
+        z_T, x_T, x_T_frozen = simulate_coupled_asset(PARAMS, PARAMS.d, 40, n_paths,
+                                                      seed=8)
+        np.testing.assert_array_equal(simulate_cir(PARAMS, 40, n_paths, seed=8)[:, -1],
+                                      z_T)
+        mean, stderr = _terminal_gap_sq(PARAMS, [PARAMS.delta], [PARAMS.d], 40,
+                                        n_paths, seed=8)
+        assert (mean[0], stderr[0]) == _gap_moments((x_T - x_T_frozen) ** 2)
 
 
 @pytest.mark.parametrize("n_paths", [CHUNK_PATHS // 3, CHUNK_PATHS + 3,
@@ -51,8 +66,8 @@ def test_batched_pairs_bitwise_equal_single_pair_runs(n_paths):
     deltas = [0.04, 0.01]
     controls = {"const_d": PARAMS.d, "const_u": PARAMS.u}  # the study's pair
     n_steps, seed = 6, 31
-    gaps = _terminal_gap_sq(PARAMS, deltas, list(controls.values()), n_steps,
-                            n_paths, seed)
+    mean, stderr = _terminal_gap_sq(PARAMS, deltas, list(controls.values()),
+                                    n_steps, n_paths, seed)
     study = coupling_rate_study(PARAMS, deltas, n_paths, seed, n_steps)
     assert [f.control for f in study.fits] == list(controls)
     for i, dl in enumerate(deltas):
@@ -62,11 +77,45 @@ def test_batched_pairs_bitwise_equal_single_pair_runs(n_paths):
             z, x_d, x_f = exponent_sum_terminals(p, control, n_steps, n_paths, seed)
             for got, want in zip(terminals, (z, x_d, x_f)):
                 np.testing.assert_array_equal(got, want)
-            single = (x_d - x_f) ** 2
-            np.testing.assert_array_equal(gaps[i * len(controls) + j], single)
-            assert study.fits[j].estimates[i] == float(np.mean(single))
-            assert study.fits[j].stderrs[i] == float(
-                np.std(single, ddof=1) / np.sqrt(n_paths))
+            want = _gap_moments((x_d - x_f) ** 2)
+            pair = i * len(controls) + j
+            assert (mean[pair], stderr[pair]) == want
+            assert (study.fits[j].estimates[i], study.fits[j].stderrs[i]) == want
+
+
+def test_multi_chunk_moments_match_two_pass_statistics():
+    # the chunk merge against np.mean and np.std over the full reference
+    # gap row, on 5 chunks and a partial one
+    deltas = [0.04, 0.01, 0.0025]
+    n_steps, n_paths, seed = 8, 5 * CHUNK_PATHS + 123, 17
+    study = coupling_rate_study(PARAMS, deltas, n_paths, seed, n_steps)
+    for fit, control in zip(study.fits, (PARAMS.d, PARAMS.u)):
+        for i, dl in enumerate(fit.deltas):
+            _, x_d, x_f = exponent_sum_terminals(PARAMS.replace(delta=dl), control,
+                                                 n_steps, n_paths, seed)
+            gaps = (x_d - x_f) ** 2
+            assert fit.estimates[i] == pytest.approx(np.mean(gaps), rel=1e-13, abs=0)
+            assert fit.stderrs[i] == pytest.approx(
+                np.std(gaps, ddof=1) / np.sqrt(n_paths), rel=1e-13, abs=0)
+
+
+def test_rate_study_memory_independent_of_path_count():
+    # the study keeps per-chunk state only: 14 more chunks of paths must
+    # not raise its traced peak (a per-pair row of all paths would add
+    # 6 pairs * 14 * CHUNK_PATHS * 8 B, about 2.6 MiB)
+    deltas, n_steps = [0.04, 0.01, 0.0025], 5
+
+    def peak(n_paths):
+        tracemalloc.start()
+        try:
+            coupling_rate_study(PARAMS, deltas, n_paths, seed=3, n_steps=n_steps)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(2 * CHUNK_PATHS + 5)  # warm-up: first-call caches and imports
+    small, big = peak(2 * CHUNK_PATHS + 5), peak(16 * CHUNK_PATHS + 5)
+    assert big - small < 0.25 * 2**20, (small, big)
 
 
 @pytest.mark.parametrize("simulate, control", [
