@@ -259,6 +259,25 @@ def test_one_path_rate_study_exits_2(tmp_path, cfg):
     assert "n_paths >= 2" in record["message"]
 
 
+@pytest.mark.parametrize("command", ["coupling-rate", "simulate-bounds"])
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_seed_outside_u64_exits_2(tmp_path, cfg, command, seed):
+    out = tmp_path / "o"
+    assert run([command, "--config", cfg, "--out", str(out), "--seed", str(seed),
+                "--set", "mc.n_paths=20", "--set", "mc.n_steps=5"]) == 2
+    record = strict_json(out / "error.json")
+    assert record["exit_code"] == 2
+    assert "seed" in record["message"] and str(seed) in record["message"]
+
+
+@pytest.mark.parametrize("command", ["coupling-rate", "simulate-bounds"])
+def test_largest_u64_seed_runs(tmp_path, cfg, command):
+    out = tmp_path / "o"
+    assert run([command, "--config", cfg, "--out", str(out), "--seed", str(2**64 - 1),
+                "--set", "mc.n_paths=20", "--set", "mc.n_steps=5"]) == 0
+    assert manifest(out)["seed"] == 2**64 - 1
+
+
 def test_nonfinite_results_written_as_null(tmp_path, capsys, monkeypatch):
     # a study whose fits come back with NaN slopes
     real_study = cli.coupling_rate_study

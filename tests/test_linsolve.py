@@ -105,6 +105,35 @@ def test_singular_pivot_reports_first_row_then_first_system():
         solve_batch(off, main, off, np.ones((nb, n)))
 
 
+def test_residual_guard_catches_a_wrong_solution(monkeypatch):
+    # dgttrs wrapped to shift one unknown by ``shift``: the solve passes
+    # unshifted and raises, naming the residual, once the solution is off
+    real = linsolve._flapack()
+    shift = 0.0
+
+    def dgttrs(*args, **kw):
+        x, info = real.dgttrs(*args, **kw)
+        x[1] += shift
+        return x, info
+
+    monkeypatch.setattr(linsolve, "_flapack",
+                        lambda: SimpleNamespace(dgttrf=real.dgttrf, dgttrs=dgttrs))
+    system = ([-1.0, -1.0], [2.0, 2.0, 2.0], [-1.0, -1.0], np.ones(3))
+    np.testing.assert_allclose(solve_one(*system), [1.5, 2.0, 1.5], atol=1e-14)
+    shift = 1e-6
+    with pytest.raises(LinearSolveError,
+                       match=r"tridiagonal batch: residual 2\.000e-06 exceeds 2\.000e-10"):
+        solve_one(*system)
+
+
+def test_nan_rhs_fails_the_residual_check():
+    # NaN compares false with any bound: the guard rejects it as non-finite
+    rhs = np.ones(3)
+    rhs[1] = np.nan
+    with pytest.raises(LinearSolveError, match="tridiagonal batch: residual nan exceeds"):
+        solve_one([-1.0, -1.0], [2.0, 2.0, 2.0], [-1.0, -1.0], rhs)
+
+
 def test_loaded_lapack_is_bitwise_scipy_linalg_lapack(monkeypatch):
     # the extension loaded by file path gives scipy.linalg.lapack's factors
     # and solutions, bit for bit, on a batch laid out as tridiag_solver does

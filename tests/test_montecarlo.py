@@ -184,6 +184,42 @@ def test_increment_correlation_within_three_se():
     assert abs(sample - PARAMS.rho) < 3 * se
 
 
+def test_consecutive_step_shocks_uncorrelated_within_three_se():
+    n = 50_000
+    now = brownian_increments(123, 0, n, PARAMS.rho, 1.0)
+    after = brownian_increments(123, 1, n, PARAMS.rho, 1.0)
+    se = 1.0 / np.sqrt(n)
+    for a, b in zip(now, after):  # (dW_k, dW_k+1), then (dW_z,k, dW_z,k+1)
+        assert abs(np.corrcoef(a, b)[0, 1]) < 3 * se
+
+
+@pytest.mark.parametrize("seed, step", [(0, 0), (7, 3), (2**64 - 1, 199)])
+def test_stream_is_the_step_th_seed_sequence_child(seed, step):
+    child = np.random.SeedSequence(seed).spawn(step + 1)[step]
+    want = np.random.Generator(np.random.SFC64(child)).standard_normal((64, 2))
+    np.testing.assert_array_equal(montecarlo._stream(seed, step).standard_normal((64, 2)),
+                                  want)
+
+
+def test_streams_differ_across_steps_and_seeds():
+    def draws(seed, step):
+        return montecarlo._stream(seed, step).standard_normal(16)
+
+    s = 12345
+    assert not np.array_equal(draws(s, 0), draws(s, 1))
+    assert not np.array_equal(draws(s, 0), draws(s + 2**32, 0))  # all 64 bits count
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_seed_outside_u64_rejected_before_any_stream(monkeypatch, seed):
+    def no_stepping(seed, step):
+        raise AssertionError("a step stream was built")
+
+    monkeypatch.setattr(montecarlo, "_stream", no_stepping)
+    with pytest.raises(ValueError, match=rf"seed .*\(got {seed}\)"):
+        simulate_cir(PARAMS, 10, 100, seed=seed)
+
+
 def test_reported_paths_nonnegative_under_heavy_noise():
     p = PARAMS.replace(z0=0.02, theta=0.04, kappa=25, delta=1.0)
     z = simulate_cir(p, 100, 5_000, seed=3)
