@@ -1,10 +1,13 @@
 """The linear kernel of the implicit steps: LAPACK ``dgttrf``/``dgttrs``.
 
-Every solver step ends in a batch of independent tridiagonal systems: one
+Every solver step ends in a batch of independent tridiagonal systems, one
 per variance slice for P0, P1 and the x-stages of the 2D Craig-Sneyd
-step, one per asset row for its z-stages. ``tridiag_solver`` factors a
-batch once and returns the solve, so a matrix that serves several
-right-hand sides is factored once.
+step. ``tridiag_solver`` factors a batch once and returns the solve, so a
+matrix that serves several right-hand sides is factored once. The
+z-stages solve one matrix for every asset row: ``tridiag_solver`` makes
+its dense inverse once per theta*dt, as the solution of a batch of n_z
+copies with the identity as right-hand sides, and each z-stage is one
+matrix product with it, at 2*n_z flops per node (``solver_pdelta``).
 
 The two routines come from scipy's compiled LAPACK wrappers, the
 extension module ``scipy/linalg/_flapack``, loaded by file path on the
@@ -17,8 +20,9 @@ loaded, that import took 0.19-0.31 s and 25 MiB RSS, against 5-17 ms and
 numpy 2.4.6, scipy 1.17.1). The f2py wrappers, with their argument
 checks, are the same objects ``scipy.linalg.lapack`` exports.
 
-Acceptance of a solve is residual-based: every solve verifies
-``max|A x - b| <= lin_tol * (1 + max|b|)`` and raises otherwise.
+Acceptance of a solve is residual-based: every solve, the z-stage's
+product included, verifies ``max|A x - b| <= lin_tol * (1 + max|b|)`` by
+the tridiagonal product (``check_tridiag_residual``) and raises otherwise.
 """
 
 from __future__ import annotations
@@ -37,6 +41,7 @@ log = logging.getLogger(__name__)
 
 __all__ = [
     "LinearSolveError",
+    "check_tridiag_residual",
     "tridiag_solver",
 ]
 
@@ -64,6 +69,21 @@ def _flapack():
             return module
     raise ImportError(f"scipy's LAPACK extension not found: {stem} with a suffix "
                       f"in {importlib.machinery.EXTENSION_SUFFIXES}")
+
+
+def check_tridiag_residual(lower, main, upper, x: np.ndarray, rhs: np.ndarray,
+                           lin_tol: float, what: str) -> None:
+    """Raise unless ``max|A x - rhs| <= lin_tol * (1 + max|rhs|)``.
+
+    A is tridiagonal along the rows of ``x``: ``main`` multiplies ``x``,
+    ``upper`` multiplies ``x[:, 1:]`` and ``lower`` ``x[:, :-1]``, each per
+    row or broadcast over the rows.
+    """
+    resid = main * x
+    resid[:, :-1] += upper * x[:, 1:]
+    resid[:, 1:] += lower * x[:, :-1]
+    resid -= rhs
+    _check_residual(resid, rhs, lin_tol, what)
 
 
 def _check_residual(residual: np.ndarray, rhs: np.ndarray, tol: float, what: str) -> None:
@@ -104,15 +124,14 @@ def tridiag_solver(lower: np.ndarray, main: np.ndarray, upper: np.ndarray,
     _check_pivots(lu[1][:-2].reshape(nb, n))  # U's diagonal
 
     def solve(rhs: np.ndarray) -> np.ndarray:
-        rhs = np.asarray(rhs, float)
+        # the padded right-hand side, also the contiguous copy the residual
+        # reads: the caller's array may be a transposed view
         b = np.empty(nb * n + 2)
         b[:-2].reshape(nb, n)[...] = rhs
         b[-2:] = 0.0
-        x = lapack.dgttrs(*lu, b, overwrite_b=1)[0][:-2].reshape(nb, n)
-        resid = main * x
-        resid[:, :-1] += upper * x[:, 1:]
-        resid[:, 1:] += lower * x[:, :-1]
-        _check_residual((resid - rhs).ravel(), rhs.ravel(), lin_tol, "tridiagonal batch")
+        rhs = b[:-2].reshape(nb, n)
+        x = lapack.dgttrs(*lu, b)[0][:-2].reshape(nb, n)
+        check_tridiag_residual(lower, main, upper, x, rhs, lin_tol, "tridiagonal batch")
         return x
 
     return solve

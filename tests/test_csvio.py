@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as hst
 
 from uvbounds import csvio
 from uvbounds.csvio import write_csv
@@ -30,3 +31,21 @@ def test_write_csv_header_only_and_length_check(tmp_path):
     assert (tmp_path / "empty.csv").read_text() == "a,b\n"
     with pytest.raises(ValueError):
         write_csv(tmp_path / "bad.csv", ["a", "b"], [np.zeros(2), np.zeros(3)])
+
+
+# text cells: the characters csv.writer quotes on, and the empty string
+TEXT = hst.text(alphabet=hst.sampled_from('a ,"\r\n'), max_size=5)
+
+
+@settings(max_examples=150, deadline=None)
+@given(hst.integers(1, 3).flatmap(lambda k: hst.tuples(
+           hst.lists(TEXT, min_size=k, max_size=k),
+           hst.lists(hst.lists(TEXT, min_size=k, max_size=k), max_size=6))),
+       hst.sampled_from([str, object]))
+def test_text_cells_give_csv_writer_bytes(tmp_path_factory, table, dtype):
+    header, rows = table
+    columns = [np.array([row[k] for row in rows], dtype=dtype) for k in range(len(header))]
+    out = tmp_path_factory.mktemp("text")
+    write_rows_csv(out / "rows.csv", header, rows)
+    write_csv(out / "cols.csv", header, columns)
+    assert (out / "cols.csv").read_bytes() == (out / "rows.csv").read_bytes()

@@ -134,6 +134,22 @@ def test_nan_rhs_fails_the_residual_check():
         solve_one([-1.0, -1.0], [2.0, 2.0, 2.0], [-1.0, -1.0], rhs)
 
 
+def test_transposed_rhs_solves_as_its_contiguous_copy():
+    # the x-stages pass a transposed view; the solve and its residual check
+    # read the padded copy, so the view gives the copy's solution, bit for bit
+    rng = np.random.default_rng(13)
+    nb, n = 4, 7
+    solve = tridiag_solver(rng.standard_normal((nb, n - 1)), 4.0 + rng.random((nb, n)),
+                           rng.standard_normal((nb, n - 1)), 1e-10)
+    view = rng.standard_normal((n, nb)).T
+    kept = view.copy()
+    assert solve(view).tobytes() == solve(np.ascontiguousarray(view)).tobytes()
+    np.testing.assert_array_equal(view, kept)
+    view[2, 3] = np.nan
+    with pytest.raises(LinearSolveError, match="tridiagonal batch: residual nan exceeds"):
+        solve(view)
+
+
 def test_loaded_lapack_is_bitwise_scipy_linalg_lapack(monkeypatch):
     # the extension loaded by file path gives scipy.linalg.lapack's factors
     # and solutions, bit for bit, on a batch laid out as tridiag_solver does

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as hst
 from uvbounds import solver_pdelta, stepping
 from uvbounds.blackscholes import bs_call
 from uvbounds.core import GridSpec, ModelParams, SolverConfig, SolverError
+from uvbounds.linsolve import LinearSolveError, tridiag_solver
 from uvbounds.payoff import PayoffSpec, terminal_surface
 from uvbounds.solver_pdelta import (TAG_A, TAG_B, TAG_C, _scheme, _scheme_p0p1, _Split,
                                     select_q, solve_p0p1, solve_pdelta)
@@ -247,6 +248,54 @@ def test_split_parts_sum_to_generator():
         np.testing.assert_allclose(y - c * split.a1(q, y), w, rtol=0, atol=1e-12)
 
 
+# the probe grids, and one whose variance grid starts above zero
+Z_GRIDS = {**PROBE_GRIDS, "12x9, z_min > 0": GridSpec(0, 200, 12, 0.02, 0.12, 9, 6)}
+
+
+@pytest.mark.parametrize("grid", Z_GRIDS.values(), ids=Z_GRIDS.keys())
+def test_a2_matrix_matches_stencil_form(grid):
+    w = np.random.default_rng(29).standard_normal((grid.n_x, grid.n_z))
+    split = _Split(PARAMS, grid)
+    want = split.a2_stencil(w)
+    assert np.max(np.abs(split.a2(w) - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("theta", [0.5, 1.0])
+@pytest.mark.parametrize("grid", Z_GRIDS.values(), ids=Z_GRIDS.keys())
+def test_dense_z_solve_matches_tridiagonal_batch(grid, theta):
+    # the z-stage's product with the dense inverse against a batch solve of
+    # the same system on every x-row, its diagonals read off the stencil form
+    # applied to the identity: row i of that is A2 e_i, so it is A2^T
+    rng = np.random.default_rng(31)
+    rhs = rng.standard_normal((grid.n_x, grid.n_z))
+    split = _Split(PARAMS, grid)
+    dt = 0.05
+    a2 = split.a2_stencil(np.eye(grid.n_z)).T
+    c = theta * dt
+    m = (-c * np.diagonal(a2, -1), 1.0 - c * np.diagonal(a2), -c * np.diagonal(a2, 1))
+    want = tridiag_solver(*(np.broadcast_to(d, (grid.n_x, d.size)) for d in m), 1e-10)(rhs)
+    got = split.solve_z(rhs, dt, theta, 1e-10)
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_z_stage_residual_check_catches_a_wrong_inverse():
+    rhs = np.random.default_rng(37).standard_normal((SMALL.n_x, SMALL.n_z))
+    split = _Split(PARAMS, SMALL)
+    dt = SMALL.dt(PARAMS.T)
+    split.solve_z(rhs, dt, 0.5, 1e-10)
+    (inv_t, _), = split._z.values()
+    inv_t[3, 2] += 1e-6
+    with pytest.raises(LinearSolveError, match=r"z-stage: residual \S+ exceeds"):
+        split.solve_z(rhs, dt, 0.5, 1e-10)
+
+
+def test_z_stage_nan_rhs_fails_the_residual_check():
+    rhs = np.ones((SMALL.n_x, SMALL.n_z))
+    rhs[5, 2] = np.nan
+    with pytest.raises(LinearSolveError, match="z-stage: residual nan exceeds"):
+        _Split(PARAMS, SMALL).solve_z(rhs, SMALL.dt(PARAMS.T), 0.5, 1e-10)
+
+
 @pytest.mark.slow
 @pytest.mark.parametrize("delta", [0.05, 1.0])
 @pytest.mark.parametrize("rho", [-0.99, 0.99])
@@ -329,8 +378,9 @@ def test_step_matches_single_step_solve():
                                              (SolverConfig(cn_weight=0.6), 2)])
 def test_each_matrix_factored_once(monkeypatch, cfg, n_z_factors):
     # paper.cfg's time grid: the Rannacher 1*dt/2 and the trapezoidal 0.5*dt
-    # are one theta*dt, so its z-system is factored once per solve_pdelta;
-    # the x-system is factored once per Craig-Sneyd step
+    # are one theta*dt, so its z-system's inverse, a batch of n_z copies, is
+    # made once per solve_pdelta; the x-system is factored once per
+    # Craig-Sneyd step
     grid = GridSpec(0, 200, 60, 0, 0.12, 30, 20)  # n_x != n_z tells the systems apart
     shapes, n_solves = [], [0]
     factor, scheme = solver_pdelta.tridiag_solver, solver_pdelta._scheme
@@ -350,7 +400,7 @@ def test_each_matrix_factored_once(monkeypatch, cfg, n_z_factors):
     monkeypatch.setattr(solver_pdelta, "tridiag_solver", counting_factor)
     monkeypatch.setattr(solver_pdelta, "_scheme", counting_scheme)
     solve_pdelta(BF, PARAMS, grid, cfg)
-    assert shapes.count((grid.n_x, grid.n_z)) == n_z_factors
+    assert shapes.count((grid.n_z, grid.n_z)) == n_z_factors
     assert shapes.count((grid.n_z, grid.n_x)) == n_solves[0] >= grid.n_t
 
 
