@@ -1,15 +1,24 @@
-"""The linear kernel of the implicit steps: LAPACK ``dgttrf``/``dgttrs``.
+"""The linear kernels of the implicit steps: LAPACK ``dpttrf``/``dpttrs`` and
+``dgttrf``/``dgttrs``.
 
 Every solver step ends in a batch of independent tridiagonal systems, one
 per variance slice for P0, P1 and the x-stages of the 2D Craig-Sneyd
-step. ``tridiag_solver`` factors a batch once and returns the solve, so a
-matrix that serves several right-hand sides is factored once. The
-z-stages solve one matrix for every asset row: ``tridiag_solver`` makes
-its dense inverse once per theta*dt, as the solution of a batch of n_z
-copies with the identity as right-hand sides, and each z-stage is one
-matrix product with it, at 2*n_z flops per node (``solver_pdelta``).
+step. Those x-systems, scaled row by row, are symmetric positive definite
+(``solver_pdelta._Split``), so ``spd_tridiag_solver`` factors them as
+L D L^T by ``dpttrf`` and solves by ``dpttrs``: no pivoting, and no
+division on the chain of the back substitution. On one 10,002-unknown
+batch, ``dpttrs`` took 72-79 us against 164-169 us for ``dgttrs``, and
+``dpttrf`` 94-97 us against 132-145 us for ``dgttrf`` (2-core x86-64
+host, one BLAS thread).
+``tridiag_solver`` factors a general batch by LU with partial pivoting
+(``dgttrf``/``dgttrs``). The z-stages solve one matrix for every asset
+row: ``tridiag_solver`` makes its dense inverse once per theta*dt, as the
+solution of a batch of n_z copies with the identity as right-hand sides,
+and each z-stage is one matrix product with it, at 2*n_z flops per node
+(``solver_pdelta``). A matrix that serves several right-hand sides is
+factored once.
 
-The two routines come from scipy's compiled LAPACK wrappers, the
+The routines come from scipy's compiled LAPACK wrappers, the
 extension module ``scipy/linalg/_flapack``, loaded by file path on the
 first factor. Importing them as ``scipy.linalg.lapack`` would run the
 ``scipy.linalg`` package init, whose array-API layer copies the numpy
@@ -21,8 +30,10 @@ numpy 2.4.6, scipy 1.17.1). The f2py wrappers, with their argument
 checks, are the same objects ``scipy.linalg.lapack`` exports.
 
 Acceptance of a solve is residual-based: every solve, the z-stage's
-product included, verifies ``max|A x - b| <= lin_tol * (1 + max|b|)`` by
-the tridiagonal product (``check_tridiag_residual``) and raises otherwise.
+product and the scaled x-stage included, verifies
+``max|A x - b| <= lin_tol * (1 + max|b|)`` of its unscaled system by the
+tridiagonal product on flat arrays (``check_tridiag_residual``) and
+raises otherwise.
 """
 
 from __future__ import annotations
@@ -42,6 +53,7 @@ log = logging.getLogger(__name__)
 __all__ = [
     "LinearSolveError",
     "check_tridiag_residual",
+    "spd_tridiag_solver",
     "tridiag_solver",
 ]
 
@@ -75,23 +87,62 @@ def check_tridiag_residual(lower, main, upper, x: np.ndarray, rhs: np.ndarray,
                            lin_tol: float, what: str) -> None:
     """Raise unless ``max|A x - rhs| <= lin_tol * (1 + max|rhs|)``.
 
-    A is tridiagonal along the rows of ``x``: ``main`` multiplies ``x``,
-    ``upper`` multiplies ``x[:, 1:]`` and ``lower`` ``x[:, :-1]``, each per
-    row or broadcast over the rows.
+    A is tridiagonal along the flattened ``x``, its coefficients laid out
+    by the unknown they multiply: A[i, i] = main[i], A[i + 1, i] = lower[i]
+    and A[i - 1, i] = upper[i]. Each broadcasts against ``x``: the same
+    shape, or one row shared by every row of a 2D ``x``. A batch of systems
+    has lower = 0 on the last unknown of each and upper = 0 on the first,
+    so no row reaches into the next system. The products are whole-array
+    and only the two shifts are slices, of flat arrays: on a 100 x 100
+    batch that took 42 us, against 93 us with 2D slices.
     """
     resid = main * x
-    resid[:, :-1] += upper * x[:, 1:]
-    resid[:, 1:] += lower * x[:, :-1]
+    shifted = upper * x
+    flat, flat_shifted = resid.reshape(-1), shifted.reshape(-1)
+    flat[:-1] += flat_shifted[1:]
+    np.multiply(lower, x, out=shifted)
+    flat[1:] += flat_shifted[:-1]
     resid -= rhs
     _check_residual(resid, rhs, lin_tol, what)
 
 
+def _max_abs(a: np.ndarray) -> float:
+    # NaN anywhere makes both ends NaN, and np.maximum keeps it
+    return float(np.maximum(a.max(), -a.min())) if a.size else 0.0
+
+
 def _check_residual(residual: np.ndarray, rhs: np.ndarray, tol: float, what: str) -> None:
-    res = float(np.max(np.abs(residual))) if len(residual) else 0.0
-    bound = tol * (1.0 + float(np.max(np.abs(rhs))) if len(rhs) else 1.0)
+    res = _max_abs(residual)
+    # the bound is at least tol: a residual within tol passes without it
+    if res <= tol and not log.isEnabledFor(logging.DEBUG):
+        return
+    bound = tol * (1.0 + _max_abs(rhs))
     log.debug("%s residual max-norm %.3e (bound %.3e)", what, res, bound)
     if not np.isfinite(res) or res > bound:
         raise LinearSolveError(f"{what}: residual {res:.3e} exceeds {bound:.3e}")
+
+
+def spd_tridiag_solver(main: np.ndarray, off: np.ndarray):
+    """Factor a symmetric positive-definite tridiagonal matrix as L D L^T; return ``solve(b)``.
+
+    ``main`` (n) and ``off`` (n-1) are its diagonals. LAPACK ``dpttrf``
+    overwrites them with the factor, and ``solve`` overwrites ``b`` (n)
+    with the solution by ``dpttrs`` and returns it. A pivot of D that is
+    not positive and finite raises. The residual is the caller's to check,
+    on the system it scaled into this form.
+    """
+    lapack = _flapack()
+    d, e, info = lapack.dpttrf(main, off, overwrite_d=1, overwrite_e=1)
+    # dpttrf stops at the first pivot <= 0; NaN compares false and passes
+    if info > 0 or not np.isfinite(d).all():
+        row = info - 1 if info > 0 else int(np.argmax(~np.isfinite(d)))
+        raise LinearSolveError(f"symmetric tridiagonal solve: pivot {d[row]:.3e} "
+                               f"at row {row} is not positive and finite")
+
+    def solve(b: np.ndarray) -> np.ndarray:
+        return lapack.dpttrs(d, e, b, overwrite_b=1)[0]
+
+    return solve
 
 
 def tridiag_solver(lower: np.ndarray, main: np.ndarray, upper: np.ndarray,
@@ -108,20 +159,22 @@ def tridiag_solver(lower: np.ndarray, main: np.ndarray, upper: np.ndarray,
     """
     lapack = _flapack()
     main = np.asarray(main, float)
-    lower = np.asarray(lower, float)
-    upper = np.asarray(upper, float)
     nb, n = main.shape
     # the batch as one system of order nb*n + 2, built in place: two trailing
-    # identity rows, since the scipy wrappers reject systems of order < 3
-    dl, du = np.zeros(nb * n + 1), np.zeros(nb * n + 1)
+    # identity rows, since the scipy wrappers reject systems of order < 3.
+    # dl is the sub-diagonal by the unknown it multiplies, and du, behind one
+    # leading zero, the super-diagonal: with zeros between the systems, the
+    # residual reads both as they are (check_tridiag_residual)
+    dl, du = np.zeros(nb * n + 1), np.zeros(nb * n + 2)
     dl[:-1].reshape(nb, n)[:, :-1] = lower
-    du[:-1].reshape(nb, n)[:, :-1] = upper
+    du[1:-1].reshape(nb, n)[:, :-1] = upper
     d = np.empty(nb * n + 2)
     d[:-2].reshape(nb, n)[...] = main
     d[-2:] = 1.0
-    lu = lapack.dgttrf(dl, d, du, overwrite_dl=1, overwrite_d=1,
-                       overwrite_du=1)[:5]  # (dl, d, du, du2, ipiv)
+    # (dl, d, du, du2, ipiv): dl and du are copied, and kept for the residual
+    lu = lapack.dgttrf(dl, d, du[1:], overwrite_d=1)[:5]
     _check_pivots(lu[1][:-2].reshape(nb, n))  # U's diagonal
+    lower, upper = dl[:-1].reshape(nb, n), du[:-2].reshape(nb, n)
 
     def solve(rhs: np.ndarray) -> np.ndarray:
         # the padded right-hand side, also the contiguous copy the residual

@@ -13,16 +13,23 @@ term A0 (explicit), the x-diffusion A1 and the variance part A2:
 
 and the new level is Z2. Both implicit stages take their tridiagonals
 by probing the values-form operators. The x-stage is a batch of
-tridiagonal solves by LAPACK ``dgttrf``/``dgttrs``, one per z-slice,
-factored once per step for both stages. The z-system M = I - theta*dt*A2
-is one matrix for every x-row, so its dense inverse is made once per
-theta*dt and each z-stage is one matrix product with it, at 2*n_z flops
-per node; its residual is checked by M's tridiagonal product, as every
-solve's is. The product beats the latency-bound chained tridiagonal solve
-up to a few hundred z-nodes: with it, in-process ``solve_pdelta`` on
-``paper.cfg`` took a median 0.77 s against 0.86 s at 200x200x40, and
-7.24 s against 7.32 s at 400x400x80 (10 alternating runs each, 2-core
-x86-64 host, one BLAS thread). Likewise, each stencil field of a
+tridiagonal systems, one per z-slice, factored once per step for both
+stages. Each row where A1 is nonzero is divided by its coefficient, which
+makes the batch symmetric positive definite, so LAPACK ``dpttrf``/``dpttrs``
+solve it as L D L^T without pivoting (``_Split``); the rows where A1 is
+zero are identity rows. Its residual is checked on the unscaled system.
+In-process, a ``sweep-error`` on ``paper.cfg`` spent 0.10 s in x-stage
+factors and 0.19 s in x-stage solves, against 0.16 s and 0.33 s by LU
+(``dgttrf``/``dgttrs``; medians of 9, 2-core x86-64 host, one BLAS
+thread).
+The z-system M = I - theta*dt*A2 is one matrix for every x-row, so its
+dense inverse is made once per theta*dt and each z-stage is one matrix
+product with it, at 2*n_z flops per node; its residual is checked by M's
+tridiagonal product, as every solve's is. The product beats the
+latency-bound chained tridiagonal solve up to a few hundred z-nodes: with
+it, in-process ``solve_pdelta`` on ``paper.cfg`` took a median 0.77 s
+against 0.86 s at 200x200x40, and 7.24 s against 7.32 s at 400x400x80 (10
+alternating runs each, 2-core x86-64 host, one BLAS thread). Likewise, each stencil field of a
 surface (z*x^2*d_xx, x*z*d_xz and A2 of it) is computed once; the control
 selection and the solves from that surface share it. The correction
 weight theta is Craig-Sneyd's 1/2 in the trapezoidal steps and 1 in the
@@ -65,7 +72,7 @@ from typing import Optional
 import numpy as np
 
 from .core import GridSpec, ModelParams, SolverConfig, Surface
-from .linsolve import check_tridiag_residual, tridiag_solver
+from .linsolve import check_tridiag_residual, spd_tridiag_solver, tridiag_solver
 from .payoff import PayoffSpec, terminal_surface
 from .stencils import deadband, dx_values, dz_values, dzz_values, lxx_values, lxz_values
 from .stepping import march
@@ -178,7 +185,16 @@ class _Split:
     * A0 = rho*sqrt(delta)*q*x*z*d_xz, the cross term, always explicit;
       absent when its coefficient is zero or the grid has one z-node.
     * A1 = 0.5*q^2*z*x^2*d_xx, implicit in x with one tridiagonal system
-      per z-slice.
+      per z-slice. Row i of I - c*A1 is (-c*a, 1 + 2*c*a, -c*a) with
+      a = 0.5*q^2*k and k = z*x^2/dx^2. Divided by a, a row reads
+      (-c, 1/a + 2*c, -c), so the batch is symmetric positive definite and
+      solved as L D L^T (``linsolve.spd_tridiag_solver``). Rows where A1 is
+      zero, the ends of every slice and every z = 0 slice, are identity
+      rows; their couplings move to the right-hand side as +c*b. A row
+      with c*a below 2^-54, where 1 + 2*c*a rounds to 1, has its 1/a capped
+      at c*2^54, so it stays an identity row to rounding and its scaled
+      right-hand side finite. Every solve checks its residual on the
+      unscaled system.
     * A2 = delta*(0.5*z*d_zz + kappa*(theta - z)*d_z), implicit in z with
       one tridiagonal matrix for every x-row, held dense: each z-stage is
       one product with its inverse (2*n_z flops per node, plus 5 for the
@@ -195,6 +211,17 @@ class _Split:
         # per z-slice
         self.lxx_diags = tuple(d.T.copy() for d in _diagonals(
             lambda w: lxx_values(w, grid), (grid.n_x, grid.n_z), 0))
+        # the x-stage's k = z*x^2/dx^2, flat, slice after slice; the rows
+        # where it is zero are identity rows, and only two regular rows couple
+        self.k = -0.5 * self.lxx_diags[1].ravel()
+        regular = self.k > 0.0
+        self.identity_rows = np.flatnonzero(~regular)
+        self.coupled = (regular[:-1] & regular[1:]).astype(float)
+        # (regular row, identity row) for the regular rows after, then before,
+        # an identity row
+        after = np.flatnonzero(regular[1:] & ~regular[:-1]) + 1
+        before = np.flatnonzero(regular[:-1] & ~regular[1:])
+        self.moved = ((after, after - 1), (before, before + 1))
         # A2 has the same coefficients along every x-row: its tridiagonal,
         # probed from the stencils, and that as a dense (n_z, n_z) matrix,
         # transposed, so that A2 of a surface w is w @ a2_t
@@ -202,7 +229,7 @@ class _Split:
         lower, main, upper = self.a2_diags
         self.a2_t = (np.diag(lower, -1) + np.diag(main) + np.diag(upper, 1)).T.copy()
         self._x = None  # (q, c, solve) of the last x-system factored
-        self._z = {}    # theta*dt -> (M^-T, diagonals of M) of M = I - theta*dt*A2
+        self._z = {}    # theta*dt -> (M^-T, diagonals of M by column) of M = I - theta*dt*A2
 
     def a0(self, q: np.ndarray, w: np.ndarray) -> np.ndarray:
         return self.c0 * q * lxz_values(w, self.grid)
@@ -220,19 +247,49 @@ class _Split:
                           + p.kappa * (p.theta - z) * dz_values(w, self.grid))
 
     def x_solver(self, q: np.ndarray, c: float, lin_tol: float):
-        """rhs -> (I - c*A1(q))^-1 rhs, batched over the z-slices.
+        """rhs -> (I - c*A1(q))^-1 rhs, batched over the z-slices, for c > 0.
 
         Factored once per (q, c): a repeat call with the same control array
         (by identity: control fields are never changed in place) and the
         same c returns the last factor.
         """
         if self._x is None or self._x[0] is not q or self._x[1] != c:
-            s = np.ascontiguousarray(0.5 * (q * q).T)
-            lo, mid, up = self.lxx_diags
-            solve = tridiag_solver(-c * (s[:, 1:] * lo), 1.0 - c * (s * mid),
-                                   -c * (s[:, :-1] * up), lin_tol)
-            self._x = (q, c, lambda rhs: np.ascontiguousarray(solve(rhs.T).T))
+            self._x = None  # the old factor's buffers go before the new one's
+            self._x = (q, c, self._factor_x(q, c, lin_tol))
         return self._x[2]
+
+    def _factor_x(self, q: np.ndarray, c: float, lin_tol: float):
+        n_x, n_z = self.grid.n_x, self.grid.n_z
+        qq = q.T.copy().reshape(-1)  # flat, slice after slice, as k
+        qq *= qq
+        # the unscaled system, for the residual: its main diagonal 1 + 2*c*a,
+        # and -c*a padded by a zero at each end, so that its two shifts are
+        # the off-diagonals by the unknown they multiply
+        nca = np.zeros(qq.size + 2)
+        np.multiply(qq, self.k, out=nca[1:-1])
+        nca *= -0.5 * c
+        main = nca[1:-1] * -2.0
+        main += 1.0
+        # the scaled system: each regular row divided by a, as c/(c*a), with
+        # c*a at least 2^-54
+        scale = np.minimum(nca[1:-1], -(2.0 ** -54), out=qq)
+        np.divide(-c, scale, out=scale)
+        d = scale + 2.0 * c
+        d[self.identity_rows] = 1.0
+        scale[self.identity_rows] = 1.0
+        solve_scaled = spd_tridiag_solver(d, self.coupled * -c)
+        moved = self.moved  # not self: the split holds this closure
+
+        def solve(rhs: np.ndarray) -> np.ndarray:
+            b = rhs.T.copy().reshape(-1)
+            r = b * scale
+            for row, identity_row in moved:
+                r[row] += c * b[identity_row]
+            x = solve_scaled(r)
+            check_tridiag_residual(nca[2:], main, nca[:-2], x, b, lin_tol, "x-stage")
+            return x.reshape(n_z, n_x).T.copy()
+
+        return solve
 
     def solve_z(self, rhs: np.ndarray, dt: float, theta: float, lin_tol: float) -> np.ndarray:
         """(I - theta*dt*A2)^-1 rhs along every x-row, as one matrix product.
@@ -241,7 +298,8 @@ class _Split:
         dense inverse is made once per theta*dt: ``tridiag_solver`` solves a
         batch of n_z copies of M with the identity's rows as right-hand
         sides, and row i of that solution is M^-1 e_i, so the batch is M^-T.
-        Every call checks its residual by M's tridiagonal product.
+        Every call checks its residual by M's tridiagonal product, on the
+        flat surface.
         """
         c = theta * dt
         if c not in self._z:
@@ -249,7 +307,8 @@ class _Split:
             m = (-c * lower, 1.0 - c * main, -c * upper)
             n = main.size
             rows = [np.broadcast_to(d, (n, d.size)) for d in m]
-            self._z[c] = (tridiag_solver(*rows, lin_tol)(np.eye(n)), m)
+            by_column = (np.append(m[0], 0.0), m[1], np.insert(m[2], 0, 0.0))
+            self._z[c] = (tridiag_solver(*rows, lin_tol)(np.eye(n)), by_column)
         inv_t, m = self._z[c]
         x = rhs @ inv_t
         check_tridiag_residual(*m, x, rhs, lin_tol, "z-stage")

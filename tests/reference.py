@@ -7,6 +7,9 @@ Not collected by pytest (no ``test_`` prefix); test modules import it as
   2D equation, its 9-point matrix probed from the same values-form
   operators as the Craig-Sneyd step and solved by sparse LU. The split
   step differs from it by O(dt^2).
+* ``lu_x_solver``: the x-stage's systems I - c*A1(q), one per variance
+  slice, unscaled and solved by the LU batch kernel ``tridiag_solver``;
+  the package solves them in their symmetric scaled form.
 * ``brownian_increments``: one step's correlated shocks for all paths in
   a single draw, the unchunked form of what the Monte Carlo path kernel
   draws chunk by chunk.
@@ -35,7 +38,7 @@ import scipy.sparse.linalg as spla
 
 from uvbounds.core import GridSpec, ModelParams
 from uvbounds.csvio import fmt
-from uvbounds.linsolve import LinearSolveError, _check_residual
+from uvbounds.linsolve import LinearSolveError, _check_residual, tridiag_solver
 from uvbounds.montecarlo import _correlate, _stream
 from uvbounds.solver_pdelta import _Split
 
@@ -89,6 +92,18 @@ def lu_solve(params: ModelParams, grid: GridSpec, lin_tol: float):
         return x.reshape(w_next.shape)
 
     return solve
+
+
+def lu_x_solver(split: _Split, q: np.ndarray, c: float, lin_tol: float):
+    """A drop-in for ``_Split.x_solver``: rhs -> (I - c*A1(q))^-1 rhs by LU.
+
+    The diagonals are the probed ``lxx_diags``, scaled by 0.5*q^2 per slice.
+    """
+    s = 0.5 * (q * q).T
+    lower, main, upper = split.lxx_diags
+    solve = tridiag_solver(-c * (s[:, 1:] * lower), 1.0 - c * (s * main),
+                           -c * (s[:, :-1] * upper), lin_tol)
+    return lambda rhs: np.ascontiguousarray(solve(rhs.T).T)
 
 
 def brownian_increments(seed: int, step: int, n_paths: int, rho: float,

@@ -5,15 +5,19 @@ import subprocess
 import sys
 import warnings
 from pathlib import Path
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 import uvbounds
-from uvbounds import cli
+from uvbounds import cli, linsolve, solver_pdelta
 from uvbounds.cli import run
 from uvbounds.config import SCHEMA
 from uvbounds.payoff import KINDS
-from reference import read_csv
+from reference import lu_x_solver, read_csv
+
+PAPER_CFG = Path(__file__).resolve().parents[1] / "paper.cfg"
 
 SMALL_CFG = """
 [grid]
@@ -245,6 +249,37 @@ def test_solver_failure_exits_3_with_error_record(tmp_path, cfg):
         record = json.load(fh)
     assert record["exit_code"] == 3
     assert "level" in record["message"]
+
+
+def test_failed_ldlt_factor_exits_3_with_error_record(tmp_path, cfg, monkeypatch):
+    # dpttrf faked to report a non-positive pivot, as LAPACK's info > 0 does
+    real = linsolve._flapack()
+
+    def dpttrf(d, e, **kw):
+        d, e, _ = real.dpttrf(d, e, **kw)
+        return d, e, 3
+
+    monkeypatch.setattr(linsolve, "_flapack", lambda: SimpleNamespace(
+        dpttrf=dpttrf, dpttrs=real.dpttrs, dgttrf=real.dgttrf, dgttrs=real.dgttrs))
+    out = tmp_path / "o"
+    assert run(["solve-pdelta", "--config", cfg, "--out", str(out)]) == 3
+    record = strict_json(out / "error.json")
+    assert record["exit_code"] == 3
+    assert "at row 2 is not positive" in record["message"]
+
+
+def test_tiny_z_min_solves_as_the_lu_x_stage(tmp_path, monkeypatch):
+    # z_min = 1e-310: on the first slice c*a is below 2^-54, and k is
+    # subnormal, so 1/a overflows; those rows stay identity rows to rounding
+    argv = ["solve-pdelta", "--config", str(PAPER_CFG), "--set", "grid.z_min=1e-310",
+            "--set", "grid.n_x=30", "--set", "grid.n_z=10"]
+    assert run(argv + ["--out", str(tmp_path / "spd")]) == 0
+    monkeypatch.setattr(solver_pdelta._Split, "x_solver", lu_x_solver)
+    assert run(argv + ["--out", str(tmp_path / "lu")]) == 0
+    got, want = (np.array(read_csv(tmp_path / side / "pdelta_surface.csv")[1], float)
+                 for side in ("spd", "lu"))
+    assert np.isfinite(got).all()
+    assert np.max(np.abs(got - want)) <= 1e-10
 
 
 def test_one_path_rate_study_exits_2(tmp_path, cfg):
@@ -498,7 +533,7 @@ def test_import_loads_no_heavy_scipy_subpackage():
 def test_error_sweep_never_imports_the_scipy_linalg_package(tmp_path):
     # the tridiagonal kernel loads scipy's compiled LAPACK wrappers by file
     # path; the scipy.linalg package init would cost ~0.2 s and ~25 MiB
-    argv = ["sweep-error", "--config", str(Path(__file__).resolve().parents[1] / "paper.cfg"),
+    argv = ["sweep-error", "--config", str(PAPER_CFG),
             "--set", "grid.n_x=40", "--set", "grid.n_z=10", "--set", "grid.n_t=4",
             "--out", str(tmp_path / "sweep")]
     code = ("import sys; from uvbounds import linsolve; from uvbounds.cli import run; "

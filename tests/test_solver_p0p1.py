@@ -212,7 +212,7 @@ def test_solve_failure_carries_time_level_context():
 def test_p1_step_reuses_the_p0_factor(monkeypatch):
     # one x-system factor per P0 solve; every P1 step reuses the last one
     n_factors, n_solves = [0], [0]
-    factor, scheme = solver_pdelta.tridiag_solver, solver_pdelta._scheme
+    factor, scheme = solver_pdelta.spd_tridiag_solver, solver_pdelta._scheme
 
     def counting_factor(*args):
         n_factors[0] += 1
@@ -226,7 +226,7 @@ def test_p1_step_reuses_the_p0_factor(monkeypatch):
             return solve(*a)
         return select, counted
 
-    monkeypatch.setattr(solver_pdelta, "tridiag_solver", counting_factor)
+    monkeypatch.setattr(solver_pdelta, "spd_tridiag_solver", counting_factor)
     monkeypatch.setattr(solver_pdelta, "_scheme", counting_scheme)
     solve_p0p1(BF, PARAMS, SMALL)
     assert n_factors[0] == n_solves[0] >= SMALL.n_t

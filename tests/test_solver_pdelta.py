@@ -1,8 +1,10 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as hst
 
-from uvbounds import solver_pdelta, stepping
+from uvbounds import linsolve, solver_pdelta, stepping
 from uvbounds.blackscholes import bs_call
 from uvbounds.core import GridSpec, ModelParams, SolverConfig, SolverError
 from uvbounds.linsolve import LinearSolveError, tridiag_solver
@@ -11,7 +13,7 @@ from uvbounds.solver_pdelta import (TAG_A, TAG_B, TAG_C, _scheme, _scheme_p0p1, 
                                     select_q, solve_p0p1, solve_pdelta)
 from uvbounds.stencils import deadband, lxx_values, lxz_values
 from reference import (
-    exponent_sum_terminals, generator_matrix, lu_solve, nearest_node_control,
+    exponent_sum_terminals, generator_matrix, lu_solve, lu_x_solver, nearest_node_control,
 )
 
 PARAMS = ModelParams(x0=100, z0=0.04, T=0.25, r=0, d=0.75, u=1.25,
@@ -296,6 +298,105 @@ def test_z_stage_nan_rhs_fails_the_residual_check():
         _Split(PARAMS, SMALL).solve_z(rhs, SMALL.dt(PARAMS.T), 0.5, 1e-10)
 
 
+# the probe grids, n_x = 3 and 4 (GridSpec needs 3), and grids whose
+# variance or asset grid starts above zero; the tiny z_min puts rows with
+# c*a below 2^-54, and a subnormal k, on the first slice
+X_GRIDS = {
+    **PROBE_GRIDS,
+    "3x4": GridSpec(0, 200, 3, 0, 0.12, 4, 6),
+    "4x3": GridSpec(0, 200, 4, 0, 0.12, 3, 6),
+    "12x9, z_min > 0": GridSpec(0, 200, 12, 0.02, 0.12, 9, 6),
+    "12x9, x_min > 0": GridSpec(40, 200, 12, 0, 0.12, 9, 6),
+    "30x10, z_min = 1e-310": GridSpec(0, 200, 30, 1e-310, 0.12, 10, 6),
+}
+
+
+@pytest.mark.parametrize("theta", [0.5, 1.0])
+@pytest.mark.parametrize("grid", X_GRIDS.values(), ids=X_GRIDS.keys())
+def test_spd_x_solve_matches_lu_batch(grid, theta):
+    rng = np.random.default_rng(41)
+    q = rng.uniform(PARAMS.d, PARAMS.u, size=(grid.n_x, grid.n_z))
+    rhs = rng.standard_normal((grid.n_x, grid.n_z))
+    split = _Split(PARAMS, grid)
+    c = theta * grid.dt(PARAMS.T)
+    want = lu_x_solver(split, q, c, 1e-10)(rhs)
+    got = split.x_solver(q, c, 1e-10)(rhs)
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+    # identity rows, the ends of each slice and the z = 0 slice, are exact
+    np.testing.assert_array_equal(got[[0, -1]], rhs[[0, -1]])
+    if grid.z_min == 0.0:
+        np.testing.assert_array_equal(got[:, 0], rhs[:, 0])
+
+
+def _shifted_dpttrs(monkeypatch):
+    """Wrap dpttrs to add ``shift[0]`` to one unknown of every solution."""
+    real = linsolve._flapack()
+    shift = [0.0]
+
+    def dpttrs(*args, **kw):
+        x, info = real.dpttrs(*args, **kw)
+        x[17] += shift[0]
+        return x, info
+
+    monkeypatch.setattr(linsolve, "_flapack",
+                        lambda: SimpleNamespace(dpttrf=real.dpttrf, dpttrs=dpttrs))
+    return shift
+
+
+def test_x_stage_residual_check_catches_a_wrong_solution(monkeypatch):
+    rng = np.random.default_rng(43)
+    q = rng.uniform(PARAMS.d, PARAMS.u, size=(SMALL.n_x, SMALL.n_z))
+    rhs = rng.standard_normal(q.shape)
+    c = 0.5 * SMALL.dt(PARAMS.T)
+    want = lu_x_solver(_Split(PARAMS, SMALL), q, c, 1e-10)(rhs)
+    shift = _shifted_dpttrs(monkeypatch)
+    solve = _Split(PARAMS, SMALL).x_solver(q, c, 1e-10)
+    assert np.max(np.abs(solve(rhs) - want)) <= 1e-13 * np.max(np.abs(want))
+    shift[0] = 1e-6
+    with pytest.raises(LinearSolveError, match=r"x-stage: residual \S+ exceeds"):
+        solve(rhs)
+
+
+def test_x_stage_nan_rhs_fails_the_residual_check():
+    q = np.full((SMALL.n_x, SMALL.n_z), PARAMS.u)
+    rhs = np.ones(q.shape)
+    rhs[5, 2] = np.nan
+    solve = _Split(PARAMS, SMALL).x_solver(q, 0.5 * SMALL.dt(PARAMS.T), 1e-10)
+    with pytest.raises(LinearSolveError, match="x-stage: residual nan exceeds"):
+        solve(rhs)
+
+
+def _failing_dpttrf(monkeypatch, row: int):
+    """Fake dpttrf to report a non-positive pivot at ``row`` (LAPACK's 1-based info)."""
+    real = linsolve._flapack()
+
+    def dpttrf(d, e, **kw):
+        d, e, _ = real.dpttrf(d, e, **kw)
+        d[row] = 0.0
+        return d, e, row + 1
+
+    monkeypatch.setattr(linsolve, "_flapack",
+                        lambda: SimpleNamespace(dpttrf=dpttrf, dpttrs=real.dpttrs,
+                                                dgttrf=real.dgttrf, dgttrs=real.dgttrs))
+
+
+def test_failed_ldlt_factor_raises(monkeypatch):
+    _failing_dpttrf(monkeypatch, 7)
+    q = np.full((SMALL.n_x, SMALL.n_z), PARAMS.u)
+    with pytest.raises(LinearSolveError, match=r"pivot 0\.000e\+00 at row 7 is not positive"):
+        _Split(PARAMS, SMALL).x_solver(q, 0.01, 1e-10)
+    with pytest.raises(SolverError, match="time level"):
+        solve_pdelta(BF, PARAMS, SMALL)
+
+
+def test_nan_control_fails_the_ldlt_factor():
+    q = np.full((SMALL.n_x, SMALL.n_z), PARAMS.u)
+    q[9, 4] = np.nan  # a NaN pivot passes dpttrf's test for <= 0
+    # the batch runs slice after slice: that node is row 4*n_x + 9
+    with pytest.raises(LinearSolveError, match="pivot nan at row 169 is not positive"):
+        _Split(PARAMS, SMALL).x_solver(q, 0.01, 1e-10)
+
+
 @pytest.mark.slow
 @pytest.mark.parametrize("delta", [0.05, 1.0])
 @pytest.mark.parametrize("rho", [-0.99, 0.99])
@@ -379,15 +480,20 @@ def test_step_matches_single_step_solve():
 def test_each_matrix_factored_once(monkeypatch, cfg, n_z_factors):
     # paper.cfg's time grid: the Rannacher 1*dt/2 and the trapezoidal 0.5*dt
     # are one theta*dt, so its z-system's inverse, a batch of n_z copies, is
-    # made once per solve_pdelta; the x-system is factored once per
-    # Craig-Sneyd step
+    # made once per solve_pdelta; the x-system, one symmetric batch of every
+    # slice, is factored once per Craig-Sneyd step
     grid = GridSpec(0, 200, 60, 0, 0.12, 30, 20)  # n_x != n_z tells the systems apart
-    shapes, n_solves = [], [0]
-    factor, scheme = solver_pdelta.tridiag_solver, solver_pdelta._scheme
+    shapes, x_factors, n_solves = [], [], [0]
+    factor, spd_factor = solver_pdelta.tridiag_solver, solver_pdelta.spd_tridiag_solver
+    scheme = solver_pdelta._scheme
 
     def counting_factor(lower, main, upper, lin_tol):
         shapes.append(np.shape(main))
         return factor(lower, main, upper, lin_tol)
+
+    def counting_spd_factor(main, off):
+        x_factors.append(np.shape(main))
+        return spd_factor(main, off)
 
     def counting_scheme(*args):
         select, solve = scheme(*args)
@@ -398,10 +504,11 @@ def test_each_matrix_factored_once(monkeypatch, cfg, n_z_factors):
         return select, counted
 
     monkeypatch.setattr(solver_pdelta, "tridiag_solver", counting_factor)
+    monkeypatch.setattr(solver_pdelta, "spd_tridiag_solver", counting_spd_factor)
     monkeypatch.setattr(solver_pdelta, "_scheme", counting_scheme)
     solve_pdelta(BF, PARAMS, grid, cfg)
-    assert shapes.count((grid.n_z, grid.n_z)) == n_z_factors
-    assert shapes.count((grid.n_z, grid.n_x)) == n_solves[0] >= grid.n_t
+    assert shapes == [(grid.n_z, grid.n_z)] * n_z_factors
+    assert x_factors.count((grid.n_x * grid.n_z,)) == len(x_factors) == n_solves[0] >= grid.n_t
 
 
 @pytest.mark.parametrize("passes", [1, 2])
