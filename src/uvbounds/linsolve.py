@@ -1,5 +1,4 @@
-"""The linear kernels of the implicit steps: LAPACK ``dpttrf``/``dpttrs`` and
-``dgttrf``/``dgttrs``.
+"""The linear kernel of the implicit steps: LAPACK ``dpttrf``/``dpttrs``.
 
 Every solver step ends in a batch of independent tridiagonal systems, one
 per variance slice for P0, P1 and the x-stages of the 2D Craig-Sneyd
@@ -7,16 +6,15 @@ step. Those x-systems, scaled row by row, are symmetric positive definite
 (``solver_pdelta._Split``), so ``spd_tridiag_solver`` factors them as
 L D L^T by ``dpttrf`` and solves by ``dpttrs``: no pivoting, and no
 division on the chain of the back substitution. On one 10,002-unknown
-batch, ``dpttrs`` took 72-79 us against 164-169 us for ``dgttrs``, and
-``dpttrf`` 94-97 us against 132-145 us for ``dgttrf`` (2-core x86-64
-host, one BLAS thread).
-``tridiag_solver`` factors a general batch by LU with partial pivoting
-(``dgttrf``/``dgttrs``). The z-stages solve one matrix for every asset
-row: ``tridiag_solver`` makes its dense inverse once per theta*dt, as the
-solution of a batch of n_z copies with the identity as right-hand sides,
-and each z-stage is one matrix product with it, at 2*n_z flops per node
-(``solver_pdelta``). A matrix that serves several right-hand sides is
-factored once.
+batch, ``dpttrs`` took 72-79 us against 164-169 us for LAPACK's general
+tridiagonal solve by LU, and ``dpttrf`` 94-97 us against 132-145 us for
+the LU factor (2-core x86-64 host, one BLAS thread). A matrix that serves
+several right-hand sides is factored once. The z-stages solve one matrix for
+every asset row by a product with its dense inverse, which numpy's own
+LAPACK builds (``solver_pdelta._Split.solve_z``): at 100 variance nodes
+that took 0.37-0.39 ms, against 0.66-0.72 ms for a batched tridiagonal LU
+solve of the identity, and 15.4-17.5 ms against 12.6-13.6 ms at 400
+(min-median of 7, one BLAS thread), once per theta*dt.
 
 The routines come from scipy's compiled LAPACK wrappers, the
 extension module ``scipy/linalg/_flapack``, loaded by file path on the
@@ -30,7 +28,7 @@ numpy 2.4.6, scipy 1.17.1). The f2py wrappers, with their argument
 checks, are the same objects ``scipy.linalg.lapack`` exports.
 
 Acceptance of a solve is residual-based: every solve, the z-stage's
-product and the scaled x-stage included, verifies
+product and its inverse, and the scaled x-stage, verifies
 ``max|A x - b| <= lin_tol * (1 + max|b|)`` of its unscaled system by the
 tridiagonal product on flat arrays (``check_tridiag_residual``) and
 raises otherwise.
@@ -54,7 +52,6 @@ __all__ = [
     "LinearSolveError",
     "check_tridiag_residual",
     "spd_tridiag_solver",
-    "tridiag_solver",
 ]
 
 class LinearSolveError(RuntimeError):
@@ -143,59 +140,3 @@ def spd_tridiag_solver(main: np.ndarray, off: np.ndarray):
         return lapack.dpttrs(d, e, b, overwrite_b=1)[0]
 
     return solve
-
-
-def tridiag_solver(lower: np.ndarray, main: np.ndarray, upper: np.ndarray,
-                   lin_tol: float):
-    """Factor a batch of independent tridiagonal systems; return ``solve(rhs)``.
-
-    ``main`` and the right-hand sides are (n_systems, n) arrays, ``lower``
-    and ``upper`` (n_systems, n-1). The batch is factored as one system
-    whose couplings between consecutive systems are zero: partial pivoting
-    swaps rows only towards a larger sub-diagonal entry, never across a zero
-    coupling, so each system is factored and solved on its own. A singular
-    factor is reported at its first row, in the first system that has one
-    there.
-    """
-    lapack = _flapack()
-    main = np.asarray(main, float)
-    nb, n = main.shape
-    # the batch as one system of order nb*n + 2, built in place: two trailing
-    # identity rows, since the scipy wrappers reject systems of order < 3.
-    # dl is the sub-diagonal by the unknown it multiplies, and du, behind one
-    # leading zero, the super-diagonal: with zeros between the systems, the
-    # residual reads both as they are (check_tridiag_residual)
-    dl, du = np.zeros(nb * n + 1), np.zeros(nb * n + 2)
-    dl[:-1].reshape(nb, n)[:, :-1] = lower
-    du[1:-1].reshape(nb, n)[:, :-1] = upper
-    d = np.empty(nb * n + 2)
-    d[:-2].reshape(nb, n)[...] = main
-    d[-2:] = 1.0
-    # (dl, d, du, du2, ipiv): dl and du are copied, and kept for the residual
-    lu = lapack.dgttrf(dl, d, du[1:], overwrite_d=1)[:5]
-    _check_pivots(lu[1][:-2].reshape(nb, n))  # U's diagonal
-    lower, upper = dl[:-1].reshape(nb, n), du[:-2].reshape(nb, n)
-
-    def solve(rhs: np.ndarray) -> np.ndarray:
-        # the padded right-hand side, also the contiguous copy the residual
-        # reads: the caller's array may be a transposed view
-        b = np.empty(nb * n + 2)
-        b[:-2].reshape(nb, n)[...] = rhs
-        b[-2:] = 0.0
-        rhs = b[:-2].reshape(nb, n)
-        x = lapack.dgttrs(*lu, b)[0][:-2].reshape(nb, n)
-        check_tridiag_residual(lower, main, upper, x, rhs, lin_tol, "tridiagonal batch")
-        return x
-
-    return solve
-
-
-def _check_pivots(piv: np.ndarray) -> None:
-    """Raise on the first row, then first system, with a zero or non-finite pivot."""
-    bad = ~np.isfinite(piv) | (np.abs(piv) < 1e-300)
-    if np.any(bad):
-        row = int(np.argmax(bad.any(axis=0)))
-        sys_idx = int(np.argmax(bad[:, row]))
-        raise LinearSolveError(
-            f"tridiagonal solve: singular pivot at row {row} (system {sys_idx})"
-        )

@@ -95,10 +95,11 @@ def _stream(seed: int, step: int) -> np.random.Generator:
 
 
 # Paths advanced together. A chunk's state is six stacked (n_delta, m)
-# arrays, and the run's memory does not grow with the path count. On
-# coupling-rate (paper.cfg, 2-core x86-64 host, one thread, 5 runs each),
-# 4096 paths peak at 39.4 MiB RSS in a median 1.77 s; 8192 run 7% faster
-# but peak 1.9 MiB higher, 2048 save 1.2 MiB and run 8% slower.
+# arrays, and the run's memory does not grow with the path count. On the
+# benchmark's mc workload (BENCH_24.json; 2-core x86-64 host, one thread),
+# 8192 paths moved wall_s by -2.2% and +1.8% over two sets of alternating
+# pairs, inside host noise, for 5-6% more peak_rss_mb in every pair; 2048
+# saved 1.2 MiB and ran 8% slower in-process.
 CHUNK_PATHS = 4096
 
 

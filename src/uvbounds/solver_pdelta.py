@@ -11,25 +11,26 @@ term A0 (explicit), the x-diffusion A1 and the variance part A2:
     Z0 = Y0 + theta*dt*A0 (Y2 - U)
     Zj = Z(j-1) + theta*dt*Aj (Zj - U),              j = 1, 2
 
-and the new level is Z2. Both implicit stages take their tridiagonals
-by probing the values-form operators. The x-stage is a batch of
+and the new level is Z2. Both implicit stages take their matrices by
+probing the values-form operators. The x-stage is a batch of
 tridiagonal systems, one per z-slice, factored once per step for both
 stages. Each row where A1 is nonzero is divided by its coefficient, which
 makes the batch symmetric positive definite, so LAPACK ``dpttrf``/``dpttrs``
 solve it as L D L^T without pivoting (``_Split``); the rows where A1 is
 zero are identity rows. Its residual is checked on the unscaled system.
 In-process, a ``sweep-error`` on ``paper.cfg`` spent 0.10 s in x-stage
-factors and 0.19 s in x-stage solves, against 0.16 s and 0.33 s by LU
-(``dgttrf``/``dgttrs``; medians of 9, 2-core x86-64 host, one BLAS
+factors and 0.19 s in x-stage solves, against 0.16 s and 0.33 s by
+general tridiagonal LU (medians of 9, 2-core x86-64 host, one BLAS
 thread).
 The z-system M = I - theta*dt*A2 is one matrix for every x-row, so its
-dense inverse is made once per theta*dt and each z-stage is one matrix
-product with it, at 2*n_z flops per node; its residual is checked by M's
-tridiagonal product, as every solve's is. The product beats the
-latency-bound chained tridiagonal solve up to a few hundred z-nodes: with
-it, in-process ``solve_pdelta`` on ``paper.cfg`` took a median 0.77 s
-against 0.86 s at 200x200x40, and 7.24 s against 7.32 s at 400x400x80 (10
-alternating runs each, 2-core x86-64 host, one BLAS thread). Likewise, each stencil field of a
+dense inverse is made once per theta*dt, by numpy's LAPACK LU, and each
+z-stage is one matrix product with it, at 2*n_z flops per node; the
+inverse and every product are checked by M's tridiagonal product, as
+every solve is. The product beats the latency-bound chained tridiagonal
+solve up to a few hundred z-nodes: with it, in-process ``solve_pdelta``
+on ``paper.cfg`` took a median 0.77 s against 0.86 s at 200x200x40, and
+7.24 s against 7.32 s at 400x400x80 (10 alternating runs each, 2-core
+x86-64 host, one BLAS thread). Likewise, each stencil field of a
 surface (z*x^2*d_xx, x*z*d_xz and A2 of it) is computed once; the control
 selection and the solves from that surface share it. The correction
 weight theta is Craig-Sneyd's 1/2 in the trapezoidal steps and 1 in the
@@ -72,7 +73,7 @@ from typing import Optional
 import numpy as np
 
 from .core import GridSpec, ModelParams, SolverConfig, Surface
-from .linsolve import check_tridiag_residual, spd_tridiag_solver, tridiag_solver
+from .linsolve import LinearSolveError, check_tridiag_residual, spd_tridiag_solver
 from .payoff import PayoffSpec, terminal_surface
 from .stencils import deadband, dx_values, dz_values, dzz_values, lxx_values, lxz_values
 from .stepping import march
@@ -164,21 +165,6 @@ def select_q(lxx, lxz, params: ModelParams, gamma_eps: float):
     return q, tag
 
 
-def _diagonals(op, shape: tuple, axis: int) -> tuple:
-    """The (lower, main, upper) diagonals of a 3-point operator along ``axis``.
-
-    Probed by three combs: comb c is 1 where the index along ``axis`` is
-    c (mod 3), so each node's 3-point footprint holds one node of each comb.
-    """
-    k = np.arange(shape[axis])
-    index = k.reshape([-1 if a == axis else 1 for a in range(len(shape))])
-    y = np.stack([op(np.broadcast_to(index % 3 == c, shape).astype(float))
-                  for c in range(3)])
-    y = np.moveaxis(y, axis + 1, 1)  # (colour, node along axis, ...)
-    diags = (y[(k[1:] - 1) % 3, k[1:]], y[k % 3, k], y[(k[:-1] + 1) % 3, k[:-1]])
-    return tuple(np.moveaxis(d, 0, axis) for d in diags)
-
-
 class _Split:
     """The 2D generator A(q) = A0 + A1 + A2, by parts, for the Craig-Sneyd step.
 
@@ -186,7 +172,8 @@ class _Split:
       absent when its coefficient is zero or the grid has one z-node.
     * A1 = 0.5*q^2*z*x^2*d_xx, implicit in x with one tridiagonal system
       per z-slice. Row i of I - c*A1 is (-c*a, 1 + 2*c*a, -c*a) with
-      a = 0.5*q^2*k and k = z*x^2/dx^2. Divided by a, a row reads
+      a = 0.5*q^2*k and k = z*x^2/dx^2, held once (``k``), probed as -1/2
+      of z*x^2*d_xx's main diagonal. Divided by a, a row reads
       (-c, 1/a + 2*c, -c), so the batch is symmetric positive definite and
       solved as L D L^T (``linsolve.spd_tridiag_solver``). Rows where A1 is
       zero, the ends of every slice and every z = 0 slice, are identity
@@ -196,9 +183,11 @@ class _Split:
       right-hand side finite. Every solve checks its residual on the
       unscaled system.
     * A2 = delta*(0.5*z*d_zz + kappa*(theta - z)*d_z), implicit in z with
-      one tridiagonal matrix for every x-row, held dense: each z-stage is
-      one product with its inverse (2*n_z flops per node, plus 5 for the
-      residual check); absent when delta = 0 or n_z = 1.
+      one tridiagonal matrix for every x-row, held once, dense and
+      transposed, as the stencil form applied to the identity (``a2_t``).
+      Each z-stage is one product with the inverse of I - theta*dt*A2
+      (2*n_z flops per node, plus 5 for the residual check); absent when
+      delta = 0 or n_z = 1.
     """
 
     def __init__(self, params: ModelParams, grid: GridSpec):
@@ -207,13 +196,17 @@ class _Split:
         self.c0 = params.rho * np.sqrt(params.delta)
         self.has_a0 = self.c0 != 0.0 and grid.n_z > 1
         self.has_a2 = params.delta > 0.0 and grid.n_z > 1
-        # A1(q) only scales the rows of z*x^2*d_xx: its x-diagonals, one row
-        # per z-slice
-        self.lxx_diags = tuple(d.T.copy() for d in _diagonals(
-            lambda w: lxx_values(w, grid), (grid.n_x, grid.n_z), 0))
-        # the x-stage's k = z*x^2/dx^2, flat, slice after slice; the rows
-        # where it is zero are identity rows, and only two regular rows couple
-        self.k = -0.5 * self.lxx_diags[1].ravel()
+        # A1(q) only scales the rows of z*x^2*d_xx, whose main diagonal is -2*k,
+        # k = z*x^2/dx^2. Comb c is 1 where the x-index is c mod 3, so of a
+        # node's 3-point footprint only the node itself is on its own comb;
+        # -0.5 in each term, summed in turn, keeps the signed zeros of -0.5
+        # times the diagonal. k is flat, slice after slice; the rows where it
+        # is zero are identity rows, and only two regular rows couple
+        index = np.arange(grid.n_x)[:, None] % 3
+        terms = [-0.5 * comb * lxx_values(comb, grid) for comb in
+                 (np.broadcast_to(index == c, (grid.n_x, grid.n_z)).astype(float)
+                  for c in range(3))]
+        self.k = (terms[0] + terms[1] + terms[2]).T.ravel()
         regular = self.k > 0.0
         self.identity_rows = np.flatnonzero(~regular)
         self.coupled = (regular[:-1] & regular[1:]).astype(float)
@@ -222,12 +215,10 @@ class _Split:
         after = np.flatnonzero(regular[1:] & ~regular[:-1]) + 1
         before = np.flatnonzero(regular[:-1] & ~regular[1:])
         self.moved = ((after, after - 1), (before, before + 1))
-        # A2 has the same coefficients along every x-row: its tridiagonal,
-        # probed from the stencils, and that as a dense (n_z, n_z) matrix,
-        # transposed, so that A2 of a surface w is w @ a2_t
-        self.a2_diags = tuple(d[0] for d in _diagonals(self.a2_stencil, (1, grid.n_z), 1))
-        lower, main, upper = self.a2_diags
-        self.a2_t = (np.diag(lower, -1) + np.diag(main) + np.diag(upper, 1)).T.copy()
+        # A2 has the same coefficients along every x-row. Row i of the stencil
+        # form applied to the identity is A2 e_i, so that is A2 transposed, and
+        # A2 of a surface w is w @ a2_t
+        self.a2_t = self.a2_stencil(np.eye(grid.n_z))
         self._x = None  # (q, c, solve) of the last x-system factored
         self._z = {}    # theta*dt -> (M^-T, diagonals of M by column) of M = I - theta*dt*A2
 
@@ -295,20 +286,25 @@ class _Split:
         """(I - theta*dt*A2)^-1 rhs along every x-row, as one matrix product.
 
         M = I - theta*dt*A2 is one tridiagonal system for all rows, so its
-        dense inverse is made once per theta*dt: ``tridiag_solver`` solves a
-        batch of n_z copies of M with the identity's rows as right-hand
-        sides, and row i of that solution is M^-1 e_i, so the batch is M^-T.
-        Every call checks its residual by M's tridiagonal product, on the
-        flat surface.
+        dense inverse is made once per theta*dt, as the inverse of
+        M^T = I - theta*dt*a2_t by numpy's LAPACK LU, and checked by M's
+        tridiagonal product with the identity as right-hand side. Every call
+        checks its residual the same way, on the flat surface.
         """
         c = theta * dt
         if c not in self._z:
-            lower, main, upper = self.a2_diags
-            m = (-c * lower, 1.0 - c * main, -c * upper)
-            n = main.size
-            rows = [np.broadcast_to(d, (n, d.size)) for d in m]
-            by_column = (np.append(m[0], 0.0), m[1], np.insert(m[2], 0, 0.0))
-            self._z[c] = (tridiag_solver(*rows, lin_tol)(np.eye(n)), by_column)
+            eye = np.eye(self.grid.n_z)
+            # M^T, whose row i is M's column i: its diagonals are M's laid out
+            # by the unknown they multiply, as the residual reads them
+            m_t = eye - c * self.a2_t
+            m = (np.append(np.diagonal(m_t, 1), 0.0), np.diagonal(m_t).copy(),
+                 np.insert(np.diagonal(m_t, -1), 0, 0.0))
+            try:
+                inv_t = np.linalg.inv(m_t)
+            except np.linalg.LinAlgError as exc:
+                raise LinearSolveError(f"z-stage inverse: {exc}") from exc
+            check_tridiag_residual(*m, inv_t, eye, lin_tol, "z-stage inverse")
+            self._z[c] = (inv_t, m)
         inv_t, m = self._z[c]
         x = rhs @ inv_t
         check_tridiag_residual(*m, x, rhs, lin_tol, "z-stage")

@@ -8,8 +8,9 @@ Not collected by pytest (no ``test_`` prefix); test modules import it as
   operators as the Craig-Sneyd step and solved by sparse LU. The split
   step differs from it by O(dt^2).
 * ``lu_x_solver``: the x-stage's systems I - c*A1(q), one per variance
-  slice, unscaled and solved by the LU batch kernel ``tridiag_solver``;
-  the package solves them in their symmetric scaled form.
+  slice, unscaled and solved by banded LU (``scipy.linalg.solve_banded``)
+  from the split's ``k``; the package solves them in their symmetric
+  scaled form.
 * ``brownian_increments``: one step's correlated shocks for all paths in
   a single draw, the unchunked form of what the Monte Carlo path kernel
   draws chunk by chunk.
@@ -33,12 +34,13 @@ import csv
 from pathlib import Path
 
 import numpy as np
+import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from uvbounds.core import GridSpec, ModelParams
 from uvbounds.csvio import fmt
-from uvbounds.linsolve import LinearSolveError, _check_residual, tridiag_solver
+from uvbounds.linsolve import LinearSolveError, _check_residual
 from uvbounds.montecarlo import _correlate, _stream
 from uvbounds.solver_pdelta import _Split
 
@@ -95,15 +97,29 @@ def lu_solve(params: ModelParams, grid: GridSpec, lin_tol: float):
 
 
 def lu_x_solver(split: _Split, q: np.ndarray, c: float, lin_tol: float):
-    """A drop-in for ``_Split.x_solver``: rhs -> (I - c*A1(q))^-1 rhs by LU.
+    """A drop-in for ``_Split.x_solver``: rhs -> (I - c*A1(q))^-1 rhs by banded LU.
 
-    The diagonals are the probed ``lxx_diags``, scaled by 0.5*q^2 per slice.
+    Row i of I - c*A1(q) is (-c*a, 1 + 2*c*a, -c*a) with a = 0.5*q^2*k, on
+    the flat grid slice after slice; k is zero at the ends of every slice,
+    so no row couples two slices.
     """
-    s = 0.5 * (q * q).T
-    lower, main, upper = split.lxx_diags
-    solve = tridiag_solver(-c * (s[:, 1:] * lower), 1.0 - c * (s * main),
-                           -c * (s[:, :-1] * upper), lin_tol)
-    return lambda rhs: np.ascontiguousarray(solve(rhs.T).T)
+    n_x, n_z = split.grid.n_x, split.grid.n_z
+    nca = -c * 0.5 * (q * q).T.ravel() * split.k
+    ab = np.zeros((3, nca.size))
+    ab[0, 1:] = nca[:-1]  # row i's coupling to i + 1, by the column it sits in
+    ab[1] = 1.0 - 2.0 * nca
+    ab[2, :-1] = nca[1:]  # row i + 1's coupling to i
+
+    def solve(rhs: np.ndarray) -> np.ndarray:
+        b = rhs.T.ravel()
+        x = sla.solve_banded((1, 1), ab, b)
+        resid = ab[1] * x - b
+        resid[:-1] += ab[0, 1:] * x[1:]
+        resid[1:] += ab[2, :-1] * x[:-1]
+        _check_residual(resid, b, lin_tol, "banded LU x-stage")
+        return x.reshape(n_z, n_x).T.copy()
+
+    return solve
 
 
 def brownian_increments(seed: int, step: int, n_paths: int, rho: float,

@@ -259,13 +259,43 @@ def test_failed_ldlt_factor_exits_3_with_error_record(tmp_path, cfg, monkeypatch
         d, e, _ = real.dpttrf(d, e, **kw)
         return d, e, 3
 
-    monkeypatch.setattr(linsolve, "_flapack", lambda: SimpleNamespace(
-        dpttrf=dpttrf, dpttrs=real.dpttrs, dgttrf=real.dgttrf, dgttrs=real.dgttrs))
+    monkeypatch.setattr(linsolve, "_flapack",
+                        lambda: SimpleNamespace(dpttrf=dpttrf, dpttrs=real.dpttrs))
     out = tmp_path / "o"
     assert run(["solve-pdelta", "--config", cfg, "--out", str(out)]) == 3
     record = strict_json(out / "error.json")
     assert record["exit_code"] == 3
     assert "at row 2 is not positive" in record["message"]
+
+
+def test_failed_z_inverse_exits_3_with_error_record(tmp_path, cfg, monkeypatch):
+    # numpy's LU reports a singular matrix by LinAlgError
+    def inv(a):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(np.linalg, "inv", inv)
+    out = tmp_path / "o"
+    assert run(["solve-pdelta", "--config", cfg, "--out", str(out)]) == 3
+    record = strict_json(out / "error.json")
+    assert record["exit_code"] == 3
+    assert "z-stage inverse: Singular matrix" in record["message"]
+
+
+def test_nan_in_a2_exits_3_at_the_z_inverse_check(tmp_path, cfg, monkeypatch):
+    # a NaN put into a2_t just before the first z-stage, so that the inverse
+    # built there is the first thing to meet it
+    solve_z = solver_pdelta._Split.solve_z
+
+    def poisoned(split, *args):
+        split.a2_t[3, 2] = np.nan
+        return solve_z(split, *args)
+
+    monkeypatch.setattr(solver_pdelta._Split, "solve_z", poisoned)
+    out = tmp_path / "o"
+    assert run(["solve-pdelta", "--config", cfg, "--out", str(out)]) == 3
+    record = strict_json(out / "error.json")
+    assert record["exit_code"] == 3
+    assert "z-stage inverse: residual nan exceeds" in record["message"]
 
 
 def test_tiny_z_min_solves_as_the_lu_x_stage(tmp_path, monkeypatch):
@@ -540,5 +570,20 @@ def test_error_sweep_never_imports_the_scipy_linalg_package(tmp_path):
             f"status = run({argv!r}); print(status, 'scipy.linalg' in sys.modules); "
             # importing scipy.linalg afterwards finds the same wrappers
             "import scipy.linalg; "
-            "print(scipy.linalg._flapack.dgttrs is linsolve._flapack().dgttrs)")
+            "print(scipy.linalg._flapack.dpttrs is linsolve._flapack().dpttrs)")
     assert _fresh_python(code).split() == ["0", "False", "True"]
+
+
+def test_solves_need_only_the_ldlt_routines(tmp_path):
+    # dpttrf and dpttrs are the only LAPACK routines a solve loads from
+    # scipy's wrappers; the z-inverse comes from numpy's own LAPACK
+    small = ["--config", str(PAPER_CFG),
+             "--set", "grid.n_x=40", "--set", "grid.n_z=10", "--set", "grid.n_t=4"]
+    runs = [["sweep-error", *small, "--out", str(tmp_path / "sweep")],
+            ["solve-pdelta", *small, "--out", str(tmp_path / "pdelta")]]
+    code = ("from types import SimpleNamespace; from uvbounds import linsolve; "
+            "from uvbounds.cli import run; real = linsolve._flapack(); "
+            "linsolve._flapack = lambda: SimpleNamespace(dpttrf=real.dpttrf, "
+            "dpttrs=real.dpttrs); "
+            f"print(*[run(argv) for argv in {runs!r}])")
+    assert _fresh_python(code).split() == ["0", "0"]

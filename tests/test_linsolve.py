@@ -4,170 +4,31 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
 from uvbounds import linsolve
 from uvbounds.core import GridSpec, ModelParams, SolverConfig
-from uvbounds.linsolve import LinearSolveError, tridiag_solver
+from uvbounds.linsolve import LinearSolveError
 from uvbounds.solver_pdelta import _scheme, _Split
 from reference import generator_matrix, lu_solve
 
 
-def solve_batch(lower, main, upper, rhs, lin_tol=1e-10):
-    return tridiag_solver(lower, main, upper, lin_tol)(rhs)
-
-
-def solve_one(lower, main, upper, rhs, **kw):
-    """One tridiagonal system through the batch kernel, as a batch of one."""
-    rows = [np.asarray(a, float)[None, :] for a in (lower, main, upper, rhs)]
-    return solve_batch(*rows, **kw)[0]
-
-
-def test_identity_returns_rhs():
-    n = 7
-    rhs = np.arange(n, dtype=float)
-    np.testing.assert_array_equal(
-        solve_one(np.zeros(n - 1), np.ones(n), np.zeros(n - 1), rhs), rhs)
-
-
-def test_three_by_three_hand_solution():
-    # 2x1 - x2 = 1; -x1 + 2x2 - x3 = 1; -x2 + 2x3 = 1  ->  (1.5, 2, 1.5)
-    x = solve_one([-1.0, -1.0], [2.0, 2.0, 2.0], [-1.0, -1.0], np.ones(3))
-    np.testing.assert_allclose(x, [1.5, 2.0, 1.5], atol=1e-14)
-
-
-@pytest.mark.parametrize("seed", range(6))
-def test_random_diagonally_dominant_residual(seed):
-    rng = np.random.default_rng(seed)
-    n = rng.integers(3, 60)
-    lower = rng.standard_normal(n - 1)
-    upper = rng.standard_normal(n - 1)
-    main = 3.0 + np.abs(rng.standard_normal(n)) + np.abs(lower).max() + np.abs(upper).max()
-    main *= rng.choice([-1.0, 1.0], size=n)
-    rhs = rng.standard_normal(n) * 10
-    x = solve_one(lower, main, upper, rhs, lin_tol=1e-10)
-    resid = np.abs(sp.diags([lower, main, upper], [-1, 0, 1]) @ x - rhs).max()
-    assert resid <= 1e-10 * (1 + np.abs(rhs).max())
-
-
-def test_batch_matches_individual_solves():
-    rng = np.random.default_rng(11)
-    nb, n = 5, 20
-    lower = rng.standard_normal((nb, n - 1))
-    upper = rng.standard_normal((nb, n - 1))
-    main = 4.0 + np.abs(rng.standard_normal((nb, n)))
-    rhs = rng.standard_normal((nb, n))
-    batch = solve_batch(lower, main, upper, rhs)
-    for b in range(nb):
-        single = solve_one(lower[b], main[b], upper[b], rhs[b])
-        np.testing.assert_array_equal(batch[b], single)
-
-
-def test_row_interchanges_stay_inside_each_system():
-    # |lower| > |main| makes partial pivoting swap rows; the zero couplings
-    # between the flattened systems keep every swap inside its own system
-    rng = np.random.default_rng(12)
-    nb, n = 6, 9
-    lower = 5.0 + rng.random((nb, n - 1))
-    upper = rng.standard_normal((nb, n - 1))
-    main = 0.1 * rng.standard_normal((nb, n))
-    rhs = rng.standard_normal((nb, n))
-    batch = solve_batch(lower, main, upper, rhs)
-    for b in range(nb):
-        single = solve_one(lower[b], main[b], upper[b], rhs[b])
-        np.testing.assert_array_equal(batch[b], single)
-
-
-def test_zero_thomas_pivot_solves():
-    # [[0, 1], [1, 1]] x = b is nonsingular, though elimination without
-    # pivoting meets a zero pivot in its first row
-    rhs = np.array([2.0, 5.0])
-    x = solve_one([1.0], [0.0, 1.0], [1.0], rhs, lin_tol=1e-12)
-    resid = np.array([x[1], x[0] + x[1]]) - rhs
-    assert np.abs(resid).max() <= 1e-12 * (1 + np.abs(rhs).max())
-
-
-def test_singular_pivot_reports_row():
-    with pytest.raises(LinearSolveError, match="row 1"):
-        solve_one([0.0, 0.0], [1.0, 0.0, 1.0], [0.0, 0.0], np.ones(3))
-
-
-def test_singular_pivot_reports_first_row_then_first_system():
-    # zero pivots: system 0 at row 4, systems 1 and 2 at row 3. The earliest
-    # row is reported, and the first system that fails there
-    nb, n = 4, 6
-    main = np.full((nb, n), 2.0)
-    main[0, 4] = 0.0
-    main[1, 3] = 0.0
-    main[2, 3] = 0.0
-    off = np.zeros((nb, n - 1))
-    with pytest.raises(LinearSolveError, match=r"row 3 \(system 1\)"):
-        solve_batch(off, main, off, np.ones((nb, n)))
-
-
-def test_residual_guard_catches_a_wrong_solution(monkeypatch):
-    # dgttrs wrapped to shift one unknown by ``shift``: the solve passes
-    # unshifted and raises, naming the residual, once the solution is off
-    real = linsolve._flapack()
-    shift = 0.0
-
-    def dgttrs(*args, **kw):
-        x, info = real.dgttrs(*args, **kw)
-        x[1] += shift
-        return x, info
-
-    monkeypatch.setattr(linsolve, "_flapack",
-                        lambda: SimpleNamespace(dgttrf=real.dgttrf, dgttrs=dgttrs))
-    system = ([-1.0, -1.0], [2.0, 2.0, 2.0], [-1.0, -1.0], np.ones(3))
-    np.testing.assert_allclose(solve_one(*system), [1.5, 2.0, 1.5], atol=1e-14)
-    shift = 1e-6
-    with pytest.raises(LinearSolveError,
-                       match=r"tridiagonal batch: residual 2\.000e-06 exceeds 2\.000e-10"):
-        solve_one(*system)
-
-
-def test_nan_rhs_fails_the_residual_check():
-    # NaN compares false with any bound: the guard rejects it as non-finite
-    rhs = np.ones(3)
-    rhs[1] = np.nan
-    with pytest.raises(LinearSolveError, match="tridiagonal batch: residual nan exceeds"):
-        solve_one([-1.0, -1.0], [2.0, 2.0, 2.0], [-1.0, -1.0], rhs)
-
-
-def test_transposed_rhs_solves_as_its_contiguous_copy():
-    # the x-stages pass a transposed view; the solve and its residual check
-    # read the padded copy, so the view gives the copy's solution, bit for bit
-    rng = np.random.default_rng(13)
-    nb, n = 4, 7
-    solve = tridiag_solver(rng.standard_normal((nb, n - 1)), 4.0 + rng.random((nb, n)),
-                           rng.standard_normal((nb, n - 1)), 1e-10)
-    view = rng.standard_normal((n, nb)).T
-    kept = view.copy()
-    assert solve(view).tobytes() == solve(np.ascontiguousarray(view)).tobytes()
-    np.testing.assert_array_equal(view, kept)
-    view[2, 3] = np.nan
-    with pytest.raises(LinearSolveError, match="tridiagonal batch: residual nan exceeds"):
-        solve(view)
-
-
 def test_loaded_lapack_is_bitwise_scipy_linalg_lapack(monkeypatch):
     # the extension loaded by file path gives scipy.linalg.lapack's factors
-    # and solutions, bit for bit, on a batch laid out as tridiag_solver does
+    # and solutions, bit for bit, on a batch laid out as the x-stage's is
     from scipy.linalg import lapack
 
     monkeypatch.delitem(sys.modules, "scipy.linalg._flapack")  # load it by path
     ours = linsolve._flapack.__wrapped__()  # past the cache
     rng = np.random.default_rng(17)
     n = 300
-    dl, du = rng.standard_normal(n - 1), rng.standard_normal(n - 1)
-    d = rng.standard_normal(n) + rng.choice([-3.0, 3.0], n)
-    dl[::25] = 0.0  # zero couplings between systems of 25
-    du[24::25] = 0.0
+    d = 3.0 + rng.random(n)
+    e = rng.uniform(-1.0, 1.0, n - 1)
+    e[24::25] = 0.0  # zero couplings between systems of 25
     rhs = rng.standard_normal((n, 3))
-    lu = ours.dgttrf(dl, d, du)
-    assert lu[-1] == 0
-    pairs = [*zip(lu, lapack.dgttrf(dl, d, du)),
-             *zip(ours.dgttrs(*lu[:5], rhs), lapack.dgttrs(*lu[:5], rhs))]
+    ldlt = ours.dpttrf(d, e)
+    assert ldlt[-1] == 0
+    pairs = [*zip(ldlt, lapack.dpttrf(d, e)),
+             *zip(ours.dpttrs(*ldlt[:2], rhs), lapack.dpttrs(*ldlt[:2], rhs))]
     for got, want in pairs:
         assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
 

@@ -2,12 +2,13 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 from hypothesis import given, settings, strategies as hst
 
 from uvbounds import linsolve, solver_pdelta, stepping
 from uvbounds.blackscholes import bs_call
 from uvbounds.core import GridSpec, ModelParams, SolverConfig, SolverError
-from uvbounds.linsolve import LinearSolveError, tridiag_solver
+from uvbounds.linsolve import LinearSolveError
 from uvbounds.payoff import PayoffSpec, terminal_surface
 from uvbounds.solver_pdelta import (TAG_A, TAG_B, TAG_C, _scheme, _scheme_p0p1, _Split,
                                     select_q, solve_p0p1, solve_pdelta)
@@ -235,17 +236,18 @@ def test_split_parts_sum_to_generator():
     c = 0.01
     y = split.solve_z(w, c, 1.0, 1e-10)
     np.testing.assert_allclose(y - c * split.a2(y), w, rtol=0, atol=1e-12)
-    # the x-stage's probed tridiagonal is A1, and the x-stage inverts I - c*A1
+    # the x-stage's probed k makes A1 = 0.5*q^2*k*(w[i+1] + w[i-1] - 2*w[i]),
+    # zero on the boundary rows, and the x-stage inverts I - c*A1
     for grid in PROBE_GRIDS.values():
         w = rng.standard_normal((grid.n_x, grid.n_z))
         q = rng.uniform(PARAMS.d, PARAMS.u, size=w.shape)
         split = _Split(PARAMS, grid)
         a1 = split.a1(q, w)
-        lower, main, upper = split.lxx_diags  # one row per z-slice
-        tri = main * w.T
-        tri[:, 1:] += lower * w.T[:, :-1]
-        tri[:, :-1] += upper * w.T[:, 1:]
-        assert np.max(np.abs(0.5 * q * q * tri.T - a1)) <= 1e-12 * np.max(np.abs(a1))
+        k = split.k.reshape(grid.n_z, grid.n_x).T  # flat, slice after slice
+        np.testing.assert_array_equal(k[[0, -1]], 0.0)
+        tri = np.zeros_like(w)
+        tri[1:-1] = w[2:] + w[:-2] - 2.0 * w[1:-1]
+        assert np.max(np.abs(0.5 * q * q * k * tri - a1)) <= 1e-12 * np.max(np.abs(a1))
         y = split.x_solver(q, c, 1e-10)(w)
         np.testing.assert_allclose(y - c * split.a1(q, y), w, rtol=0, atol=1e-12)
 
@@ -265,17 +267,19 @@ def test_a2_matrix_matches_stencil_form(grid):
 @pytest.mark.parametrize("theta", [0.5, 1.0])
 @pytest.mark.parametrize("grid", Z_GRIDS.values(), ids=Z_GRIDS.keys())
 def test_dense_z_solve_matches_tridiagonal_batch(grid, theta):
-    # the z-stage's product with the dense inverse against a batch solve of
-    # the same system on every x-row, its diagonals read off the stencil form
-    # applied to the identity: row i of that is A2 e_i, so it is A2^T
+    # the z-stage's product with the dense inverse against a banded LU solve
+    # of the same system on every x-row, its diagonals read off a2_t = A2^T
     rng = np.random.default_rng(31)
     rhs = rng.standard_normal((grid.n_x, grid.n_z))
     split = _Split(PARAMS, grid)
     dt = 0.05
-    a2 = split.a2_stencil(np.eye(grid.n_z)).T
+    a2 = split.a2_t.T
     c = theta * dt
-    m = (-c * np.diagonal(a2, -1), 1.0 - c * np.diagonal(a2), -c * np.diagonal(a2, 1))
-    want = tridiag_solver(*(np.broadcast_to(d, (grid.n_x, d.size)) for d in m), 1e-10)(rhs)
+    ab = np.zeros((3, grid.n_z))
+    ab[0, 1:] = -c * np.diagonal(a2, 1)
+    ab[1] = 1.0 - c * np.diagonal(a2)
+    ab[2, :-1] = -c * np.diagonal(a2, -1)
+    want = sla.solve_banded((1, 1), ab, rhs.T).T
     got = split.solve_z(rhs, dt, theta, 1e-10)
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
@@ -296,6 +300,28 @@ def test_z_stage_nan_rhs_fails_the_residual_check():
     rhs[5, 2] = np.nan
     with pytest.raises(LinearSolveError, match="z-stage: residual nan exceeds"):
         _Split(PARAMS, SMALL).solve_z(rhs, SMALL.dt(PARAMS.T), 0.5, 1e-10)
+
+
+def test_failed_z_inverse_raises(monkeypatch):
+    # numpy's LU reports a singular matrix by LinAlgError: it becomes a
+    # LinearSolveError, and so a SolverError naming the time level
+    def inv(a):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(np.linalg, "inv", inv)
+    rhs = np.ones((SMALL.n_x, SMALL.n_z))
+    with pytest.raises(LinearSolveError, match="z-stage inverse: Singular matrix"):
+        _Split(PARAMS, SMALL).solve_z(rhs, SMALL.dt(PARAMS.T), 0.5, 1e-10)
+    with pytest.raises(SolverError, match="time level"):
+        solve_pdelta(BF, PARAMS, SMALL)
+
+
+def test_nan_in_a2_fails_the_z_inverse_check():
+    # each inverse is checked as it is built, with the identity as right-hand side
+    split = _Split(PARAMS, SMALL)
+    split.a2_t[3, 2] = np.nan
+    with pytest.raises(LinearSolveError, match="z-stage inverse: residual nan exceeds"):
+        split.solve_z(np.ones((SMALL.n_x, SMALL.n_z)), SMALL.dt(PARAMS.T), 0.5, 1e-10)
 
 
 # the probe grids, n_x = 3 and 4 (GridSpec needs 3), and grids whose
@@ -376,8 +402,7 @@ def _failing_dpttrf(monkeypatch, row: int):
         return d, e, row + 1
 
     monkeypatch.setattr(linsolve, "_flapack",
-                        lambda: SimpleNamespace(dpttrf=dpttrf, dpttrs=real.dpttrs,
-                                                dgttrf=real.dgttrf, dgttrs=real.dgttrs))
+                        lambda: SimpleNamespace(dpttrf=dpttrf, dpttrs=real.dpttrs))
 
 
 def test_failed_ldlt_factor_raises(monkeypatch):
@@ -479,17 +504,17 @@ def test_step_matches_single_step_solve():
                                              (SolverConfig(cn_weight=0.6), 2)])
 def test_each_matrix_factored_once(monkeypatch, cfg, n_z_factors):
     # paper.cfg's time grid: the Rannacher 1*dt/2 and the trapezoidal 0.5*dt
-    # are one theta*dt, so its z-system's inverse, a batch of n_z copies, is
-    # made once per solve_pdelta; the x-system, one symmetric batch of every
-    # slice, is factored once per Craig-Sneyd step
+    # are one theta*dt, so its z-system's dense inverse is made once per
+    # solve_pdelta; the x-system, one symmetric batch of every slice, is
+    # factored once per Craig-Sneyd step
     grid = GridSpec(0, 200, 60, 0, 0.12, 30, 20)  # n_x != n_z tells the systems apart
     shapes, x_factors, n_solves = [], [], [0]
-    factor, spd_factor = solver_pdelta.tridiag_solver, solver_pdelta.spd_tridiag_solver
+    inv, spd_factor = np.linalg.inv, solver_pdelta.spd_tridiag_solver
     scheme = solver_pdelta._scheme
 
-    def counting_factor(lower, main, upper, lin_tol):
-        shapes.append(np.shape(main))
-        return factor(lower, main, upper, lin_tol)
+    def counting_inv(a):
+        shapes.append(np.shape(a))
+        return inv(a)
 
     def counting_spd_factor(main, off):
         x_factors.append(np.shape(main))
@@ -503,7 +528,7 @@ def test_each_matrix_factored_once(monkeypatch, cfg, n_z_factors):
             return solve(*a)
         return select, counted
 
-    monkeypatch.setattr(solver_pdelta, "tridiag_solver", counting_factor)
+    monkeypatch.setattr(np.linalg, "inv", counting_inv)
     monkeypatch.setattr(solver_pdelta, "spd_tridiag_solver", counting_spd_factor)
     monkeypatch.setattr(solver_pdelta, "_scheme", counting_scheme)
     solve_pdelta(BF, PARAMS, grid, cfg)
