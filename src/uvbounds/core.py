@@ -26,6 +26,16 @@ class SolverError(RuntimeError):
     """A backward-stepping solver failed; the message carries the context."""
 
 
+def _count(name: str, value) -> int:
+    """``value`` as an int: 40.0 and numpy integers pass; 40.7, nan and inf raise."""
+    try:
+        if int(value) == value:
+            return int(value)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ValueError(f"{name} must be an integer (got {value!r})")
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """Market and variance-process parameters.
@@ -139,11 +149,10 @@ class GridSpec:
     def __post_init__(self) -> None:
         for name in ("x_min", "x_max", "z_min", "z_max"):
             object.__setattr__(self, name, float(getattr(self, name)))
-        for name in ("n_x", "n_z", "n_t"):
-            object.__setattr__(self, name, int(getattr(self, name)))
-        for name in ("x_min", "x_max", "z_min", "z_max"):
             if not np.isfinite(getattr(self, name)):
                 raise ValueError(f"GridSpec.{name} must be finite")
+        for name in ("n_x", "n_z", "n_t"):
+            object.__setattr__(self, name, _count(f"GridSpec.{name}", getattr(self, name)))
         if self.x_min < 0.0 or self.z_min < 0.0:
             raise ValueError("GridSpec: x_min and z_min must be >= 0")
         if self.x_min >= self.x_max:
@@ -224,6 +233,8 @@ class SolverConfig:
     rannacher_steps: int = 2
 
     def __post_init__(self) -> None:
+        for name in ("corrector_passes", "rannacher_steps"):
+            object.__setattr__(self, name, _count(name, getattr(self, name)))
         if not (0.5 <= self.cn_weight <= 1.0):
             raise ValueError(f"cn_weight must be in [0.5, 1] (got {self.cn_weight})")
         if self.corrector_passes < 1:

@@ -31,8 +31,8 @@ solve up to a few hundred z-nodes: with it, in-process ``solve_pdelta``
 on ``paper.cfg`` took a median 0.77 s against 0.86 s at 200x200x40, and
 7.24 s against 7.32 s at 400x400x80 (10 alternating runs each, 2-core
 x86-64 host, one BLAS thread). Likewise, each stencil field of a
-surface (z*x^2*d_xx, x*z*d_xz and A2 of it) is computed once; the control
-selection and the solves from that surface share it. The correction
+surface (z*x^2*d_xx, x*z*d_xz and A2 of it) is computed once: the control
+selection hands them to the solves from that surface. The correction
 weight theta is Craig-Sneyd's 1/2 in the trapezoidal steps and 1 in the
 fully implicit Rannacher start.
 At delta = 0 both A0 and A2 vanish and the step is the x-stage alone.
@@ -96,17 +96,23 @@ TAG_NAMES = ("A", "B", "C")
 class PdeltaSolution:
     """Backward-sweep output for the 2D worst-case price.
 
-    ``q_star_delta[n]`` and ``candidate_tags[n]`` are the control field
-    and winning-candidate tags used stepping into time level n.
+    ``q_star_delta[n]`` is the control field used stepping into time level
+    n. ``candidate_tags`` reads which candidate won off it, so an interior
+    winner that rounds exactly onto an endpoint reads as that endpoint.
     """
 
     p_delta: Surface
     q_star_delta: np.ndarray
-    candidate_tags: np.ndarray
     params: ModelParams
     grid: GridSpec
     config: SolverConfig
     payoff: PayoffSpec
+
+    @property
+    def candidate_tags(self) -> np.ndarray:
+        """TAG_A where q == u, TAG_B where q == d, TAG_C strictly inside (d, u)."""
+        q, p = self.q_star_delta, self.params
+        return np.select([q == p.u, q == p.d], [TAG_A, TAG_B], TAG_C).astype(np.int8)
 
     def tag_fraction(self, tag: int) -> float:
         """Fraction of (level, node) entries whose winner carries ``tag``."""
@@ -133,11 +139,13 @@ class P0P1Solution:
 def select_q(lxx, lxz, params: ModelParams, gamma_eps: float):
     """Pointwise optimal control from the two stencil fields.
 
-    Vectorized; returns (q, tag) with tags in {TAG_A, TAG_B, TAG_C}. Exact
-    ties prefer the upper endpoint, then the lower one, so the selection
-    is deterministic. Both fields count as zero below the deadband
-    ``gamma_eps``. The interior candidate q_hat competes only where
-    Gxx <= -gamma_eps and q_hat lies inside [d, u].
+    Vectorized; returns the control q. Exact ties prefer the upper
+    endpoint, then the lower one, so the selection is deterministic. Both
+    fields count as zero below the deadband ``gamma_eps``. The interior
+    candidate q_hat competes only where Gxx <= -gamma_eps and q_hat lies
+    inside [d, u]. Which candidate won is read off q, as an endpoint or
+    as q_hat where d < q < u; a q_hat that rounds exactly onto an
+    endpoint reads as that endpoint (``PdeltaSolution.candidate_tags``).
     """
     # fields below the deadband count as zero, so a flat node, where both
     # are rounding noise, ties and resolves to the upper endpoint
@@ -149,7 +157,6 @@ def select_q(lxx, lxz, params: ModelParams, gamma_eps: float):
     f_d = 0.5 * d * d * a + d * b
     endpoint_up = f_u >= f_d
     q = np.where(endpoint_up, u, d)
-    tag = np.where(endpoint_up, np.int8(TAG_A), np.int8(TAG_B))
 
     # the interior candidate, computed on the concave nodes only
     concave = np.broadcast_to(a <= -gamma_eps, q.shape)
@@ -161,8 +168,7 @@ def select_q(lxx, lxz, params: ModelParams, gamma_eps: float):
     take = concave.copy()
     take[concave] = wins
     q[take] = q_hat[wins]
-    tag[take] = TAG_C
-    return q, tag
+    return q
 
 
 class _Split:
@@ -312,7 +318,8 @@ class _Split:
 
 
 class _Fields:
-    """The stencil fields of one surface that a 2D step reads, each computed on first use."""
+    """The stencil fields of one surface that a 2D step reads, each computed on
+    first use; ``select`` hands them to the solves from that surface."""
 
     def __init__(self, split: _Split, w: np.ndarray):
         self.split, self.w = split, w
@@ -332,35 +339,22 @@ class _Fields:
 
 def _scheme(split: _Split, config: SolverConfig):
     """The (select, solve) pair of the 2D equation; ``solve`` is one Craig-Sneyd step."""
-    params, grid = split.params, split.grid
+    params, tol = split.params, config.lin_tol
     geps = config.resolve_gamma_eps(params)
-    tol = config.lin_tol
-    # the fields of the two surfaces used last, the latest last, matched by
-    # identity as in _Split.x_solver (surfaces are never changed in place):
-    # a sub-step's select and its solves share w_next's, although each
-    # corrector pass selects on a new surface between two solves
-    recent = []
-
-    def fields(w: np.ndarray) -> _Fields:
-        hit = [f for f in recent if f.w is w]
-        f = hit[0] if hit else _Fields(split, w)
-        recent[:] = [g for g in recent if g is not f][-1:] + [f]
-        return f
 
     def select(w: np.ndarray):
-        f = fields(w)
+        f = _Fields(split, w)
         # at rho*sqrt(delta) = 0 the cross field is multiplied by zero
-        return select_q(f.lxx, f.lxz if split.c0 != 0.0 else 0.0, params, geps)
+        return select_q(f.lxx, f.lxz if split.c0 != 0.0 else 0.0, params, geps), f
 
-    def solve(q: np.ndarray, w_next: np.ndarray, dt: float, theta: float) -> np.ndarray:
-        f = fields(w_next)
-        # A0 and A1 of w_next, as _Split.a0 and _Split.a1 from its fields
+    def solve(q: np.ndarray, f: _Fields, dt: float, theta: float) -> np.ndarray:
+        # A0 and A2 of w_next = f.w, as _Split.a0 and _Split.a2 from its fields
         a0_next = split.c0 * q * f.lxz if split.has_a0 else None
         a2_next = f.a2 if split.has_a2 else None
         # one factor of the x-system and U + (1-theta)*dt*A1 U serve both
         # Craig-Sneyd stages
         solve_x = split.x_solver(q, theta * dt, tol)
-        rhs_x = w_next + (1.0 - theta) * dt * (0.5 * q * q * f.lxx)
+        rhs_x = f.w + (1.0 - theta) * dt * (0.5 * q * q * f.lxx)
 
         def stages(explicit):
             y = solve_x(rhs_x if explicit is None else rhs_x + dt * explicit)
@@ -386,12 +380,10 @@ def solve_pdelta(payoff: PayoffSpec, params: ModelParams, grid: GridSpec,
     select, solve = _scheme(_Split(params, grid), config)
 
     term = terminal_surface(payoff, grid)
-    w, q_hist, tag_hist = march(np.asarray(term.values, float), grid, params.T, config,
-                                select, solve)
+    w, q_hist = march(np.asarray(term.values, float), grid, params.T, config, select, solve)
     return PdeltaSolution(
         p_delta=Surface(w, grid),
         q_star_delta=q_hist,
-        candidate_tags=tag_hist,
         params=params,
         grid=grid,
         config=config,
@@ -437,8 +429,8 @@ def solve_p0p1(payoff: PayoffSpec, params: ModelParams, grid: GridSpec,
         v = solve_p1(v, q, u_new, u_next, dt, theta, elapsed + theta * dt)
         elapsed += dt
 
-    u, q_hist, _ = march(np.asarray(term.values, float), grid, params.T, config,
-                         select, solve, source_step=p1_step)
+    u, q_hist = march(np.asarray(term.values, float), grid, params.T, config,
+                      select, solve, source_step=p1_step)
     return P0P1Solution(
         p0=Surface(u, grid),
         p1=Surface(v, grid),

@@ -77,12 +77,14 @@ def lu_solve(params: ModelParams, grid: GridSpec, lin_tol: float):
     """Reference implicit step: the unsplit weighted system, by sparse LU.
 
     A drop-in for the Craig-Sneyd ``solve`` of ``solver_pdelta._scheme``,
-    so tests can march both and bound the splitting error.
+    so tests can march both and bound the splitting error. Of the fields
+    ``select`` hands it, it reads only the surface w_next, ``fields.w``.
     """
     split = _Split(params, grid)
 
-    def solve(q: np.ndarray, w_next: np.ndarray, dt: float, theta: float) -> np.ndarray:
+    def solve(q: np.ndarray, fields, dt: float, theta: float) -> np.ndarray:
         gen = generator_matrix(split, q)
+        w_next = fields.w
         flat = w_next.ravel()
         rhs = flat + (1.0 - theta) * dt * (gen @ flat)
         a = sp.csc_matrix(sp.identity(len(flat)) - theta * dt * gen)

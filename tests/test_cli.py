@@ -87,6 +87,25 @@ def test_solve_pdelta_with_control_export(tmp_path, cfg):
     assert {r[4] for r in rows} <= {"A", "B", "C"}
 
 
+def test_exported_tags_are_read_off_the_exported_control(tmp_path, cfg):
+    # rho != 0, so some nodes take the interior candidate: each row's tag is
+    # A iff q == u, B iff q == d and C iff d < q < u, and the manifest's
+    # interior fraction is the share of C rows
+    out = tmp_path / "run"
+    assert run(["solve-pdelta", "--config", cfg, "--out", str(out), "--export-controls",
+                "--set", "model.rho=-0.9"]) == 0
+    _, rows = read_csv(out / "pdelta_controls.csv")
+    m = manifest(out)
+    d, u = float(m["config"]["model.d"]), float(m["config"]["model.u"])
+    q = np.array([float(r[3]) for r in rows])
+    tag = np.array([r[4] for r in rows])
+    np.testing.assert_array_equal(tag == "A", q == u)
+    np.testing.assert_array_equal(tag == "B", q == d)
+    np.testing.assert_array_equal(tag == "C", (d < q) & (q < u))
+    assert np.any(tag == "C")
+    assert m["results"]["interior_tag_fraction"] == np.mean(tag == "C")
+
+
 def test_sweep_error_row_count_and_fit(tmp_path, cfg):
     out = tmp_path / "run"
     assert run(["sweep-error", "--config", cfg, "--out", str(out)]) == 0

@@ -124,6 +124,28 @@ def test_bad_grid_specs_rejected(kwargs):
         GridSpec(**kwargs)
 
 
+GRID_KW = dict(x_min=0, x_max=200, n_x=40, z_min=0, z_max=0.12, n_z=10, n_t=4)
+
+
+@pytest.mark.parametrize("cls,field,bad", [
+    (SolverConfig, "corrector_passes", np.nan),
+    (SolverConfig, "corrector_passes", 1.5),
+    (SolverConfig, "rannacher_steps", 1.5),
+    (SolverConfig, "rannacher_steps", np.inf),
+    (GridSpec, "n_x", 40.7),
+    (GridSpec, "n_z", 10.5),
+    (GridSpec, "n_t", np.nan),
+])
+def test_non_integral_counts_rejected(cls, field, bad):
+    base = GRID_KW if cls is GridSpec else {}
+    with pytest.raises(ValueError, match=field):
+        cls(**{**base, field: bad})
+    # an integral float or a numpy integer is the count it holds
+    for good in (4.0, np.int64(4)):
+        n = getattr(cls(**{**base, field: good}), field)
+        assert n == 4 and type(n) is int
+
+
 def test_degenerate_single_z_slice_allowed():
     g = GridSpec(0, 200, 10, 0.04, 0.04, 1, 3)
     assert g.dz == 0.0

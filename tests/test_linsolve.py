@@ -8,7 +8,7 @@ import pytest
 from uvbounds import linsolve
 from uvbounds.core import GridSpec, ModelParams, SolverConfig
 from uvbounds.linsolve import LinearSolveError
-from uvbounds.solver_pdelta import _scheme, _Split
+from uvbounds.solver_pdelta import _Fields, _scheme, _Split
 from reference import generator_matrix, lu_solve
 
 
@@ -50,10 +50,12 @@ PARAMS = ModelParams(x0=100, z0=0.04, T=0.25, r=0, d=0.75, u=1.25,
 
 
 def _reference(n_x=12, n_z=9, seed=0, params=PARAMS):
-    """The LU step on a production grid, with a random control field in the band."""
+    """The LU step on a production grid, with a random control field in the band,
+    as ``solve(q, w_next, dt, theta)``."""
     grid = GridSpec(0, 200, n_x, 0, 0.12, n_z, 4)
     q = np.random.default_rng(seed).uniform(params.d, params.u, size=(n_x, n_z))
-    return grid, q, lu_solve(params, grid, 1e-10)
+    split, lu = _Split(params, grid), lu_solve(params, grid, 1e-10)
+    return grid, q, lambda q, w, dt, theta: lu(q, _Fields(split, w), dt, theta)
 
 
 def test_banded_identity():
@@ -80,8 +82,8 @@ def test_banded_block_diagonal_matches_tridiag():
     grid, q, solve = _reference(n_x=10, n_z=4, seed=9, params=p)
     w = np.random.default_rng(9).standard_normal(q.shape)
     dt = grid.dt(p.T)
-    _, x_stage = _scheme(_Split(p, grid), SolverConfig(lin_tol=1e-10))
-    want = x_stage(q, w, dt, 0.5)
+    select, x_stage = _scheme(_Split(p, grid), SolverConfig(lin_tol=1e-10))
+    want = x_stage(q, select(w)[1], dt, 0.5)
     np.testing.assert_allclose(solve(q, w, dt, 0.5), want, atol=1e-9)
 
 
@@ -91,8 +93,9 @@ def test_singular_banded_raises():
     # I - theta*dt*A is zero
     grid = GridSpec(0, 2, 3, 0.25, 0.25, 1, 1)
     solve = lu_solve(PARAMS, grid, 1e-10)
+    fields = _Fields(_Split(PARAMS, grid), np.ones((3, 1)))
     with pytest.raises(LinearSolveError):
-        solve(np.ones((3, 1)), np.ones((3, 1)), -4.0, 1.0)
+        solve(np.ones((3, 1)), fields, -4.0, 1.0)
 
 
 def test_banded_validate_finds_nonfinite():

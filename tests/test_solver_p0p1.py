@@ -30,14 +30,14 @@ def test_affine_payoff_is_invariant():
     # payoff x on [0, 200]: zero curvature, zero-gamma boundaries -> frozen
     affine = PayoffSpec.capped_linear(10_000)
     term = terminal_surface(affine, SMALL)
-    prov, q, _ = predictor(term, PARAMS, SMALL)
+    prov, q = predictor(term, PARAMS, SMALL)
     assert np.all(q == PARAMS.u)  # deadband tie resolves up
     np.testing.assert_allclose(prov, term.values, atol=1e-9)
 
 
 def test_predictor_q_all_up_for_convex_payoff():
     term = terminal_surface(PayoffSpec.call(100), GRID)
-    _, q, _ = predictor(term, PARAMS, GRID)
+    _, q = predictor(term, PARAMS, GRID)
     assert np.all(q == PARAMS.u)
 
 
@@ -45,7 +45,7 @@ def test_first_step_q_from_hand_stencil():
     # strikes on nodes: discrete gamma is +0.5 at 90/110, -1 at 100, 0 elsewhere
     grid = GridSpec(0, 200, 101, 0, 0.12, 4, 20)
     term = terminal_surface(BF, grid)
-    _, q, _ = predictor(term, PARAMS, grid)
+    _, q = predictor(term, PARAMS, grid)
     x = grid.x_nodes()
     z = grid.z_nodes()
     expected = np.where(
@@ -57,13 +57,13 @@ def test_corrector_idempotent_when_control_unchanged():
     term = terminal_surface(PayoffSpec.call(100), SMALL)
     cfg = SolverConfig()
     dt, theta = SMALL.dt(PARAMS.T), cfg.cn_weight
-    prov, q_pred, _ = predictor(term, PARAMS, SMALL, cfg)
+    prov, q_pred = predictor(term, PARAMS, SMALL, cfg)
     working = theta * prov + (1.0 - theta) * term.values
     select, solve, _ = _scheme_p0p1(PARAMS, SMALL, cfg)
     q_corr, _ = select(working)
     np.testing.assert_array_equal(q_pred, q_corr)
-    np.testing.assert_array_equal(solve(q_corr, term.values, dt, theta), prov)
-    corr, q_step, _ = stepping.step(term.values, select, solve, dt, theta, 1)
+    np.testing.assert_array_equal(solve(q_corr, select(term.values)[1], dt, theta), prov)
+    corr, q_step = stepping.step(term.values, select, solve, dt, theta, 1)
     np.testing.assert_array_equal(q_step, q_pred)
     np.testing.assert_array_equal(corr, prov)
 
@@ -236,7 +236,7 @@ def test_step_p1_zero_source_keeps_zero():
     params = PARAMS.replace(rho=0.0)
     cfg = SolverConfig()
     term_p0 = terminal_surface(BF, SMALL)
-    prov, q, _ = predictor(term_p0, params, SMALL, cfg)
+    prov, q = predictor(term_p0, params, SMALL, cfg)
     _, _, solve_p1 = _scheme_p0p1(params, SMALL, cfg)
     dt = SMALL.dt(params.T)
     out = solve_p1(np.zeros((SMALL.n_x, SMALL.n_z)), q, prov, term_p0.values,

@@ -24,15 +24,20 @@ BF = PayoffSpec.butterfly(90, 100, 110)
 GEPS = SolverConfig().resolve_gamma_eps(PARAMS)
 
 
+def _tags(q, p):
+    """Candidate tags read off a control: A at u, B at d, C strictly inside (d, u)."""
+    return np.where(q == p.u, TAG_A, np.where(q == p.d, TAG_B, TAG_C))
+
+
 # -- pointwise control selection ----------------------------------------------
 
 def test_select_q_rho_zero_reduces_to_curvature_sign():
     p = PARAMS.replace(rho=0.0)
-    assert select_q(2.0, 5.0, p, GEPS) == (p.u, TAG_A)
-    assert select_q(-2.0, 5.0, p, GEPS) == (p.d, TAG_B)
+    assert select_q(2.0, 5.0, p, GEPS) == p.u
+    assert select_q(-2.0, 5.0, p, GEPS) == p.d
     # deadband tie goes up
-    assert select_q(0.0, 5.0, p, GEPS) == (p.u, TAG_A)
-    assert select_q(-1e-9, 5.0, p, GEPS) == (p.u, TAG_A)
+    assert select_q(0.0, 5.0, p, GEPS) == p.u
+    assert select_q(-1e-9, 5.0, p, GEPS) == p.u
     # delta = 0, where P0 takes its control from this rule: q is the
     # bang-bang rule on the sign of lxx with the deadband, whatever lxz
     p0 = PARAMS.replace(delta=0.0)
@@ -41,8 +46,7 @@ def test_select_q_rho_zero_reduces_to_curvature_sign():
                           rng.standard_normal(200) * 10.0 * GEPS])
     lxz = rng.standard_normal(lxx.size) * 10.0
     bang_bang = np.where(deadband(lxx, GEPS) >= 0.0, p0.u, p0.d)
-    q, _ = select_q(lxx, lxz, p0, GEPS)
-    np.testing.assert_array_equal(q, bang_bang)
+    np.testing.assert_array_equal(select_q(lxx, lxz, p0, GEPS), bang_bang)
 
 
 def test_select_q_flat_node_ties_up_whatever_the_cross_term():
@@ -50,13 +54,13 @@ def test_select_q_flat_node_ties_up_whatever_the_cross_term():
     # with either sign of a rounding-level cross term
     assert PARAMS.rho != 0.0
     for lxz in (0.5 * GEPS, -0.5 * GEPS):
-        assert select_q(0.0, lxz, PARAMS, GEPS) == (PARAMS.u, TAG_A)
+        assert select_q(0.0, lxz, PARAMS, GEPS) == PARAMS.u
 
 
 def test_select_q_positive_curvature_endpoints_only():
     # convex in q: the stationary point is a minimum, never a candidate
-    q, tag = select_q(1.0, -80.0, PARAMS, GEPS)
-    assert tag in (TAG_A, TAG_B)
+    q = select_q(1.0, -80.0, PARAMS, GEPS)
+    assert q in (PARAMS.u, PARAMS.d)
     b = PARAMS.rho * np.sqrt(PARAMS.delta) * (-80.0)
     f_u = 0.5 * PARAMS.u**2 + PARAMS.u * b
     f_d = 0.5 * PARAMS.d**2 + PARAMS.d * b
@@ -67,8 +71,7 @@ def test_select_q_stationary_point_outside_band():
     # gxx=-1, gxz=1, rho=-0.9, delta=0.04: q_hat = -0.18, out of [0.75, 1.25];
     # by hand f(u) = -1.00625 < f(d) = -0.41625, so the lower endpoint wins
     p = PARAMS.replace(delta=0.04)
-    q, tag = select_q(-1.0, 1.0, p, GEPS)
-    assert (q, tag) == (p.d, TAG_B)
+    assert select_q(-1.0, 1.0, p, GEPS) == p.d
 
 
 def test_select_q_interior_winner_in_band():
@@ -76,8 +79,8 @@ def test_select_q_interior_winner_in_band():
     p = PARAMS.replace(delta=0.04)
     b_coeff = p.rho * np.sqrt(p.delta)
     lxz = 1.0 / b_coeff
-    q, tag = select_q(-1.0, lxz, p, GEPS)
-    assert tag == TAG_C
+    q = select_q(-1.0, lxz, p, GEPS)
+    assert p.d < q < p.u
     assert q == pytest.approx(1.0, abs=1e-12)
 
 
@@ -101,7 +104,7 @@ def test_select_q_attains_the_sup_over_the_band(rho, delta):
         k = n // 2
         lxx[:k] = -np.abs(lxx[:k])
         lxz[:k] = -rng.uniform(p.d, p.u, k) * lxx[:k] / c0
-    q, tag = select_q(lxx, lxz, p, GEPS)
+    q = select_q(lxx, lxz, p, GEPS)
 
     a = np.where(np.abs(lxx) < GEPS, 0.0, lxx)
     b = c0 * np.where(np.abs(lxz) < GEPS, 0.0, lxz)
@@ -114,35 +117,33 @@ def test_select_q_attains_the_sup_over_the_band(rho, delta):
     sup = np.where(a < 0.0, np.maximum(sup, f(q_hat)), sup)
     np.testing.assert_allclose(f(q), sup, rtol=1e-12, atol=0.0)
     assert np.all((p.d <= q) & (q <= p.u))
-    assert np.all(q[tag == TAG_A] == p.u)
-    assert np.all(q[tag == TAG_B] == p.d)
-    assert np.any(tag == TAG_C) == (c0 != 0.0)
+    assert np.any((p.d < q) & (q < p.u)) == (c0 != 0.0)
 
 
 def test_select_q_vectorized_matches_scalar():
     rng = np.random.default_rng(0)
     lxx = rng.standard_normal(40) * 2
     lxz = rng.standard_normal(40) * 3
-    qv, tv = select_q(lxx, lxz, PARAMS, GEPS)
+    qv = select_q(lxx, lxz, PARAMS, GEPS)
     for i in range(40):
-        qs, ts = select_q(float(lxx[i]), float(lxz[i]), PARAMS, GEPS)
-        assert qs == qv[i] and ts == tv[i]
+        assert select_q(float(lxx[i]), float(lxz[i]), PARAMS, GEPS) == qv[i]
 
 
 @pytest.mark.parametrize("params", [PARAMS.replace(rho=0.0), PARAMS.replace(delta=0.0)],
                          ids=["rho0", "delta0"])
 def test_select_skips_cross_field_where_its_coefficient_is_zero(params):
     # the scheme's select leaves out lxz when rho*sqrt(delta) = 0; the control
-    # and tags are those of select_q fed the computed field
+    # is that of select_q fed the computed field, and the fields are w's
     w = np.random.default_rng(29).standard_normal((SMALL.n_x, SMALL.n_z))
     select, _ = _scheme(_Split(params, SMALL), SolverConfig())
-    q, tags = select(w)
+    q, fields = select(w)
     geps = SolverConfig().resolve_gamma_eps(params)
-    q_ref, tags_ref = select_q(lxx_values(w, SMALL), lxz_values(w, SMALL), params, geps)
+    q_ref = select_q(lxx_values(w, SMALL), lxz_values(w, SMALL), params, geps)
     np.testing.assert_array_equal(q, q_ref)
-    np.testing.assert_array_equal(tags, tags_ref)
+    assert fields.w is w
+    np.testing.assert_array_equal(fields.lxx, lxx_values(w, SMALL))
     # with no cross term the stationary point is q_hat = 0, outside the band
-    assert not np.any(tags == TAG_C)
+    assert not np.any((params.d < q) & (q < params.u))
 
 
 # -- full solves ----------------------------------------------------------------
@@ -492,12 +493,12 @@ def test_step_matches_single_step_solve():
     grid = GridSpec(0, 200, 30, 0, 0.12, 8, 1)
     term = terminal_surface(BF, grid)
     select, solve = _scheme(_Split(PARAMS, grid), cfg)
-    stepped, q, tags = stepping.step(term.values, select, solve, grid.dt(PARAMS.T),
-                                     cfg.cn_weight, cfg.corrector_passes)
+    stepped, q = stepping.step(term.values, select, solve, grid.dt(PARAMS.T),
+                               cfg.cn_weight, cfg.corrector_passes)
     solved = solve_pdelta(BF, PARAMS, grid, cfg)
     np.testing.assert_array_equal(stepped, solved.p_delta.values)
     np.testing.assert_array_equal(q, solved.q_star_delta[0])
-    np.testing.assert_array_equal(tags, solved.candidate_tags[0])
+    np.testing.assert_array_equal(_tags(q, PARAMS), solved.candidate_tags[0])
 
 
 @pytest.mark.parametrize("cfg,n_z_factors", [(SolverConfig(), 1),
@@ -577,11 +578,12 @@ def _assert_bitwise(a, b):
 @given(n_x=hst.integers(3, 16), n_z=hst.integers(1, 8),
        rho=hst.sampled_from([-0.99, 0.0, 0.5]), delta=hst.sampled_from([0.0, 0.05, 1.0]),
        theta=hst.sampled_from([0.5, 1.0]), seed=hst.integers(0, 2 ** 16))
-def test_field_cache_never_changes_a_step(n_x, n_z, rho, delta, theta, seed):
-    # the schemes keep a surface's stencil fields by identity. Steps on w and
-    # on another surface, in turn, again after the other was selected, and
-    # on w.copy() (a cache miss), agree bit for bit with a select and a
-    # solve by fresh schemes, which reuse nothing; for P^delta and for P0
+def test_reused_scheme_never_changes_a_step(n_x, n_z, rho, delta, theta, seed):
+    # a scheme keeps its last x-system factor (by the control's identity) and
+    # its z-inverses. Steps on w and on another surface, in turn, again
+    # after the other was selected, and on w.copy(), agree bit for bit,
+    # tags read off the control included, with a select and a solve by a
+    # fresh scheme, which reuses nothing; for P^delta and for P0
     p = PARAMS.replace(rho=rho, delta=delta)
     z_lo, z_hi = (0.04, 0.04) if n_z == 1 else (0.0, 0.12)
     grid = GridSpec(0, 200, n_x, z_lo, z_hi, n_z, 4)
@@ -592,16 +594,17 @@ def test_field_cache_never_changes_a_step(n_x, n_z, rho, delta, theta, seed):
     for make in (lambda: _scheme(_Split(p, grid), cfg),
                  lambda: _scheme_p0p1(p, grid, cfg)[:2]):
         def fresh_step(v):
-            q, tags = make()[0](v)
-            return q, tags, make()[1](q, v.copy(), dt, theta)
+            select, solve = make()
+            q, fields = select(v.copy())
+            return q, _tags(q, p), solve(q, fields, dt, theta)
 
         want = {"w": fresh_step(w), "other": fresh_step(other)}
         select, solve = make()
         for name, v in [("w", w), ("other", other), ("w", w), ("w", w.copy()),
                         ("other", other), ("w", w)]:
-            q, tags = select(v)
+            q, fields = select(v)
             select(other)
-            for a, b in zip((q, tags, solve(q, v, dt, theta)), want[name]):
+            for a, b in zip((q, _tags(q, p), solve(q, fields, dt, theta)), want[name]):
                 _assert_bitwise(a, b)
 
 

@@ -1,7 +1,7 @@
 import numpy as np
 from hypothesis import given, settings, strategies as hst
 
-from uvbounds.core import GridSpec, ModelParams
+from uvbounds.core import GridSpec, ModelParams, SolverConfig
 from uvbounds.payoff import PayoffSpec, evaluate
 from uvbounds.solver_pdelta import solve_p0p1
 from uvbounds.solver_pdelta import solve_pdelta
@@ -9,6 +9,7 @@ from uvbounds.solver_pdelta import solve_pdelta
 PARAMS = ModelParams(x0=100, z0=0.04, T=0.25, r=0, d=0.75, u=1.25,
                      kappa=15, theta=0.04, delta=0.05, rho=-0.9)
 BF = PayoffSpec.butterfly(90, 100, 110)
+GEPS = SolverConfig().resolve_gamma_eps(PARAMS)
 
 
 @settings(max_examples=15, deadline=None, derandomize=True)
@@ -30,3 +31,34 @@ def test_constant_shift_of_payoff_shifts_prices(n_x, n_z, n_t, c):
 
     a, b = solve_pdelta(base, PARAMS, grid), solve_pdelta(shifted, PARAMS, grid)
     assert np.max(np.abs(b.p_delta.values - (a.p_delta.values + c))) <= tol
+
+
+@settings(max_examples=15, deadline=None, derandomize=True)
+@given(n_x=hst.integers(12, 40), n_z=hst.integers(3, 12), n_t=hst.integers(1, 8),
+       k=hst.integers(-4, 4))
+def test_positive_homogeneity_of_prices(n_x, n_z, n_t, k):
+    # every operator is linear and the control selection compares fields
+    # against a deadband, so scaling the payoff and the deadband by lam
+    # scales P0, P1 and P^delta by lam and keeps every control. A power of
+    # two scales each rounding step exactly, so the check is bit for bit;
+    # at lam = 3 the prices differ by rounding and some controls flip
+    grid = GridSpec(0, 200, n_x, 0, 0.12, n_z, n_t)
+    lam = 2.0 ** k
+    x = grid.x_nodes()
+    h = evaluate(BF, x)
+    base = PayoffSpec.tabulated(x, h)
+    scaled = PayoffSpec.tabulated(x, lam * h)
+    cfg, cfg_scaled = SolverConfig(gamma_eps=GEPS), SolverConfig(gamma_eps=lam * GEPS)
+
+    def bitwise(got, want):
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    a, b = solve_p0p1(base, PARAMS, grid, cfg), solve_p0p1(scaled, PARAMS, grid, cfg_scaled)
+    bitwise(b.p0.values, lam * a.p0.values)
+    bitwise(b.p1.values, lam * a.p1.values)
+    bitwise(b.q_star0, a.q_star0)
+
+    a = solve_pdelta(base, PARAMS, grid, cfg)
+    b = solve_pdelta(scaled, PARAMS, grid, cfg_scaled)
+    bitwise(b.p_delta.values, lam * a.p_delta.values)
+    bitwise(b.q_star_delta, a.q_star_delta)
