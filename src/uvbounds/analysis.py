@@ -62,7 +62,6 @@ class SweepReport:
     r2: float
     n_fit: int
     window: tuple[float, float]
-    p0p1: P0P1Solution
 
     @property
     def deltas(self) -> np.ndarray:
@@ -127,7 +126,7 @@ def error_sweep(payoff: PayoffSpec, params: ModelParams,
         np.array([r.error for r in records[:n_fit]]),
     )
     return SweepReport(records=records, slope=slope, intercept=intercept, r2=r2,
-                       n_fit=n_fit, window=window, p0p1=base)
+                       n_fit=n_fit, window=window)
 
 
 def loglog_fit(x: np.ndarray, y: np.ndarray,

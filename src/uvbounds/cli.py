@@ -218,10 +218,9 @@ def _cmd_simulate_bounds(settings: RunSettings, out: Path, args):
 
 
 def _cmd_coupling_rate(settings: RunSettings, out: Path, args):
-    study = coupling_rate_study(settings.model, settings.mc_rate_deltas,
-                                settings.mc_n_paths, args.seed,
-                                n_steps=settings.mc_n_steps)
-    fits = study.fits
+    fits = coupling_rate_study(settings.model, settings.mc_rate_deltas,
+                               settings.mc_n_paths, args.seed,
+                               n_steps=settings.mc_n_steps)
     write_csv(out / "rate.csv", ["control", "delta", "estimate", "stderr"],
               [np.repeat([f.control for f in fits], [len(f.deltas) for f in fits]),
                np.concatenate([f.deltas for f in fits]),
@@ -230,7 +229,7 @@ def _cmd_coupling_rate(settings: RunSettings, out: Path, args):
     fields = ["control", "slope", "slope_stderr", "intercept", "r2"]
     write_csv(out / "rate_fit.csv", fields,
               [[getattr(f, name) for f in fits] for name in fields])
-    return {f.control: f.slope for f in study.fits}, ["rate.csv", "rate_fit.csv"]
+    return {f.control: f.slope for f in fits}, ["rate.csv", "rate_fit.csv"]
 
 
 def _cmd_gamma_diag(settings: RunSettings, out: Path, args):

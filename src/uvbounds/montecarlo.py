@@ -54,7 +54,6 @@ from .core import ModelParams
 
 __all__ = [
     "RateFit",
-    "RateStudy",
     "simulate_cir",
     "simulate_coupled_asset",
     "coupling_rate_study",
@@ -72,14 +71,6 @@ class RateFit:
     slope_stderr: float
     intercept: float
     r2: float
-
-
-@dataclass(frozen=True)
-class RateStudy:
-    fits: list[RateFit]
-    n_paths: int
-    n_steps: int
-    seed: int
 
 
 def _stream(seed: int, step: int) -> np.random.Generator:
@@ -280,14 +271,14 @@ def _terminal_gap_sq(params: ModelParams, deltas: Sequence[float],
 
 
 def coupling_rate_study(params: ModelParams, delta_list: Sequence[float],
-                        n_paths: int, seed: int, n_steps: int = 200) -> RateStudy:
+                        n_paths: int, seed: int, n_steps: int = 200) -> list[RateFit]:
     """Squared terminal coupling gap against delta, with a log-log fit.
 
     Runs every delta with the same seed (common random numbers), so the
     per-delta estimates move together and the fitted slope is steadier
     than with independent streams; all (delta, control) pairs advance
     together, each step's shocks drawn once. The controls are the two
-    constant band endpoints, fitted as ``const_d`` and ``const_u``.
+    constant band endpoints: returns their fits, ``const_d`` then ``const_u``.
     """
     deltas = np.asarray(sorted(set(float(d) for d in delta_list), reverse=True))
     if len(deltas) < 2:
@@ -311,4 +302,4 @@ def coupling_rate_study(params: ModelParams, delta_list: Sequence[float],
         fits.append(RateFit(control=name, deltas=deltas, estimates=est, stderrs=se,
                             slope=slope, slope_stderr=slope_se, intercept=intercept,
                             r2=r2))
-    return RateStudy(fits=fits, n_paths=n_paths, n_steps=n_steps, seed=seed)
+    return fits

@@ -121,15 +121,11 @@ class PdeltaSolution:
 
 @dataclass(frozen=True)
 class P0P1Solution:
-    """Output of the leading-order backward sweep at t = 0.
-
-    ``q_star0[n]`` is the control field (values in {d, u}) used stepping
-    from time level n+1 down to level n.
-    """
+    """P0 and P1 at t = 0. It holds no controls: P0's are those of
+    ``solve_pdelta`` at delta = 0, which steps by the same code."""
 
     p0: Surface
     p1: Surface
-    q_star0: np.ndarray
     params: ModelParams
     grid: GridSpec
     config: SolverConfig
@@ -268,8 +264,10 @@ class _Split:
         main = nca[1:-1] * -2.0
         main += 1.0
         # the scaled system: each regular row divided by a, as c/(c*a), with
-        # c*a at least 2^-54
+        # c*a at least 2^-54; the identity rows' -c/-1, later set to 1, keeps
+        # a huge c from overflowing as c*2^54 there
         scale = np.minimum(nca[1:-1], -(2.0 ** -54), out=qq)
+        scale[self.identity_rows] = -1.0
         np.divide(-c, scale, out=scale)
         d = scale + 2.0 * c
         d[self.identity_rows] = 1.0
@@ -379,8 +377,15 @@ def solve_pdelta(payoff: PayoffSpec, params: ModelParams, grid: GridSpec,
     config = config or SolverConfig()
     select, solve = _scheme(_Split(params, grid), config)
 
+    q_hist = np.empty((grid.n_t, grid.n_x, grid.n_z))
+
+    def record(n, q, w_new, w_next, dt, theta):
+        q_hist[n] = q  # the last sub-step into level n wins
+
     term = terminal_surface(payoff, grid)
-    w, q_hist = march(np.asarray(term.values, float), grid, params.T, config, select, solve)
+    w = march(np.asarray(term.values, float), grid, params.T, config, select, solve,
+              after_substep=record)
+    q_hist.setflags(write=False)
     return PdeltaSolution(
         p_delta=Surface(w, grid),
         q_star_delta=q_hist,
@@ -415,7 +420,8 @@ def solve_p0p1(payoff: PayoffSpec, params: ModelParams, grid: GridSpec,
     """Full backward sweep for the leading-order price and first correction.
 
     Terminal conditions are the payoff and zero. Every P0 sub-step is
-    followed by the P1 sub-step with its control.
+    followed by the P1 sub-step with its control, and no control is kept,
+    so memory does not grow with n_t.
     """
     config = config or SolverConfig()
     select, solve, solve_p1 = _scheme_p0p1(params, grid, config)
@@ -424,17 +430,16 @@ def solve_p0p1(payoff: PayoffSpec, params: ModelParams, grid: GridSpec,
     v = np.zeros((grid.n_x, grid.n_z))
     elapsed = 0.0  # T - t at the known level of the next sub-step
 
-    def p1_step(q, u_new, u_next, dt, theta):
+    def p1_step(n, q, u_new, u_next, dt, theta):
         nonlocal v, elapsed
         v = solve_p1(v, q, u_new, u_next, dt, theta, elapsed + theta * dt)
         elapsed += dt
 
-    u, q_hist = march(np.asarray(term.values, float), grid, params.T, config,
-                      select, solve, source_step=p1_step)
+    u = march(np.asarray(term.values, float), grid, params.T, config,
+              select, solve, after_substep=p1_step)
     return P0P1Solution(
         p0=Surface(u, grid),
         p1=Surface(v, grid),
-        q_star0=q_hist,
         params=params,
         grid=grid,
         config=config,

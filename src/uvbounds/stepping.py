@@ -6,9 +6,10 @@ control field q frozen for the step. A solver supplies only what differs:
 ``select(w) -> (q, fields)``, the optimal control on a working surface
 and the fields of w it read, and ``solve(q, fields, dt, theta)``, one
 implicit step from the surface w_next those fields are of. P0 and
-P^delta supply the same pair, P0's at delta = 0. P1 adds a
-``source_step(q, w_new, w_next, dt, theta)`` that follows every P0
-sub-step and builds its source from that sub-step's two levels.
+P^delta supply the same pair, P0's at delta = 0. An optional
+``after_substep(n, q, w_new, w_next, dt, theta)`` follows every sub-step
+into time level n: P1 builds its source there from P0's two levels, and
+P^delta records its control. ``march`` itself keeps no history.
 
 Each (sub-)step is a predictor-corrector pair. The predictor selects the
 control on the known level w_next and solves. Each corrector pass
@@ -47,14 +48,9 @@ def step(w_next: np.ndarray, select: Callable, solve: Callable, dt: float,
 
 def march(w: np.ndarray, grid: GridSpec, T: float, config: SolverConfig,
           select: Callable, solve: Callable, *,
-          source_step: Optional[Callable] = None):
-    """Step ``w`` from the terminal level back to t = 0.
-
-    Returns (w at t = 0, controls): ``controls[n]`` is the control of the
-    last sub-step into time level n.
-    """
+          after_substep: Optional[Callable] = None) -> np.ndarray:
+    """Step ``w`` from the terminal level back to t = 0; returns w at t = 0."""
     dt = grid.dt(T)
-    q_hist = np.empty((grid.n_t, grid.n_x, grid.n_z))
     for n in range(grid.n_t - 1, -1, -1):
         if n == grid.n_t - 1 and config.rannacher_steps > 0:
             substeps, theta = config.rannacher_steps, 1.0
@@ -64,12 +60,9 @@ def march(w: np.ndarray, grid: GridSpec, T: float, config: SolverConfig,
         try:
             for _ in range(substeps):
                 w_new, q = step(w, select, solve, dt_sub, theta, config.corrector_passes)
-                if source_step is not None:
-                    source_step(q, w_new, w, dt_sub, theta)
+                if after_substep is not None:
+                    after_substep(n, q, w_new, w, dt_sub, theta)
                 w = w_new
         except LinearSolveError as exc:
             raise SolverError(f"backward step into time level {n} failed: {exc}") from exc
-        q_hist[n] = q
-
-    q_hist.setflags(write=False)
-    return w, q_hist
+    return w

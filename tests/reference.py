@@ -25,6 +25,13 @@ Not collected by pytest (no ``test_`` prefix); test modules import it as
 * ``nearest_node_control``: a 2D solve's control field as the reference
   simulator's ``(t, x, z) -> q`` callable, read at the nearest grid node.
   The package's path kernel takes constant controls only.
+* ``slow_scale_p1_call``: the closed-form first correction P1 of a call
+  on one variance slice, at t = 0. A call is convex, so P0's control is u
+  everywhere and P0 is Black-Scholes at volatility u*sqrt(z); x*d_x and
+  x^2*d_xx commute with the Black-Scholes generator, so
+  P1 = 1/4*rho*u^3*z*T^2 * x*d_x(x^2*d_xx C), the slow-scale correction
+  of Fouque, Papanicolaou, Sircar & Solna (2011), "Multiscale Stochastic
+  Volatility for Equity, Interest Rate, and Credit Derivatives", CUP.
 * ``write_rows_csv``: the CSV dialect written one row at a time, each cell
   through ``csvio.fmt``; the package's column writer must match its bytes.
   ``read_csv`` reads a file back as raw strings.
@@ -224,6 +231,16 @@ def nearest_node_control(q_star_delta: np.ndarray, grid: GridSpec, T: float):
         return q_star_delta[n][i, j]
 
     return control
+
+
+def slow_scale_p1_call(spot, strike: float, u: float, z: float, T: float, rho: float):
+    """P1 at t = 0 of a call on slice z, zero rate: with v = u^2*z*T,
+    1/4*rho*u^3*z*T^2 * x*phi(d1)/sqrt(v) * (1 - d1/sqrt(v))."""
+    x = np.asarray(spot, dtype=float)
+    sv = np.sqrt(u * u * z * T)
+    d1 = (np.log(x / strike) + 0.5 * sv * sv) / sv
+    phi = np.exp(-0.5 * d1 * d1) / np.sqrt(2.0 * np.pi)
+    return 0.25 * rho * u ** 3 * z * T * T * x * phi / sv * (1.0 - d1 / sv)
 
 
 def write_rows_csv(path, header, rows) -> None:

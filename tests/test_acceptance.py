@@ -143,11 +143,11 @@ def test_criterion_6_gamma_structure(butterfly_p0p1, pdelta_05):
 
 def test_criterion_7_coupling_rate():
     t0 = time.perf_counter()
-    study = coupling_rate_study(
+    fits = coupling_rate_study(
         PARAMS, [0.00125, 0.0025, 0.005, 0.01, 0.02, 0.04],
         n_paths=100_000, seed=20240, n_steps=200,
     )
-    slopes = {f.control: f.slope for f in study.fits}
+    slopes = {f.control: f.slope for f in fits}
     ok = all(s >= 0.85 for s in slopes.values())
     _check(7, ok, f"log-log slopes {slopes} all >= 0.85; "
                   f"{time.perf_counter() - t0:.1f}s")

@@ -61,9 +61,10 @@ def test_sweep_solves_leading_order_once(monkeypatch):
 def test_sweep_without_correlation_measures_raw_gap():
     p = PARAMS.replace(rho=0.0)
     report = error_sweep(BF, p, [0.02, 0.04], SMALL)
-    assert np.all(report.p0p1.p1.values == 0.0)
+    leading = solve_p0p1(BF, p, SMALL)
+    assert np.all(leading.p1.values == 0.0)
     assert report.records[0].error < report.records[1].error  # still shrinks
-    base = report.p0p1.p0.values
+    base = leading.p0.values
     x = SMALL.x_nodes()
     win = (x >= 60) & (x <= 140)
     for rec in report.records:

@@ -68,8 +68,8 @@ def test_batched_pairs_bitwise_equal_single_pair_runs(n_paths):
     n_steps, seed = 6, 31
     mean, stderr = _terminal_gap_sq(PARAMS, deltas, list(controls.values()),
                                     n_steps, n_paths, seed)
-    study = coupling_rate_study(PARAMS, deltas, n_paths, seed, n_steps)
-    assert [f.control for f in study.fits] == list(controls)
+    fits = coupling_rate_study(PARAMS, deltas, n_paths, seed, n_steps)
+    assert [f.control for f in fits] == list(controls)
     for i, dl in enumerate(deltas):
         p = PARAMS.replace(delta=dl)
         for j, control in enumerate(controls.values()):
@@ -80,7 +80,7 @@ def test_batched_pairs_bitwise_equal_single_pair_runs(n_paths):
             want = _gap_moments((x_d - x_f) ** 2)
             pair = i * len(controls) + j
             assert (mean[pair], stderr[pair]) == want
-            assert (study.fits[j].estimates[i], study.fits[j].stderrs[i]) == want
+            assert (fits[j].estimates[i], fits[j].stderrs[i]) == want
 
 
 def test_multi_chunk_moments_match_two_pass_statistics():
@@ -88,8 +88,8 @@ def test_multi_chunk_moments_match_two_pass_statistics():
     # gap row, on 5 chunks and a partial one
     deltas = [0.04, 0.01, 0.0025]
     n_steps, n_paths, seed = 8, 5 * CHUNK_PATHS + 123, 17
-    study = coupling_rate_study(PARAMS, deltas, n_paths, seed, n_steps)
-    for fit, control in zip(study.fits, (PARAMS.d, PARAMS.u)):
+    fits = coupling_rate_study(PARAMS, deltas, n_paths, seed, n_steps)
+    for fit, control in zip(fits, (PARAMS.d, PARAMS.u)):
         for i, dl in enumerate(fit.deltas):
             _, x_d, x_f = exponent_sum_terminals(PARAMS.replace(delta=dl), control,
                                                  n_steps, n_paths, seed)
@@ -252,10 +252,10 @@ def test_coupling_gap_small_relative_to_price_scale():
 
 
 def test_rate_study_slopes_near_one():
-    study = coupling_rate_study(
+    fits = coupling_rate_study(
         PARAMS, [0.005, 0.01, 0.02, 0.04], n_paths=20_000, seed=20240, n_steps=100)
-    assert [f.control for f in study.fits] == ["const_d", "const_u"]
-    for f in study.fits:
+    assert [f.control for f in fits] == ["const_d", "const_u"]
+    for f in fits:
         assert f.slope == pytest.approx(1.0, abs=0.15)
         assert np.all(np.diff(f.deltas) < 0)  # sorted descending internally
 
@@ -288,7 +288,7 @@ def test_rate_study_rejects_nonpositive_delta():
 def test_rate_stderr_shrinks_with_path_count():
     small = coupling_rate_study(PARAMS, [0.01, 0.02, 0.04], 10_000, seed=5, n_steps=50)
     big = coupling_rate_study(PARAMS, [0.01, 0.02, 0.04], 20_000, seed=5, n_steps=50)
-    for f_small, f_big in zip(small.fits, big.fits):
+    for f_small, f_big in zip(small, big):
         ratio = f_big.slope_stderr / f_small.slope_stderr
         assert ratio == pytest.approx(1 / np.sqrt(2), abs=0.12)
 

@@ -1,11 +1,14 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from uvbounds import solver_pdelta, stepping
 from uvbounds.blackscholes import bs_call, bs_payoff_price
-from uvbounds.core import GridSpec, ModelParams, SolverConfig
+from uvbounds.core import GridSpec, ModelParams, SolverConfig, SolverError
 from uvbounds.payoff import PayoffSpec, evaluate, terminal_surface
-from uvbounds.solver_pdelta import _scheme_p0p1, solve_p0p1
+from uvbounds.solver_pdelta import _scheme_p0p1, solve_p0p1, solve_pdelta
+from reference import slow_scale_p1_call
 
 PARAMS = ModelParams(x0=100, z0=0.04, T=0.25, r=0, d=0.75, u=1.25,
                      kappa=15, theta=0.04, delta=0.05, rho=-0.9)
@@ -91,8 +94,9 @@ def test_capped_linear_matches_low_vol_bs_curve():
 
 
 def test_control_field_is_bang_bang():
-    sol = solve_p0p1(BF, PARAMS, SMALL)
-    assert set(np.unique(sol.q_star0)) <= {PARAMS.d, PARAMS.u}
+    # P0's controls are those of the 2D solve at delta = 0, the same step
+    sol = solve_pdelta(BF, PARAMS.replace(delta=0.0), SMALL)
+    assert set(np.unique(sol.q_star_delta)) <= {PARAMS.d, PARAMS.u}
 
 
 def test_no_material_undershoot():
@@ -111,7 +115,9 @@ def test_solution_independent_of_variance_dynamics():
     b = solve_p0p1(BF, PARAMS.replace(kappa=25, theta=0.06, delta=0.7), SMALL)
     np.testing.assert_array_equal(a.p0.values, b.p0.values)
     np.testing.assert_array_equal(a.p1.values, b.p1.values)
-    np.testing.assert_array_equal(a.q_star0, b.q_star0)
+    qa, qb = (solve_pdelta(BF, p.replace(delta=0.0), SMALL).q_star_delta
+              for p in (PARAMS, PARAMS.replace(kappa=25, theta=0.06)))
+    np.testing.assert_array_equal(qa, qb)
 
 
 @pytest.mark.parametrize("payoff", [BF, PayoffSpec.call(100)], ids=["butterfly", "call"])
@@ -120,17 +126,20 @@ def test_p0_depends_on_slice_and_maturity_only_through_their_product(payoff):
     # selection compares z*x^2*d_xx with gamma_eps: slice z over maturity T
     # is slice z' over T*z/z' once gamma_eps scales by z'/z. Not bitwise,
     # since z*dt rounds differently; measured at most 2.7e-15 of max |P0|
-    # (exact when z'/z is a power of two).
+    # (exact when z'/z is a power of two). P0's controls are read off the
+    # 2D solve at delta = 0, the same step.
     z, geps = PARAMS.z0, SolverConfig().resolve_gamma_eps(PARAMS)
-    base = solve_p0p1(payoff, PARAMS, GridSpec(0, 200, 100, z, z, 1, 20),
-                      SolverConfig(gamma_eps=geps))
+    grid, cfg = GridSpec(0, 200, 100, z, z, 1, 20), SolverConfig(gamma_eps=geps)
+    base = solve_p0p1(payoff, PARAMS, grid, cfg)
+    base_q = solve_pdelta(payoff, PARAMS.replace(delta=0.0), grid, cfg).q_star_delta
     scale = np.max(np.abs(base.p0.values))
     for z2 in (0.0225, 0.09, 0.5):
-        sol = solve_p0p1(payoff, PARAMS.replace(T=PARAMS.T * z / z2),
-                         GridSpec(0, 200, 100, z2, z2, 1, 20),
-                         SolverConfig(gamma_eps=geps * z2 / z))
+        p2 = PARAMS.replace(T=PARAMS.T * z / z2)
+        grid2, cfg2 = GridSpec(0, 200, 100, z2, z2, 1, 20), SolverConfig(gamma_eps=geps * z2 / z)
+        sol = solve_p0p1(payoff, p2, grid2, cfg2)
         assert np.max(np.abs(sol.p0.values - base.p0.values)) <= 1e-13 * scale
-        np.testing.assert_array_equal(sol.q_star0, base.q_star0)
+        q = solve_pdelta(payoff, p2.replace(delta=0.0), grid2, cfg2).q_star_delta
+        np.testing.assert_array_equal(q, base_q)
 
 
 @pytest.mark.parametrize("payoff", [BF, PayoffSpec.call(100)], ids=["butterfly", "call"])
@@ -188,6 +197,63 @@ def test_paper_probe_of_correction_is_near_the_fine_single_slice_probe():
     assert abs(gap) <= 1e-3
 
 
+def test_call_converges_at_order_two_to_its_closed_forms():
+    # a call is convex, so P0 is Black-Scholes at u*sqrt(z) and P1 has a
+    # closed form (reference.slow_scale_p1_call). One slice at z0, x in
+    # [0, 400], n_t = n_x/10; sup errors over x in [60, 140] measured
+    # P0 1.69e-2, 4.37e-3, 1.09e-3 and P1 4.37e-2, 1.02e-2, 2.47e-3
+    call, z = PayoffSpec.call(100), PARAMS.z0
+    errors = []
+    for n_x in (100, 200, 400):
+        grid = GridSpec(0, 400, n_x, z, z, 1, n_x // 10)
+        sol = solve_p0p1(call, PARAMS, grid)
+        x = grid.x_nodes()
+        win = (x >= 60) & (x <= 140)
+        p0 = bs_call(x[win], 100.0, PARAMS.u * np.sqrt(z), PARAMS.T)
+        p1 = slow_scale_p1_call(x[win], 100.0, PARAMS.u, z, PARAMS.T, PARAMS.rho)
+        errors.append([np.max(np.abs(sol.p0.values[win, 0] - p0)),
+                       np.max(np.abs(sol.p1.values[win, 0] - p1))])
+    order = np.log2(np.array(errors[:-1]) / np.array(errors[1:]))
+    assert np.all(order >= 1.8), (errors, order)
+
+
+def test_peak_memory_does_not_grow_with_time_steps():
+    # P0 + P1 keep no per-level control: 252 more levels must add less than
+    # one 40x10 surface (3,200 B) to the traced peak, where a control
+    # history adds 252 of them (measured 79,000 B at n_t = 4 and 78,944 B
+    # at 256; 91,216 B and 897,552 B with the history)
+    grids = [GridSpec(0, 200, 40, 0, 0.12, 10, n_t) for n_t in (4, 256)]
+
+    def peak(grid):
+        tracemalloc.start()
+        try:
+            solve_p0p1(BF, PARAMS, grid)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    for grid in grids:
+        peak(grid)  # warm-up: imports, and each grid's cached coefficient fields
+    small, big = (peak(grid) for grid in grids)
+    assert big - small < 40 * 10 * 8, (small, big)
+
+
+def test_huge_maturity_solves_without_overflow():
+    # c = theta*dt near 1e300: the x-stage's scale divides -c by -1, not by
+    # -2^-54, in its identity rows, so no c*2^54 overflows there (the suite
+    # turns every RuntimeWarning into an error)
+    sol = solve_p0p1(BF, PARAMS.replace(T=1e300), GridSpec(0, 200, 40, 0, 0.12, 10, 4))
+    assert np.all(np.isfinite(sol.p0.values))
+    assert np.all(np.isfinite(sol.p1.values))
+
+
+def test_maturity_whose_step_rounds_to_zero_is_a_solver_error():
+    # T/n_t rounds to 0, so theta*dt = 0 and the x-system is singular: a
+    # SolverError, with no 0/0 in the identity rows' scale
+    with pytest.raises(SolverError, match="time level"):
+        solve_p0p1(BF, PARAMS.replace(T=5e-324), GridSpec(0, 200, 40, 0, 0.12, 10, 4))
+
+
 def test_tiny_maturity_recovers_payoff():
     p = PARAMS.replace(T=1e-6)
     grid = GridSpec(0, 200, 50, 0, 0.12, 16, 1)
@@ -203,7 +269,6 @@ def test_nonzero_rate_rejected():
 
 
 def test_solve_failure_carries_time_level_context():
-    from uvbounds.core import SolverError
     cfg = SolverConfig(lin_tol=1e-30)
     with pytest.raises(SolverError, match="time level"):
         solve_p0p1(BF, PARAMS, SMALL, cfg)

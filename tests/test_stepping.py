@@ -56,9 +56,10 @@ def test_positive_homogeneity_of_prices(n_x, n_z, n_t, k):
     a, b = solve_p0p1(base, PARAMS, grid, cfg), solve_p0p1(scaled, PARAMS, grid, cfg_scaled)
     bitwise(b.p0.values, lam * a.p0.values)
     bitwise(b.p1.values, lam * a.p1.values)
-    bitwise(b.q_star0, a.q_star0)
 
-    a = solve_pdelta(base, PARAMS, grid, cfg)
-    b = solve_pdelta(scaled, PARAMS, grid, cfg_scaled)
-    bitwise(b.p_delta.values, lam * a.p_delta.values)
-    bitwise(b.q_star_delta, a.q_star_delta)
+    # P0's controls are those of the 2D solve at delta = 0
+    for params in (PARAMS.replace(delta=0.0), PARAMS):
+        a = solve_pdelta(base, params, grid, cfg)
+        b = solve_pdelta(scaled, params, grid, cfg_scaled)
+        bitwise(b.p_delta.values, lam * a.p_delta.values)
+        bitwise(b.q_star_delta, a.q_star_delta)
