@@ -30,7 +30,7 @@ from .csvio import surface_to_csv, write_csv
 from .linsolve import LinearSolveError
 from .montecarlo import coupling_rate_study, simulate_cir
 from .payoff import KINDS
-from .solver_pdelta import TAG_C, TAG_NAMES, solve_p0p1, solve_pdelta
+from .solver_pdelta import TAG_C, TAG_NAMES, candidate_tags, solve_p0p1, solve_pdelta
 
 __all__ = ["run", "main"]
 
@@ -167,15 +167,22 @@ def _cmd_solve_p1(settings: RunSettings, out: Path, args):
 
 
 def _cmd_solve_pdelta(settings: RunSettings, out: Path, args):
-    sol = solve_pdelta(settings.payoff, settings.model, settings.grid, settings.solver)
+    grid = settings.grid
+    export = getattr(args, "export_controls", False)
+    q_hist = np.empty((grid.n_t, grid.n_x, grid.n_z)) if export else None
+
+    def record(n, q, w_new, w_next, dt, theta):
+        q_hist[n] = q  # the last sub-step into level n wins
+
+    sol = solve_pdelta(settings.payoff, settings.model, grid, settings.solver,
+                       after_substep=record if export else None)
     surface_to_csv(sol.p_delta, out / "pdelta_surface.csv")
     outputs = ["pdelta_surface.csv"]
-    if getattr(args, "export_controls", False):
-        grid = settings.grid
-        level, i, j = np.indices((grid.n_t, grid.n_x, grid.n_z)).reshape(3, -1)
+    if export:
+        level, i, j = np.indices(q_hist.shape).reshape(3, -1)
         write_csv(out / "pdelta_controls.csv", ["level", "x", "z", "q", "tag"],
-                  [level, grid.x_nodes()[i], grid.z_nodes()[j], sol.q_star_delta.ravel(),
-                   np.asarray(TAG_NAMES)[sol.candidate_tags.ravel()]])
+                  [level, grid.x_nodes()[i], grid.z_nodes()[j], q_hist.ravel(),
+                   np.asarray(TAG_NAMES)[candidate_tags(q_hist, settings.model).ravel()]])
         outputs.append("pdelta_controls.csv")
     probe = sol.p_delta.value_at(settings.model.x0, settings.model.z0)
     return {"pdelta_at_x0_z0": probe,

@@ -68,7 +68,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -82,6 +82,7 @@ __all__ = [
     "P0P1Solution",
     "PdeltaSolution",
     "TAG_A", "TAG_B", "TAG_C", "TAG_NAMES",
+    "candidate_tags",
     "select_q",
     "solve_p0p1",
     "solve_pdelta",
@@ -92,31 +93,39 @@ TAG_A, TAG_B, TAG_C = 0, 1, 2
 TAG_NAMES = ("A", "B", "C")
 
 
+def candidate_tags(q: np.ndarray, params: ModelParams) -> np.ndarray:
+    """TAG_A where q == u, TAG_B where q == d, TAG_C strictly inside (d, u).
+
+    Read off the control, so an interior winner that rounds exactly onto
+    an endpoint reads as that endpoint. The tags are 0, 1, 2 in that order,
+    so they are (q != u) + (q != u and q != d), in int8.
+    """
+    not_u = q != params.u
+    return not_u.astype(np.int8) + (not_u & (q != params.d))
+
+
 @dataclass(frozen=True)
 class PdeltaSolution:
     """Backward-sweep output for the 2D worst-case price.
 
-    ``q_star_delta[n]`` is the control field used stepping into time level
-    n. ``candidate_tags`` reads which candidate won off it, so an interior
-    winner that rounds exactly onto an endpoint reads as that endpoint.
+    It holds no per-level control. ``tag_counts[n]`` counts the nodes whose
+    control, stepping into time level n, carries TAG_A, TAG_B and TAG_C
+    (``candidate_tags``); the last sub-step into a level wins. A caller that
+    needs the controls themselves records them through ``solve_pdelta``'s
+    ``after_substep``.
     """
 
     p_delta: Surface
-    q_star_delta: np.ndarray
+    tag_counts: np.ndarray
     params: ModelParams
     grid: GridSpec
     config: SolverConfig
     payoff: PayoffSpec
 
-    @property
-    def candidate_tags(self) -> np.ndarray:
-        """TAG_A where q == u, TAG_B where q == d, TAG_C strictly inside (d, u)."""
-        q, p = self.q_star_delta, self.params
-        return np.select([q == p.u, q == p.d], [TAG_A, TAG_B], TAG_C).astype(np.int8)
-
     def tag_fraction(self, tag: int) -> float:
         """Fraction of (level, node) entries whose winner carries ``tag``."""
-        return float(np.mean(self.candidate_tags == tag))
+        g = self.grid
+        return float(self.tag_counts[:, tag].sum() / (g.n_t * g.n_x * g.n_z))
 
 
 @dataclass(frozen=True)
@@ -141,7 +150,7 @@ def select_q(lxx, lxz, params: ModelParams, gamma_eps: float):
     candidate q_hat competes only where Gxx <= -gamma_eps and q_hat lies
     inside [d, u]. Which candidate won is read off q, as an endpoint or
     as q_hat where d < q < u; a q_hat that rounds exactly onto an
-    endpoint reads as that endpoint (``PdeltaSolution.candidate_tags``).
+    endpoint reads as that endpoint (``candidate_tags``).
     """
     # fields below the deadband count as zero, so a flat node, where both
     # are rounding noise, ties and resolves to the upper endpoint
@@ -372,23 +381,34 @@ def _scheme(split: _Split, config: SolverConfig):
 
 
 def solve_pdelta(payoff: PayoffSpec, params: ModelParams, grid: GridSpec,
-                 config: Optional[SolverConfig] = None) -> PdeltaSolution:
-    """Full backward sweep of the 2D worst-case pricing scheme."""
+                 config: Optional[SolverConfig] = None, *,
+                 after_substep: Optional[Callable] = None) -> PdeltaSolution:
+    """Full backward sweep of the 2D worst-case pricing scheme.
+
+    It keeps no control history: each sub-step's control is counted by
+    candidate tag into ``tag_counts`` and dropped, so memory does not grow
+    with n_t. ``after_substep(n, q, w_new, w_next, dt, theta)``, as in
+    ``stepping.march``, follows the count after every sub-step into time
+    level n; the CLI's control export records q there.
+    """
     config = config or SolverConfig()
     select, solve = _scheme(_Split(params, grid), config)
 
-    q_hist = np.empty((grid.n_t, grid.n_x, grid.n_z))
+    tag_counts = np.zeros((grid.n_t, len(TAG_NAMES)), dtype=np.int64)
 
-    def record(n, q, w_new, w_next, dt, theta):
-        q_hist[n] = q  # the last sub-step into level n wins
+    def count_tags(n, q, w_new, w_next, dt, theta):
+        # the last sub-step into level n wins
+        tag_counts[n] = np.bincount(candidate_tags(q, params).ravel(), minlength=len(TAG_NAMES))
+        if after_substep is not None:
+            after_substep(n, q, w_new, w_next, dt, theta)
 
     term = terminal_surface(payoff, grid)
     w = march(np.asarray(term.values, float), grid, params.T, config, select, solve,
-              after_substep=record)
-    q_hist.setflags(write=False)
+              after_substep=count_tags)
+    tag_counts.setflags(write=False)
     return PdeltaSolution(
         p_delta=Surface(w, grid),
-        q_star_delta=q_hist,
+        tag_counts=tag_counts,
         params=params,
         grid=grid,
         config=config,

@@ -20,8 +20,8 @@ matrices they need from these functions. Boundary rules:
 
 The control selection reads two composite fields, scaled by coordinates:
 z*x^2*d_xx (``lxx_values``) and x*z*d_xz (``lxz_values``). Their
-coefficient arrays z*x^2 and x*z depend on the grid alone, so each grid's
-pair is built once and kept read-only.
+coefficient arrays z*x^2 and x*z depend on the (x, z) nodes alone, so each
+spatial grid's pair is built once, whatever n_t, and kept read-only.
 Sign tests on these fields and on d_xx count magnitudes below a threshold
 as zero through one rule, ``deadband``.
 
@@ -91,8 +91,14 @@ def dxz_values(v: np.ndarray, grid: GridSpec) -> np.ndarray:
 # -- coefficient fields ------------------------------------------------------
 
 @functools.lru_cache(maxsize=8)
-def _coefficients(grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
-    """The read-only (n_x, n_z) arrays z*x^2 and x*z of a grid."""
+def _coefficients(x_min: float, x_max: float, n_x: int,
+                  z_min: float, z_max: float, n_z: int) -> tuple[np.ndarray, np.ndarray]:
+    """The read-only (n_x, n_z) arrays z*x^2 and x*z of a grid's nodes.
+
+    Keyed on the spatial fields alone, so every n_t on one (x, z) grid
+    shares one pair.
+    """
+    grid = GridSpec(x_min, x_max, n_x, z_min, z_max, n_z, 1)
     x, z = grid.x_nodes()[:, None], grid.z_nodes()[None, :]
     fields = (z * x ** 2, x * z)
     for f in fields:
@@ -100,12 +106,16 @@ def _coefficients(grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
     return fields
 
 
+def _spatial(grid: GridSpec) -> tuple:
+    return grid.x_min, grid.x_max, grid.n_x, grid.z_min, grid.z_max, grid.n_z
+
+
 def lxx_values(v: np.ndarray, grid: GridSpec) -> np.ndarray:
-    return _coefficients(grid)[0] * dxx_values(v, grid)
+    return _coefficients(*_spatial(grid))[0] * dxx_values(v, grid)
 
 
 def lxz_values(v: np.ndarray, grid: GridSpec) -> np.ndarray:
-    return _coefficients(grid)[1] * dxz_values(v, grid)
+    return _coefficients(*_spatial(grid))[1] * dxz_values(v, grid)
 
 
 def deadband(field, eps: float) -> np.ndarray:

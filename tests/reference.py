@@ -22,6 +22,9 @@ Not collected by pytest (no ``test_`` prefix); test modules import it as
 * ``chunk_moments``: mean and standard error of a full row of squared
   gaps, merged block by block with the rule the rate study streams its
   chunks by, so bit for bit what the study returns.
+* ``pdelta_with_controls``: a 2D solve and its per-level control history,
+  recorded through ``solve_pdelta``'s ``after_substep``; the solution
+  itself keeps only tag counts.
 * ``nearest_node_control``: a 2D solve's control field as the reference
   simulator's ``(t, x, z) -> q`` callable, read at the nearest grid node.
   The package's path kernel takes constant controls only.
@@ -45,11 +48,12 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from uvbounds.core import GridSpec, ModelParams
+from uvbounds.core import GridSpec, ModelParams, SolverConfig
 from uvbounds.csvio import fmt
 from uvbounds.linsolve import LinearSolveError, _check_residual
 from uvbounds.montecarlo import _correlate, _stream
-from uvbounds.solver_pdelta import _Split
+from uvbounds.payoff import PayoffSpec
+from uvbounds.solver_pdelta import PdeltaSolution, _Split, solve_pdelta
 
 
 def generator_matrix(split: _Split, q: np.ndarray):
@@ -216,8 +220,23 @@ def chunk_moments(gaps: np.ndarray, chunk: int) -> tuple[float, float]:
     return float(mean), float(np.sqrt(m2 / (n_a - 1)) / np.sqrt(n_a))
 
 
-def nearest_node_control(q_star_delta: np.ndarray, grid: GridSpec, T: float):
-    """The control ``q_star_delta[n]`` of time step [t_n, t_n+1), read at the
+def pdelta_with_controls(payoff: PayoffSpec, params: ModelParams, grid: GridSpec,
+                         config: SolverConfig | None = None) -> tuple[PdeltaSolution, np.ndarray]:
+    """``solve_pdelta`` and its read-only (n_t, n_x, n_z) control history:
+    ``q_hist[n]`` is the control stepping into time level n, the last
+    sub-step into a level winning."""
+    q_hist = np.empty((grid.n_t, grid.n_x, grid.n_z))
+
+    def record(n, q, w_new, w_next, dt, theta):
+        q_hist[n] = q
+
+    sol = solve_pdelta(payoff, params, grid, config, after_substep=record)
+    q_hist.setflags(write=False)
+    return sol, q_hist
+
+
+def nearest_node_control(q_hist: np.ndarray, grid: GridSpec, T: float):
+    """The control ``q_hist[n]`` of time step [t_n, t_n+1), read at the
     grid node nearest to each path's (x, z); off-grid states are clamped.
     The callable is the reference simulator's (``exponent_sum_terminals``,
     ``product_terminals``), not the package kernel's."""
@@ -228,7 +247,7 @@ def nearest_node_control(q_star_delta: np.ndarray, grid: GridSpec, T: float):
         n = min(int(t / dt), grid.n_t - 1)
         i = np.clip(np.rint((x - grid.x_min) / grid.dx), 0, grid.n_x - 1).astype(int)
         j = np.clip(np.rint((z - grid.z_min) / dz), 0, grid.n_z - 1).astype(int)
-        return q_star_delta[n][i, j]
+        return q_hist[n][i, j]
 
     return control
 

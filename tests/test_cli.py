@@ -106,6 +106,19 @@ def test_exported_tags_are_read_off_the_exported_control(tmp_path, cfg):
     assert m["results"]["interior_tag_fraction"] == np.mean(tag == "C")
 
 
+def test_interior_tag_fraction_does_not_depend_on_the_export(tmp_path, cfg):
+    # the fraction is counted by the solver whether or not the CLI records
+    # the controls for the export
+    fractions = []
+    for export in ([], ["--export-controls"]):
+        out = tmp_path / f"run{len(export)}"
+        assert run(["solve-pdelta", "--config", cfg, "--out", str(out),
+                    "--set", "model.rho=-0.9", *export]) == 0
+        fractions.append(manifest(out)["results"]["interior_tag_fraction"])
+    assert fractions[0] > 0.0
+    assert fractions[0].hex() == fractions[1].hex()
+
+
 def test_sweep_error_row_count_and_fit(tmp_path, cfg):
     out = tmp_path / "run"
     assert run(["sweep-error", "--config", cfg, "--out", str(out)]) == 0

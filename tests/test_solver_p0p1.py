@@ -7,8 +7,8 @@ from uvbounds import solver_pdelta, stepping
 from uvbounds.blackscholes import bs_call, bs_payoff_price
 from uvbounds.core import GridSpec, ModelParams, SolverConfig, SolverError
 from uvbounds.payoff import PayoffSpec, evaluate, terminal_surface
-from uvbounds.solver_pdelta import _scheme_p0p1, solve_p0p1, solve_pdelta
-from reference import slow_scale_p1_call
+from uvbounds.solver_pdelta import _scheme_p0p1, solve_p0p1
+from reference import pdelta_with_controls, slow_scale_p1_call
 
 PARAMS = ModelParams(x0=100, z0=0.04, T=0.25, r=0, d=0.75, u=1.25,
                      kappa=15, theta=0.04, delta=0.05, rho=-0.9)
@@ -95,8 +95,8 @@ def test_capped_linear_matches_low_vol_bs_curve():
 
 def test_control_field_is_bang_bang():
     # P0's controls are those of the 2D solve at delta = 0, the same step
-    sol = solve_pdelta(BF, PARAMS.replace(delta=0.0), SMALL)
-    assert set(np.unique(sol.q_star_delta)) <= {PARAMS.d, PARAMS.u}
+    _, q = pdelta_with_controls(BF, PARAMS.replace(delta=0.0), SMALL)
+    assert set(np.unique(q)) <= {PARAMS.d, PARAMS.u}
 
 
 def test_no_material_undershoot():
@@ -115,7 +115,7 @@ def test_solution_independent_of_variance_dynamics():
     b = solve_p0p1(BF, PARAMS.replace(kappa=25, theta=0.06, delta=0.7), SMALL)
     np.testing.assert_array_equal(a.p0.values, b.p0.values)
     np.testing.assert_array_equal(a.p1.values, b.p1.values)
-    qa, qb = (solve_pdelta(BF, p.replace(delta=0.0), SMALL).q_star_delta
+    qa, qb = (pdelta_with_controls(BF, p.replace(delta=0.0), SMALL)[1]
               for p in (PARAMS, PARAMS.replace(kappa=25, theta=0.06)))
     np.testing.assert_array_equal(qa, qb)
 
@@ -131,14 +131,14 @@ def test_p0_depends_on_slice_and_maturity_only_through_their_product(payoff):
     z, geps = PARAMS.z0, SolverConfig().resolve_gamma_eps(PARAMS)
     grid, cfg = GridSpec(0, 200, 100, z, z, 1, 20), SolverConfig(gamma_eps=geps)
     base = solve_p0p1(payoff, PARAMS, grid, cfg)
-    base_q = solve_pdelta(payoff, PARAMS.replace(delta=0.0), grid, cfg).q_star_delta
+    _, base_q = pdelta_with_controls(payoff, PARAMS.replace(delta=0.0), grid, cfg)
     scale = np.max(np.abs(base.p0.values))
     for z2 in (0.0225, 0.09, 0.5):
         p2 = PARAMS.replace(T=PARAMS.T * z / z2)
         grid2, cfg2 = GridSpec(0, 200, 100, z2, z2, 1, 20), SolverConfig(gamma_eps=geps * z2 / z)
         sol = solve_p0p1(payoff, p2, grid2, cfg2)
         assert np.max(np.abs(sol.p0.values - base.p0.values)) <= 1e-13 * scale
-        q = solve_pdelta(payoff, p2.replace(delta=0.0), grid2, cfg2).q_star_delta
+        _, q = pdelta_with_controls(payoff, p2.replace(delta=0.0), grid2, cfg2)
         np.testing.assert_array_equal(q, base_q)
 
 

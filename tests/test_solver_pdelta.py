@@ -1,3 +1,4 @@
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -11,10 +12,11 @@ from uvbounds.core import GridSpec, ModelParams, SolverConfig, SolverError
 from uvbounds.linsolve import LinearSolveError
 from uvbounds.payoff import PayoffSpec, terminal_surface
 from uvbounds.solver_pdelta import (TAG_A, TAG_B, TAG_C, _scheme, _scheme_p0p1, _Split,
-                                    select_q, solve_p0p1, solve_pdelta)
+                                    candidate_tags, select_q, solve_p0p1, solve_pdelta)
 from uvbounds.stencils import deadband, lxx_values, lxz_values
 from reference import (
     exponent_sum_terminals, generator_matrix, lu_solve, lu_x_solver, nearest_node_control,
+    pdelta_with_controls,
 )
 
 PARAMS = ModelParams(x0=100, z0=0.04, T=0.25, r=0, d=0.75, u=1.25,
@@ -157,8 +159,8 @@ def test_delta_zero_matches_leading_order():
 
 def test_call_payoff_control_and_price():
     p = PARAMS.replace(rho=0.0, delta=0.01)
-    sol = solve_pdelta(PayoffSpec.call(100), p, SMALL)
-    assert np.all(sol.q_star_delta == p.u)
+    sol, q = pdelta_with_controls(PayoffSpec.call(100), p, SMALL)
+    assert np.all(q == p.u)
     probe = sol.p_delta.value_at(p.x0, p.z0)
     ref = bs_call(p.x0, 100.0, p.u * np.sqrt(p.z0), p.T)
     assert probe >= ref - 0.05
@@ -184,9 +186,9 @@ def test_single_slice_grid_reduces_to_frozen_band_problem():
 
 
 def test_control_in_band_and_undershoot_small():
-    sol = solve_pdelta(BF, PARAMS, SMALL)
-    assert sol.q_star_delta.min() >= PARAMS.d
-    assert sol.q_star_delta.max() <= PARAMS.u
+    sol, q = pdelta_with_controls(BF, PARAMS, SMALL)
+    assert q.min() >= PARAMS.d
+    assert q.max() <= PARAMS.u
     # the central cross/drift stencils are not monotone near z = 0, so a
     # strict nonnegativity floor is unattainable for kinked payoffs; the
     # observed oscillation stays three orders below the payoff scale
@@ -494,10 +496,10 @@ def test_step_matches_single_step_solve():
     select, solve = _scheme(_Split(PARAMS, grid), cfg)
     stepped, q = stepping.step(term.values, select, solve, grid.dt(PARAMS.T),
                                cfg.cn_weight, cfg.corrector_passes)
-    solved = solve_pdelta(BF, PARAMS, grid, cfg)
+    solved, q_hist = pdelta_with_controls(BF, PARAMS, grid, cfg)
     np.testing.assert_array_equal(stepped, solved.p_delta.values)
-    np.testing.assert_array_equal(q, solved.q_star_delta[0])
-    np.testing.assert_array_equal(_tags(q, PARAMS), solved.candidate_tags[0])
+    np.testing.assert_array_equal(q, q_hist[0])
+    np.testing.assert_array_equal(_tags(q, PARAMS), candidate_tags(q_hist, PARAMS)[0])
 
 
 @pytest.mark.parametrize("cfg,n_z_factors", [(SolverConfig(), 1),
@@ -607,6 +609,41 @@ def test_reused_scheme_never_changes_a_step(n_x, n_z, rho, delta, theta, seed):
                 _assert_bitwise(a, b)
 
 
+def test_tag_counts_count_the_recorded_controls_tags():
+    # the counter and the export's tags classify each level's control alike:
+    # rho != 0, so the interior candidate fires at some nodes
+    sol, q_hist = pdelta_with_controls(BF, PARAMS, SMALL)
+    tags = candidate_tags(q_hist, PARAMS)
+    want = np.stack([np.bincount(t.ravel(), minlength=3) for t in tags])
+    np.testing.assert_array_equal(sol.tag_counts, want)
+    assert sol.tag_counts[:, TAG_C].sum() > 0
+    assert not sol.tag_counts.flags.writeable
+    for tag in (TAG_A, TAG_B, TAG_C):
+        assert sol.tag_fraction(tag) == np.mean(tags == tag)
+
+
+def test_peak_memory_does_not_grow_with_time_steps():
+    # P^delta keeps no per-level control: 252 more levels must add less than
+    # one 40x10 surface (3,200 B) plus 24 B a level for tag_counts to the
+    # traced peak, where a control history adds 252 surfaces (measured
+    # 105,488 B at n_t = 4 and 111,504 B at 256; 118,112 B and 924,480 B
+    # with the history)
+    grids = [GridSpec(0, 200, 40, 0, 0.12, 10, n_t) for n_t in (4, 256)]
+
+    def peak(grid):
+        tracemalloc.start()
+        try:
+            solve_pdelta(BF, PARAMS, grid)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    for grid in grids:
+        peak(grid)  # warm-up: imports, and the grid's cached coefficient fields
+    small, big = (peak(grid) for grid in grids)
+    assert big - small < 40 * 10 * 8 + 24 * (256 - 4), (small, big)
+
+
 def test_failure_carries_time_level_context():
     cfg = SolverConfig(lin_tol=1e-30)
     with pytest.raises(SolverError, match="time level"):
@@ -665,9 +702,9 @@ def test_worst_case_price_attained_by_its_own_control(grid):
     # paths give se = 0.018.
     from uvbounds.payoff import evaluate
 
-    sol = solve_pdelta(BF, PARAMS, grid)
+    sol, q_hist = pdelta_with_controls(BF, PARAMS, grid)
     pde = sol.p_delta.value_at(PARAMS.x0, PARAMS.z0)
-    control = nearest_node_control(sol.q_star_delta, grid, PARAMS.T)
+    control = nearest_node_control(q_hist, grid, PARAMS.T)
     _, x_T, _ = exponent_sum_terminals(PARAMS, control, 800, 40_000, seed=2011)
     values = evaluate(BF, x_T)
     se = values.std(ddof=1) / np.sqrt(len(values))

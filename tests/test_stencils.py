@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
-from uvbounds.core import GridSpec
+from uvbounds.core import GridSpec, ModelParams
 from uvbounds import stencils as st
+from uvbounds.payoff import PayoffSpec
+from uvbounds.solver_pdelta import solve_pdelta
 
 GRID = GridSpec(0, 10, 41, 0, 2, 21, 2)
 
@@ -91,6 +93,18 @@ def test_composite_coefficients():
                                z * x**2 * st.dxx_values(vals, GRID), atol=1e-12)
     np.testing.assert_allclose(st.lxz_values(vals, GRID),
                                x * z * st.dxz_values(vals, GRID), atol=1e-12)
+
+
+def test_coefficients_are_shared_across_time_grids():
+    # z*x^2 and x*z depend on the (x, z) nodes alone: solves at two n_t on
+    # one spatial grid hold one cached pair, not one per n_t
+    params = ModelParams(x0=100, z0=0.04, T=0.25, r=0, d=0.75, u=1.25,
+                         kappa=15, theta=0.04, delta=0.05, rho=-0.9)
+    st._coefficients.cache_clear()
+    for n_t in (4, 256):
+        solve_pdelta(PayoffSpec.butterfly(90, 100, 110), params,
+                     GridSpec(0, 200, 40, 0, 0.12, 10, n_t))
+    assert st._coefficients.cache_info().currsize == 1
 
 
 def test_lxx_on_quadratic_at_reference_node():

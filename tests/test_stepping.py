@@ -5,6 +5,7 @@ from uvbounds.core import GridSpec, ModelParams, SolverConfig
 from uvbounds.payoff import PayoffSpec, evaluate
 from uvbounds.solver_pdelta import solve_p0p1
 from uvbounds.solver_pdelta import solve_pdelta
+from reference import pdelta_with_controls
 
 PARAMS = ModelParams(x0=100, z0=0.04, T=0.25, r=0, d=0.75, u=1.25,
                      kappa=15, theta=0.04, delta=0.05, rho=-0.9)
@@ -59,7 +60,7 @@ def test_positive_homogeneity_of_prices(n_x, n_z, n_t, k):
 
     # P0's controls are those of the 2D solve at delta = 0
     for params in (PARAMS.replace(delta=0.0), PARAMS):
-        a = solve_pdelta(base, params, grid, cfg)
-        b = solve_pdelta(scaled, params, grid, cfg_scaled)
+        a, qa = pdelta_with_controls(base, params, grid, cfg)
+        b, qb = pdelta_with_controls(scaled, params, grid, cfg_scaled)
         bitwise(b.p_delta.values, lam * a.p_delta.values)
-        bitwise(b.q_star_delta, a.q_star_delta)
+        bitwise(qb, qa)
