@@ -8,10 +8,9 @@ the Monte Carlo and error-sweep experiments that validate the expansion.
 """
 
 from .core import GridSpec, ModelParams, SolverConfig, Surface
-from .payoff import PayoffSpec, evaluate, terminal_surface
-from .blackscholes import bs_call
-from .solver_pdelta import P0P1Solution, PdeltaSolution, select_q, solve_p0p1, solve_pdelta
-from .montecarlo import coupling_rate_study, simulate_cir, simulate_coupled_asset
+from .payoff import PayoffSpec
+from .solver_pdelta import P0P1Solution, PdeltaSolution, solve_p0p1, solve_pdelta
+from .montecarlo import coupling_rate_study, simulate_cir
 from .analysis import SweepReport, compare_bs, error_sweep, gamma_diagnostics
 
 __version__ = "0.1.0"
@@ -19,10 +18,8 @@ __version__ = "0.1.0"
 __all__ = [
     "ModelParams", "GridSpec", "SolverConfig", "Surface", "PayoffSpec",
     "P0P1Solution", "PdeltaSolution", "SweepReport",
-    "evaluate", "terminal_surface",
-    "bs_call",
-    "solve_p0p1", "solve_pdelta", "select_q",
-    "simulate_cir", "simulate_coupled_asset", "coupling_rate_study",
+    "solve_p0p1", "solve_pdelta",
+    "simulate_cir", "coupling_rate_study",
     "error_sweep", "gamma_diagnostics", "compare_bs",
     "__version__",
 ]

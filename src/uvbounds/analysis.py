@@ -196,19 +196,18 @@ def gamma_diagnostics(p0_solution: P0P1Solution, pdelta_solution: PdeltaSolution
     b0 = deadband(g0, gamma_eps) >= 0.0
     bd = deadband(gd, gamma_eps) >= 0.0
 
-    x = grid.x_nodes()
-    dx = grid.dx
-    crossings: list[list[float]] = []
-    for j in range(grid.n_z):
-        locs: list[float] = []
-        for i in range(1, grid.n_x - 2):
-            if b0[i, j] != b0[i + 1, j]:
-                gi, gi1 = g0[i, j], g0[i + 1, j]
-                if abs(gi) >= gamma_eps and abs(gi1) >= gamma_eps:
-                    locs.append(float(x[i] + dx * gi / (gi - gi1)))
-                else:
-                    locs.append(float(x[i] + 0.5 * dx))
-        crossings.append(locs)
+    # sign flips between x-neighbours i and i + 1, for i in [1, n_x - 3]:
+    # interpolated where both gammas clear the deadband, else the midpoint
+    n_x, dx = grid.n_x, grid.dx
+    x = grid.x_nodes()[1:n_x - 2, None]
+    gi, gi1 = g0[1:n_x - 2], g0[2:n_x - 1]
+    flips = b0[1:n_x - 2] != b0[2:n_x - 1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        locs = np.where((np.abs(gi) >= gamma_eps) & (np.abs(gi1) >= gamma_eps),
+                        x + dx * gi / (gi - gi1), x + 0.5 * dx)
+    j, i = np.nonzero(flips.T)        # by slice, x ascending within one
+    crossings = [part.tolist() for part in
+                 np.split(locs[i, j], np.searchsorted(j, np.arange(1, grid.n_z)))]
 
     mism = np.zeros((grid.n_x, grid.n_z), dtype=bool)
     mism[1:-1, :] = b0[1:-1, :] != bd[1:-1, :]

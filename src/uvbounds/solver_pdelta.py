@@ -160,20 +160,14 @@ def select_q(lxx, lxz, params: ModelParams, gamma_eps: float):
 
     f_u = 0.5 * u * u * a + u * b
     f_d = 0.5 * d * d * a + d * b
-    endpoint_up = f_u >= f_d
-    q = np.where(endpoint_up, u, d)
-
-    # the interior candidate, computed on the concave nodes only
-    concave = np.broadcast_to(a <= -gamma_eps, q.shape)
-    a_c = np.broadcast_to(a, q.shape)[concave]
-    b_c = np.broadcast_to(b, q.shape)[concave]
-    q_hat = -b_c / a_c
-    wins = ((q_hat >= d) & (q_hat <= u)
-            & (-b_c * b_c / (2.0 * a_c) > np.maximum(f_u[concave], f_d[concave])))
-    take = concave.copy()
-    take[concave] = wins
-    q[take] = q_hat[wins]
-    return q
+    # the interior candidate and its value on every node; nodes that are
+    # not concave may divide by zero or overflow, and are masked out
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        q_hat = -b / a
+        value = -b * b / (2.0 * a)
+        interior = ((a <= -gamma_eps) & (q_hat >= d) & (q_hat <= u)
+                    & (value > np.maximum(f_u, f_d)))
+    return np.where(interior, q_hat, np.where(f_u >= f_d, u, d))
 
 
 class _Split:

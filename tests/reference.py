@@ -35,12 +35,19 @@ Not collected by pytest (no ``test_`` prefix); test modules import it as
   P1 = 1/4*rho*u^3*z*T^2 * x*d_x(x^2*d_xx C), the slow-scale correction
   of Fouque, Papanicolaou, Sircar & Solna (2011), "Multiscale Stochastic
   Volatility for Equity, Interest Rate, and Credit Derivatives", CUP.
+* ``select_q_node``: the control rule at one node in scalar Python, the
+  interior candidate computed on concave nodes only; the package computes
+  it on every node and masks.
+* ``gamma_crossings_loop``: the gamma sign crossings of a field, found by
+  a per-node loop over each slice; the package finds them with one
+  array comparison.
 * ``write_rows_csv``: the CSV dialect written one row at a time, each cell
   through ``csvio.fmt``; the package's column writer must match its bytes.
   ``read_csv`` reads a file back as raw strings.
 """
 
 import csv
+import math
 from pathlib import Path
 
 import numpy as np
@@ -54,6 +61,7 @@ from uvbounds.linsolve import LinearSolveError, _check_residual
 from uvbounds.montecarlo import _correlate, _stream
 from uvbounds.payoff import PayoffSpec
 from uvbounds.solver_pdelta import PdeltaSolution, _Split, solve_pdelta
+from uvbounds.stencils import deadband
 
 
 def generator_matrix(split: _Split, q: np.ndarray):
@@ -250,6 +258,44 @@ def nearest_node_control(q_hist: np.ndarray, grid: GridSpec, T: float):
         return q_hist[n][i, j]
 
     return control
+
+
+def select_q_node(lxx: float, lxz: float, params: ModelParams, gamma_eps: float) -> float:
+    """The control at one node, by branches: the better endpoint, ties to u,
+    unless the quadratic is concave and its stationary point in [d, u]
+    is strictly better than both endpoints."""
+    a = 0.0 if abs(lxx) < gamma_eps else lxx
+    b = params.rho * math.sqrt(params.delta) * (0.0 if abs(lxz) < gamma_eps else lxz)
+    d, u = params.d, params.u
+    f_u = 0.5 * u * u * a + u * b
+    f_d = 0.5 * d * d * a + d * b
+    q = u if f_u >= f_d else d
+    if a <= -gamma_eps:
+        q_hat = -b / a
+        if d <= q_hat <= u and -b * b / (2.0 * a) > max(f_u, f_d):
+            q = q_hat
+    return q
+
+
+def gamma_crossings_loop(g0: np.ndarray, grid: GridSpec, gamma_eps: float) -> list[list[float]]:
+    """Sign crossings of the gamma field ``g0`` per z-slice: between x-nodes
+    i and i + 1, for i in [1, n_x - 3], interpolated where both values
+    clear the deadband, else at the cell midpoint."""
+    b0 = deadband(g0, gamma_eps) >= 0.0
+    x = grid.x_nodes()
+    dx = grid.dx
+    crossings: list[list[float]] = []
+    for j in range(grid.n_z):
+        locs: list[float] = []
+        for i in range(1, grid.n_x - 2):
+            if b0[i, j] != b0[i + 1, j]:
+                gi, gi1 = g0[i, j], g0[i + 1, j]
+                if abs(gi) >= gamma_eps and abs(gi1) >= gamma_eps:
+                    locs.append(float(x[i] + dx * gi / (gi - gi1)))
+                else:
+                    locs.append(float(x[i] + 0.5 * dx))
+        crossings.append(locs)
+    return crossings
 
 
 def slow_scale_p1_call(spot, strike: float, u: float, z: float, T: float, rho: float):

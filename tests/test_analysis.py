@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from uvbounds.core import GridSpec, ModelParams
 from uvbounds.payoff import PayoffSpec
 from uvbounds.solver_pdelta import solve_p0p1
 from uvbounds.solver_pdelta import solve_pdelta
+from reference import gamma_crossings_loop
 
 PARAMS = ModelParams(x0=100, z0=0.04, T=0.25, r=0, d=0.75, u=1.25,
                      kappa=15, theta=0.04, delta=0.05, rho=-0.9)
@@ -130,6 +133,47 @@ def test_mismatch_width_shrinks_with_delta():
     thin = gamma_diagnostics(base, solve_pdelta(BF, PARAMS.replace(delta=0.0125), MID))
     # one-node noise allowed
     assert thin.width_at(PARAMS.z0) <= wide.width_at(PARAMS.z0) + MID.dx
+
+
+def _gamma_fields(rng, grid, eps):
+    """Smooth random gamma fields, salted with values at the deadband's edge."""
+    x = grid.x_nodes()[:, None] / (grid.x_max - grid.x_min)
+    g = np.sin(2 * np.pi * rng.uniform(1, 4, grid.n_z) * x + rng.uniform(0, 2 * np.pi, grid.n_z))
+    g *= rng.uniform(0.5, 5, grid.n_z) * eps
+    salt = rng.random(g.shape)
+    g[salt < 0.1] = eps                 # |g| = eps exactly: outside the band
+    g[(0.1 <= salt) & (salt < 0.2)] = -eps
+    g[(0.2 <= salt) & (salt < 0.3)] *= 0.05   # inside the band
+    return g
+
+
+def test_crossings_match_per_node_loop(monkeypatch):
+    # gamma_diagnostics reads its gamma fields from the solutions' values
+    monkeypatch.setattr(analysis, "dxx_values", lambda v, grid: np.array(v, dtype=float))
+    eps = 1e-3
+    rng = np.random.default_rng(28)
+    grids = [GridSpec(0, 200, n_x, 0, 0.12, n_z, 4)
+             for n_x, n_z in [(41, 9), (40, 16), (7, 5), (4, 3), (3, 6)]]
+    grids.append(GridSpec(0, 200, 40, PARAMS.z0, PARAMS.z0, 1, 4))
+    fields = [(grid, _gamma_fields(rng, grid, eps)) for grid in grids for _ in range(3)]
+    # flips at the first and last pairs the search covers, i = 1 and
+    # i = n_x - 3, with the outer node of the pair outside the band and
+    # inside it; the boundary pairs, i = 0 and i = n_x - 2, flip too and
+    # are left out
+    edge = np.tile([-1e-3, 2e-3, -3e-3, 1e-3, 1e-3, -1e-3, 5e-4, -1e-3], (4, 1)).T
+    edge[1, 1] = 4e-4
+    edge[6, 2] = 2e-3
+    fields.append((GridSpec(0, 200, 8, 0, 0.12, 4, 4), edge))
+    n_flips = 0
+    for grid, g in fields:
+        sol = SimpleNamespace(grid=grid, p0=SimpleNamespace(values=g),
+                              p_delta=SimpleNamespace(values=g))
+        got = gamma_diagnostics(sol, sol, gamma_eps=eps).crossings
+        want = gamma_crossings_loop(g, grid, eps)
+        assert [[v.hex() for v in locs] for locs in got] == \
+            [[v.hex() for v in locs] for locs in want]
+        n_flips += sum(map(len, want))
+    assert n_flips > 100
 
 
 def test_gamma_diag_requires_shared_grid():

@@ -16,7 +16,7 @@ from uvbounds.solver_pdelta import (TAG_A, TAG_B, TAG_C, _scheme, _scheme_p0p1, 
 from uvbounds.stencils import deadband, lxx_values, lxz_values
 from reference import (
     exponent_sum_terminals, generator_matrix, lu_solve, lu_x_solver, nearest_node_control,
-    pdelta_with_controls,
+    pdelta_with_controls, select_q_node,
 )
 
 PARAMS = ModelParams(x0=100, z0=0.04, T=0.25, r=0, d=0.75, u=1.25,
@@ -123,12 +123,33 @@ def test_select_q_attains_the_sup_over_the_band(rho, delta):
 
 
 def test_select_q_vectorized_matches_scalar():
+    # random fields, then the rule's edge cases: a = 0 with b != 0, a = -eps
+    # exactly, a inside the deadband, b = 0 (also with a = 0), a convex and
+    # a concave node whose b*b overflows, and, where rho*sqrt(delta) = -1/4
+    # is exact, q_hat exactly at d and at u
     rng = np.random.default_rng(0)
-    lxx = rng.standard_normal(40) * 2
-    lxz = rng.standard_normal(40) * 3
-    qv = select_q(lxx, lxz, PARAMS, GEPS)
-    for i in range(40):
-        assert select_q(float(lxx[i]), float(lxz[i]), PARAMS, GEPS) == qv[i]
+    b_eps = GEPS / (PARAMS.rho * np.sqrt(PARAMS.delta))  # b = eps: q_hat = 1 at a = -eps
+    edges = [(0.0, 3.0), (0.0, -3.0), (-GEPS, b_eps), (-GEPS, -b_eps),
+             (-0.5 * GEPS, 3.0), (0.5 * GEPS, -3.0), (-np.nextafter(GEPS, 0), b_eps),
+             (-2.0, 0.0), (2.0, 0.0), (0.0, 0.0), (-2.0, 0.5 * GEPS),
+             (1.5, 1e200), (-1.5, 1e200), (-1.0, -3.0), (-1.0, -5.0), (-2.0, -10.0)]
+    exact = PARAMS.replace(rho=-0.5, delta=0.25)
+    for params in (PARAMS, exact):
+        geps = SolverConfig().resolve_gamma_eps(params)
+        lxx = np.concatenate([rng.standard_normal(40) * 2, [e[0] for e in edges]])
+        lxz = np.concatenate([rng.standard_normal(40) * 3, [e[1] for e in edges]])
+        ref = np.array([select_q_node(a, b, params, geps) for a, b in zip(lxx, lxz)])
+        qv = select_q(lxx, lxz, params, geps)
+        np.testing.assert_array_equal(qv.view(np.uint64), ref.view(np.uint64))
+        for i in range(lxx.size):  # 0-d inputs
+            q = select_q(np.float64(lxx[i]), np.asarray(lxz[i]), params, geps)
+            assert q.shape == () and q.view(np.uint64) == ref[i].view(np.uint64)
+        # a scalar cross field against an array lxx, as the scheme passes it
+        ref0 = np.array([select_q_node(a, 0.0, params, geps) for a in lxx])
+        q0 = select_q(lxx, 0.0, params, geps)
+        np.testing.assert_array_equal(q0.view(np.uint64), ref0.view(np.uint64))
+    # q_hat lands exactly on d and on u, and is not strictly better there
+    assert [select_q_node(*e, exact, GEPS) for e in edges[-3:]] == [0.75, 1.25, 1.25]
 
 
 @pytest.mark.parametrize("params", [PARAMS.replace(rho=0.0), PARAMS.replace(delta=0.0)],
