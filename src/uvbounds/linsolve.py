@@ -31,7 +31,8 @@ Acceptance of a solve is residual-based: every solve, the z-stage's
 product and its inverse, and the scaled x-stage, verifies
 ``max|A x - b| <= lin_tol * (1 + max|b|)`` of its unscaled system by the
 tridiagonal product on flat arrays (``check_tridiag_residual``) and
-raises otherwise.
+raises otherwise. A passing residual is not recorded: the module logs
+nothing and does not import ``logging``, which no command configures.
 """
 
 from __future__ import annotations
@@ -39,14 +40,11 @@ from __future__ import annotations
 import functools
 import importlib.machinery
 import importlib.util
-import logging
 import sys
 from pathlib import Path
 
 import numpy as np
 import scipy
-
-log = logging.getLogger(__name__)
 
 __all__ = [
     "LinearSolveError",
@@ -111,10 +109,9 @@ def _max_abs(a: np.ndarray) -> float:
 def _check_residual(residual: np.ndarray, rhs: np.ndarray, tol: float, what: str) -> None:
     res = _max_abs(residual)
     # the bound is at least tol: a residual within tol passes without it
-    if res <= tol and not log.isEnabledFor(logging.DEBUG):
+    if res <= tol:
         return
     bound = tol * (1.0 + _max_abs(rhs))
-    log.debug("%s residual max-norm %.3e (bound %.3e)", what, res, bound)
     if not np.isfinite(res) or res > bound:
         raise LinearSolveError(f"{what}: residual {res:.3e} exceeds {bound:.3e}")
 

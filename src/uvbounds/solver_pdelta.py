@@ -158,16 +158,20 @@ def select_q(lxx, lxz, params: ModelParams, gamma_eps: float):
     b = params.rho * np.sqrt(params.delta) * deadband(lxz, gamma_eps)
     d, u = params.d, params.u
 
+    # each field goes once it is read, so that few surfaces are live at once
     f_u = 0.5 * u * u * a + u * b
     f_d = 0.5 * d * d * a + d * b
+    best, up = np.maximum(f_u, f_d), f_u >= f_d
+    del f_u, f_d
     # the interior candidate and its value on every node; nodes that are
     # not concave may divide by zero or overflow, and are masked out
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         q_hat = -b / a
         value = -b * b / (2.0 * a)
-        interior = ((a <= -gamma_eps) & (q_hat >= d) & (q_hat <= u)
-                    & (value > np.maximum(f_u, f_d)))
-    return np.where(interior, q_hat, np.where(f_u >= f_d, u, d))
+        del b
+        interior = (a <= -gamma_eps) & (q_hat >= d) & (q_hat <= u) & (value > best)
+    del value, best
+    return np.where(interior, q_hat, np.where(up, u, d))
 
 
 class _Split:
@@ -280,12 +284,16 @@ class _Split:
 
         def solve(rhs: np.ndarray) -> np.ndarray:
             b = rhs.T.copy().reshape(-1)
+            del rhs  # frees the caller's temporary, when it keeps no reference of its own
             r = b * scale
             for row, identity_row in moved:
                 r[row] += c * b[identity_row]
             x = solve_scaled(r)
             check_tridiag_residual(nca[2:], main, nca[:-2], x, b, lin_tol, "x-stage")
-            return x.reshape(n_z, n_x).T.copy()
+            # checked, b is spent: the solution goes back out in its buffer
+            out = b.reshape(n_x, n_z)
+            out[...] = x.reshape(n_z, n_x).T
+            return out
 
         return solve
 
@@ -361,7 +369,8 @@ def _scheme(split: _Split, config: SolverConfig):
             y = solve_x(rhs_x if explicit is None else rhs_x + dt * explicit)
             if a2_next is None:
                 return y
-            return split.solve_z(y - theta * dt * a2_next, dt, theta, tol)
+            y -= theta * dt * a2_next
+            return split.solve_z(y, dt, theta, tol)
 
         if a0_next is None:
             return stages(a2_next)
@@ -369,7 +378,9 @@ def _scheme(split: _Split, config: SolverConfig):
         y = stages(explicit)
         # correction: the cross term re-evaluated at the predicted level, with
         # weight theta (1/2, Craig-Sneyd's own, after the Rannacher start)
-        return stages(explicit + theta * (split.a0(q, y) - a0_next))
+        explicit = explicit + theta * (split.a0(q, y) - a0_next)
+        del y, a0_next
+        return stages(explicit)
 
     return select, solve
 

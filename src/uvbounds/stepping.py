@@ -15,10 +15,12 @@ history.
 Each (sub-)step is a predictor-corrector pair. The predictor selects the
 control on the known level w_next and solves. Each corrector pass
 re-selects on theta*w_new + (1-theta)*w_next and re-solves from w_next's
-fields, stopping once the control repeats. The first backward step is
-split into ``rannacher_steps`` fully implicit sub-steps (Rannacher
-start), damping the oscillation that kinked payoffs excite in the
-trapezoidal scheme; later steps use the weight ``cn_weight``.
+fields, stopping once the control repeats. A pass keeps only the control
+it selects: the blended surface and its fields go before the re-solve, and
+so does the last solution, so at most one solution is live. The first
+backward step is split into ``rannacher_steps`` fully implicit sub-steps
+(Rannacher start), damping the oscillation that kinked payoffs excite in
+the trapezoidal scheme; later steps use the weight ``cn_weight``.
 """
 
 from __future__ import annotations
@@ -39,10 +41,10 @@ def step(w_next: np.ndarray, select: Callable, solve: Callable, dt: float,
     q, fields = select(w_next)
     w_new = solve(q, fields, dt, theta)
     for _ in range(corrector_passes):
-        q_new, _ = select(theta * w_new + (1.0 - theta) * w_next)
+        q_new = select(theta * w_new + (1.0 - theta) * w_next)[0]
         if np.array_equal(q_new, q):
             break  # same control, same linear system: solution already exact
-        q = q_new
+        q, w_new = q_new, None  # the last solution goes before the next is made
         w_new = solve(q, fields, dt, theta)
     return w_new, q
 

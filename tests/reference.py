@@ -35,6 +35,14 @@ Not collected by pytest (no ``test_`` prefix); test modules import it as
   P1 = 1/4*rho*u^3*z*T^2 * x*d_x(x^2*d_xx C), the slow-scale correction
   of Fouque, Papanicolaou, Sircar & Solna (2011), "Multiscale Stochastic
   Volatility for Equity, Interest Rate, and Credit Derivatives", CUP.
+* ``heston_call``: Heston's (1993) price of a call at zero rate, one
+  ``scipy.integrate.quad`` over the characteristic function in the form of
+  Albrecher, Mayer, Schoutens & Tistaert (2007), "The little Heston trap",
+  Wilmott Magazine, which keeps its logarithm on the principal branch. A
+  call under the worst-case control q = u is a Heston price: variance
+  u^2*z, mean reversion delta*kappa to u^2*theta, vol-of-vol
+  u*sqrt(delta), correlation rho. So P^delta of a call, and the order of
+  P0 + sqrt(delta)*P1 in delta, have a reference with no grid.
 * ``select_q_node``: the control rule at one node in scalar Python, the
   interior candidate computed on concave nodes only; the package computes
   it on every node and masks.
@@ -54,6 +62,7 @@ import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.integrate import quad
 
 from uvbounds.core import GridSpec, ModelParams, SolverConfig
 from uvbounds.csvio import fmt
@@ -306,6 +315,35 @@ def slow_scale_p1_call(spot, strike: float, u: float, z: float, T: float, rho: f
     d1 = (np.log(x / strike) + 0.5 * sv * sv) / sv
     phi = np.exp(-0.5 * d1 * d1) / np.sqrt(2.0 * np.pi)
     return 0.25 * rho * u ** 3 * z * T * T * x * phi / sv * (1.0 - d1 / sv)
+
+
+def heston_call(spot: float, strike: float, T: float, v0: float, kappa: float,
+                theta: float, sigma: float, rho: float) -> float:
+    """Heston's call price at zero rate: variance v0 at t = 0, mean reversion
+    kappa to theta, vol-of-vol sigma, correlation rho with the asset.
+
+    With f the characteristic function of log S_T,
+    C = (S - K)/2 + 1/pi * int_0^inf Re[K^-iw (f(w - i) - K f(w)) / (iw)] dw.
+    """
+    log_spot, log_strike = math.log(spot), math.log(strike)
+
+    def char_fn(w):
+        a = kappa - rho * sigma * 1j * w
+        d = np.sqrt(a * a + sigma * sigma * (1j * w + w * w))
+        # the little Heston trap: a - d, not a + d, in g and in the exponent
+        g = (a - d) / (a + d)
+        decay = np.exp(-d * T)
+        c = kappa * theta / sigma ** 2 * ((a - d) * T
+                                          - 2.0 * np.log((1.0 - g * decay) / (1.0 - g)))
+        dv = (a - d) / sigma ** 2 * (1.0 - decay) / (1.0 - g * decay)
+        return np.exp(1j * w * log_spot + c + dv * v0)
+
+    def integrand(w):
+        return (np.exp(-1j * w * log_strike) * (char_fn(w - 1j) - strike * char_fn(w))
+                / (1j * w)).real
+
+    value, _ = quad(integrand, 0.0, np.inf, epsabs=1e-12, epsrel=1e-12, limit=500)
+    return 0.5 * (spot - strike) + value / math.pi
 
 
 def write_rows_csv(path, header, rows) -> None:

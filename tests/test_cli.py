@@ -605,6 +605,21 @@ def test_error_sweep_never_imports_the_scipy_linalg_package(tmp_path):
     assert _fresh_python(code).split() == ["0", "False", "True"]
 
 
+def test_error_sweep_and_coupling_rate_import_neither_logging_nor_scipy_linalg(tmp_path):
+    # nothing logs, so nothing imports logging; the solves load LAPACK
+    # without the scipy.linalg package
+    runs = [["sweep-error", "--config", str(PAPER_CFG),
+             "--set", "grid.n_x=40", "--set", "grid.n_z=10", "--set", "grid.n_t=4",
+             "--out", str(tmp_path / "sweep")],
+            ["coupling-rate", "--config", str(PAPER_CFG),
+             "--set", "mc.n_steps=5", "--set", "mc.n_paths=2000",
+             "--out", str(tmp_path / "rate")]]
+    code = ("import sys; from uvbounds.cli import run; "
+            f"print(*[run(argv) for argv in {runs!r}], "
+            "*[m in sys.modules for m in ('logging', 'scipy.linalg')])")
+    assert _fresh_python(code).split() == ["0", "0", "False", "False"]
+
+
 def test_solves_need_only_the_ldlt_routines(tmp_path):
     # dpttrf and dpttrs are the only LAPACK routines a solve loads from
     # scipy's wrappers; the z-inverse comes from numpy's own LAPACK

@@ -8,7 +8,7 @@ from uvbounds.blackscholes import bs_call, bs_payoff_price
 from uvbounds.core import GridSpec, ModelParams, SolverConfig, SolverError
 from uvbounds.payoff import PayoffSpec, evaluate, terminal_surface
 from uvbounds.solver_pdelta import _scheme_p0p1, solve_p0p1
-from reference import pdelta_with_controls, slow_scale_p1_call
+from reference import heston_call, pdelta_with_controls, slow_scale_p1_call
 
 PARAMS = ModelParams(x0=100, z0=0.04, T=0.25, r=0, d=0.75, u=1.25,
                      kappa=15, theta=0.04, delta=0.05, rho=-0.9)
@@ -215,6 +215,34 @@ def test_call_converges_at_order_two_to_its_closed_forms():
                        np.max(np.abs(sol.p1.values[win, 0] - p1))])
     order = np.log2(np.array(errors[:-1]) / np.array(errors[1:]))
     assert np.all(order >= 1.8), (errors, order)
+
+
+def test_heston_reference_is_black_scholes_with_frozen_variance():
+    # vol-of-vol 1e-4 and mean reversion 1e-8 freeze the variance at v0, and
+    # at rho = 0 what is left of Heston's correction is O(vol-of-vol^2)
+    # (measured -9.4e-9 at the money); at rho = -0.9 its first order,
+    # sqrt(delta)*P1, would leave -1.4e-5
+    v0 = PARAMS.u ** 2 * PARAMS.z0
+    for strike in (80.0, 100.0, 120.0):
+        heston = heston_call(PARAMS.x0, strike, PARAMS.T, v0, 1e-8, v0, 1e-4, 0.0)
+        assert abs(heston - bs_call(PARAMS.x0, strike, np.sqrt(v0), PARAMS.T)) <= 1e-7
+
+
+def test_expansion_error_is_order_delta_with_no_grid():
+    # a call's P^delta under q = u is a Heston price, P0 Black-Scholes at
+    # u*sqrt(z0) and P1 closed form: E = P^delta - P0 - sqrt(delta)*P1 at
+    # (x0, z0) is the paper's O(delta) claim for a convex payoff, with no
+    # grid (slope measured 0.979; E/delta -1.02 to -0.97)
+    p, strike = PARAMS, 100.0
+    deltas = np.array([0.0025, 0.005, 0.01, 0.02])
+    p0 = bs_call(p.x0, strike, p.u * np.sqrt(p.z0), p.T)
+    p1 = slow_scale_p1_call(p.x0, strike, p.u, p.z0, p.T, p.rho)
+    errors = np.array([
+        heston_call(p.x0, strike, p.T, p.u ** 2 * p.z0, delta * p.kappa, p.u ** 2 * p.theta,
+                    p.u * np.sqrt(delta), p.rho) - p0 - np.sqrt(delta) * p1
+        for delta in deltas])
+    slope = np.polyfit(np.log(deltas), np.log(np.abs(errors)), 1)[0]
+    assert 0.9 <= slope <= 1.1, (errors, slope)
 
 
 def test_peak_memory_does_not_grow_with_time_steps():
