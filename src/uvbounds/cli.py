@@ -170,12 +170,16 @@ def _cmd_solve_pdelta(settings: RunSettings, out: Path, args):
     grid = settings.grid
     export = getattr(args, "export_controls", False)
     q_hist = np.empty((grid.n_t, grid.n_x, grid.n_z)) if export else None
+    interior = np.zeros(grid.n_t, dtype=np.int64)
 
     def record(n, q, w_new, w_next, dt, theta):
-        q_hist[n] = q  # the last sub-step into level n wins
+        # the last sub-step into level n wins
+        interior[n] = np.count_nonzero(candidate_tags(q, settings.model) == TAG_C)
+        if export:
+            q_hist[n] = q
 
     sol = solve_pdelta(settings.payoff, settings.model, grid, settings.solver,
-                       after_substep=record if export else None)
+                       after_substep=record)
     surface_to_csv(sol.p_delta, out / "pdelta_surface.csv")
     outputs = ["pdelta_surface.csv"]
     if export:
@@ -185,8 +189,8 @@ def _cmd_solve_pdelta(settings: RunSettings, out: Path, args):
                    np.asarray(TAG_NAMES)[candidate_tags(q_hist, settings.model).ravel()]])
         outputs.append("pdelta_controls.csv")
     probe = sol.p_delta.value_at(settings.model.x0, settings.model.z0)
-    return {"pdelta_at_x0_z0": probe,
-            "interior_tag_fraction": sol.tag_fraction(TAG_C)}, outputs
+    fraction = float(interior.sum() / (grid.n_t * grid.n_x * grid.n_z))
+    return {"pdelta_at_x0_z0": probe, "interior_tag_fraction": fraction}, outputs
 
 
 def _cmd_compare_bs(settings: RunSettings, out: Path, args):
@@ -264,3 +268,7 @@ _DISPATCH = {
     "compare-bs": _cmd_compare_bs,
     "gamma-diag": _cmd_gamma_diag,
 }
+
+
+if __name__ == "__main__":
+    main()

@@ -56,12 +56,14 @@ the band is q_hat clamped into [d, u], and a clamped q_hat is an endpoint;
 where it is convex or flat, q_hat is no maximum and an endpoint wins.
 
 P0 is this scheme at delta = 0: a bang-bang control, one 1D problem per
-slice. P1 is linear, with P0's x-stage and controls, zero terminal data
-and the source rho*q*x*z*d_xz P0, which is local to the slice: P0 is
-Q(z*(T - t), x), so z*d_z P0 = (T - t)*z*d_tau Q, and a P0 sub-step gives
-z*d_tau Q as (u_new - u_next)/dt. So the source is
-rho*q*x*(tau/dt)*d_x(u_new - u_next), with tau the time to maturity at
-the sub-step's theta-average.
+slice. Both march from the payoff by one function (``_march``). P1 is
+linear, with P0's x-stage and controls, zero terminal data and the source
+rho*q*x*z*d_xz P0, which is local to the slice: P0 is Q(z*(T - t), x), so
+z*d_z P0 = (T - t)*z*d_tau Q, and a P0 sub-step gives z*d_tau Q as
+(u_new - u_next)/dt. So the source is rho*q*x*(tau/dt)*d_x(u_new - u_next),
+with tau the time to maturity at the sub-step's theta-average. Each P1
+sub-step (``_p1_step``) runs in the hook after the P0 sub-step it reads,
+on the same split, so it reuses that sub-step's x-system factor.
 """
 
 from __future__ import annotations
@@ -106,32 +108,20 @@ def candidate_tags(q: np.ndarray, params: ModelParams) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PdeltaSolution:
-    """Backward-sweep output for the 2D worst-case price.
-
-    It holds no per-level control. ``tag_counts[n]`` counts the nodes whose
-    control, stepping into time level n, carries TAG_A, TAG_B and TAG_C
-    (``candidate_tags``); the last sub-step into a level wins. A caller that
-    needs the controls themselves records them through ``solve_pdelta``'s
-    ``after_substep``.
-    """
+    """The 2D worst-case price at t = 0. A caller that needs the controls
+    records them through ``solve_pdelta``'s ``after_substep``."""
 
     p_delta: Surface
-    tag_counts: np.ndarray
     params: ModelParams
     grid: GridSpec
     config: SolverConfig
     payoff: PayoffSpec
 
-    def tag_fraction(self, tag: int) -> float:
-        """Fraction of (level, node) entries whose winner carries ``tag``."""
-        g = self.grid
-        return float(self.tag_counts[:, tag].sum() / (g.n_t * g.n_x * g.n_z))
-
 
 @dataclass(frozen=True)
 class P0P1Solution:
-    """P0 and P1 at t = 0. It holds no controls: P0's are those of
-    ``solve_pdelta`` at delta = 0, which steps by the same code."""
+    """P0 and P1 at t = 0. P0's controls are those of ``solve_pdelta`` at
+    delta = 0, which steps by the same code."""
 
     p0: Surface
     p1: Surface
@@ -385,35 +375,30 @@ def _scheme(split: _Split, config: SolverConfig):
     return select, solve
 
 
+def _march(split: _Split, payoff: PayoffSpec, config: SolverConfig,
+           after_substep: Optional[Callable]) -> Surface:
+    """The payoff's terminal surface marched back to t = 0 by ``_scheme`` on
+    ``split``; ``after_substep`` as in ``stepping.march``."""
+    select, solve = _scheme(split, config)
+    term = terminal_surface(payoff, split.grid)
+    w = march(np.asarray(term.values, float), split.grid, split.params.T, config,
+              select, solve, after_substep=after_substep)
+    return Surface(w, split.grid)
+
+
 def solve_pdelta(payoff: PayoffSpec, params: ModelParams, grid: GridSpec,
                  config: Optional[SolverConfig] = None, *,
                  after_substep: Optional[Callable] = None) -> PdeltaSolution:
     """Full backward sweep of the 2D worst-case pricing scheme.
 
-    It keeps no control history: each sub-step's control is counted by
-    candidate tag into ``tag_counts`` and dropped, so memory does not grow
-    with n_t. ``after_substep(n, q, w_new, w_next, dt, theta)``, as in
-    ``stepping.march``, follows the count after every sub-step into time
-    level n; the CLI's control export records q there.
+    ``after_substep(n, q, w_new, w_next, dt, theta)``, as in
+    ``stepping.march``, follows every sub-step into time level n; the CLI
+    counts the control's interior nodes there, and its control export
+    records q.
     """
     config = config or SolverConfig()
-    select, solve = _scheme(_Split(params, grid), config)
-
-    tag_counts = np.zeros((grid.n_t, len(TAG_NAMES)), dtype=np.int64)
-
-    def count_tags(n, q, w_new, w_next, dt, theta):
-        # the last sub-step into level n wins
-        tag_counts[n] = np.bincount(candidate_tags(q, params).ravel(), minlength=len(TAG_NAMES))
-        if after_substep is not None:
-            after_substep(n, q, w_new, w_next, dt, theta)
-
-    term = terminal_surface(payoff, grid)
-    w = march(np.asarray(term.values, float), grid, params.T, config, select, solve,
-              after_substep=count_tags)
-    tag_counts.setflags(write=False)
     return PdeltaSolution(
-        p_delta=Surface(w, grid),
-        tag_counts=tag_counts,
+        p_delta=_march(_Split(params, grid), payoff, config, after_substep),
         params=params,
         grid=grid,
         config=config,
@@ -421,49 +406,44 @@ def solve_pdelta(payoff: PayoffSpec, params: ModelParams, grid: GridSpec,
     )
 
 
-def _scheme_p0p1(params: ModelParams, grid: GridSpec, config: SolverConfig):
-    """P0's (select, solve), the 2D pair at delta = 0, and the P1 step, which
-    reuses the x-system factor of the P0 sub-step it follows (same q, theta*dt)."""
-    split = _Split(params.replace(delta=0.0), grid)
-    select, solve = _scheme(split, config)
+def _p1_step(split: _Split, lin_tol: float, v_next, q, u_new, u_next, dt: float,
+             theta: float, tau: float) -> np.ndarray:
+    """One P1 sub-step after the P0 sub-step from u_next to u_new on ``split``
+    (delta = 0), with its control q; it reuses that sub-step's x-system
+    factor (same q, theta*dt). tau is the time to maturity at the sub-step's
+    theta-average."""
+    grid = split.grid
     x = grid.x_nodes()[:, None]
-
-    def solve_p1(v_next, q, u_new, u_next, dt: float, theta: float,
-                 tau: float) -> np.ndarray:
-        # dt * rho*q*x*z*d_xz P0, with z*d_z P0 = tau*(u_new - u_next)/dt
-        source = params.rho * tau * q * x * dx_values(u_new - u_next, grid)
-        source[0, :] = 0.0   # x-boundary rows evolve as identity
-        source[-1, :] = 0.0
-        rhs = v_next + (1.0 - theta) * dt * split.a1(q, v_next) + source
-        return split.x_solver(q, theta * dt, config.lin_tol)(rhs)
-
-    return select, solve, solve_p1
+    # dt * rho*q*x*z*d_xz P0, with z*d_z P0 = tau*(u_new - u_next)/dt
+    source = split.params.rho * tau * q * x * dx_values(u_new - u_next, grid)
+    source[0, :] = 0.0   # x-boundary rows evolve as identity
+    source[-1, :] = 0.0
+    rhs = v_next + (1.0 - theta) * dt * split.a1(q, v_next) + source
+    return split.x_solver(q, theta * dt, lin_tol)(rhs)
 
 
 def solve_p0p1(payoff: PayoffSpec, params: ModelParams, grid: GridSpec,
                config: Optional[SolverConfig] = None) -> P0P1Solution:
     """Full backward sweep for the leading-order price and first correction.
 
-    Terminal conditions are the payoff and zero. Every P0 sub-step is
-    followed by the P1 sub-step with its control, and no control is kept,
-    so memory does not grow with n_t.
+    P0 is the 2D scheme at delta = 0, from the payoff; P1 starts from zero,
+    and each of its sub-steps follows the P0 sub-step it takes its control
+    and x-system factor from.
     """
     config = config or SolverConfig()
-    select, solve, solve_p1 = _scheme_p0p1(params, grid, config)
-
-    term = terminal_surface(payoff, grid)
+    split = _Split(params.replace(delta=0.0), grid)
     v = np.zeros((grid.n_x, grid.n_z))
     elapsed = 0.0  # T - t at the known level of the next sub-step
 
     def p1_step(n, q, u_new, u_next, dt, theta):
         nonlocal v, elapsed
-        v = solve_p1(v, q, u_new, u_next, dt, theta, elapsed + theta * dt)
+        v = _p1_step(split, config.lin_tol, v, q, u_new, u_next, dt, theta,
+                     elapsed + theta * dt)
         elapsed += dt
 
-    u = march(np.asarray(term.values, float), grid, params.T, config,
-              select, solve, after_substep=p1_step)
+    p0 = _march(split, payoff, config, p1_step)  # steps v to t = 0 along the way
     return P0P1Solution(
-        p0=Surface(u, grid),
+        p0=p0,
         p1=Surface(v, grid),
         params=params,
         grid=grid,

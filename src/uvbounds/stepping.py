@@ -8,9 +8,9 @@ and the fields of w it read, and ``solve(q, fields, dt, theta)``, one
 implicit step from the surface w_next those fields are of. P0 and
 P^delta supply the same pair, P0's at delta = 0. An optional
 ``after_substep(n, q, w_new, w_next, dt, theta)`` follows every sub-step
-into time level n: P1 builds its source there from P0's two levels, and
-P^delta counts its control's candidate tags. ``march`` itself keeps no
-history.
+into time level n: P1 steps there on P0's two levels, and the CLI's
+``solve-pdelta`` counts and exports the controls there. ``march`` keeps
+only the current level.
 
 Each (sub-)step is a predictor-corrector pair. The predictor selects the
 control on the known level w_next and solves. Each corrector pass

@@ -8,15 +8,11 @@ def p1_substeps(monkeypatch):
     """Every P1 sub-step's new level, in step order, across the
     ``solve_p0p1`` calls the test makes."""
     levels = []
-    scheme = solver_pdelta._scheme_p0p1
+    p1_step = solver_pdelta._p1_step
 
-    def recording_scheme(*args):
-        select, solve, solve_p1 = scheme(*args)
+    def recorded(*args):
+        levels.append(p1_step(*args))
+        return levels[-1]
 
-        def recorded(*a):
-            levels.append(solve_p1(*a))
-            return levels[-1]
-        return select, solve, recorded
-
-    monkeypatch.setattr(solver_pdelta, "_scheme_p0p1", recording_scheme)
+    monkeypatch.setattr(solver_pdelta, "_p1_step", recorded)
     return levels

@@ -24,7 +24,7 @@ Not collected by pytest (no ``test_`` prefix); test modules import it as
   chunks by, so bit for bit what the study returns.
 * ``pdelta_with_controls``: a 2D solve and its per-level control history,
   recorded through ``solve_pdelta``'s ``after_substep``; the solution
-  itself keeps only tag counts.
+  holds only the price at t = 0.
 * ``nearest_node_control``: a 2D solve's control field as the reference
   simulator's ``(t, x, z) -> q`` callable, read at the nearest grid node.
   The package's path kernel takes constant controls only.

@@ -3,7 +3,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from uvbounds import analysis
+from uvbounds import analysis, solver_pdelta
 from uvbounds.analysis import compare_bs, error_sweep, gamma_diagnostics
 from uvbounds.core import GridSpec, ModelParams
 from uvbounds.payoff import PayoffSpec
@@ -59,6 +59,21 @@ def test_sweep_solves_leading_order_once(monkeypatch):
     monkeypatch.setattr(analysis, "solve_pdelta", count_pd)
     error_sweep(BF, PARAMS, [0.01, 0.02, 0.04], SMALL)
     assert calls == {"p0": 1, "pd": 3}
+
+
+def test_sweep_classifies_no_control(monkeypatch):
+    # no sweep output reads a candidate tag, so no solve of the sweep
+    # classifies its controls
+    calls = [0]
+    real = solver_pdelta.candidate_tags
+
+    def counting(*args):
+        calls[0] += 1
+        return real(*args)
+
+    monkeypatch.setattr(solver_pdelta, "candidate_tags", counting)
+    error_sweep(BF, PARAMS, [0.01, 0.02], SMALL)
+    assert calls[0] == 0
 
 
 def test_sweep_without_correlation_measures_raw_gap():

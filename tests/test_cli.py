@@ -107,8 +107,8 @@ def test_exported_tags_are_read_off_the_exported_control(tmp_path, cfg):
 
 
 def test_interior_tag_fraction_does_not_depend_on_the_export(tmp_path, cfg):
-    # the fraction is counted by the solver whether or not the CLI records
-    # the controls for the export
+    # the CLI counts each level's interior nodes on the solver's hook whether
+    # or not it also records the controls for the export
     fractions = []
     for export in ([], ["--export-controls"]):
         out = tmp_path / f"run{len(export)}"
@@ -573,13 +573,31 @@ def test_paper_preset_is_loadable_default(tmp_path):
     assert m["config"]["grid.n_x"] == "30"
 
 
+def _fresh_env() -> dict:
+    """The environment of a new process that imports this package."""
+    src = str(Path(uvbounds.__file__).resolve().parents[1])
+    return dict(os.environ,
+                PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 def _fresh_python(code: str) -> str:
     """The stdout of ``python -c code`` in a new process that imports this package."""
-    src = str(Path(uvbounds.__file__).resolve().parents[1])
-    env = dict(os.environ,
-               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+    return subprocess.run([sys.executable, "-c", code], env=_fresh_env(), capture_output=True,
                           text=True, check=True, timeout=120).stdout
+
+
+def test_module_entry_point_runs_the_command(tmp_path):
+    # python -m uvbounds.cli runs the command, with the console script's exit codes
+    def run_module(*args):
+        return subprocess.run([sys.executable, "-m", "uvbounds.cli", *args], env=_fresh_env(),
+                              capture_output=True, text=True, timeout=120).returncode
+
+    out = tmp_path / "p0"
+    assert run_module("solve-p0", "--config", str(PAPER_CFG), "--set", "grid.n_x=40",
+                      "--set", "grid.n_z=10", "--set", "grid.n_t=4", "--out", str(out)) == 0
+    assert (out / "manifest.json").is_file()
+    assert run_module("solve-p0", "--config", str(PAPER_CFG), "--set", "grid.n_x=oops",
+                      "--out", str(tmp_path / "bad")) == 2
 
 
 def test_import_loads_no_heavy_scipy_subpackage():

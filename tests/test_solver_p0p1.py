@@ -7,7 +7,7 @@ from uvbounds import solver_pdelta, stepping
 from uvbounds.blackscholes import bs_call, bs_payoff_price
 from uvbounds.core import GridSpec, ModelParams, SolverConfig, SolverError
 from uvbounds.payoff import PayoffSpec, evaluate, terminal_surface
-from uvbounds.solver_pdelta import _scheme_p0p1, solve_p0p1
+from uvbounds.solver_pdelta import _p1_step, _scheme, _Split, solve_p0p1
 from reference import heston_call, pdelta_with_controls, slow_scale_p1_call
 
 PARAMS = ModelParams(x0=100, z0=0.04, T=0.25, r=0, d=0.75, u=1.25,
@@ -19,7 +19,7 @@ BF = PayoffSpec.butterfly(90, 100, 110)
 
 def predictor(term, params, grid, config=SolverConfig()):
     """The predictor of one trapezoidal step: the shared step, no corrector pass."""
-    select, solve, _ = _scheme_p0p1(params, grid, config)
+    select, solve = _scheme(_Split(params.replace(delta=0.0), grid), config)
     return stepping.step(term.values, select, solve, grid.dt(params.T),
                          config.cn_weight, 0)
 
@@ -62,7 +62,7 @@ def test_corrector_idempotent_when_control_unchanged():
     dt, theta = SMALL.dt(PARAMS.T), cfg.cn_weight
     prov, q_pred = predictor(term, PARAMS, SMALL, cfg)
     working = theta * prov + (1.0 - theta) * term.values
-    select, solve, _ = _scheme_p0p1(PARAMS, SMALL, cfg)
+    select, solve = _scheme(_Split(PARAMS.replace(delta=0.0), SMALL), cfg)
     q_corr, _ = select(working)
     np.testing.assert_array_equal(q_pred, q_corr)
     np.testing.assert_array_equal(solve(q_corr, select(term.values)[1], dt, theta), prov)
@@ -330,10 +330,10 @@ def test_step_p1_zero_source_keeps_zero():
     cfg = SolverConfig()
     term_p0 = terminal_surface(BF, SMALL)
     prov, q = predictor(term_p0, params, SMALL, cfg)
-    _, _, solve_p1 = _scheme_p0p1(params, SMALL, cfg)
+    split = _Split(params.replace(delta=0.0), SMALL)
     dt = SMALL.dt(params.T)
-    out = solve_p1(np.zeros((SMALL.n_x, SMALL.n_z)), q, prov, term_p0.values,
-                   dt, cfg.cn_weight, cfg.cn_weight * dt)
+    out = _p1_step(split, cfg.lin_tol, np.zeros((SMALL.n_x, SMALL.n_z)), q, prov,
+                   term_p0.values, dt, cfg.cn_weight, cfg.cn_weight * dt)
     assert np.all(out == 0.0)
 
 
