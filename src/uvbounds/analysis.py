@@ -22,7 +22,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .blackscholes import bs_payoff_price
-from .core import GridSpec, ModelParams, SolverConfig, SolverError
+from .core import GridSpec, ModelParams, SolverConfig, SolverError, loglog_fit
 from .payoff import PayoffSpec
 from .solver_pdelta import P0P1Solution, PdeltaSolution, solve_p0p1, solve_pdelta
 from .stencils import deadband, dxx_values
@@ -127,34 +127,6 @@ def error_sweep(payoff: PayoffSpec, params: ModelParams,
     )
     return SweepReport(records=records, slope=slope, intercept=intercept, r2=r2,
                        n_fit=n_fit, window=window)
-
-
-def loglog_fit(x: np.ndarray, y: np.ndarray,
-               se: Optional[np.ndarray] = None) -> tuple[float, float, float, float]:
-    """Weighted least squares of log(y) on log(x).
-
-    Returns (slope, intercept, slope stderr, r2). Weights come from the
-    delta-method stderr of the log value, se(log y) = se(y)/y; ``se=None``
-    gives unit weights. Values y <= 0 cannot be log-fitted: if any occurs,
-    slope, intercept and stderr are NaN and r2 is 0.
-    """
-    y = np.asarray(y, float)
-    if np.any(y <= 0.0):
-        return float("nan"), float("nan"), float("nan"), 0.0
-    lx = np.log(x)
-    ly = np.log(y)
-    w = np.ones_like(ly) if se is None else 1.0 / (se / y) ** 2
-    wsum = np.sum(w)
-    xbar = np.sum(w * lx) / wsum
-    ybar = np.sum(w * ly) / wsum
-    sxx = np.sum(w * (lx - xbar) ** 2)
-    slope = float(np.sum(w * (lx - xbar) * (ly - ybar)) / sxx)
-    intercept = float(ybar - slope * xbar)
-    resid = ly - (intercept + slope * lx)
-    ss_res = float(np.sum(w * resid ** 2))
-    ss_tot = float(np.sum(w * (ly - ybar) ** 2))
-    r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
-    return slope, intercept, float(np.sqrt(1.0 / sxx)), r2
 
 
 @dataclass(frozen=True)

@@ -4,6 +4,12 @@ One subcommand per process; every run writes its CSV outputs plus a
 ``manifest.json`` holding the fully resolved configuration, versions,
 seed and timings, so any run can be reproduced from its manifest alone.
 
+Parsing, configuration and dispatch load only the value types; each
+subcommand imports the stack it runs when it runs. So the Monte Carlo
+commands never load the PDE solvers, nor the PDE commands the path
+simulation, and only ``compare-bs`` runs scipy's package init (for
+``scipy.special``).
+
 Exit codes: 0 success, 2 configuration problems (including bad arguments),
 3 solver failures, 4 I/O failures. Failures leave a machine-readable
 ``error.json`` in the output directory when it is writable.
@@ -20,17 +26,13 @@ import time
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from . import __version__
-from .analysis import compare_bs, error_sweep, gamma_diagnostics
 from .config import SCHEMA, RunSettings, load_config, settings_to_flat_dict
 from .core import SolverError
 from .csvio import surface_to_csv, write_csv
-from .linsolve import LinearSolveError
-from .montecarlo import coupling_rate_study, simulate_cir
+from .linsolve import LinearSolveError, scipy_version
 from .payoff import KINDS
-from .solver_pdelta import TAG_C, TAG_NAMES, candidate_tags, solve_p0p1, solve_pdelta
 
 __all__ = ["run", "main"]
 
@@ -106,7 +108,7 @@ def run(argv) -> int:
         "versions": {
             "uvbounds": __version__,
             "numpy": np.__version__,
-            "scipy": scipy.__version__,
+            "scipy": scipy_version(),
             "python": platform.python_version(),
         },
         "timings_s": {"total": elapsed},
@@ -150,8 +152,11 @@ def main() -> None:
 
 
 # -- subcommand bodies --------------------------------------------------------
+# Each body imports the stack it runs (see the module docstring).
 
 def _cmd_solve_p0(settings: RunSettings, out: Path, args):
+    from .solver_pdelta import solve_p0p1
+
     sol = solve_p0p1(settings.payoff, settings.model, settings.grid, settings.solver)
     surface_to_csv(sol.p0, out / "p0_surface.csv")
     probe = sol.p0.value_at(settings.model.x0, settings.model.z0)
@@ -159,6 +164,8 @@ def _cmd_solve_p0(settings: RunSettings, out: Path, args):
 
 
 def _cmd_solve_p1(settings: RunSettings, out: Path, args):
+    from .solver_pdelta import solve_p0p1
+
     sol = solve_p0p1(settings.payoff, settings.model, settings.grid, settings.solver)
     surface_to_csv(sol.p0, out / "p0_surface.csv")
     surface_to_csv(sol.p1, out / "p1_surface.csv")
@@ -167,6 +174,8 @@ def _cmd_solve_p1(settings: RunSettings, out: Path, args):
 
 
 def _cmd_solve_pdelta(settings: RunSettings, out: Path, args):
+    from .solver_pdelta import TAG_C, TAG_NAMES, candidate_tags, solve_pdelta
+
     grid = settings.grid
     export = getattr(args, "export_controls", False)
     q_hist = np.empty((grid.n_t, grid.n_x, grid.n_z)) if export else None
@@ -194,6 +203,9 @@ def _cmd_solve_pdelta(settings: RunSettings, out: Path, args):
 
 
 def _cmd_compare_bs(settings: RunSettings, out: Path, args):
+    from .analysis import compare_bs
+    from .solver_pdelta import solve_p0p1
+
     sol = solve_p0p1(settings.payoff, settings.model, settings.grid, settings.solver)
     cmp_ = compare_bs(sol)
     write_csv(out / "compare_bs.csv", ["x", "p0", "bs_low", "bs_high", "dominated"],
@@ -203,6 +215,8 @@ def _cmd_compare_bs(settings: RunSettings, out: Path, args):
 
 
 def _cmd_sweep_error(settings: RunSettings, out: Path, args):
+    from .analysis import error_sweep
+
     report = error_sweep(settings.payoff, settings.model, settings.sweep_deltas,
                          settings.grid, settings.solver, window=settings.window)
     fields = ["delta", "error", "error_full", "sup_x", "sup_z", "runtime_s", "undershoot"]
@@ -217,6 +231,8 @@ def _cmd_sweep_error(settings: RunSettings, out: Path, args):
 
 
 def _cmd_simulate_bounds(settings: RunSettings, out: Path, args):
+    from .montecarlo import simulate_cir
+
     m = settings.model
     z = simulate_cir(m, settings.mc_n_steps, settings.mc_n_bound_paths, args.seed)
     times = np.arange(settings.mc_n_steps + 1) * (m.T / settings.mc_n_steps)
@@ -229,6 +245,8 @@ def _cmd_simulate_bounds(settings: RunSettings, out: Path, args):
 
 
 def _cmd_coupling_rate(settings: RunSettings, out: Path, args):
+    from .montecarlo import coupling_rate_study
+
     fits = coupling_rate_study(settings.model, settings.mc_rate_deltas,
                                settings.mc_n_paths, args.seed,
                                n_steps=settings.mc_n_steps)
@@ -244,6 +262,9 @@ def _cmd_coupling_rate(settings: RunSettings, out: Path, args):
 
 
 def _cmd_gamma_diag(settings: RunSettings, out: Path, args):
+    from .analysis import gamma_diagnostics
+    from .solver_pdelta import solve_p0p1, solve_pdelta
+
     base = solve_p0p1(settings.payoff, settings.model, settings.grid, settings.solver)
     full = solve_pdelta(settings.payoff, settings.model, settings.grid, settings.solver)
     diag = gamma_diagnostics(base, full)

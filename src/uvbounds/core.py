@@ -1,6 +1,8 @@
-"""Shared value types: model parameters, grids, surfaces, solver knobs.
+"""Shared value types: model parameters, grids, surfaces, solver knobs;
+and the one log-log fit, which the error sweep and the Monte Carlo rate
+study both read, kept here so that neither imports the other's stack.
 
-Everything here is an immutable value object. Solvers never mutate a
+Every type here is an immutable value object. Solvers never mutate a
 ``Surface`` in place; each backward step produces a fresh one, so a
 surface can be held and reused across solves without copying.
 """
@@ -19,6 +21,7 @@ __all__ = [
     "SolverConfig",
     "Surface",
     "SolverError",
+    "loglog_fit",
 ]
 
 
@@ -312,3 +315,31 @@ def _lagrange_1d(nodes: np.ndarray, values: np.ndarray, target: float) -> np.nda
                 w *= (target - xs[l]) / (xs[m] - xs[l])
         out = out + w * np.asarray(values[i0 + m], dtype=float).reshape(-1)
     return out
+
+
+def loglog_fit(x: np.ndarray, y: np.ndarray,
+               se: Optional[np.ndarray] = None) -> tuple[float, float, float, float]:
+    """Weighted least squares of log(y) on log(x).
+
+    Returns (slope, intercept, slope stderr, r2). Weights come from the
+    delta-method stderr of the log value, se(log y) = se(y)/y; ``se=None``
+    gives unit weights. Values y <= 0 cannot be log-fitted: if any occurs,
+    slope, intercept and stderr are NaN and r2 is 0.
+    """
+    y = np.asarray(y, float)
+    if np.any(y <= 0.0):
+        return float("nan"), float("nan"), float("nan"), 0.0
+    lx = np.log(x)
+    ly = np.log(y)
+    w = np.ones_like(ly) if se is None else 1.0 / (se / y) ** 2
+    wsum = np.sum(w)
+    xbar = np.sum(w * lx) / wsum
+    ybar = np.sum(w * ly) / wsum
+    sxx = np.sum(w * (lx - xbar) ** 2)
+    slope = float(np.sum(w * (lx - xbar) * (ly - ybar)) / sxx)
+    intercept = float(ybar - slope * xbar)
+    resid = ly - (intercept + slope * lx)
+    ss_res = float(np.sum(w * resid ** 2))
+    ss_tot = float(np.sum(w * (ly - ybar) ** 2))
+    r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
+    return slope, intercept, float(np.sqrt(1.0 / sxx)), r2

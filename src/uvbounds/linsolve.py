@@ -18,7 +18,12 @@ solve of the identity, and 15.4-17.5 ms against 12.6-13.6 ms at 400
 
 The routines come from scipy's compiled LAPACK wrappers, the
 extension module ``scipy/linalg/_flapack``, loaded by file path on the
-first factor. Importing them as ``scipy.linalg.lapack`` would run the
+first factor. scipy's directory is found by ``importlib.util.find_spec``,
+which locates the package without running ``scipy/__init__.py``, and the
+manifest's scipy version is read from that directory's ``version.py``
+(``scipy_version``). So no solve runs scipy's package init, which took
+12-14 ms and 1.3 MiB RSS after numpy (same host and versions as below).
+Importing the routines as ``scipy.linalg.lapack`` would run the
 ``scipy.linalg`` package init, whose array-API layer copies the numpy
 namespace and so forces the lazy imports of ``numpy.f2py``,
 ``numpy.testing``, ``numpy.ma`` and ``numpy.random``. With the CLI
@@ -44,16 +49,36 @@ import sys
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 __all__ = [
     "LinearSolveError",
     "check_tridiag_residual",
+    "scipy_version",
     "spd_tridiag_solver",
 ]
 
 class LinearSolveError(RuntimeError):
     """Singular pivot or factor, or residual failure, in a linear solve."""
+
+
+def _scipy_dir() -> Path:
+    """scipy's package directory, found without importing the package."""
+    spec = importlib.util.find_spec("scipy")
+    if spec is None or not spec.submodule_search_locations:
+        raise ImportError("scipy is not installed")
+    return Path(spec.submodule_search_locations[0])
+
+
+def _load_from(name: str, path: Path):
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def scipy_version() -> str:
+    """The installed scipy's ``__version__``, read without its package init."""
+    return _load_from("scipy.version", _scipy_dir() / "version.py").version
 
 
 @functools.cache
@@ -62,13 +87,11 @@ def _flapack():
     name = "scipy.linalg._flapack"
     if name in sys.modules:  # scipy.linalg is imported already
         return sys.modules[name]
-    stem = Path(scipy.__file__).parent / "linalg" / "_flapack"
+    stem = _scipy_dir() / "linalg" / "_flapack"
     for suffix in importlib.machinery.EXTENSION_SUFFIXES:
         path = stem.with_name(stem.name + suffix)
         if path.is_file():
-            spec = importlib.util.spec_from_file_location(name, path)
-            module = importlib.util.module_from_spec(spec)
-            spec.loader.exec_module(module)
+            module = _load_from(name, path)
             # the interpreter registers an extension module as it loads it; a
             # later import of scipy.linalg, finding no entry, then binds the
             # module (the same wrappers) as the package's attribute

@@ -49,8 +49,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .analysis import loglog_fit
-from .core import ModelParams
+from .core import ModelParams, loglog_fit
 
 __all__ = [
     "RateFit",

@@ -346,6 +346,15 @@ def heston_call(spot: float, strike: float, T: float, v0: float, kappa: float,
     return 0.5 * (spot - strike) + value / math.pi
 
 
+def worst_case_call(params, strike: float) -> float:
+    """P^delta at (x0, z0) of a call, with no grid: the call is convex, so
+    q = u and the price is Heston's with v0 = u^2*z0, mean reversion
+    delta*kappa, level u^2*theta and vol-of-vol u*sqrt(delta)."""
+    p = params
+    return heston_call(p.x0, strike, p.T, p.u ** 2 * p.z0, p.delta * p.kappa,
+                       p.u ** 2 * p.theta, p.u * math.sqrt(p.delta), p.rho)
+
+
 def write_rows_csv(path, header, rows) -> None:
     with Path(path).open("w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")

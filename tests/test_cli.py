@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import uvbounds
-from uvbounds import cli, linsolve, solver_pdelta
+from uvbounds import linsolve, montecarlo, solver_pdelta
 from uvbounds.cli import run
 from uvbounds.config import SCHEMA
 from uvbounds.payoff import KINDS
@@ -377,13 +377,13 @@ def test_largest_u64_seed_runs(tmp_path, cfg, command):
 
 def test_nonfinite_results_written_as_null(tmp_path, capsys, monkeypatch):
     # a study whose fits come back with NaN slopes
-    real_study = cli.coupling_rate_study
+    real_study = montecarlo.coupling_rate_study
 
     def nan_slopes(*args, **kwargs):
         return [dataclasses.replace(f, slope=float("nan"))
                 for f in real_study(*args, **kwargs)]
 
-    monkeypatch.setattr(cli, "coupling_rate_study", nan_slopes)
+    monkeypatch.setattr(montecarlo, "coupling_rate_study", nan_slopes)
     out = tmp_path / "o"
     code = run(["coupling-rate", "--out", str(out),
                 "--set", "mc.n_paths=2", "--set", "mc.n_steps=5"])
@@ -601,26 +601,32 @@ def test_module_entry_point_runs_the_command(tmp_path):
 
 
 def test_import_loads_no_heavy_scipy_subpackage():
-    # each scipy subpackage adds ~25 MiB RSS and loads only where a command
-    # needs it; no command runs a process pool
-    heavy = ("scipy.special", "scipy.linalg", "scipy.sparse",
+    # parsing, config and dispatch need only the value types: scipy's
+    # package init (and each subpackage, ~25 MiB RSS) and every solver
+    # stack load with the command that runs them; no command runs a
+    # process pool
+    heavy = ("scipy", "uvbounds.solver_pdelta", "uvbounds.analysis", "uvbounds.montecarlo",
              "multiprocessing", "concurrent.futures.process")
-    code = f"import sys, uvbounds.cli; print([m for m in {heavy!r} if m in sys.modules])"
+    code = ("import sys, uvbounds, uvbounds.cli; from uvbounds.config import load_config; "
+            f"load_config({str(PAPER_CFG)!r}, []); "
+            f"print([m for m in {heavy!r} if m in sys.modules])")
     assert _fresh_python(code).strip() == "[]"
 
 
 def test_error_sweep_never_imports_the_scipy_linalg_package(tmp_path):
     # the tridiagonal kernel loads scipy's compiled LAPACK wrappers by file
-    # path; the scipy.linalg package init would cost ~0.2 s and ~25 MiB
+    # path; the scipy.linalg package init would cost ~0.2 s and ~25 MiB.
+    # Not even scipy's package init runs, nor the Monte Carlo module loads
     argv = ["sweep-error", "--config", str(PAPER_CFG),
             "--set", "grid.n_x=40", "--set", "grid.n_z=10", "--set", "grid.n_t=4",
             "--out", str(tmp_path / "sweep")]
     code = ("import sys; from uvbounds import linsolve; from uvbounds.cli import run; "
-            f"status = run({argv!r}); print(status, 'scipy.linalg' in sys.modules); "
+            f"status = run({argv!r}); print(status, *[m in sys.modules for m in "
+            "('scipy', 'scipy.linalg', 'uvbounds.montecarlo')]); "
             # importing scipy.linalg afterwards finds the same wrappers
             "import scipy.linalg; "
             "print(scipy.linalg._flapack.dpttrs is linsolve._flapack().dpttrs)")
-    assert _fresh_python(code).split() == ["0", "False", "True"]
+    assert _fresh_python(code).split() == ["0", "False", "False", "False", "True"]
 
 
 def test_error_sweep_and_coupling_rate_import_neither_logging_nor_scipy_linalg(tmp_path):
@@ -651,3 +657,44 @@ def test_solves_need_only_the_ldlt_routines(tmp_path):
             "dpttrs=real.dpttrs); "
             f"print(*[run(argv) for argv in {runs!r}])")
     assert _fresh_python(code).split() == ["0", "0"]
+
+
+# -- each process imports only the stack its command runs ----------------------
+
+def test_monte_carlo_commands_load_no_scipy_and_no_pde_stack(tmp_path):
+    pde = ("uvbounds.solver_pdelta", "uvbounds.stencils", "uvbounds.stepping",
+           "uvbounds.analysis")
+    runs = [[command, "--config", str(PAPER_CFG), "--set", "mc.n_steps=5",
+             "--set", "mc.n_paths=200", "--set", "mc.n_bound_paths=3",
+             "--out", str(tmp_path / command)]
+            for command in ("coupling-rate", "simulate-bounds")]
+    code = ("import sys; from uvbounds.cli import run; "
+            f"print(*[run(argv) for argv in {runs!r}]); "
+            f"print([m for m in sys.modules if m.split('.')[0] == 'scipy' or m in {pde!r}])")
+    assert _fresh_python(code).splitlines() == ["0 0", "[]"]
+
+
+def test_lazy_names_and_the_manifest_scipy_version(tmp_path):
+    # a lazy name is the solver module's own object, the namespace is the
+    # one it always was, and the manifest reads scipy's version without
+    # importing scipy
+    runs = [["solve-p0", "--config", str(PAPER_CFG), "--set", "grid.n_x=40",
+             "--set", "grid.n_z=10", "--set", "grid.n_t=4", "--out", str(tmp_path / "p0")],
+            ["coupling-rate", "--config", str(PAPER_CFG), "--set", "mc.n_steps=5",
+             "--set", "mc.n_paths=200", "--out", str(tmp_path / "rate")]]
+    code = ("import json, uvbounds as uv; from uvbounds.cli import run; "
+            f"print(*[run(argv) for argv in {runs!r}]); "
+            "import uvbounds.solver_pdelta, scipy; "
+            "print(uv.solve_pdelta is uvbounds.solver_pdelta.solve_pdelta); "
+            # hasattr is False only on AttributeError; any other error propagates
+            "print(hasattr(uv, 'no_such_name')); "
+            "print(sorted(uv.__all__)); "
+            "print(*[json.load(open(argv[-1] + '/manifest.json'))['versions']['scipy'] "
+            f"== scipy.__version__ for argv in {runs!r}])")
+    status, same, unknown, names, versions = _fresh_python(code).splitlines()
+    assert (status, same, unknown, versions) == ("0 0", "True", "False", "True True")
+    assert names == str(sorted([
+        "ModelParams", "GridSpec", "SolverConfig", "Surface", "PayoffSpec",
+        "P0P1Solution", "PdeltaSolution", "SweepReport", "solve_p0p1", "solve_pdelta",
+        "simulate_cir", "coupling_rate_study", "error_sweep", "gamma_diagnostics",
+        "compare_bs", "__version__"]))

@@ -1,6 +1,5 @@
 import re
 import sys
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -36,8 +35,7 @@ def test_loaded_lapack_is_bitwise_scipy_linalg_lapack(monkeypatch):
 def test_missing_lapack_extension_names_its_path(monkeypatch, tmp_path):
     fake_scipy = tmp_path / "scipy"
     (fake_scipy / "linalg").mkdir(parents=True)
-    monkeypatch.setattr(linsolve, "scipy",
-                        SimpleNamespace(__file__=str(fake_scipy / "__init__.py")))
+    monkeypatch.setattr(linsolve, "_scipy_dir", lambda: fake_scipy)
     monkeypatch.delitem(sys.modules, "scipy.linalg._flapack", raising=False)
     with pytest.raises(ImportError, match=re.escape(str(fake_scipy / "linalg" / "_flapack"))):
         linsolve._flapack.__wrapped__()  # past the cache

@@ -15,8 +15,8 @@ from uvbounds.solver_pdelta import (TAG_A, TAG_B, TAG_C, _scheme, _Split, candid
                                     select_q, solve_p0p1, solve_pdelta)
 from uvbounds.stencils import deadband, lxx_values, lxz_values
 from reference import (
-    exponent_sum_terminals, generator_matrix, heston_call, lu_solve, lu_x_solver,
-    nearest_node_control, pdelta_with_controls, select_q_node,
+    exponent_sum_terminals, generator_matrix, lu_solve, lu_x_solver,
+    nearest_node_control, pdelta_with_controls, select_q_node, worst_case_call,
 )
 
 PARAMS = ModelParams(x0=100, z0=0.04, T=0.25, r=0, d=0.75, u=1.25,
@@ -677,15 +677,18 @@ def test_failure_carries_time_level_context():
 
 
 @pytest.mark.slow
-def test_call_converges_at_order_two_to_heston():
+@pytest.mark.parametrize("kappa", [15.0, 150.0])
+def test_call_converges_at_order_two_to_heston(kappa):
     # a call is convex, so q = u wherever it matters and P^delta is Heston's
     # price with v0 = u^2*z0, mean reversion delta*kappa, level u^2*theta and
     # vol-of-vol u*sqrt(delta) (4.898696 at delta = 0.05). On 2n x n x n/5
     # grids, x in [0, 400], errors at (x0, z0) measured -2.381e-2, -5.730e-3
-    # and -1.415e-3 for n = 50, 100, 200: observed orders 2.06 and 2.02
-    p = PARAMS
-    heston = heston_call(p.x0, 100.0, p.T, p.u ** 2 * p.z0, p.delta * p.kappa,
-                         p.u ** 2 * p.theta, p.u * np.sqrt(p.delta), p.rho)
+    # and -1.415e-3 for n = 50, 100, 200: observed orders 2.06 and 2.02. At
+    # kappa = 150, where 4 to 5 z-rows of the central stencil couple with the
+    # wrong sign, -1.811e-2, -4.543e-3 and -1.132e-3 against 4.936646:
+    # orders 1.99 and 2.00
+    p = PARAMS.replace(kappa=kappa)
+    heston = worst_case_call(p, 100.0)
     errors = np.array([
         solve_pdelta(PayoffSpec.call(100), p, GridSpec(0, 400, 2 * n, 0, 0.12, n, n // 5))
         .p_delta.value_at(p.x0, p.z0) - heston
