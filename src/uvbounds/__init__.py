@@ -20,7 +20,6 @@ from .payoff import PayoffSpec
 __version__ = "0.1.0"
 
 _LAZY = {
-    "P0P1Solution": "solver_pdelta", "PdeltaSolution": "solver_pdelta",
     "solve_p0p1": "solver_pdelta", "solve_pdelta": "solver_pdelta",
     "simulate_cir": "montecarlo", "coupling_rate_study": "montecarlo",
     "SweepReport": "analysis", "error_sweep": "analysis",

@@ -1,6 +1,10 @@
 """The experiment layer: error sweep over delta, gamma diagnostics, and
 Black-Scholes comparison curves.
 
+Each experiment takes the surfaces and values it reads: ``compare_bs`` P0,
+its payoff and the model; ``gamma_diagnostics`` P0, P^delta and the
+deadband; ``error_sweep`` runs its own solves.
+
 The sweep exploits that the leading-order price and its correction do not
 depend on delta: they are solved exactly once and reused against every 2D
 solve. The per-delta error is
@@ -22,9 +26,9 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .blackscholes import bs_payoff_price
-from .core import GridSpec, ModelParams, SolverConfig, SolverError, loglog_fit
+from .core import GridSpec, ModelParams, SolverConfig, SolverError, Surface, loglog_fit
 from .payoff import PayoffSpec
-from .solver_pdelta import P0P1Solution, PdeltaSolution, solve_p0p1, solve_pdelta
+from .solver_pdelta import solve_p0p1, solve_pdelta
 from .stencils import deadband, dxx_values
 
 __all__ = [
@@ -35,7 +39,6 @@ __all__ = [
     "error_sweep",
     "gamma_diagnostics",
     "compare_bs",
-    "loglog_fit",
 ]
 
 DEFAULT_WINDOW = (60.0, 140.0)
@@ -63,14 +66,6 @@ class SweepReport:
     n_fit: int
     window: tuple[float, float]
 
-    @property
-    def deltas(self) -> np.ndarray:
-        return np.array([r.delta for r in self.records])
-
-    @property
-    def errors(self) -> np.ndarray:
-        return np.array([r.error for r in self.records])
-
 
 def error_sweep(payoff: PayoffSpec, params: ModelParams,
                 delta_list: Sequence[float], grid: GridSpec,
@@ -94,15 +89,13 @@ def error_sweep(payoff: PayoffSpec, params: ModelParams,
         raise ValueError(f"window {window} contains no grid nodes")
     models = [params.replace(delta=delta) for delta in deltas]  # a delta above 1 raises here
 
-    base = solve_p0p1(payoff, params, grid, config)
-    p0 = np.asarray(base.p0.values)
-    p1 = np.asarray(base.p1.values)
+    p0, p1 = (np.asarray(s.values) for s in solve_p0p1(payoff, params, grid, config))
 
     records = []
     for delta, model in zip(deltas, models):
         t0 = time.perf_counter()
         try:
-            p_delta = solve_pdelta(payoff, model, grid, config).p_delta.values
+            p_delta = solve_pdelta(payoff, model, grid, config).values
         except SolverError as exc:
             raise SolverError(f"sweep failed at delta={delta}: {exc}") from exc
         elapsed = time.perf_counter() - t0
@@ -137,7 +130,6 @@ class GammaDiagnostics:
     crossings: list[list[float]]     # per z-slice, x-locations of sign changes
     mismatch_mask: np.ndarray        # interior nodes where the two gammas branch apart
     mismatch_width: np.ndarray       # per z-slice, node count * dx
-    gamma_eps: float
 
     def crossings_at(self, z: float) -> list[float]:
         j = int(np.argmin(np.abs(self.z_values - z)))
@@ -148,23 +140,20 @@ class GammaDiagnostics:
         return float(self.mismatch_width[j])
 
 
-def gamma_diagnostics(p0_solution: P0P1Solution, pdelta_solution: PdeltaSolution,
-                      gamma_eps: Optional[float] = None) -> GammaDiagnostics:
-    """Locate gamma sign changes and the region where the 2D price's gamma
-    disagrees with the leading-order one, per z-slice at t = 0.
+def gamma_diagnostics(p0: Surface, p_delta: Surface, gamma_eps: float) -> GammaDiagnostics:
+    """Locate gamma sign changes of P0 and the region where the 2D price's
+    gamma disagrees with the leading-order one, per z-slice at t = 0.
 
-    Sign tests use the deadband convention, so near-zero curvature counts
-    as nonnegative. Boundary rows carry imposed zero curvature and are
-    excluded.
+    Sign tests use the deadband convention with ``gamma_eps``, so near-zero
+    curvature counts as nonnegative. Boundary rows carry imposed zero
+    curvature and are excluded.
     """
-    grid = p0_solution.grid
-    if pdelta_solution.grid != grid:
-        raise ValueError("gamma_diagnostics: solutions live on different grids")
-    if gamma_eps is None:
-        gamma_eps = p0_solution.config.resolve_gamma_eps(p0_solution.params)
+    grid = p0.grid
+    if p_delta.grid != grid:
+        raise ValueError("gamma_diagnostics: surfaces live on different grids")
 
-    g0 = dxx_values(np.asarray(p0_solution.p0.values), grid)
-    gd = dxx_values(np.asarray(pdelta_solution.p_delta.values), grid)
+    g0 = dxx_values(np.asarray(p0.values), grid)
+    gd = dxx_values(np.asarray(p_delta.values), grid)
     b0 = deadband(g0, gamma_eps) >= 0.0
     bd = deadband(gd, gamma_eps) >= 0.0
 
@@ -185,8 +174,7 @@ def gamma_diagnostics(p0_solution: P0P1Solution, pdelta_solution: PdeltaSolution
     mism[1:-1, :] = b0[1:-1, :] != bd[1:-1, :]
     widths = mism.sum(axis=0).astype(float) * dx
     return GammaDiagnostics(z_values=grid.z_nodes(), crossings=crossings,
-                            mismatch_mask=mism, mismatch_width=widths,
-                            gamma_eps=gamma_eps)
+                            mismatch_mask=mism, mismatch_width=widths)
 
 
 @dataclass(frozen=True)
@@ -203,19 +191,17 @@ class BsComparison:
     tol: float
 
 
-def compare_bs(p0_solution: P0P1Solution) -> BsComparison:
+def compare_bs(p0: Surface, payoff: PayoffSpec, params: ModelParams) -> BsComparison:
     """Tabulate P0 at the initial variance level against the Black-Scholes
-    curves priced at the lower and upper band volatilities of the solution's
-    payoff; a node is dominated within a tolerance of 1e-3 * x0."""
-    params = p0_solution.params
-    grid = p0_solution.grid
-    payoff = p0_solution.payoff
+    curves of ``payoff`` priced at the lower and upper band volatilities;
+    a node is dominated within a tolerance of 1e-3 * x0."""
+    grid = p0.grid
     tol = 1e-3 * params.x0
 
     vol_low, vol_high = params.vol_bounds(params.z0)
     x = grid.x_nodes()
     j0 = grid.iz_nearest(params.z0)
-    row = np.asarray(p0_solution.p0.values)[:, j0]
+    row = np.asarray(p0.values)[:, j0]
 
     # the closed forms need strictly positive maturities/spots; x=0 nodes
     # price to the payoff's x->0 limit by continuity

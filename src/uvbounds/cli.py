@@ -31,7 +31,7 @@ from . import __version__
 from .config import SCHEMA, RunSettings, load_config, settings_to_flat_dict
 from .core import SolverError
 from .csvio import surface_to_csv, write_csv
-from .linsolve import LinearSolveError, scipy_version
+from .linsolve import scipy_version
 from .payoff import KINDS
 
 __all__ = ["run", "main"]
@@ -91,7 +91,7 @@ def run(argv) -> int:
     started = time.perf_counter()
     try:
         results, outputs = _DISPATCH[args.command](settings, out_dir, args)
-    except (SolverError, LinearSolveError) as exc:
+    except SolverError as exc:  # a linear solve's failure included
         return _fail(out_dir, 3, exc)
     except ValueError as exc:  # invalid configuration, parameters or preconditions
         return _fail(out_dir, 2, exc)
@@ -157,19 +157,19 @@ def main() -> None:
 def _cmd_solve_p0(settings: RunSettings, out: Path, args):
     from .solver_pdelta import solve_p0p1
 
-    sol = solve_p0p1(settings.payoff, settings.model, settings.grid, settings.solver)
-    surface_to_csv(sol.p0, out / "p0_surface.csv")
-    probe = sol.p0.value_at(settings.model.x0, settings.model.z0)
+    p0, _ = solve_p0p1(settings.payoff, settings.model, settings.grid, settings.solver)
+    surface_to_csv(p0, out / "p0_surface.csv")
+    probe = p0.value_at(settings.model.x0, settings.model.z0)
     return {"p0_at_x0_z0": probe}, ["p0_surface.csv"]
 
 
 def _cmd_solve_p1(settings: RunSettings, out: Path, args):
     from .solver_pdelta import solve_p0p1
 
-    sol = solve_p0p1(settings.payoff, settings.model, settings.grid, settings.solver)
-    surface_to_csv(sol.p0, out / "p0_surface.csv")
-    surface_to_csv(sol.p1, out / "p1_surface.csv")
-    probe = sol.p1.value_at(settings.model.x0, settings.model.z0)
+    p0, p1 = solve_p0p1(settings.payoff, settings.model, settings.grid, settings.solver)
+    surface_to_csv(p0, out / "p0_surface.csv")
+    surface_to_csv(p1, out / "p1_surface.csv")
+    probe = p1.value_at(settings.model.x0, settings.model.z0)
     return {"p1_at_x0_z0": probe}, ["p0_surface.csv", "p1_surface.csv"]
 
 
@@ -187,9 +187,9 @@ def _cmd_solve_pdelta(settings: RunSettings, out: Path, args):
         if export:
             q_hist[n] = q
 
-    sol = solve_pdelta(settings.payoff, settings.model, grid, settings.solver,
-                       after_substep=record)
-    surface_to_csv(sol.p_delta, out / "pdelta_surface.csv")
+    p_delta = solve_pdelta(settings.payoff, settings.model, grid, settings.solver,
+                           after_substep=record)
+    surface_to_csv(p_delta, out / "pdelta_surface.csv")
     outputs = ["pdelta_surface.csv"]
     if export:
         level, i, j = np.indices(q_hist.shape).reshape(3, -1)
@@ -197,7 +197,7 @@ def _cmd_solve_pdelta(settings: RunSettings, out: Path, args):
                   [level, grid.x_nodes()[i], grid.z_nodes()[j], q_hist.ravel(),
                    np.asarray(TAG_NAMES)[candidate_tags(q_hist, settings.model).ravel()]])
         outputs.append("pdelta_controls.csv")
-    probe = sol.p_delta.value_at(settings.model.x0, settings.model.z0)
+    probe = p_delta.value_at(settings.model.x0, settings.model.z0)
     fraction = float(interior.sum() / (grid.n_t * grid.n_x * grid.n_z))
     return {"pdelta_at_x0_z0": probe, "interior_tag_fraction": fraction}, outputs
 
@@ -206,8 +206,9 @@ def _cmd_compare_bs(settings: RunSettings, out: Path, args):
     from .analysis import compare_bs
     from .solver_pdelta import solve_p0p1
 
-    sol = solve_p0p1(settings.payoff, settings.model, settings.grid, settings.solver)
-    cmp_ = compare_bs(sol)
+    settings.payoff.decomposition()  # a payoff with no Black-Scholes price fails before the solve
+    p0, _ = solve_p0p1(settings.payoff, settings.model, settings.grid, settings.solver)
+    cmp_ = compare_bs(p0, settings.payoff, settings.model)
     write_csv(out / "compare_bs.csv", ["x", "p0", "bs_low", "bs_high", "dominated"],
               [cmp_.x, cmp_.p0, cmp_.bs_low, cmp_.bs_high, cmp_.dominated.astype(int)])
     return {"vol_low": cmp_.vol_low, "vol_high": cmp_.vol_high,
@@ -265,9 +266,9 @@ def _cmd_gamma_diag(settings: RunSettings, out: Path, args):
     from .analysis import gamma_diagnostics
     from .solver_pdelta import solve_p0p1, solve_pdelta
 
-    base = solve_p0p1(settings.payoff, settings.model, settings.grid, settings.solver)
-    full = solve_pdelta(settings.payoff, settings.model, settings.grid, settings.solver)
-    diag = gamma_diagnostics(base, full)
+    p0, _ = solve_p0p1(settings.payoff, settings.model, settings.grid, settings.solver)
+    p_delta = solve_pdelta(settings.payoff, settings.model, settings.grid, settings.solver)
+    diag = gamma_diagnostics(p0, p_delta, settings.solver.resolve_gamma_eps(settings.model))
     write_csv(out / "gamma_crossings.csv", ["z", "crossing_x"],
               [np.repeat(diag.z_values, [len(locs) for locs in diag.crossings]),
                [loc for locs in diag.crossings for loc in locs]])

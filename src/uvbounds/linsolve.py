@@ -50,6 +50,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .core import SolverError
+
 __all__ = [
     "LinearSolveError",
     "check_tridiag_residual",
@@ -57,8 +59,9 @@ __all__ = [
     "spd_tridiag_solver",
 ]
 
-class LinearSolveError(RuntimeError):
-    """Singular pivot or factor, or residual failure, in a linear solve."""
+class LinearSolveError(SolverError):
+    """Singular pivot or factor, or residual failure, in a linear solve; a
+    ``SolverError``, so the CLI maps it to exit 3 as every solver failure."""
 
 
 def _scipy_dir() -> Path:

@@ -64,11 +64,13 @@ z*d_z P0 = (T - t)*z*d_tau Q, and a P0 sub-step gives z*d_tau Q as
 with tau the time to maturity at the sub-step's theta-average. Each P1
 sub-step (``_p1_step``) runs in the hook after the P0 sub-step it reads,
 on the same split, so it reuses that sub-step's x-system factor.
+
+Both solvers return surfaces at t = 0: ``solve_pdelta`` P^delta, and
+``solve_p0p1`` the pair (P0, P1). Neither keeps a control history.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Optional
 
@@ -81,8 +83,6 @@ from .stencils import deadband, dx_values, dz_values, dzz_values, lxx_values, lx
 from .stepping import march
 
 __all__ = [
-    "P0P1Solution",
-    "PdeltaSolution",
     "TAG_A", "TAG_B", "TAG_C", "TAG_NAMES",
     "candidate_tags",
     "select_q",
@@ -104,31 +104,6 @@ def candidate_tags(q: np.ndarray, params: ModelParams) -> np.ndarray:
     """
     not_u = q != params.u
     return not_u.astype(np.int8) + (not_u & (q != params.d))
-
-
-@dataclass(frozen=True)
-class PdeltaSolution:
-    """The 2D worst-case price at t = 0. A caller that needs the controls
-    records them through ``solve_pdelta``'s ``after_substep``."""
-
-    p_delta: Surface
-    params: ModelParams
-    grid: GridSpec
-    config: SolverConfig
-    payoff: PayoffSpec
-
-
-@dataclass(frozen=True)
-class P0P1Solution:
-    """P0 and P1 at t = 0. P0's controls are those of ``solve_pdelta`` at
-    delta = 0, which steps by the same code."""
-
-    p0: Surface
-    p1: Surface
-    params: ModelParams
-    grid: GridSpec
-    config: SolverConfig
-    payoff: PayoffSpec
 
 
 def select_q(lxx, lxz, params: ModelParams, gamma_eps: float):
@@ -388,22 +363,16 @@ def _march(split: _Split, payoff: PayoffSpec, config: SolverConfig,
 
 def solve_pdelta(payoff: PayoffSpec, params: ModelParams, grid: GridSpec,
                  config: Optional[SolverConfig] = None, *,
-                 after_substep: Optional[Callable] = None) -> PdeltaSolution:
-    """Full backward sweep of the 2D worst-case pricing scheme.
+                 after_substep: Optional[Callable] = None) -> Surface:
+    """The 2D worst-case price at t = 0, by a full backward sweep.
 
+    A caller that needs the controls records them through
     ``after_substep(n, q, w_new, w_next, dt, theta)``, as in
-    ``stepping.march``, follows every sub-step into time level n; the CLI
-    counts the control's interior nodes there, and its control export
+    ``stepping.march``, which follows every sub-step into time level n; the
+    CLI counts the control's interior nodes there, and its control export
     records q.
     """
-    config = config or SolverConfig()
-    return PdeltaSolution(
-        p_delta=_march(_Split(params, grid), payoff, config, after_substep),
-        params=params,
-        grid=grid,
-        config=config,
-        payoff=payoff,
-    )
+    return _march(_Split(params, grid), payoff, config or SolverConfig(), after_substep)
 
 
 def _p1_step(split: _Split, lin_tol: float, v_next, q, u_new, u_next, dt: float,
@@ -423,12 +392,14 @@ def _p1_step(split: _Split, lin_tol: float, v_next, q, u_new, u_next, dt: float,
 
 
 def solve_p0p1(payoff: PayoffSpec, params: ModelParams, grid: GridSpec,
-               config: Optional[SolverConfig] = None) -> P0P1Solution:
-    """Full backward sweep for the leading-order price and first correction.
+               config: Optional[SolverConfig] = None) -> tuple[Surface, Surface]:
+    """(P0, P1), the leading-order price and first correction at t = 0, by
+    one full backward sweep.
 
-    P0 is the 2D scheme at delta = 0, from the payoff; P1 starts from zero,
-    and each of its sub-steps follows the P0 sub-step it takes its control
-    and x-system factor from.
+    P0 is the 2D scheme at delta = 0, from the payoff, so its controls are
+    those of ``solve_pdelta`` at delta = 0; P1 starts from zero, and each
+    of its sub-steps follows the P0 sub-step it takes its control and
+    x-system factor from.
     """
     config = config or SolverConfig()
     split = _Split(params.replace(delta=0.0), grid)
@@ -442,11 +413,4 @@ def solve_p0p1(payoff: PayoffSpec, params: ModelParams, grid: GridSpec,
         elapsed += dt
 
     p0 = _march(split, payoff, config, p1_step)  # steps v to t = 0 along the way
-    return P0P1Solution(
-        p0=p0,
-        p1=Surface(v, grid),
-        params=params,
-        grid=grid,
-        config=config,
-        payoff=payoff,
-    )
+    return p0, Surface(v, grid)

@@ -22,9 +22,9 @@ Not collected by pytest (no ``test_`` prefix); test modules import it as
 * ``chunk_moments``: mean and standard error of a full row of squared
   gaps, merged block by block with the rule the rate study streams its
   chunks by, so bit for bit what the study returns.
-* ``pdelta_with_controls``: a 2D solve and its per-level control history,
-  recorded through ``solve_pdelta``'s ``after_substep``; the solution
-  holds only the price at t = 0.
+* ``pdelta_with_controls``: a 2D solve's price at t = 0 and its per-level
+  control history, recorded through ``solve_pdelta``'s ``after_substep``;
+  the solver returns only the price.
 * ``nearest_node_control``: a 2D solve's control field as the reference
   simulator's ``(t, x, z) -> q`` callable, read at the nearest grid node.
   The package's path kernel takes constant controls only.
@@ -64,12 +64,12 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.integrate import quad
 
-from uvbounds.core import GridSpec, ModelParams, SolverConfig
+from uvbounds.core import GridSpec, ModelParams, SolverConfig, Surface
 from uvbounds.csvio import fmt
 from uvbounds.linsolve import LinearSolveError, _check_residual
 from uvbounds.montecarlo import _correlate, _stream
 from uvbounds.payoff import PayoffSpec
-from uvbounds.solver_pdelta import PdeltaSolution, _Split, solve_pdelta
+from uvbounds.solver_pdelta import _Split, solve_pdelta
 from uvbounds.stencils import deadband
 
 
@@ -238,8 +238,8 @@ def chunk_moments(gaps: np.ndarray, chunk: int) -> tuple[float, float]:
 
 
 def pdelta_with_controls(payoff: PayoffSpec, params: ModelParams, grid: GridSpec,
-                         config: SolverConfig | None = None) -> tuple[PdeltaSolution, np.ndarray]:
-    """``solve_pdelta`` and its read-only (n_t, n_x, n_z) control history:
+                         config: SolverConfig | None = None) -> tuple[Surface, np.ndarray]:
+    """``solve_pdelta``'s price and its read-only (n_t, n_x, n_z) control history:
     ``q_hist[n]`` is the control stepping into time level n, the last
     sub-step into a level winning."""
     q_hist = np.empty((grid.n_t, grid.n_x, grid.n_z))
@@ -247,9 +247,9 @@ def pdelta_with_controls(payoff: PayoffSpec, params: ModelParams, grid: GridSpec
     def record(n, q, w_new, w_next, dt, theta):
         q_hist[n] = q
 
-    sol = solve_pdelta(payoff, params, grid, config, after_substep=record)
+    p_delta = solve_pdelta(payoff, params, grid, config, after_substep=record)
     q_hist.setflags(write=False)
-    return sol, q_hist
+    return p_delta, q_hist
 
 
 def nearest_node_control(q_hist: np.ndarray, grid: GridSpec, T: float):

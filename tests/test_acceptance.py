@@ -26,6 +26,7 @@ GRID = GridSpec(0, 200, 100, 0, 0.12, 100, 20)
 GRID2 = GridSpec(0, 200, 200, 0, 0.12, 200, 40)
 BF = PayoffSpec.butterfly(90, 100, 110)
 WINDOW = (60.0, 140.0)
+GAMMA_EPS = SolverConfig().resolve_gamma_eps(PARAMS)
 
 pytestmark = pytest.mark.slow
 
@@ -41,8 +42,8 @@ def _window_nodes(grid):
 
 
 @pytest.fixture(scope="module")
-def butterfly_p0p1():
-    return solve_p0p1(BF, PARAMS, GRID)
+def butterfly_p0():
+    return solve_p0p1(BF, PARAMS, GRID)[0]
 
 
 @pytest.fixture(scope="module")
@@ -56,13 +57,13 @@ def test_criterion_1_convex_degeneracy():
     j0 = GRID.iz_nearest(PARAMS.z0)
     tol = 0.005 * PARAMS.x0
 
-    call = solve_p0p1(PayoffSpec.call(100), PARAMS, GRID)
-    err_call = np.max(np.abs(call.p0.values[win, j0]
+    call, _ = solve_p0p1(PayoffSpec.call(100), PARAMS, GRID)
+    err_call = np.max(np.abs(call.values[win, j0]
                              - bs_call(x[win], 100, 0.25, PARAMS.T)))
 
     capped = PayoffSpec.capped_linear(100)
-    low = solve_p0p1(capped, PARAMS, GRID)
-    err_cap = np.max(np.abs(low.p0.values[win, j0]
+    low, _ = solve_p0p1(capped, PARAMS, GRID)
+    err_cap = np.max(np.abs(low.values[win, j0]
                             - bs_payoff_price(capped, x[win], 0.15, PARAMS.T)))
     elapsed = time.perf_counter() - t0
     _check(1, err_call <= tol and err_cap <= tol,
@@ -70,9 +71,9 @@ def test_criterion_1_convex_degeneracy():
            f"(tol {tol}); {elapsed:.1f}s")
 
 
-def test_criterion_2_dominance(butterfly_p0p1):
+def test_criterion_2_dominance(butterfly_p0):
     t0 = time.perf_counter()
-    cmp_ = compare_bs(butterfly_p0p1)
+    cmp_ = compare_bs(butterfly_p0, BF, PARAMS)
     assert cmp_.tol == 1e-3 * PARAMS.x0
     win = (cmp_.x >= WINDOW[0]) & (cmp_.x <= WINDOW[1])
     margin = np.min((cmp_.p0 - np.maximum(cmp_.bs_low, cmp_.bs_high))[win])
@@ -89,20 +90,20 @@ def test_criterion_3_correction_structure(p1_substeps):
     all_zero = (n_checked == GRID.n_t - 1 + SolverConfig().rannacher_steps
                 and all(np.all(v == 0.0) for v in p1_substeps))
 
-    a = solve_p0p1(BF, PARAMS.replace(rho=-0.9), GRID)
-    b = solve_p0p1(BF, PARAMS.replace(rho=0.5), GRID)
+    _, a = solve_p0p1(BF, PARAMS.replace(rho=-0.9), GRID)
+    _, b = solve_p0p1(BF, PARAMS.replace(rho=0.5), GRID)
     scale = -0.9 / 0.5
-    rel = np.max(np.abs(a.p1.values - scale * b.p1.values)) / np.max(np.abs(a.p1.values))
+    rel = np.max(np.abs(a.values - scale * b.values)) / np.max(np.abs(a.values))
     _check(3, all_zero and rel <= 1e-12,
            f"rho=0 correction identically zero at all {n_checked} sub-steps: {all_zero}; "
            f"linearity in rho rel err {rel:.2e} <= 1e-12; "
            f"{time.perf_counter() - t0:.1f}s")
 
 
-def test_criterion_4_delta_zero_consistency(butterfly_p0p1):
+def test_criterion_4_delta_zero_consistency(butterfly_p0):
     t0 = time.perf_counter()
     frozen = solve_pdelta(BF, PARAMS.replace(delta=0.0), GRID)
-    gap = np.max(np.abs(frozen.p_delta.values - butterfly_p0p1.p0.values))
+    gap = np.max(np.abs(frozen.values - butterfly_p0.values))
     _check(4, gap <= 1e-8, f"sup |2D at delta=0 - leading order| = {gap:.2e} "
                            f"<= 1e-8; {time.perf_counter() - t0:.1f}s")
 
@@ -111,7 +112,7 @@ def test_criterion_5_error_sweep_slope():
     t0 = time.perf_counter()
     deltas = [0.005 * k for k in range(1, 11)]
     report = error_sweep(BF, PARAMS, deltas, GRID, window=WINDOW)
-    errs = report.errors  # ascending delta
+    errs = np.array([r.error for r in report.records])  # ascending delta
     inversions = []
     for i in range(len(errs) - 1):
         if errs[i + 1] <= errs[i]:
@@ -126,11 +127,11 @@ def test_criterion_5_error_sweep_slope():
            f"{len(inversions)} inversion(s); {time.perf_counter() - t0:.1f}s")
 
 
-def test_criterion_6_gamma_structure(butterfly_p0p1, pdelta_05):
+def test_criterion_6_gamma_structure(butterfly_p0, pdelta_05):
     t0 = time.perf_counter()
-    wide = gamma_diagnostics(butterfly_p0p1, pdelta_05)
+    wide = gamma_diagnostics(butterfly_p0, pdelta_05, GAMMA_EPS)
     thin = gamma_diagnostics(
-        butterfly_p0p1, solve_pdelta(BF, PARAMS.replace(delta=0.0125), GRID))
+        butterfly_p0, solve_pdelta(BF, PARAMS.replace(delta=0.0125), GRID), GAMMA_EPS)
     crossings = wide.crossings_at(PARAMS.z0)
     w_wide = wide.width_at(PARAMS.z0)
     w_thin = thin.width_at(PARAMS.z0)
@@ -153,17 +154,17 @@ def test_criterion_7_coupling_rate():
                   f"{time.perf_counter() - t0:.1f}s")
 
 
-def test_criterion_8_determinism_and_self_convergence(butterfly_p0p1, pdelta_05,
+def test_criterion_8_determinism_and_self_convergence(butterfly_p0, pdelta_05,
                                                       tmp_path):
     t0 = time.perf_counter()
     tol = 1e-2 * PARAMS.x0 * 0.01  # 0.01 currency units
 
-    fine_base = solve_p0p1(BF, PARAMS, GRID2)
-    d_p0 = abs(butterfly_p0p1.p0.value_at(PARAMS.x0, PARAMS.z0)
-               - fine_base.p0.value_at(PARAMS.x0, PARAMS.z0))
+    fine_p0, _ = solve_p0p1(BF, PARAMS, GRID2)
+    d_p0 = abs(butterfly_p0.value_at(PARAMS.x0, PARAMS.z0)
+               - fine_p0.value_at(PARAMS.x0, PARAMS.z0))
     fine_full = solve_pdelta(BF, PARAMS, GRID2)
-    d_pd = abs(pdelta_05.p_delta.value_at(PARAMS.x0, PARAMS.z0)
-               - fine_full.p_delta.value_at(PARAMS.x0, PARAMS.z0))
+    d_pd = abs(pdelta_05.value_at(PARAMS.x0, PARAMS.z0)
+               - fine_full.value_at(PARAMS.x0, PARAMS.z0))
 
     # seeded Monte Carlo runs reproduce their CSVs bitwise
     files = []

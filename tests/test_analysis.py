@@ -1,12 +1,10 @@
-from types import SimpleNamespace
-
 import numpy as np
 import pytest
 
 from uvbounds import analysis, solver_pdelta
 from uvbounds.analysis import compare_bs, error_sweep, gamma_diagnostics
 from uvbounds.blackscholes import bs_call
-from uvbounds.core import GridSpec, ModelParams, loglog_fit
+from uvbounds.core import GridSpec, ModelParams, SolverConfig, Surface, loglog_fit
 from uvbounds.payoff import PayoffSpec
 from uvbounds.solver_pdelta import solve_p0p1
 from uvbounds.solver_pdelta import solve_pdelta
@@ -17,12 +15,13 @@ PARAMS = ModelParams(x0=100, z0=0.04, T=0.25, r=0, d=0.75, u=1.25,
 SMALL = GridSpec(0, 200, 50, 0, 0.12, 16, 8)
 MID = GridSpec(0, 200, 80, 0, 0.12, 30, 10)
 BF = PayoffSpec.butterfly(90, 100, 110)
+GAMMA_EPS = SolverConfig().resolve_gamma_eps(PARAMS)
 
 
 def test_sweep_errors_increase_with_delta():
     report = error_sweep(BF, PARAMS, [0.01, 0.02, 0.03, 0.04], SMALL)
-    deltas = report.deltas
-    errs = report.errors
+    deltas = [r.delta for r in report.records]
+    errs = [r.error for r in report.records]
     assert np.all(np.diff(deltas) > 0)
     assert np.all(np.diff(errs) > 0)
     assert np.isfinite(report.slope)
@@ -40,7 +39,7 @@ def test_sweep_invariant_to_input_order():
     a = error_sweep(BF, PARAMS, [0.04, 0.01, 0.03, 0.02], SMALL)
     b = error_sweep(BF, PARAMS, [0.01, 0.02, 0.03, 0.04], SMALL)
     assert [r.delta for r in a.records] == [r.delta for r in b.records]
-    np.testing.assert_array_equal(a.errors, b.errors)
+    np.testing.assert_array_equal([r.error for r in a.records], [r.error for r in b.records])
     assert a.slope == b.slope
 
 
@@ -80,15 +79,15 @@ def test_sweep_classifies_no_control(monkeypatch):
 def test_sweep_without_correlation_measures_raw_gap():
     p = PARAMS.replace(rho=0.0)
     report = error_sweep(BF, p, [0.02, 0.04], SMALL)
-    leading = solve_p0p1(BF, p, SMALL)
-    assert np.all(leading.p1.values == 0.0)
+    p0, p1 = solve_p0p1(BF, p, SMALL)
+    assert np.all(p1.values == 0.0)
     assert report.records[0].error < report.records[1].error  # still shrinks
-    base = leading.p0.values
+    base = p0.values
     x = SMALL.x_nodes()
     win = (x >= 60) & (x <= 140)
     for rec in report.records:
-        sol = solve_pdelta(BF, p.replace(delta=rec.delta), SMALL)
-        manual = np.max(np.abs(sol.p_delta.values - base)[win, :])
+        p_delta = solve_pdelta(BF, p.replace(delta=rec.delta), SMALL)
+        manual = np.max(np.abs(p_delta.values - base)[win, :])
         assert rec.error == manual
 
 
@@ -131,10 +130,9 @@ def _call_sweep_residual(n: int) -> np.ndarray:
     """D at (x0, z0) for each sweep delta, P0 and P1 solved once as the sweep does."""
     p, call = PARAMS, PayoffSpec.call(100)
     grid = GridSpec(0, 400, 2 * n, 0, 0.12, n, n // 5)
-    base = solve_p0p1(call, p, grid)
-    p0, p1 = base.p0.value_at(p.x0, p.z0), base.p1.value_at(p.x0, p.z0)
+    p0, p1 = (s.value_at(p.x0, p.z0) for s in solve_p0p1(call, p, grid))
     return np.array([
-        solve_pdelta(call, p.replace(delta=delta), grid).p_delta.value_at(p.x0, p.z0)
+        solve_pdelta(call, p.replace(delta=delta), grid).value_at(p.x0, p.z0)
         - p0 - np.sqrt(delta) * p1
         for delta in SWEEP_DELTAS])
 
@@ -169,9 +167,8 @@ def test_window_must_contain_nodes():
 # -- gamma diagnostics ---------------------------------------------------------
 
 def test_butterfly_has_two_interior_sign_changes():
-    base = solve_p0p1(BF, PARAMS, MID)
-    full = solve_pdelta(BF, PARAMS, MID)
-    diag = gamma_diagnostics(base, full)
+    p0, _ = solve_p0p1(BF, PARAMS, MID)
+    diag = gamma_diagnostics(p0, solve_pdelta(BF, PARAMS, MID), GAMMA_EPS)
     crossings = diag.crossings_at(PARAMS.z0)
     assert len(crossings) == 2
     assert 80 < crossings[0] < 100 < crossings[1] < 120
@@ -179,27 +176,27 @@ def test_butterfly_has_two_interior_sign_changes():
 
 def test_convex_payoff_has_no_mismatch():
     call = PayoffSpec.call(100)
-    base = solve_p0p1(call, PARAMS, SMALL)
-    full = solve_pdelta(call, PARAMS, SMALL)
+    p0, _ = solve_p0p1(call, PARAMS, SMALL)
+    p_delta = solve_pdelta(call, PARAMS, SMALL)
     # above the discrete tail-noise floor both gammas are positive everywhere
-    diag = gamma_diagnostics(base, full, gamma_eps=1e-3)
+    diag = gamma_diagnostics(p0, p_delta, gamma_eps=1e-3)
     assert diag.mismatch_mask.sum() == 0
     assert diag.crossings_at(PARAMS.z0) == []
     # at the default deadband any flagged nodes sit where both gamma fields
     # are sub-noise (degenerate low-z band, far tails), never where they
     # carry signal
     from uvbounds.stencils import dxx_values
-    default = gamma_diagnostics(base, full)
-    g0 = dxx_values(np.asarray(base.p0.values), SMALL)
-    gd = dxx_values(np.asarray(full.p_delta.values), SMALL)
+    default = gamma_diagnostics(p0, p_delta, GAMMA_EPS)
+    g0 = dxx_values(np.asarray(p0.values), SMALL)
+    gd = dxx_values(np.asarray(p_delta.values), SMALL)
     for i, j in np.argwhere(default.mismatch_mask):
         assert min(abs(g0[i, j]), abs(gd[i, j])) < 1e-3
 
 
 def test_mismatch_width_shrinks_with_delta():
-    base = solve_p0p1(BF, PARAMS, MID)
-    wide = gamma_diagnostics(base, solve_pdelta(BF, PARAMS.replace(delta=0.05), MID))
-    thin = gamma_diagnostics(base, solve_pdelta(BF, PARAMS.replace(delta=0.0125), MID))
+    p0, _ = solve_p0p1(BF, PARAMS, MID)
+    wide = gamma_diagnostics(p0, solve_pdelta(BF, PARAMS.replace(delta=0.05), MID), GAMMA_EPS)
+    thin = gamma_diagnostics(p0, solve_pdelta(BF, PARAMS.replace(delta=0.0125), MID), GAMMA_EPS)
     # one-node noise allowed
     assert thin.width_at(PARAMS.z0) <= wide.width_at(PARAMS.z0) + MID.dx
 
@@ -217,7 +214,7 @@ def _gamma_fields(rng, grid, eps):
 
 
 def test_crossings_match_per_node_loop(monkeypatch):
-    # gamma_diagnostics reads its gamma fields from the solutions' values
+    # gamma_diagnostics reads its gamma fields from the surfaces' values
     monkeypatch.setattr(analysis, "dxx_values", lambda v, grid: np.array(v, dtype=float))
     eps = 1e-3
     rng = np.random.default_rng(28)
@@ -235,9 +232,8 @@ def test_crossings_match_per_node_loop(monkeypatch):
     fields.append((GridSpec(0, 200, 8, 0, 0.12, 4, 4), edge))
     n_flips = 0
     for grid, g in fields:
-        sol = SimpleNamespace(grid=grid, p0=SimpleNamespace(values=g),
-                              p_delta=SimpleNamespace(values=g))
-        got = gamma_diagnostics(sol, sol, gamma_eps=eps).crossings
+        surface = Surface(g, grid)
+        got = gamma_diagnostics(surface, surface, gamma_eps=eps).crossings
         want = gamma_crossings_loop(g, grid, eps)
         assert [[v.hex() for v in locs] for locs in got] == \
             [[v.hex() for v in locs] for locs in want]
@@ -246,18 +242,18 @@ def test_crossings_match_per_node_loop(monkeypatch):
 
 
 def test_gamma_diag_requires_shared_grid():
-    base = solve_p0p1(BF, PARAMS, SMALL)
-    full = solve_pdelta(BF, PARAMS, MID)
+    p0, _ = solve_p0p1(BF, PARAMS, SMALL)
+    p_delta = solve_pdelta(BF, PARAMS, MID)
     with pytest.raises(ValueError):
-        gamma_diagnostics(base, full)
+        gamma_diagnostics(p0, p_delta, GAMMA_EPS)
 
 
 # -- comparison table ----------------------------------------------------------
 
 def test_convex_payoff_tracks_upper_curve():
     call = PayoffSpec.call(100)
-    sol = solve_p0p1(call, PARAMS, GridSpec(0, 200, 100, 0, 0.12, 16, 20))
-    cmp_ = compare_bs(sol)
+    p0, _ = solve_p0p1(call, PARAMS, GridSpec(0, 200, 100, 0, 0.12, 16, 20))
+    cmp_ = compare_bs(p0, call, PARAMS)
     win = (cmp_.x >= 60) & (cmp_.x <= 140)
     gap = np.abs(cmp_.p0 - cmp_.bs_high)[win]
     assert np.max(gap) < 1e-3 * PARAMS.x0
@@ -266,15 +262,15 @@ def test_convex_payoff_tracks_upper_curve():
 
 
 def test_butterfly_dominates_both_curves():
-    sol = solve_p0p1(BF, PARAMS, GridSpec(0, 200, 100, 0, 0.12, 16, 20))
-    cmp_ = compare_bs(sol)
+    p0, _ = solve_p0p1(BF, PARAMS, GridSpec(0, 200, 100, 0, 0.12, 16, 20))
+    cmp_ = compare_bs(p0, BF, PARAMS)
     win = (cmp_.x >= 60) & (cmp_.x <= 140)
     assert np.all(cmp_.dominated[win])
 
 
 def test_wings_are_vacuously_dominated():
-    sol = solve_p0p1(BF, PARAMS, SMALL)
-    cmp_ = compare_bs(sol)
+    p0, _ = solve_p0p1(BF, PARAMS, SMALL)
+    cmp_ = compare_bs(p0, BF, PARAMS)
     edge = (cmp_.x < 20) | (cmp_.x > 180)
     assert np.all(np.abs(cmp_.p0[edge]) < 1e-3)
     assert np.all(np.abs(cmp_.bs_high[edge]) < 1e-3)
@@ -283,6 +279,7 @@ def test_wings_are_vacuously_dominated():
 
 def test_compare_bs_rejects_tabulated_payoff():
     # a tabulated payoff has no Black-Scholes closed form
-    sol = solve_p0p1(PayoffSpec.tabulated([0, 100, 200], [0, 10, 0]), PARAMS, SMALL)
+    tabulated = PayoffSpec.tabulated([0, 100, 200], [0, 10, 0])
+    p0, _ = solve_p0p1(tabulated, PARAMS, SMALL)
     with pytest.raises(ValueError):
-        compare_bs(sol)
+        compare_bs(p0, tabulated, PARAMS)

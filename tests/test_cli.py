@@ -14,6 +14,7 @@ import uvbounds
 from uvbounds import linsolve, montecarlo, solver_pdelta
 from uvbounds.cli import run
 from uvbounds.config import SCHEMA
+from uvbounds.core import SolverError
 from uvbounds.payoff import KINDS
 from reference import lu_x_solver, read_csv
 
@@ -267,6 +268,23 @@ def test_malformed_payoff_table_exits_2(tmp_path):
                 "--out", str(tmp_path / "o")]) == 2
 
 
+def test_compare_bs_on_a_tabulated_payoff_exits_2_before_the_solve(tmp_path, cfg, monkeypatch):
+    # a tabulated payoff has no Black-Scholes curves, which the command
+    # finds out before it runs the solve
+    def no_solve(*args, **kwargs):
+        raise AssertionError("compare-bs solved before checking its payoff")
+
+    monkeypatch.setattr(solver_pdelta, "solve_p0p1", no_solve)
+    table = tmp_path / "payoff.csv"
+    table.write_text("x,h\n0,0\n100,10\n200,0\n")
+    out = tmp_path / "o"
+    assert run(["compare-bs", "--config", cfg, "--out", str(out), "--set",
+                "payoff.kind=tabulated", "--set", f"payoff.csv={table}"]) == 2
+    record = strict_json(out / "error.json")
+    assert record["exit_code"] == 2
+    assert "payoff kind 'tabulated' has no call decomposition" in record["message"]
+
+
 def test_invalid_model_exits_2(tmp_path, cfg):
     assert run(["solve-p0", "--config", cfg, "--out", str(tmp_path / "o"),
                 "--set", "model.r=0.05"]) == 2
@@ -315,7 +333,9 @@ def test_failed_z_inverse_exits_3_with_error_record(tmp_path, cfg, monkeypatch):
 
 def test_nan_in_a2_exits_3_at_the_z_inverse_check(tmp_path, cfg, monkeypatch):
     # a NaN put into a2_t just before the first z-stage, so that the inverse
-    # built there is the first thing to meet it
+    # built there is the first thing to meet it; a linear solve's failure is
+    # a solver failure, the one error type that exits 3
+    assert issubclass(linsolve.LinearSolveError, SolverError)
     solve_z = solver_pdelta._Split.solve_z
 
     def poisoned(split, *args):
@@ -695,6 +715,6 @@ def test_lazy_names_and_the_manifest_scipy_version(tmp_path):
     assert (status, same, unknown, versions) == ("0 0", "True", "False", "True True")
     assert names == str(sorted([
         "ModelParams", "GridSpec", "SolverConfig", "Surface", "PayoffSpec",
-        "P0P1Solution", "PdeltaSolution", "SweepReport", "solve_p0p1", "solve_pdelta",
+        "SweepReport", "solve_p0p1", "solve_pdelta",
         "simulate_cir", "coupling_rate_study", "error_sweep", "gamma_diagnostics",
         "compare_bs", "__version__"]))

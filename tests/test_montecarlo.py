@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from uvbounds import montecarlo
-from uvbounds.analysis import loglog_fit
-from uvbounds.core import ModelParams
+from uvbounds.core import ModelParams, loglog_fit
 from uvbounds.montecarlo import (
     CHUNK_PATHS, _terminal_gap_sq, coupling_rate_study, simulate_cir,
     simulate_coupled_asset,

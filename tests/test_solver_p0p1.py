@@ -72,25 +72,25 @@ def test_corrector_idempotent_when_control_unchanged():
 
 
 def test_call_price_matches_high_vol_bs_curve():
-    sol = solve_p0p1(PayoffSpec.call(100), PARAMS, GRID)
+    p0, _ = solve_p0p1(PayoffSpec.call(100), PARAMS, GRID)
     x = GRID.x_nodes()
     win = window(GRID)
     for z_probe in (0.04, 0.08):
         j = GRID.iz_nearest(z_probe)
         vol = PARAMS.u * np.sqrt(GRID.z_nodes()[j])
-        err = np.abs(sol.p0.values[win, j] - bs_call(x[win], 100, vol, PARAMS.T))
+        err = np.abs(p0.values[win, j] - bs_call(x[win], 100, vol, PARAMS.T))
         assert np.max(err) < 0.05
 
 
 def test_capped_linear_matches_low_vol_bs_curve():
     spec = PayoffSpec.capped_linear(100)
-    sol = solve_p0p1(spec, PARAMS, GRID)
+    p0, _ = solve_p0p1(spec, PARAMS, GRID)
     x = GRID.x_nodes()
     win = window(GRID)
     j = GRID.iz_nearest(PARAMS.z0)
     vol = PARAMS.d * np.sqrt(GRID.z_nodes()[j])
     ref = bs_payoff_price(spec, x[win], vol, PARAMS.T)
-    assert np.max(np.abs(sol.p0.values[win, j] - ref)) < 0.05
+    assert np.max(np.abs(p0.values[win, j] - ref)) < 0.05
 
 
 def test_control_field_is_bang_bang():
@@ -100,21 +100,21 @@ def test_control_field_is_bang_bang():
 
 
 def test_no_material_undershoot():
-    sol = solve_p0p1(BF, PARAMS, GRID)
-    assert sol.p0.values.min() >= -1e-8 * 10.0
+    p0, _ = solve_p0p1(BF, PARAMS, GRID)
+    assert p0.values.min() >= -1e-8 * 10.0
 
 
 def test_widening_band_never_decreases_price():
-    narrow = solve_p0p1(BF, PARAMS.replace(d=0.85, u=1.15), SMALL)
-    wide = solve_p0p1(BF, PARAMS.replace(d=0.75, u=1.25), SMALL)
-    assert np.all(wide.p0.values >= narrow.p0.values - 1e-9)
+    narrow, _ = solve_p0p1(BF, PARAMS.replace(d=0.85, u=1.15), SMALL)
+    wide, _ = solve_p0p1(BF, PARAMS.replace(d=0.75, u=1.25), SMALL)
+    assert np.all(wide.values >= narrow.values - 1e-9)
 
 
 def test_solution_independent_of_variance_dynamics():
-    a = solve_p0p1(BF, PARAMS, SMALL)
-    b = solve_p0p1(BF, PARAMS.replace(kappa=25, theta=0.06, delta=0.7), SMALL)
-    np.testing.assert_array_equal(a.p0.values, b.p0.values)
-    np.testing.assert_array_equal(a.p1.values, b.p1.values)
+    a0, a1 = solve_p0p1(BF, PARAMS, SMALL)
+    b0, b1 = solve_p0p1(BF, PARAMS.replace(kappa=25, theta=0.06, delta=0.7), SMALL)
+    np.testing.assert_array_equal(a0.values, b0.values)
+    np.testing.assert_array_equal(a1.values, b1.values)
     qa, qb = (pdelta_with_controls(BF, p.replace(delta=0.0), SMALL)[1]
               for p in (PARAMS, PARAMS.replace(kappa=25, theta=0.06)))
     np.testing.assert_array_equal(qa, qb)
@@ -130,14 +130,14 @@ def test_p0_depends_on_slice_and_maturity_only_through_their_product(payoff):
     # 2D solve at delta = 0, the same step.
     z, geps = PARAMS.z0, SolverConfig().resolve_gamma_eps(PARAMS)
     grid, cfg = GridSpec(0, 200, 100, z, z, 1, 20), SolverConfig(gamma_eps=geps)
-    base = solve_p0p1(payoff, PARAMS, grid, cfg)
+    base, _ = solve_p0p1(payoff, PARAMS, grid, cfg)
     _, base_q = pdelta_with_controls(payoff, PARAMS.replace(delta=0.0), grid, cfg)
-    scale = np.max(np.abs(base.p0.values))
+    scale = np.max(np.abs(base.values))
     for z2 in (0.0225, 0.09, 0.5):
         p2 = PARAMS.replace(T=PARAMS.T * z / z2)
         grid2, cfg2 = GridSpec(0, 200, 100, z2, z2, 1, 20), SolverConfig(gamma_eps=geps * z2 / z)
-        sol = solve_p0p1(payoff, p2, grid2, cfg2)
-        assert np.max(np.abs(sol.p0.values - base.p0.values)) <= 1e-13 * scale
+        p0, _ = solve_p0p1(payoff, p2, grid2, cfg2)
+        assert np.max(np.abs(p0.values - base.values)) <= 1e-13 * scale
         _, q = pdelta_with_controls(payoff, p2.replace(delta=0.0), grid2, cfg2)
         np.testing.assert_array_equal(q, base_q)
 
@@ -148,24 +148,24 @@ def test_p1_scales_with_the_slice_under_the_time_change(payoff):
     # T*z/z', scaled by z'/z, is slice z over T. Measured at most 2e-13
     # of max |P1|.
     z, geps = PARAMS.z0, SolverConfig().resolve_gamma_eps(PARAMS)
-    base = solve_p0p1(payoff, PARAMS, GridSpec(0, 200, 100, z, z, 1, 20),
-                      SolverConfig(gamma_eps=geps))
-    scale = np.max(np.abs(base.p1.values))
+    _, base = solve_p0p1(payoff, PARAMS, GridSpec(0, 200, 100, z, z, 1, 20),
+                         SolverConfig(gamma_eps=geps))
+    scale = np.max(np.abs(base.values))
     assert scale > 0.0
     for z2 in (0.0225, 0.09, 0.5):
-        sol = solve_p0p1(payoff, PARAMS.replace(T=PARAMS.T * z / z2),
-                         GridSpec(0, 200, 100, z2, z2, 1, 20),
-                         SolverConfig(gamma_eps=geps * z2 / z))
-        assert np.max(np.abs(z2 / z * sol.p1.values - base.p1.values)) <= 1e-12 * scale
+        _, p1 = solve_p0p1(payoff, PARAMS.replace(T=PARAMS.T * z / z2),
+                           GridSpec(0, 200, 100, z2, z2, 1, 20),
+                           SolverConfig(gamma_eps=geps * z2 / z))
+        assert np.max(np.abs(z2 / z * p1.values - base.values)) <= 1e-12 * scale
 
 
 def test_correction_proportional_to_correlation():
-    a = solve_p0p1(BF, PARAMS.replace(rho=-0.9), SMALL)
-    b = solve_p0p1(BF, PARAMS.replace(rho=0.5), SMALL)
+    _, a = solve_p0p1(BF, PARAMS.replace(rho=-0.9), SMALL)
+    _, b = solve_p0p1(BF, PARAMS.replace(rho=0.5), SMALL)
     scale = -0.9 / 0.5
-    denom = np.max(np.abs(a.p1.values))
+    denom = np.max(np.abs(a.values))
     assert denom > 0
-    rel = np.max(np.abs(a.p1.values - scale * b.p1.values)) / denom
+    rel = np.max(np.abs(a.values - scale * b.values)) / denom
     assert rel < 1e-12
 
 
@@ -181,19 +181,19 @@ def test_single_slice_correction_equals_its_column_of_the_2d_solve():
     # reproduces column j of the 2D solve
     j = GRID.iz_nearest(PARAMS.z0)
     z = GRID.z_nodes()[j]
-    full = solve_p0p1(BF, PARAMS, GRID)
-    one = solve_p0p1(BF, PARAMS, GridSpec(0, 200, 100, z, z, 1, 20))
-    assert np.max(np.abs(one.p1.values)) > 0.0
-    np.testing.assert_array_equal(one.p1.values[:, 0], full.p1.values[:, j])
-    np.testing.assert_array_equal(one.p0.values[:, 0], full.p0.values[:, j])
+    full_p0, full_p1 = solve_p0p1(BF, PARAMS, GRID)
+    one_p0, one_p1 = solve_p0p1(BF, PARAMS, GridSpec(0, 200, 100, z, z, 1, 20))
+    assert np.max(np.abs(one_p1.values)) > 0.0
+    np.testing.assert_array_equal(one_p1.values[:, 0], full_p1.values[:, j])
+    np.testing.assert_array_equal(one_p0.values[:, 0], full_p0.values[:, j])
 
 
 def test_paper_probe_of_correction_is_near_the_fine_single_slice_probe():
     # the fine one-slice grid costs about 0.1 s; measured gap 2.3e-4
-    fine = solve_p0p1(BF, PARAMS, GridSpec(0, 200, 1600, PARAMS.z0, PARAMS.z0, 1, 320))
-    sol = solve_p0p1(BF, PARAMS, GRID)
-    gap = (sol.p1.value_at(PARAMS.x0, PARAMS.z0)
-           - fine.p1.value_at(PARAMS.x0, PARAMS.z0))
+    _, fine = solve_p0p1(BF, PARAMS, GridSpec(0, 200, 1600, PARAMS.z0, PARAMS.z0, 1, 320))
+    _, p1 = solve_p0p1(BF, PARAMS, GRID)
+    gap = (p1.value_at(PARAMS.x0, PARAMS.z0)
+           - fine.value_at(PARAMS.x0, PARAMS.z0))
     assert abs(gap) <= 1e-3
 
 
@@ -206,13 +206,13 @@ def test_call_converges_at_order_two_to_its_closed_forms():
     errors = []
     for n_x in (100, 200, 400):
         grid = GridSpec(0, 400, n_x, z, z, 1, n_x // 10)
-        sol = solve_p0p1(call, PARAMS, grid)
+        p0, p1 = solve_p0p1(call, PARAMS, grid)
         x = grid.x_nodes()
         win = (x >= 60) & (x <= 140)
-        p0 = bs_call(x[win], 100.0, PARAMS.u * np.sqrt(z), PARAMS.T)
-        p1 = slow_scale_p1_call(x[win], 100.0, PARAMS.u, z, PARAMS.T, PARAMS.rho)
-        errors.append([np.max(np.abs(sol.p0.values[win, 0] - p0)),
-                       np.max(np.abs(sol.p1.values[win, 0] - p1))])
+        bs = bs_call(x[win], 100.0, PARAMS.u * np.sqrt(z), PARAMS.T)
+        closed = slow_scale_p1_call(x[win], 100.0, PARAMS.u, z, PARAMS.T, PARAMS.rho)
+        errors.append([np.max(np.abs(p0.values[win, 0] - bs)),
+                       np.max(np.abs(p1.values[win, 0] - closed))])
     order = np.log2(np.array(errors[:-1]) / np.array(errors[1:]))
     assert np.all(order >= 1.8), (errors, order)
 
@@ -281,9 +281,9 @@ def test_huge_maturity_solves_without_overflow():
     # c = theta*dt near 1e300: the x-stage's scale divides -c by -1, not by
     # -2^-54, in its identity rows, so no c*2^54 overflows there (the suite
     # turns every RuntimeWarning into an error)
-    sol = solve_p0p1(BF, PARAMS.replace(T=1e300), GridSpec(0, 200, 40, 0, 0.12, 10, 4))
-    assert np.all(np.isfinite(sol.p0.values))
-    assert np.all(np.isfinite(sol.p1.values))
+    p0, p1 = solve_p0p1(BF, PARAMS.replace(T=1e300), GridSpec(0, 200, 40, 0, 0.12, 10, 4))
+    assert np.all(np.isfinite(p0.values))
+    assert np.all(np.isfinite(p1.values))
 
 
 def test_maturity_whose_step_rounds_to_zero_is_a_solver_error():
@@ -296,10 +296,10 @@ def test_maturity_whose_step_rounds_to_zero_is_a_solver_error():
 def test_tiny_maturity_recovers_payoff():
     p = PARAMS.replace(T=1e-6)
     grid = GridSpec(0, 200, 50, 0, 0.12, 16, 1)
-    sol = solve_p0p1(BF, p, grid, config=SolverConfig(rannacher_steps=0))
+    p0, p1 = solve_p0p1(BF, p, grid, config=SolverConfig(rannacher_steps=0))
     x = grid.x_nodes()
-    assert np.max(np.abs(sol.p0.values - evaluate(BF, x)[:, None])) < 1e-3
-    assert np.max(np.abs(sol.p1.values)) < 1e-6
+    assert np.max(np.abs(p0.values - evaluate(BF, x)[:, None])) < 1e-3
+    assert np.max(np.abs(p1.values)) < 1e-6
 
 
 def test_nonzero_rate_rejected():
@@ -417,9 +417,9 @@ def test_correction_sign_matches_dense_reference():
     grid = GridSpec(0, 200, 20, 0, 0.12, 20, 10)
     params = PARAMS.replace(rho=-0.9)
     _, v_ref = _dense_reference_p1(params, grid)
-    sol = solve_p0p1(BF, params, grid)
+    _, p1 = solve_p0p1(BF, params, grid)
     i, j = grid.ix_nearest(100.0), grid.iz_nearest(0.04)
     ref = v_ref[i, j]
-    got = sol.p1.values[i, j]
+    got = p1.values[i, j]
     assert abs(ref) > 1e-6  # the probe sees a genuine correction
     assert np.sign(ref) == np.sign(got)

@@ -171,18 +171,19 @@ def test_select_skips_cross_field_where_its_coefficient_is_zero(params):
 
 # -- full solves ----------------------------------------------------------------
 
-def test_delta_zero_matches_leading_order():
+@pytest.mark.parametrize("payoff", [BF, PayoffSpec.put(100)], ids=["butterfly", "put"])
+def test_delta_zero_matches_leading_order(payoff):
     # with no cross term and no z-stage the 2D step is the P0 step, bit for bit
-    base = solve_p0p1(BF, PARAMS, SMALL)
-    full = solve_pdelta(BF, PARAMS.replace(delta=0.0), SMALL)
-    np.testing.assert_array_equal(full.p_delta.values, base.p0.values)
+    p0, _ = solve_p0p1(payoff, PARAMS, SMALL)
+    full = solve_pdelta(payoff, PARAMS.replace(delta=0.0), SMALL)
+    np.testing.assert_array_equal(full.values, p0.values)
 
 
 def test_call_payoff_control_and_price():
     p = PARAMS.replace(rho=0.0, delta=0.01)
-    sol, q = pdelta_with_controls(PayoffSpec.call(100), p, SMALL)
+    p_delta, q = pdelta_with_controls(PayoffSpec.call(100), p, SMALL)
     assert np.all(q == p.u)
-    probe = sol.p_delta.value_at(p.x0, p.z0)
+    probe = p_delta.value_at(p.x0, p.z0)
     ref = bs_call(p.x0, 100.0, p.u * np.sqrt(p.z0), p.T)
     assert probe >= ref - 0.05
     assert probe <= ref + 0.5  # z-diffusion adds only a little value at small delta
@@ -196,24 +197,24 @@ def test_interior_candidate_never_fires_without_correlation():
 def test_single_slice_grid_reduces_to_frozen_band_problem():
     grid = GridSpec(0, 200, 40, PARAMS.z0, PARAMS.z0, 1, 6)
     full = solve_pdelta(BF, PARAMS, grid)
-    base = solve_p0p1(BF, PARAMS, grid)
-    np.testing.assert_array_equal(full.p_delta.values, base.p0.values)
+    p0, _ = solve_p0p1(BF, PARAMS, grid)
+    np.testing.assert_array_equal(full.values, p0.values)
     # so does the LU reference step, built by probing on one z-node
     cfg = SolverConfig()
     select, _ = _scheme(_Split(PARAMS, grid), cfg)
     w_lu = stepping.march(terminal_surface(BF, grid).values, grid, PARAMS.T, cfg, select,
                           lu_solve(PARAMS, grid, cfg.lin_tol))
-    np.testing.assert_allclose(w_lu, base.p0.values, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(w_lu, p0.values, rtol=0, atol=1e-12)
 
 
 def test_control_in_band_and_undershoot_small():
-    sol, q = pdelta_with_controls(BF, PARAMS, SMALL)
+    p_delta, q = pdelta_with_controls(BF, PARAMS, SMALL)
     assert q.min() >= PARAMS.d
     assert q.max() <= PARAMS.u
     # the central cross/drift stencils are not monotone near z = 0, so a
     # strict nonnegativity floor is unattainable for kinked payoffs; the
     # observed oscillation stays three orders below the payoff scale
-    assert sol.p_delta.values.min() >= -1e-3 * 10.0
+    assert p_delta.values.min() >= -1e-3 * 10.0
 
 
 PROBE_GRIDS = {
@@ -470,12 +471,12 @@ def test_splitting_gap_to_lu_is_second_order(rho, delta):
 def test_price_drift_is_linear_in_delta_when_uncorrelated():
     # rho = 0 and theta = z0: the only delta-effect is the z-diffusion term
     p = PARAMS.replace(rho=0.0, theta=PARAMS.z0, kappa=15.0)
-    base = solve_p0p1(BF, p, SMALL)
+    p0, _ = solve_p0p1(BF, p, SMALL)
     i, j = SMALL.ix_nearest(p.x0), SMALL.iz_nearest(p.z0)
     gaps = []
     for delta in (0.02, 0.04):
-        sol = solve_pdelta(BF, p.replace(delta=delta), SMALL)
-        gaps.append(abs(sol.p_delta.values[i, j] - base.p0.values[i, j]))
+        p_delta = solve_pdelta(BF, p.replace(delta=delta), SMALL)
+        gaps.append(abs(p_delta.values[i, j] - p0.values[i, j]))
     assert gaps[0] > 0
     assert 1.2 < gaps[1] / gaps[0] < 3.0  # doubling delta roughly doubles the gap
 
@@ -483,11 +484,10 @@ def test_price_drift_is_linear_in_delta_when_uncorrelated():
 def test_raw_gap_vanishes_with_root_delta_rate():
     # sup |2D price - leading order| shrinks at least like delta^0.45
     grid = GridSpec(0, 200, 60, 0, 0.12, 20, 8)
-    base = solve_p0p1(BF, PARAMS, grid)
+    p0, _ = solve_p0p1(BF, PARAMS, grid)
     deltas = np.array([0.0125, 0.025, 0.05])
     gaps = np.array([
-        np.max(np.abs(solve_pdelta(BF, PARAMS.replace(delta=d), grid)
-                      .p_delta.values - base.p0.values))
+        np.max(np.abs(solve_pdelta(BF, PARAMS.replace(delta=d), grid).values - p0.values))
         for d in deltas
     ])
     assert np.all(np.diff(gaps) > 0)
@@ -499,14 +499,14 @@ def test_correction_improves_slice_approximation():
     # along the initial-variance slice the first-order combination tracks
     # the 2D price far better than the leading order alone
     grid = GridSpec(0, 200, 80, 0, 0.12, 30, 10)
-    base = solve_p0p1(BF, PARAMS, grid)
+    p0, p1 = solve_p0p1(BF, PARAMS, grid)
     full = solve_pdelta(BF, PARAMS, grid)
     x = grid.x_nodes()
     win = (x >= 60) & (x <= 140)
     j0 = grid.iz_nearest(PARAMS.z0)
-    corr = np.sqrt(PARAMS.delta) * base.p1.values
-    e_first_order = np.abs(full.p_delta.values - base.p0.values - corr)[win, j0]
-    e_leading = np.abs(full.p_delta.values - base.p0.values)[win, j0]
+    corr = np.sqrt(PARAMS.delta) * p1.values
+    e_first_order = np.abs(full.values - p0.values - corr)[win, j0]
+    e_leading = np.abs(full.values - p0.values)[win, j0]
     assert e_first_order.max() < 0.5 * e_leading.max()
 
 
@@ -518,7 +518,7 @@ def test_step_matches_single_step_solve():
     stepped, q = stepping.step(term.values, select, solve, grid.dt(PARAMS.T),
                                cfg.cn_weight, cfg.corrector_passes)
     solved, q_hist = pdelta_with_controls(BF, PARAMS, grid, cfg)
-    np.testing.assert_array_equal(stepped, solved.p_delta.values)
+    np.testing.assert_array_equal(stepped, solved.values)
     np.testing.assert_array_equal(q, q_hist[0])
     np.testing.assert_array_equal(_tags(q, PARAMS), candidate_tags(q_hist, PARAMS)[0])
 
@@ -691,7 +691,7 @@ def test_call_converges_at_order_two_to_heston(kappa):
     heston = worst_case_call(p, 100.0)
     errors = np.array([
         solve_pdelta(PayoffSpec.call(100), p, GridSpec(0, 400, 2 * n, 0, 0.12, n, n // 5))
-        .p_delta.value_at(p.x0, p.z0) - heston
+        .value_at(p.x0, p.z0) - heston
         for n in (50, 100, 200)])
     order = np.log2(np.abs(errors[:-1]) / np.abs(errors[1:]))
     assert np.all(np.diff(np.abs(errors)) < 0.0), errors
@@ -711,8 +711,7 @@ def test_convex_price_matches_expectation_under_frozen_control():
     # a convex payoff pins the control at u, so the scheme solves a linear
     # problem whose value is a plain expectation over the coupled paths;
     # the simulation knows nothing about stencils or boundaries
-    sol = solve_pdelta(PayoffSpec.call(100), PARAMS, PAPER_GRID)
-    pde = sol.p_delta.value_at(PARAMS.x0, PARAMS.z0)
+    pde = solve_pdelta(PayoffSpec.call(100), PARAMS, PAPER_GRID).value_at(PARAMS.x0, PARAMS.z0)
     _, x_T, _ = exponent_sum_terminals(PARAMS, PARAMS.u, 200, 100_000, seed=314)
     payoffs = np.maximum(x_T - 100.0, 0.0)
     mc = payoffs.mean()
@@ -726,8 +725,7 @@ def test_worst_case_price_dominates_fixed_control_valuations():
     # rule must value the payoff below it
     from uvbounds.payoff import evaluate
 
-    sol = solve_pdelta(BF, PARAMS, PAPER_GRID)
-    pde = sol.p_delta.value_at(PARAMS.x0, PARAMS.z0)
+    pde = solve_pdelta(BF, PARAMS, PAPER_GRID).value_at(PARAMS.x0, PARAMS.z0)
     controls = [PARAMS.d, PARAMS.u,
                 lambda t, x, z: np.where(x >= 100.0, PARAMS.d, PARAMS.u)]
     for control in controls:
@@ -750,8 +748,8 @@ def test_worst_case_price_attained_by_its_own_control(grid):
     # paths give se = 0.018.
     from uvbounds.payoff import evaluate
 
-    sol, q_hist = pdelta_with_controls(BF, PARAMS, grid)
-    pde = sol.p_delta.value_at(PARAMS.x0, PARAMS.z0)
+    p_delta, q_hist = pdelta_with_controls(BF, PARAMS, grid)
+    pde = p_delta.value_at(PARAMS.x0, PARAMS.z0)
     control = nearest_node_control(q_hist, grid, PARAMS.T)
     _, x_T, _ = exponent_sum_terminals(PARAMS, control, 800, 40_000, seed=2011)
     values = evaluate(BF, x_T)

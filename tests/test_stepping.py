@@ -26,12 +26,12 @@ def test_constant_shift_of_payoff_shifts_prices(n_x, n_z, n_t, c):
     shifted = PayoffSpec.tabulated(x, h + c)
     tol = 1e-10 * (1.0 + abs(c))
 
-    a, b = solve_p0p1(base, PARAMS, grid), solve_p0p1(shifted, PARAMS, grid)
-    assert np.max(np.abs(b.p0.values - (a.p0.values + c))) <= tol
-    assert np.max(np.abs(b.p1.values - a.p1.values)) <= tol
+    (a0, a1), (b0, b1) = solve_p0p1(base, PARAMS, grid), solve_p0p1(shifted, PARAMS, grid)
+    assert np.max(np.abs(b0.values - (a0.values + c))) <= tol
+    assert np.max(np.abs(b1.values - a1.values)) <= tol
 
     a, b = solve_pdelta(base, PARAMS, grid), solve_pdelta(shifted, PARAMS, grid)
-    assert np.max(np.abs(b.p_delta.values - (a.p_delta.values + c))) <= tol
+    assert np.max(np.abs(b.values - (a.values + c))) <= tol
 
 
 @settings(max_examples=15, deadline=None, derandomize=True)
@@ -54,13 +54,14 @@ def test_positive_homogeneity_of_prices(n_x, n_z, n_t, k):
     def bitwise(got, want):
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
-    a, b = solve_p0p1(base, PARAMS, grid, cfg), solve_p0p1(scaled, PARAMS, grid, cfg_scaled)
-    bitwise(b.p0.values, lam * a.p0.values)
-    bitwise(b.p1.values, lam * a.p1.values)
+    (a0, a1), (b0, b1) = (solve_p0p1(base, PARAMS, grid, cfg),
+                          solve_p0p1(scaled, PARAMS, grid, cfg_scaled))
+    bitwise(b0.values, lam * a0.values)
+    bitwise(b1.values, lam * a1.values)
 
     # P0's controls are those of the 2D solve at delta = 0
     for params in (PARAMS.replace(delta=0.0), PARAMS):
         a, qa = pdelta_with_controls(base, params, grid, cfg)
         b, qb = pdelta_with_controls(scaled, params, grid, cfg_scaled)
-        bitwise(b.p_delta.values, lam * a.p_delta.values)
+        bitwise(b.values, lam * a.values)
         bitwise(qb, qa)
