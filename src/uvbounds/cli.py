@@ -154,10 +154,17 @@ def main() -> None:
 # -- subcommand bodies --------------------------------------------------------
 # Each body imports the stack it runs (see the module docstring).
 
-def _cmd_solve_p0(settings: RunSettings, out: Path, args):
-    from .solver_pdelta import solve_p0p1
+def _solve_p0(settings: RunSettings):
+    """P0 alone: the 2D price at delta = 0, bitwise the P0 of ``solve_p0p1``
+    without the P1 sub-steps that would be discarded."""
+    from .solver_pdelta import solve_pdelta
 
-    p0, _ = solve_p0p1(settings.payoff, settings.model, settings.grid, settings.solver)
+    return solve_pdelta(settings.payoff, settings.model.replace(delta=0.0),
+                        settings.grid, settings.solver)
+
+
+def _cmd_solve_p0(settings: RunSettings, out: Path, args):
+    p0 = _solve_p0(settings)
     surface_to_csv(p0, out / "p0_surface.csv")
     probe = p0.value_at(settings.model.x0, settings.model.z0)
     return {"p0_at_x0_z0": probe}, ["p0_surface.csv"]
@@ -204,10 +211,9 @@ def _cmd_solve_pdelta(settings: RunSettings, out: Path, args):
 
 def _cmd_compare_bs(settings: RunSettings, out: Path, args):
     from .analysis import compare_bs
-    from .solver_pdelta import solve_p0p1
 
     settings.payoff.decomposition()  # a payoff with no Black-Scholes price fails before the solve
-    p0, _ = solve_p0p1(settings.payoff, settings.model, settings.grid, settings.solver)
+    p0 = _solve_p0(settings)
     cmp_ = compare_bs(p0, settings.payoff, settings.model)
     write_csv(out / "compare_bs.csv", ["x", "p0", "bs_low", "bs_high", "dominated"],
               [cmp_.x, cmp_.p0, cmp_.bs_low, cmp_.bs_high, cmp_.dominated.astype(int)])
@@ -264,9 +270,9 @@ def _cmd_coupling_rate(settings: RunSettings, out: Path, args):
 
 def _cmd_gamma_diag(settings: RunSettings, out: Path, args):
     from .analysis import gamma_diagnostics
-    from .solver_pdelta import solve_p0p1, solve_pdelta
+    from .solver_pdelta import solve_pdelta
 
-    p0, _ = solve_p0p1(settings.payoff, settings.model, settings.grid, settings.solver)
+    p0 = _solve_p0(settings)
     p_delta = solve_pdelta(settings.payoff, settings.model, settings.grid, settings.solver)
     diag = gamma_diagnostics(p0, p_delta, settings.solver.resolve_gamma_eps(settings.model))
     write_csv(out / "gamma_crossings.csv", ["z", "crossing_x"],

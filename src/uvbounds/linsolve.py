@@ -1,4 +1,4 @@
-"""The linear kernel of the implicit steps: LAPACK ``dpttrf``/``dpttrs``.
+"""The linear kernels of the implicit steps: LAPACK ``dpttrf``/``dpttrs`` and ``dgtsv``.
 
 Every solver step ends in a batch of independent tridiagonal systems, one
 per variance slice for P0, P1 and the x-stages of the 2D Craig-Sneyd
@@ -10,11 +10,13 @@ batch, ``dpttrs`` took 72-79 us against 164-169 us for LAPACK's general
 tridiagonal solve by LU, and ``dpttrf`` 94-97 us against 132-145 us for
 the LU factor (2-core x86-64 host, one BLAS thread). A matrix that serves
 several right-hand sides is factored once. The z-stages solve one matrix for
-every asset row by a product with its dense inverse, which numpy's own
-LAPACK builds (``solver_pdelta._Split.solve_z``): at 100 variance nodes
-that took 0.37-0.39 ms, against 0.66-0.72 ms for a batched tridiagonal LU
-solve of the identity, and 15.4-17.5 ms against 12.6-13.6 ms at 400
-(min-median of 7, one BLAS thread), once per theta*dt.
+every asset row by a product with its dense inverse
+(``solver_pdelta._Split.solve_z``), built once per theta*dt by ``dgtsv``,
+LAPACK's tridiagonal LU with partial pivoting, on the identity
+(``tridiag_inverse_t``). At 100, 200 and 400 variance nodes that took
+0.11, 0.46-0.52 and 1.9-2.2 ms, against 0.28, 1.60-1.74 and 9.7-11.9 ms for
+numpy's dense LU inverse (best of 5 x 20 calls, one BLAS thread), which
+also pulled 0.7-0.8 MiB of numpy's LAPACK into the process on first use.
 
 The routines come from scipy's compiled LAPACK wrappers, the
 extension module ``scipy/linalg/_flapack``, loaded by file path on the
@@ -57,6 +59,7 @@ __all__ = [
     "check_tridiag_residual",
     "scipy_version",
     "spd_tridiag_solver",
+    "tridiag_inverse_t",
 ]
 
 class LinearSolveError(SolverError):
@@ -140,6 +143,28 @@ def _check_residual(residual: np.ndarray, rhs: np.ndarray, tol: float, what: str
     bound = tol * (1.0 + _max_abs(rhs))
     if not np.isfinite(res) or res > bound:
         raise LinearSolveError(f"{what}: residual {res:.3e} exceeds {bound:.3e}")
+
+
+def tridiag_inverse_t(lower, main, upper, what: str) -> np.ndarray:
+    """The transposed inverse M^-T of the tridiagonal M, as a C-contiguous array.
+
+    The diagonals are laid out as ``check_tridiag_residual`` reads them,
+    each of length n: M[i, i] = main[i], M[i + 1, i] = lower[i] and
+    M[i - 1, i] = upper[i], so lower[-1] and upper[0] are not read. LAPACK
+    ``dgtsv`` solves M X = I by LU with partial pivoting and returns X in
+    Fortran order, whose transpose is M^-T in C order at no copy. A pivot
+    that is exactly zero raises. The residual is the caller's to check.
+    """
+    n = main.size
+    if n == 1:  # f2py rejects the empty off-diagonals of order 1
+        if main[0] == 0.0:
+            raise LinearSolveError(f"{what}: the 1 x 1 matrix is zero")
+        return np.reciprocal(main).reshape(1, 1)
+    *_, x, info = _flapack().dgtsv(lower[:-1], main, upper[1:], np.eye(n, order="F"),
+                                   overwrite_b=1)
+    if info > 0:
+        raise LinearSolveError(f"{what}: pivot at row {info - 1} is exactly zero")
+    return x.T
 
 
 def spd_tridiag_solver(main: np.ndarray, off: np.ndarray):

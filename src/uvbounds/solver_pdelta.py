@@ -23,18 +23,18 @@ factors and 0.19 s in x-stage solves, against 0.16 s and 0.33 s by
 general tridiagonal LU (medians of 9, 2-core x86-64 host, one BLAS
 thread).
 The z-system M = I - theta*dt*A2 is one matrix for every x-row, so its
-dense inverse is made once per theta*dt, by numpy's LAPACK LU, and each
-z-stage is one matrix product with it, at 2*n_z flops per node; the
-inverse and every product are checked by M's tridiagonal product, as
-every solve is. The product beats the latency-bound chained tridiagonal
-solve up to a few hundred z-nodes: with it, in-process ``solve_pdelta``
-on ``paper.cfg`` took a median 0.77 s against 0.86 s at 200x200x40, and
-7.24 s against 7.32 s at 400x400x80 (10 alternating runs each, 2-core
-x86-64 host, one BLAS thread). Likewise, each stencil field of a
-surface (z*x^2*d_xx, x*z*d_xz and A2 of it) is computed once: the control
-selection hands them to the solves from that surface. The correction
-weight theta is Craig-Sneyd's 1/2 in the trapezoidal steps and 1 in the
-fully implicit Rannacher start.
+dense inverse is made once per theta*dt, by LAPACK's tridiagonal LU
+``dgtsv`` on the identity, and each z-stage is one matrix product with
+it, at 2*n_z flops per node; the inverse and every product are checked
+by M's tridiagonal product, as every solve is. The product beats the
+latency-bound chained tridiagonal solve up to a few hundred z-nodes: with
+it, in-process ``solve_pdelta`` on ``paper.cfg`` took a median 0.77 s
+against 0.86 s at 200x200x40, and 7.24 s against 7.32 s at 400x400x80 (10
+alternating runs each, 2-core x86-64 host, one BLAS thread). Likewise,
+each stencil field of a surface (z*x^2*d_xx, x*z*d_xz and A2 of it) is
+computed once: the control selection hands them to the solves from that
+surface. The correction weight theta is Craig-Sneyd's 1/2 in the
+trapezoidal steps and 1 in the fully implicit Rannacher start.
 At delta = 0 both A0 and A2 vanish and the step is the x-stage alone.
 The splitting error against the unsplit weighted system is O(dt^2); the
 tests measure it against a reference step (``tests/reference.py``) that
@@ -77,7 +77,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .core import GridSpec, ModelParams, SolverConfig, Surface
-from .linsolve import LinearSolveError, check_tridiag_residual, spd_tridiag_solver
+from .linsolve import check_tridiag_residual, spd_tridiag_solver, tridiag_inverse_t
 from .payoff import PayoffSpec, terminal_surface
 from .stencils import deadband, dx_values, dz_values, dzz_values, lxx_values, lxz_values
 from .stepping import march
@@ -119,24 +119,38 @@ def select_q(lxx, lxz, params: ModelParams, gamma_eps: float):
     """
     # fields below the deadband count as zero, so a flat node, where both
     # are rounding noise, ties and resolves to the upper endpoint
-    a = deadband(lxx, gamma_eps)
-    b = params.rho * np.sqrt(params.delta) * deadband(lxz, gamma_eps)
+    # a has the shape of the control: the scheme passes lxz = 0.0 where the
+    # cross term vanishes
+    a = deadband(np.broadcast_to(lxx, np.broadcast_shapes(np.shape(lxx), np.shape(lxz))),
+                 gamma_eps)
+    b = deadband(lxz, gamma_eps)
+    b *= params.rho * np.sqrt(params.delta)
     d, u = params.d, params.u
 
-    # each field goes once it is read, so that few surfaces are live at once
-    f_u = 0.5 * u * u * a + u * b
-    f_d = 0.5 * d * d * a + d * b
-    best, up = np.maximum(f_u, f_d), f_u >= f_d
-    del f_u, f_d
-    # the interior candidate and its value on every node; nodes that are
-    # not concave may divide by zero or overflow, and are masked out
+    # f(q) = 0.5*q*q*a + q*b at u and at d, each rounded as written, in two
+    # buffers that go on to hold the control and q_hat; each later value is
+    # made in a buffer whose contents are spent, so that few surfaces are
+    # live at once
+    best, other = np.empty_like(a), np.empty_like(a)
+    np.add(np.multiply(0.5 * u * u, a, out=best), np.multiply(u, b, out=other), out=best)
+    np.multiply(d, b, out=other)
+    other += 0.5 * d * d * a
+    up = best >= other
+    np.maximum(best, other, out=best)
+    concave = a <= -gamma_eps
+    # the interior candidate q_hat = -b/a and its value -b*b/(2a) on every
+    # node; nodes that are not concave may divide by zero or overflow, and
+    # are masked out
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        q_hat = -b / a
-        value = -b * b / (2.0 * a)
-        del b
-        interior = (a <= -gamma_eps) & (q_hat >= d) & (q_hat <= u) & (value > best)
-    del value, best
-    return np.where(interior, q_hat, np.where(up, u, d))
+        q_hat = np.divide(np.negative(b, out=other), a, out=other)
+        np.negative(np.multiply(b, b, out=b), out=b)
+        value = np.divide(b, np.multiply(2.0, a, out=a), out=a)
+        interior = concave & (q_hat >= d) & (q_hat <= u) & (value > best)
+    q = best  # spent: the control goes in its buffer
+    np.copyto(q, d)
+    np.copyto(q, u, where=up)
+    np.copyto(q, q_hat, where=interior)
+    return q
 
 
 class _Split:
@@ -183,7 +197,7 @@ class _Split:
         self.k = (terms[0] + terms[1] + terms[2]).T.ravel()
         regular = self.k > 0.0
         self.identity_rows = np.flatnonzero(~regular)
-        self.coupled = (regular[:-1] & regular[1:]).astype(float)
+        self.coupled = regular[:-1] & regular[1:]
         # (regular row, identity row) for the regular rows after, then before,
         # an identity row
         after = np.flatnonzero(regular[1:] & ~regular[:-1]) + 1
@@ -227,14 +241,12 @@ class _Split:
         n_x, n_z = self.grid.n_x, self.grid.n_z
         qq = q.T.copy().reshape(-1)  # flat, slice after slice, as k
         qq *= qq
-        # the unscaled system, for the residual: its main diagonal 1 + 2*c*a,
-        # and -c*a padded by a zero at each end, so that its two shifts are
-        # the off-diagonals by the unknown they multiply
+        # the unscaled system, for the residual: -c*a padded by a zero at each
+        # end, so that its two shifts are the off-diagonals by the unknown
+        # they multiply; its main diagonal 1 + 2*c*a is made for each check
         nca = np.zeros(qq.size + 2)
         np.multiply(qq, self.k, out=nca[1:-1])
         nca *= -0.5 * c
-        main = nca[1:-1] * -2.0
-        main += 1.0
         # the scaled system: each regular row divided by a, as c/(c*a), with
         # c*a at least 2^-54; the identity rows' -c/-1, later set to 1, keeps
         # a huge c from overflowing as c*2^54 there
@@ -244,7 +256,8 @@ class _Split:
         d = scale + 2.0 * c
         d[self.identity_rows] = 1.0
         scale[self.identity_rows] = 1.0
-        solve_scaled = spd_tridiag_solver(d, self.coupled * -c)
+        # -c where two regular rows couple, and -0.0, as 0*(-c), elsewhere
+        solve_scaled = spd_tridiag_solver(d, np.where(self.coupled, -c, -0.0))
         moved = self.moved  # not self: the split holds this closure
 
         def solve(rhs: np.ndarray) -> np.ndarray:
@@ -254,7 +267,8 @@ class _Split:
             for row, identity_row in moved:
                 r[row] += c * b[identity_row]
             x = solve_scaled(r)
-            check_tridiag_residual(nca[2:], main, nca[:-2], x, b, lin_tol, "x-stage")
+            check_tridiag_residual(nca[2:], 1.0 - 2.0 * nca[1:-1], nca[:-2], x, b, lin_tol,
+                                   "x-stage")
             # checked, b is spent: the solution goes back out in its buffer
             out = b.reshape(n_x, n_z)
             out[...] = x.reshape(n_z, n_x).T
@@ -266,24 +280,21 @@ class _Split:
         """(I - theta*dt*A2)^-1 rhs along every x-row, as one matrix product.
 
         M = I - theta*dt*A2 is one tridiagonal system for all rows, so its
-        dense inverse is made once per theta*dt, as the inverse of
-        M^T = I - theta*dt*a2_t by numpy's LAPACK LU, and checked by M's
-        tridiagonal product with the identity as right-hand side. Every call
-        checks its residual the same way, on the flat surface.
+        dense inverse is made once per theta*dt, transposed, by LAPACK
+        ``dgtsv`` on M's diagonals (``linsolve.tridiag_inverse_t``), and
+        checked by M's tridiagonal product with the identity as right-hand
+        side. Every call checks its residual the same way, on the flat surface.
         """
         c = theta * dt
         if c not in self._z:
-            eye = np.eye(self.grid.n_z)
-            # M^T, whose row i is M's column i: its diagonals are M's laid out
-            # by the unknown they multiply, as the residual reads them
-            m_t = eye - c * self.a2_t
-            m = (np.append(np.diagonal(m_t, 1), 0.0), np.diagonal(m_t).copy(),
-                 np.insert(np.diagonal(m_t, -1), 0, 0.0))
-            try:
-                inv_t = np.linalg.inv(m_t)
-            except np.linalg.LinAlgError as exc:
-                raise LinearSolveError(f"z-stage inverse: {exc}") from exc
-            check_tridiag_residual(*m, inv_t, eye, lin_tol, "z-stage inverse")
+            # M's diagonals, read off a2_t = A2^T and laid out by the unknown
+            # they multiply: M[i + 1, i] = -c*a2_t[i, i + 1], and so on
+            a = self.a2_t
+            m = (np.append(-c * np.diagonal(a, 1), 0.0), 1.0 - c * np.diagonal(a),
+                 np.insert(-c * np.diagonal(a, -1), 0, 0.0))
+            inv_t = tridiag_inverse_t(*m, "z-stage inverse")
+            check_tridiag_residual(*m, inv_t, np.eye(self.grid.n_z), lin_tol,
+                                   "z-stage inverse")
             self._z[c] = (inv_t, m)
         inv_t, m = self._z[c]
         x = rhs @ inv_t
@@ -355,9 +366,10 @@ def _march(split: _Split, payoff: PayoffSpec, config: SolverConfig,
     """The payoff's terminal surface marched back to t = 0 by ``_scheme`` on
     ``split``; ``after_substep`` as in ``stepping.march``."""
     select, solve = _scheme(split, config)
-    term = terminal_surface(payoff, split.grid)
-    w = march(np.asarray(term.values, float), split.grid, split.params.T, config,
-              select, solve, after_substep=after_substep)
+    # march holds the only reference to the terminal values, and drops it
+    # after the first step
+    w = march(terminal_surface(payoff, split.grid).values, split.grid, split.params.T,
+              config, select, solve, after_substep=after_substep)
     return Surface(w, split.grid)
 
 

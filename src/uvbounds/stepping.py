@@ -65,7 +65,7 @@ def march(w: np.ndarray, grid: GridSpec, T: float, config: SolverConfig,
                 w_new, q = step(w, select, solve, dt_sub, theta, config.corrector_passes)
                 if after_substep is not None:
                     after_substep(n, q, w_new, w, dt_sub, theta)
-                w = w_new
+                w, q = w_new, None  # the control goes before the next step selects one
         except LinearSolveError as exc:
             raise SolverError(f"backward step into time level {n} failed: {exc}") from exc
     return w

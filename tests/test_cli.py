@@ -319,16 +319,40 @@ def test_failed_ldlt_factor_exits_3_with_error_record(tmp_path, cfg, monkeypatch
 
 
 def test_failed_z_inverse_exits_3_with_error_record(tmp_path, cfg, monkeypatch):
-    # numpy's LU reports a singular matrix by LinAlgError
-    def inv(a):
-        raise np.linalg.LinAlgError("Singular matrix")
+    # dgtsv faked to report an exactly zero pivot, as LAPACK's info > 0 does
+    real = linsolve._flapack()
 
-    monkeypatch.setattr(np.linalg, "inv", inv)
+    def dgtsv(*args, **kw):
+        return (*real.dgtsv(*args, **kw)[:-1], 2)
+
+    monkeypatch.setattr(linsolve, "_flapack", lambda: SimpleNamespace(
+        dgtsv=dgtsv, dpttrf=real.dpttrf, dpttrs=real.dpttrs))
     out = tmp_path / "o"
     assert run(["solve-pdelta", "--config", cfg, "--out", str(out)]) == 3
     record = strict_json(out / "error.json")
     assert record["exit_code"] == 3
-    assert "z-stage inverse: Singular matrix" in record["message"]
+    assert "z-stage inverse: pivot at row 1 is exactly zero" in record["message"]
+
+
+def test_z_inverse_needs_no_numpy_linalg(tmp_path, cfg, monkeypatch):
+    # the z-inverse comes from LAPACK dgtsv, so the sweep runs with numpy's
+    # dense inverse unavailable
+    def inv(a):
+        raise AssertionError("np.linalg.inv called")
+
+    monkeypatch.setattr(np.linalg, "inv", inv)
+    assert run(["sweep-error", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+
+
+def test_p0_commands_run_no_p1(tmp_path, cfg, monkeypatch):
+    # solve-p0, compare-bs and gamma-diag write P0 but no P1, so they take P0
+    # from the 2D solve at delta = 0 and never step P1
+    def solve_p0p1(*args, **kw):
+        raise AssertionError("solve_p0p1 called")
+
+    monkeypatch.setattr(solver_pdelta, "solve_p0p1", solve_p0p1)
+    for command in ("solve-p0", "compare-bs", "gamma-diag"):
+        assert run([command, "--config", cfg, "--out", str(tmp_path / command)]) == 0
 
 
 def test_nan_in_a2_exits_3_at_the_z_inverse_check(tmp_path, cfg, monkeypatch):
@@ -665,8 +689,8 @@ def test_error_sweep_and_coupling_rate_import_neither_logging_nor_scipy_linalg(t
 
 
 def test_solves_need_only_the_ldlt_routines(tmp_path):
-    # dpttrf and dpttrs are the only LAPACK routines a solve loads from
-    # scipy's wrappers; the z-inverse comes from numpy's own LAPACK
+    # dpttrf, dpttrs and dgtsv are the only LAPACK routines a solve loads
+    # from scipy's wrappers: the x-stage's L D L^T and the z-inverse
     small = ["--config", str(PAPER_CFG),
              "--set", "grid.n_x=40", "--set", "grid.n_z=10", "--set", "grid.n_t=4"]
     runs = [["sweep-error", *small, "--out", str(tmp_path / "sweep")],
@@ -674,7 +698,7 @@ def test_solves_need_only_the_ldlt_routines(tmp_path):
     code = ("from types import SimpleNamespace; from uvbounds import linsolve; "
             "from uvbounds.cli import run; real = linsolve._flapack(); "
             "linsolve._flapack = lambda: SimpleNamespace(dpttrf=real.dpttrf, "
-            "dpttrs=real.dpttrs); "
+            "dpttrs=real.dpttrs, dgtsv=real.dgtsv); "
             f"print(*[run(argv) for argv in {runs!r}])")
     assert _fresh_python(code).split() == ["0", "0"]
 

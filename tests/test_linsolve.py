@@ -41,6 +41,36 @@ def test_missing_lapack_extension_names_its_path(monkeypatch, tmp_path):
         linsolve._flapack.__wrapped__()  # past the cache
 
 
+# -- the z-system's inverse ----------------------------------------------------
+
+def _residual_layout(m):
+    """The diagonals of a dense tridiagonal m, laid out by the unknown they multiply."""
+    return (np.append(np.diagonal(m, -1), 0.0), np.diagonal(m).copy(),
+            np.insert(np.diagonal(m, 1), 0, 0.0))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 100])
+def test_tridiag_inverse_matches_numpy_inverse(n):
+    # against numpy's dense LU inverse, transposed, with a tolerance fixed in
+    # advance; order 1 takes the path without LAPACK
+    rng = np.random.default_rng(41 + n)
+    m = (np.diag(1.0 + rng.random(n)) + np.diag(rng.uniform(-1.0, 1.0, n - 1), 1)
+         + np.diag(rng.uniform(-1.0, 1.0, n - 1), -1))
+    want = np.linalg.inv(m).T
+    got = linsolve.tridiag_inverse_t(*_residual_layout(m), "test")
+    assert got.shape == (n, n) and got.flags.c_contiguous
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("m,match", [
+    ([[1.0, 1.0], [1.0, 1.0]], "test: pivot at row 1 is exactly zero"),  # 1 - 1 = 0
+    ([[0.0]], "test: the 1 x 1 matrix is zero"),
+], ids=["2x2", "1x1"])
+def test_tridiag_inverse_exact_zero_pivot_raises(m, match):
+    with pytest.raises(LinearSolveError, match=match):
+        linsolve.tridiag_inverse_t(*_residual_layout(np.array(m)), "test")
+
+
 # -- the LU reference step of the 2D scheme ------------------------------------
 
 PARAMS = ModelParams(x0=100, z0=0.04, T=0.25, r=0, d=0.75, u=1.25,
