@@ -3,7 +3,7 @@
 Every solver step ends in a batch of independent tridiagonal systems, one
 per variance slice for P0, P1 and the x-stages of the 2D Craig-Sneyd
 step. Those x-systems, scaled row by row, are symmetric positive definite
-(``solver_pdelta._Split``), so ``spd_tridiag_solver`` factors them as
+(``solver_pdelta._Scheme``), so ``spd_tridiag_solver`` factors them as
 L D L^T by ``dpttrf`` and solves by ``dpttrs``: no pivoting, and no
 division on the chain of the back substitution. On one 10,002-unknown
 batch, ``dpttrs`` took 72-79 us against 164-169 us for LAPACK's general
@@ -11,7 +11,7 @@ tridiagonal solve by LU, and ``dpttrf`` 94-97 us against 132-145 us for
 the LU factor (2-core x86-64 host, one BLAS thread). A matrix that serves
 several right-hand sides is factored once. The z-stages solve one matrix for
 every asset row by a product with its dense inverse
-(``solver_pdelta._Split.solve_z``), built once per theta*dt by ``dgtsv``,
+(``solver_pdelta._Scheme.solve_z``), built once per theta*dt by ``dgtsv``,
 LAPACK's tridiagonal LU with partial pivoting, on the identity
 (``tridiag_inverse_t``). At 100, 200 and 400 variance nodes that took
 0.11, 0.46-0.52 and 1.9-2.2 ms, against 0.28, 1.60-1.74 and 9.7-11.9 ms for

@@ -1,10 +1,10 @@
 """The full 2D worst-case price P^delta, and its expansion P0 + sqrt(delta)*P1.
 
-P^delta marches backward through the shared stepper in ``stepping``. Its step
-is the Craig-Sneyd operator splitting (Craig & Sneyd 1988; in the form of
+All three prices march backward by one scheme, ``_Scheme``. Its step is
+the Craig-Sneyd operator splitting (Craig & Sneyd 1988; in the form of
 In 't Hout & Foulon 2010 for a mixed-derivative term) of the weighted
-step at the stepper's weight theta. The generator splits into the cross
-term A0 (explicit), the x-diffusion A1 and the variance part A2:
+step at the weight theta. The generator splits into the cross term A0
+(explicit), the x-diffusion A1 and the variance part A2:
 
     Y0 = U + dt*(A0 + A1 + A2) U
     Yj = Y(j-1) + theta*dt*Aj (Yj - U),              j = 1, 2
@@ -16,7 +16,7 @@ probing the values-form operators. The x-stage is a batch of
 tridiagonal systems, one per z-slice, factored once per step for both
 stages. Each row where A1 is nonzero is divided by its coefficient, which
 makes the batch symmetric positive definite, so LAPACK ``dpttrf``/``dpttrs``
-solve it as L D L^T without pivoting (``_Split``); the rows where A1 is
+solve it as L D L^T without pivoting (``_Scheme``); the rows where A1 is
 zero are identity rows. Its residual is checked on the unscaled system.
 In-process, a ``sweep-error`` on ``paper.cfg`` spent 0.10 s in x-stage
 factors and 0.19 s in x-stage solves, against 0.16 s and 0.33 s by
@@ -56,14 +56,14 @@ the band is q_hat clamped into [d, u], and a clamped q_hat is an endpoint;
 where it is convex or flat, q_hat is no maximum and an endpoint wins.
 
 P0 is this scheme at delta = 0: a bang-bang control, one 1D problem per
-slice. Both march from the payoff by one function (``_march``). P1 is
+slice. Both march from the payoff by ``_Scheme.march``. P1 is
 linear, with P0's x-stage and controls, zero terminal data and the source
 rho*q*x*z*d_xz P0, which is local to the slice: P0 is Q(z*(T - t), x), so
 z*d_z P0 = (T - t)*z*d_tau Q, and a P0 sub-step gives z*d_tau Q as
 (u_new - u_next)/dt. So the source is rho*q*x*(tau/dt)*d_x(u_new - u_next),
 with tau the time to maturity at the sub-step's theta-average. Each P1
-sub-step (``_p1_step``) runs in the hook after the P0 sub-step it reads,
-on the same split, so it reuses that sub-step's x-system factor.
+sub-step runs in ``solve_p0p1``'s hook after the P0 sub-step it reads, on
+the same scheme, so it reuses that sub-step's x-system factor.
 
 Both solvers return surfaces at t = 0: ``solve_pdelta`` P^delta, and
 ``solve_p0p1`` the pair (P0, P1). Neither keeps a control history.
@@ -76,11 +76,11 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import GridSpec, ModelParams, SolverConfig, Surface
-from .linsolve import check_tridiag_residual, spd_tridiag_solver, tridiag_inverse_t
+from .core import GridSpec, ModelParams, SolverConfig, SolverError, Surface
+from .linsolve import (LinearSolveError, check_tridiag_residual, spd_tridiag_solver,
+                       tridiag_inverse_t)
 from .payoff import PayoffSpec, terminal_surface
 from .stencils import deadband, dx_values, dz_values, dzz_values, lxx_values, lxz_values
-from .stepping import march
 
 __all__ = [
     "TAG_A", "TAG_B", "TAG_C", "TAG_NAMES",
@@ -110,21 +110,30 @@ def select_q(lxx, lxz, params: ModelParams, gamma_eps: float):
     """Pointwise optimal control from the two stencil fields.
 
     Vectorized; returns the control q. Exact ties prefer the upper
-    endpoint, then the lower one, so the selection is deterministic. Both
-    fields count as zero below the deadband ``gamma_eps``. The interior
+    endpoint, then the lower one, so the selection is deterministic. The
+    two coefficients of the quadratic, Gxx = lxx and rho*sqrt(delta)*lxz,
+    count as zero below the deadband ``gamma_eps``. The interior
     candidate q_hat competes only where Gxx <= -gamma_eps and q_hat lies
     inside [d, u]. Which candidate won is read off q, as an endpoint or
     as q_hat where d < q < u; a q_hat that rounds exactly onto an
     endpoint reads as that endpoint (``candidate_tags``).
+
+    The deadband acts on the coefficients, not on lxz, so that it keeps
+    the model's time-change symmetry: z -> lam*z (z0 and the grid's
+    z-range too), theta -> lam*theta, kappa -> kappa/lam,
+    delta -> lam^2*delta and T -> T/lam scale both coefficients by lam,
+    while lxz = x*z*d_xz w does not scale. With ``gamma_eps`` scaled by lam
+    as well, the control is unchanged; for lam a power of two every
+    product of the scheme scales exactly, so P0, lam*P1 and P^delta are
+    unchanged bit for bit.
     """
-    # fields below the deadband count as zero, so a flat node, where both
-    # are rounding noise, ties and resolves to the upper endpoint
+    # coefficients below the deadband count as zero, so a flat node, where
+    # both are rounding noise, ties and resolves to the upper endpoint
     # a has the shape of the control: the scheme passes lxz = 0.0 where the
     # cross term vanishes
     a = deadband(np.broadcast_to(lxx, np.broadcast_shapes(np.shape(lxx), np.shape(lxz))),
                  gamma_eps)
-    b = deadband(lxz, gamma_eps)
-    b *= params.rho * np.sqrt(params.delta)
+    b = deadband(params.rho * np.sqrt(params.delta) * lxz, gamma_eps)
     d, u = params.d, params.u
 
     # f(q) = 0.5*q*q*a + q*b at u and at d, each rounded as written, in two
@@ -153,8 +162,9 @@ def select_q(lxx, lxz, params: ModelParams, gamma_eps: float):
     return q
 
 
-class _Split:
-    """The 2D generator A(q) = A0 + A1 + A2, by parts, for the Craig-Sneyd step.
+class _Scheme:
+    """The 2D scheme: the generator A(q) = A0 + A1 + A2 by parts, and the
+    Craig-Sneyd step and backward march on it.
 
     * A0 = rho*sqrt(delta)*q*x*z*d_xz, the cross term, always explicit;
       absent when its coefficient is zero or the grid has one z-node.
@@ -176,11 +186,29 @@ class _Split:
       Each z-stage is one product with the inverse of I - theta*dt*A2
       (2*n_z flops per node, plus 5 for the residual check); absent when
       delta = 0 or n_z = 1.
+
+    The march steps back from the terminal level by the weighted step
+    (I - theta*dt*A(q)) w_new = (I + (1-theta)*dt*A(q)) w_next, with the
+    control field q frozen for the step, and keeps only the current level.
+    Each (sub-)step is a predictor-corrector pair (``step``). The predictor
+    selects the control on the known level w_next and solves. Each
+    corrector pass re-selects on theta*w_new + (1-theta)*w_next and
+    re-solves from w_next's fields, stopping once the control repeats. A
+    pass keeps only the control it selects: the blended surface and its
+    fields go before the re-solve, and so does the last solution, so at
+    most one solution is live. The first backward step is split into
+    ``rannacher_steps`` fully implicit sub-steps (Rannacher start), damping
+    the oscillation that kinked payoffs excite in the trapezoidal scheme;
+    later steps use the weight ``cn_weight``.
     """
 
-    def __init__(self, params: ModelParams, grid: GridSpec):
+    def __init__(self, params: ModelParams, grid: GridSpec,
+                 config: Optional[SolverConfig] = None):
         self.params = params
         self.grid = grid
+        self.config = config or SolverConfig()
+        self.lin_tol = self.config.lin_tol
+        self.gamma_eps = self.config.resolve_gamma_eps(params)
         self.c0 = params.rho * np.sqrt(params.delta)
         self.has_a0 = self.c0 != 0.0 and grid.n_z > 1
         self.has_a2 = params.delta > 0.0 and grid.n_z > 1
@@ -225,7 +253,7 @@ class _Split:
         return p.delta * (0.5 * z * dzz_values(w, self.grid)
                           + p.kappa * (p.theta - z) * dz_values(w, self.grid))
 
-    def x_solver(self, q: np.ndarray, c: float, lin_tol: float):
+    def x_solver(self, q: np.ndarray, c: float):
         """rhs -> (I - c*A1(q))^-1 rhs, batched over the z-slices, for c > 0.
 
         Factored once per (q, c): a repeat call with the same control array
@@ -234,10 +262,10 @@ class _Split:
         """
         if self._x is None or self._x[0] is not q or self._x[1] != c:
             self._x = None  # the old factor's buffers go before the new one's
-            self._x = (q, c, self._factor_x(q, c, lin_tol))
+            self._x = (q, c, self._factor_x(q, c))
         return self._x[2]
 
-    def _factor_x(self, q: np.ndarray, c: float, lin_tol: float):
+    def _factor_x(self, q: np.ndarray, c: float):
         n_x, n_z = self.grid.n_x, self.grid.n_z
         qq = q.T.copy().reshape(-1)  # flat, slice after slice, as k
         qq *= qq
@@ -258,7 +286,7 @@ class _Split:
         scale[self.identity_rows] = 1.0
         # -c where two regular rows couple, and -0.0, as 0*(-c), elsewhere
         solve_scaled = spd_tridiag_solver(d, np.where(self.coupled, -c, -0.0))
-        moved = self.moved  # not self: the split holds this closure
+        moved, lin_tol = self.moved, self.lin_tol  # not self: the scheme holds this closure
 
         def solve(rhs: np.ndarray) -> np.ndarray:
             b = rhs.T.copy().reshape(-1)
@@ -276,7 +304,7 @@ class _Split:
 
         return solve
 
-    def solve_z(self, rhs: np.ndarray, dt: float, theta: float, lin_tol: float) -> np.ndarray:
+    def solve_z(self, rhs: np.ndarray, dt: float, theta: float) -> np.ndarray:
         """(I - theta*dt*A2)^-1 rhs along every x-row, as one matrix product.
 
         M = I - theta*dt*A2 is one tridiagonal system for all rows, so its
@@ -293,52 +321,29 @@ class _Split:
             m = (np.append(-c * np.diagonal(a, 1), 0.0), 1.0 - c * np.diagonal(a),
                  np.insert(-c * np.diagonal(a, -1), 0, 0.0))
             inv_t = tridiag_inverse_t(*m, "z-stage inverse")
-            check_tridiag_residual(*m, inv_t, np.eye(self.grid.n_z), lin_tol,
+            check_tridiag_residual(*m, inv_t, np.eye(self.grid.n_z), self.lin_tol,
                                    "z-stage inverse")
             self._z[c] = (inv_t, m)
         inv_t, m = self._z[c]
         x = rhs @ inv_t
-        check_tridiag_residual(*m, x, rhs, lin_tol, "z-stage")
+        check_tridiag_residual(*m, x, rhs, self.lin_tol, "z-stage")
         return x
 
-
-class _Fields:
-    """The stencil fields of one surface that a 2D step reads, each computed on
-    first use; ``select`` hands them to the solves from that surface."""
-
-    def __init__(self, split: _Split, w: np.ndarray):
-        self.split, self.w = split, w
-
-    @cached_property
-    def lxx(self) -> np.ndarray:
-        return lxx_values(self.w, self.split.grid)
-
-    @cached_property
-    def lxz(self) -> np.ndarray:
-        return lxz_values(self.w, self.split.grid)
-
-    @cached_property
-    def a2(self) -> np.ndarray:
-        return self.split.a2(self.w)
-
-
-def _scheme(split: _Split, config: SolverConfig):
-    """The (select, solve) pair of the 2D equation; ``solve`` is one Craig-Sneyd step."""
-    params, tol = split.params, config.lin_tol
-    geps = config.resolve_gamma_eps(params)
-
-    def select(w: np.ndarray):
-        f = _Fields(split, w)
+    def select(self, w: np.ndarray):
+        """(q, fields): the optimal control on the surface ``w``, and w's fields it read."""
+        f = _Fields(self, w)
         # at rho*sqrt(delta) = 0 the cross field is multiplied by zero
-        return select_q(f.lxx, f.lxz if split.c0 != 0.0 else 0.0, params, geps), f
+        return select_q(f.lxx, f.lxz if self.c0 != 0.0 else 0.0, self.params,
+                        self.gamma_eps), f
 
-    def solve(q: np.ndarray, f: _Fields, dt: float, theta: float) -> np.ndarray:
-        # A0 and A2 of w_next = f.w, as _Split.a0 and _Split.a2 from its fields
-        a0_next = split.c0 * q * f.lxz if split.has_a0 else None
-        a2_next = f.a2 if split.has_a2 else None
+    def solve(self, q: np.ndarray, f: _Fields, dt: float, theta: float) -> np.ndarray:
+        """One Craig-Sneyd step with the control q from the surface w_next = f.w."""
+        # A0 and A2 of w_next, as a0 and a2 from its fields
+        a0_next = self.c0 * q * f.lxz if self.has_a0 else None
+        a2_next = f.a2 if self.has_a2 else None
         # one factor of the x-system and U + (1-theta)*dt*A1 U serve both
         # Craig-Sneyd stages
-        solve_x = split.x_solver(q, theta * dt, tol)
+        solve_x = self.x_solver(q, theta * dt)
         rhs_x = f.w + (1.0 - theta) * dt * (0.5 * q * q * f.lxx)
 
         def stages(explicit):
@@ -346,7 +351,7 @@ def _scheme(split: _Split, config: SolverConfig):
             if a2_next is None:
                 return y
             y -= theta * dt * a2_next
-            return split.solve_z(y, dt, theta, tol)
+            return self.solve_z(y, dt, theta)
 
         if a0_next is None:
             return stages(a2_next)
@@ -354,23 +359,66 @@ def _scheme(split: _Split, config: SolverConfig):
         y = stages(explicit)
         # correction: the cross term re-evaluated at the predicted level, with
         # weight theta (1/2, Craig-Sneyd's own, after the Rannacher start)
-        explicit = explicit + theta * (split.a0(q, y) - a0_next)
+        explicit = explicit + theta * (self.a0(q, y) - a0_next)
         del y, a0_next
         return stages(explicit)
 
-    return select, solve
+    def step(self, w_next: np.ndarray, dt: float, theta: float):
+        """One predictor-corrector (sub-)step; returns (w_new, q). Each solve is from w_next."""
+        q, fields = self.select(w_next)
+        w_new = self.solve(q, fields, dt, theta)
+        for _ in range(self.config.corrector_passes):
+            q_new = self.select(theta * w_new + (1.0 - theta) * w_next)[0]
+            if np.array_equal(q_new, q):
+                break  # same control, same linear system: solution already exact
+            q, w_new = q_new, None  # the last solution goes before the next is made
+            w_new = self.solve(q, fields, dt, theta)
+        return w_new, q
+
+    def march(self, payoff: PayoffSpec,
+              after_substep: Optional[Callable] = None) -> Surface:
+        """The payoff's terminal surface stepped back to t = 0; ``after_substep``
+        as in ``solve_pdelta``."""
+        grid, config = self.grid, self.config
+        # w holds the only reference to the terminal values, and drops it
+        # after the first step
+        w = terminal_surface(payoff, grid).values
+        dt = grid.dt(self.params.T)
+        for n in range(grid.n_t - 1, -1, -1):
+            if n == grid.n_t - 1 and config.rannacher_steps > 0:
+                substeps, theta = config.rannacher_steps, 1.0
+            else:
+                substeps, theta = 1, config.cn_weight
+            dt_sub = dt / substeps
+            try:
+                for _ in range(substeps):
+                    w_new, q = self.step(w, dt_sub, theta)
+                    if after_substep is not None:
+                        after_substep(n, q, w_new, w, dt_sub, theta)
+                    w, q = w_new, None  # the control goes before the next step selects one
+            except LinearSolveError as exc:
+                raise SolverError(f"backward step into time level {n} failed: {exc}") from exc
+        return Surface(w, grid)
 
 
-def _march(split: _Split, payoff: PayoffSpec, config: SolverConfig,
-           after_substep: Optional[Callable]) -> Surface:
-    """The payoff's terminal surface marched back to t = 0 by ``_scheme`` on
-    ``split``; ``after_substep`` as in ``stepping.march``."""
-    select, solve = _scheme(split, config)
-    # march holds the only reference to the terminal values, and drops it
-    # after the first step
-    w = march(terminal_surface(payoff, split.grid).values, split.grid, split.params.T,
-              config, select, solve, after_substep=after_substep)
-    return Surface(w, split.grid)
+class _Fields:
+    """The stencil fields of one surface that a 2D step reads, each computed on
+    first use; ``select`` hands them to the solves from that surface."""
+
+    def __init__(self, scheme: _Scheme, w: np.ndarray):
+        self.scheme, self.w = scheme, w
+
+    @cached_property
+    def lxx(self) -> np.ndarray:
+        return lxx_values(self.w, self.scheme.grid)
+
+    @cached_property
+    def lxz(self) -> np.ndarray:
+        return lxz_values(self.w, self.scheme.grid)
+
+    @cached_property
+    def a2(self) -> np.ndarray:
+        return self.scheme.a2(self.w)
 
 
 def solve_pdelta(payoff: PayoffSpec, params: ModelParams, grid: GridSpec,
@@ -379,28 +427,11 @@ def solve_pdelta(payoff: PayoffSpec, params: ModelParams, grid: GridSpec,
     """The 2D worst-case price at t = 0, by a full backward sweep.
 
     A caller that needs the controls records them through
-    ``after_substep(n, q, w_new, w_next, dt, theta)``, as in
-    ``stepping.march``, which follows every sub-step into time level n; the
-    CLI counts the control's interior nodes there, and its control export
-    records q.
+    ``after_substep(n, q, w_new, w_next, dt, theta)``, which follows every
+    sub-step into time level n; the CLI counts the control's interior
+    nodes there, and its control export records q.
     """
-    return _march(_Split(params, grid), payoff, config or SolverConfig(), after_substep)
-
-
-def _p1_step(split: _Split, lin_tol: float, v_next, q, u_new, u_next, dt: float,
-             theta: float, tau: float) -> np.ndarray:
-    """One P1 sub-step after the P0 sub-step from u_next to u_new on ``split``
-    (delta = 0), with its control q; it reuses that sub-step's x-system
-    factor (same q, theta*dt). tau is the time to maturity at the sub-step's
-    theta-average."""
-    grid = split.grid
-    x = grid.x_nodes()[:, None]
-    # dt * rho*q*x*z*d_xz P0, with z*d_z P0 = tau*(u_new - u_next)/dt
-    source = split.params.rho * tau * q * x * dx_values(u_new - u_next, grid)
-    source[0, :] = 0.0   # x-boundary rows evolve as identity
-    source[-1, :] = 0.0
-    rhs = v_next + (1.0 - theta) * dt * split.a1(q, v_next) + source
-    return split.x_solver(q, theta * dt, lin_tol)(rhs)
+    return _Scheme(params, grid, config).march(payoff, after_substep)
 
 
 def solve_p0p1(payoff: PayoffSpec, params: ModelParams, grid: GridSpec,
@@ -413,16 +444,24 @@ def solve_p0p1(payoff: PayoffSpec, params: ModelParams, grid: GridSpec,
     of its sub-steps follows the P0 sub-step it takes its control and
     x-system factor from.
     """
-    config = config or SolverConfig()
-    split = _Split(params.replace(delta=0.0), grid)
+    scheme = _Scheme(params.replace(delta=0.0), grid, config)
+    x = grid.x_nodes()[:, None]
     v = np.zeros((grid.n_x, grid.n_z))
     elapsed = 0.0  # T - t at the known level of the next sub-step
 
     def p1_step(n, q, u_new, u_next, dt, theta):
+        # one P1 sub-step after the P0 sub-step from u_next to u_new, with its
+        # control q, so on that sub-step's x-system factor (same q, theta*dt);
+        # dt * rho*q*x*z*d_xz P0, with z*d_z P0 = tau*(u_new - u_next)/dt and
+        # tau the time to maturity at the sub-step's theta-average
         nonlocal v, elapsed
-        v = _p1_step(split, config.lin_tol, v, q, u_new, u_next, dt, theta,
-                     elapsed + theta * dt)
+        tau = elapsed + theta * dt
+        source = params.rho * tau * q * x * dx_values(u_new - u_next, grid)
+        source[0, :] = 0.0   # x-boundary rows evolve as identity
+        source[-1, :] = 0.0
+        rhs = v + (1.0 - theta) * dt * scheme.a1(q, v) + source
+        v = scheme.x_solver(q, theta * dt)(rhs)
         elapsed += dt
 
-    p0 = _march(split, payoff, config, p1_step)  # steps v to t = 0 along the way
+    p0 = scheme.march(payoff, p1_step)  # steps v to t = 0 along the way
     return p0, Surface(v, grid)

@@ -9,7 +9,7 @@ Not collected by pytest (no ``test_`` prefix); test modules import it as
   step differs from it by O(dt^2).
 * ``lu_x_solver``: the x-stage's systems I - c*A1(q), one per variance
   slice, unscaled and solved by banded LU (``scipy.linalg.solve_banded``)
-  from the split's ``k``; the package solves them in their symmetric
+  from the scheme's ``k``; the package solves them in their symmetric
   scaled form.
 * ``brownian_increments``: one step's correlated shocks for all paths in
   a single draw, the unchunked form of what the Monte Carlo path kernel
@@ -25,6 +25,8 @@ Not collected by pytest (no ``test_`` prefix); test modules import it as
 * ``pdelta_with_controls``: a 2D solve's price at t = 0 and its per-level
   control history, recorded through ``solve_pdelta``'s ``after_substep``;
   the solver returns only the price.
+* ``sqrt_delta_derivative``: D1 = (P^delta - P0)/sqrt(delta), from two 2D
+  solves; P1 is the limit the paper's expansion gives it as delta -> 0.
 * ``nearest_node_control``: a 2D solve's control field as the reference
   simulator's ``(t, x, z) -> q`` callable, read at the nearest grid node.
   The package's path kernel takes constant controls only.
@@ -69,18 +71,18 @@ from uvbounds.csvio import fmt
 from uvbounds.linsolve import LinearSolveError, _check_residual
 from uvbounds.montecarlo import _correlate, _stream
 from uvbounds.payoff import PayoffSpec
-from uvbounds.solver_pdelta import _Split, solve_pdelta
+from uvbounds.solver_pdelta import _Scheme, solve_pdelta
 from uvbounds.stencils import deadband
 
 
-def generator_matrix(split: _Split, q: np.ndarray):
+def generator_matrix(scheme: _Scheme, q: np.ndarray):
     """A(q) = A0 + A1 + A2 as a sparse matrix on the row-major flattened grid.
 
     Probed from the values-form operators with nine colours (i mod 3,
     j mod 3): each output node's 3x3 footprint meets exactly one node of
     each colour, so every probe yields one matrix column per node.
     """
-    grid = split.grid
+    grid = scheme.grid
     n = grid.n_x * grid.n_z
     i = np.arange(grid.n_x)[:, None]
     j = np.arange(grid.n_z)[None, :]
@@ -90,7 +92,7 @@ def generator_matrix(split: _Split, q: np.ndarray):
         for cj in range(3):
             probe = np.zeros((grid.n_x, grid.n_z))
             probe[ci::3, cj::3] = 1.0
-            y = split.a0(q, probe) + split.a1(q, probe) + split.a2(probe)
+            y = scheme.a0(q, probe) + scheme.a1(q, probe) + scheme.a2(probe)
             # the node of this colour in {i-1, i, i+1} x {j-1, j, j+1}
             col = (i + (ci - i + 1) % 3 - 1) * grid.n_z + (j + (cj - j + 1) % 3 - 1)
             hit = y != 0.0
@@ -101,17 +103,19 @@ def generator_matrix(split: _Split, q: np.ndarray):
                          shape=(n, n))
 
 
-def lu_solve(params: ModelParams, grid: GridSpec, lin_tol: float):
-    """Reference implicit step: the unsplit weighted system, by sparse LU.
+def lu_solve(scheme: _Scheme):
+    """Reference implicit step: the unsplit weighted system of ``scheme``'s
+    generator, by sparse LU, with its ``lin_tol``.
 
-    A drop-in for the Craig-Sneyd ``solve`` of ``solver_pdelta._scheme``,
-    so tests can march both and bound the splitting error. Of the fields
-    ``select`` hands it, it reads only the surface w_next, ``fields.w``.
+    A drop-in for ``_Scheme.solve``: assigned as ``scheme.solve``, it makes
+    the scheme march by it, so tests can march both and bound the splitting
+    error. Of the fields ``select`` hands it, it reads only the surface
+    w_next, ``fields.w``.
     """
-    split = _Split(params, grid)
+    lin_tol = scheme.lin_tol
 
     def solve(q: np.ndarray, fields, dt: float, theta: float) -> np.ndarray:
-        gen = generator_matrix(split, q)
+        gen = generator_matrix(scheme, q)
         w_next = fields.w
         flat = w_next.ravel()
         rhs = flat + (1.0 - theta) * dt * (gen @ flat)
@@ -126,15 +130,15 @@ def lu_solve(params: ModelParams, grid: GridSpec, lin_tol: float):
     return solve
 
 
-def lu_x_solver(split: _Split, q: np.ndarray, c: float, lin_tol: float):
-    """A drop-in for ``_Split.x_solver``: rhs -> (I - c*A1(q))^-1 rhs by banded LU.
+def lu_x_solver(scheme: _Scheme, q: np.ndarray, c: float):
+    """A drop-in for ``_Scheme.x_solver``: rhs -> (I - c*A1(q))^-1 rhs by banded LU.
 
     Row i of I - c*A1(q) is (-c*a, 1 + 2*c*a, -c*a) with a = 0.5*q^2*k, on
     the flat grid slice after slice; k is zero at the ends of every slice,
     so no row couples two slices.
     """
-    n_x, n_z = split.grid.n_x, split.grid.n_z
-    nca = -c * 0.5 * (q * q).T.ravel() * split.k
+    n_x, n_z, lin_tol = scheme.grid.n_x, scheme.grid.n_z, scheme.lin_tol
+    nca = -c * 0.5 * (q * q).T.ravel() * scheme.k
     ab = np.zeros((3, nca.size))
     ab[0, 1:] = nca[:-1]  # row i's coupling to i + 1, by the column it sits in
     ab[1] = 1.0 - 2.0 * nca
@@ -252,6 +256,16 @@ def pdelta_with_controls(payoff: PayoffSpec, params: ModelParams, grid: GridSpec
     return p_delta, q_hist
 
 
+def sqrt_delta_derivative(payoff: PayoffSpec, params: ModelParams, grid: GridSpec,
+                          config: SolverConfig | None, delta: float) -> np.ndarray:
+    """D1 = (P^delta - P0)/sqrt(delta) at t = 0, both by ``solve_pdelta``,
+    P0 at delta = 0: the difference quotient of the 2D price in sqrt(delta)
+    at 0, which tends to the scheme's first-order term as delta -> 0."""
+    p0 = solve_pdelta(payoff, params.replace(delta=0.0), grid, config).values
+    p_delta = solve_pdelta(payoff, params.replace(delta=delta), grid, config).values
+    return (p_delta - p0) / np.sqrt(delta)
+
+
 def nearest_node_control(q_hist: np.ndarray, grid: GridSpec, T: float):
     """The control ``q_hist[n]`` of time step [t_n, t_n+1), read at the
     grid node nearest to each path's (x, z); off-grid states are clamped.
@@ -272,9 +286,11 @@ def nearest_node_control(q_hist: np.ndarray, grid: GridSpec, T: float):
 def select_q_node(lxx: float, lxz: float, params: ModelParams, gamma_eps: float) -> float:
     """The control at one node, by branches: the better endpoint, ties to u,
     unless the quadratic is concave and its stationary point in [d, u]
-    is strictly better than both endpoints."""
+    is strictly better than both endpoints. Both coefficients,
+    a = lxx and b = rho*sqrt(delta)*lxz, are zero below the deadband."""
     a = 0.0 if abs(lxx) < gamma_eps else lxx
-    b = params.rho * math.sqrt(params.delta) * (0.0 if abs(lxz) < gamma_eps else lxz)
+    b = params.rho * math.sqrt(params.delta) * lxz
+    b = 0.0 if abs(b) < gamma_eps else b
     d, u = params.d, params.u
     f_u = 0.5 * u * u * a + u * b
     f_d = 0.5 * d * d * a + d * b

@@ -360,13 +360,13 @@ def test_nan_in_a2_exits_3_at_the_z_inverse_check(tmp_path, cfg, monkeypatch):
     # built there is the first thing to meet it; a linear solve's failure is
     # a solver failure, the one error type that exits 3
     assert issubclass(linsolve.LinearSolveError, SolverError)
-    solve_z = solver_pdelta._Split.solve_z
+    solve_z = solver_pdelta._Scheme.solve_z
 
-    def poisoned(split, *args):
-        split.a2_t[3, 2] = np.nan
-        return solve_z(split, *args)
+    def poisoned(scheme, *args):
+        scheme.a2_t[3, 2] = np.nan
+        return solve_z(scheme, *args)
 
-    monkeypatch.setattr(solver_pdelta._Split, "solve_z", poisoned)
+    monkeypatch.setattr(solver_pdelta._Scheme, "solve_z", poisoned)
     out = tmp_path / "o"
     assert run(["solve-pdelta", "--config", cfg, "--out", str(out)]) == 3
     record = strict_json(out / "error.json")
@@ -380,7 +380,7 @@ def test_tiny_z_min_solves_as_the_lu_x_stage(tmp_path, monkeypatch):
     argv = ["solve-pdelta", "--config", str(PAPER_CFG), "--set", "grid.z_min=1e-310",
             "--set", "grid.n_x=30", "--set", "grid.n_z=10"]
     assert run(argv + ["--out", str(tmp_path / "spd")]) == 0
-    monkeypatch.setattr(solver_pdelta._Split, "x_solver", lu_x_solver)
+    monkeypatch.setattr(solver_pdelta._Scheme, "x_solver", lu_x_solver)
     assert run(argv + ["--out", str(tmp_path / "lu")]) == 0
     got, want = (np.array(read_csv(tmp_path / side / "pdelta_surface.csv")[1], float)
                  for side in ("spd", "lu"))
@@ -706,8 +706,7 @@ def test_solves_need_only_the_ldlt_routines(tmp_path):
 # -- each process imports only the stack its command runs ----------------------
 
 def test_monte_carlo_commands_load_no_scipy_and_no_pde_stack(tmp_path):
-    pde = ("uvbounds.solver_pdelta", "uvbounds.stencils", "uvbounds.stepping",
-           "uvbounds.analysis")
+    pde = ("uvbounds.solver_pdelta", "uvbounds.stencils", "uvbounds.analysis")
     runs = [[command, "--config", str(PAPER_CFG), "--set", "mc.n_steps=5",
              "--set", "mc.n_paths=200", "--set", "mc.n_bound_paths=3",
              "--out", str(tmp_path / command)]

@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 from uvbounds import linsolve
-from uvbounds.core import GridSpec, ModelParams, SolverConfig
+from uvbounds.core import GridSpec, ModelParams
 from uvbounds.linsolve import LinearSolveError
-from uvbounds.solver_pdelta import _Fields, _scheme, _Split
+from uvbounds.solver_pdelta import _Fields, _Scheme
 from reference import generator_matrix, lu_solve
 
 
@@ -82,8 +82,9 @@ def _reference(n_x=12, n_z=9, seed=0, params=PARAMS):
     as ``solve(q, w_next, dt, theta)``."""
     grid = GridSpec(0, 200, n_x, 0, 0.12, n_z, 4)
     q = np.random.default_rng(seed).uniform(params.d, params.u, size=(n_x, n_z))
-    split, lu = _Split(params, grid), lu_solve(params, grid, 1e-10)
-    return grid, q, lambda q, w, dt, theta: lu(q, _Fields(split, w), dt, theta)
+    scheme = _Scheme(params, grid)
+    lu = lu_solve(scheme)
+    return grid, q, lambda q, w, dt, theta: lu(q, _Fields(scheme, w), dt, theta)
 
 
 def test_banded_identity():
@@ -96,10 +97,10 @@ def test_banded_identity():
 def test_banded_manufactured_solution():
     # fully implicit: (I - dt*A) w_true, with A applied in values form, solves back
     grid, q, solve = _reference()
-    split = _Split(PARAMS, grid)
+    scheme = _Scheme(PARAMS, grid)
     w_true = np.random.default_rng(5).standard_normal(q.shape)
     dt = grid.dt(PARAMS.T)
-    a_w = split.a0(q, w_true) + split.a1(q, w_true) + split.a2(w_true)
+    a_w = scheme.a0(q, w_true) + scheme.a1(q, w_true) + scheme.a2(w_true)
     w = solve(q, w_true - dt * a_w, dt, 1.0)
     assert np.max(np.abs(w - w_true)) <= 1e-8
 
@@ -110,8 +111,8 @@ def test_banded_block_diagonal_matches_tridiag():
     grid, q, solve = _reference(n_x=10, n_z=4, seed=9, params=p)
     w = np.random.default_rng(9).standard_normal(q.shape)
     dt = grid.dt(p.T)
-    select, x_stage = _scheme(_Split(p, grid), SolverConfig(lin_tol=1e-10))
-    want = x_stage(q, select(w)[1], dt, 0.5)
+    scheme = _Scheme(p, grid)
+    want = scheme.solve(q, scheme.select(w)[1], dt, 0.5)
     np.testing.assert_allclose(solve(q, w, dt, 0.5), want, atol=1e-9)
 
 
@@ -120,8 +121,9 @@ def test_singular_banded_raises():
     # (0.125, -0.25, 0.125), so at theta*dt = -4 the middle column of
     # I - theta*dt*A is zero
     grid = GridSpec(0, 2, 3, 0.25, 0.25, 1, 1)
-    solve = lu_solve(PARAMS, grid, 1e-10)
-    fields = _Fields(_Split(PARAMS, grid), np.ones((3, 1)))
+    scheme = _Scheme(PARAMS, grid)
+    solve = lu_solve(scheme)
+    fields = _Fields(scheme, np.ones((3, 1)))
     with pytest.raises(LinearSolveError):
         solve(np.ones((3, 1)), fields, -4.0, 1.0)
 
@@ -136,5 +138,5 @@ def test_banded_validate_finds_nonfinite():
 
 def test_production_matrix_has_nine_point_footprint():
     grid, q, _ = _reference()
-    a = generator_matrix(_Split(PARAMS, grid), q)
+    a = generator_matrix(_Scheme(PARAMS, grid), q)
     assert np.diff(a.indptr).max() <= 9

@@ -163,6 +163,24 @@ def test_bitwise_reproducibility():
     assert not np.array_equal(a[1], c[1])
 
 
+@pytest.mark.parametrize("lam", [4.0, 0.25])
+def test_time_change_symmetry_of_the_paths(lam):
+    # z -> lam*z, theta -> lam*theta, kappa -> kappa/lam, delta -> lam^2*delta
+    # and T -> T/lam scale the variance paths by lam and leave the asset's.
+    # At lam = 4^k, sqrt(dt) scales by a power of two too, so the checks are
+    # bit for bit; at lam = 2 they differ by rounding (1e-15 relative)
+    deltas, controls = [0.0025, 0.005, 0.01, 0.02], [PARAMS.d, PARAMS.u]
+    scaled = PARAMS.replace(z0=lam * PARAMS.z0, theta=lam * PARAMS.theta,
+                            kappa=PARAMS.kappa / lam, T=PARAMS.T / lam)
+    base = _terminal_gap_sq(PARAMS, deltas, controls, 40, 5000, seed=7)
+    got = _terminal_gap_sq(scaled, [lam * lam * d for d in deltas], controls, 40, 5000, seed=7)
+    for a, b in zip(got, base):
+        assert a.tobytes() == b.tobytes()
+    z = simulate_cir(PARAMS, 40, 5000, seed=7)
+    z_scaled = simulate_cir(scaled.replace(delta=lam * lam * PARAMS.delta), 40, 5000, seed=7)
+    assert z_scaled.tobytes() == (lam * z).tobytes()
+
+
 def test_increments_pure_in_seed_step_path():
     dw1, dwz1 = brownian_increments(9, 4, 64, -0.9, 0.01)
     dw2, dwz2 = brownian_increments(9, 4, 64, -0.9, 0.01)

@@ -3,11 +3,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from uvbounds import solver_pdelta, stepping
+from uvbounds import solver_pdelta
 from uvbounds.blackscholes import bs_call, bs_payoff_price
 from uvbounds.core import GridSpec, ModelParams, SolverConfig, SolverError
 from uvbounds.payoff import PayoffSpec, evaluate, terminal_surface
-from uvbounds.solver_pdelta import _p1_step, _scheme, _Split, solve_p0p1
+from uvbounds.solver_pdelta import _Scheme, solve_p0p1
 from reference import heston_call, pdelta_with_controls, slow_scale_p1_call, worst_case_call
 
 PARAMS = ModelParams(x0=100, z0=0.04, T=0.25, r=0, d=0.75, u=1.25,
@@ -18,10 +18,11 @@ BF = PayoffSpec.butterfly(90, 100, 110)
 
 
 def predictor(term, params, grid, config=SolverConfig()):
-    """The predictor of one trapezoidal step: the shared step, no corrector pass."""
-    select, solve = _scheme(_Split(params.replace(delta=0.0), grid), config)
-    return stepping.step(term.values, select, solve, grid.dt(params.T),
-                         config.cn_weight, 0)
+    """The predictor of one trapezoidal step, (w_new, q): the step with no
+    corrector pass, a select and a solve."""
+    scheme = _Scheme(params.replace(delta=0.0), grid, config)
+    q, fields = scheme.select(term.values)
+    return scheme.solve(q, fields, grid.dt(params.T), config.cn_weight), q
 
 
 def window(grid, lo=60.0, hi=140.0):
@@ -62,11 +63,13 @@ def test_corrector_idempotent_when_control_unchanged():
     dt, theta = SMALL.dt(PARAMS.T), cfg.cn_weight
     prov, q_pred = predictor(term, PARAMS, SMALL, cfg)
     working = theta * prov + (1.0 - theta) * term.values
-    select, solve = _scheme(_Split(PARAMS.replace(delta=0.0), SMALL), cfg)
-    q_corr, _ = select(working)
+    scheme = _Scheme(PARAMS.replace(delta=0.0), SMALL, cfg)
+    q_corr, _ = scheme.select(working)
     np.testing.assert_array_equal(q_pred, q_corr)
-    np.testing.assert_array_equal(solve(q_corr, select(term.values)[1], dt, theta), prov)
-    corr, q_step = stepping.step(term.values, select, solve, dt, theta, 1)
+    np.testing.assert_array_equal(
+        scheme.solve(q_corr, scheme.select(term.values)[1], dt, theta), prov)
+    assert cfg.corrector_passes == 1
+    corr, q_step = scheme.step(term.values, dt, theta)
     np.testing.assert_array_equal(q_step, q_pred)
     np.testing.assert_array_equal(corr, prov)
 
@@ -316,36 +319,27 @@ def test_solve_failure_carries_time_level_context():
 def test_p1_step_reuses_the_p0_factor(monkeypatch):
     # one x-system factor per P0 solve; every P1 step reuses the last one
     n_factors, n_solves = [0], [0]
-    factor, scheme = solver_pdelta.spd_tridiag_solver, solver_pdelta._scheme
+    factor, solve = solver_pdelta.spd_tridiag_solver, _Scheme.solve
 
     def counting_factor(*args):
         n_factors[0] += 1
         return factor(*args)
 
-    def counting_scheme(*args, **kwargs):
-        select, solve = scheme(*args, **kwargs)
-
-        def counted(*a):
-            n_solves[0] += 1
-            return solve(*a)
-        return select, counted
+    def counting_solve(*args):
+        n_solves[0] += 1
+        return solve(*args)
 
     monkeypatch.setattr(solver_pdelta, "spd_tridiag_solver", counting_factor)
-    monkeypatch.setattr(solver_pdelta, "_scheme", counting_scheme)
+    monkeypatch.setattr(_Scheme, "solve", counting_solve)
     solve_p0p1(BF, PARAMS, SMALL)
     assert n_factors[0] == n_solves[0] >= SMALL.n_t
 
 
 def test_step_p1_zero_source_keeps_zero():
-    params = PARAMS.replace(rho=0.0)
-    cfg = SolverConfig()
-    term_p0 = terminal_surface(BF, SMALL)
-    prov, q = predictor(term_p0, params, SMALL, cfg)
-    split = _Split(params.replace(delta=0.0), SMALL)
-    dt = SMALL.dt(params.T)
-    out = _p1_step(split, cfg.lin_tol, np.zeros((SMALL.n_x, SMALL.n_z)), q, prov,
-                   term_p0.values, dt, cfg.cn_weight, cfg.cn_weight * dt)
-    assert np.all(out == 0.0)
+    # at rho = 0 the source is zero, so P1 stays bitwise zero, +0.0 included,
+    # from its zero terminal level through every sub-step
+    _, p1 = solve_p0p1(BF, PARAMS.replace(rho=0.0), SMALL)
+    assert p1.values.tobytes() == np.zeros((SMALL.n_x, SMALL.n_z)).tobytes()
 
 
 # -- independent dense reference for the correction sign ----------------------

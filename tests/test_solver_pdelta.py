@@ -6,17 +6,18 @@ import pytest
 import scipy.linalg as sla
 from hypothesis import given, settings, strategies as hst
 
-from uvbounds import linsolve, solver_pdelta, stepping
+from uvbounds import linsolve, solver_pdelta
 from uvbounds.blackscholes import bs_call
 from uvbounds.core import GridSpec, ModelParams, SolverConfig, SolverError
 from uvbounds.linsolve import LinearSolveError
 from uvbounds.payoff import PayoffSpec, terminal_surface
-from uvbounds.solver_pdelta import (TAG_A, TAG_B, TAG_C, _scheme, _Split, candidate_tags,
-                                    select_q, solve_p0p1, solve_pdelta)
+from uvbounds.solver_pdelta import (TAG_A, TAG_B, TAG_C, _Scheme, candidate_tags, select_q,
+                                    solve_p0p1, solve_pdelta)
 from uvbounds.stencils import deadband, lxx_values, lxz_values
 from reference import (
     exponent_sum_terminals, generator_matrix, lu_solve, lu_x_solver,
-    nearest_node_control, pdelta_with_controls, select_q_node, worst_case_call,
+    nearest_node_control, pdelta_with_controls, select_q_node, sqrt_delta_derivative,
+    worst_case_call,
 )
 
 PARAMS = ModelParams(x0=100, z0=0.04, T=0.25, r=0, d=0.75, u=1.25,
@@ -109,7 +110,7 @@ def test_select_q_attains_the_sup_over_the_band(rho, delta):
     q = select_q(lxx, lxz, p, GEPS)
 
     a = np.where(np.abs(lxx) < GEPS, 0.0, lxx)
-    b = c0 * np.where(np.abs(lxz) < GEPS, 0.0, lxz)
+    b = np.where(np.abs(c0 * lxz) < GEPS, 0.0, c0 * lxz)
 
     def f(x):
         return 0.5 * x * x * a + x * b
@@ -124,14 +125,15 @@ def test_select_q_attains_the_sup_over_the_band(rho, delta):
 
 def test_select_q_vectorized_matches_scalar():
     # random fields, then the rule's edge cases: a = 0 with b != 0, a = -eps
-    # exactly, a inside the deadband, b = 0 (also with a = 0), a convex and
-    # a concave node whose b*b overflows, and, where rho*sqrt(delta) = -1/4
-    # is exact, q_hat exactly at d and at u
+    # exactly, a inside the deadband, b = 0 (also with a = 0), lxz beyond the
+    # deadband with b = rho*sqrt(delta)*lxz inside it, a convex and a concave
+    # node whose b*b overflows, and, where rho*sqrt(delta) = -1/4 is exact,
+    # q_hat exactly at d and at u
     rng = np.random.default_rng(0)
     b_eps = GEPS / (PARAMS.rho * np.sqrt(PARAMS.delta))  # b = eps: q_hat = 1 at a = -eps
     edges = [(0.0, 3.0), (0.0, -3.0), (-GEPS, b_eps), (-GEPS, -b_eps),
              (-0.5 * GEPS, 3.0), (0.5 * GEPS, -3.0), (-np.nextafter(GEPS, 0), b_eps),
-             (-2.0, 0.0), (2.0, 0.0), (0.0, 0.0), (-2.0, 0.5 * GEPS),
+             (-2.0, 0.0), (2.0, 0.0), (0.0, 0.0), (-2.0, 0.5 * GEPS), (0.0, 2.0 * GEPS),
              (1.5, 1e200), (-1.5, 1e200), (-1.0, -3.0), (-1.0, -5.0), (-2.0, -10.0)]
     exact = PARAMS.replace(rho=-0.5, delta=0.25)
     for params in (PARAMS, exact):
@@ -158,8 +160,7 @@ def test_select_skips_cross_field_where_its_coefficient_is_zero(params):
     # the scheme's select leaves out lxz when rho*sqrt(delta) = 0; the control
     # is that of select_q fed the computed field, and the fields are w's
     w = np.random.default_rng(29).standard_normal((SMALL.n_x, SMALL.n_z))
-    select, _ = _scheme(_Split(params, SMALL), SolverConfig())
-    q, fields = select(w)
+    q, fields = _Scheme(params, SMALL).select(w)
     geps = SolverConfig().resolve_gamma_eps(params)
     q_ref = select_q(lxx_values(w, SMALL), lxz_values(w, SMALL), params, geps)
     np.testing.assert_array_equal(q, q_ref)
@@ -200,10 +201,9 @@ def test_single_slice_grid_reduces_to_frozen_band_problem():
     p0, _ = solve_p0p1(BF, PARAMS, grid)
     np.testing.assert_array_equal(full.values, p0.values)
     # so does the LU reference step, built by probing on one z-node
-    cfg = SolverConfig()
-    select, _ = _scheme(_Split(PARAMS, grid), cfg)
-    w_lu = stepping.march(terminal_surface(BF, grid).values, grid, PARAMS.T, cfg, select,
-                          lu_solve(PARAMS, grid, cfg.lin_tol))
+    scheme = _Scheme(PARAMS, grid)
+    scheme.solve = lu_solve(scheme)
+    w_lu = scheme.march(BF).values
     np.testing.assert_allclose(w_lu, p0.values, rtol=0, atol=1e-12)
 
 
@@ -233,7 +233,7 @@ def test_generator_matches_dense_operator_composition(grid):
     rng = np.random.default_rng(17)
     w = rng.standard_normal((grid.n_x, grid.n_z))
     q = rng.uniform(PARAMS.d, PARAMS.u, size=(grid.n_x, grid.n_z))
-    gen = generator_matrix(_Split(PARAMS, grid), q)
+    gen = generator_matrix(_Scheme(PARAMS, grid), q)
     via_matrix = (gen @ w.ravel()).reshape(w.shape)
 
     x = grid.x_nodes()[:, None]
@@ -252,28 +252,28 @@ def test_split_parts_sum_to_generator():
     rng = np.random.default_rng(23)
     w = rng.standard_normal((SMALL.n_x, SMALL.n_z))
     q = rng.uniform(PARAMS.d, PARAMS.u, size=w.shape)
-    split = _Split(PARAMS, SMALL)
-    parts = split.a0(q, w) + split.a1(q, w) + split.a2(w)
-    whole = (generator_matrix(split, q) @ w.ravel()).reshape(w.shape)
+    scheme = _Scheme(PARAMS, SMALL)
+    parts = scheme.a0(q, w) + scheme.a1(q, w) + scheme.a2(w)
+    whole = (generator_matrix(scheme, q) @ w.ravel()).reshape(w.shape)
     assert np.max(np.abs(parts - whole)) <= 1e-12 * np.max(np.abs(whole))
     # the z-stage inverts I - c*A2 with the same A2
     c = 0.01
-    y = split.solve_z(w, c, 1.0, 1e-10)
-    np.testing.assert_allclose(y - c * split.a2(y), w, rtol=0, atol=1e-12)
+    y = scheme.solve_z(w, c, 1.0)
+    np.testing.assert_allclose(y - c * scheme.a2(y), w, rtol=0, atol=1e-12)
     # the x-stage's probed k makes A1 = 0.5*q^2*k*(w[i+1] + w[i-1] - 2*w[i]),
     # zero on the boundary rows, and the x-stage inverts I - c*A1
     for grid in PROBE_GRIDS.values():
         w = rng.standard_normal((grid.n_x, grid.n_z))
         q = rng.uniform(PARAMS.d, PARAMS.u, size=w.shape)
-        split = _Split(PARAMS, grid)
-        a1 = split.a1(q, w)
-        k = split.k.reshape(grid.n_z, grid.n_x).T  # flat, slice after slice
+        scheme = _Scheme(PARAMS, grid)
+        a1 = scheme.a1(q, w)
+        k = scheme.k.reshape(grid.n_z, grid.n_x).T  # flat, slice after slice
         np.testing.assert_array_equal(k[[0, -1]], 0.0)
         tri = np.zeros_like(w)
         tri[1:-1] = w[2:] + w[:-2] - 2.0 * w[1:-1]
         assert np.max(np.abs(0.5 * q * q * k * tri - a1)) <= 1e-12 * np.max(np.abs(a1))
-        y = split.x_solver(q, c, 1e-10)(w)
-        np.testing.assert_allclose(y - c * split.a1(q, y), w, rtol=0, atol=1e-12)
+        y = scheme.x_solver(q, c)(w)
+        np.testing.assert_allclose(y - c * scheme.a1(q, y), w, rtol=0, atol=1e-12)
 
 
 # the probe grids, and one whose variance grid starts above zero
@@ -283,9 +283,9 @@ Z_GRIDS = {**PROBE_GRIDS, "12x9, z_min > 0": GridSpec(0, 200, 12, 0.02, 0.12, 9,
 @pytest.mark.parametrize("grid", Z_GRIDS.values(), ids=Z_GRIDS.keys())
 def test_a2_matrix_matches_stencil_form(grid):
     w = np.random.default_rng(29).standard_normal((grid.n_x, grid.n_z))
-    split = _Split(PARAMS, grid)
-    want = split.a2_stencil(w)
-    assert np.max(np.abs(split.a2(w) - want)) <= 1e-14 * np.max(np.abs(want))
+    scheme = _Scheme(PARAMS, grid)
+    want = scheme.a2_stencil(w)
+    assert np.max(np.abs(scheme.a2(w) - want)) <= 1e-14 * np.max(np.abs(want))
 
 
 @pytest.mark.parametrize("theta", [0.5, 1.0])
@@ -295,35 +295,35 @@ def test_dense_z_solve_matches_tridiagonal_batch(grid, theta):
     # of the same system on every x-row, its diagonals read off a2_t = A2^T
     rng = np.random.default_rng(31)
     rhs = rng.standard_normal((grid.n_x, grid.n_z))
-    split = _Split(PARAMS, grid)
+    scheme = _Scheme(PARAMS, grid)
     dt = 0.05
-    a2 = split.a2_t.T
+    a2 = scheme.a2_t.T
     c = theta * dt
     ab = np.zeros((3, grid.n_z))
     ab[0, 1:] = -c * np.diagonal(a2, 1)
     ab[1] = 1.0 - c * np.diagonal(a2)
     ab[2, :-1] = -c * np.diagonal(a2, -1)
     want = sla.solve_banded((1, 1), ab, rhs.T).T
-    got = split.solve_z(rhs, dt, theta, 1e-10)
+    got = scheme.solve_z(rhs, dt, theta)
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 def test_z_stage_residual_check_catches_a_wrong_inverse():
     rhs = np.random.default_rng(37).standard_normal((SMALL.n_x, SMALL.n_z))
-    split = _Split(PARAMS, SMALL)
+    scheme = _Scheme(PARAMS, SMALL)
     dt = SMALL.dt(PARAMS.T)
-    split.solve_z(rhs, dt, 0.5, 1e-10)
-    (inv_t, _), = split._z.values()
+    scheme.solve_z(rhs, dt, 0.5)
+    (inv_t, _), = scheme._z.values()
     inv_t[3, 2] += 1e-6
     with pytest.raises(LinearSolveError, match=r"z-stage: residual \S+ exceeds"):
-        split.solve_z(rhs, dt, 0.5, 1e-10)
+        scheme.solve_z(rhs, dt, 0.5)
 
 
 def test_z_stage_nan_rhs_fails_the_residual_check():
     rhs = np.ones((SMALL.n_x, SMALL.n_z))
     rhs[5, 2] = np.nan
     with pytest.raises(LinearSolveError, match="z-stage: residual nan exceeds"):
-        _Split(PARAMS, SMALL).solve_z(rhs, SMALL.dt(PARAMS.T), 0.5, 1e-10)
+        _Scheme(PARAMS, SMALL).solve_z(rhs, SMALL.dt(PARAMS.T), 0.5)
 
 
 def test_failed_z_inverse_raises(monkeypatch):
@@ -338,17 +338,17 @@ def test_failed_z_inverse_raises(monkeypatch):
         dgtsv=dgtsv, dpttrf=real.dpttrf, dpttrs=real.dpttrs))
     rhs = np.ones((SMALL.n_x, SMALL.n_z))
     with pytest.raises(LinearSolveError, match="z-stage inverse: pivot at row 1 is exactly zero"):
-        _Split(PARAMS, SMALL).solve_z(rhs, SMALL.dt(PARAMS.T), 0.5, 1e-10)
+        _Scheme(PARAMS, SMALL).solve_z(rhs, SMALL.dt(PARAMS.T), 0.5)
     with pytest.raises(SolverError, match="time level"):
         solve_pdelta(BF, PARAMS, SMALL)
 
 
 def test_nan_in_a2_fails_the_z_inverse_check():
     # each inverse is checked as it is built, with the identity as right-hand side
-    split = _Split(PARAMS, SMALL)
-    split.a2_t[3, 2] = np.nan
+    scheme = _Scheme(PARAMS, SMALL)
+    scheme.a2_t[3, 2] = np.nan
     with pytest.raises(LinearSolveError, match="z-stage inverse: residual nan exceeds"):
-        split.solve_z(np.ones((SMALL.n_x, SMALL.n_z)), SMALL.dt(PARAMS.T), 0.5, 1e-10)
+        scheme.solve_z(np.ones((SMALL.n_x, SMALL.n_z)), SMALL.dt(PARAMS.T), 0.5)
 
 
 # the probe grids, n_x = 3 and 4 (GridSpec needs 3), and grids whose
@@ -370,10 +370,10 @@ def test_spd_x_solve_matches_lu_batch(grid, theta):
     rng = np.random.default_rng(41)
     q = rng.uniform(PARAMS.d, PARAMS.u, size=(grid.n_x, grid.n_z))
     rhs = rng.standard_normal((grid.n_x, grid.n_z))
-    split = _Split(PARAMS, grid)
+    scheme = _Scheme(PARAMS, grid)
     c = theta * grid.dt(PARAMS.T)
-    want = lu_x_solver(split, q, c, 1e-10)(rhs)
-    got = split.x_solver(q, c, 1e-10)(rhs)
+    want = lu_x_solver(scheme, q, c)(rhs)
+    got = scheme.x_solver(q, c)(rhs)
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
     # identity rows, the ends of each slice and the z = 0 slice, are exact
     np.testing.assert_array_equal(got[[0, -1]], rhs[[0, -1]])
@@ -401,9 +401,9 @@ def test_x_stage_residual_check_catches_a_wrong_solution(monkeypatch):
     q = rng.uniform(PARAMS.d, PARAMS.u, size=(SMALL.n_x, SMALL.n_z))
     rhs = rng.standard_normal(q.shape)
     c = 0.5 * SMALL.dt(PARAMS.T)
-    want = lu_x_solver(_Split(PARAMS, SMALL), q, c, 1e-10)(rhs)
+    want = lu_x_solver(_Scheme(PARAMS, SMALL), q, c)(rhs)
     shift = _shifted_dpttrs(monkeypatch)
-    solve = _Split(PARAMS, SMALL).x_solver(q, c, 1e-10)
+    solve = _Scheme(PARAMS, SMALL).x_solver(q, c)
     assert np.max(np.abs(solve(rhs) - want)) <= 1e-13 * np.max(np.abs(want))
     shift[0] = 1e-6
     with pytest.raises(LinearSolveError, match=r"x-stage: residual \S+ exceeds"):
@@ -414,7 +414,7 @@ def test_x_stage_nan_rhs_fails_the_residual_check():
     q = np.full((SMALL.n_x, SMALL.n_z), PARAMS.u)
     rhs = np.ones(q.shape)
     rhs[5, 2] = np.nan
-    solve = _Split(PARAMS, SMALL).x_solver(q, 0.5 * SMALL.dt(PARAMS.T), 1e-10)
+    solve = _Scheme(PARAMS, SMALL).x_solver(q, 0.5 * SMALL.dt(PARAMS.T))
     with pytest.raises(LinearSolveError, match="x-stage: residual nan exceeds"):
         solve(rhs)
 
@@ -436,7 +436,7 @@ def test_failed_ldlt_factor_raises(monkeypatch):
     _failing_dpttrf(monkeypatch, 7)
     q = np.full((SMALL.n_x, SMALL.n_z), PARAMS.u)
     with pytest.raises(LinearSolveError, match=r"pivot 0\.000e\+00 at row 7 is not positive"):
-        _Split(PARAMS, SMALL).x_solver(q, 0.01, 1e-10)
+        _Scheme(PARAMS, SMALL).x_solver(q, 0.01)
     with pytest.raises(SolverError, match="time level"):
         solve_pdelta(BF, PARAMS, SMALL)
 
@@ -446,7 +446,7 @@ def test_nan_control_fails_the_ldlt_factor():
     q[9, 4] = np.nan  # a NaN pivot passes dpttrf's test for <= 0
     # the batch runs slice after slice: that node is row 4*n_x + 9
     with pytest.raises(LinearSolveError, match="pivot nan at row 169 is not positive"):
-        _Split(PARAMS, SMALL).x_solver(q, 0.01, 1e-10)
+        _Scheme(PARAMS, SMALL).x_solver(q, 0.01)
 
 
 @pytest.mark.slow
@@ -461,11 +461,10 @@ def test_splitting_gap_to_lu_is_second_order(rho, delta):
     gaps = []
     for n_t in (10, 20, 40):
         grid = GridSpec(0, 200, 60, 0, 0.12, 30, n_t)
-        select, adi = _scheme(_Split(p, grid), cfg)
-        lu = lu_solve(p, grid, cfg.lin_tol)
-        term = terminal_surface(BF, grid).values
-        w_adi = stepping.march(term, grid, p.T, cfg, select, adi)
-        w_lu = stepping.march(term, grid, p.T, cfg, select, lu)
+        w_adi = _Scheme(p, grid, cfg).march(BF).values
+        lu = _Scheme(p, grid, cfg)
+        lu.solve = lu_solve(lu)
+        w_lu = lu.march(BF).values
         gaps.append(np.max(np.abs(w_adi - w_lu)))
     assert gaps[0] >= 3.0 * gaps[1], gaps
     assert gaps[1] >= 3.0 * gaps[2], gaps
@@ -517,9 +516,8 @@ def test_step_matches_single_step_solve():
     cfg = SolverConfig(rannacher_steps=0)
     grid = GridSpec(0, 200, 30, 0, 0.12, 8, 1)
     term = terminal_surface(BF, grid)
-    select, solve = _scheme(_Split(PARAMS, grid), cfg)
-    stepped, q = stepping.step(term.values, select, solve, grid.dt(PARAMS.T),
-                               cfg.cn_weight, cfg.corrector_passes)
+    stepped, q = _Scheme(PARAMS, grid, cfg).step(term.values, grid.dt(PARAMS.T),
+                                                 cfg.cn_weight)
     solved, q_hist = pdelta_with_controls(BF, PARAMS, grid, cfg)
     np.testing.assert_array_equal(stepped, solved.values)
     np.testing.assert_array_equal(q, q_hist[0])
@@ -536,7 +534,7 @@ def test_each_matrix_factored_once(monkeypatch, cfg, n_z_factors):
     grid = GridSpec(0, 200, 60, 0, 0.12, 30, 20)  # n_x != n_z tells the systems apart
     shapes, x_factors, n_solves = [], [], [0]
     inv, spd_factor = solver_pdelta.tridiag_inverse_t, solver_pdelta.spd_tridiag_solver
-    scheme = solver_pdelta._scheme
+    solve = _Scheme.solve
 
     def counting_inv(lower, main, upper, what):
         shapes.append(np.shape(main))
@@ -546,17 +544,13 @@ def test_each_matrix_factored_once(monkeypatch, cfg, n_z_factors):
         x_factors.append(np.shape(main))
         return spd_factor(main, off)
 
-    def counting_scheme(*args):
-        select, solve = scheme(*args)
-
-        def counted(*a):
-            n_solves[0] += 1
-            return solve(*a)
-        return select, counted
+    def counting_solve(*args):
+        n_solves[0] += 1
+        return solve(*args)
 
     monkeypatch.setattr(solver_pdelta, "tridiag_inverse_t", counting_inv)
     monkeypatch.setattr(solver_pdelta, "spd_tridiag_solver", counting_spd_factor)
-    monkeypatch.setattr(solver_pdelta, "_scheme", counting_scheme)
+    monkeypatch.setattr(_Scheme, "solve", counting_solve)
     solve_pdelta(BF, PARAMS, grid, cfg)
     assert shapes == [(grid.n_z,)] * n_z_factors
     assert x_factors.count((grid.n_x * grid.n_z,)) == len(x_factors) == n_solves[0] >= grid.n_t
@@ -567,11 +561,11 @@ def test_each_matrix_factored_once(monkeypatch, cfg, n_z_factors):
 def test_each_stencil_field_computed_once_per_surface(monkeypatch, rho, delta, passes):
     # every select reads a new surface and computes its lxx, and its lxz
     # where the cross term is live; the solves from w_next reuse them, so
-    # only each solve's predicted level adds an lxz. _Split probes lxx 3 times
+    # only each solve's predicted level adds an lxz. Making a _Scheme probes
+    # lxx 3 times
     p = PARAMS.replace(rho=rho, delta=delta)
     grid = GridSpec(0, 200, 30, 0, 0.12, 10, 6)
     calls = dict.fromkeys(["lxx", "lxz", "select", "solve"], 0)
-    scheme = solver_pdelta._scheme
 
     def counting(name, fn):
         def counted(*args):
@@ -579,13 +573,10 @@ def test_each_stencil_field_computed_once_per_surface(monkeypatch, rho, delta, p
             return fn(*args)
         return counted
 
-    def counting_scheme(*args):
-        select, solve = scheme(*args)
-        return counting("select", select), counting("solve", solve)
-
     monkeypatch.setattr(solver_pdelta, "lxx_values", counting("lxx", lxx_values))
     monkeypatch.setattr(solver_pdelta, "lxz_values", counting("lxz", lxz_values))
-    monkeypatch.setattr(solver_pdelta, "_scheme", counting_scheme)
+    monkeypatch.setattr(_Scheme, "select", counting("select", _Scheme.select))
+    monkeypatch.setattr(_Scheme, "solve", counting("solve", _Scheme.solve))
     solve_pdelta(BF, p, grid, SolverConfig(corrector_passes=passes))
     # some corrector pass re-solved from w_next after selecting on a new surface
     assert calls["solve"] > grid.n_t + 1
@@ -616,20 +607,20 @@ def test_reused_scheme_never_changes_a_step(n_x, n_z, rho, delta, theta, seed):
     w = terminal_surface(BF, grid).values + rng.standard_normal((n_x, n_z))
     other = 10.0 * rng.standard_normal((n_x, n_z))
     cfg, dt = SolverConfig(), 0.02
-    for make in (lambda: _scheme(_Split(p, grid), cfg),
-                 lambda: _scheme(_Split(p.replace(delta=0.0), grid), cfg)):
+    for make in (lambda: _Scheme(p, grid, cfg),
+                 lambda: _Scheme(p.replace(delta=0.0), grid, cfg)):
         def fresh_step(v):
-            select, solve = make()
-            q, fields = select(v.copy())
-            return q, _tags(q, p), solve(q, fields, dt, theta)
+            scheme = make()
+            q, fields = scheme.select(v.copy())
+            return q, _tags(q, p), scheme.solve(q, fields, dt, theta)
 
         want = {"w": fresh_step(w), "other": fresh_step(other)}
-        select, solve = make()
+        scheme = make()
         for name, v in [("w", w), ("other", other), ("w", w), ("w", w.copy()),
                         ("other", other), ("w", w)]:
-            q, fields = select(v)
-            select(other)
-            for a, b in zip((q, _tags(q, p), solve(q, fields, dt, theta)), want[name]):
+            q, fields = scheme.select(v)
+            scheme.select(other)
+            for a, b in zip((q, _tags(q, p), scheme.solve(q, fields, dt, theta)), want[name]):
                 _assert_bitwise(a, b)
 
 
@@ -698,6 +689,27 @@ def test_call_converges_at_order_two_to_heston(kappa):
     order = np.log2(np.abs(errors[:-1]) / np.abs(errors[1:]))
     assert np.all(np.diff(np.abs(errors)) < 0.0), errors
     assert np.all(order >= 1.8), (errors, order)
+
+
+@pytest.mark.parametrize("n", [100, pytest.param(200, marks=pytest.mark.slow)],
+                         ids=["100x100x20", "200x200x40"])
+def test_call_sqrt_delta_derivative_approaches_p1(n):
+    # D1 = (P^delta - P0)/sqrt(delta) tends, as delta -> 0, to the scheme's
+    # first-order term, which is P1 up to a grid error: sup |D1 - P1| over
+    # x in [60, 140], z >= 0.02 must not grow as delta falls. Measured
+    # 9.894e-3, 5.523e-3 and 5.111e-3 on 100^2, and 6.771e-3, 2.419e-3 and
+    # 2.138e-3 on 200^2. Deadbanding lxz instead of rho*sqrt(delta)*lxz
+    # flipped controls at any delta > 0, and the gap jumped to 1.121e-2 and
+    # 5.724e-3 at delta = 1e-10
+    call = PayoffSpec.call(100)
+    grid = GridSpec(0, 200, n, 0, 0.12, n, n // 5)
+    x, z = grid.x_nodes(), grid.z_nodes()
+    window = np.ix_((x >= 60.0) & (x <= 140.0), z >= 0.02)
+    _, p1 = solve_p0p1(call, PARAMS, grid)
+    gaps = [np.max(np.abs(sqrt_delta_derivative(call, PARAMS, grid, None, delta)
+                          - p1.values)[window])
+            for delta in (1e-6, 1e-8, 1e-10)]
+    assert np.all(np.diff(gaps) <= 0.0), gaps
 
 
 @pytest.mark.slow
