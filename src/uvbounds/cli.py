@@ -7,8 +7,7 @@ seed and timings, so any run can be reproduced from its manifest alone.
 Parsing, configuration and dispatch load only the value types; each
 subcommand imports the stack it runs when it runs. So the Monte Carlo
 commands never load the PDE solvers, nor the PDE commands the path
-simulation, and only ``compare-bs`` runs scipy's package init (for
-``scipy.special``).
+simulation, and no command runs scipy's package init.
 
 Exit codes: 0 success, 2 configuration problems (including bad arguments),
 3 solver failures, 4 I/O failures. Failures leave a machine-readable

@@ -16,12 +16,14 @@ would. The draw feeding path p at step k is therefore a pure function of
 the chunk size, and one draw per step and chunk serves every
 (delta, control) pair advanced together.
 
-The rate study keeps no per-path array: each chunk's squared gaps are
-reduced to their count, mean and centred sum of squares, merged in path
-order by the pairwise update of Chan, Golub & LeVeque (1983). Its memory
-is therefore independent of the path count. The merged moments depend on
-``CHUNK_PATHS`` at round-off only (below 1e-15 relative); a run of one
-chunk gives bitwise ``np.mean`` and ``np.std(ddof=1)``.
+A run allocates its working set once, sized to one chunk, and every
+chunk steps on views of it. The rate study keeps no per-path array: each
+chunk's squared gaps are reduced to their count, mean and centred sum of
+squares, merged in path order by the pairwise update of Chan, Golub &
+LeVeque (1983). Its memory is therefore independent of the path count.
+The merged moments depend on ``CHUNK_PATHS`` at round-off only (below
+1e-15 relative); a run of one chunk gives bitwise ``np.mean`` and
+``np.std(ddof=1)``.
 
 The variance process uses the full-truncation Euler scheme: the state may
 go negative, but drift and diffusion see its positive part and the
@@ -84,8 +86,8 @@ def _stream(seed: int, step: int) -> np.random.Generator:
         np.random.SeedSequence(seed, spawn_key=(step,))))
 
 
-# Paths advanced together. A chunk's state is six stacked (n_delta, m)
-# arrays, and the run's memory does not grow with the path count. On the
+# Paths advanced together. A run's working set is five (n_delta, CHUNK_PATHS)
+# lane arrays, allocated once, and does not grow with the path count. On the
 # benchmark's mc workload (BENCH_24.json; 2-core x86-64 host, one thread),
 # 8192 paths moved wall_s by -2.2% and +1.8% over two sets of alternating
 # pairs, inside host noise, for 5-6% more peak_rss_mb in every pair; 2048
@@ -133,12 +135,19 @@ def _advance_paths(params: ModelParams, deltas: Sequence[float],
     from the frozen sums (settled once per control and chunk). With no
     controls, the sums are not stepped.
 
+    The run allocates its working set once, sized to the first chunk: the
+    lanes, their two sums, two scratch lanes, the ``(m, 2)`` draw buffer
+    the streams fill and the frozen S_a. Each chunk steps on their first m
+    columns, refilled with z0 and zeros, so memory does not grow with
+    ``n_paths`` and no chunk allocates a lane.
+
     At every time level k = 0..n_steps, ``record(rows, k, z)`` sees the
     chunk's paths ``rows`` (a slice) and the raw (untruncated) lanes,
-    ``z[i]`` for delta i. At maturity, ``terminal(rows, p, x_d, x_f)``
-    gets the moving and frozen assets of pair p = i * len(controls) + j
-    (delta i under control j), one pair at a time; the chunks run in path
-    order.
+    ``z[i]`` for delta i: a view of the working set that the next step
+    overwrites, so ``record`` copies what it keeps. At maturity,
+    ``terminal(rows, p, x_d, x_f)`` gets the moving and frozen assets of
+    pair p = i * len(controls) + j (delta i under control j), one pair at
+    a time; the chunks run in path order.
     """
     if n_steps < 1 or n_paths < 1:
         raise ValueError(f"need n_steps >= 1 and n_paths >= 1 "
@@ -154,34 +163,45 @@ def _advance_paths(params: ModelParams, deltas: Sequence[float],
     vol = np.sqrt(lane_delta)
     sqrt_z0 = np.sqrt(params.z0)
     streams = [_stream(seed, k) for k in range(n_steps)]
+    # the run's one working set, one block of five lane arrays (zp and sq
+    # are scratch): every chunk steps on [:, :m] views of it
+    width = min(CHUNK_PATHS, n_paths)
+    z_all, zp_all, sq_all, s_a_all, s_b_all = np.empty((5, len(lane_delta), width))
+    g_all = np.empty((width, 2))
+    s_a0_all = np.empty(width)
     for start in range(0, n_paths, CHUNK_PATHS):
         rows = slice(start, min(start + CHUNK_PATHS, n_paths))
         m = rows.stop - rows.start
-        z = np.full((len(lane_delta), m), params.z0)
-        zp, sqrt_zp, tmp = np.empty_like(z), np.empty_like(z), np.empty_like(z)
-        s_a, s_b = np.zeros_like(z), np.zeros_like(z)
-        s_a0, s_b0 = np.zeros(m), 0.0  # the frozen level's sums
+        z, zp, sq = z_all[:, :m], zp_all[:, :m], sq_all[:, :m]
+        s_a, s_b, s_a0, g = s_a_all[:, :m], s_b_all[:, :m], s_a0_all[:m], g_all[:m]
+        z.fill(params.z0)
+        s_a.fill(0.0)
+        s_b.fill(0.0)
+        s_a0.fill(0.0)
+        s_b0 = 0.0  # the frozen level's sums: s_a0 and this scalar
         if record is not None:
             record(rows, 0, z)
         for k in range(n_steps):
-            dw, dwz = _correlate(streams[k].standard_normal((m, 2)), params.rho, dt)
+            streams[k].standard_normal(out=g)
+            dw, dwz = _correlate(g, params.rho, dt)
             np.maximum(z, 0.0, out=zp)
-            np.sqrt(zp, out=sqrt_zp)
+            np.sqrt(zp, out=sq)
             if controls:  # the sums only settle the controls' assets
-                np.multiply(sqrt_zp, dw, out=tmp)  # each lane's step of S_a
-                s_a += tmp
                 s_b += zp
+            # z + delta*kappa*(theta - zp)*dt + sqrt(delta)*sqrt(zp)*dwz, term
+            # by term in that order, so each lane rounds as the scalar formula
+            np.subtract(params.theta, zp, out=zp)
+            zp *= drift
+            zp *= dt
+            z += zp
+            if controls:
+                np.multiply(sq, dw, out=zp)  # each lane's step of S_a
+                s_a += zp
                 s_a0 += sqrt_z0 * dw
                 s_b0 += params.z0
-            # z + delta*kappa*(theta - zp)*dt + sqrt(delta)*sqrt_zp*dwz, term
-            # by term in that order, so each lane rounds as the scalar formula
-            np.subtract(params.theta, zp, out=tmp)
-            tmp *= drift
-            tmp *= dt
-            z += tmp
-            np.multiply(vol, sqrt_zp, out=tmp)
-            tmp *= dwz
-            z += tmp
+            np.multiply(vol, sq, out=sq)
+            sq *= dwz
+            z += sq
             if record is not None:
                 record(rows, k + 1, z)
         s_b *= dt

@@ -673,6 +673,17 @@ def test_error_sweep_never_imports_the_scipy_linalg_package(tmp_path):
     assert _fresh_python(code).split() == ["0", "False", "False", "False", "True"]
 
 
+def test_compare_bs_never_imports_scipy(tmp_path):
+    # the normal CDF is math.erfc elementwise, so the one command that prices
+    # Black-Scholes runs neither scipy's package init nor scipy.special
+    argv = ["compare-bs", "--config", str(PAPER_CFG),
+            "--set", "grid.n_x=40", "--set", "grid.n_z=10", "--set", "grid.n_t=4",
+            "--out", str(tmp_path / "bs")]
+    code = ("import sys; from uvbounds.cli import run; "
+            f"print(run({argv!r}), *[m in sys.modules for m in ('scipy', 'scipy.special')])")
+    assert _fresh_python(code).split() == ["0", "False", "False"]
+
+
 def test_error_sweep_and_coupling_rate_import_neither_logging_nor_scipy_linalg(tmp_path):
     # nothing logs, so nothing imports logging; the solves load LAPACK
     # without the scipy.linalg package

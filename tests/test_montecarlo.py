@@ -117,6 +117,45 @@ def test_rate_study_memory_independent_of_path_count():
     assert big - small < 0.25 * 2**20, (small, big)
 
 
+def test_rate_study_working_set_is_bounded():
+    # the kernel allocates its lanes once per run and steps on two scratch
+    # lanes. In lane arrays (n_delta * CHUNK_PATHS * 8 B), the traced peak
+    # of paper.cfg's six deltas is measured 7.05 at 5 steps and 7.24 at 50,
+    # where a working set rebuilt for every chunk peaked at 10.04 and 10.24
+    deltas = [0.00125, 0.0025, 0.005, 0.01, 0.02, 0.04]
+    n_paths = 2 * CHUNK_PATHS + 5
+    coupling_rate_study(PARAMS, deltas, n_paths, seed=3, n_steps=5)  # warm-up
+    for n_steps in (5, 50):
+        tracemalloc.start()
+        try:
+            coupling_rate_study(PARAMS, deltas, n_paths, seed=3, n_steps=n_steps)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        lanes = peak / (len(deltas) * CHUNK_PATHS * 8)
+        assert lanes <= 7.5, (n_steps, lanes)
+
+
+@pytest.mark.parametrize("delta", [PARAMS.delta, 1.0], ids=["paper", "heavy_noise"])
+def test_cir_paths_bitwise_equal_a_plain_loop_at_every_level(delta):
+    # the chunks share one working set: no level of any chunk, the short
+    # last one included, may read a value left by the chunk before it
+    p = PARAMS.replace(delta=delta)
+    n_steps, n_paths, seed = 12, 2 * CHUNK_PATHS + 5, 9
+    dt = p.T / n_steps
+    want = np.empty((n_paths, n_steps + 1))
+    z = np.full(n_paths, p.z0)
+    want[:, 0] = z
+    for k in range(n_steps):
+        zp = np.maximum(z, 0.0)
+        _, dwz = brownian_increments(seed, k, n_paths, p.rho, dt)
+        z = z + p.delta * p.kappa * (p.theta - zp) * dt + np.sqrt(p.delta) * np.sqrt(zp) * dwz
+        want[:, k + 1] = np.maximum(z, 0.0)
+    got = simulate_cir(p, n_steps, n_paths, seed)
+    assert got.tobytes() == want.tobytes()
+    assert delta < 1.0 or np.any(want == 0.0)  # heavy noise truncates
+
+
 @pytest.mark.parametrize("simulate, control", [
     (simulate_coupled_asset, PARAMS.d), (simulate_coupled_asset, PARAMS.u),
     (exponent_sum_terminals, SWITCHING)], ids=["const_d", "const_u", "switching"])
