@@ -25,7 +25,6 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .blackscholes import bs_payoff_price
 from .core import GridSpec, ModelParams, SolverConfig, SolverError, Surface, loglog_fit
 from .payoff import PayoffSpec
 from .solver_pdelta import solve_p0p1, solve_pdelta
@@ -74,7 +73,9 @@ def error_sweep(payoff: PayoffSpec, params: ModelParams,
     """Per-delta approximation error and its log-log convergence fit.
 
     One leading-order/correction solve serves the whole sweep; each delta
-    then costs one 2D solve, run in turn in ascending delta order.
+    then costs one 2D solve, run in turn in ascending delta order. Only P0
+    and P1 stay live from one 2D solve to the next: each delta's P^delta,
+    error surface and window go once its record is made.
     """
     config = config or SolverConfig()
     deltas = sorted(set(float(d) for d in delta_list))
@@ -112,6 +113,7 @@ def error_sweep(payoff: PayoffSpec, params: ModelParams,
             runtime_s=elapsed,
             undershoot=float(min(np.min(p_delta), 0.0)),
         ))
+        del p_delta, err, sub
 
     n_fit = max(2, len(deltas) // 2)
     slope, intercept, _, r2 = loglog_fit(
@@ -195,6 +197,9 @@ def compare_bs(p0: Surface, payoff: PayoffSpec, params: ModelParams) -> BsCompar
     """Tabulate P0 at the initial variance level against the Black-Scholes
     curves of ``payoff`` priced at the lower and upper band volatilities;
     a node is dominated within a tolerance of 1e-3 * x0."""
+    # imported here: of the experiments only this one prices Black-Scholes
+    from .blackscholes import bs_payoff_price
+
     grid = p0.grid
     tol = 1e-3 * params.x0
 

@@ -49,6 +49,7 @@ import importlib.machinery
 import importlib.util
 import sys
 from pathlib import Path
+from typing import Optional
 
 import numpy as np
 
@@ -108,7 +109,7 @@ def _flapack():
 
 
 def check_tridiag_residual(lower, main, upper, x: np.ndarray, rhs: np.ndarray,
-                           lin_tol: float, what: str) -> None:
+                           lin_tol: float, what: str, out: Optional[np.ndarray] = None) -> None:
     """Raise unless ``max|A x - rhs| <= lin_tol * (1 + max|rhs|)``.
 
     A is tridiagonal along the flattened ``x``, its coefficients laid out
@@ -118,16 +119,28 @@ def check_tridiag_residual(lower, main, upper, x: np.ndarray, rhs: np.ndarray,
     has lower = 0 on the last unknown of each and upper = 0 on the first,
     so no row reaches into the next system. The products are whole-array
     and only the two shifts are slices, of flat arrays: on a 100 x 100
-    batch that took 42 us, against 93 us with 2D slices.
+    batch that took 42 us, against 93 us with 2D slices. The residual is
+    made in ``out`` where one is given: an array of x's shape, which may be
+    ``main`` itself.
     """
-    resid = main * x
-    shifted = upper * x
+    resid = _times(main, x, np.empty(np.shape(x)) if out is None else out)
+    shifted = _times(upper, x, np.empty(np.shape(x)))
     flat, flat_shifted = resid.reshape(-1), shifted.reshape(-1)
     flat[:-1] += flat_shifted[1:]
-    np.multiply(lower, x, out=shifted)
+    _times(lower, x, shifted)
     flat[1:] += flat_shifted[:-1]
     resid -= rhs
     _check_residual(resid, rhs, lin_tol, what)
+
+
+def _times(coef, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """coef * x, made in ``out``. Coefficients that broadcast against x are
+    first copied out to x's shape: numpy 2.4 runs a broadcast operand of a
+    product through a 64 KiB copy buffer, but not a copy."""
+    if np.shape(coef) != out.shape:
+        np.copyto(out, coef)
+        coef = out
+    return np.multiply(coef, x, out=out)
 
 
 def _max_abs(a: np.ndarray) -> float:

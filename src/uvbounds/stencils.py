@@ -53,7 +53,7 @@ def dx_values(v: np.ndarray, grid: GridSpec) -> np.ndarray:
     _require_axis_nodes(v, 0, 2, "d_x")
     out = np.empty_like(v, dtype=float)
     h = grid.dx
-    out[1:-1] = (v[2:] - v[:-2]) / (2.0 * h)
+    np.divide(np.subtract(v[2:], v[:-2], out=out[1:-1]), 2.0 * h, out=out[1:-1])
     out[0] = (v[1] - v[0]) / h
     out[-1] = (v[-1] - v[-2]) / h
     return out
@@ -62,7 +62,9 @@ def dx_values(v: np.ndarray, grid: GridSpec) -> np.ndarray:
 def dxx_values(v: np.ndarray, grid: GridSpec) -> np.ndarray:
     _require_axis_nodes(v, 0, 3, "d_xx")
     out = np.zeros_like(v, dtype=float)
-    out[1:-1] = (v[2:] + v[:-2] - 2.0 * v[1:-1]) / grid.dx ** 2
+    inner = np.add(v[2:], v[:-2], out=out[1:-1])
+    inner -= 2.0 * v[1:-1]
+    inner /= grid.dx ** 2
     return out
 
 
@@ -70,9 +72,13 @@ def dz_values(v: np.ndarray, grid: GridSpec) -> np.ndarray:
     if grid.n_z == 1:
         return np.zeros_like(v, dtype=float)
     _require_axis_nodes(v, 1, 2, "d_z")
-    out = np.empty_like(v, dtype=float)
+    out = np.empty(np.shape(v))
     h = grid.dz
-    out[:, 1:-1] = (v[:, 2:] - v[:, :-2]) / (2.0 * h)
+    # the interior as shifts along the flat arrays, which numpy runs without
+    # the copy buffers it takes for column slices; at j = 0 and n_z - 1 the
+    # shifts reach across rows, and the one-sided columns overwrite those
+    flat, flat_v = out.reshape(-1), np.reshape(v, -1)
+    np.divide(np.subtract(flat_v[2:], flat_v[:-2], out=flat[1:-1]), 2.0 * h, out=flat[1:-1])
     out[:, 0] = (v[:, 1] - v[:, 0]) / h
     out[:, -1] = (v[:, -1] - v[:, -2]) / h
     return out
@@ -111,11 +117,15 @@ def _spatial(grid: GridSpec) -> tuple:
 
 
 def lxx_values(v: np.ndarray, grid: GridSpec) -> np.ndarray:
-    return _coefficients(*_spatial(grid))[0] * dxx_values(v, grid)
+    out = dxx_values(v, grid)
+    out *= _coefficients(*_spatial(grid))[0]
+    return out
 
 
 def lxz_values(v: np.ndarray, grid: GridSpec) -> np.ndarray:
-    return _coefficients(*_spatial(grid))[1] * dxz_values(v, grid)
+    out = dxz_values(v, grid)
+    out *= _coefficients(*_spatial(grid))[1]
+    return out
 
 
 def deadband(field, eps: float) -> np.ndarray:

@@ -660,17 +660,18 @@ def test_import_loads_no_heavy_scipy_subpackage():
 def test_error_sweep_never_imports_the_scipy_linalg_package(tmp_path):
     # the tridiagonal kernel loads scipy's compiled LAPACK wrappers by file
     # path; the scipy.linalg package init would cost ~0.2 s and ~25 MiB.
-    # Not even scipy's package init runs, nor the Monte Carlo module loads
+    # Not even scipy's package init runs, nor the Monte Carlo module loads,
+    # nor the Black-Scholes module, which only compare-bs reads
     argv = ["sweep-error", "--config", str(PAPER_CFG),
             "--set", "grid.n_x=40", "--set", "grid.n_z=10", "--set", "grid.n_t=4",
             "--out", str(tmp_path / "sweep")]
     code = ("import sys; from uvbounds import linsolve; from uvbounds.cli import run; "
             f"status = run({argv!r}); print(status, *[m in sys.modules for m in "
-            "('scipy', 'scipy.linalg', 'uvbounds.montecarlo')]); "
+            "('scipy', 'scipy.linalg', 'uvbounds.montecarlo', 'uvbounds.blackscholes')]); "
             # importing scipy.linalg afterwards finds the same wrappers
             "import scipy.linalg; "
             "print(scipy.linalg._flapack.dpttrs is linsolve._flapack().dpttrs)")
-    assert _fresh_python(code).split() == ["0", "False", "False", "False", "True"]
+    assert _fresh_python(code).split() == ["0", "False", "False", "False", "False", "True"]
 
 
 def test_compare_bs_never_imports_scipy(tmp_path):

@@ -1,3 +1,4 @@
+import sys
 import tracemalloc
 from types import SimpleNamespace
 
@@ -650,7 +651,12 @@ def test_solve_pdelta_working_set_is_bounded():
     # every surface-sized buffer of a Craig-Sneyd sub-step goes once the stage
     # that reads it is done. In 200x200 surfaces, the traced peak of a warm
     # solve, with the held x-factor, z-inverse and coefficient fields, is
-    # measured 21.2, in the corrector's select_q; n_t = 40 reads the same
+    # measured 18.20 on CPython 3.11 and numpy 2.4, in an x-stage residual
+    # check (21.2, in the corrector's select_q, while it held the blended
+    # surface and its fields); n_t = 40 reads the same. CPython 3.10 keeps a
+    # caller's temporary arguments alive through the call, so there the
+    # blended surface and its fields stay live in select_q: 21.19 with that
+    # emulated
     grid = GridSpec(0, 200, 200, 0, 0.12, 200, 4)
     solve_pdelta(BF, PARAMS, grid)  # warm-up: imports, and the grid's cached coefficient fields
     tracemalloc.start()
@@ -660,7 +666,7 @@ def test_solve_pdelta_working_set_is_bounded():
     finally:
         tracemalloc.stop()
     surfaces = peak / (grid.n_x * grid.n_z * 8)
-    assert surfaces <= 23.0, surfaces
+    assert surfaces <= (19.0 if sys.version_info >= (3, 11) else 22.0), surfaces
 
 
 def test_failure_carries_time_level_context():
