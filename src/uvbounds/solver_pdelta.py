@@ -186,10 +186,11 @@ class _Scheme:
       unscaled system.
     * A2 = delta*(0.5*z*d_zz + kappa*(theta - z)*d_z), implicit in z with
       one tridiagonal matrix for every x-row, held once, dense and
-      transposed, as the stencil form applied to the identity (``a2_t``).
-      Each z-stage is one product with the inverse of I - theta*dt*A2
-      (2*n_z flops per node, plus 5 for the residual check); absent when
-      delta = 0 or n_z = 1.
+      transposed, as the stencil form applied to the identity (``a2_t``,
+      made on first read, so never where A2 is absent). Each z-stage is
+      one product with the inverse of I - theta*dt*A2 (2*n_z flops per
+      node, plus 5 for the residual check); absent when delta = 0 or
+      n_z = 1.
 
     The march steps back from the terminal level by the weighted step
     (I - theta*dt*A(q)) w_new = (I + (1-theta)*dt*A(q)) w_next, with the
@@ -203,18 +204,18 @@ class _Scheme:
     payoffs excite in the trapezoidal scheme; later steps use the weight
     ``cn_weight``.
 
-    Besides the scheme's k, ``a2_t`` and z-inverses, a sub-step holds only
-    what it reads again: the control and its x-factor (four flat
-    surfaces); w_next and its three fields, which every solve from it
-    reads; the predicted w_new while the corrector selects; and, within a
-    solve, U + (1-theta)*dt*A1 U and the explicit part. Everything else
-    goes once read. A solve makes A0 of w_next again at the correction
-    rather than hold it through the first stages. A corrector pass keeps
-    only the control it selects: the blended surface goes once its two
-    fields are made, each field once select_q has its deadbanded copy, and
-    the last solution before the re-solve, so at most one solution is
-    live. The march drops the control and its x-factor after each
-    sub-step's hook. In n x n surfaces, the traced peak of a warm
+    Besides the scheme's k, and ``a2_t`` and the z-inverses where A2 is
+    present, a sub-step holds only what it reads again: the control and its
+    x-factor (four flat surfaces); w_next and its three fields, which every
+    solve from it reads; the predicted w_new while the corrector selects;
+    and, within a solve, U + (1-theta)*dt*A1 U and the explicit part.
+    Everything else goes once read. A solve makes A0 of w_next again at the
+    correction rather than hold it through the first stages. A corrector
+    pass keeps only the control it selects: the blended surface goes once
+    its two fields are made, each field once select_q has its deadbanded
+    copy, and the last solution before the re-solve, so at most one
+    solution is live. The march drops the control and its x-factor after
+    each sub-step's hook. In n x n surfaces, the traced peak of a warm
     ``paper.cfg`` solve is 18.3 at n = 100 and 18.2 at 200, in an x-stage
     residual check. CPython 3.10 keeps a caller's temporary arguments alive
     through the call, so there the blended surface and its fields stay live
@@ -250,10 +251,6 @@ class _Scheme:
         after = np.flatnonzero(regular[1:] & ~regular[:-1]) + 1
         before = np.flatnonzero(regular[:-1] & ~regular[1:])
         self.moved = ((after, after - 1), (before, before + 1))
-        # A2 has the same coefficients along every x-row. Row i of the stencil
-        # form applied to the identity is A2 e_i, so that is A2 transposed, and
-        # A2 of a surface w is w @ a2_t
-        self.a2_t = self.a2_stencil(np.eye(grid.n_z))
         self._x = None  # (q, c, solve) of the last x-system factored
         self._z = {}    # theta*dt -> (M^-T, diagonals of M by column) of M = I - theta*dt*A2
 
@@ -265,6 +262,13 @@ class _Scheme:
 
     def a1(self, q: np.ndarray, w: np.ndarray) -> np.ndarray:
         return 0.5 * q * q * lxx_values(w, self.grid)
+
+    @cached_property
+    def a2_t(self) -> np.ndarray:
+        # A2 has the same coefficients along every x-row. Row i of the stencil
+        # form applied to the identity is A2 e_i, so that is A2 transposed, and
+        # A2 of a surface w is w @ a2_t
+        return self.a2_stencil(np.eye(self.grid.n_z))
 
     def a2(self, w: np.ndarray) -> np.ndarray:
         return w @ self.a2_t

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -75,6 +76,16 @@ def test_solve_p1_writes_both_surfaces(tmp_path, cfg):
     assert run(["solve-p1", "--config", cfg, "--out", str(out)]) == 0
     assert (out / "p0_surface.csv").exists()
     assert (out / "p1_surface.csv").exists()
+    # solve-p0 takes P0 from the 2D solve at delta = 0, solve-p1 from its
+    # own march: the same bytes
+    assert run(["solve-p0", "--config", cfg, "--out", str(tmp_path / "p0")]) == 0
+    assert (tmp_path / "p0" / "p0_surface.csv").read_bytes() == \
+        (out / "p0_surface.csv").read_bytes()
+    # on one variance slice the correction is still there
+    one = tmp_path / "one_slice"
+    assert run(["solve-p1", "--config", cfg, "--out", str(one), "--set", "grid.n_z=1",
+                "--set", "grid.z_min=0.04", "--set", "grid.z_max=0.04"]) == 0
+    assert manifest(one)["results"]["p1_at_x0_z0"] != 0.0
 
 
 def test_solve_pdelta_with_control_export(tmp_path, cfg):
@@ -120,6 +131,31 @@ def test_interior_tag_fraction_does_not_depend_on_the_export(tmp_path, cfg):
     assert fractions[0].hex() == fractions[1].hex()
 
 
+def test_time_change_z_to_4z_leaves_pdelta_bit_for_bit(tmp_path):
+    # z0, theta and z_max times 4, kappa and T over 4, delta and gamma_eps
+    # times 16 and 4: the same model, and on the paper grid the same bytes,
+    # the controls included but for their z column
+    sides = {"z1": ["solver.gamma_eps=1e-5"],
+             "z4": ["solver.gamma_eps=4e-5", "model.z0=0.16", "model.theta=0.16",
+                    "model.kappa=3.75", "model.delta=0.8", "model.T=0.0625",
+                    "grid.z_max=0.48"]}
+    for side, overrides in sides.items():
+        assert run(["solve-pdelta", "--config", str(PAPER_CFG), "--export-controls",
+                    "--out", str(tmp_path / side),
+                    *[arg for kv in overrides for arg in ("--set", kv)]]) == 0
+
+    def text(side, name):
+        return (tmp_path / side / name).read_text()
+
+    # compared as lists of rows, whose mismatch pytest reports at once
+    z1, z4 = (text(side, "pdelta_surface.csv").splitlines()[1:] for side in sides)
+    assert z1 == z4
+    # each row is level,x,z,q,tag
+    z1, z4 = (re.sub(r"^([^,]*,[^,]*),[^,]*", r"\1", text(side, "pdelta_controls.csv"),
+                     flags=re.M).splitlines() for side in sides)
+    assert z1 == z4
+
+
 def test_sweep_error_row_count_and_fit(tmp_path, cfg):
     out = tmp_path / "run"
     assert run(["sweep-error", "--config", cfg, "--out", str(out)]) == 0
@@ -145,21 +181,27 @@ def test_sweep_error_threads_flag_is_accepted_and_has_no_effect(tmp_path, cfg):
 
 
 def test_compare_bs_reproducible_from_config(tmp_path, cfg):
-    out1, out2 = tmp_path / "a", tmp_path / "b"
-    assert run(["compare-bs", "--config", cfg, "--out", str(out1)]) == 0
-    assert run(["compare-bs", "--config", cfg, "--out", str(out2)]) == 0
-    assert (out1 / "compare_bs.csv").read_bytes() == (out2 / "compare_bs.csv").read_bytes()
+    payoffs = {"butterfly": [], "put": ["payoff.kind=put", "payoff.strike=100"],
+               "capped_linear": ["payoff.kind=capped_linear", "payoff.cap=100"]}
+    for name, settings in payoffs.items():
+        overrides = [arg for kv in settings for arg in ("--set", kv)]
+        out1, out2 = tmp_path / f"{name}_a", tmp_path / f"{name}_b"
+        assert run(["compare-bs", "--config", cfg, "--out", str(out1), *overrides]) == 0
+        assert run(["compare-bs", "--config", cfg, "--out", str(out2), *overrides]) == 0
+        assert (out1 / "compare_bs.csv").read_bytes() == (out2 / "compare_bs.csv").read_bytes()
 
 
 def test_coupling_rate_seeded_csv_bitwise(tmp_path, cfg):
-    out1, out2 = tmp_path / "a", tmp_path / "b"
-    for out in (out1, out2):
-        assert run(["coupling-rate", "--config", cfg, "--out", str(out),
-                    "--seed", "99"]) == 0
-    assert (out1 / "rate.csv").read_bytes() == (out2 / "rate.csv").read_bytes()
-    assert (out1 / "rate_fit.csv").read_bytes() == (out2 / "rate_fit.csv").read_bytes()
+    # one chunk of paths, and three chunks, the last one short
+    for n_paths in (2000, 2 * montecarlo.CHUNK_PATHS + 5):
+        out1, out2 = tmp_path / f"a{n_paths}", tmp_path / f"b{n_paths}"
+        for out in (out1, out2):
+            assert run(["coupling-rate", "--config", cfg, "--out", str(out),
+                        "--seed", "99", "--set", f"mc.n_paths={n_paths}"]) == 0
+        assert (out1 / "rate.csv").read_bytes() == (out2 / "rate.csv").read_bytes()
+        assert (out1 / "rate_fit.csv").read_bytes() == (out2 / "rate_fit.csv").read_bytes()
     # a different seed must change the estimates
-    out3 = tmp_path / "c"
+    out1, out3 = tmp_path / "a2000", tmp_path / "c"
     assert run(["coupling-rate", "--config", cfg, "--out", str(out3),
                 "--seed", "100"]) == 0
     assert (out1 / "rate.csv").read_bytes() != (out3 / "rate.csv").read_bytes()
@@ -176,6 +218,11 @@ def test_simulate_bounds_long_format(tmp_path, cfg):
         z, lo, hi = float(r[2]), float(r[3]), float(r[4])
         assert lo == pytest.approx(0.75 * z**0.5)
         assert hi == pytest.approx(1.25 * z**0.5)
+    # the same seed gives the same bytes
+    again = tmp_path / "again"
+    assert run(["simulate-bounds", "--config", cfg, "--out", str(again),
+                "--seed", "7"]) == 0
+    assert (again / "bounds_paths.csv").read_bytes() == (out / "bounds_paths.csv").read_bytes()
 
 
 def test_gamma_diag_outputs(tmp_path, cfg):
@@ -288,6 +335,10 @@ def test_compare_bs_on_a_tabulated_payoff_exits_2_before_the_solve(tmp_path, cfg
 def test_invalid_model_exits_2(tmp_path, cfg):
     assert run(["solve-p0", "--config", cfg, "--out", str(tmp_path / "o"),
                 "--set", "model.r=0.05"]) == 2
+    # the error record names the rule a value breaks
+    out = tmp_path / "d"
+    assert run(["solve-p0", "--config", cfg, "--out", str(out), "--set", "model.d=1.5"]) == 2
+    assert "d: require 0 < d < 1" in strict_json(out / "error.json")["message"]
 
 
 def test_solver_failure_exits_3_with_error_record(tmp_path, cfg):
@@ -642,6 +693,18 @@ def test_module_entry_point_runs_the_command(tmp_path):
     assert (out / "manifest.json").is_file()
     assert run_module("solve-p0", "--config", str(PAPER_CFG), "--set", "grid.n_x=oops",
                       "--out", str(tmp_path / "bad")) == 2
+
+
+def test_error_sweep_fit_is_the_same_with_one_and_two_blas_threads(tmp_path):
+    # paper.cfg's sweep in two processes, one per BLAS thread count: the
+    # z-stage products and the LAPACK solves give the same bits either way
+    for threads in (1, 2):
+        subprocess.run([sys.executable, "-m", "uvbounds.cli", "sweep-error", "--config",
+                        str(PAPER_CFG), "--out", str(tmp_path / str(threads))],
+                       env=dict(_fresh_env(), OPENBLAS_NUM_THREADS=str(threads)),
+                       capture_output=True, check=True, timeout=120)
+    assert (tmp_path / "1" / "sweep_fit.csv").read_bytes() == \
+        (tmp_path / "2" / "sweep_fit.csv").read_bytes()
 
 
 def test_import_loads_no_heavy_scipy_subpackage():

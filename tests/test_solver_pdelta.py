@@ -669,6 +669,18 @@ def test_solve_pdelta_working_set_is_bounded():
     assert surfaces <= (19.0 if sys.version_info >= (3, 11) else 22.0), surfaces
 
 
+def test_delta_zero_solves_never_build_a2(monkeypatch):
+    # with no A2 no z-stage runs, so no scheme makes a2_t, an n_z x n_z
+    # matrix (one surface at n_z = n_x): P0 + P1, and P^delta at delta = 0,
+    # as solve-p0, compare-bs and gamma-diag run it
+    def a2_stencil(scheme, w):
+        raise AssertionError("a2_stencil called at delta = 0")
+
+    monkeypatch.setattr(_Scheme, "a2_stencil", a2_stencil)
+    solve_p0p1(BF, PARAMS, SMALL)
+    solve_pdelta(BF, PARAMS.replace(delta=0.0), SMALL)
+
+
 def test_failure_carries_time_level_context():
     cfg = SolverConfig(lin_tol=1e-30)
     with pytest.raises(SolverError, match="time level"):
