@@ -3,8 +3,8 @@ and the one log-log fit, which the error sweep and the Monte Carlo rate
 study both read, kept here so that neither imports the other's stack.
 
 Every type here is an immutable value object. Solvers never mutate a
-``Surface`` in place; each backward step produces a fresh one, so a
-surface can be held and reused across solves without copying.
+``Surface``: the backward march steps on plain arrays and makes one only
+at t = 0, so a surface can be held and reused across solves without copying.
 """
 
 from __future__ import annotations

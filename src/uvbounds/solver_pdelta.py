@@ -32,9 +32,9 @@ it, in-process ``solve_pdelta`` on ``paper.cfg`` took a median 0.77 s
 against 0.86 s at 200x200x40, and 7.24 s against 7.32 s at 400x400x80 (10
 alternating runs each, 2-core x86-64 host, one BLAS thread). Likewise,
 each stencil field of a surface (z*x^2*d_xx, x*z*d_xz and A2 of it) is
-computed once: the control selection hands them to the solves from that
-surface. The correction weight theta is Craig-Sneyd's 1/2 in the
-trapezoidal steps and 1 in the fully implicit Rannacher start.
+computed once, at the head of the control selection, which hands them to
+the solves from that surface. The correction weight theta is Craig-Sneyd's
+1/2 in the trapezoidal steps and 1 in the fully implicit Rannacher start.
 At delta = 0 both A0 and A2 vanish and the step is the x-stage alone.
 The splitting error against the unsplit weighted system is O(dt^2); the
 tests measure it against a reference step (``tests/reference.py``) that
@@ -72,7 +72,7 @@ Both solvers return surfaces at t = 0: ``solve_pdelta`` P^delta, and
 from __future__ import annotations
 
 from functools import cached_property
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -129,9 +129,9 @@ def select_q(lxx, lxz, params: ModelParams, gamma_eps: float):
     """
     # coefficients below the deadband count as zero, so a flat node, where
     # both are rounding noise, ties and resolves to the upper endpoint
-    # a has the shape of the control: the scheme passes lxz = 0.0 where the
-    # cross term vanishes. Each field goes once it is read: that frees the
-    # caller's temporary, when it keeps no reference of its own
+    # a has the shape of the control: the scheme passes lxz = 0.0 where it
+    # has no cross term (``has_a0``). Each field goes once it is read: that
+    # frees the caller's temporary, when it keeps no reference of its own
     a = deadband(np.broadcast_to(lxx, np.broadcast_shapes(np.shape(lxx), np.shape(lxz))),
                  gamma_eps)
     del lxx
@@ -362,25 +362,23 @@ class _Scheme:
         return x
 
     def select(self, w: np.ndarray, spent: bool = False):
-        """(q, fields): the optimal control on the surface ``w``, and w's fields it read.
+        """(q, fields): the optimal control on the surface ``w``, and w's
+        ``_Fields`` (lxx, lxz and a2), each made here once.
 
         A caller that reads neither w nor its fields again, and keeps no
         reference to w, passes ``spent`` and gets (q, None): w goes once its
         fields are made, and each field once select_q has its deadbanded copy.
         """
-        cross = self.c0 != 0.0  # at rho*sqrt(delta) = 0 the cross field is multiplied by zero
+        fields = [lxx_values(w, self.grid), lxz_values(w, self.grid) if self.has_a0 else 0.0]
         if spent:
-            fields = [lxx_values(w, self.grid), lxz_values(w, self.grid) if cross else 0.0]
             del w
             # popped, the fields reach select_q as temporaries that it alone holds
             return select_q(fields.pop(0), fields.pop(), self.params, self.gamma_eps), None
-        f = _Fields(self, w)
-        return select_q(f.lxx, f.lxz if cross else 0.0, self.params, self.gamma_eps), f
+        f = _Fields(w, *fields, self.a2(w) if self.has_a2 else None)
+        return select_q(f.lxx, f.lxz, self.params, self.gamma_eps), f
 
     def solve(self, q: np.ndarray, f: _Fields, dt: float, theta: float) -> np.ndarray:
         """One Craig-Sneyd step with the control q from the surface w_next = f.w."""
-        # A2 of w_next from its fields
-        a2_next = f.a2 if self.has_a2 else None
         # one factor of the x-system and U + (1-theta)*dt*A1 U serve both
         # Craig-Sneyd stages
         solve_x = self.x_solver(q, theta * dt)
@@ -388,18 +386,18 @@ class _Scheme:
 
         def stages(explicit):
             y = solve_x(rhs_x if explicit is None else rhs_x + dt * explicit)
-            if a2_next is None:
+            if f.a2 is None:
                 return y
-            y -= theta * dt * a2_next
+            y -= theta * dt * f.a2
             return self.solve_z(y, dt, theta)
 
         if not self.has_a0:
-            return stages(a2_next)
+            return stages(f.a2)
         # A0 of w_next, c0*q*f.lxz, is made again at the correction rather
         # than held through the first stages
         explicit = self.c0 * q * f.lxz
-        if a2_next is not None:
-            explicit += a2_next
+        if f.a2 is not None:
+            explicit += f.a2
         y = stages(explicit)
         # correction: the cross term re-evaluated at the predicted level, with
         # weight theta (1/2, Craig-Sneyd's own, after the Rannacher start),
@@ -453,24 +451,15 @@ class _Scheme:
         return Surface(w, grid)
 
 
-class _Fields:
-    """The stencil fields of one surface that a 2D step reads, each computed on
-    first use; ``select`` hands them to the solves from that surface."""
+class _Fields(NamedTuple):
+    """The stencil fields of one surface w, made once by ``select`` for the
+    solves from w: lxx = z*x^2*d_xx w, lxz = x*z*d_xz w (0.0 where
+    ``has_a0`` is false) and a2 = A2 w (None where ``has_a2`` is false)."""
 
-    def __init__(self, scheme: _Scheme, w: np.ndarray):
-        self.scheme, self.w = scheme, w
-
-    @cached_property
-    def lxx(self) -> np.ndarray:
-        return lxx_values(self.w, self.scheme.grid)
-
-    @cached_property
-    def lxz(self) -> np.ndarray:
-        return lxz_values(self.w, self.scheme.grid)
-
-    @cached_property
-    def a2(self) -> np.ndarray:
-        return self.scheme.a2(self.w)
+    w: np.ndarray
+    lxx: np.ndarray
+    lxz: np.ndarray | float
+    a2: Optional[np.ndarray]
 
 
 def solve_pdelta(payoff: PayoffSpec, params: ModelParams, grid: GridSpec,

@@ -85,8 +85,14 @@ def dz_values(v: np.ndarray, grid: GridSpec) -> np.ndarray:
 
 
 def dzz_values(v: np.ndarray, grid: GridSpec) -> np.ndarray:
-    out = np.zeros_like(v, dtype=float)
-    out[:, 1:-1] = (v[:, 2:] + v[:, :-2] - 2.0 * v[:, 1:-1]) / grid.dz ** 2
+    if grid.n_z == 1:
+        return np.zeros_like(v, dtype=float)
+    out = np.empty(np.shape(v))
+    flat, flat_v = out.reshape(-1), np.reshape(v, -1)  # flat shifts, as in dz_values
+    inner = np.add(flat_v[2:], flat_v[:-2], out=flat[1:-1])
+    inner -= 2.0 * flat_v[1:-1]
+    inner /= grid.dz ** 2
+    out[:, 0] = out[:, -1] = 0.0  # where the shifts reach across rows
     return out
 
 

@@ -7,7 +7,7 @@ import pytest
 from uvbounds import linsolve
 from uvbounds.core import GridSpec, ModelParams
 from uvbounds.linsolve import LinearSolveError
-from uvbounds.solver_pdelta import _Fields, _Scheme
+from uvbounds.solver_pdelta import _Scheme
 from reference import generator_matrix, lu_solve
 
 
@@ -84,7 +84,7 @@ def _reference(n_x=12, n_z=9, seed=0, params=PARAMS):
     q = np.random.default_rng(seed).uniform(params.d, params.u, size=(n_x, n_z))
     scheme = _Scheme(params, grid)
     lu = lu_solve(scheme)
-    return grid, q, lambda q, w, dt, theta: lu(q, _Fields(scheme, w), dt, theta)
+    return grid, q, lambda q, w, dt, theta: lu(q, scheme.select(w)[1], dt, theta)
 
 
 def test_banded_identity():
@@ -123,7 +123,7 @@ def test_singular_banded_raises():
     grid = GridSpec(0, 2, 3, 0.25, 0.25, 1, 1)
     scheme = _Scheme(PARAMS, grid)
     solve = lu_solve(scheme)
-    fields = _Fields(scheme, np.ones((3, 1)))
+    fields = scheme.select(np.ones((3, 1)))[1]
     with pytest.raises(LinearSolveError):
         solve(np.ones((3, 1)), fields, -4.0, 1.0)
 

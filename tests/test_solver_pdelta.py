@@ -558,14 +558,17 @@ def test_each_matrix_factored_once(monkeypatch, cfg, n_z_factors):
 
 
 @pytest.mark.parametrize("passes", [1, 2])
-@pytest.mark.parametrize("rho,delta", [(-0.9, 0.05), (0.0, 0.05), (-0.9, 0.0)])
-def test_each_stencil_field_computed_once_per_surface(monkeypatch, rho, delta, passes):
+@pytest.mark.parametrize("rho,delta,n_z", [
+    pytest.param(-0.9, 0.05, 10, id="-0.9-0.05"), pytest.param(0.0, 0.05, 10, id="0.0-0.05"),
+    pytest.param(-0.9, 0.0, 10, id="-0.9-0.0"), pytest.param(-0.9, 0.05, 1, id="one-slice")])
+def test_each_stencil_field_computed_once_per_surface(monkeypatch, rho, delta, n_z, passes):
     # every select reads a new surface and computes its lxx, and its lxz
-    # where the cross term is live; the solves from w_next reuse them, so
-    # only each solve's predicted level adds an lxz. Making a _Scheme probes
-    # lxx 3 times
+    # where the cross term is live, which needs rho*sqrt(delta) != 0 and more
+    # than one z-node; the solves from w_next reuse them, so only each
+    # solve's predicted level adds an lxz. Making a _Scheme probes lxx 3 times
     p = PARAMS.replace(rho=rho, delta=delta)
-    grid = GridSpec(0, 200, 30, 0, 0.12, 10, 6)
+    z_lo, z_hi = (0.0, 0.12) if n_z > 1 else (0.12, 0.12)
+    grid = GridSpec(0, 200, 30, z_lo, z_hi, n_z, 6)
     calls = dict.fromkeys(["lxx", "lxz", "select", "solve"], 0)
 
     def counting(name, fn):
@@ -582,7 +585,7 @@ def test_each_stencil_field_computed_once_per_surface(monkeypatch, rho, delta, p
     # some corrector pass re-solved from w_next after selecting on a new surface
     assert calls["solve"] > grid.n_t + 1
     assert calls["lxx"] == 3 + calls["select"]
-    cross = rho * np.sqrt(delta) != 0.0
+    cross = rho * np.sqrt(delta) != 0.0 and n_z > 1
     assert calls["lxz"] == (calls["select"] + calls["solve"] if cross else 0)
 
 
