@@ -34,11 +34,11 @@ loaded, that import took 0.19-0.31 s and 25 MiB RSS, against 5-17 ms and
 numpy 2.4.6, scipy 1.17.1). The f2py wrappers, with their argument
 checks, are the same objects ``scipy.linalg.lapack`` exports.
 
-Acceptance of a solve is residual-based: every solve, the z-stage's
-product and its inverse, and the scaled x-stage, verifies
-``max|A x - b| <= lin_tol * (1 + max|b|)`` of its unscaled system by the
-tridiagonal product on flat arrays (``check_tridiag_residual``) and
-raises otherwise. A passing residual is not recorded: the module logs
+Acceptance of a solve is residual-based: every solve verifies
+``max|A x - b| <= lin_tol * (1 + max|b|)`` of its unscaled system and raises
+otherwise (``check_residual``); the z-stage's product and its inverse by the
+tridiagonal product (``check_tridiag_residual``), the scaled x-stage in
+difference form. A passing residual is not recorded: the module logs
 nothing and does not import ``logging``, which no command configures.
 """
 
@@ -49,7 +49,6 @@ import importlib.machinery
 import importlib.util
 import sys
 from pathlib import Path
-from typing import Optional
 
 import numpy as np
 
@@ -57,6 +56,7 @@ from .core import SolverError
 
 __all__ = [
     "LinearSolveError",
+    "check_residual",
     "check_tridiag_residual",
     "scipy_version",
     "spd_tridiag_solver",
@@ -109,38 +109,33 @@ def _flapack():
 
 
 def check_tridiag_residual(lower, main, upper, x: np.ndarray, rhs: np.ndarray,
-                           lin_tol: float, what: str, out: Optional[np.ndarray] = None) -> None:
-    """Raise unless ``max|A x - rhs| <= lin_tol * (1 + max|rhs|)``.
+                           lin_tol: float, what: str) -> None:
+    """Raise unless ``max|A x - rhs| <= lin_tol * (1 + max|rhs|)``
+    (``check_residual``), for one tridiagonal matrix A along every row of ``x``.
 
-    A is tridiagonal along the flattened ``x``, its coefficients laid out
-    by the unknown they multiply: A[i, i] = main[i], A[i + 1, i] = lower[i]
-    and A[i - 1, i] = upper[i]. Each broadcasts against ``x``: the same
-    shape, or one row shared by every row of a 2D ``x``. A batch of systems
-    has lower = 0 on the last unknown of each and upper = 0 on the first,
-    so no row reaches into the next system. The products are whole-array
-    and only the two shifts are slices, of flat arrays: on a 100 x 100
-    batch that took 42 us, against 93 us with 2D slices. The residual is
-    made in ``out`` where one is given: an array of x's shape, which may be
-    ``main`` itself.
+    A's coefficients are laid out by the unknown they multiply, each one
+    row as long as x's: A[i, i] = main[i], A[i + 1, i] = lower[i] and
+    A[i - 1, i] = upper[i]. With lower = 0 on the last unknown and upper = 0
+    on the first, no row reaches into the next, so the two shifts are
+    slices of the flattened arrays: on a 100 x 100 batch that took 42 us,
+    against 93 us with 2D slices.
     """
-    resid = _times(main, x, np.empty(np.shape(x)) if out is None else out)
+    resid = _times(main, x, np.empty(np.shape(x)))
     shifted = _times(upper, x, np.empty(np.shape(x)))
     flat, flat_shifted = resid.reshape(-1), shifted.reshape(-1)
     flat[:-1] += flat_shifted[1:]
     _times(lower, x, shifted)
     flat[1:] += flat_shifted[:-1]
     resid -= rhs
-    _check_residual(resid, rhs, lin_tol, what)
+    check_residual(resid, rhs, lin_tol, what)
 
 
 def _times(coef, x: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """coef * x, made in ``out``. Coefficients that broadcast against x are
-    first copied out to x's shape: numpy 2.4 runs a broadcast operand of a
-    product through a 64 KiB copy buffer, but not a copy."""
-    if np.shape(coef) != out.shape:
-        np.copyto(out, coef)
-        coef = out
-    return np.multiply(coef, x, out=out)
+    """coef * x, made in ``out``. The coefficient row is first copied out to
+    x's shape: numpy 2.4 runs a broadcast operand of a product through a
+    64 KiB copy buffer, but not a copy."""
+    np.copyto(out, coef)
+    return np.multiply(out, x, out=out)
 
 
 def _max_abs(a: np.ndarray) -> float:
@@ -148,7 +143,8 @@ def _max_abs(a: np.ndarray) -> float:
     return float(np.maximum(a.max(), -a.min())) if a.size else 0.0
 
 
-def _check_residual(residual: np.ndarray, rhs: np.ndarray, tol: float, what: str) -> None:
+def check_residual(residual: np.ndarray, rhs: np.ndarray, tol: float, what: str) -> None:
+    """Raise unless ``max|residual| <= tol * (1 + max|rhs|)``; a NaN fails."""
     res = _max_abs(residual)
     # the bound is at least tol: a residual within tol passes without it
     if res <= tol:

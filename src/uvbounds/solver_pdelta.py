@@ -17,7 +17,7 @@ tridiagonal systems, one per z-slice, factored once per step for both
 stages. Each row where A1 is nonzero is divided by its coefficient, which
 makes the batch symmetric positive definite, so LAPACK ``dpttrf``/``dpttrs``
 solve it as L D L^T without pivoting (``_Scheme``); the rows where A1 is
-zero are identity rows. Its residual is checked on the unscaled system.
+zero are identity rows. Its unscaled residual is checked in difference form.
 In-process, a ``sweep-error`` on ``paper.cfg`` spent 0.10 s in x-stage
 factors and 0.19 s in x-stage solves, against 0.16 s and 0.33 s by
 general tridiagonal LU (medians of 9, 2-core x86-64 host, one BLAS
@@ -77,8 +77,8 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from .core import GridSpec, ModelParams, SolverConfig, SolverError, Surface
-from .linsolve import (LinearSolveError, check_tridiag_residual, spd_tridiag_solver,
-                       tridiag_inverse_t)
+from .linsolve import (LinearSolveError, check_residual, check_tridiag_residual,
+                       spd_tridiag_solver, tridiag_inverse_t)
 from .payoff import PayoffSpec, terminal_surface
 from .stencils import deadband, dx_values, dz_values, dzz_values, lxx_values, lxz_values
 
@@ -182,8 +182,8 @@ class _Scheme:
       rows; their couplings move to the right-hand side as +c*b. A row
       with c*a below 2^-54, where 1 + 2*c*a rounds to 1, has its 1/a capped
       at c*2^54, so it stays an identity row to rounding and its scaled
-      right-hand side finite. Every solve checks its residual on the
-      unscaled system.
+      right-hand side finite. Every solve checks the unscaled system, as
+      x - c*a*(x[i-1] - 2*x[i] + x[i+1]) - b in one scratch surface.
     * A2 = delta*(0.5*z*d_zz + kappa*(theta - z)*d_z), implicit in z with
       one tridiagonal matrix for every x-row, held once, dense and
       transposed, as the stencil form applied to the identity (``a2_t``,
@@ -216,7 +216,7 @@ class _Scheme:
     copy, and the last solution before the re-solve, so at most one
     solution is live. The march drops the control and its x-factor after
     each sub-step's hook. In n x n surfaces, the traced peak of a warm
-    ``paper.cfg`` solve is 18.3 at n = 100 and 18.2 at 200, in an x-stage
+    ``paper.cfg`` solve is 18.3 at n = 100 and 18.2 at 200, in a z-stage
     residual check. CPython 3.10 keeps a caller's temporary arguments alive
     through the call, so there the blended surface and its fields stay live
     through select_q, and the x-stage's right-hand side through its solve.
@@ -294,20 +294,18 @@ class _Scheme:
 
     def _factor_x(self, q: np.ndarray, c: float):
         n_x, n_z = self.grid.n_x, self.grid.n_z
-        qq = q.T.copy().reshape(-1)  # flat, slice after slice, as k
-        qq *= qq
-        # the unscaled system, for the residual: -c*a padded by a zero at each
-        # end, so that its two shifts are the off-diagonals by the unknown
-        # they multiply; its main diagonal 1 + 2*c*a is made for each check
-        nca = np.zeros(qq.size + 2)
-        np.multiply(qq, self.k, out=nca[1:-1])
-        nca *= -0.5 * c
+        # the coupling t = c*a = 0.5*c*q^2*k, flat, slice after slice, as k:
+        # zero on the identity rows, the ends of every slice
+        t = q.T.copy().reshape(-1)
+        t *= t
+        t *= self.k
+        t *= 0.5 * c
         # the scaled system: each regular row divided by a, as c/(c*a), with
-        # c*a at least 2^-54; the identity rows' -c/-1, later set to 1, keeps
+        # c*a at least 2^-54; the identity rows' c/1, later set to 1, keeps
         # a huge c from overflowing as c*2^54 there
-        scale = np.minimum(nca[1:-1], -(2.0 ** -54), out=qq)
-        scale[self.identity_rows] = -1.0
-        np.divide(-c, scale, out=scale)
+        scale = np.maximum(t, 2.0 ** -54)
+        scale[self.identity_rows] = 1.0
+        np.divide(c, scale, out=scale)
         d = scale + 2.0 * c
         d[self.identity_rows] = 1.0
         scale[self.identity_rows] = 1.0
@@ -322,12 +320,15 @@ class _Scheme:
             for row, identity_row in moved:
                 r[row] += c * b[identity_row]
             x = solve_scaled(r)
-            # the main diagonal 1 - 2*(-c*a), made in the buffer that becomes
-            # the residual
-            resid = np.multiply(2.0, nca[1:-1])
-            np.subtract(1.0, resid, out=resid)
-            check_tridiag_residual(nca[2:], resid, nca[:-2], x, b, lin_tol, "x-stage",
-                                   out=resid)
+            # the unscaled residual x - t*(x[i-1] - 2*x[i] + x[i+1]) - b; t is
+            # zero at the ends of every slice, so the shifts couple no two slices
+            resid = np.multiply(-2.0, x)
+            resid[1:] += x[:-1]
+            resid[:-1] += x[1:]
+            resid *= t
+            np.subtract(x, resid, out=resid)
+            resid -= b
+            check_residual(resid, b, lin_tol, "x-stage")
             del resid
             # checked, b is spent: the solution goes back out in its buffer
             out = b.reshape(n_x, n_z)

@@ -68,7 +68,7 @@ from scipy.integrate import quad
 
 from uvbounds.core import GridSpec, ModelParams, SolverConfig, Surface
 from uvbounds.csvio import fmt
-from uvbounds.linsolve import LinearSolveError, _check_residual
+from uvbounds.linsolve import LinearSolveError, check_residual
 from uvbounds.montecarlo import _correlate, _stream
 from uvbounds.payoff import PayoffSpec
 from uvbounds.solver_pdelta import _Scheme, solve_pdelta
@@ -124,7 +124,7 @@ def lu_solve(scheme: _Scheme):
             x = spla.splu(a).solve(rhs)
         except RuntimeError as exc:  # exactly singular factor
             raise LinearSolveError(f"sparse LU failed: {exc}") from exc
-        _check_residual(a @ x - rhs, rhs, lin_tol, "sparse LU")
+        check_residual(a @ x - rhs, rhs, lin_tol, "sparse LU")
         return x.reshape(w_next.shape)
 
     return solve
@@ -150,7 +150,7 @@ def lu_x_solver(scheme: _Scheme, q: np.ndarray, c: float):
         resid = ab[1] * x - b
         resid[:-1] += ab[0, 1:] * x[1:]
         resid[1:] += ab[2, :-1] * x[:-1]
-        _check_residual(resid, b, lin_tol, "banded LU x-stage")
+        check_residual(resid, b, lin_tol, "banded LU x-stage")
         return x.reshape(n_z, n_x).T.copy()
 
     return solve

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as hst
 from uvbounds.config import SCHEMA, load_config
 
 PAPER_CFG = Path(__file__).resolve().parents[1] / "paper.cfg"
+BENCH_CFG = Path(__file__).resolve().parents[1] / "bench" / "reference.cfg"
 KEYS = [f"{sec}.{key}" for sec, keys in SCHEMA.items() for key in keys]
 VALUES = hst.one_of(
     hst.sampled_from([
@@ -20,6 +21,14 @@ VALUES = hst.one_of(
 
 def test_paper_cfg_spells_out_the_builtin_preset():
     assert load_config(str(PAPER_CFG)).raw == load_config(None).raw
+
+
+def test_benchmark_config_loads():
+    # the benchmark runs every workload on its own frozen copy of the preset,
+    # so a schema change that rejects it breaks every benchmark run: it must
+    # build here first. It may differ from paper.cfg
+    settings = load_config(str(BENCH_CFG))
+    assert settings.grid.n_x > 0 and settings.sweep_deltas and settings.mc_n_paths > 0
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)

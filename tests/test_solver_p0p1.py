@@ -281,8 +281,8 @@ def test_peak_memory_does_not_grow_with_time_steps():
 
 
 def test_huge_maturity_solves_without_overflow():
-    # c = theta*dt near 1e300: the x-stage's scale divides -c by -1, not by
-    # -2^-54, in its identity rows, so no c*2^54 overflows there (the suite
+    # c = theta*dt near 1e300: the x-stage's scale divides c by 1, not by
+    # 2^-54, in its identity rows, so no c*2^54 overflows there (the suite
     # turns every RuntimeWarning into an error)
     p0, p1 = solve_p0p1(BF, PARAMS.replace(T=1e300), GridSpec(0, 200, 40, 0, 0.12, 10, 4))
     assert np.all(np.isfinite(p0.values))

@@ -382,6 +382,33 @@ def test_spd_x_solve_matches_lu_batch(grid, theta):
         np.testing.assert_array_equal(got[:, 0], rhs[:, 0])
 
 
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(n_x=hst.integers(3, 40), n_z=hst.integers(1, 10),
+       x_min=hst.one_of(hst.just(0.0), hst.floats(1.0, 150.0)),
+       z_min=hst.one_of(hst.just(0.0), hst.floats(1e-3, 0.1)),
+       log_c=hst.floats(-6.0, 2.0), seed=hst.integers(0, 2 ** 16))
+def test_random_x_systems_match_lu(n_x, n_z, x_min, z_min, log_c, seed):
+    # c = theta*dt over eight decades. Two backward-stable solves differ by
+    # about eps times the condition number of I - c*A1, at most 1 + 4*max(c*a):
+    # 1e-13 as in test_spd_x_solve_matches_lu_batch while max(c*a) stays
+    # below about 30 (c up to about 0.1 here), and 4*eps times that bound
+    # beyond it (the gap measured at most 5.6e-16*(1 + max(c*a)), so
+    # 1.8e-13 for c in [1, 10) and 2.2e-13 in [10, 100))
+    grid = GridSpec(x_min, 200, n_x, z_min, z_min if n_z == 1 else z_min + 0.12, n_z, 4)
+    rng = np.random.default_rng(seed)
+    q = rng.uniform(PARAMS.d, PARAMS.u, size=(n_x, n_z))
+    rhs = rng.standard_normal((n_x, n_z))
+    scheme, c = _Scheme(PARAMS, grid), 10.0 ** log_c
+    want = lu_x_solver(scheme, q, c)(rhs)
+    got = scheme.x_solver(q, c)(rhs)
+    coupling = 0.5 * c * np.max(q * q * scheme.k.reshape(n_z, n_x).T)
+    bound = max(1e-13, 4.0 * np.finfo(float).eps * (1.0 + 4.0 * coupling))
+    assert np.max(np.abs(got - want)) <= bound * np.max(np.abs(want))
+    np.testing.assert_array_equal(got[[0, -1]], rhs[[0, -1]])
+    if z_min == 0.0:
+        np.testing.assert_array_equal(got[:, 0], rhs[:, 0])
+
+
 def _shifted_dpttrs(monkeypatch):
     """Wrap dpttrs to add ``shift[0]`` to one unknown of every solution."""
     real = linsolve._flapack()
@@ -469,6 +496,33 @@ def test_splitting_gap_to_lu_is_second_order(rho, delta):
         gaps.append(np.max(np.abs(w_adi - w_lu)))
     assert gaps[0] >= 3.0 * gaps[1], gaps
     assert gaps[1] >= 3.0 * gaps[2], gaps
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(n_x=hst.integers(3, 16), n_z=hst.integers(1, 8), d=hst.floats(0.3, 0.99),
+       u=hst.floats(1.01, 2.0), kappa=hst.floats(12.5, 150.0),
+       delta=hst.one_of(hst.just(0.0), hst.floats(0.0, 1.0)), rho=hst.floats(-0.99, 0.99),
+       theta=hst.sampled_from([0.5, 1.0]), log_dt=hst.floats(-5.0, -1.0),
+       passes=hst.integers(1, 3), seed=hst.integers(0, 2 ** 16))
+def test_step_matches_lu_to_splitting_order(n_x, n_z, d, u, kappa, delta, rho, theta,
+                                            log_dt, passes, seed):
+    # one predictor-corrector step against the unsplit weighted system solved
+    # by sparse LU with the control the step chose. In h = dt*||A(q)||_inf,
+    # the Craig-Sneyd step's local gap is O(h^3) (O(dt^2) over a march) and
+    # saturates at O(|w|) for stiff steps: on 600 random cases it measured at
+    # most 0.032*h^3*max|w| for h < 1, 0.006*h^2*max|w| beyond, and 3.2e-16*max|w|
+    # where rounding dominates
+    p = PARAMS.replace(d=d, u=u, kappa=kappa, delta=delta, rho=rho)
+    z_lo, z_hi = (0.04, 0.04) if n_z == 1 else (0.0, 0.12)
+    grid = GridSpec(0, 200, n_x, z_lo, z_hi, n_z, 4)
+    rng = np.random.default_rng(seed)
+    w = terminal_surface(BF, grid).values + rng.standard_normal((n_x, n_z))
+    scheme, dt = _Scheme(p, grid, SolverConfig(corrector_passes=passes)), 10.0 ** log_dt
+    w_new, q = scheme.step(w, dt, theta)
+    want = lu_solve(scheme)(q, scheme.select(w)[1], dt, theta)
+    h = dt * np.max(np.abs(generator_matrix(scheme, q)).sum(axis=1))
+    bound = 0.1 * h * h * min(1.0, h) + 1e-14
+    assert np.max(np.abs(w_new - want)) <= bound * np.max(np.abs(w)), h
 
 
 def test_price_drift_is_linear_in_delta_when_uncorrelated():
@@ -654,7 +708,7 @@ def test_solve_pdelta_working_set_is_bounded():
     # every surface-sized buffer of a Craig-Sneyd sub-step goes once the stage
     # that reads it is done. In 200x200 surfaces, the traced peak of a warm
     # solve, with the held x-factor, z-inverse and coefficient fields, is
-    # measured 18.20 on CPython 3.11 and numpy 2.4, in an x-stage residual
+    # measured 18.20 on CPython 3.11 and numpy 2.4, in a z-stage residual
     # check (21.2, in the corrector's select_q, while it held the blended
     # surface and its fields); n_t = 40 reads the same. CPython 3.10 keeps a
     # caller's temporary arguments alive through the call, so there the
