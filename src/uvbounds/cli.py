@@ -30,7 +30,7 @@ from . import __version__
 from .config import SCHEMA, RunSettings, load_config, settings_to_flat_dict
 from .core import SolverError
 from .csvio import surface_to_csv, write_csv
-from .linsolve import scipy_version
+from .linsolve import lapack_name, scipy_version
 from .payoff import KINDS
 
 __all__ = ["run", "main"]
@@ -108,6 +108,7 @@ def run(argv) -> int:
             "uvbounds": __version__,
             "numpy": np.__version__,
             "scipy": scipy_version(),
+            "lapack": lapack_name(),
             "python": platform.python_version(),
         },
         "timings_s": {"total": elapsed},

@@ -18,15 +18,36 @@ LAPACK's tridiagonal LU with partial pivoting, on the identity
 numpy's dense LU inverse (best of 5 x 20 calls, one BLAS thread), which
 also pulled 0.7-0.8 MiB of numpy's LAPACK into the process on first use.
 
-The routines come from scipy's compiled LAPACK wrappers, the
-extension module ``scipy/linalg/_flapack``, loaded by file path on the
-first factor. scipy's directory is found by ``importlib.util.find_spec``,
-which locates the package without running ``scipy/__init__.py``, and the
-manifest's scipy version is read from that directory's ``version.py``
-(``scipy_version``). So no solve runs scipy's package init, which took
-12-14 ms and 1.3 MiB RSS after numpy (same host and versions as below).
-Importing the routines as ``scipy.linalg.lapack`` would run the
-``scipy.linalg`` package init, whose array-API layer copies the numpy
+The three routines come from the OpenBLAS numpy already has loaded. numpy
+2 wheels bundle scipy-openblas64, which exports them under the ILP64 names
+``scipy_dpttrf_64_``, ``scipy_dpttrs_64_`` and ``scipy_dgtsv_64_``; a
+``ctypes.CDLL`` of numpy's own ``_multiarray_umath`` extension finds them
+through the libraries that extension links, with no file search, and
+reopening a loaded library maps nothing new (``_numpy_lapack``). They are
+resolved on the first factor, not at import. Where the extension does not
+export all three names (numpy 1.x, Windows, macOS on Accelerate, conda
+builds), the solves take them from scipy's compiled LAPACK wrappers, the
+extension module ``scipy/linalg/_flapack``, loaded by file path
+(``_flapack``). Both serve the solves with f2py's calling conventions
+(``_lapack``), and they gave bitwise the same factors, solutions and
+inverses at numpy 2.4.6 and scipy 1.17.1. The choice follows only from what
+numpy's extension exports, and the manifest names it (``lapack_name``).
+Loading ``_flapack`` maps a second OpenBLAS beside numpy's: loaded after
+the CLI's set-up, scipy's OpenBLAS library added 1.48 MiB RSS and the
+``_flapack`` module 1.02 MiB on top of it, and without them the
+benchmark's ``sweep`` peaked at 33.55 MiB against 36.04 MiB. A call
+through ctypes checks its arrays in Python and so costs about 6 us more
+than f2py's (``dpttrs`` on 10 unknowns: 5.7-8.0 us against 0.4-0.8 us).
+A ``paper.cfg`` sweep makes 902 ``dpttrs``, 461 ``dpttrf`` and 10
+``dgtsv`` calls, so that is under 10 ms of a 0.59 s run, no more than
+loading ``_flapack`` took; the sweep's median wall time did not move.
+
+``_flapack`` is loaded without running ``scipy/__init__.py``: scipy's
+directory is found by ``importlib.util.find_spec``, and the manifest's
+scipy version is read from that directory's ``version.py``
+(``scipy_version``). scipy's package init took 12-14 ms and 1.3 MiB RSS
+after numpy. Importing the routines as ``scipy.linalg.lapack`` would run
+the ``scipy.linalg`` package init, whose array-API layer copies the numpy
 namespace and so forces the lazy imports of ``numpy.f2py``,
 ``numpy.testing``, ``numpy.ma`` and ``numpy.random``. With the CLI
 loaded, that import took 0.19-0.31 s and 25 MiB RSS, against 5-17 ms and
@@ -44,6 +65,7 @@ nothing and does not import ``logging``, which no command configures.
 
 from __future__ import annotations
 
+import ctypes
 import functools
 import importlib.machinery
 import importlib.util
@@ -58,6 +80,7 @@ __all__ = [
     "LinearSolveError",
     "check_residual",
     "check_tridiag_residual",
+    "lapack_name",
     "scipy_version",
     "spd_tridiag_solver",
     "tridiag_inverse_t",
@@ -106,6 +129,123 @@ def _flapack():
             return module
     raise ImportError(f"scipy's LAPACK extension not found: {stem} with a suffix "
                       f"in {importlib.machinery.EXTENSION_SUFFIXES}")
+
+
+# the routines' names in numpy's scipy-openblas64: ILP64, so every integer is 64-bit
+_SYMBOL = "scipy_{}_64_"
+_INT = ctypes.c_int64
+_INT_P = ctypes.POINTER(_INT)
+_DOUBLE_P = ctypes.POINTER(ctypes.c_double)
+
+
+@functools.cache
+def _numpy_lapack():
+    """dpttrf, dpttrs and dgtsv of numpy's bundled OpenBLAS, or None where
+    numpy's extension does not export all three."""
+    try:
+        from numpy._core import _multiarray_umath
+    except ImportError:  # numpy 1.x
+        return None
+    try:
+        lib = ctypes.CDLL(_multiarray_umath.__file__)
+        return _NumpyLapack(*[getattr(lib, _SYMBOL.format(name))
+                              for name in ("dpttrf", "dpttrs", "dgtsv")])
+    except (OSError, AttributeError):  # not loadable by path, or a name not exported
+        return None
+
+
+def _lapack():
+    """The routines a solve calls, with f2py's calling conventions: numpy's
+    where its extension exports them, scipy's wrappers otherwise."""
+    routines = _numpy_lapack()
+    return _flapack() if routines is None else routines
+
+
+def lapack_name() -> str:
+    """The library a solve takes its LAPACK routines from, found without
+    loading scipy's."""
+    return "scipy _flapack" if _numpy_lapack() is None else "numpy scipy-openblas64"
+
+
+def _pointer(a, shape: tuple, name: str):
+    """A pointer to a's data, for LAPACK to read and write in place, once a
+    is a writeable, Fortran-contiguous float64 array of the given shape."""
+    if not (isinstance(a, np.ndarray) and a.dtype == np.float64 and a.shape == shape):
+        raise ValueError(f"{name}: need a float64 array of shape {shape}, got "
+                         f"{getattr(a, 'dtype', type(a).__name__)} of shape {np.shape(a)}")
+    if not (a.flags.f_contiguous and a.flags.writeable):
+        raise ValueError(f"{name}: need a writeable, Fortran-contiguous array")
+    if not a.size:  # LAPACK reads no element of it
+        return None
+    # from_buffer takes a C-contiguous buffer, as the transpose of a
+    # Fortran-contiguous array is, at the same address; the ctypes object
+    # holds the buffer, and so the array, as long as the byref holds it
+    return ctypes.byref(ctypes.c_double.from_buffer(a.T))
+
+
+def _operand(a, overwrite: int):
+    """a itself if it may be overwritten, else a Fortran-ordered copy, as f2py makes."""
+    return a if overwrite else np.array(a, order="F")
+
+
+def _order(d) -> int:
+    """n, the order of the system whose main diagonal is d."""
+    if not (isinstance(d, np.ndarray) and d.ndim == 1):
+        raise ValueError(f"d: need a 1-D array, got shape {np.shape(d)}")
+    return d.shape[0]
+
+
+def _rhs(b, n: int):
+    """(pointer, nrhs) for the right-hand sides b, of shape (n,) or (n, nrhs)."""
+    shape = (n, *np.shape(b)[1:2])
+    return _pointer(b, shape, "b"), shape[1] if len(shape) == 2 else 1
+
+
+class _NumpyLapack:
+    """LAPACK routines called through ctypes the way scipy's f2py wrappers
+    are: the same arguments, ``overwrite_*`` flags and returns (the arrays
+    LAPACK wrote, then its ``info``). An array whose flag is unset is first
+    copied in Fortran order, as f2py copies it. Where f2py would convert an
+    array, this raises ValueError before the call: every array must be
+    float64, writeable, Fortran-contiguous and of its system's length.
+    """
+
+    def __init__(self, dpttrf, dpttrs, dgtsv):
+        dpttrf.argtypes = [_INT_P, _DOUBLE_P, _DOUBLE_P, _INT_P]
+        dpttrs.argtypes = [_INT_P, _INT_P, _DOUBLE_P, _DOUBLE_P, _DOUBLE_P, _INT_P, _INT_P]
+        dgtsv.argtypes = [_INT_P, _INT_P, *[_DOUBLE_P] * 4, _INT_P, _INT_P]
+        for routine in (dpttrf, dpttrs, dgtsv):
+            routine.restype = None
+        self._dpttrf, self._dpttrs, self._dgtsv = dpttrf, dpttrs, dgtsv
+
+    def dpttrf(self, d, e, overwrite_d=0, overwrite_e=0):
+        d, e = _operand(d, overwrite_d), _operand(e, overwrite_e)
+        n = _order(d)
+        ptrs = _pointer(d, (n,), "d"), _pointer(e, (max(n - 1, 0),), "e")
+        info = _INT()
+        self._dpttrf(_INT(n), *ptrs, info)
+        return d, e, info.value
+
+    def dpttrs(self, d, e, b, overwrite_b=0):
+        b = _operand(b, overwrite_b)
+        n = _order(d)
+        ptrs = _pointer(d, (n,), "d"), _pointer(e, (max(n - 1, 0),), "e")
+        b_ptr, nrhs = _rhs(b, n)
+        info = _INT()
+        self._dpttrs(_INT(n), _INT(nrhs), *ptrs, b_ptr, _INT(max(n, 1)), info)
+        return b, info.value
+
+    def dgtsv(self, dl, d, du, b, overwrite_dl=0, overwrite_d=0, overwrite_du=0,
+              overwrite_b=0):
+        dl, d, du, b = (_operand(dl, overwrite_dl), _operand(d, overwrite_d),
+                        _operand(du, overwrite_du), _operand(b, overwrite_b))
+        n = _order(d)
+        off = (max(n - 1, 0),)
+        ptrs = _pointer(dl, off, "dl"), _pointer(d, (n,), "d"), _pointer(du, off, "du")
+        b_ptr, nrhs = _rhs(b, n)
+        info = _INT()
+        self._dgtsv(_INT(n), _INT(nrhs), *ptrs, b_ptr, _INT(max(n, 1)), info)
+        return dl, d, du, b, info.value
 
 
 def check_tridiag_residual(lower, main, upper, x: np.ndarray, rhs: np.ndarray,
@@ -169,7 +309,7 @@ def tridiag_inverse_t(lower, main, upper, what: str) -> np.ndarray:
         if main[0] == 0.0:
             raise LinearSolveError(f"{what}: the 1 x 1 matrix is zero")
         return np.reciprocal(main).reshape(1, 1)
-    *_, x, info = _flapack().dgtsv(lower[:-1], main, upper[1:], np.eye(n, order="F"),
+    *_, x, info = _lapack().dgtsv(lower[:-1], main, upper[1:], np.eye(n, order="F"),
                                    overwrite_b=1)
     if info > 0:
         raise LinearSolveError(f"{what}: pivot at row {info - 1} is exactly zero")
@@ -185,7 +325,7 @@ def spd_tridiag_solver(main: np.ndarray, off: np.ndarray):
     not positive and finite raises. The residual is the caller's to check,
     on the system it scaled into this form.
     """
-    lapack = _flapack()
+    lapack = _lapack()
     d, e, info = lapack.dpttrf(main, off, overwrite_d=1, overwrite_e=1)
     # dpttrf stops at the first pivot <= 0; NaN compares false and passes
     if info > 0 or not np.isfinite(d).all():

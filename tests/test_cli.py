@@ -354,13 +354,13 @@ def test_solver_failure_exits_3_with_error_record(tmp_path, cfg):
 
 def test_failed_ldlt_factor_exits_3_with_error_record(tmp_path, cfg, monkeypatch):
     # dpttrf faked to report a non-positive pivot, as LAPACK's info > 0 does
-    real = linsolve._flapack()
+    real = linsolve._lapack()
 
     def dpttrf(d, e, **kw):
         d, e, _ = real.dpttrf(d, e, **kw)
         return d, e, 3
 
-    monkeypatch.setattr(linsolve, "_flapack",
+    monkeypatch.setattr(linsolve, "_lapack",
                         lambda: SimpleNamespace(dpttrf=dpttrf, dpttrs=real.dpttrs))
     out = tmp_path / "o"
     assert run(["solve-pdelta", "--config", cfg, "--out", str(out)]) == 3
@@ -371,12 +371,12 @@ def test_failed_ldlt_factor_exits_3_with_error_record(tmp_path, cfg, monkeypatch
 
 def test_failed_z_inverse_exits_3_with_error_record(tmp_path, cfg, monkeypatch):
     # dgtsv faked to report an exactly zero pivot, as LAPACK's info > 0 does
-    real = linsolve._flapack()
+    real = linsolve._lapack()
 
     def dgtsv(*args, **kw):
         return (*real.dgtsv(*args, **kw)[:-1], 2)
 
-    monkeypatch.setattr(linsolve, "_flapack", lambda: SimpleNamespace(
+    monkeypatch.setattr(linsolve, "_lapack", lambda: SimpleNamespace(
         dgtsv=dgtsv, dpttrf=real.dpttrf, dpttrs=real.dpttrs))
     out = tmp_path / "o"
     assert run(["solve-pdelta", "--config", cfg, "--out", str(out)]) == 3
@@ -721,19 +721,20 @@ def test_import_loads_no_heavy_scipy_subpackage():
 
 
 def test_error_sweep_never_imports_the_scipy_linalg_package(tmp_path):
-    # the tridiagonal kernel loads scipy's compiled LAPACK wrappers by file
-    # path; the scipy.linalg package init would cost ~0.2 s and ~25 MiB.
-    # Not even scipy's package init runs, nor the Monte Carlo module loads,
-    # nor the Black-Scholes module, which only compare-bs reads
+    # where it needs scipy's compiled LAPACK wrappers, the tridiagonal
+    # kernel loads them by file path; the scipy.linalg package init would
+    # cost ~0.2 s and ~25 MiB. Not even scipy's package init runs, nor the
+    # Monte Carlo module loads, nor the Black-Scholes module, which only
+    # compare-bs reads
     argv = ["sweep-error", "--config", str(PAPER_CFG),
             "--set", "grid.n_x=40", "--set", "grid.n_z=10", "--set", "grid.n_t=4",
             "--out", str(tmp_path / "sweep")]
     code = ("import sys; from uvbounds import linsolve; from uvbounds.cli import run; "
             f"status = run({argv!r}); print(status, *[m in sys.modules for m in "
             "('scipy', 'scipy.linalg', 'uvbounds.montecarlo', 'uvbounds.blackscholes')]); "
-            # importing scipy.linalg afterwards finds the same wrappers
-            "import scipy.linalg; "
-            "print(scipy.linalg._flapack.dpttrs is linsolve._flapack().dpttrs)")
+            # importing scipy.linalg after the loader ran finds the same wrappers
+            "flapack = linsolve._flapack(); import scipy.linalg; "
+            "print(scipy.linalg._flapack.dpttrs is flapack.dpttrs)")
     assert _fresh_python(code).split() == ["0", "False", "False", "False", "False", "True"]
 
 
@@ -764,18 +765,61 @@ def test_error_sweep_and_coupling_rate_import_neither_logging_nor_scipy_linalg(t
 
 
 def test_solves_need_only_the_ldlt_routines(tmp_path):
-    # dpttrf, dpttrs and dgtsv are the only LAPACK routines a solve loads
-    # from scipy's wrappers: the x-stage's L D L^T and the z-inverse
+    # dpttrf, dpttrs and dgtsv are the only LAPACK routines a solve calls:
+    # the x-stage's L D L^T and the z-inverse
     small = ["--config", str(PAPER_CFG),
              "--set", "grid.n_x=40", "--set", "grid.n_z=10", "--set", "grid.n_t=4"]
     runs = [["sweep-error", *small, "--out", str(tmp_path / "sweep")],
             ["solve-pdelta", *small, "--out", str(tmp_path / "pdelta")]]
     code = ("from types import SimpleNamespace; from uvbounds import linsolve; "
-            "from uvbounds.cli import run; real = linsolve._flapack(); "
-            "linsolve._flapack = lambda: SimpleNamespace(dpttrf=real.dpttrf, "
+            "from uvbounds.cli import run; real = linsolve._lapack(); "
+            "linsolve._lapack = lambda: SimpleNamespace(dpttrf=real.dpttrf, "
             "dpttrs=real.dpttrs, dgtsv=real.dgtsv); "
             f"print(*[run(argv) for argv in {runs!r}])")
     assert _fresh_python(code).split() == ["0", "0"]
+
+
+@pytest.mark.skipif(linsolve._numpy_lapack() is None,
+                    reason="numpy's extension does not export scipy_dpttrf_64_, "
+                           "scipy_dpttrs_64_ and scipy_dgtsv_64_, so the solves load "
+                           "scipy's _flapack")
+def test_solves_load_one_openblas(tmp_path):
+    # the solves call the LAPACK of the OpenBLAS numpy bundles: scipy's
+    # wrappers never load, nor the second OpenBLAS they link
+    small = ["--config", str(PAPER_CFG),
+             "--set", "grid.n_x=40", "--set", "grid.n_z=10", "--set", "grid.n_t=4"]
+    runs = [["sweep-error", *small, "--out", str(tmp_path / "sweep")],
+            ["solve-p0", *small, "--out", str(tmp_path / "p0")]]
+    code = ("import os, sys; from uvbounds import linsolve; from uvbounds.cli import run; "
+            f"print(*[run(argv) for argv in {runs!r}], "
+            "'scipy.linalg._flapack' in sys.modules, linsolve._flapack.cache_info().currsize); "
+            # the mapped OpenBLAS libraries, where the platform lists them
+            "maps = '/proc/self/maps'; "
+            "print(len({line.split()[-1] for line in open(maps) if 'openblas' in line}) "
+            "if os.path.exists(maps) else 1)")
+    assert _fresh_python(code).split() == ["0", "0", "False", "0", "1"]
+
+
+@pytest.mark.parametrize("resolver", ["as installed", "finds no names"])
+def test_manifest_names_the_lapack_a_solve_took(tmp_path, resolver):
+    # versions.lapack names the library the solve took its routines from;
+    # naming it loads no LAPACK, so coupling-rate's process stays without one
+    runs = [["coupling-rate", "--config", str(PAPER_CFG), "--set", "mc.n_steps=5",
+             "--set", "mc.n_paths=200", "--out", str(tmp_path / "rate")],
+            ["solve-p0", "--config", str(PAPER_CFG), "--set", "grid.n_x=40",
+             "--set", "grid.n_z=10", "--set", "grid.n_t=4", "--out", str(tmp_path / "p0")]]
+    code = ("import json; from uvbounds import linsolve; from uvbounds.cli import run; "
+            + ("linsolve._SYMBOL = 'uvbounds_no_such_{}_'; " if resolver == "finds no names"
+               else "")
+            + f"runs = {runs!r}; "
+            "[print(run(argv), linsolve._flapack.cache_info().currsize, "
+            "json.load(open(argv[-1] + '/manifest.json'))['versions']['lapack']) "
+            "for argv in runs]")
+    rate, p0 = [line.split(" ", 2) for line in _fresh_python(code).splitlines()]
+    assert rate[:2] == ["0", "0"] and p0[0] == "0"
+    took_flapack = p0[1] == "1"
+    assert took_flapack or resolver == "as installed"
+    assert rate[2] == p0[2] == ("scipy _flapack" if took_flapack else "numpy scipy-openblas64")
 
 
 # -- each process imports only the stack its command runs ----------------------

@@ -1,5 +1,6 @@
 import re
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,26 +11,97 @@ from uvbounds.linsolve import LinearSolveError
 from uvbounds.solver_pdelta import _Scheme
 from reference import generator_matrix, lu_solve
 
+PAPER_CFG = Path(__file__).resolve().parents[1] / "paper.cfg"
+
 
 def test_loaded_lapack_is_bitwise_scipy_linalg_lapack(monkeypatch):
-    # the extension loaded by file path gives scipy.linalg.lapack's factors
-    # and solutions, bit for bit, on a batch laid out as the x-stage's is
+    # each source of the routines gives scipy.linalg.lapack's factors and
+    # solutions, bit for bit, on a batch laid out as the x-stage's is, and
+    # dgtsv's inverse of a tridiagonal matrix as the z-stage builds it
     from scipy.linalg import lapack
 
     monkeypatch.delitem(sys.modules, "scipy.linalg._flapack")  # load it by path
-    ours = linsolve._flapack.__wrapped__()  # past the cache
     rng = np.random.default_rng(17)
     n = 300
     d = 3.0 + rng.random(n)
     e = rng.uniform(-1.0, 1.0, n - 1)
     e[24::25] = 0.0  # zero couplings between systems of 25
-    rhs = rng.standard_normal((n, 3))
-    ldlt = ours.dpttrf(d, e)
-    assert ldlt[-1] == 0
-    pairs = [*zip(ldlt, lapack.dpttrf(d, e)),
-             *zip(ours.dpttrs(*ldlt[:2], rhs), lapack.dpttrs(*ldlt[:2], rhs))]
-    for got, want in pairs:
-        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+    rhs = np.asfortranarray(rng.standard_normal((n, 3)))
+    lower, upper = rng.uniform(-1.0, 1.0, n - 1), rng.uniform(-1.0, 1.0, n - 1)
+    ldlt = lapack.dpttrf(d, e)
+    want = [*ldlt, *lapack.dpttrs(*ldlt[:2], rhs),
+            *lapack.dgtsv(lower, d, upper, np.eye(n, order="F"))]
+    assert ldlt[-1] == 0 and want[-1] == 0
+    # scipy's wrappers loaded by file path, past the cache, and numpy's,
+    # where its extension exports them
+    for ours in [linsolve._flapack.__wrapped__(), linsolve._numpy_lapack()]:
+        if ours is None:
+            continue
+        got = [*ours.dpttrf(d, e), *ours.dpttrs(*ldlt[:2], rhs),
+               *ours.dgtsv(lower, d, upper, np.eye(n, order="F"))]
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert np.asarray(g).tobytes() == np.asarray(w).tobytes()
+
+
+def _valid_arguments(routine: str):
+    """(args, overwrite flags) of a valid call, each array overwritten in place."""
+    n = 6
+    d, e = np.full(n, 3.0), np.full(n - 1, -1.0)
+    return {"dpttrf": ((d, e), {"overwrite_d": 1, "overwrite_e": 1}),
+            "dpttrs": ((d, e, np.ones(n)), {"overwrite_b": 1}),
+            "dgtsv": ((e, d, e.copy(), np.eye(n, order="F")),
+                      {"overwrite_dl": 1, "overwrite_d": 1, "overwrite_du": 1,
+                       "overwrite_b": 1})}[routine]
+
+
+@pytest.mark.parametrize("routine", ["dpttrf", "dpttrs", "dgtsv"])
+@pytest.mark.parametrize("spoil", ["float32", "strided", "read-only", "short", "long"])
+def test_numpy_lapack_rejects_a_bad_array_before_any_call(routine, spoil):
+    # ctypes passes a bare pointer: every array is checked before it, in
+    # place as the solves pass them, and a bad one raises ValueError
+    calls = []  # the stand-ins for the ctypes functions record each call
+    lapack = linsolve._NumpyLapack(*[lambda *args: calls.append(args) for _ in range(3)])
+    method = getattr(lapack, routine)
+    args, flags = _valid_arguments(routine)
+    method(*args, **flags)
+    assert len(calls) == 1
+    for i, a in enumerate(args):
+        bad = list(args)
+        if spoil == "float32":
+            bad[i] = a.astype(np.float32)
+        elif spoil == "strided":
+            bad[i] = np.repeat(a, 2, axis=0)[::2]
+        elif spoil == "read-only":
+            bad[i] = a.copy(order="A")
+            bad[i].setflags(write=False)
+        elif spoil == "short":
+            bad[i] = a[:-1]
+        else:
+            bad[i] = np.concatenate([a, a[:1]])
+        with pytest.raises(ValueError, match="need a"):
+            method(*bad, **flags)
+    assert len(calls) == 1
+
+
+def test_the_scipy_fallback_gives_the_same_csv_bytes(monkeypatch, tmp_path):
+    # the resolver finds none of numpy's names, so the solves load scipy's
+    # wrappers; both paths give every CSV of solve-pdelta byte for byte
+    from uvbounds.cli import run
+
+    argv = ["solve-pdelta", "--config", str(PAPER_CFG), "--set", "grid.n_x=40",
+            "--set", "grid.n_z=10", "--set", "grid.n_t=4", "--out"]
+    assert run([*argv, str(tmp_path / "default")]) == 0
+    monkeypatch.setattr(linsolve, "_SYMBOL", "uvbounds_no_such_{}_")
+    monkeypatch.setattr(linsolve, "_numpy_lapack", linsolve._numpy_lapack.__wrapped__)
+    assert linsolve._numpy_lapack() is None
+    assert linsolve.lapack_name() == "scipy _flapack"
+    assert run([*argv, str(tmp_path / "fallback")]) == 0
+    csvs = sorted(path.name for path in (tmp_path / "default").glob("*.csv"))
+    assert csvs and csvs == sorted(path.name for path in (tmp_path / "fallback").glob("*.csv"))
+    for name in csvs:
+        assert (tmp_path / "default" / name).read_bytes() == \
+            (tmp_path / "fallback" / name).read_bytes()
 
 
 def test_missing_lapack_extension_names_its_path(monkeypatch, tmp_path):

@@ -330,12 +330,12 @@ def test_z_stage_nan_rhs_fails_the_residual_check():
 def test_failed_z_inverse_raises(monkeypatch):
     # dgtsv faked to report an exactly zero pivot, as LAPACK's info > 0 does:
     # it becomes a LinearSolveError, and so a SolverError naming the time level
-    real = linsolve._flapack()
+    real = linsolve._lapack()
 
     def dgtsv(*args, **kw):
         return (*real.dgtsv(*args, **kw)[:-1], 2)
 
-    monkeypatch.setattr(linsolve, "_flapack", lambda: SimpleNamespace(
+    monkeypatch.setattr(linsolve, "_lapack", lambda: SimpleNamespace(
         dgtsv=dgtsv, dpttrf=real.dpttrf, dpttrs=real.dpttrs))
     rhs = np.ones((SMALL.n_x, SMALL.n_z))
     with pytest.raises(LinearSolveError, match="z-stage inverse: pivot at row 1 is exactly zero"):
@@ -411,7 +411,7 @@ def test_random_x_systems_match_lu(n_x, n_z, x_min, z_min, log_c, seed):
 
 def _shifted_dpttrs(monkeypatch):
     """Wrap dpttrs to add ``shift[0]`` to one unknown of every solution."""
-    real = linsolve._flapack()
+    real = linsolve._lapack()
     shift = [0.0]
 
     def dpttrs(*args, **kw):
@@ -419,7 +419,7 @@ def _shifted_dpttrs(monkeypatch):
         x[17] += shift[0]
         return x, info
 
-    monkeypatch.setattr(linsolve, "_flapack",
+    monkeypatch.setattr(linsolve, "_lapack",
                         lambda: SimpleNamespace(dpttrf=real.dpttrf, dpttrs=dpttrs))
     return shift
 
@@ -449,14 +449,14 @@ def test_x_stage_nan_rhs_fails_the_residual_check():
 
 def _failing_dpttrf(monkeypatch, row: int):
     """Fake dpttrf to report a non-positive pivot at ``row`` (LAPACK's 1-based info)."""
-    real = linsolve._flapack()
+    real = linsolve._lapack()
 
     def dpttrf(d, e, **kw):
         d, e, _ = real.dpttrf(d, e, **kw)
         d[row] = 0.0
         return d, e, row + 1
 
-    monkeypatch.setattr(linsolve, "_flapack",
+    monkeypatch.setattr(linsolve, "_lapack",
                         lambda: SimpleNamespace(dpttrf=dpttrf, dpttrs=real.dpttrs))
 
 

@@ -101,3 +101,20 @@ def test_time_change_symmetry(n_x, n_z, n_t, k, delta):
         b, qb = pdelta_with_controls(BF, p_scaled, grid_scaled, cfg_scaled)
         bitwise(b.values, a.values)
         bitwise(qb, qa)
+
+
+@settings(max_examples=15, deadline=None, derandomize=True)
+@given(n_x=hst.integers(12, 40), n_z=hst.integers(3, 12), n_t=hst.integers(1, 8),
+       seed=hst.integers(0, 2 ** 32 - 1), off=hst.sampled_from(["delta", "rho"]))
+def test_seller_price_never_below_buyer_price_without_the_cross_term(n_x, n_z, n_t, seed, off):
+    # a worst-case price is sublinear in the payoff, so P(h) + P(-h) >= 0:
+    # the seller's price is never below the buyer's. The explicit cross
+    # term breaks it on the grid; at delta = 0 or rho = 0 that term is off,
+    # and it holds up to rounding, for any payoff
+    params = PARAMS.replace(**{off: 0.0})
+    grid = GridSpec(0, 200, n_x, 0, 0.12, n_z, n_t)
+    x = grid.x_nodes()
+    h = np.random.default_rng(seed).uniform(-10.0, 10.0, x.size)
+    total = (solve_pdelta(PayoffSpec.tabulated(x, h), params, grid).values
+             + solve_pdelta(PayoffSpec.tabulated(x, -h), params, grid).values)
+    assert np.min(total) >= -1e-12 * (1.0 + np.max(np.abs(h)))
