@@ -298,17 +298,13 @@ def tridiag_inverse_t(lower, main, upper, what: str) -> np.ndarray:
     """The transposed inverse M^-T of the tridiagonal M, as a C-contiguous array.
 
     The diagonals are laid out as ``check_tridiag_residual`` reads them,
-    each of length n: M[i, i] = main[i], M[i + 1, i] = lower[i] and
+    each of length n >= 2: M[i, i] = main[i], M[i + 1, i] = lower[i] and
     M[i - 1, i] = upper[i], so lower[-1] and upper[0] are not read. LAPACK
     ``dgtsv`` solves M X = I by LU with partial pivoting and returns X in
     Fortran order, whose transpose is M^-T in C order at no copy. A pivot
     that is exactly zero raises. The residual is the caller's to check.
     """
     n = main.size
-    if n == 1:  # f2py rejects the empty off-diagonals of order 1
-        if main[0] == 0.0:
-            raise LinearSolveError(f"{what}: the 1 x 1 matrix is zero")
-        return np.reciprocal(main).reshape(1, 1)
     *_, x, info = _lapack().dgtsv(lower[:-1], main, upper[1:], np.eye(n, order="F"),
                                    overwrite_b=1)
     if info > 0:

@@ -75,6 +75,15 @@ from uvbounds.solver_pdelta import _Scheme, solve_pdelta
 from uvbounds.stencils import deadband
 
 
+# the paper's experiment, as the built-in preset and paper.cfg give it: the
+# model, the butterfly 90/100/110 and the 100 x 100 x 20 grid
+PAPER_CFG = Path(__file__).resolve().parents[1] / "paper.cfg"
+PARAMS = ModelParams(x0=100, z0=0.04, T=0.25, r=0, d=0.75, u=1.25,
+                     kappa=15, theta=0.04, delta=0.05, rho=-0.9)
+BF = PayoffSpec.butterfly(90, 100, 110)
+GRID = GridSpec(0, 200, 100, 0, 0.12, 100, 20)
+
+
 def generator_matrix(scheme: _Scheme, q: np.ndarray):
     """A(q) = A0 + A1 + A2 as a sparse matrix on the row-major flattened grid.
 

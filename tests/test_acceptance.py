@@ -13,18 +13,15 @@ import pytest
 
 from uvbounds.analysis import compare_bs, error_sweep, gamma_diagnostics
 from uvbounds.blackscholes import bs_call, bs_payoff_price
-from uvbounds.core import GridSpec, ModelParams, SolverConfig
+from uvbounds.core import GridSpec, SolverConfig
 from uvbounds.csvio import write_csv
 from uvbounds.montecarlo import coupling_rate_study, simulate_coupled_asset
 from uvbounds.payoff import PayoffSpec
 from uvbounds.solver_pdelta import solve_p0p1
 from uvbounds.solver_pdelta import solve_pdelta
+from reference import BF, GRID, PARAMS
 
-PARAMS = ModelParams(x0=100, z0=0.04, T=0.25, r=0, d=0.75, u=1.25,
-                     kappa=15, theta=0.04, delta=0.05, rho=-0.9)
-GRID = GridSpec(0, 200, 100, 0, 0.12, 100, 20)
 GRID2 = GridSpec(0, 200, 200, 0, 0.12, 200, 40)
-BF = PayoffSpec.butterfly(90, 100, 110)
 WINDOW = (60.0, 140.0)
 GAMMA_EPS = SolverConfig().resolve_gamma_eps(PARAMS)
 

@@ -9,17 +9,14 @@ from uvbounds import analysis, solver_pdelta
 from uvbounds.analysis import compare_bs, error_sweep, gamma_diagnostics
 from uvbounds.blackscholes import bs_call
 from uvbounds.config import load_config
-from uvbounds.core import GridSpec, ModelParams, SolverConfig, Surface, loglog_fit
+from uvbounds.core import GridSpec, SolverConfig, Surface, loglog_fit
 from uvbounds.payoff import PayoffSpec
 from uvbounds.solver_pdelta import solve_p0p1
 from uvbounds.solver_pdelta import solve_pdelta
-from reference import gamma_crossings_loop, slow_scale_p1_call, worst_case_call
+from reference import BF, PARAMS, gamma_crossings_loop, slow_scale_p1_call, worst_case_call
 
-PARAMS = ModelParams(x0=100, z0=0.04, T=0.25, r=0, d=0.75, u=1.25,
-                     kappa=15, theta=0.04, delta=0.05, rho=-0.9)
 SMALL = GridSpec(0, 200, 50, 0, 0.12, 16, 8)
 MID = GridSpec(0, 200, 80, 0, 0.12, 30, 10)
-BF = PayoffSpec.butterfly(90, 100, 110)
 GAMMA_EPS = SolverConfig().resolve_gamma_eps(PARAMS)
 
 

@@ -10,16 +10,20 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy
 
 import uvbounds
-from uvbounds import linsolve, montecarlo, solver_pdelta
+from uvbounds import cli, linsolve, montecarlo, solver_pdelta
 from uvbounds.cli import run
 from uvbounds.config import SCHEMA
 from uvbounds.core import SolverError
 from uvbounds.payoff import KINDS
-from reference import lu_x_solver, read_csv
+from reference import PAPER_CFG, lu_x_solver, read_csv
 
-PAPER_CFG = Path(__file__).resolve().parents[1] / "paper.cfg"
+# paper.cfg on a 40 x 10 x 4 grid, with a 5-step, 200-path Monte Carlo
+SMALL_ARGS = ["--config", str(PAPER_CFG), *(
+    "--set grid.n_x=40 --set grid.n_z=10 --set grid.n_t=4 "
+    "--set mc.n_steps=5 --set mc.n_paths=200 --set mc.n_bound_paths=3").split()]
 
 SMALL_CFG = """
 [grid]
@@ -385,27 +389,6 @@ def test_failed_z_inverse_exits_3_with_error_record(tmp_path, cfg, monkeypatch):
     assert "z-stage inverse: pivot at row 1 is exactly zero" in record["message"]
 
 
-def test_z_inverse_needs_no_numpy_linalg(tmp_path, cfg, monkeypatch):
-    # the z-inverse comes from LAPACK dgtsv, so the sweep runs with numpy's
-    # dense inverse unavailable
-    def inv(a):
-        raise AssertionError("np.linalg.inv called")
-
-    monkeypatch.setattr(np.linalg, "inv", inv)
-    assert run(["sweep-error", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
-
-
-def test_p0_commands_run_no_p1(tmp_path, cfg, monkeypatch):
-    # solve-p0, compare-bs and gamma-diag write P0 but no P1, so they take P0
-    # from the 2D solve at delta = 0 and never step P1
-    def solve_p0p1(*args, **kw):
-        raise AssertionError("solve_p0p1 called")
-
-    monkeypatch.setattr(solver_pdelta, "solve_p0p1", solve_p0p1)
-    for command in ("solve-p0", "compare-bs", "gamma-diag"):
-        assert run([command, "--config", cfg, "--out", str(tmp_path / command)]) == 0
-
-
 def test_nan_in_a2_exits_3_at_the_z_inverse_check(tmp_path, cfg, monkeypatch):
     # a NaN put into a2_t just before the first z-stage, so that the inverse
     # built there is the first thing to meet it; a linear solve's failure is
@@ -675,10 +658,12 @@ def _fresh_env() -> dict:
                 PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
 
 
-def _fresh_python(code: str) -> str:
-    """The stdout of ``python -c code`` in a new process that imports this package."""
-    return subprocess.run([sys.executable, "-c", code], env=_fresh_env(), capture_output=True,
-                          text=True, check=True, timeout=120).stdout
+def _fresh_python(code: str, *args: str) -> str:
+    """The stdout of ``python -c code args`` in a new process that imports this package."""
+    proc = subprocess.run([sys.executable, "-c", code, *args], env=_fresh_env(),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
 
 
 def test_module_entry_point_runs_the_command(tmp_path):
@@ -688,8 +673,7 @@ def test_module_entry_point_runs_the_command(tmp_path):
                               capture_output=True, text=True, timeout=120).returncode
 
     out = tmp_path / "p0"
-    assert run_module("solve-p0", "--config", str(PAPER_CFG), "--set", "grid.n_x=40",
-                      "--set", "grid.n_z=10", "--set", "grid.n_t=4", "--out", str(out)) == 0
+    assert run_module("solve-p0", *SMALL_ARGS, "--out", str(out)) == 0
     assert (out / "manifest.json").is_file()
     assert run_module("solve-p0", "--config", str(PAPER_CFG), "--set", "grid.n_x=oops",
                       "--out", str(tmp_path / "bad")) == 2
@@ -707,156 +691,105 @@ def test_error_sweep_fit_is_the_same_with_one_and_two_blas_threads(tmp_path):
         (tmp_path / "2" / "sweep_fit.csv").read_bytes()
 
 
-def test_import_loads_no_heavy_scipy_subpackage():
-    # parsing, config and dispatch need only the value types: scipy's
-    # package init (and each subpackage, ~25 MiB RSS) and every solver
-    # stack load with the command that runs them; no command runs a
-    # process pool
-    heavy = ("scipy", "uvbounds.solver_pdelta", "uvbounds.analysis", "uvbounds.montecarlo",
-             "multiprocessing", "concurrent.futures.process")
-    code = ("import sys, uvbounds, uvbounds.cli; from uvbounds.config import load_config; "
-            f"load_config({str(PAPER_CFG)!r}, []); "
-            f"print([m for m in {heavy!r} if m in sys.modules])")
-    assert _fresh_python(code).strip() == "[]"
+# -- what each command's process loads and calls -------------------------------
+# One fresh process per subcommand prints one JSON record on its last line.
+
+PDE, MC = ("uvbounds.solver_pdelta", "uvbounds.stencils"), ("numpy.random", "uvbounds.montecarlo")
+WATCH = (*PDE, *MC, "uvbounds.analysis", "uvbounds.blackscholes", "logging", "multiprocessing",
+         "concurrent.futures.process")
+# each command: the watched modules its process loads, and whether it takes
+# P0 from the 2D solve at delta = 0 and so must never step P1
+ROWS = {"solve-p0": (PDE, True),
+        "solve-p1": (PDE, False),
+        "solve-pdelta": (PDE, False),
+        "sweep-error": (PDE + ("uvbounds.analysis",), False),
+        "compare-bs": (PDE + ("uvbounds.analysis", "uvbounds.blackscholes"), True),
+        "gamma-diag": (PDE + ("uvbounds.analysis",), True),
+        "simulate-bounds": (MC, False),
+        "coupling-rate": (MC, False)}
+NUMPY_LAPACK = linsolve._numpy_lapack() is not None
+
+# loaded(): the watched modules, and any scipy module, held past those
+# numpy's own import loads (numpy 1.x loads numpy.random with itself)
+_WATCHING = f"""
+import json, os, sys
+watched = lambda: {{m for m in sys.modules if m in {WATCH!r} or m.split(".")[0] == "scipy"}}
+import numpy as np
+with_numpy = watched()
+from uvbounds import linsolve
+loaded = lambda: sorted(watched() - with_numpy)
+"""
+# a call the row refuses raises, and so fails the process
+_ROW = _WATCHING + """
+from types import SimpleNamespace
+from uvbounds.cli import run
+argv, pde, p0_only = json.loads(sys.argv[1])
+def refuse(name):
+    raise AssertionError(name + " called")
+if pde:  # a solve calls dpttrf, dpttrs and dgtsv, and no dense inverse
+    linsolve._lapack = lambda real=linsolve._lapack: SimpleNamespace(
+        **{name: getattr(real(), name) for name in ("dpttrf", "dpttrs", "dgtsv")})
+    np.linalg.inv = lambda *args: refuse("np.linalg.inv")
+if p0_only:
+    from uvbounds import solver_pdelta
+    solver_pdelta.solve_p0p1 = lambda *args, **kw: refuse("solve_p0p1")
+status = run(argv)
+versions = json.load(open(argv[-1] + "/manifest.json"))["versions"] if status == 0 else {}
+maps = "/proc/self/maps"  # the mapped OpenBLAS libraries, where the platform lists them
+blas = {ln.split()[-1] for ln in open(maps) if "openblas" in ln} if os.path.exists(maps) else {0}
+print(json.dumps({"status": status, "loaded": loaded(), "with_numpy": sorted(with_numpy),
+                  "openblas": len(blas), "flapack_cache": linsolve._flapack.cache_info().currsize,
+                  "lapack": versions.get("lapack"), "scipy": versions.get("scipy")}))
+"""
 
 
-def test_error_sweep_never_imports_the_scipy_linalg_package(tmp_path):
-    # where it needs scipy's compiled LAPACK wrappers, the tridiagonal
-    # kernel loads them by file path; the scipy.linalg package init would
-    # cost ~0.2 s and ~25 MiB. Not even scipy's package init runs, nor the
-    # Monte Carlo module loads, nor the Black-Scholes module, which only
-    # compare-bs reads
-    argv = ["sweep-error", "--config", str(PAPER_CFG),
-            "--set", "grid.n_x=40", "--set", "grid.n_z=10", "--set", "grid.n_t=4",
-            "--out", str(tmp_path / "sweep")]
-    code = ("import sys; from uvbounds import linsolve; from uvbounds.cli import run; "
-            f"status = run({argv!r}); print(status, *[m in sys.modules for m in "
-            "('scipy', 'scipy.linalg', 'uvbounds.montecarlo', 'uvbounds.blackscholes')]); "
-            # importing scipy.linalg after the loader ran finds the same wrappers
-            "flapack = linsolve._flapack(); import scipy.linalg; "
-            "print(scipy.linalg._flapack.dpttrs is flapack.dpttrs)")
-    assert _fresh_python(code).split() == ["0", "False", "False", "False", "False", "True"]
+@pytest.mark.parametrize("command", list(cli._DISPATCH))
+def test_command_process_loads_and_calls_only_its_stack(tmp_path, command):
+    loads, p0_only = ROWS[command]  # a command without a row fails here
+    pde = PDE[0] in loads
+    row = json.dumps([[command, *SMALL_ARGS, "--out", str(tmp_path)], pde, p0_only])
+    record = json.loads(_fresh_python(_ROW, row).splitlines()[-1])
+    # without numpy's routines a solve loads scipy's _flapack, and the BLAS that links
+    flapack = pde and not NUMPY_LAPACK
+    assert record.pop("openblas") == 1 or flapack
+    numpy_loads = set(record.pop("with_numpy"))
+    assert record == {"status": 0, "loaded": sorted(set(loads) - numpy_loads),
+                      "flapack_cache": int(flapack),
+                      "lapack": "numpy scipy-openblas64" if NUMPY_LAPACK else "scipy _flapack",
+                      "scipy": scipy.__version__}
 
 
-def test_compare_bs_never_imports_scipy(tmp_path):
-    # the normal CDF is math.erfc elementwise, so the one command that prices
-    # Black-Scholes runs neither scipy's package init nor scipy.special
-    argv = ["compare-bs", "--config", str(PAPER_CFG),
-            "--set", "grid.n_x=40", "--set", "grid.n_z=10", "--set", "grid.n_t=4",
-            "--out", str(tmp_path / "bs")]
-    code = ("import sys; from uvbounds.cli import run; "
-            f"print(run({argv!r}), *[m in sys.modules for m in ('scipy', 'scipy.special')])")
-    assert _fresh_python(code).split() == ["0", "False", "False"]
+def test_import_and_config_load_nothing_heavy():
+    # parsing and the config need only the value types; a lazy name is the
+    # solver module's own object, and the namespace is the one it always was
+    code = _WATCHING + f"""
+import uvbounds as uv, uvbounds.cli
+uvbounds.config.load_config({str(PAPER_CFG)!r}, [])
+print(loaded())
+import uvbounds.solver_pdelta
+print(uv.solve_pdelta is uvbounds.solver_pdelta.solve_pdelta, hasattr(uv, "no_such_name"))
+print(sorted(uv.__all__))
+"""
+    assert _fresh_python(code).splitlines() == ["[]", "True False", str(sorted(
+        "ModelParams GridSpec SolverConfig Surface PayoffSpec SweepReport solve_p0p1 solve_pdelta "
+        "simulate_cir coupling_rate_study error_sweep gamma_diagnostics compare_bs __version__"
+        .split()))]
 
 
-def test_error_sweep_and_coupling_rate_import_neither_logging_nor_scipy_linalg(tmp_path):
-    # nothing logs, so nothing imports logging; the solves load LAPACK
-    # without the scipy.linalg package
-    runs = [["sweep-error", "--config", str(PAPER_CFG),
-             "--set", "grid.n_x=40", "--set", "grid.n_z=10", "--set", "grid.n_t=4",
-             "--out", str(tmp_path / "sweep")],
-            ["coupling-rate", "--config", str(PAPER_CFG),
-             "--set", "mc.n_steps=5", "--set", "mc.n_paths=2000",
-             "--out", str(tmp_path / "rate")]]
-    code = ("import sys; from uvbounds.cli import run; "
-            f"print(*[run(argv) for argv in {runs!r}], "
-            "*[m in sys.modules for m in ('logging', 'scipy.linalg')])")
-    assert _fresh_python(code).split() == ["0", "0", "False", "False"]
-
-
-def test_solves_need_only_the_ldlt_routines(tmp_path):
-    # dpttrf, dpttrs and dgtsv are the only LAPACK routines a solve calls:
-    # the x-stage's L D L^T and the z-inverse
-    small = ["--config", str(PAPER_CFG),
-             "--set", "grid.n_x=40", "--set", "grid.n_z=10", "--set", "grid.n_t=4"]
-    runs = [["sweep-error", *small, "--out", str(tmp_path / "sweep")],
-            ["solve-pdelta", *small, "--out", str(tmp_path / "pdelta")]]
-    code = ("from types import SimpleNamespace; from uvbounds import linsolve; "
-            "from uvbounds.cli import run; real = linsolve._lapack(); "
-            "linsolve._lapack = lambda: SimpleNamespace(dpttrf=real.dpttrf, "
-            "dpttrs=real.dpttrs, dgtsv=real.dgtsv); "
-            f"print(*[run(argv) for argv in {runs!r}])")
-    assert _fresh_python(code).split() == ["0", "0"]
-
-
-@pytest.mark.skipif(linsolve._numpy_lapack() is None,
-                    reason="numpy's extension does not export scipy_dpttrf_64_, "
-                           "scipy_dpttrs_64_ and scipy_dgtsv_64_, so the solves load "
-                           "scipy's _flapack")
-def test_solves_load_one_openblas(tmp_path):
-    # the solves call the LAPACK of the OpenBLAS numpy bundles: scipy's
-    # wrappers never load, nor the second OpenBLAS they link
-    small = ["--config", str(PAPER_CFG),
-             "--set", "grid.n_x=40", "--set", "grid.n_z=10", "--set", "grid.n_t=4"]
-    runs = [["sweep-error", *small, "--out", str(tmp_path / "sweep")],
-            ["solve-p0", *small, "--out", str(tmp_path / "p0")]]
-    code = ("import os, sys; from uvbounds import linsolve; from uvbounds.cli import run; "
-            f"print(*[run(argv) for argv in {runs!r}], "
-            "'scipy.linalg._flapack' in sys.modules, linsolve._flapack.cache_info().currsize); "
-            # the mapped OpenBLAS libraries, where the platform lists them
-            "maps = '/proc/self/maps'; "
-            "print(len({line.split()[-1] for line in open(maps) if 'openblas' in line}) "
-            "if os.path.exists(maps) else 1)")
-    assert _fresh_python(code).split() == ["0", "0", "False", "0", "1"]
-
-
-@pytest.mark.parametrize("resolver", ["as installed", "finds no names"])
-def test_manifest_names_the_lapack_a_solve_took(tmp_path, resolver):
-    # versions.lapack names the library the solve took its routines from;
-    # naming it loads no LAPACK, so coupling-rate's process stays without one
-    runs = [["coupling-rate", "--config", str(PAPER_CFG), "--set", "mc.n_steps=5",
-             "--set", "mc.n_paths=200", "--out", str(tmp_path / "rate")],
-            ["solve-p0", "--config", str(PAPER_CFG), "--set", "grid.n_x=40",
-             "--set", "grid.n_z=10", "--set", "grid.n_t=4", "--out", str(tmp_path / "p0")]]
-    code = ("import json; from uvbounds import linsolve; from uvbounds.cli import run; "
-            + ("linsolve._SYMBOL = 'uvbounds_no_such_{}_'; " if resolver == "finds no names"
-               else "")
-            + f"runs = {runs!r}; "
-            "[print(run(argv), linsolve._flapack.cache_info().currsize, "
-            "json.load(open(argv[-1] + '/manifest.json'))['versions']['lapack']) "
-            "for argv in runs]")
-    rate, p0 = [line.split(" ", 2) for line in _fresh_python(code).splitlines()]
-    assert rate[:2] == ["0", "0"] and p0[0] == "0"
-    took_flapack = p0[1] == "1"
-    assert took_flapack or resolver == "as installed"
-    assert rate[2] == p0[2] == ("scipy _flapack" if took_flapack else "numpy scipy-openblas64")
-
-
-# -- each process imports only the stack its command runs ----------------------
-
-def test_monte_carlo_commands_load_no_scipy_and_no_pde_stack(tmp_path):
-    pde = ("uvbounds.solver_pdelta", "uvbounds.stencils", "uvbounds.analysis")
-    runs = [[command, "--config", str(PAPER_CFG), "--set", "mc.n_steps=5",
-             "--set", "mc.n_paths=200", "--set", "mc.n_bound_paths=3",
-             "--out", str(tmp_path / command)]
-            for command in ("coupling-rate", "simulate-bounds")]
-    code = ("import sys; from uvbounds.cli import run; "
-            f"print(*[run(argv) for argv in {runs!r}]); "
-            f"print([m for m in sys.modules if m.split('.')[0] == 'scipy' or m in {pde!r}])")
-    assert _fresh_python(code).splitlines() == ["0 0", "[]"]
-
-
-def test_lazy_names_and_the_manifest_scipy_version(tmp_path):
-    # a lazy name is the solver module's own object, the namespace is the
-    # one it always was, and the manifest reads scipy's version without
-    # importing scipy
-    runs = [["solve-p0", "--config", str(PAPER_CFG), "--set", "grid.n_x=40",
-             "--set", "grid.n_z=10", "--set", "grid.n_t=4", "--out", str(tmp_path / "p0")],
-            ["coupling-rate", "--config", str(PAPER_CFG), "--set", "mc.n_steps=5",
-             "--set", "mc.n_paths=200", "--out", str(tmp_path / "rate")]]
-    code = ("import json, uvbounds as uv; from uvbounds.cli import run; "
-            f"print(*[run(argv) for argv in {runs!r}]); "
-            "import uvbounds.solver_pdelta, scipy; "
-            "print(uv.solve_pdelta is uvbounds.solver_pdelta.solve_pdelta); "
-            # hasattr is False only on AttributeError; any other error propagates
-            "print(hasattr(uv, 'no_such_name')); "
-            "print(sorted(uv.__all__)); "
-            "print(*[json.load(open(argv[-1] + '/manifest.json'))['versions']['scipy'] "
-            f"== scipy.__version__ for argv in {runs!r}])")
-    status, same, unknown, names, versions = _fresh_python(code).splitlines()
-    assert (status, same, unknown, versions) == ("0 0", "True", "False", "True True")
-    assert names == str(sorted([
-        "ModelParams", "GridSpec", "SolverConfig", "Surface", "PayoffSpec",
-        "SweepReport", "solve_p0p1", "solve_pdelta",
-        "simulate_cir", "coupling_rate_study", "error_sweep", "gamma_diagnostics",
-        "compare_bs", "__version__"]))
+def test_without_numpy_lapack_a_solve_loads_scipy_flapack(tmp_path):
+    # names numpy's extension does not export: naming the library loads no
+    # LAPACK, a solve loads scipy's wrappers by file path, and a later
+    # scipy.linalg import finds the same wrappers
+    code = _WATCHING + """
+from uvbounds.cli import run
+linsolve._SYMBOL = "uvbounds_no_such_{}_"
+for argv in json.loads(sys.argv[1]):
+    print(run(argv), linsolve._flapack.cache_info().currsize, "scipy" in sys.modules,
+          json.load(open(argv[-1] + "/manifest.json"))["versions"]["lapack"])
+import scipy.linalg
+print(scipy.linalg._flapack.dpttrs is linsolve._flapack().dpttrs)
+"""
+    runs = [[command, *SMALL_ARGS, "--out", str(tmp_path / command)]
+            for command in ("coupling-rate", "solve-p0")]
+    assert _fresh_python(code, json.dumps(runs)).splitlines() == [
+        "0 0 False scipy _flapack", "0 1 False scipy _flapack", "True"]

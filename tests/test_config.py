@@ -3,8 +3,8 @@ from pathlib import Path
 from hypothesis import given, settings, strategies as hst
 
 from uvbounds.config import SCHEMA, load_config
+from reference import BF, GRID, PAPER_CFG, PARAMS
 
-PAPER_CFG = Path(__file__).resolve().parents[1] / "paper.cfg"
 BENCH_CFG = Path(__file__).resolve().parents[1] / "bench" / "reference.cfg"
 KEYS = [f"{sec}.{key}" for sec, keys in SCHEMA.items() for key in keys]
 VALUES = hst.one_of(
@@ -20,7 +20,10 @@ VALUES = hst.one_of(
 
 
 def test_paper_cfg_spells_out_the_builtin_preset():
-    assert load_config(str(PAPER_CFG)).raw == load_config(None).raw
+    preset = load_config(None)
+    assert load_config(str(PAPER_CFG)).raw == preset.raw
+    # the tests' one definition of the paper's experiment is the preset's
+    assert (preset.model, preset.payoff, preset.grid) == (PARAMS, BF, GRID)
 
 
 def test_benchmark_config_loads():

@@ -3,6 +3,7 @@ import pytest
 
 from uvbounds.config import load_config
 from uvbounds.core import GridSpec, ModelParams, SolverConfig, Surface
+from reference import GRID
 
 
 def paper_params(**overrides):
@@ -102,11 +103,10 @@ def test_grid_midpoint_example():
 
 
 def test_grid_spacing_matches_closed_form():
-    g = GridSpec(0, 200, 100, 0, 0.12, 100, 20)
-    x = g.x_nodes()
+    x = GRID.x_nodes()
     dx = (200.0 - 0.0) / 99
     np.testing.assert_array_equal(x, 0.0 + np.arange(100) * dx)
-    assert g.dx == dx
+    assert GRID.dx == dx
 
 
 @pytest.mark.parametrize("kwargs", [

@@ -1,17 +1,14 @@
 import re
 import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 
 from uvbounds import linsolve
-from uvbounds.core import GridSpec, ModelParams
+from uvbounds.core import GridSpec
 from uvbounds.linsolve import LinearSolveError
 from uvbounds.solver_pdelta import _Scheme
-from reference import generator_matrix, lu_solve
-
-PAPER_CFG = Path(__file__).resolve().parents[1] / "paper.cfg"
+from reference import PAPER_CFG, PARAMS, generator_matrix, lu_solve
 
 
 def test_loaded_lapack_is_bitwise_scipy_linalg_lapack(monkeypatch):
@@ -121,10 +118,10 @@ def _residual_layout(m):
             np.insert(np.diagonal(m, 1), 0, 0.0))
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 100])
+@pytest.mark.parametrize("n", [2, 3, 100])
 def test_tridiag_inverse_matches_numpy_inverse(n):
     # against numpy's dense LU inverse, transposed, with a tolerance fixed in
-    # advance; order 1 takes the path without LAPACK
+    # advance
     rng = np.random.default_rng(41 + n)
     m = (np.diag(1.0 + rng.random(n)) + np.diag(rng.uniform(-1.0, 1.0, n - 1), 1)
          + np.diag(rng.uniform(-1.0, 1.0, n - 1), -1))
@@ -136,8 +133,7 @@ def test_tridiag_inverse_matches_numpy_inverse(n):
 
 @pytest.mark.parametrize("m,match", [
     ([[1.0, 1.0], [1.0, 1.0]], "test: pivot at row 1 is exactly zero"),  # 1 - 1 = 0
-    ([[0.0]], "test: the 1 x 1 matrix is zero"),
-], ids=["2x2", "1x1"])
+], ids=["2x2"])
 def test_tridiag_inverse_exact_zero_pivot_raises(m, match):
     with pytest.raises(LinearSolveError, match=match):
         linsolve.tridiag_inverse_t(*_residual_layout(np.array(m)), "test")
@@ -145,8 +141,6 @@ def test_tridiag_inverse_exact_zero_pivot_raises(m, match):
 
 # -- the LU reference step of the 2D scheme ------------------------------------
 
-PARAMS = ModelParams(x0=100, z0=0.04, T=0.25, r=0, d=0.75, u=1.25,
-                     kappa=15, theta=0.04, delta=0.05, rho=-0.9)
 
 
 def _reference(n_x=12, n_z=9, seed=0, params=PARAMS):

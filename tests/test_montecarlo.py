@@ -4,17 +4,15 @@ import numpy as np
 import pytest
 
 from uvbounds import montecarlo
-from uvbounds.core import ModelParams, loglog_fit
+from uvbounds.core import loglog_fit
 from uvbounds.montecarlo import (
     CHUNK_PATHS, _terminal_gap_sq, coupling_rate_study, simulate_cir,
     simulate_coupled_asset,
 )
 from reference import (
-    brownian_increments, chunk_moments, exponent_sum_terminals, product_terminals,
+    PARAMS, brownian_increments, chunk_moments, exponent_sum_terminals, product_terminals,
 )
 
-PARAMS = ModelParams(x0=100, z0=0.04, T=0.25, r=0, d=0.75, u=1.25,
-                     kappa=15, theta=0.04, delta=0.05, rho=-0.9)
 # a state-dependent control: the kernel prices constants only, so it runs
 # on the reference simulator
 SWITCHING = lambda t, x, z: np.where(x >= 100.0, PARAMS.d, PARAMS.u)

@@ -3,8 +3,7 @@ import pytest
 
 from uvbounds.core import GridSpec
 from uvbounds.payoff import PayoffSpec, evaluate, load_tabulated_csv, terminal_surface
-
-BF = PayoffSpec.butterfly(90, 100, 110)
+from reference import BF, GRID
 
 
 def test_butterfly_peak_and_kinks():
@@ -40,9 +39,8 @@ def test_positive_homogeneity(spec, lam):
 
 
 def test_terminal_surface_constant_in_z():
-    grid = GridSpec(0, 200, 100, 0, 0.12, 100, 20)
-    surf = terminal_surface(BF, grid)
-    i100 = grid.ix_nearest(100.0)
+    surf = terminal_surface(BF, GRID)
+    i100 = GRID.ix_nearest(100.0)
     col = surf.values[i100, :]
     assert np.all(col == col[0])
     np.testing.assert_array_equal(surf.values, np.tile(surf.values[:, :1], (1, 100)))

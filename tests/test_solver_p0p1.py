@@ -5,16 +5,13 @@ import pytest
 
 from uvbounds import solver_pdelta
 from uvbounds.blackscholes import bs_call, bs_payoff_price
-from uvbounds.core import GridSpec, ModelParams, SolverConfig, SolverError
+from uvbounds.core import GridSpec, SolverConfig, SolverError
 from uvbounds.payoff import PayoffSpec, evaluate, terminal_surface
 from uvbounds.solver_pdelta import _Scheme, solve_p0p1
-from reference import heston_call, pdelta_with_controls, slow_scale_p1_call, worst_case_call
+from reference import (BF, GRID, PARAMS, heston_call, pdelta_with_controls, slow_scale_p1_call,
+                       worst_case_call)
 
-PARAMS = ModelParams(x0=100, z0=0.04, T=0.25, r=0, d=0.75, u=1.25,
-                     kappa=15, theta=0.04, delta=0.05, rho=-0.9)
-GRID = GridSpec(0, 200, 100, 0, 0.12, 100, 20)
 SMALL = GridSpec(0, 200, 50, 0, 0.12, 16, 8)
-BF = PayoffSpec.butterfly(90, 100, 110)
 
 
 def predictor(term, params, grid, config=SolverConfig()):

@@ -1,15 +1,12 @@
 import numpy as np
 from hypothesis import assume, given, settings, strategies as hst
 
-from uvbounds.core import GridSpec, ModelParams, SolverConfig
+from uvbounds.core import GridSpec, SolverConfig
 from uvbounds.payoff import PayoffSpec, evaluate
 from uvbounds.solver_pdelta import solve_p0p1
 from uvbounds.solver_pdelta import solve_pdelta
-from reference import pdelta_with_controls
+from reference import BF, PARAMS, pdelta_with_controls
 
-PARAMS = ModelParams(x0=100, z0=0.04, T=0.25, r=0, d=0.75, u=1.25,
-                     kappa=15, theta=0.04, delta=0.05, rho=-0.9)
-BF = PayoffSpec.butterfly(90, 100, 110)
 GEPS = SolverConfig().resolve_gamma_eps(PARAMS)
 
 
