@@ -389,6 +389,39 @@ def test_failed_z_inverse_exits_3_with_error_record(tmp_path, cfg, monkeypatch):
     assert "z-stage inverse: pivot at row 1 is exactly zero" in record["message"]
 
 
+def test_z_inverse_needs_no_numpy_linalg(tmp_path, cfg, monkeypatch):
+    # the z-inverse comes from LAPACK dgtsv, so the sweep runs with numpy's
+    # dense inverse unavailable
+    monkeypatch.setattr(np.linalg, "inv", lambda a: pytest.fail("np.linalg.inv called"))
+    assert run(["sweep-error", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+
+
+def test_p0_commands_run_no_p1(tmp_path, cfg, monkeypatch):
+    # solve-p0, compare-bs and gamma-diag write P0 but no P1, so they take P0
+    # from the 2D solve at delta = 0 and never step P1
+    monkeypatch.setattr(solver_pdelta, "solve_p0p1",
+                        lambda *args, **kw: pytest.fail("solve_p0p1 called"))
+    for command in ("solve-p0", "compare-bs", "gamma-diag"):
+        assert run([command, "--config", cfg, "--out", str(tmp_path / command)]) == 0
+
+
+@pytest.mark.parametrize("resolver", ["as installed", "finds no names"])
+def test_manifest_names_the_lapack_a_solve_took(tmp_path, cfg, monkeypatch, resolver):
+    # versions.lapack names the library whose routines the solve was handed
+    if resolver == "finds no names":
+        monkeypatch.setattr(linsolve, "_SYMBOL", "uvbounds_no_such_{}_")
+        monkeypatch.setattr(linsolve, "_numpy_lapack", linsolve._numpy_lapack.__wrapped__)
+    took = []
+    monkeypatch.setattr(linsolve, "_lapack",
+                        lambda real=linsolve._lapack: took.append(real()) or took[-1])
+    assert run(["solve-p0", "--config", cfg, "--out", str(tmp_path)]) == 0
+    assert took and all(routines is took[0] for routines in took)
+    took_flapack = not isinstance(took[0], linsolve._NumpyLapack)
+    assert took_flapack or resolver == "as installed"
+    assert manifest(tmp_path)["versions"]["lapack"] == \
+        ("scipy _flapack" if took_flapack else "numpy scipy-openblas64")
+
+
 def test_nan_in_a2_exits_3_at_the_z_inverse_check(tmp_path, cfg, monkeypatch):
     # a NaN put into a2_t just before the first z-stage, so that the inverse
     # built there is the first thing to meet it; a linear solve's failure is
@@ -692,7 +725,8 @@ def test_error_sweep_fit_is_the_same_with_one_and_two_blas_threads(tmp_path):
 
 
 # -- what each command's process loads and calls -------------------------------
-# One fresh process per subcommand prints one JSON record on its last line.
+# One fresh process per subcommand, and one that runs no command, each print
+# one JSON record on its last line.
 
 PDE, MC = ("uvbounds.solver_pdelta", "uvbounds.stencils"), ("numpy.random", "uvbounds.montecarlo")
 WATCH = (*PDE, *MC, "uvbounds.analysis", "uvbounds.blackscholes", "logging", "multiprocessing",
@@ -718,6 +752,9 @@ import numpy as np
 with_numpy = watched()
 from uvbounds import linsolve
 loaded = lambda: sorted(watched() - with_numpy)
+maps = "/proc/self/maps"  # the mapped OpenBLAS libraries, where the platform lists them
+openblas = lambda: len({{ln.split()[-1] for ln in open(maps) if "openblas" in ln}}) \
+    if os.path.exists(maps) else 1
 """
 # a call the row refuses raises, and so fails the process
 _ROW = _WATCHING + """
@@ -735,10 +772,8 @@ if p0_only:
     solver_pdelta.solve_p0p1 = lambda *args, **kw: refuse("solve_p0p1")
 status = run(argv)
 versions = json.load(open(argv[-1] + "/manifest.json"))["versions"] if status == 0 else {}
-maps = "/proc/self/maps"  # the mapped OpenBLAS libraries, where the platform lists them
-blas = {ln.split()[-1] for ln in open(maps) if "openblas" in ln} if os.path.exists(maps) else {0}
 print(json.dumps({"status": status, "loaded": loaded(), "with_numpy": sorted(with_numpy),
-                  "openblas": len(blas), "flapack_cache": linsolve._flapack.cache_info().currsize,
+                  "openblas": openblas(), "flapack_cache": linsolve._flapack.cache_info().currsize,
                   "lapack": versions.get("lapack"), "scipy": versions.get("scipy")}))
 """
 
@@ -759,21 +794,71 @@ def test_command_process_loads_and_calls_only_its_stack(tmp_path, command):
                       "scipy": scipy.__version__}
 
 
-def test_import_and_config_load_nothing_heavy():
-    # parsing and the config need only the value types; a lazy name is the
-    # solver module's own object, and the namespace is the one it always was
-    code = _WATCHING + f"""
+# one process that runs no command: what the config, every lazy name, the
+# solves' LAPACK routines and then scipy's wrappers load, each in turn
+_API = _WATCHING + f"""
 import uvbounds as uv, uvbounds.cli
-uvbounds.config.load_config({str(PAPER_CFG)!r}, [])
-print(loaded())
-import uvbounds.solver_pdelta
-print(uv.solve_pdelta is uvbounds.solver_pdelta.solve_pdelta, hasattr(uv, "no_such_name"))
-print(sorted(uv.__all__))
+uv.config.load_config({str(PAPER_CFG)!r}, [])
+record = {{"config": loaded(), "with_numpy": sorted(with_numpy)}}
+for name in uv.__all__:
+    getattr(uv, name)
+record.update(names=loaded(), all=sorted(uv.__all__), unknown=hasattr(uv, "no_such_name"),
+              same=uv.solve_pdelta is sys.modules["uvbounds.solver_pdelta"].solve_pdelta)
+linsolve._lapack()
+record.update(lapack=loaded(), openblas=openblas(),
+              flapack_cache=linsolve._flapack.cache_info().currsize)
+flapack = linsolve._flapack()
+record["flapack"] = loaded()
+import scipy.linalg
+record["shared"] = scipy.linalg._flapack.dpttrs is flapack.dpttrs
+print(json.dumps(record))
 """
-    assert _fresh_python(code).splitlines() == ["[]", "True False", str(sorted(
+
+
+@pytest.fixture(scope="module")
+def api_process():
+    return json.loads(_fresh_python(_API).splitlines()[-1])
+
+
+def test_import_loads_no_heavy_scipy_subpackage(api_process):
+    # parsing and the config need only the value types
+    assert api_process["config"] == []
+
+
+def test_error_sweep_and_coupling_rate_import_neither_logging_nor_scipy_linalg(api_process):
+    # every lazy name, error_sweep and coupling_rate_study among them, loads
+    # its solver's modules and no other watched one: no logging, no scipy
+    assert api_process["names"] == sorted(
+        {*PDE, "uvbounds.montecarlo", "uvbounds.analysis"} - set(api_process["with_numpy"]))
+
+
+def test_lazy_names_and_the_manifest_scipy_version(api_process):
+    # a lazy name is the solver module's own object, an unknown one is an
+    # AttributeError, and the namespace is the one it always was; the
+    # manifest's scipy version is read from scipy's version.py
+    assert (api_process["same"], api_process["unknown"]) == (True, False)
+    assert api_process["all"] == sorted(
         "ModelParams GridSpec SolverConfig Surface PayoffSpec SweepReport solve_p0p1 solve_pdelta "
         "simulate_cir coupling_rate_study error_sweep gamma_diagnostics compare_bs __version__"
-        .split()))]
+        .split())
+    assert linsolve.scipy_version() == scipy.__version__
+
+
+def test_solves_load_one_openblas(api_process):
+    # where numpy's extension exports them, the routines a solve calls are
+    # those of numpy's OpenBLAS: scipy's wrappers do not load, nor the
+    # second OpenBLAS they link
+    assert api_process["lapack"] == api_process["names"]
+    assert api_process["flapack_cache"] == int(not NUMPY_LAPACK)
+    assert api_process["openblas"] == 1 or not NUMPY_LAPACK
+
+
+def test_error_sweep_never_imports_the_scipy_linalg_package(api_process):
+    # where a solve needs scipy's wrappers it loads them by file path, so
+    # neither scipy's nor scipy.linalg's package init runs (~0.2 s and
+    # ~25 MiB); a later scipy.linalg import finds the same wrappers
+    assert api_process["flapack"] == api_process["names"]
+    assert api_process["shared"]
 
 
 def test_without_numpy_lapack_a_solve_loads_scipy_flapack(tmp_path):
