@@ -25,7 +25,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import GridSpec, ModelParams, SolverConfig, SolverError, Surface, loglog_fit
+from .core import (GridSpec, ModelParams, SolverConfig, SolverError, Surface,
+                   distinct_deltas, loglog_fit)
 from .payoff import PayoffSpec
 from .solver_pdelta import solve_p0p1, solve_pdelta
 from .stencils import deadband, dxx_values
@@ -78,25 +79,20 @@ def error_sweep(payoff: PayoffSpec, params: ModelParams,
     error surface and window go once its record is made.
     """
     config = config or SolverConfig()
-    deltas = sorted(set(float(d) for d in delta_list))
-    if len(deltas) < 2:
-        raise ValueError("error_sweep needs at least two distinct delta values")
-    if deltas[0] <= 0.0:
-        raise ValueError("delta values must be strictly positive")
+    deltas = distinct_deltas(params, delta_list)
     x = grid.x_nodes()
     z = grid.z_nodes()
     idx = np.where((x >= window[0]) & (x <= window[1]))[0]
     if len(idx) == 0:  # fail before the first solve
         raise ValueError(f"window {window} contains no grid nodes")
-    models = [params.replace(delta=delta) for delta in deltas]  # a delta above 1 raises here
 
     p0, p1 = (np.asarray(s.values) for s in solve_p0p1(payoff, params, grid, config))
 
     records = []
-    for delta, model in zip(deltas, models):
+    for delta in deltas:
         t0 = time.perf_counter()
         try:
-            p_delta = solve_pdelta(payoff, model, grid, config).values
+            p_delta = solve_pdelta(payoff, params.replace(delta=delta), grid, config).values
         except SolverError as exc:
             raise SolverError(f"sweep failed at delta={delta}: {exc}") from exc
         elapsed = time.perf_counter() - t0

@@ -78,48 +78,36 @@ def run(argv) -> int:
     out_dir = Path(args.out)
     try:
         settings = load_config(args.config, args.overrides)
-    except ValueError as exc:  # ConfigError included
-        return _fail(out_dir, 2, exc)
-
-    try:
         out_dir.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        print(f"error: cannot create output directory: {exc}", file=sys.stderr)
-        return 4
-
-    started = time.perf_counter()
-    try:
+        started = time.perf_counter()
         results, outputs = _DISPATCH[args.command](settings, out_dir, args)
-    except SolverError as exc:  # a linear solve's failure included
-        return _fail(out_dir, 3, exc)
-    except ValueError as exc:  # invalid configuration, parameters or preconditions
-        return _fail(out_dir, 2, exc)
-    except OSError as exc:
-        return _fail(out_dir, 4, exc)
-    elapsed = time.perf_counter() - started
-
-    manifest = {
-        "subcommand": args.command,
-        "argv": list(argv),
-        "seed": args.seed,
-        "threads": args.threads,
-        "config": settings_to_flat_dict(settings),
-        "versions": {
-            "uvbounds": __version__,
-            "numpy": np.__version__,
-            "scipy": scipy_version(),
-            "lapack": lapack_name(),
-            "python": platform.python_version(),
-        },
-        "timings_s": {"total": elapsed},
-        "outputs": outputs,
-        "results": _finite_or_null(results),
-    }
-    try:
+        elapsed = time.perf_counter() - started
+        manifest = {
+            "subcommand": args.command,
+            "argv": list(argv),
+            "seed": args.seed,
+            "threads": args.threads,
+            "config": settings_to_flat_dict(settings),
+            "versions": {
+                "uvbounds": __version__,
+                "numpy": np.__version__,
+                "scipy": scipy_version(),
+                "lapack": lapack_name(),
+                "python": platform.python_version(),
+            },
+            "timings_s": {"total": elapsed},
+            "outputs": outputs,
+            "results": _finite_or_null(results),
+        }
         with (out_dir / "manifest.json").open("w") as fh:
             json.dump(manifest, fh, indent=2, sort_keys=True, allow_nan=False)
             fh.write("\n")
-    except OSError as exc:
+    # the exit-code contract, stated once (see the module docstring)
+    except SolverError as exc:  # a linear solve's failure included
+        return _fail(out_dir, 3, exc)
+    except ValueError as exc:  # ConfigError, invalid parameters or preconditions
+        return _fail(out_dir, 2, exc)
+    except OSError as exc:  # an output directory that cannot be made included
         return _fail(out_dir, 4, exc)
     return 0
 

@@ -1,6 +1,7 @@
 """Shared value types: model parameters, grids, surfaces, solver knobs;
-and the one log-log fit, which the error sweep and the Monte Carlo rate
-study both read, kept here so that neither imports the other's stack.
+and the one log-log fit, with the one rule for the delta list it runs
+over, which the error sweep and the Monte Carlo rate study both read, kept
+here so that neither imports the other's stack.
 
 Every type here is an immutable value object. Solvers never mutate a
 ``Surface``: the backward march steps on plain arrays and makes one only
@@ -11,7 +12,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, fields
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -21,6 +22,7 @@ __all__ = [
     "SolverConfig",
     "Surface",
     "SolverError",
+    "distinct_deltas",
     "loglog_fit",
 ]
 
@@ -315,6 +317,19 @@ def _lagrange_1d(nodes: np.ndarray, values: np.ndarray, target: float) -> np.nda
                 w *= (target - xs[l]) / (xs[m] - xs[l])
         out = out + w * np.asarray(values[i0 + m], dtype=float).reshape(-1)
     return out
+
+
+def distinct_deltas(params: ModelParams, deltas: Sequence[float]) -> list[float]:
+    """The distinct values of ``deltas``, ascending, for a fit against
+    log(delta); ValueError, before any work is done, unless there are two or
+    more, all > 0 and each a valid ``params`` delta (at most 1)."""
+    values = sorted({float(d) for d in deltas})
+    if len(values) < 2 or any(d <= 0.0 for d in values):
+        raise ValueError(f"a fit against log(delta) needs at least two distinct delta "
+                         f"values, all > 0 (got {values})")
+    for delta in values:
+        params.replace(delta=delta)  # a delta above 1 raises here
+    return values
 
 
 def loglog_fit(x: np.ndarray, y: np.ndarray,

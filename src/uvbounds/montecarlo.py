@@ -51,7 +51,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import ModelParams, loglog_fit
+from .core import ModelParams, distinct_deltas, loglog_fit
 
 __all__ = [
     "RateFit",
@@ -299,16 +299,10 @@ def coupling_rate_study(params: ModelParams, delta_list: Sequence[float],
     together, each step's shocks drawn once. The controls are the two
     constant band endpoints: returns their fits, ``const_d`` then ``const_u``.
     """
-    deltas = np.asarray(sorted(set(float(d) for d in delta_list), reverse=True))
-    if len(deltas) < 2:
-        raise ValueError("rate study needs at least two distinct delta values")
-    if np.any(deltas <= 0.0):
-        raise ValueError("delta values must be strictly positive (log scale)")
+    deltas = np.asarray(distinct_deltas(params, delta_list)[::-1])  # largest first
     if n_paths < 2:
         raise ValueError(f"rate study needs n_paths >= 2 for its standard errors "
                          f"(got {n_paths})")
-    for delta in deltas:
-        params.replace(delta=delta)  # a delta above 1 raises here
 
     controls = {"const_d": params.d, "const_u": params.u}
     mean, stderr = _terminal_gap_sq(params, deltas, list(controls.values()),

@@ -5,15 +5,18 @@ import re
 import subprocess
 import sys
 import warnings
+from collections import namedtuple
 from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 import scipy
+from hypothesis import given, settings, strategies as hst
 
 import uvbounds
-from uvbounds import cli, linsolve, montecarlo, solver_pdelta
+# analysis is imported here, before any test patches a solve it binds by name
+from uvbounds import analysis, cli, linsolve, montecarlo, solver_pdelta
 from uvbounds.cli import run
 from uvbounds.config import SCHEMA
 from uvbounds.core import SolverError
@@ -61,6 +64,11 @@ def strict_json(path):
 
     with open(path) as fh:
         return json.load(fh, parse_constant=reject)
+
+
+def sets(*kvs):
+    """The ``--set`` arguments of the overrides ``kvs``."""
+    return [arg for kv in kvs for arg in ("--set", kv)]
 
 
 def test_solve_p0_writes_surface_and_manifest(tmp_path, cfg):
@@ -145,8 +153,7 @@ def test_time_change_z_to_4z_leaves_pdelta_bit_for_bit(tmp_path):
                     "grid.z_max=0.48"]}
     for side, overrides in sides.items():
         assert run(["solve-pdelta", "--config", str(PAPER_CFG), "--export-controls",
-                    "--out", str(tmp_path / side),
-                    *[arg for kv in overrides for arg in ("--set", kv)]]) == 0
+                    "--out", str(tmp_path / side), *sets(*overrides)]) == 0
 
     def text(side, name):
         return (tmp_path / side / name).read_text()
@@ -187,8 +194,8 @@ def test_sweep_error_threads_flag_is_accepted_and_has_no_effect(tmp_path, cfg):
 def test_compare_bs_reproducible_from_config(tmp_path, cfg):
     payoffs = {"butterfly": [], "put": ["payoff.kind=put", "payoff.strike=100"],
                "capped_linear": ["payoff.kind=capped_linear", "payoff.cap=100"]}
-    for name, settings in payoffs.items():
-        overrides = [arg for kv in settings for arg in ("--set", kv)]
+    for name, kvs in payoffs.items():
+        overrides = sets(*kvs)
         out1, out2 = tmp_path / f"{name}_a", tmp_path / f"{name}_b"
         assert run(["compare-bs", "--config", cfg, "--out", str(out1), *overrides]) == 0
         assert run(["compare-bs", "--config", cfg, "--out", str(out2), *overrides]) == 0
@@ -287,45 +294,13 @@ def test_unknown_subcommand_exits_2(capsys):
     assert "usage" in capsys.readouterr().err.lower()
 
 
-def test_missing_config_exits_2(tmp_path):
-    assert run(["solve-p0", "--config", str(tmp_path / "nope.cfg"),
-                "--out", str(tmp_path / "o")]) == 2
-
-
-def test_malformed_config_exits_2(tmp_path):
-    bad = tmp_path / "bad.cfg"
-    bad.write_text("delta = 0.1\n")  # key with no section header
-    assert run(["solve-p0", "--config", str(bad),
-                "--out", str(tmp_path / "o")]) == 2
-    worse = tmp_path / "worse.cfg"
-    worse.write_text("[nonsense]\nfoo = 1\n")
-    assert run(["solve-p0", "--config", str(worse),
-                "--out", str(tmp_path / "o")]) == 2
-
-
-def test_bad_override_exits_2(tmp_path, cfg):
-    assert run(["solve-p0", "--config", cfg, "--out", str(tmp_path / "o"),
-                "--set", "model.bogus=1"]) == 2
-    assert run(["solve-p0", "--config", cfg, "--out", str(tmp_path / "o"),
-                "--set", "nonsense"]) == 2
-
-
-def test_malformed_payoff_table_exits_2(tmp_path):
-    table = tmp_path / "payoff.csv"
-    table.write_text("x,h\nfoo,bar\n5\n1,0\n2,1\n3,1\n")
-    config = tmp_path / "tab.cfg"
-    config.write_text(f"[payoff]\nkind = tabulated\ncsv = {table}\n")
-    assert run(["solve-p0", "--config", str(config),
-                "--out", str(tmp_path / "o")]) == 2
-
-
 def test_compare_bs_on_a_tabulated_payoff_exits_2_before_the_solve(tmp_path, cfg, monkeypatch):
     # a tabulated payoff has no Black-Scholes curves, which the command
     # finds out before it runs the solve
     def no_solve(*args, **kwargs):
         raise AssertionError("compare-bs solved before checking its payoff")
 
-    monkeypatch.setattr(solver_pdelta, "solve_p0p1", no_solve)
+    monkeypatch.setattr(solver_pdelta, "solve_pdelta", no_solve)
     table = tmp_path / "payoff.csv"
     table.write_text("x,h\n0,0\n100,10\n200,0\n")
     out = tmp_path / "o"
@@ -334,26 +309,6 @@ def test_compare_bs_on_a_tabulated_payoff_exits_2_before_the_solve(tmp_path, cfg
     record = strict_json(out / "error.json")
     assert record["exit_code"] == 2
     assert "payoff kind 'tabulated' has no call decomposition" in record["message"]
-
-
-def test_invalid_model_exits_2(tmp_path, cfg):
-    assert run(["solve-p0", "--config", cfg, "--out", str(tmp_path / "o"),
-                "--set", "model.r=0.05"]) == 2
-    # the error record names the rule a value breaks
-    out = tmp_path / "d"
-    assert run(["solve-p0", "--config", cfg, "--out", str(out), "--set", "model.d=1.5"]) == 2
-    assert "d: require 0 < d < 1" in strict_json(out / "error.json")["message"]
-
-
-def test_solver_failure_exits_3_with_error_record(tmp_path, cfg):
-    out = tmp_path / "o"
-    code = run(["solve-pdelta", "--config", cfg, "--out", str(out),
-                "--set", "solver.lin_tol=1e-30"])
-    assert code == 3
-    with open(out / "error.json") as fh:
-        record = json.load(fh)
-    assert record["exit_code"] == 3
-    assert "level" in record["message"]
 
 
 def test_failed_ldlt_factor_exits_3_with_error_record(tmp_path, cfg, monkeypatch):
@@ -455,29 +410,6 @@ def test_tiny_z_min_solves_as_the_lu_x_stage(tmp_path, monkeypatch):
     assert np.max(np.abs(got - want)) <= 1e-10
 
 
-def test_one_path_rate_study_exits_2(tmp_path, cfg):
-    # one path has no sample standard deviation, so no weighted fit
-    out = tmp_path / "o"
-    code = run(["coupling-rate", "--config", cfg, "--out", str(out),
-                "--set", "mc.n_paths=1", "--set", "mc.n_steps=5"])
-    assert code == 2
-    with open(out / "error.json") as fh:
-        record = json.load(fh)
-    assert record["exit_code"] == 2
-    assert "n_paths >= 2" in record["message"]
-
-
-@pytest.mark.parametrize("command", ["coupling-rate", "simulate-bounds"])
-@pytest.mark.parametrize("seed", [-1, 2**64])
-def test_seed_outside_u64_exits_2(tmp_path, cfg, command, seed):
-    out = tmp_path / "o"
-    assert run([command, "--config", cfg, "--out", str(out), "--seed", str(seed),
-                "--set", "mc.n_paths=20", "--set", "mc.n_steps=5"]) == 2
-    record = strict_json(out / "error.json")
-    assert record["exit_code"] == 2
-    assert "seed" in record["message"] and str(seed) in record["message"]
-
-
 @pytest.mark.parametrize("command", ["coupling-rate", "simulate-bounds"])
 def test_largest_u64_seed_runs(tmp_path, cfg, command):
     out = tmp_path / "o"
@@ -534,10 +466,7 @@ GRID_COMMANDS = ["solve-p0", "solve-p1", "solve-pdelta", "sweep-error",
 
 def run_with(tmp_path, cfg, command, overrides):
     out = tmp_path / "o"
-    argv = [command, "--config", cfg, "--out", str(out)]
-    for kv in overrides:
-        argv += ["--set", kv]
-    return run(argv), out
+    return run([command, "--config", cfg, "--out", str(out), *sets(*overrides)]), out
 
 
 def assert_solves_or_exits_2(tmp_path, cfg, command, overrides):
@@ -563,86 +492,6 @@ def test_degenerate_config_solves_or_exits_2(tmp_path, cfg, overrides, command):
 
 
 @pytest.mark.parametrize("command", GRID_COMMANDS)
-@pytest.mark.parametrize("overrides", [
-    ["grid.x_max=1e300"],
-    ["grid.z_max=1e300"],
-    ["grid.x_max=1e155"],
-    ["grid.x_max=1.3e154", "grid.z_max=100"],
-    ["grid.x_max=2.2e-309"],
-], ids=",".join)
-def test_huge_grid_span_exits_2(tmp_path, cfg, overrides, command):
-    # the squared spacing or the x-diffusion coefficient z*x^2 overflows, or
-    # the squared spacing underflows to 0; the first once escaped ``run`` as
-    # OverflowError, the others once ran into a singular pivot and exit 3
-    code, out = run_with(tmp_path, cfg, command, overrides)
-    assert code == 2
-    record = strict_json(out / "error.json")
-    assert record["exit_code"] == 2
-    span = float(overrides[0].split("=")[1])
-    assert ("underflows" if span < 1 else "overflows") in record["message"]
-
-
-@pytest.mark.parametrize("command", GRID_COMMANDS)
-@pytest.mark.parametrize("override,message", [
-    pytest.param("grid.x_max=1.3e154", "no x-node strictly between the payoff kinks 90 and 100",
-                 id="grid.x_max=1.3e154"),
-    pytest.param("grid.x_max=95", "kink(s) 100, 110 lie outside the grid", id="grid.x_max=95"),
-    pytest.param("grid.x_min=95", "kink(s) 90 lie outside the grid", id="grid.x_min=95"),
-])
-def test_grid_that_misses_the_payoff_kinks_exits_2(tmp_path, cfg, command, override,
-                                                   message):
-    # on the 40x10x4 grid, x_max = 1.3e154 makes dx = 3.3e152, and the
-    # butterfly once priced to 0.0 with exit 0
-    code, out = run_with(tmp_path, cfg, command, [override])
-    assert code == 2
-    record = strict_json(out / "error.json")
-    assert record["exit_code"] == 2
-    assert message in record["message"]
-
-
-@pytest.mark.parametrize("command", GRID_COMMANDS)
-@pytest.mark.parametrize("overrides,message", [
-    pytest.param(["grid.n_z=1", "grid.z_min=0.08", "grid.z_max=0.08"],
-                 "model.z0 = 0.04 lies outside the grid's [z_min, z_max]", id="z0"),
-    pytest.param(["model.x0=250"], "model.x0 = 250 lies outside the grid's [x_min, x_max]",
-                 id="x0"),
-])
-def test_initial_state_off_the_grid_exits_2(tmp_path, cfg, command, overrides, message):
-    # each once ran to exit 0: the probe named *_at_x0_z0 read the nearest
-    # slice (z = 0.08) or a clamped boundary value
-    code, out = run_with(tmp_path, cfg, command, overrides)
-    assert code == 2
-    record = strict_json(out / "error.json")
-    assert record["exit_code"] == 2
-    assert message in record["message"]
-
-
-@pytest.mark.parametrize("command,override", [
-    *(pytest.param(c, "model.x0=1e160", id=c) for c in GRID_COMMANDS),
-    *(pytest.param(c, "model.u=1e300", id=f"model.u=1e300-{c}") for c in GRID_COMMANDS),
-])
-def test_overflowing_x0_exits_2(tmp_path, cfg, command, override):
-    # the automatic deadband 1e-9 * x0**2 once escaped ``run`` as OverflowError;
-    # u**2 once overflowed in the control selection and ran into exit 3
-    code, out = run_with(tmp_path, cfg, command, [override])
-    assert code == 2
-    record = strict_json(out / "error.json")
-    assert record["exit_code"] == 2
-    assert override.split("=")[0].split(".")[1] in record["message"]
-
-
-@pytest.mark.parametrize("command", GRID_COMMANDS)
-def test_underflowing_automatic_gamma_eps_exits_2(tmp_path, cfg, command):
-    # 1e-9 * x0**2 underflows to 0; this once ran to exit 0 with a 0/0 in
-    # the control selection and a subnormal price
-    code, out = run_with(tmp_path, cfg, command, ["model.x0=1e-300"])
-    assert code == 2
-    record = strict_json(out / "error.json")
-    assert record["exit_code"] == 2
-    assert "gamma_eps" in record["message"] and "x0" in record["message"]
-
-
-@pytest.mark.parametrize("command", GRID_COMMANDS)
 def test_tiny_x0_with_explicit_gamma_eps_solves(tmp_path, cfg, command):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -652,25 +501,190 @@ def test_tiny_x0_with_explicit_gamma_eps_solves(tmp_path, cfg, command):
     assert RESULT_KEY[command] in strict_json(out / "manifest.json")["results"]
 
 
-@pytest.mark.parametrize("override", [
-    "solver.cn_weight=0.25",
-    "solver.gamma_eps=nan",
-    "solver.lin_tol=inf",
-])
-def test_unsafe_solver_setting_exits_2(tmp_path, cfg, override):
+# -- the exit-code contract: one table of bad inputs -----------------------------
+# Each row runs ``command --config small.cfg --out o *args`` in a directory of
+# its own, after writing its files there; "{tmp}" in an argument or a file
+# stands for that directory, and a row's own --config comes last, so it wins.
+# A row names its case, the exit code and the fragment of the message that
+# names the cause. A file named "o" makes --out a file, which holds no record.
+
+Exit = namedtuple("Exit", "case command args code fragment files", defaults=[{}])
+EXITS = [
+    Exit("test_missing_config_exits_2", "solve-p0", ["--config", "{tmp}/nope.cfg"], 2,
+         "config file not found: "),
+    # a key with no section header, and an unknown section
+    Exit("test_malformed_config_exits_2", "solve-p0", ["--config", "{tmp}/bad.cfg"], 2,
+         "File contains no section headers", {"bad.cfg": "delta = 0.1\n"}),
+    Exit("test_malformed_config_exits_2", "solve-p0", ["--config", "{tmp}/bad.cfg"], 2,
+         "unknown config section [nonsense]", {"bad.cfg": "[nonsense]\nfoo = 1\n"}),
+    Exit("test_bad_override_exits_2", "solve-p0", sets("model.bogus=1"), 2,
+         "unknown config key model.bogus"),
+    Exit("test_bad_override_exits_2", "solve-p0", sets("nonsense"), 2,
+         "override 'nonsense' is not of the form section.key=value"),
+    Exit("test_malformed_payoff_table_exits_2", "solve-p0", ["--config", "{tmp}/tab.cfg"], 2,
+         "bad tabulated payoff row: ['foo', 'bar']",
+         {"payoff.csv": "x,h\nfoo,bar\n5\n1,0\n2,1\n3,1\n",
+          "tab.cfg": "[payoff]\nkind = tabulated\ncsv = {tmp}/payoff.csv\n"}),
+    Exit("test_invalid_model_exits_2", "solve-p0", sets("model.r=0.05"), 2,
+         "r: unsupported — solvers implement r = 0 only"),
+    Exit("test_invalid_model_exits_2", "solve-p0", sets("model.d=1.5"), 2,
+         "d: require 0 < d < 1"),
+    Exit("test_solver_failure_exits_3_with_error_record", "solve-pdelta",
+         sets("solver.lin_tol=1e-30"), 3, "time level 3 failed: x-stage: residual"),
+    # one path has no sample standard deviation, so no weighted fit
+    Exit("test_one_path_rate_study_exits_2", "coupling-rate",
+         sets("mc.n_paths=1", "mc.n_steps=5"), 2, "rate study needs n_paths >= 2"),
+    *(Exit(f"test_seed_outside_u64_exits_2[{seed}-{command}]", command,
+           ["--seed", str(seed), *sets("mc.n_paths=20", "mc.n_steps=5")], 2,
+           f"seed must lie in [0, 2**64) (got {seed})")
+      for seed in (-1, 2**64) for command in ("coupling-rate", "simulate-bounds")),
+    # the squared spacing or the x-diffusion coefficient z*x^2 overflows, or
+    # the squared spacing underflows to 0; the first once escaped ``run`` as
+    # OverflowError, the others once ran into a singular pivot and exit 3
+    *(Exit(f"test_huge_grid_span_exits_2[{','.join(kvs)}-{command}]", command, sets(*kvs), 2,
+           fragment)
+      for kvs, fragment in [(["grid.x_max=1e300"], "dx**2 overflows"),
+                            (["grid.z_max=1e300"], "dz**2 overflows"),
+                            (["grid.x_max=1e155"], "z_max * x_max**2 overflows"),
+                            (["grid.x_max=1.3e154", "grid.z_max=100"],
+                             "z_max * x_max**2 overflows"),
+                            (["grid.x_max=2.2e-309"], "dx**2 underflows to 0")]
+      for command in GRID_COMMANDS),
+    # on the 40x10x4 grid, x_max = 1.3e154 makes dx = 3.3e152, and the
+    # butterfly once priced to 0.0 with exit 0
+    *(Exit(f"test_grid_that_misses_the_payoff_kinks_exits_2[{kv}-{command}]", command, sets(kv),
+           2, fragment)
+      for kv, fragment in [
+          ("grid.x_max=1.3e154", "no x-node strictly between the payoff kinks 90 and 100"),
+          ("grid.x_max=95", "kink(s) 100, 110 lie outside the grid"),
+          ("grid.x_min=95", "kink(s) 90 lie outside the grid")]
+      for command in GRID_COMMANDS),
+    # each once ran to exit 0: the probe named *_at_x0_z0 read the nearest
+    # slice (z = 0.08) or a clamped boundary value
+    *(Exit(f"test_initial_state_off_the_grid_exits_2[{name}-{command}]", command, sets(*kvs), 2,
+           fragment)
+      for name, kvs, fragment in [
+          ("z0", ["grid.n_z=1", "grid.z_min=0.08", "grid.z_max=0.08"],
+           "model.z0 = 0.04 lies outside the grid's [z_min, z_max]"),
+          ("x0", ["model.x0=250"], "model.x0 = 250 lies outside the grid's [x_min, x_max]")]
+      for command in GRID_COMMANDS),
+    # the automatic deadband 1e-9 * x0**2 once escaped ``run`` as
+    # OverflowError; u**2 once overflowed in the control selection and ran
+    # into exit 3
+    *(Exit(f"test_overflowing_x0_exits_2[{name}{command}]", command, sets(kv), 2, fragment)
+      for name, kv, fragment in [("", "model.x0=1e160", "x0: x0**2 overflows"),
+                                 ("model.u=1e300-", "model.u=1e300", "u: u**2 overflows")]
+      for command in GRID_COMMANDS),
+    # 1e-9 * x0**2 underflows to 0; this once ran to exit 0 with a 0/0 in the
+    # control selection and a subnormal price
+    *(Exit(f"test_underflowing_automatic_gamma_eps_exits_2[{command}]", command,
+           sets("model.x0=1e-300"), 2, "gamma_eps = 1e-9 * x0**2 underflows to 0.0")
+      for command in GRID_COMMANDS),
     # each of these once ran to exit 0 with a wrong price or a disabled check
-    out = tmp_path / "o"
-    code = run(["solve-pdelta", "--config", cfg, "--out", str(out), "--set", override])
-    assert code == 2
-    record = strict_json(out / "error.json")
-    assert record["exit_code"] == 2
-    assert override.split("=")[0].split(".")[1] in record["message"]
+    *(Exit(f"test_unsafe_solver_setting_exits_2[{kv}]", "solve-pdelta", sets(kv), 2, fragment)
+      for kv, fragment in [("solver.cn_weight=0.25", "cn_weight must be in [0.5, 1]"),
+                           ("solver.gamma_eps=nan", "gamma_eps must be finite and positive"),
+                           ("solver.lin_tol=inf", "lin_tol must be finite and positive")]),
+    Exit("test_unwritable_out_exits_4", "solve-p0", [], 4, "File exists", {"o": "x"}),
+]
 
 
-def test_unwritable_out_exits_4(tmp_path, cfg):
-    blocker = tmp_path / "file"
-    blocker.write_text("x")
-    assert run(["solve-p0", "--config", cfg, "--out", str(blocker)]) == 4
+def check_exit(tmp, capsys, row):
+    """One row: its exit code, and its fragment on stderr and in a strict-JSON
+    error record of the same code, wherever --out can hold one."""
+    tmp.mkdir(exist_ok=True)
+    for name, text in {"small.cfg": SMALL_CFG, **row.files}.items():
+        (tmp / name).write_text(text.format(tmp=tmp))
+    out = tmp / "o"
+    assert run([row.command, "--config", str(tmp / "small.cfg"), "--out", str(out),
+                *(arg.format(tmp=tmp) for arg in row.args)]) == row.code
+    assert row.fragment in capsys.readouterr().err
+    if not out.is_file():
+        record = strict_json(out / "error.json")
+        assert record["exit_code"] == row.code and row.fragment in record["message"]
+
+
+def exit_cases(name):
+    """The test of the rows whose case is ``name``: parametrized by the part
+    in brackets, or running its rows in turn where the case has none."""
+    rows = [row for row in EXITS if row.case.partition("[")[0] == name]
+    if rows[0].case == name:
+        def test(tmp_path, capsys):
+            for k, row in enumerate(rows):
+                check_exit(tmp_path / str(k), capsys, row)
+        return test
+
+    @pytest.mark.parametrize("row", rows, ids=[row.case[len(name) + 1:-1] for row in rows])
+    def test(tmp_path, capsys, row):
+        check_exit(tmp_path, capsys, row)
+    return test
+
+
+# one test per case name, so that every row keeps its case's id
+for _name in dict.fromkeys(row.case.partition("[")[0] for row in EXITS):
+    globals()[_name] = exit_cases(_name)
+
+
+# -- the exit-code fuzzer --------------------------------------------------------
+# Up to three overrides on SMALL_ARGS' 40 x 10 x 4 grid, each from a pool of
+# edge and invalid values; no pool raises a count, so every run stays small
+FUZZ = {
+    "grid.n_x": ["0", "1", "2", "3", "-1", "2.5", "nan"],
+    "grid.n_z": ["0", "1", "2", "-1"],
+    "grid.n_t": ["0", "1", "2", "inf"],
+    "grid.x_min": ["-1", "95", "nan"],
+    "grid.x_max": ["0", "95", "1e155", "1e300", "2.2e-309", "inf"],
+    "grid.z_min": ["-0.1", "1e-310", "0.04", "0.08"],
+    "grid.z_max": ["0", "0.04", "100", "1e300"],
+    "model.x0": ["0", "1e-300", "250", "1e160", "nan"],
+    "model.z0": ["0", "1e-12", "0.12", "0.5"],
+    "model.T": ["0", "1e-6", "10", "inf"],
+    "model.r": ["0.05"],
+    "model.d": ["0", "0.999", "1.5"],
+    "model.u": ["1", "1.001", "1e300"],
+    "model.kappa": ["0", "150", "1e6"],
+    "model.theta": ["0", "1e-3", "1"],
+    "model.delta": ["0", "1e-12", "1", "1.5"],
+    "model.rho": ["-0.999", "0", "0.999", "1"],
+    "solver.cn_weight": ["0.25", "0.5", "1", "nan"],
+    "solver.corrector_passes": ["-1", "0", "3"],
+    "solver.gamma_eps": ["0", "1e-300", "1e9", "nan"],
+    "solver.lin_tol": ["0", "1e-30", "1e-16", "inf"],
+    "solver.rannacher_steps": ["-1", "0", "4"],
+    "payoff.kind": ["call", "put", "capped_linear", "tabulated", "nope"],
+    "payoff.k2": ["90", "200", "nan"],
+    "payoff.csv": ["no-such.csv", str(PAPER_CFG)],
+    "sweep.deltas": ["", "0.01", "0,0.01", "nan,0.01", "0.01,1.5", "0.02,0.04"],
+    "sweep.window_x_min": ["-1", "1000"],
+    "sweep.window_x_max": ["0", "1e300"],
+    "mc.n_paths": ["0", "1", "2"],
+    "mc.n_steps": ["0", "1", "2"],
+    "mc.n_bound_paths": ["0", "1"],
+    "mc.rate_deltas": ["0.01", "0,0.01", "inf,0.01", "0.01,1.5", "0.01,0.04"],
+}
+OVERRIDE = hst.sampled_from(sorted(FUZZ)).flatmap(
+    lambda key: hst.sampled_from(FUZZ[key]).map(lambda value: f"{key}={value}"))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(command=hst.sampled_from(list(cli._DISPATCH)), overrides=hst.lists(OVERRIDE, max_size=3),
+       out_is_file=hst.booleans())
+def test_fuzzed_runs_keep_the_exit_code_contract(tmp_path_factory, command, overrides,
+                                                 out_is_file):
+    # a run succeeds with its result in a strict-JSON manifest, or fails with
+    # 2, 3 or 4 and a strict-JSON record of its code; an --out that is a file
+    # fails the config (2) or the output directory (4), with no record
+    out = tmp_path_factory.mktemp("fuzz") / "o"
+    if out_is_file:
+        out.write_text("x")
+    code = run([command, *SMALL_ARGS, "--out", str(out), *sets(*overrides)])
+    if out_is_file:
+        assert code in (2, 4)
+    elif code == 0:
+        assert RESULT_KEY[command] in strict_json(out / "manifest.json")["results"]
+    else:
+        assert code in (2, 3, 4)
+        assert strict_json(out / "error.json")["exit_code"] == code
 
 
 def test_paper_preset_is_loadable_default(tmp_path):

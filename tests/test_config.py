@@ -1,8 +1,12 @@
+import inspect
 from pathlib import Path
 
 from hypothesis import given, settings, strategies as hst
 
+from uvbounds.analysis import DEFAULT_WINDOW
 from uvbounds.config import SCHEMA, load_config
+from uvbounds.core import SolverConfig
+from uvbounds.montecarlo import coupling_rate_study
 from reference import BF, GRID, PAPER_CFG, PARAMS
 
 BENCH_CFG = Path(__file__).resolve().parents[1] / "bench" / "reference.cfg"
@@ -24,6 +28,10 @@ def test_paper_cfg_spells_out_the_builtin_preset():
     assert load_config(str(PAPER_CFG)).raw == preset.raw
     # the tests' one definition of the paper's experiment is the preset's
     assert (preset.model, preset.payoff, preset.grid) == (PARAMS, BF, GRID)
+    # and so are the library's own defaults
+    n_steps = inspect.signature(coupling_rate_study).parameters["n_steps"].default
+    assert (preset.solver, preset.window, preset.mc_n_steps) == \
+        (SolverConfig(), DEFAULT_WINDOW, n_steps)
 
 
 def test_benchmark_config_loads():

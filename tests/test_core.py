@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from uvbounds.config import load_config
-from uvbounds.core import GridSpec, ModelParams, SolverConfig, Surface
-from reference import GRID
+from uvbounds.core import GridSpec, ModelParams, SolverConfig, Surface, distinct_deltas
+from reference import GRID, PARAMS
 
 
 def paper_params(**overrides):
@@ -210,3 +210,15 @@ def test_solver_config_validation():
     cfg = SolverConfig()
     assert cfg.resolve_gamma_eps(paper_params()) == pytest.approx(1e-9 * 100**2)
     assert SolverConfig(gamma_eps=1e-7).resolve_gamma_eps(paper_params()) == 1e-7
+
+
+def test_distinct_deltas_is_the_one_rule_for_a_delta_list():
+    # what the error sweep and the rate study both fit against log(delta)
+    assert distinct_deltas(PARAMS, [0.04, 0.01, 0.04]) == [0.01, 0.04]
+    nan = float("nan")
+    for deltas, message in [([0.01], "two distinct"), ([0.01, 0.01], "two distinct"),
+                            ([0.0, 0.01], "all > 0"), ([nan, 0.0, 0.01], "all > 0"),
+                            ([0.01, 1.5], "delta: require 0 <= delta <= 1"),
+                            ([nan, 0.01], "delta: must be finite")]:
+        with pytest.raises(ValueError, match=message):
+            distinct_deltas(PARAMS, deltas)
