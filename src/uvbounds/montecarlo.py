@@ -16,6 +16,21 @@ would. The draw feeding path p at step k is therefore a pure function of
 the chunk size, and one draw per step and chunk serves every
 (delta, control) pair advanced together.
 
+The streams come from a ``numpy.random`` imported without OpenSSL
+(``_numpy_random``). numpy's ``bit_generator`` imports ``secrets`` only to
+bind ``randbits`` for an unseeded ``SeedSequence()``, which no run makes:
+every seed is given and checked. ``secrets`` imports ``hmac``, ``hashlib``
+and ``_hashlib``, which maps OpenSSL's libcrypto. In a ``coupling-rate``
+process, ``numpy.random`` itself added 1.7-1.9 MiB RSS, which is kept, and
+that chain 3.6 MiB more, which is skipped (2-core x86-64 host, Python
+3.11.7, numpy 2.4.6). So the loader puts a stand-in ``secrets`` holding
+only the stdlib's own ``randbits = random.SystemRandom().getrandbits`` in
+``sys.modules`` for that one import only, and removes it once the import
+returns or raises: numpy binds the same method the stdlib would, an unseeded
+``SeedSequence()`` still reads OS entropy, and a later ``import secrets``
+loads the real module. Where ``secrets`` or ``numpy.random`` is loaded
+already (numpy 1.x loads ``numpy.random`` with numpy), the import is plain.
+
 A run allocates its working set once, sized to one chunk, and every
 chunk steps on views of it. The rate study keeps no per-path array: each
 chunk's squared gaps are reduced to their count, mean and centred sum of
@@ -46,6 +61,10 @@ endpoints.
 
 from __future__ import annotations
 
+import importlib
+import random
+import sys
+import types
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -74,6 +93,22 @@ class RateFit:
     r2: float
 
 
+def _numpy_random():
+    """``numpy.random``, imported without ``secrets`` and so without OpenSSL:
+    a stand-in ``secrets`` serves the first import only (see the module
+    docstring)."""
+    if "numpy.random" in sys.modules or "secrets" in sys.modules:
+        return importlib.import_module("numpy.random")
+    stand_in = types.ModuleType("secrets")
+    stand_in.randbits = random.SystemRandom().getrandbits
+    sys.modules["secrets"] = stand_in
+    try:
+        return importlib.import_module("numpy.random")
+    finally:
+        if sys.modules.get("secrets") is stand_in:
+            del sys.modules["secrets"]
+
+
 def _stream(seed: int, step: int) -> np.random.Generator:
     """The shocks of step ``step``: an SFC64 generator seeded by the step-th
     ``SeedSequence`` child of ``seed``, ``SeedSequence(seed).spawn(step + 1)[step]``.
@@ -82,8 +117,8 @@ def _stream(seed: int, step: int) -> np.random.Generator:
     the chunks run in path order, so path p always gets the p-th pair: the
     draw is a pure function of (seed, p, step), whatever the chunk size.
     """
-    return np.random.Generator(np.random.SFC64(
-        np.random.SeedSequence(seed, spawn_key=(step,))))
+    rnd = _numpy_random()
+    return rnd.Generator(rnd.SFC64(rnd.SeedSequence(seed, spawn_key=(step,))))
 
 
 # Paths advanced together. A run's working set is five (n_delta, CHUNK_PATHS)

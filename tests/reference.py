@@ -54,10 +54,16 @@ Not collected by pytest (no ``test_`` prefix); test modules import it as
 * ``write_rows_csv``: the CSV dialect written one row at a time, each cell
   through ``csvio.fmt``; the package's column writer must match its bytes.
   ``read_csv`` reads a file back as raw strings.
+* ``fresh_python``: the stdout of a snippet run in a new Python process
+  that imports this package (``fresh_env``), for checks of what a process
+  loads, which a test session that has imported everything cannot make.
 """
 
 import csv
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -66,6 +72,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.integrate import quad
 
+import uvbounds
 from uvbounds.core import GridSpec, ModelParams, SolverConfig, Surface
 from uvbounds.csvio import fmt
 from uvbounds.linsolve import LinearSolveError, check_residual
@@ -393,3 +400,18 @@ def read_csv(path) -> tuple[list[str], list[list[str]]]:
     with Path(path).open(newline="") as fh:
         reader = csv.reader(fh)
         return next(reader), list(reader)
+
+
+def fresh_env() -> dict:
+    """The environment of a new process that imports this package."""
+    src = str(Path(uvbounds.__file__).resolve().parents[1])
+    return dict(os.environ,
+                PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
+def fresh_python(code: str, *args: str) -> str:
+    """The stdout of ``python -c code args`` in a new process that imports this package."""
+    proc = subprocess.run([sys.executable, "-c", code, *args], env=fresh_env(),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout

@@ -1,12 +1,10 @@
 import dataclasses
 import json
-import os
 import re
 import subprocess
 import sys
 import warnings
 from collections import namedtuple
-from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -14,14 +12,13 @@ import pytest
 import scipy
 from hypothesis import given, settings, strategies as hst
 
-import uvbounds
 # analysis is imported here, before any test patches a solve it binds by name
 from uvbounds import analysis, cli, linsolve, montecarlo, solver_pdelta
 from uvbounds.cli import run
 from uvbounds.config import SCHEMA
 from uvbounds.core import SolverError
 from uvbounds.payoff import KINDS
-from reference import PAPER_CFG, lu_x_solver, read_csv
+from reference import PAPER_CFG, fresh_env, fresh_python, lu_x_solver, read_csv
 
 # paper.cfg on a 40 x 10 x 4 grid, with a 5-step, 200-path Monte Carlo
 SMALL_ARGS = ["--config", str(PAPER_CFG), *(
@@ -698,25 +695,10 @@ def test_paper_preset_is_loadable_default(tmp_path):
     assert m["config"]["grid.n_x"] == "30"
 
 
-def _fresh_env() -> dict:
-    """The environment of a new process that imports this package."""
-    src = str(Path(uvbounds.__file__).resolve().parents[1])
-    return dict(os.environ,
-                PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-
-
-def _fresh_python(code: str, *args: str) -> str:
-    """The stdout of ``python -c code args`` in a new process that imports this package."""
-    proc = subprocess.run([sys.executable, "-c", code, *args], env=_fresh_env(),
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    return proc.stdout
-
-
 def test_module_entry_point_runs_the_command(tmp_path):
     # python -m uvbounds.cli runs the command, with the console script's exit codes
     def run_module(*args):
-        return subprocess.run([sys.executable, "-m", "uvbounds.cli", *args], env=_fresh_env(),
+        return subprocess.run([sys.executable, "-m", "uvbounds.cli", *args], env=fresh_env(),
                               capture_output=True, text=True, timeout=120).returncode
 
     out = tmp_path / "p0"
@@ -732,7 +714,7 @@ def test_error_sweep_fit_is_the_same_with_one_and_two_blas_threads(tmp_path):
     for threads in (1, 2):
         subprocess.run([sys.executable, "-m", "uvbounds.cli", "sweep-error", "--config",
                         str(PAPER_CFG), "--out", str(tmp_path / str(threads))],
-                       env=dict(_fresh_env(), OPENBLAS_NUM_THREADS=str(threads)),
+                       env=dict(fresh_env(), OPENBLAS_NUM_THREADS=str(threads)),
                        capture_output=True, check=True, timeout=120)
     assert (tmp_path / "1" / "sweep_fit.csv").read_bytes() == \
         (tmp_path / "2" / "sweep_fit.csv").read_bytes()
@@ -744,7 +726,7 @@ def test_error_sweep_fit_is_the_same_with_one_and_two_blas_threads(tmp_path):
 
 PDE, MC = ("uvbounds.solver_pdelta", "uvbounds.stencils"), ("numpy.random", "uvbounds.montecarlo")
 WATCH = (*PDE, *MC, "uvbounds.analysis", "uvbounds.blackscholes", "logging", "multiprocessing",
-         "concurrent.futures.process")
+         "concurrent.futures.process", "secrets", "hmac", "_hashlib")
 # each command: the watched modules its process loads, and whether it takes
 # P0 from the 2D solve at delta = 0 and so must never step P1
 ROWS = {"solve-p0": (PDE, True),
@@ -797,7 +779,7 @@ def test_command_process_loads_and_calls_only_its_stack(tmp_path, command):
     loads, p0_only = ROWS[command]  # a command without a row fails here
     pde = PDE[0] in loads
     row = json.dumps([[command, *SMALL_ARGS, "--out", str(tmp_path)], pde, p0_only])
-    record = json.loads(_fresh_python(_ROW, row).splitlines()[-1])
+    record = json.loads(fresh_python(_ROW, row).splitlines()[-1])
     # without numpy's routines a solve loads scipy's _flapack, and the BLAS that links
     flapack = pde and not NUMPY_LAPACK
     assert record.pop("openblas") == 1 or flapack
@@ -831,7 +813,7 @@ print(json.dumps(record))
 
 @pytest.fixture(scope="module")
 def api_process():
-    return json.loads(_fresh_python(_API).splitlines()[-1])
+    return json.loads(fresh_python(_API).splitlines()[-1])
 
 
 def test_import_loads_no_heavy_scipy_subpackage(api_process):
@@ -890,5 +872,5 @@ print(scipy.linalg._flapack.dpttrs is linsolve._flapack().dpttrs)
 """
     runs = [[command, *SMALL_ARGS, "--out", str(tmp_path / command)]
             for command in ("coupling-rate", "solve-p0")]
-    assert _fresh_python(code, json.dumps(runs)).splitlines() == [
+    assert fresh_python(code, json.dumps(runs)).splitlines() == [
         "0 0 False scipy _flapack", "0 1 False scipy _flapack", "True"]

@@ -1,3 +1,5 @@
+import dataclasses
+import json
 import tracemalloc
 
 import numpy as np
@@ -10,7 +12,8 @@ from uvbounds.montecarlo import (
     simulate_coupled_asset,
 )
 from reference import (
-    PARAMS, brownian_increments, chunk_moments, exponent_sum_terminals, product_terminals,
+    PARAMS, brownian_increments, chunk_moments, exponent_sum_terminals, fresh_python,
+    product_terminals,
 )
 
 # a state-dependent control: the kernel prices constants only, so it runs
@@ -262,6 +265,63 @@ def test_streams_differ_across_steps_and_seeds():
     s = 12345
     assert not np.array_equal(draws(s, 0), draws(s, 1))
     assert not np.array_equal(draws(s, 0), draws(s + 2**32, 0))  # all 64 bits count
+
+
+# One fresh process per mode runs simulate_cir, writes its paths' bytes to a
+# file and prints one JSON record: "secrets" imports the stdlib module
+# first, and "fails" makes a first numpy.random import raise before the run.
+# The watched modules are counted past those loaded before the package is:
+# numpy 1.x loads numpy.random, and so secrets, with numpy.
+_LOADER = """
+import json, random, sys
+mode, out, params = sys.argv[1:]
+if mode == "secrets":
+    import secrets
+import numpy as np
+watched = ("secrets", "hmac", "_hashlib")
+before = {m for m in (*watched, "numpy.random") if m in sys.modules}
+from uvbounds import montecarlo
+from uvbounds.core import ModelParams
+record = {}
+if mode == "fails" and not before:
+    sys.modules["numpy.random.bit_generator"] = None
+    try:
+        montecarlo._numpy_random()
+    except ImportError:
+        record["left_after_raise"] = "secrets" in sys.modules
+    del sys.modules["numpy.random.bit_generator"]
+montecarlo.simulate_cir(ModelParams(**json.loads(params)), 20, 50, seed=11).tofile(out)
+record["loaded"] = [m for m in watched if m in sys.modules and m not in before]
+entropy = {np.random.SeedSequence().entropy for _ in range(2)}
+record["os_entropy"] = len(entropy) == 2 and all(0 <= e < 2**128 for e in entropy)
+import secrets
+record.update(token_hex=len(secrets.token_hex(8)),
+              faithful=secrets.randbits.__func__ is random.SystemRandom.getrandbits,
+              numpy_bound=np.random.bit_generator.randbits.__func__
+              is random.SystemRandom.getrandbits,
+              aside=bool(before))
+print(json.dumps(record))
+"""
+
+
+def test_streams_load_no_openssl_and_draw_the_same_bits(tmp_path):
+    # numpy.random comes without secrets, hmac or _hashlib, and the stand-in
+    # it imported in their place is gone once the import returns or raises:
+    # an unseeded SeedSequence still reads OS entropy, a later import finds
+    # the stdlib's secrets, and the paths are bitwise those of a process
+    # whose numpy.random bound the stdlib's randbits
+    params = json.dumps(dataclasses.asdict(PARAMS))
+    runs = {mode: json.loads(fresh_python(_LOADER, mode, str(tmp_path / mode), params)
+                             .splitlines()[-1])
+            for mode in ("plain", "secrets", "fails")}
+    # where secrets or numpy.random is loaded already, the loader stands aside
+    aside = runs["plain"]["aside"]
+    assert runs["fails"].pop("left_after_raise", None) is (None if aside else False)
+    for mode, record in runs.items():
+        assert record == {"loaded": [], "os_entropy": True, "token_hex": 16, "faithful": True,
+                          "numpy_bound": True, "aside": aside or mode == "secrets"}, mode
+    assert (tmp_path / "plain").read_bytes() == (tmp_path / "secrets").read_bytes() \
+        == (tmp_path / "fails").read_bytes()
 
 
 @pytest.mark.parametrize("seed", [-1, 2**64])
