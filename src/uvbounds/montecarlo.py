@@ -16,17 +16,26 @@ would. The draw feeding path p at step k is therefore a pure function of
 the chunk size, and one draw per step and chunk serves every
 (delta, control) pair advanced together.
 
-The streams come from a ``numpy.random`` imported without OpenSSL
-(``_numpy_random``). numpy's ``bit_generator`` imports ``secrets`` only to
-bind ``randbits`` for an unseeded ``SeedSequence()``, which no run makes:
-every seed is given and checked. ``secrets`` imports ``hmac``, ``hashlib``
-and ``_hashlib``, which maps OpenSSL's libcrypto. In a ``coupling-rate``
-process, ``numpy.random`` itself added 1.7-1.9 MiB RSS, which is kept, and
-that chain 3.6 MiB more, which is skipped (2-core x86-64 host, Python
-3.11.7, numpy 2.4.6). So the loader puts a stand-in ``secrets`` holding
-only the stdlib's own ``randbits = random.SystemRandom().getrandbits`` in
-``sys.modules`` for that one import only, and removes it once the import
-returns or raises: numpy binds the same method the stdlib would, an unseeded
+The streams are built from three classes, ``Generator``, ``SFC64`` and
+``SeedSequence``, imported once per process (``_numpy_random``) without
+the rest of ``numpy.random`` and without OpenSSL. The package init of
+``numpy.random`` also loads ``mtrand``, ``_mt19937``, ``_philox`` and
+``_pickle``, which no stream uses, and its ``bit_generator`` imports
+``secrets`` only to bind ``randbits`` for an unseeded ``SeedSequence()``,
+which no run makes: every seed is given and checked. ``secrets`` imports
+``hmac``, ``hashlib`` and ``_hashlib``, which maps OpenSSL's libcrypto. In
+a ``coupling-rate`` process, the ``secrets`` chain added 3.6 MiB RSS and
+the four unused modules about 0.7 MiB (2-core x86-64 host, Python 3.11.7,
+numpy 2.4.6). So the loader imports only ``numpy.random._generator``,
+``_sfc64`` and ``bit_generator``, and the ``_common``, ``_bounded_integers``
+and ``_pcg64`` they import, under two stand-ins in ``sys.modules``: a
+``numpy.random`` package module made from the package's spec and never
+executed, and a ``secrets`` holding only the stdlib's own
+``randbits = random.SystemRandom().getrandbits``. Once that import returns
+or raises, each stand-in is removed if it is still the entry, and so are
+the submodules' entries. A later ``import numpy.random`` then runs the real
+package init, which finds the same (Cython) module objects again, binds
+each as its attribute and exports the classes the streams used; an unseeded
 ``SeedSequence()`` still reads OS entropy, and a later ``import secrets``
 loads the real module. Where ``secrets`` or ``numpy.random`` is loaded
 already (numpy 1.x loads ``numpy.random`` with numpy), the import is plain.
@@ -61,7 +70,9 @@ endpoints.
 
 from __future__ import annotations
 
+import functools
 import importlib
+import importlib.util
 import random
 import sys
 import types
@@ -93,20 +104,32 @@ class RateFit:
     r2: float
 
 
-def _numpy_random():
-    """``numpy.random``, imported without ``secrets`` and so without OpenSSL:
-    a stand-in ``secrets`` serves the first import only (see the module
-    docstring)."""
+@functools.cache
+def _numpy_random() -> tuple[type, type, type]:
+    """(``Generator``, ``SFC64``, ``SeedSequence``), imported without the rest
+    of ``numpy.random`` and without ``secrets`` (see the module docstring)."""
     if "numpy.random" in sys.modules or "secrets" in sys.modules:
-        return importlib.import_module("numpy.random")
-    stand_in = types.ModuleType("secrets")
-    stand_in.randbits = random.SystemRandom().getrandbits
-    sys.modules["secrets"] = stand_in
+        rnd = importlib.import_module("numpy.random")
+        return rnd.Generator, rnd.SFC64, rnd.SeedSequence
+    stand_ins = {"numpy.random": importlib.util.module_from_spec(
+                     importlib.util.find_spec("numpy.random")),
+                 "secrets": types.ModuleType("secrets")}
+    stand_ins["secrets"].randbits = random.SystemRandom().getrandbits
+    before = set(sys.modules)
+    sys.modules.update(stand_ins)
     try:
-        return importlib.import_module("numpy.random")
+        return (importlib.import_module("numpy.random._generator").Generator,
+                importlib.import_module("numpy.random._sfc64").SFC64,
+                importlib.import_module("numpy.random.bit_generator").SeedSequence)
     finally:
-        if sys.modules.get("secrets") is stand_in:
-            del sys.modules["secrets"]
+        # a later import finds no submodule entry, so the real package init
+        # imports each again, gets the same module object and binds it
+        for name in set(sys.modules) - before:
+            if name.startswith("numpy.random."):
+                del sys.modules[name]
+        for name, stand_in in stand_ins.items():
+            if sys.modules.get(name) is stand_in:
+                del sys.modules[name]
 
 
 def _stream(seed: int, step: int) -> np.random.Generator:
@@ -117,8 +140,8 @@ def _stream(seed: int, step: int) -> np.random.Generator:
     the chunks run in path order, so path p always gets the p-th pair: the
     draw is a pure function of (seed, p, step), whatever the chunk size.
     """
-    rnd = _numpy_random()
-    return rnd.Generator(rnd.SFC64(rnd.SeedSequence(seed, spawn_key=(step,))))
+    generator, sfc64, seed_sequence = _numpy_random()
+    return generator(sfc64(seed_sequence(seed, spawn_key=(step,))))
 
 
 # Paths advanced together. A run's working set is five (n_delta, CHUNK_PATHS)

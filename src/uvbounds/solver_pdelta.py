@@ -78,7 +78,7 @@ import numpy as np
 
 from .core import GridSpec, ModelParams, SolverConfig, SolverError, Surface
 from .linsolve import (LinearSolveError, check_residual, check_tridiag_residual,
-                       spd_tridiag_solver, tridiag_inverse_t)
+                       spd_tridiag_solver, tridiag_inverse_t, tridiag_norm)
 from .payoff import PayoffSpec, terminal_surface
 from .stencils import deadband, dx_values, dz_values, dzz_values, lxx_values, lxz_values
 
@@ -202,7 +202,11 @@ class _Scheme:
     first backward step is split into ``rannacher_steps`` fully implicit
     sub-steps (Rannacher start), damping the oscillation that kinked
     payoffs excite in the trapezoidal scheme; later steps use the weight
-    ``cn_weight``.
+    ``cn_weight``. Each level's solves may be backward-stable while the step
+    amplifies (the central z-drift at kappa = 1e6 does), so after each level
+    the march raises ``SolverError`` where a value is not finite or lies
+    outside the payoff's range by more than the range and its largest
+    magnitude together.
 
     Besides the scheme's k, and ``a2_t`` and the z-inverses where A2 is
     present, a sub-step holds only what it reads again: the control and its
@@ -252,7 +256,8 @@ class _Scheme:
         before = np.flatnonzero(regular[:-1] & ~regular[1:])
         self.moved = ((after, after - 1), (before, before + 1))
         self._x = None  # (q, c, solve) of the last x-system factored
-        self._z = {}    # theta*dt -> (M^-T, diagonals of M by column) of M = I - theta*dt*A2
+        # theta*dt -> (M^-T, diagonals of M by column, ‖M‖∞) of M = I - theta*dt*A2
+        self._z = {}
 
     def a0(self, q: np.ndarray, w: np.ndarray) -> np.ndarray:
         # (c0*q)*lxz, made in lxz's buffer
@@ -312,6 +317,8 @@ class _Scheme:
         # -c where two regular rows couple, and -0.0, as 0*(-c), elsewhere
         solve_scaled = spd_tridiag_solver(d, np.where(self.coupled, -c, -0.0))
         moved, lin_tol = self.moved, self.lin_tol  # not self: the scheme holds this closure
+        # ‖I - c*A1‖∞, row i being (-t, 1 + 2*t, -t) with t >= 0
+        a_norm = 1.0 + 4.0 * float(t.max())
 
         def solve(rhs: np.ndarray) -> np.ndarray:
             b = rhs.T.copy().reshape(-1)
@@ -328,7 +335,7 @@ class _Scheme:
             resid *= t
             np.subtract(x, resid, out=resid)
             resid -= b
-            check_residual(resid, b, lin_tol, "x-stage")
+            check_residual(resid, b, lin_tol, "x-stage", x, a_norm)
             del resid
             # checked, b is spent: the solution goes back out in its buffer
             out = b.reshape(n_x, n_z)
@@ -353,13 +360,13 @@ class _Scheme:
             a = self.a2_t
             m = (np.append(-c * np.diagonal(a, 1), 0.0), 1.0 - c * np.diagonal(a),
                  np.insert(-c * np.diagonal(a, -1), 0, 0.0))
-            inv_t = tridiag_inverse_t(*m, "z-stage inverse")
+            inv_t, norm = tridiag_inverse_t(*m, "z-stage inverse"), tridiag_norm(*m)
             check_tridiag_residual(*m, inv_t, np.eye(self.grid.n_z), self.lin_tol,
-                                   "z-stage inverse")
-            self._z[c] = (inv_t, m)
-        inv_t, m = self._z[c]
+                                   "z-stage inverse", norm)
+            self._z[c] = (inv_t, m, norm)
+        inv_t, m, norm = self._z[c]
         x = rhs @ inv_t
-        check_tridiag_residual(*m, x, rhs, self.lin_tol, "z-stage")
+        check_tridiag_residual(*m, x, rhs, self.lin_tol, "z-stage", norm)
         return x
 
     def select(self, w: np.ndarray, spent: bool = False):
@@ -432,6 +439,12 @@ class _Scheme:
         # w holds the only reference to the terminal values, and drops it
         # after the first step
         w = terminal_surface(payoff, grid).values
+        # a worst-case price is an expectation of the payoff, so it lies in the
+        # payoff's range [lo, hi] on the grid. The scheme is not monotone and
+        # may overshoot it, but not by the range plus the payoff's largest
+        # magnitude: a level past that has diverged
+        lo, hi = float(w.min()), float(w.max())
+        slack = hi - lo + max(abs(lo), abs(hi))
         dt = grid.dt(self.params.T)
         for n in range(grid.n_t - 1, -1, -1):
             if n == grid.n_t - 1 and config.rannacher_steps > 0:
@@ -449,6 +462,12 @@ class _Scheme:
                     w, q, self._x = w_new, None, None
             except LinearSolveError as exc:
                 raise SolverError(f"backward step into time level {n} failed: {exc}") from exc
+            low, high = float(w.min()), float(w.max())
+            # NaN compares false, and inf is past any finite bound
+            if not (lo - slack <= low and high <= hi + slack):
+                raise SolverError(f"backward march diverged at time level {n}: values in "
+                                  f"[{low:.3e}, {high:.3e}], past the payoff's range "
+                                  f"[{lo:.3e}, {hi:.3e}] by more than {slack:.3e}")
         return Surface(w, grid)
 
 

@@ -57,6 +57,8 @@ Not collected by pytest (no ``test_`` prefix); test modules import it as
 * ``fresh_python``: the stdout of a snippet run in a new Python process
   that imports this package (``fresh_env``), for checks of what a process
   loads, which a test session that has imported everything cannot make.
+  ``RANDOM_UNUSED`` names the ``numpy.random`` modules such a process must
+  not load for its Monte Carlo streams.
 """
 
 import csv
@@ -140,7 +142,7 @@ def lu_solve(scheme: _Scheme):
             x = spla.splu(a).solve(rhs)
         except RuntimeError as exc:  # exactly singular factor
             raise LinearSolveError(f"sparse LU failed: {exc}") from exc
-        check_residual(a @ x - rhs, rhs, lin_tol, "sparse LU")
+        check_residual(a @ x - rhs, rhs, lin_tol, "sparse LU", x, spla.norm(a, np.inf))
         return x.reshape(w_next.shape)
 
     return solve
@@ -159,6 +161,7 @@ def lu_x_solver(scheme: _Scheme, q: np.ndarray, c: float):
     ab[0, 1:] = nca[:-1]  # row i's coupling to i + 1, by the column it sits in
     ab[1] = 1.0 - 2.0 * nca
     ab[2, :-1] = nca[1:]  # row i + 1's coupling to i
+    a_norm = 1.0 - 4.0 * nca.min()  # row i is (nca, 1 - 2*nca, nca), nca <= 0
 
     def solve(rhs: np.ndarray) -> np.ndarray:
         b = rhs.T.ravel()
@@ -166,7 +169,7 @@ def lu_x_solver(scheme: _Scheme, q: np.ndarray, c: float):
         resid = ab[1] * x - b
         resid[:-1] += ab[0, 1:] * x[1:]
         resid[1:] += ab[2, :-1] * x[:-1]
-        check_residual(resid, b, lin_tol, "banded LU x-stage")
+        check_residual(resid, b, lin_tol, "banded LU x-stage", x, a_norm)
         return x.reshape(n_z, n_x).T.copy()
 
     return solve
@@ -400,6 +403,12 @@ def read_csv(path) -> tuple[list[str], list[list[str]]]:
     with Path(path).open(newline="") as fh:
         reader = csv.reader(fh)
         return next(reader), list(reader)
+
+
+# numpy.random's package and the modules of it that no Monte Carlo stream
+# draws from: the streams' loader leaves none of them loaded
+RANDOM_UNUSED = ("numpy.random", "numpy.random.mtrand", "numpy.random._mt19937",
+                 "numpy.random._philox", "numpy.random._pickle")
 
 
 def fresh_env() -> dict:

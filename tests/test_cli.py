@@ -18,7 +18,8 @@ from uvbounds.cli import run
 from uvbounds.config import SCHEMA
 from uvbounds.core import SolverError
 from uvbounds.payoff import KINDS
-from reference import PAPER_CFG, fresh_env, fresh_python, lu_x_solver, read_csv
+from reference import (PAPER_CFG, RANDOM_UNUSED, fresh_env, fresh_python, lu_x_solver,
+                       read_csv)
 
 # paper.cfg on a 40 x 10 x 4 grid, with a 5-step, 200-path Monte Carlo
 SMALL_ARGS = ["--config", str(PAPER_CFG), *(
@@ -40,6 +41,10 @@ n_steps = 50
 rate_deltas = 0.01,0.02,0.04
 n_bound_paths = 3
 """
+
+# one call's P0 on a 3000 x 5 grid, where the x-stage's ‖I - c*A1‖∞ is 1.7e6
+STIFF_X = ["model.T=1", "grid.n_t=1", "grid.n_x=3000", "grid.x_max=300", "grid.n_z=5",
+           "payoff.kind=call", "payoff.strike=100"]
 
 
 @pytest.fixture
@@ -407,6 +412,21 @@ def test_tiny_z_min_solves_as_the_lu_x_stage(tmp_path, monkeypatch):
     assert np.max(np.abs(got - want)) <= 1e-10
 
 
+def test_stiff_x_stage_p0_matches_a_banded_lu_march(tmp_path, monkeypatch):
+    # the 3000-node P0 of the exit table's backward-stable row, by the
+    # scheme's L D L^T solves and by banded LU: both pass the residual bound
+    # that scales with ‖I - c*A1‖∞ (1.7e6 here), and agree to rounding (the
+    # gap measured 9.3e-13 of max|P0|)
+    argv = ["solve-p0", "--config", str(PAPER_CFG), *sets(*STIFF_X)]
+    assert run(argv + ["--out", str(tmp_path / "spd")]) == 0
+    monkeypatch.setattr(solver_pdelta._Scheme, "x_solver", lu_x_solver)
+    assert run(argv + ["--out", str(tmp_path / "lu")]) == 0
+    got, want = (np.array(read_csv(tmp_path / side / "p0_surface.csv")[1], float)
+                 for side in ("spd", "lu"))
+    assert np.isfinite(got).all()
+    assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
+
+
 @pytest.mark.parametrize("command", ["coupling-rate", "simulate-bounds"])
 def test_largest_u64_seed_runs(tmp_path, cfg, command):
     out = tmp_path / "o"
@@ -504,6 +524,7 @@ def test_tiny_x0_with_explicit_gamma_eps_solves(tmp_path, cfg, command):
 # stands for that directory, and a row's own --config comes last, so it wins.
 # A row names its case, the exit code and the fragment of the message that
 # names the cause. A file named "o" makes --out a file, which holds no record.
+# A row of code 0 checks that its manifest holds the command's result.
 
 Exit = namedtuple("Exit", "case command args code fragment files", defaults=[{}])
 EXITS = [
@@ -583,6 +604,20 @@ EXITS = [
                            ("solver.gamma_eps=nan", "gamma_eps must be finite and positive"),
                            ("solver.lin_tol=inf", "lin_tol must be finite and positive")]),
     Exit("test_unwritable_out_exits_4", "solve-p0", [], 4, "File exists", {"o": "x"}),
+    # a backward-stable solve of a stiff system: this 3000-node x-stage once
+    # exited 3 with "x-stage: residual 3.341e-08 exceeds 2.010e-08", though
+    # banded LU of the same system leaves 4.5e-08
+    Exit("test_backward_stable_solve_exits_0[n_x=3000-solve-p0]", "solve-p0",
+         ["--config", str(PAPER_CFG), *sets(*STIFF_X)], 0, ""),
+    # a march that diverges, though every linear solve in it is backward-stable:
+    # at kappa = 1e6 the z-stage's central drift stencil amplifies, and the
+    # first level leaves the payoff's range (the march left unchecked reaches
+    # -9.6e34 on paper.cfg)
+    *(Exit(f"test_diverged_march_exits_3[{grid}-{command}]", command,
+           [*config, *sets("model.kappa=1e6", "model.theta=1")], 3,
+           "backward march diverged at time level")
+      for grid, config in (("40x10x4", []), ("paper", ["--config", str(PAPER_CFG)]))
+      for command in ("solve-pdelta", "gamma-diag", "sweep-error")),
 ]
 
 
@@ -596,7 +631,9 @@ def check_exit(tmp, capsys, row):
     assert run([row.command, "--config", str(tmp / "small.cfg"), "--out", str(out),
                 *(arg.format(tmp=tmp) for arg in row.args)]) == row.code
     assert row.fragment in capsys.readouterr().err
-    if not out.is_file():
+    if row.code == 0:
+        assert RESULT_KEY[row.command] in strict_json(out / "manifest.json")["results"]
+    elif not out.is_file():
         record = strict_json(out / "error.json")
         assert record["exit_code"] == row.code and row.fragment in record["message"]
 
@@ -724,9 +761,13 @@ def test_error_sweep_fit_is_the_same_with_one_and_two_blas_threads(tmp_path):
 # One fresh process per subcommand, and one that runs no command, each print
 # one JSON record on its last line.
 
-PDE, MC = ("uvbounds.solver_pdelta", "uvbounds.stencils"), ("numpy.random", "uvbounds.montecarlo")
-WATCH = (*PDE, *MC, "uvbounds.analysis", "uvbounds.blackscholes", "logging", "multiprocessing",
-         "concurrent.futures.process", "secrets", "hmac", "_hashlib")
+PDE, MC = ("uvbounds.solver_pdelta", "uvbounds.stencils"), ("uvbounds.montecarlo",)
+# the streams' loader imports only the numpy.random modules it draws from,
+# under a stand-in package, and drops their entries, so no row loads any
+# RANDOM_UNUSED module, numpy.random itself among them
+WATCH = (*PDE, *MC, *RANDOM_UNUSED, "uvbounds.analysis", "uvbounds.blackscholes",
+         "logging", "multiprocessing", "concurrent.futures.process", "secrets", "hmac",
+         "_hashlib")
 # each command: the watched modules its process loads, and whether it takes
 # P0 from the 2D solve at delta = 0 and so must never step P1
 ROWS = {"solve-p0": (PDE, True),

@@ -139,6 +139,32 @@ def test_tridiag_inverse_exact_zero_pivot_raises(m, match):
         linsolve.tridiag_inverse_t(*_residual_layout(np.array(m)), "test")
 
 
+@pytest.mark.parametrize("n", [2, 3, 100])
+def test_tridiag_norm_is_the_largest_absolute_row_sum(n):
+    rng = np.random.default_rng(53 + n)
+    m = (np.diag(rng.uniform(-5.0, 5.0, n)) + np.diag(rng.uniform(-5.0, 5.0, n - 1), 1)
+         + np.diag(rng.uniform(-5.0, 5.0, n - 1), -1))
+    assert linsolve.tridiag_norm(*_residual_layout(m)) == pytest.approx(
+        np.linalg.norm(m, np.inf), rel=1e-15)
+
+
+def test_residual_bound_scales_with_the_norm_and_the_solution():
+    # tol*(‖A‖∞*max|x| + max|b|) = 1e-10*(1e4*2 + 3); a residual within tol
+    # passes before the bound is made, so even a NaN norm is not read there
+    x, b = np.array([2.0, -1.0]), np.array([-3.0, 1.0])
+    bound = 1e-10 * (1e4 * 2.0 + 3.0)
+    linsolve.check_residual(np.array([1e-10, 0.0]), b, 1e-10, "t", x, np.nan)
+    linsolve.check_residual(np.array([0.0, -bound]), b, 1e-10, "t", x, 1e4)
+    with pytest.raises(LinearSolveError, match=r"t: residual 2\.000e-06 exceeds 2\.000e-06"):
+        linsolve.check_residual(np.array([0.0, np.nextafter(bound, 1.0)]), b, 1e-10, "t", x,
+                                1e4)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(LinearSolveError, match=f"t: residual {bad} exceeds"):
+            linsolve.check_residual(np.array([bad, 0.0]), b, 1e-10, "t", x, np.inf)
+    with pytest.raises(LinearSolveError, match="t: residual 1.000e-09 exceeds nan"):
+        linsolve.check_residual(np.array([1e-9, 0.0]), b, 1e-10, "t", x, np.nan)
+
+
 # -- the LU reference step of the 2D scheme ------------------------------------
 
 

@@ -12,8 +12,8 @@ from uvbounds.montecarlo import (
     simulate_coupled_asset,
 )
 from reference import (
-    PARAMS, brownian_increments, chunk_moments, exponent_sum_terminals, fresh_python,
-    product_terminals,
+    PARAMS, RANDOM_UNUSED, brownian_increments, chunk_moments, exponent_sum_terminals,
+    fresh_python, product_terminals,
 )
 
 # a state-dependent control: the kernel prices constants only, so it runs
@@ -268,31 +268,45 @@ def test_streams_differ_across_steps_and_seeds():
 
 
 # One fresh process per mode runs simulate_cir, writes its paths' bytes to a
-# file and prints one JSON record: "secrets" imports the stdlib module
-# first, and "fails" makes a first numpy.random import raise before the run.
-# The watched modules are counted past those loaded before the package is:
-# numpy 1.x loads numpy.random, and so secrets, with numpy.
-_LOADER = """
+# file, imports numpy.random plainly and prints one JSON record: "secrets"
+# imports the stdlib module first, and "fails" makes a first stream import
+# raise twice before the run, once with numpy.random._generator blocked and
+# once with numpy.random.bit_generator. The watched modules are counted past
+# those loaded before the package is: numpy 1.x loads numpy.random, and so
+# secrets, with numpy.
+_LOADER = f"""
 import json, random, sys
 mode, out, params = sys.argv[1:]
 if mode == "secrets":
     import secrets
 import numpy as np
-watched = ("secrets", "hmac", "_hashlib")
-before = {m for m in (*watched, "numpy.random") if m in sys.modules}
+watched = ("secrets", "hmac", "_hashlib", *{RANDOM_UNUSED!r})
+before = {{m for m in watched if m in sys.modules}}
 from uvbounds import montecarlo
 from uvbounds.core import ModelParams
-record = {}
+record = {{}}
 if mode == "fails" and not before:
-    sys.modules["numpy.random.bit_generator"] = None
-    try:
-        montecarlo._numpy_random()
-    except ImportError:
-        record["left_after_raise"] = "secrets" in sys.modules
-    del sys.modules["numpy.random.bit_generator"]
+    for blocked in ("numpy.random._generator", "numpy.random.bit_generator"):
+        sys.modules[blocked] = None
+        try:
+            montecarlo._numpy_random()
+        except ImportError:
+            # any stand-in, or submodule imported under the stand-in package
+            record.setdefault("left_after_raise", []).extend(
+                m for m, module in sys.modules.items() if module is not None
+                and (m == "secrets" or m.startswith("numpy.random")))
+        del sys.modules[blocked]
 montecarlo.simulate_cir(ModelParams(**json.loads(params)), 20, 50, seed=11).tofile(out)
 record["loaded"] = [m for m in watched if m in sys.modules and m not in before]
-entropy = {np.random.SeedSequence().entropy for _ in range(2)}
+streams = montecarlo._numpy_random()
+import numpy.random
+record["package"] = [name for name in ("mtrand", "bit_generator", "_generator", "_sfc64",
+                                       "default_rng", "RandomState", "MT19937")
+                     if not hasattr(np.random, name)]
+record["same_classes"] = [np.random.Generator, np.random.SFC64, np.random.SeedSequence] \
+    == list(streams) and np.random.bit_generator.SeedSequence is streams[2]
+record["default_rng"] = 0 <= np.random.default_rng(1).random() < 1
+entropy = {{np.random.SeedSequence().entropy for _ in range(2)}}
 record["os_entropy"] = len(entropy) == 2 and all(0 <= e < 2**128 for e in entropy)
 import secrets
 record.update(token_hex=len(secrets.token_hex(8)),
@@ -305,21 +319,28 @@ print(json.dumps(record))
 
 
 def test_streams_load_no_openssl_and_draw_the_same_bits(tmp_path):
-    # numpy.random comes without secrets, hmac or _hashlib, and the stand-in
-    # it imported in their place is gone once the import returns or raises:
-    # an unseeded SeedSequence still reads OS entropy, a later import finds
-    # the stdlib's secrets, and the paths are bitwise those of a process
-    # whose numpy.random bound the stdlib's randbits
+    # the streams' classes come without secrets, hmac or _hashlib, and
+    # without the numpy.random modules no stream draws from; the stand-ins
+    # they were imported under are gone once the import returns or raises.
+    # A later plain import of numpy.random gives the whole package, every
+    # submodule bound, with the classes the streams used; an unseeded
+    # SeedSequence still reads OS entropy, a later import finds the stdlib's
+    # secrets, and the paths are bitwise those of a process whose
+    # numpy.random ran its own package init
     params = json.dumps(dataclasses.asdict(PARAMS))
     runs = {mode: json.loads(fresh_python(_LOADER, mode, str(tmp_path / mode), params)
                              .splitlines()[-1])
             for mode in ("plain", "secrets", "fails")}
     # where secrets or numpy.random is loaded already, the loader stands aside
     aside = runs["plain"]["aside"]
-    assert runs["fails"].pop("left_after_raise", None) is (None if aside else False)
+    assert runs["fails"].pop("left_after_raise", None) == (None if aside else [])
     for mode, record in runs.items():
-        assert record == {"loaded": [], "os_entropy": True, "token_hex": 16, "faithful": True,
-                          "numpy_bound": True, "aside": aside or mode == "secrets"}, mode
+        # standing aside, the loader imports the whole package
+        loaded = list(RANDOM_UNUSED) if mode == "secrets" and not aside else []
+        assert record == {"loaded": loaded, "package": [], "same_classes": True,
+                          "default_rng": True, "os_entropy": True, "token_hex": 16,
+                          "faithful": True, "numpy_bound": True,
+                          "aside": aside or mode == "secrets"}, mode
     assert (tmp_path / "plain").read_bytes() == (tmp_path / "secrets").read_bytes() \
         == (tmp_path / "fails").read_bytes()
 

@@ -311,10 +311,49 @@ def test_z_stage_residual_check_catches_a_wrong_inverse():
     scheme = _Scheme(PARAMS, SMALL)
     dt = SMALL.dt(PARAMS.T)
     scheme.solve_z(rhs, dt, 0.5)
-    (inv_t, _), = scheme._z.values()
+    (inv_t, *_), = scheme._z.values()
     inv_t[3, 2] += 1e-6
     with pytest.raises(LinearSolveError, match=r"z-stage: residual \S+ exceeds"):
         scheme.solve_z(rhs, dt, 0.5)
+
+
+def test_stiff_z_inverse_passes_a_backward_stable_check():
+    # kappa = 1e6 and theta = 1 on the paper grid, at the Rannacher start's
+    # c = dt/2: ‖M‖∞ = 5.2e5, and the inverse leaves a residual of 8.9e-8 on
+    # the identity, which a bound of lin_tol*(1 + max|b|) = 2e-10 once
+    # rejected. The check scales with ‖M‖∞ * max|M^-1|, and each product
+    # matches banded LU of M (the gap measured 2.1e-15 of max|x|)
+    p = PARAMS.replace(kappa=1e6, theta=1.0)
+    scheme = _Scheme(p, GRID)
+    rhs = np.random.default_rng(47).standard_normal((GRID.n_x, GRID.n_z))
+    c = 0.5 * GRID.dt(p.T)
+    got = scheme.solve_z(rhs, c, 1.0)
+    m = np.eye(GRID.n_z) - c * scheme.a2_t.T
+    assert scheme._z[c][2] == pytest.approx(np.linalg.norm(m, np.inf), rel=1e-15)
+    ab = np.zeros((3, GRID.n_z))
+    ab[0, 1:], ab[1], ab[2, :-1] = np.diagonal(m, 1), np.diagonal(m), np.diagonal(m, -1)
+    want = sla.solve_banded((1, 1), ab, rhs.T).T
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+def test_stiff_z_march_fails_the_divergence_check():
+    # the same variance process, marched: every solve passes its residual
+    # check, but the z-stages amplify, and the first level leaves the
+    # butterfly's range [0, 9.0] by more than its margin of 18.0 (measured
+    # [-128.5, 56.7])
+    with pytest.raises(SolverError, match=r"backward march diverged at time level 19: "
+                                          r"values in \[-1\.\d+e\+02"):
+        solve_pdelta(BF, PARAMS.replace(kappa=1e6, theta=1.0), GRID)
+
+
+@pytest.mark.parametrize("level", [5.0, 0.0, -3.0])
+def test_constant_payoff_passes_the_divergence_check(level):
+    # a range of one point leaves the march a margin of |level| alone, far
+    # outside the rounding of a constant surface (8e-15 measured at 5.0);
+    # zero data stays exactly zero, with no margin at all
+    price = solve_pdelta(PayoffSpec.tabulated([0.0, 200.0], [level, level]), PARAMS,
+                         SMALL).values
+    assert np.max(np.abs(price - level)) <= 1e-13
 
 
 def test_z_stage_nan_rhs_fails_the_residual_check():
@@ -383,14 +422,17 @@ def test_spd_x_solve_matches_lu_batch(grid, theta):
 @given(n_x=hst.integers(3, 40), n_z=hst.integers(1, 10),
        x_min=hst.one_of(hst.just(0.0), hst.floats(1.0, 150.0)),
        z_min=hst.one_of(hst.just(0.0), hst.floats(1e-3, 0.1)),
-       log_c=hst.floats(-6.0, 2.0), seed=hst.integers(0, 2 ** 16))
+       log_c=hst.floats(-6.0, 6.0), seed=hst.integers(0, 2 ** 16))
 def test_random_x_systems_match_lu(n_x, n_z, x_min, z_min, log_c, seed):
-    # c = theta*dt over eight decades. Two backward-stable solves differ by
-    # about eps times the condition number of I - c*A1, at most 1 + 4*max(c*a):
-    # 1e-13 as in test_spd_x_solve_matches_lu_batch while max(c*a) stays
-    # below about 30 (c up to about 0.1 here), and 4*eps times that bound
-    # beyond it (the gap measured at most 5.6e-16*(1 + max(c*a)), so
-    # 1.8e-13 for c in [1, 10) and 2.2e-13 in [10, 100))
+    # c = theta*dt over twelve decades, up to 1e6, where max(c*a) reaches the
+    # order of 1e8 and both solves pass only a residual bound that scales
+    # with ‖I - c*A1‖∞. Two backward-stable solves differ by about eps times
+    # the condition number of I - c*A1, at most 1 + 4*max(c*a): 1e-13 as in
+    # test_spd_x_solve_matches_lu_batch while max(c*a) stays below about 30
+    # (c up to about 0.1 here), and 4*eps times that bound beyond it. The gap
+    # measured at most 5.6e-16*(1 + max(c*a)) for c below 100 (1.8e-13 for c
+    # in [1, 10), 2.2e-13 in [10, 100)), and at most 0.13*eps*(1 + 4*max(c*a))
+    # for c in [10, 1e6), over 600 random systems with c from 1e-6 to 1e6
     grid = GridSpec(x_min, 200, n_x, z_min, z_min if n_z == 1 else z_min + 0.12, n_z, 4)
     rng = np.random.default_rng(seed)
     q = rng.uniform(PARAMS.d, PARAMS.u, size=(n_x, n_z))
