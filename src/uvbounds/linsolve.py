@@ -10,12 +10,12 @@ batch, ``dpttrs`` took 72-79 us against 164-169 us for LAPACK's general
 tridiagonal solve by LU, and ``dpttrf`` 94-97 us against 132-145 us for
 the LU factor (2-core x86-64 host, one BLAS thread). A matrix that serves
 several right-hand sides is factored once. The z-stages solve one matrix for
-every asset row by a product with its dense inverse
-(``solver_pdelta._Scheme.solve_z``), built once per theta*dt by ``dgtsv``,
-LAPACK's tridiagonal LU with partial pivoting, on the identity
-(``tridiag_inverse_t``). At 100, 200 and 400 variance nodes that took
-0.11, 0.46-0.52 and 1.9-2.2 ms, against 0.28, 1.60-1.74 and 9.7-11.9 ms for
-numpy's dense LU inverse (best of 5 x 20 calls, one BLAS thread), which
+every asset row by a product with its dense inverse: ``ZSolver`` builds
+it once per theta*dt by ``dgtsv``, LAPACK's tridiagonal LU with partial
+pivoting, on the identity, and is the one place that reads the z-system's
+diagonals. At 100, 200 and 400 variance nodes that took 0.11, 0.46-0.52
+and 1.9-2.2 ms, against 0.28, 1.60-1.74 and 9.7-11.9 ms for numpy's
+dense LU inverse (best of 5 x 20 calls, one BLAS thread), which
 also pulled 0.7-0.8 MiB of numpy's LAPACK into the process on first use.
 
 The three routines come from the OpenBLAS numpy already has loaded. numpy
@@ -58,21 +58,20 @@ checks, are the same objects ``scipy.linalg.lapack`` exports.
 Acceptance of a solve is residual-based: every solve verifies
 ``max|A x - b| <= lin_tol * (‖A‖∞ * max|x| + max|b|)`` of its unscaled
 system and raises otherwise (``check_residual``); the z-stage's product and
-its inverse by the tridiagonal product (``check_tridiag_residual``), the
-scaled x-stage in difference form. That bound is the normwise backward
-error's: a backward-stable solve leaves a residual of order the unit
-roundoff times ``‖A‖∞ * max|x| + max|b|``, so a bound of
-``lin_tol * (1 + max|b|)`` rejected correct solves of stiff systems, such
-as a 3000-node x-stage whose banded LU left 4.5e-8 against a bound of
-2.0e-8. ‖A‖∞ is 1 + 4*max(c*a) for an x-stage and M's largest absolute row
-sum for a z-stage (``tridiag_norm``), each made once per factor; on
-``paper.cfg`` they are 23.5 and 6.1-51.5, and no solve's residual there
-exceeds ``lin_tol``. A residual within ``lin_tol`` passes before max|x| is
-made, so a solve that passes there costs nothing more; a NaN fails. A
-backward-stable solve of a system that amplifies passes too: the march
-that steps such systems checks its own surfaces (``solver_pdelta``). A
-passing residual is not recorded: the module logs nothing and does not
-import ``logging``, which no command configures.
+its inverse by the tridiagonal product (``ZSolver``), the scaled x-stage in
+difference form. That bound is the normwise backward error's: a
+backward-stable solve leaves a residual of order the unit roundoff times
+``‖A‖∞ * max|x| + max|b|``, so a bound of ``lin_tol * (1 + max|b|)``
+rejected correct solves of stiff systems, such as a 3000-node x-stage whose
+banded LU left 4.5e-8 against a bound of 2.0e-8. ‖A‖∞ is 1 + 4*max(c*a) for
+an x-stage and M's largest absolute row sum for a z-stage (``ZSolver.norm``),
+each made once per factor; on ``paper.cfg`` they are 23.5 and 6.1-51.5, and
+no solve's residual there exceeds ``lin_tol``. A residual within ``lin_tol``
+passes before max|x| is made, so a solve that passes there costs nothing
+more; a NaN fails. A backward-stable solve of a system that amplifies passes
+too: the march that steps such systems checks its own surfaces
+(``solver_pdelta``). A passing residual is not recorded: the module logs
+nothing and does not import ``logging``, which no command configures.
 """
 
 from __future__ import annotations
@@ -90,13 +89,11 @@ from .core import SolverError
 
 __all__ = [
     "LinearSolveError",
+    "ZSolver",
     "check_residual",
-    "check_tridiag_residual",
     "lapack_name",
     "scipy_version",
     "spd_tridiag_solver",
-    "tridiag_inverse_t",
-    "tridiag_norm",
 ]
 
 class LinearSolveError(SolverError):
@@ -261,38 +258,6 @@ class _NumpyLapack:
         return dl, d, du, b, info.value
 
 
-def check_tridiag_residual(lower, main, upper, x: np.ndarray, rhs: np.ndarray,
-                           lin_tol: float, what: str, a_norm: float) -> None:
-    """Raise unless ``max|A x - rhs| <= lin_tol * (‖A‖∞ * max|x| + max|rhs|)``
-    (``check_residual``), for one tridiagonal matrix A along every row of ``x``.
-
-    A's coefficients are laid out by the unknown they multiply, each one
-    row as long as x's: A[i, i] = main[i], A[i + 1, i] = lower[i] and
-    A[i - 1, i] = upper[i]. With lower = 0 on the last unknown and upper = 0
-    on the first, no row reaches into the next, so the two shifts are
-    slices of the flattened arrays: on a 100 x 100 batch that took 42 us,
-    against 93 us with 2D slices. ``a_norm`` is ‖A‖∞ (``tridiag_norm``).
-    """
-    resid = _times(main, x, np.empty(np.shape(x)))
-    shifted = _times(upper, x, np.empty(np.shape(x)))
-    flat, flat_shifted = resid.reshape(-1), shifted.reshape(-1)
-    flat[:-1] += flat_shifted[1:]
-    _times(lower, x, shifted)
-    flat[1:] += flat_shifted[:-1]
-    resid -= rhs
-    check_residual(resid, rhs, lin_tol, what, x, a_norm)
-
-
-def tridiag_norm(lower, main, upper) -> float:
-    """‖A‖∞, the largest absolute row sum of the tridiagonal A laid out as
-    ``check_tridiag_residual`` reads it: row i is
-    |lower[i - 1]| + |main[i]| + |upper[i + 1]|."""
-    rows = np.abs(main)
-    rows[1:] += np.abs(lower[:-1])
-    rows[:-1] += np.abs(upper[1:])
-    return float(rows.max())
-
-
 def _times(coef, x: np.ndarray, out: np.ndarray) -> np.ndarray:
     """coef * x, made in ``out``. The coefficient row is first copied out to
     x's shape: numpy 2.4 runs a broadcast operand of a product through a
@@ -326,22 +291,58 @@ def check_residual(residual: np.ndarray, rhs: np.ndarray, tol: float, what: str,
         raise LinearSolveError(f"{what}: residual {res:.3e} exceeds {bound:.3e}")
 
 
-def tridiag_inverse_t(lower, main, upper, what: str) -> np.ndarray:
-    """The transposed inverse M^-T of the tridiagonal M, as a C-contiguous array.
+class ZSolver:
+    """rhs -> (I - c*A2)^-1 rhs along every row of rhs, as ``rhs @ inv_t``.
 
-    The diagonals are laid out as ``check_tridiag_residual`` reads them,
-    each of length n >= 2: M[i, i] = main[i], M[i + 1, i] = lower[i] and
-    M[i - 1, i] = upper[i], so lower[-1] and upper[0] are not read. LAPACK
-    ``dgtsv`` solves M X = I by LU with partial pivoting and returns X in
-    Fortran order, whose transpose is M^-T in C order at no copy. A pivot
-    that is exactly zero raises. The residual is the caller's to check.
+    M = I - c*A2 is one tridiagonal matrix for every row, read off
+    ``a2_t`` = A2^T (dense, n >= 2 unknowns) with c = theta*dt. Its
+    diagonals are laid out by the unknown they multiply, each one row as
+    long as a row of rhs: M[i, i] = main[i], M[i + 1, i] = lower[i] and
+    M[i - 1, i] = upper[i]. LAPACK ``dgtsv`` solves M X = I by LU with
+    partial pivoting and returns X in Fortran order, whose transpose is
+    ``inv_t`` = M^-T in C order at no copy; a pivot that is exactly zero
+    raises. ``norm`` is ‖M‖∞, its largest absolute row sum, made once. The
+    inverse, and every product with it, is checked by M's tridiagonal
+    product against ``check_residual``'s rule.
     """
-    n = main.size
-    *_, x, info = _lapack().dgtsv(lower[:-1], main, upper[1:], np.eye(n, order="F"),
-                                   overwrite_b=1)
-    if info > 0:
-        raise LinearSolveError(f"{what}: pivot at row {info - 1} is exactly zero")
-    return x.T
+
+    def __init__(self, a2_t: np.ndarray, c: float, lin_tol: float):
+        self._lin_tol = lin_tol
+        lower, main, upper = self._m = (np.append(-c * np.diagonal(a2_t, 1), 0.0),
+                                        1.0 - c * np.diagonal(a2_t),
+                                        np.insert(-c * np.diagonal(a2_t, -1), 0, 0.0))
+        n = main.size
+        *_, x, info = _lapack().dgtsv(lower[:-1], main, upper[1:], np.eye(n, order="F"),
+                                       overwrite_b=1)
+        if info > 0:
+            raise LinearSolveError(f"z-stage inverse: pivot at row {info - 1} is exactly zero")
+        self.inv_t = x.T
+        # row i of M is lower[i - 1], main[i], upper[i + 1]
+        rows = np.abs(main)
+        rows[1:] += np.abs(lower[:-1])
+        rows[:-1] += np.abs(upper[1:])
+        self.norm = float(rows.max())
+        self._check(self.inv_t, np.eye(n), "z-stage inverse")
+
+    def __call__(self, rhs: np.ndarray) -> np.ndarray:
+        x = rhs @ self.inv_t
+        self._check(x, rhs, "z-stage")
+        return x
+
+    def _check(self, x: np.ndarray, rhs: np.ndarray, what: str) -> None:
+        # M x - rhs along every row of x. With lower = 0 on the last unknown
+        # and upper = 0 on the first, no row reaches into the next, so the two
+        # shifts are slices of the flattened arrays: on a 100 x 100 batch that
+        # took 42 us, against 93 us with 2D slices
+        lower, main, upper = self._m
+        resid = _times(main, x, np.empty(np.shape(x)))
+        shifted = _times(upper, x, np.empty(np.shape(x)))
+        flat, flat_shifted = resid.reshape(-1), shifted.reshape(-1)
+        flat[:-1] += flat_shifted[1:]
+        _times(lower, x, shifted)
+        flat[1:] += flat_shifted[:-1]
+        resid -= rhs
+        check_residual(resid, rhs, self._lin_tol, what, x, self.norm)
 
 
 def spd_tridiag_solver(main: np.ndarray, off: np.ndarray):

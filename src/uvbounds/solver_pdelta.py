@@ -22,20 +22,21 @@ In-process, a ``sweep-error`` on ``paper.cfg`` spent 0.10 s in x-stage
 factors and 0.19 s in x-stage solves, against 0.16 s and 0.33 s by
 general tridiagonal LU (medians of 9, 2-core x86-64 host, one BLAS
 thread).
-The z-system M = I - theta*dt*A2 is one matrix for every x-row, so its
-dense inverse is made once per theta*dt, by LAPACK's tridiagonal LU
-``dgtsv`` on the identity, and each z-stage is one matrix product with
-it, at 2*n_z flops per node; the inverse and every product are checked
-by M's tridiagonal product, as every solve is. The product beats the
-latency-bound chained tridiagonal solve up to a few hundred z-nodes: with
-it, in-process ``solve_pdelta`` on ``paper.cfg`` took a median 0.77 s
-against 0.86 s at 200x200x40, and 7.24 s against 7.32 s at 400x400x80 (10
-alternating runs each, 2-core x86-64 host, one BLAS thread). Likewise,
-each stencil field of a surface (z*x^2*d_xx, x*z*d_xz and A2 of it) is
-computed once, at the head of the control selection, which hands them to
-the solves from that surface. The correction weight theta is Craig-Sneyd's
-1/2 in the trapezoidal steps and 1 in the fully implicit Rannacher start.
-At delta = 0 both A0 and A2 vanish and the step is the x-stage alone.
+The z-system M = I - theta*dt*A2 is one matrix for every x-row, so one
+solver per theta*dt (``linsolve.ZSolver``) makes its dense inverse by
+LAPACK's tridiagonal LU ``dgtsv`` on the identity, and each z-stage is one
+matrix product with it, at 2*n_z flops per node; the inverse and every
+product are checked by M's tridiagonal product, as every solve is. The
+product beats the latency-bound chained tridiagonal solve up to a few
+hundred z-nodes: with it, in-process ``solve_pdelta`` on ``paper.cfg``
+took a median 0.77 s against 0.86 s at 200x200x40, and 7.24 s against
+7.32 s at 400x400x80 (10 alternating runs each, 2-core x86-64 host, one
+BLAS thread). Likewise, each stencil field of a surface (z*x^2*d_xx,
+x*z*d_xz and A2 of it) is computed once, at the head of the control
+selection, which hands them to the solves from that surface. The
+correction weight theta is Craig-Sneyd's 1/2 in the trapezoidal steps
+and 1 in the fully implicit Rannacher start. At delta = 0 both A0 and A2
+vanish and the step is the x-stage alone.
 The splitting error against the unsplit weighted system is O(dt^2); the
 tests measure it against a reference step (``tests/reference.py``) that
 probes that system's matrix (a 9-point footprint) from the same operators
@@ -77,8 +78,7 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from .core import GridSpec, ModelParams, SolverConfig, SolverError, Surface
-from .linsolve import (LinearSolveError, check_residual, check_tridiag_residual,
-                       spd_tridiag_solver, tridiag_inverse_t, tridiag_norm)
+from .linsolve import LinearSolveError, ZSolver, check_residual, spd_tridiag_solver
 from .payoff import PayoffSpec, terminal_surface
 from .stencils import deadband, dx_values, dz_values, dzz_values, lxx_values, lxz_values
 
@@ -189,8 +189,9 @@ class _Scheme:
       transposed, as the stencil form applied to the identity (``a2_t``,
       made on first read, so never where A2 is absent). Each z-stage is
       one product with the inverse of I - theta*dt*A2 (2*n_z flops per
-      node, plus 5 for the residual check); absent when delta = 0 or
-      n_z = 1.
+      node, plus 5 for the residual check), by the ``linsolve.ZSolver``
+      built from ``a2_t`` once per theta*dt, which alone reads that
+      matrix's diagonals; absent when delta = 0 or n_z = 1.
 
     The march steps back from the terminal level by the weighted step
     (I - theta*dt*A(q)) w_new = (I + (1-theta)*dt*A(q)) w_next, with the
@@ -256,8 +257,7 @@ class _Scheme:
         before = np.flatnonzero(regular[:-1] & ~regular[1:])
         self.moved = ((after, after - 1), (before, before + 1))
         self._x = None  # (q, c, solve) of the last x-system factored
-        # theta*dt -> (M^-T, diagonals of M by column, ‖M‖∞) of M = I - theta*dt*A2
-        self._z = {}
+        self._z = {}  # theta*dt -> the ZSolver of I - theta*dt*A2
 
     def a0(self, q: np.ndarray, w: np.ndarray) -> np.ndarray:
         # (c0*q)*lxz, made in lxz's buffer
@@ -345,29 +345,13 @@ class _Scheme:
         return solve
 
     def solve_z(self, rhs: np.ndarray, dt: float, theta: float) -> np.ndarray:
-        """(I - theta*dt*A2)^-1 rhs along every x-row, as one matrix product.
-
-        M = I - theta*dt*A2 is one tridiagonal system for all rows, so its
-        dense inverse is made once per theta*dt, transposed, by LAPACK
-        ``dgtsv`` on M's diagonals (``linsolve.tridiag_inverse_t``), and
-        checked by M's tridiagonal product with the identity as right-hand
-        side. Every call checks its residual the same way, on the flat surface.
-        """
+        """(I - theta*dt*A2)^-1 rhs along every x-row, by the one ``ZSolver``
+        of theta*dt: its inverse is made and checked once, and each call is
+        one checked product with it."""
         c = theta * dt
         if c not in self._z:
-            # M's diagonals, read off a2_t = A2^T and laid out by the unknown
-            # they multiply: M[i + 1, i] = -c*a2_t[i, i + 1], and so on
-            a = self.a2_t
-            m = (np.append(-c * np.diagonal(a, 1), 0.0), 1.0 - c * np.diagonal(a),
-                 np.insert(-c * np.diagonal(a, -1), 0, 0.0))
-            inv_t, norm = tridiag_inverse_t(*m, "z-stage inverse"), tridiag_norm(*m)
-            check_tridiag_residual(*m, inv_t, np.eye(self.grid.n_z), self.lin_tol,
-                                   "z-stage inverse", norm)
-            self._z[c] = (inv_t, m, norm)
-        inv_t, m, norm = self._z[c]
-        x = rhs @ inv_t
-        check_tridiag_residual(*m, x, rhs, self.lin_tol, "z-stage", norm)
-        return x
+            self._z[c] = ZSolver(self.a2_t, c, self.lin_tol)
+        return self._z[c](rhs)
 
     def select(self, w: np.ndarray, spent: bool = False):
         """(q, fields): the optimal control on the surface ``w``, and w's

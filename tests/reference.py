@@ -11,6 +11,9 @@ Not collected by pytest (no ``test_`` prefix); test modules import it as
   slice, unscaled and solved by banded LU (``scipy.linalg.solve_banded``)
   from the scheme's ``k``; the package solves them in their symmetric
   scaled form.
+* ``lu_z_solve``: the z-stage's system I - c*A2 on every x-row, its band
+  read off the scheme's ``a2_t`` and solved by banded LU; the package
+  multiplies by a dense inverse.
 * ``brownian_increments``: one step's correlated shocks for all paths in
   a single draw, the unchunked form of what the Monte Carlo path kernel
   draws chunk by chunk.
@@ -173,6 +176,16 @@ def lu_x_solver(scheme: _Scheme, q: np.ndarray, c: float):
         return x.reshape(n_z, n_x).T.copy()
 
     return solve
+
+
+def lu_z_solve(scheme: _Scheme, c: float, rhs: np.ndarray) -> np.ndarray:
+    """(I - c*A2)^-1 along every x-row of rhs, by banded LU; A2 = a2_t^T."""
+    a2 = scheme.a2_t.T
+    ab = np.zeros((3, scheme.grid.n_z))
+    ab[0, 1:] = -c * np.diagonal(a2, 1)  # row i's coupling to i + 1, by the column it sits in
+    ab[1] = 1.0 - c * np.diagonal(a2)
+    ab[2, :-1] = -c * np.diagonal(a2, -1)  # row i + 1's coupling to i
+    return sla.solve_banded((1, 1), ab, rhs.T).T
 
 
 def brownian_increments(seed: int, step: int, n_paths: int, rho: float,

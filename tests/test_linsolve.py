@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from uvbounds import linsolve
-from uvbounds.core import GridSpec
+from uvbounds.core import GridSpec, SolverConfig
 from uvbounds.linsolve import LinearSolveError
 from uvbounds.solver_pdelta import _Scheme
 from reference import PAPER_CFG, PARAMS, generator_matrix, lu_solve
@@ -110,12 +110,14 @@ def test_missing_lapack_extension_names_its_path(monkeypatch, tmp_path):
         linsolve._flapack.__wrapped__()  # past the cache
 
 
-# -- the z-system's inverse ----------------------------------------------------
+# -- the z-system's solver -----------------------------------------------------
 
-def _residual_layout(m):
-    """The diagonals of a dense tridiagonal m, laid out by the unknown they multiply."""
-    return (np.append(np.diagonal(m, -1), 0.0), np.diagonal(m).copy(),
-            np.insert(np.diagonal(m, 1), 0, 0.0))
+def _z_solver(m):
+    """(solver, M): the ``ZSolver`` of M = I - 1*A2 with A2 = I - m, and that
+    M, dense, bitwise the matrix the solver reads; M is the tridiagonal m up
+    to the rounding of 1 - (1 - m[i, i])."""
+    a2 = np.eye(len(m)) - m
+    return linsolve.ZSolver(a2.T, 1.0, SolverConfig().lin_tol), np.eye(len(m)) - a2
 
 
 @pytest.mark.parametrize("n", [2, 3, 100])
@@ -123,29 +125,30 @@ def test_tridiag_inverse_matches_numpy_inverse(n):
     # against numpy's dense LU inverse, transposed, with a tolerance fixed in
     # advance
     rng = np.random.default_rng(41 + n)
-    m = (np.diag(1.0 + rng.random(n)) + np.diag(rng.uniform(-1.0, 1.0, n - 1), 1)
-         + np.diag(rng.uniform(-1.0, 1.0, n - 1), -1))
+    solver, m = _z_solver(np.diag(1.0 + rng.random(n))
+                          + np.diag(rng.uniform(-1.0, 1.0, n - 1), 1)
+                          + np.diag(rng.uniform(-1.0, 1.0, n - 1), -1))
     want = np.linalg.inv(m).T
-    got = linsolve.tridiag_inverse_t(*_residual_layout(m), "test")
+    got = solver.inv_t
     assert got.shape == (n, n) and got.flags.c_contiguous
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 @pytest.mark.parametrize("m,match", [
-    ([[1.0, 1.0], [1.0, 1.0]], "test: pivot at row 1 is exactly zero"),  # 1 - 1 = 0
+    ([[1.0, 1.0], [1.0, 1.0]], "z-stage inverse: pivot at row 1 is exactly zero"),  # 1 - 1 = 0
 ], ids=["2x2"])
 def test_tridiag_inverse_exact_zero_pivot_raises(m, match):
     with pytest.raises(LinearSolveError, match=match):
-        linsolve.tridiag_inverse_t(*_residual_layout(np.array(m)), "test")
+        _z_solver(np.array(m))
 
 
 @pytest.mark.parametrize("n", [2, 3, 100])
 def test_tridiag_norm_is_the_largest_absolute_row_sum(n):
     rng = np.random.default_rng(53 + n)
-    m = (np.diag(rng.uniform(-5.0, 5.0, n)) + np.diag(rng.uniform(-5.0, 5.0, n - 1), 1)
-         + np.diag(rng.uniform(-5.0, 5.0, n - 1), -1))
-    assert linsolve.tridiag_norm(*_residual_layout(m)) == pytest.approx(
-        np.linalg.norm(m, np.inf), rel=1e-15)
+    solver, m = _z_solver(np.diag(rng.uniform(-5.0, 5.0, n))
+                          + np.diag(rng.uniform(-5.0, 5.0, n - 1), 1)
+                          + np.diag(rng.uniform(-5.0, 5.0, n - 1), -1))
+    assert solver.norm == pytest.approx(np.linalg.norm(m, np.inf), rel=1e-15)
 
 
 def test_residual_bound_scales_with_the_norm_and_the_solution():

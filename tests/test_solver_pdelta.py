@@ -4,7 +4,6 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-import scipy.linalg as sla
 from hypothesis import given, settings, strategies as hst
 
 from uvbounds import linsolve, solver_pdelta
@@ -17,8 +16,8 @@ from uvbounds.solver_pdelta import (TAG_A, TAG_B, TAG_C, _Scheme, candidate_tags
 from uvbounds.stencils import deadband, lxx_values, lxz_values
 from reference import (
     BF, GRID, PARAMS, exponent_sum_terminals, generator_matrix, lu_solve, lu_x_solver,
-    nearest_node_control, pdelta_with_controls, select_q_node, sqrt_delta_derivative,
-    worst_case_call,
+    lu_z_solve, nearest_node_control, pdelta_with_controls, select_q_node,
+    sqrt_delta_derivative, worst_case_call,
 )
 
 SMALL = GridSpec(0, 200, 40, 0, 0.12, 12, 6)
@@ -290,18 +289,12 @@ def test_a2_matrix_matches_stencil_form(grid):
 @pytest.mark.parametrize("grid", Z_GRIDS.values(), ids=Z_GRIDS.keys())
 def test_dense_z_solve_matches_tridiagonal_batch(grid, theta):
     # the z-stage's product with the dense inverse against a banded LU solve
-    # of the same system on every x-row, its diagonals read off a2_t = A2^T
+    # of the same system on every x-row
     rng = np.random.default_rng(31)
     rhs = rng.standard_normal((grid.n_x, grid.n_z))
     scheme = _Scheme(PARAMS, grid)
     dt = 0.05
-    a2 = scheme.a2_t.T
-    c = theta * dt
-    ab = np.zeros((3, grid.n_z))
-    ab[0, 1:] = -c * np.diagonal(a2, 1)
-    ab[1] = 1.0 - c * np.diagonal(a2)
-    ab[2, :-1] = -c * np.diagonal(a2, -1)
-    want = sla.solve_banded((1, 1), ab, rhs.T).T
+    want = lu_z_solve(scheme, theta * dt, rhs)
     got = scheme.solve_z(rhs, dt, theta)
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
@@ -311,8 +304,9 @@ def test_z_stage_residual_check_catches_a_wrong_inverse():
     scheme = _Scheme(PARAMS, SMALL)
     dt = SMALL.dt(PARAMS.T)
     scheme.solve_z(rhs, dt, 0.5)
-    (inv_t, *_), = scheme._z.values()
-    inv_t[3, 2] += 1e-6
+    # the cached solver's inverse, spoiled after its own check passed
+    solver, = scheme._z.values()
+    solver.inv_t[3, 2] += 1e-6
     with pytest.raises(LinearSolveError, match=r"z-stage: residual \S+ exceeds"):
         scheme.solve_z(rhs, dt, 0.5)
 
@@ -329,10 +323,8 @@ def test_stiff_z_inverse_passes_a_backward_stable_check():
     c = 0.5 * GRID.dt(p.T)
     got = scheme.solve_z(rhs, c, 1.0)
     m = np.eye(GRID.n_z) - c * scheme.a2_t.T
-    assert scheme._z[c][2] == pytest.approx(np.linalg.norm(m, np.inf), rel=1e-15)
-    ab = np.zeros((3, GRID.n_z))
-    ab[0, 1:], ab[1], ab[2, :-1] = np.diagonal(m, 1), np.diagonal(m), np.diagonal(m, -1)
-    want = sla.solve_banded((1, 1), ab, rhs.T).T
+    assert scheme._z[c].norm == pytest.approx(np.linalg.norm(m, np.inf), rel=1e-15)
+    want = lu_z_solve(scheme, c, rhs)
     assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
@@ -622,17 +614,17 @@ def test_step_matches_single_step_solve():
                                              (SolverConfig(cn_weight=0.6), 2)])
 def test_each_matrix_factored_once(monkeypatch, cfg, n_z_factors):
     # paper.cfg's time grid: the Rannacher 1*dt/2 and the trapezoidal 0.5*dt
-    # are one theta*dt, so its z-system's dense inverse is made once per
-    # solve_pdelta; the x-system, one symmetric batch of every slice, is
-    # factored once per Craig-Sneyd step
+    # are one theta*dt, so its z-system's solver, with its dense inverse, is
+    # built once per solve_pdelta; the x-system, one symmetric batch of every
+    # slice, is factored once per Craig-Sneyd step
     grid = GridSpec(0, 200, 60, 0, 0.12, 30, 20)  # n_x != n_z tells the systems apart
     shapes, x_factors, n_solves = [], [], [0]
-    inv, spd_factor = solver_pdelta.tridiag_inverse_t, solver_pdelta.spd_tridiag_solver
+    z_solver, spd_factor = solver_pdelta.ZSolver, solver_pdelta.spd_tridiag_solver
     solve = _Scheme.solve
 
-    def counting_inv(lower, main, upper, what):
-        shapes.append(np.shape(main))
-        return inv(lower, main, upper, what)
+    def counting_z_solver(a2_t, c, lin_tol):
+        shapes.append(np.shape(a2_t))
+        return z_solver(a2_t, c, lin_tol)
 
     def counting_spd_factor(main, off):
         x_factors.append(np.shape(main))
@@ -642,11 +634,11 @@ def test_each_matrix_factored_once(monkeypatch, cfg, n_z_factors):
         n_solves[0] += 1
         return solve(*args)
 
-    monkeypatch.setattr(solver_pdelta, "tridiag_inverse_t", counting_inv)
+    monkeypatch.setattr(solver_pdelta, "ZSolver", counting_z_solver)
     monkeypatch.setattr(solver_pdelta, "spd_tridiag_solver", counting_spd_factor)
     monkeypatch.setattr(_Scheme, "solve", counting_solve)
     solve_pdelta(BF, PARAMS, grid, cfg)
-    assert shapes == [(grid.n_z,)] * n_z_factors
+    assert shapes == [(grid.n_z, grid.n_z)] * n_z_factors
     assert x_factors.count((grid.n_x * grid.n_z,)) == len(x_factors) == n_solves[0] >= grid.n_t
 
 
