@@ -41,10 +41,14 @@ loads the real module. Where ``secrets`` or ``numpy.random`` is loaded
 already (numpy 1.x loads ``numpy.random`` with numpy), the import is plain.
 
 A run allocates its working set once, sized to one chunk, and every
-chunk steps on views of it. The rate study keeps no per-path array: each
-chunk's squared gaps are reduced to their count, mean and centred sum of
-squares, merged in path order by the pairwise update of Chan, Golub &
-LeVeque (1983). Its memory is therefore independent of the path count.
+chunk steps on views of it: one block holding one lane of scratch, the
+variance lanes and, only where there are controls to settle, their two
+sums. Each step draws once for the chunk, then advances the lanes one at a
+time, each a contiguous row, so no operation has a broadcast operand and
+the scratch holds one lane, not all of them. The rate study keeps no
+per-path array: each chunk's squared gaps are reduced to their count, mean
+and centred sum of squares, merged in path order by the pairwise update of
+Chan, Golub & LeVeque (1983). Its memory is therefore independent of the path count.
 The merged moments depend on ``CHUNK_PATHS`` at round-off only (below
 1e-15 relative); a run of one chunk gives bitwise ``np.mean`` and
 ``np.std(ddof=1)``.
@@ -144,12 +148,14 @@ def _stream(seed: int, step: int) -> np.random.Generator:
     return generator(sfc64(seed_sequence(seed, spawn_key=(step,))))
 
 
-# Paths advanced together. A run's working set is five (n_delta, CHUNK_PATHS)
-# lane arrays, allocated once, and does not grow with the path count. On the
-# benchmark's mc workload (BENCH_24.json; 2-core x86-64 host, one thread),
-# 8192 paths moved wall_s by -2.2% and +1.8% over two sets of alternating
-# pairs, inside host noise, for 5-6% more peak_rss_mb in every pair; 2048
-# saved 1.2 MiB and ran 8% slower in-process.
+# Paths advanced together. A run's working set, allocated once, is one
+# block of CHUNK_PATHS-wide rows: two of scratch, the n_delta lanes and,
+# where there are controls, their 2 * n_delta sums. It does not grow with
+# the path count. On the benchmark's mc workload (BENCH_24.json; 2-core
+# x86-64 host, one thread), 8192 paths moved wall_s by -2.2% and +1.8% over
+# two sets of alternating pairs, inside host noise, for 5-6% more
+# peak_rss_mb in every pair; 2048 saved 1.2 MiB and ran 8% slower
+# in-process.
 CHUNK_PATHS = 4096
 
 
@@ -158,12 +164,6 @@ def _correlate(g: np.ndarray, rho: float, dt: float) -> tuple[np.ndarray, np.nda
     dw = sq * g[:, 0]
     dwz = sq * (rho * g[:, 0] + np.sqrt(1.0 - rho * rho) * g[:, 1])
     return dw, dwz
-
-
-def _check_band(q: float, params: ModelParams) -> None:
-    # NaN fails both comparisons, so non-finite values are rejected too
-    if not params.d - 1e-12 <= q <= params.u + 1e-12:
-        raise ValueError("control values must be finite and lie in [d, u]")
 
 
 def _log_growth(q, s_a, s_b):
@@ -191,13 +191,18 @@ def _advance_paths(params: ModelParams, deltas: Sequence[float],
     stepped: it gives the assets of its pairs by one ``exp`` each,
     x0 * exp(q*S_a - q^2*S_b/2), read from the delta's lane (moving) and
     from the frozen sums (settled once per control and chunk). With no
-    controls, the sums are not stepped.
+    controls, the sums are neither allocated nor stepped.
 
-    The run allocates its working set once, sized to the first chunk: the
-    lanes, their two sums, two scratch lanes, the ``(m, 2)`` draw buffer
-    the streams fill and the frozen S_a. Each chunk steps on their first m
-    columns, refilled with z0 and zeros, so memory does not grow with
-    ``n_paths`` and no chunk allocates a lane.
+    The run allocates its working set once, sized to the first chunk: one
+    block of rows, two of scratch (``zp`` and ``sq``, one lane each), the
+    lanes and, only where there are controls, their two sums; then the
+    ``(m, 2)`` draw buffer the streams fill and the frozen S_a. Each chunk
+    steps on their first m columns, refilled with z0 and zeros, so memory
+    does not grow with ``n_paths`` and no chunk allocates a lane. After
+    each step's one draw, the lanes advance one at a time on their rows
+    ``z[i]``, ``s_a[i]`` and ``s_b[i]``, with the lane's drift and
+    volatility as scalars: no operand is broadcast, and each lane rounds as
+    it did when the whole block stepped at once.
 
     At every time level k = 0..n_steps, ``record(rows, k, z)`` sees the
     chunk's paths ``rows`` (a slice) and the raw (untruncated) lanes,
@@ -213,25 +218,27 @@ def _advance_paths(params: ModelParams, deltas: Sequence[float],
     if not 0 <= seed < 2**64:
         raise ValueError(f"seed must lie in [0, 2**64) (got {seed})")
     controls = [float(c) for c in controls]
-    for c in controls:
-        _check_band(c, params)
+    # NaN fails both comparisons, so non-finite values are rejected too
+    if not all(params.d - 1e-12 <= c <= params.u + 1e-12 for c in controls):
+        raise ValueError("control values must be finite and lie in [d, u]")
     dt = params.T / n_steps
-    lane_delta = np.array(deltas, dtype=float)[:, None]
-    drift = lane_delta * params.kappa
-    vol = np.sqrt(lane_delta)
+    lane_delta = np.array(deltas, dtype=float)
+    drift, vol = lane_delta * params.kappa, np.sqrt(lane_delta)
     sqrt_z0 = np.sqrt(params.z0)
     streams = [_stream(seed, k) for k in range(n_steps)]
-    # the run's one working set, one block of five lane arrays (zp and sq
-    # are scratch): every chunk steps on [:, :m] views of it
-    width = min(CHUNK_PATHS, n_paths)
-    z_all, zp_all, sq_all, s_a_all, s_b_all = np.empty((5, len(lane_delta), width))
+    # the run's one working set, one block: one lane of scratch (zp, sq),
+    # the lanes, and their two sums where controls read them. Every chunk
+    # steps on [..., :m] views of it
+    n, width = len(lane_delta), min(CHUNK_PATHS, n_paths)
+    work = np.empty((2 + (3 if controls else 1) * n, width))
     g_all = np.empty((width, 2))
     s_a0_all = np.empty(width)
     for start in range(0, n_paths, CHUNK_PATHS):
         rows = slice(start, min(start + CHUNK_PATHS, n_paths))
         m = rows.stop - rows.start
-        z, zp, sq = z_all[:, :m], zp_all[:, :m], sq_all[:, :m]
-        s_a, s_b, s_a0, g = s_a_all[:, :m], s_b_all[:, :m], s_a0_all[:m], g_all[:m]
+        # without controls, s_a and s_b are empty: (0, m) views
+        zp, sq, z, s_a, s_b = np.split(work[:, :m], [1, 2, 2 + n, 2 + 2 * n])
+        zp, sq, s_a0, g = zp[0], sq[0], s_a0_all[:m], g_all[:m]
         z.fill(params.z0)
         s_a.fill(0.0)
         s_b.fill(0.0)
@@ -242,30 +249,32 @@ def _advance_paths(params: ModelParams, deltas: Sequence[float],
         for k in range(n_steps):
             streams[k].standard_normal(out=g)
             dw, dwz = _correlate(g, params.rho, dt)
-            np.maximum(z, 0.0, out=zp)
-            np.sqrt(zp, out=sq)
-            if controls:  # the sums only settle the controls' assets
-                s_b += zp
-            # z + delta*kappa*(theta - zp)*dt + sqrt(delta)*sqrt(zp)*dwz, term
-            # by term in that order, so each lane rounds as the scalar formula
-            np.subtract(params.theta, zp, out=zp)
-            zp *= drift
-            zp *= dt
-            z += zp
+            for i, z_i in enumerate(z):  # lane by lane, no operand broadcast
+                np.maximum(z_i, 0.0, out=zp)
+                np.sqrt(zp, out=sq)
+                if controls:  # the sums only settle the controls' assets
+                    s_b[i] += zp
+                # z + delta*kappa*(theta - zp)*dt + sqrt(delta)*sqrt(zp)*dwz,
+                # term by term in that order, as the scalar formula rounds
+                np.subtract(params.theta, zp, out=zp)
+                zp *= drift[i]
+                zp *= dt
+                z_i += zp
+                if controls:
+                    np.multiply(sq, dw, out=zp)  # the lane's step of S_a
+                    s_a[i] += zp
+                np.multiply(vol[i], sq, out=sq)
+                sq *= dwz
+                z_i += sq
             if controls:
-                np.multiply(sq, dw, out=zp)  # each lane's step of S_a
-                s_a += zp
                 s_a0 += sqrt_z0 * dw
                 s_b0 += params.z0
-            np.multiply(vol, sq, out=sq)
-            sq *= dwz
-            z += sq
             if record is not None:
                 record(rows, k + 1, z)
         s_b *= dt
         s_b0 *= dt
         x_f = [params.x0 * np.exp(_log_growth(c, s_a0, s_b0)) for c in controls]
-        for i in range(len(deltas)):
+        for i in range(n):
             for j, c in enumerate(controls):
                 x_d = params.x0 * np.exp(_log_growth(c, s_a[i], s_b[i]))
                 terminal(rows, i * len(controls) + j, x_d, x_f[j])

@@ -118,23 +118,40 @@ def test_rate_study_memory_independent_of_path_count():
     assert big - small < 0.25 * 2**20, (small, big)
 
 
-def test_rate_study_working_set_is_bounded():
-    # the kernel allocates its lanes once per run and steps on two scratch
-    # lanes. In lane arrays (n_delta * CHUNK_PATHS * 8 B), the traced peak
-    # of paper.cfg's six deltas is measured 7.05 at 5 steps and 7.24 at 50,
-    # where a working set rebuilt for every chunk peaked at 10.04 and 10.24
-    deltas = [0.00125, 0.0025, 0.005, 0.01, 0.02, 0.04]
+RATE_DELTAS = [0.00125, 0.0025, 0.005, 0.01, 0.02, 0.04]  # paper.cfg's
+
+
+def _rate_study_peak_lanes(n_steps: int) -> float:
+    # the traced peak of a warm rate study on RATE_DELTAS, in lane arrays
+    # (n_delta * CHUNK_PATHS * 8 B)
     n_paths = 2 * CHUNK_PATHS + 5
-    coupling_rate_study(PARAMS, deltas, n_paths, seed=3, n_steps=5)  # warm-up
+    coupling_rate_study(PARAMS, RATE_DELTAS, n_paths, seed=3, n_steps=5)  # warm-up
+    tracemalloc.start()
+    try:
+        coupling_rate_study(PARAMS, RATE_DELTAS, n_paths, seed=3, n_steps=n_steps)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak / (len(RATE_DELTAS) * CHUNK_PATHS * 8)
+
+
+def test_rate_study_working_set_is_bounded():
+    # the kernel allocates its lanes once per run and steps on one lane of
+    # scratch. In lane arrays, the traced peak of paper.cfg's six deltas is
+    # measured 5.38 at 5 steps and 5.57 at 50, where a working set rebuilt
+    # for every chunk peaked at 10.04 and 10.24
     for n_steps in (5, 50):
-        tracemalloc.start()
-        try:
-            coupling_rate_study(PARAMS, deltas, n_paths, seed=3, n_steps=n_steps)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        lanes = peak / (len(deltas) * CHUNK_PATHS * 8)
+        lanes = _rate_study_peak_lanes(n_steps)
         assert lanes <= 7.5, (n_steps, lanes)
+
+
+@pytest.mark.parametrize("n_steps", [5, 50])
+def test_rate_study_steps_on_one_lane_of_scratch(n_steps):
+    # the lanes, their two sums and two one-lane scratch vectors: 3 lane
+    # arrays and 2/n_delta of one. Measured 5.38 at 5 steps and 5.57 at 50;
+    # two scratch lanes as wide as the block measured 7.05 and 7.24
+    lanes = _rate_study_peak_lanes(n_steps)
+    assert lanes <= 6.0, lanes
 
 
 @pytest.mark.parametrize("delta", [PARAMS.delta, 1.0], ids=["paper", "heavy_noise"])
@@ -155,6 +172,26 @@ def test_cir_paths_bitwise_equal_a_plain_loop_at_every_level(delta):
     got = simulate_cir(p, n_steps, n_paths, seed)
     assert got.tobytes() == want.tobytes()
     assert delta < 1.0 or np.any(want == 0.0)  # heavy noise truncates
+
+
+def test_multi_lane_record_equals_single_delta_paths_at_every_level():
+    # six lanes stepped together: at every level of every chunk, the short
+    # last one included, lane i is bitwise the raw level of delta i's own
+    # simulate_cir run, which truncates what it reports. Controls in the
+    # same run must not move the lanes
+    n_steps, n_paths, seed = 7, 2 * CHUNK_PATHS + 5, 19
+    want = [simulate_cir(PARAMS.replace(delta=dl), n_steps, n_paths, seed)
+            for dl in RATE_DELTAS]
+    for controls in ([], [PARAMS.d, PARAMS.u]):
+        got = np.full((len(RATE_DELTAS), n_paths, n_steps + 1), np.nan)
+
+        def record(rows, k, z):
+            got[:, rows, k] = z
+
+        montecarlo._advance_paths(PARAMS, RATE_DELTAS, controls, n_steps, n_paths,
+                                  seed, record, terminal=lambda *pair: None)
+        for i in range(len(RATE_DELTAS)):
+            assert np.maximum(got[i], 0.0).tobytes() == want[i].tobytes(), (controls, i)
 
 
 @pytest.mark.parametrize("simulate, control", [
