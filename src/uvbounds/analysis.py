@@ -143,8 +143,9 @@ def gamma_diagnostics(p0: Surface, p_delta: Surface, gamma_eps: float) -> GammaD
     gamma disagrees with the leading-order one, per z-slice at t = 0.
 
     Sign tests use the deadband convention with ``gamma_eps``, so near-zero
-    curvature counts as nonnegative. Boundary rows carry imposed zero
-    curvature and are excluded.
+    curvature counts as nonnegative. The x-boundary rows carry the stencils'
+    zero curvature: no mismatch arises there, and crossings are sought
+    between interior rows only.
     """
     grid = p0.grid
     if p_delta.grid != grid:
@@ -168,8 +169,7 @@ def gamma_diagnostics(p0: Surface, p_delta: Surface, gamma_eps: float) -> GammaD
     crossings = [part.tolist() for part in
                  np.split(locs[i, j], np.searchsorted(j, np.arange(1, grid.n_z)))]
 
-    mism = np.zeros((grid.n_x, grid.n_z), dtype=bool)
-    mism[1:-1, :] = b0[1:-1, :] != bd[1:-1, :]
+    mism = b0 != bd
     widths = mism.sum(axis=0).astype(float) * dx
     return GammaDiagnostics(z_values=grid.z_nodes(), crossings=crossings,
                             mismatch_mask=mism, mismatch_width=widths)

@@ -42,10 +42,10 @@ already (numpy 1.x loads ``numpy.random`` with numpy), the import is plain.
 
 A run allocates its working set once, sized to one chunk, and every
 chunk steps on views of it: one block holding one lane of scratch, the
-variance lanes and, only where there are controls to settle, their two
-sums. Each step draws once for the chunk, then advances the lanes one at a
-time, each a contiguous row, so no operation has a broadcast operand and
-the scratch holds one lane, not all of them. The rate study keeps no
+variance lanes and their two sums. Each step draws once for the chunk,
+then advances the lanes one at a time, each a contiguous row, so no
+operation has a broadcast operand and the scratch holds one lane, not all
+of them. The rate study keeps no
 per-path array: each chunk's squared gaps are reduced to their count, mean
 and centred sum of squares, merged in path order by the pairwise update of
 Chan, Golub & LeVeque (1983). Its memory is therefore independent of the path count.
@@ -149,13 +149,12 @@ def _stream(seed: int, step: int) -> np.random.Generator:
 
 
 # Paths advanced together. A run's working set, allocated once, is one
-# block of CHUNK_PATHS-wide rows: two of scratch, the n_delta lanes and,
-# where there are controls, their 2 * n_delta sums. It does not grow with
-# the path count. On the benchmark's mc workload (BENCH_24.json; 2-core
-# x86-64 host, one thread), 8192 paths moved wall_s by -2.2% and +1.8% over
-# two sets of alternating pairs, inside host noise, for 5-6% more
-# peak_rss_mb in every pair; 2048 saved 1.2 MiB and ran 8% slower
-# in-process.
+# block of CHUNK_PATHS-wide rows: two of scratch, the n_delta lanes and
+# their 2 * n_delta sums. It does not grow with the path count. On the
+# benchmark's mc workload (BENCH_24.json; 2-core x86-64 host, one thread),
+# 8192 paths moved wall_s by -2.2% and +1.8% over two sets of alternating
+# pairs, inside host noise, for 5-6% more peak_rss_mb in every pair; 2048
+# saved 1.2 MiB and ran 8% slower in-process.
 CHUNK_PATHS = 4096
 
 
@@ -190,15 +189,14 @@ def _advance_paths(params: ModelParams, deltas: Sequence[float],
     constant q, range-checked once before any stream is built and never
     stepped: it gives the assets of its pairs by one ``exp`` each,
     x0 * exp(q*S_a - q^2*S_b/2), read from the delta's lane (moving) and
-    from the frozen sums (settled once per control and chunk). With no
-    controls, the sums are neither allocated nor stepped.
+    from the frozen sums (settled once per control and chunk).
 
     The run allocates its working set once, sized to the first chunk: one
     block of rows, two of scratch (``zp`` and ``sq``, one lane each), the
-    lanes and, only where there are controls, their two sums; then the
-    ``(m, 2)`` draw buffer the streams fill and the frozen S_a. Each chunk
-    steps on their first m columns, refilled with z0 and zeros, so memory
-    does not grow with ``n_paths`` and no chunk allocates a lane. After
+    lanes and their two sums; then the ``(m, 2)`` draw buffer the streams
+    fill and the frozen S_a. Each chunk steps on their first m columns,
+    refilled with z0 and zeros, so memory does not grow with ``n_paths``
+    and no chunk allocates a lane. After
     each step's one draw, the lanes advance one at a time on their rows
     ``z[i]``, ``s_a[i]`` and ``s_b[i]``, with the lane's drift and
     volatility as scalars: no operand is broadcast, and each lane rounds as
@@ -227,16 +225,14 @@ def _advance_paths(params: ModelParams, deltas: Sequence[float],
     sqrt_z0 = np.sqrt(params.z0)
     streams = [_stream(seed, k) for k in range(n_steps)]
     # the run's one working set, one block: one lane of scratch (zp, sq),
-    # the lanes, and their two sums where controls read them. Every chunk
-    # steps on [..., :m] views of it
+    # the lanes and their two sums. Every chunk steps on [..., :m] views of it
     n, width = len(lane_delta), min(CHUNK_PATHS, n_paths)
-    work = np.empty((2 + (3 if controls else 1) * n, width))
+    work = np.empty((2 + 3 * n, width))
     g_all = np.empty((width, 2))
     s_a0_all = np.empty(width)
     for start in range(0, n_paths, CHUNK_PATHS):
         rows = slice(start, min(start + CHUNK_PATHS, n_paths))
         m = rows.stop - rows.start
-        # without controls, s_a and s_b are empty: (0, m) views
         zp, sq, z, s_a, s_b = np.split(work[:, :m], [1, 2, 2 + n, 2 + 2 * n])
         zp, sq, s_a0, g = zp[0], sq[0], s_a0_all[:m], g_all[:m]
         z.fill(params.z0)
@@ -252,23 +248,20 @@ def _advance_paths(params: ModelParams, deltas: Sequence[float],
             for i, z_i in enumerate(z):  # lane by lane, no operand broadcast
                 np.maximum(z_i, 0.0, out=zp)
                 np.sqrt(zp, out=sq)
-                if controls:  # the sums only settle the controls' assets
-                    s_b[i] += zp
+                s_b[i] += zp
                 # z + delta*kappa*(theta - zp)*dt + sqrt(delta)*sqrt(zp)*dwz,
                 # term by term in that order, as the scalar formula rounds
                 np.subtract(params.theta, zp, out=zp)
                 zp *= drift[i]
                 zp *= dt
                 z_i += zp
-                if controls:
-                    np.multiply(sq, dw, out=zp)  # the lane's step of S_a
-                    s_a[i] += zp
+                np.multiply(sq, dw, out=zp)  # the lane's step of S_a
+                s_a[i] += zp
                 np.multiply(vol[i], sq, out=sq)
                 sq *= dwz
                 z_i += sq
-            if controls:
-                s_a0 += sqrt_z0 * dw
-                s_b0 += params.z0
+            s_a0 += sqrt_z0 * dw
+            s_b0 += params.z0
             if record is not None:
                 record(rows, k + 1, z)
         s_b *= dt

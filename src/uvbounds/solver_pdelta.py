@@ -62,9 +62,10 @@ linear, with P0's x-stage and controls, zero terminal data and the source
 rho*q*x*z*d_xz P0, which is local to the slice: P0 is Q(z*(T - t), x), so
 z*d_z P0 = (T - t)*z*d_tau Q, and a P0 sub-step gives z*d_tau Q as
 (u_new - u_next)/dt. So the source is rho*q*x*(tau/dt)*d_x(u_new - u_next),
-with tau the time to maturity at the sub-step's theta-average. Each P1
-sub-step runs in ``solve_p0p1``'s hook after the P0 sub-step it reads, on
-the same scheme, so it reuses that sub-step's x-system factor.
+with tau the time to maturity at the sub-step's theta-average; d_x is zero
+on the x-boundary rows (the ``stencils`` rule), so P1 stays 0 there. Each
+P1 sub-step runs in ``solve_p0p1``'s hook after the P0 sub-step it reads,
+on the same scheme, so it reuses that sub-step's x-system factor.
 
 Both solvers return surfaces at t = 0: ``solve_pdelta`` P^delta, and
 ``solve_p0p1`` the pair (P0, P1). Neither keeps a control history.
@@ -171,7 +172,8 @@ class _Scheme:
     Craig-Sneyd step and backward march on it.
 
     * A0 = rho*sqrt(delta)*q*x*z*d_xz, the cross term, always explicit;
-      absent when its coefficient is zero or the grid has one z-node.
+      absent when its coefficient is zero or the grid has one z-node. Zero
+      on the x-boundary rows, as d_xz is: no implicit stage there damps it.
     * A1 = 0.5*q^2*z*x^2*d_xx, implicit in x with one tridiagonal system
       per z-slice. Row i of I - c*A1 is (-c*a, 1 + 2*c*a, -c*a) with
       a = 0.5*q^2*k and k = z*x^2/dx^2, held once (``k``), probed as -1/2
@@ -502,8 +504,6 @@ def solve_p0p1(payoff: PayoffSpec, params: ModelParams, grid: GridSpec,
         nonlocal v, elapsed
         tau = elapsed + theta * dt
         source = params.rho * tau * q * x * dx_values(u_new - u_next, grid)
-        source[0, :] = 0.0   # x-boundary rows evolve as identity
-        source[-1, :] = 0.0
         rhs = v + (1.0 - theta) * dt * scheme.a1(q, v) + source
         v = source = None  # spent: of P1's surfaces only rhs is live through the solve
         v = scheme.x_solver(q, theta * dt)(rhs)

@@ -10,13 +10,17 @@ and the analogues for d_x, d_z, d_zz. Each operator has one definition,
 the 3x3 block of nodes around it; the solvers rely on that to probe the
 matrices they need from these functions. Boundary rules:
 
-* d_xx, d_zz are zero on their boundary rows/columns. With the payoff
-  affine near both x-boundaries this is exact there, and at z = 0 the
-  diffusion coefficient z vanishes anyway.
-* d_x, d_z fall back to one-sided two-point differences.
+* Every x-difference (d_x, d_xx and so d_xz) is zero on the x-boundary
+  rows i = 0 and n_x - 1. The x-domain is truncated, so those rows are
+  boundary conditions, not PDE rows: no x-term of any price (x-diffusion,
+  cross term, P1's source) acts on them. With the payoff affine near both
+  x-boundaries, the zero d_xx is exact there.
+* d_zz is zero on its boundary columns; at z = 0 the diffusion
+  coefficient z vanishes anyway. d_z falls back to one-sided two-point
+  differences there.
 * d_xz is the composition d_x(d_z(s)), which reproduces the 4-point cross
-  stencil at interior nodes and goes one-sided in whichever direction
-  touches a boundary.
+  stencil at interior nodes, goes one-sided in z at a z-boundary and is
+  zero on the x-boundary rows.
 
 The control selection reads two composite fields, scaled by coordinates:
 z*x^2*d_xx (``lxx_values``) and x*z*d_xz (``lxz_values``). Their
@@ -51,11 +55,8 @@ def _require_axis_nodes(s: np.ndarray, axis: int, n: int, op: str) -> None:
 
 def dx_values(v: np.ndarray, grid: GridSpec) -> np.ndarray:
     _require_axis_nodes(v, 0, 2, "d_x")
-    out = np.empty_like(v, dtype=float)
-    h = grid.dx
-    np.divide(np.subtract(v[2:], v[:-2], out=out[1:-1]), 2.0 * h, out=out[1:-1])
-    out[0] = (v[1] - v[0]) / h
-    out[-1] = (v[-1] - v[-2]) / h
+    out = np.zeros_like(v, dtype=float)
+    np.divide(np.subtract(v[2:], v[:-2], out=out[1:-1]), 2.0 * grid.dx, out=out[1:-1])
     return out
 
 

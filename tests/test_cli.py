@@ -618,6 +618,14 @@ EXITS = [
            "backward march diverged at time level")
       for grid, config in (("40x10x4", []), ("paper", ["--config", str(PAPER_CFG)]))
       for command in ("solve-pdelta", "gamma-diag", "sweep-error")),
+    # a wide volatility band: these once diverged and exited 3, while d_xz went
+    # one-sided on the x-boundary rows and the cross term was explicit there.
+    # The probes read 8.342 and 8.493 on paper.cfg, 8.625 and 8.933 on 200^2
+    *(Exit(f"test_wide_band_prices_in_the_payoff_range[u={u}-{grid}]", "solve-pdelta",
+           ["--config", str(PAPER_CFG), *sets(f"model.u={u}", *kvs)], 0, "")
+      for u in ("30", "1e3")
+      for grid, kvs in (("paper", []),
+                        ("200x200x40", ["grid.n_x=200", "grid.n_z=200", "grid.n_t=40"]))),
 ]
 
 
@@ -632,7 +640,11 @@ def check_exit(tmp, capsys, row):
                 *(arg.format(tmp=tmp) for arg in row.args)]) == row.code
     assert row.fragment in capsys.readouterr().err
     if row.code == 0:
-        assert RESULT_KEY[row.command] in strict_json(out / "manifest.json")["results"]
+        results = strict_json(out / "manifest.json")["results"]
+        assert RESULT_KEY[row.command] in results
+        if row.command == "solve-pdelta":
+            # every table config prices the butterfly 90/100/110, whose range is [0, 10]
+            assert 0.0 <= results["pdelta_at_x0_z0"] <= 10.0
     elif not out.is_file():
         record = strict_json(out / "error.json")
         assert record["exit_code"] == row.code and row.fragment in record["message"]
@@ -675,7 +687,7 @@ FUZZ = {
     "model.T": ["0", "1e-6", "10", "inf"],
     "model.r": ["0.05"],
     "model.d": ["0", "0.999", "1.5"],
-    "model.u": ["1", "1.001", "1e300"],
+    "model.u": ["1", "1.001", "30", "1e3", "1e300"],
     "model.kappa": ["0", "150", "1e6"],
     "model.theta": ["0", "1e-3", "1"],
     "model.delta": ["0", "1e-12", "1", "1.5"],

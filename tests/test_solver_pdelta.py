@@ -214,6 +214,19 @@ def test_control_in_band_and_undershoot_small():
     assert p_delta.values.min() >= -1e-3 * 10.0
 
 
+@pytest.mark.parametrize("payoff", [PayoffSpec.call(100), BF], ids=["call", "butterfly"])
+def test_x_boundary_rows_keep_the_payoff(payoff):
+    # every x-difference is zero on the x-boundary rows, so no x-term moves
+    # them, and A2 leaves a payoff that is constant in z. Measured: 0, but
+    # 1.8e-12 for the call at x_max, by rounding in the z-stage. While d_xz
+    # went one-sided there, the explicit cross term moved the x_max row by
+    # 0.0136 (call) and 0.0311 (butterfly)
+    h = terminal_surface(payoff, GRID).values
+    p = solve_pdelta(payoff, PARAMS, GRID).values
+    np.testing.assert_allclose(p[[0, -1]], h[[0, -1]], rtol=0,
+                               atol=1e-10 * (1.0 + np.abs(h).max()))
+
+
 PROBE_GRIDS = {
     "40x12": SMALL,
     "12x1": GridSpec(0, 200, 12, PARAMS.z0, PARAMS.z0, 1, 6),
@@ -828,17 +841,23 @@ def refined_windows():
 
 
 @pytest.mark.slow
-@pytest.mark.parametrize("widen", [{"u": 1.3}, {"d": 0.7}], ids=["u=1.3", "d=0.7"])
+@pytest.mark.parametrize("widen", [{"u": 1.3}, {"d": 0.7}, {"u": 10.0}, {"u": 30.0}, {"u": 1e3}],
+                         ids=["u=1.3", "d=0.7", "u=10", "u=30", "u=1e3"])
 def test_widening_the_band_lowers_the_price_by_a_defect_that_refines_away(widen):
     # the sup runs over a larger set, so the continuous price cannot drop;
     # the non-monotone cross stencil lets the discrete one drop a little.
     # min(P_wide - P) over x in [60, 140], z >= 0.02 measured -3.26e-4 (u)
     # and -3.12e-4 (d) on 100^2, and -7.46e-5 and -7.82e-5 on 200^2: it
-    # falls 4.4x and 4.0x per doubling
+    # falls 4.4x and 4.0x per doubling. The wide bands, whose explicit
+    # cross term on the x-boundary rows once diverged (u = 30, 1e3), show
+    # no defect on either grid, and their probes rise: 7.704, 8.342 and
+    # 8.493 on 100^2, 7.768, 8.625 and 8.933 on 200^2, against 5.105
     defects = []
     for grid, _, window in refined_windows():
-        gap = (solve_pdelta(BF, PARAMS.replace(**widen), grid).values
-               - solve_pdelta(BF, PARAMS, grid).values)
+        wide = solve_pdelta(BF, PARAMS.replace(**widen), grid)
+        base = solve_pdelta(BF, PARAMS, grid)
+        assert wide.value_at(PARAMS.x0, PARAMS.z0) > base.value_at(PARAMS.x0, PARAMS.z0)
+        gap = wide.values - base.values
         defects.append(max(0.0, -gap[window].min()))
     assert defects[0] <= 4e-4, defects
     assert defects[1] <= defects[0] / 3.0, defects

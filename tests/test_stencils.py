@@ -31,12 +31,15 @@ def test_dxx_exact_on_quadratic():
 def test_dxz_exact_on_bilinear():
     s = make_field(lambda x, z: x * z)
     out = st.dxz_values(s, GRID)
-    np.testing.assert_allclose(out, 1.0, atol=1e-10)  # one-sided rules are exact too
+    np.testing.assert_allclose(out[1:-1, :], 1.0, atol=1e-10)  # one-sided z-rules are exact too
+    assert np.all(out[0, :] == 0) and np.all(out[-1, :] == 0)  # x-boundary rule
 
 
 def test_first_derivatives_exact_on_affine():
     s = make_field(lambda x, z: 3.0 * x - 2.0 * z + 1.0)
-    np.testing.assert_allclose(st.dx_values(s, GRID), 3.0, atol=1e-10)
+    out = st.dx_values(s, GRID)
+    np.testing.assert_allclose(out[1:-1, :], 3.0, atol=1e-10)
+    assert np.all(out[0, :] == 0) and np.all(out[-1, :] == 0)  # x-boundary rule
     np.testing.assert_allclose(st.dz_values(s, GRID), -2.0, atol=1e-10)
 
 
