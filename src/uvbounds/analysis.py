@@ -126,7 +126,7 @@ class GammaDiagnostics:
 
     z_values: np.ndarray
     crossings: list[list[float]]     # per z-slice, x-locations of sign changes
-    mismatch_mask: np.ndarray        # interior nodes where the two gammas branch apart
+    mismatch_mask: np.ndarray        # nodes in the x-window where the two gammas branch apart
     mismatch_width: np.ndarray       # per z-slice, node count * dx
 
     def crossings_at(self, z: float) -> list[float]:
@@ -138,18 +138,24 @@ class GammaDiagnostics:
         return float(self.mismatch_width[j])
 
 
-def gamma_diagnostics(p0: Surface, p_delta: Surface, gamma_eps: float) -> GammaDiagnostics:
+def gamma_diagnostics(p0: Surface, p_delta: Surface, gamma_eps: float, *,
+                      window: tuple[float, float] = DEFAULT_WINDOW) -> GammaDiagnostics:
     """Locate gamma sign changes of P0 and the region where the 2D price's
     gamma disagrees with the leading-order one, per z-slice at t = 0.
 
     Sign tests use the deadband convention with ``gamma_eps``, so near-zero
     curvature counts as nonnegative. The x-boundary rows carry the stencils'
     zero curvature: no mismatch arises there, and crossings are sought
-    between interior rows only.
+    between interior rows only. The mismatch is counted over x in
+    ``window`` and all z, as the sweep's error is.
     """
     grid = p0.grid
     if p_delta.grid != grid:
         raise ValueError("gamma_diagnostics: surfaces live on different grids")
+    x = grid.x_nodes()
+    inside = (x >= window[0]) & (x <= window[1])
+    if not inside.any():
+        raise ValueError(f"window {window} contains no grid nodes")
 
     g0 = dxx_values(np.asarray(p0.values), grid)
     gd = dxx_values(np.asarray(p_delta.values), grid)
@@ -159,7 +165,7 @@ def gamma_diagnostics(p0: Surface, p_delta: Surface, gamma_eps: float) -> GammaD
     # sign flips between x-neighbours i and i + 1, for i in [1, n_x - 3]:
     # interpolated where both gammas clear the deadband, else the midpoint
     n_x, dx = grid.n_x, grid.dx
-    x = grid.x_nodes()[1:n_x - 2, None]
+    x = x[1:n_x - 2, None]
     gi, gi1 = g0[1:n_x - 2], g0[2:n_x - 1]
     flips = b0[1:n_x - 2] != b0[2:n_x - 1]
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -169,7 +175,7 @@ def gamma_diagnostics(p0: Surface, p_delta: Surface, gamma_eps: float) -> GammaD
     crossings = [part.tolist() for part in
                  np.split(locs[i, j], np.searchsorted(j, np.arange(1, grid.n_z)))]
 
-    mism = b0 != bd
+    mism = (b0 != bd) & inside[:, None]
     widths = mism.sum(axis=0).astype(float) * dx
     return GammaDiagnostics(z_values=grid.z_nodes(), crossings=crossings,
                             mismatch_mask=mism, mismatch_width=widths)

@@ -262,7 +262,8 @@ def _cmd_gamma_diag(settings: RunSettings, out: Path, args):
 
     p0 = _solve_p0(settings)
     p_delta = solve_pdelta(settings.payoff, settings.model, settings.grid, settings.solver)
-    diag = gamma_diagnostics(p0, p_delta, settings.solver.resolve_gamma_eps(settings.model))
+    diag = gamma_diagnostics(p0, p_delta, settings.solver.resolve_gamma_eps(settings.model),
+                             window=settings.window)
     write_csv(out / "gamma_crossings.csv", ["z", "crossing_x"],
               [np.repeat(diag.z_values, [len(locs) for locs in diag.crossings]),
                [loc for locs in diag.crossings for loc in locs]])

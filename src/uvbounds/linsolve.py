@@ -1,22 +1,24 @@
 """The linear kernels of the implicit steps: LAPACK ``dpttrf``/``dpttrs`` and ``dgtsv``.
 
-Every solver step ends in a batch of independent tridiagonal systems, one
-per variance slice for P0, P1 and the x-stages of the 2D Craig-Sneyd
-step. Those x-systems, scaled row by row, are symmetric positive definite
-(``solver_pdelta._Scheme``), so ``spd_tridiag_solver`` factors them as
-L D L^T by ``dpttrf`` and solves by ``dpttrs``: no pivoting, and no
-division on the chain of the back substitution. On one 10,002-unknown
-batch, ``dpttrs`` took 72-79 us against 164-169 us for LAPACK's general
-tridiagonal solve by LU, and ``dpttrf`` 94-97 us against 132-145 us for
-the LU factor (2-core x86-64 host, one BLAS thread). A matrix that serves
-several right-hand sides is factored once. The z-stages solve one matrix for
-every asset row by a product with its dense inverse: ``ZSolver`` builds
-it once per theta*dt by ``dgtsv``, LAPACK's tridiagonal LU with partial
-pivoting, on the identity, and is the one place that reads the z-system's
-diagonals. At 100, 200 and 400 variance nodes that took 0.11, 0.46-0.52
-and 1.9-2.2 ms, against 0.28, 1.60-1.74 and 9.7-11.9 ms for numpy's
-dense LU inverse (best of 5 x 20 calls, one BLAS thread), which
-also pulled 0.7-0.8 MiB of numpy's LAPACK into the process on first use.
+Every solver step ends in a batch of independent tridiagonal systems. The
+x-system I - c*A1(q), one per variance slice for P0, P1 and the x-stages
+of the 2D Craig-Sneyd step, scales to symmetric positive definite form,
+so ``XSolver`` factors it as L D L^T by ``dpttrf`` and solves by
+``dpttrs``: no pivoting, and no division on the chain of the back
+substitution. On one 10,002-unknown batch, ``dpttrs`` took 72-79 us
+against 164-169 us for LAPACK's general tridiagonal solve by LU, and
+``dpttrf`` 94-97 us against 132-145 us for the LU factor (2-core x86-64
+host, one BLAS thread); a ``paper.cfg`` ``sweep-error`` spent 0.10 s in
+x-stage factors and 0.19 s in solves, against 0.16 s and 0.33 s by LU. A
+matrix that serves several right-hand sides is factored once. The z-stages
+solve one matrix for every asset row by a product with its dense inverse:
+``ZSolver`` builds it once per theta*dt by ``dgtsv``, LAPACK's tridiagonal
+LU with partial pivoting, on the identity, and is the one place that reads
+the z-system's diagonals. At 100, 200 and 400 variance nodes that took
+0.11, 0.46-0.52 and 1.9-2.2 ms, against 0.28, 1.60-1.74 and 9.7-11.9 ms
+for numpy's dense LU inverse (best of 5 x 20 calls, one BLAS thread),
+which also pulled 0.7-0.8 MiB of numpy's LAPACK into the process on first
+use.
 
 The three routines come from the OpenBLAS numpy already has loaded. numpy
 2 wheels bundle scipy-openblas64, which exports them under the ILP64 names
@@ -59,19 +61,19 @@ Acceptance of a solve is residual-based: every solve verifies
 ``max|A x - b| <= lin_tol * (‖A‖∞ * max|x| + max|b|)`` of its unscaled
 system and raises otherwise (``check_residual``); the z-stage's product and
 its inverse by the tridiagonal product (``ZSolver``), the scaled x-stage in
-difference form. That bound is the normwise backward error's: a
-backward-stable solve leaves a residual of order the unit roundoff times
+difference form (``XSolver``). That bound is the normwise backward error's:
+a backward-stable solve leaves a residual of order the unit roundoff times
 ``‖A‖∞ * max|x| + max|b|``, so a bound of ``lin_tol * (1 + max|b|)``
 rejected correct solves of stiff systems, such as a 3000-node x-stage whose
-banded LU left 4.5e-8 against a bound of 2.0e-8. ‖A‖∞ is 1 + 4*max(c*a) for
-an x-stage and M's largest absolute row sum for a z-stage (``ZSolver.norm``),
-each made once per factor; on ``paper.cfg`` they are 23.5 and 6.1-51.5, and
-no solve's residual there exceeds ``lin_tol``. A residual within ``lin_tol``
-passes before max|x| is made, so a solve that passes there costs nothing
-more; a NaN fails. A backward-stable solve of a system that amplifies passes
-too: the march that steps such systems checks its own surfaces
-(``solver_pdelta``). A passing residual is not recorded: the module logs
-nothing and does not import ``logging``, which no command configures.
+banded LU left 4.5e-8 against a bound of 2.0e-8. ‖A‖∞ is 1 + 4*max(t) for
+an x-stage and M's largest absolute row sum for a z-stage (``norm`` of
+each), made once per factor; on ``paper.cfg`` they are 23.5 and 6.1-51.5,
+and no solve's residual there exceeds ``lin_tol``. A residual within
+``lin_tol`` passes before max|x| is made, so a solve that passes there
+costs nothing more; a NaN fails. A backward-stable solve of a system that
+amplifies passes too: the march that steps such systems checks its own
+surfaces (``solver_pdelta``). A passing residual is not recorded: the module
+logs nothing and does not import ``logging``, which no command configures.
 """
 
 from __future__ import annotations
@@ -89,11 +91,12 @@ from .core import SolverError
 
 __all__ = [
     "LinearSolveError",
+    "XSolver",
     "ZSolver",
     "check_residual",
     "lapack_name",
     "scipy_version",
-    "spd_tridiag_solver",
+    "x_layout",
 ]
 
 class LinearSolveError(SolverError):
@@ -345,24 +348,83 @@ class ZSolver:
         check_residual(resid, rhs, self._lin_tol, what, x, self.norm)
 
 
-def spd_tridiag_solver(main: np.ndarray, off: np.ndarray):
-    """Factor a symmetric positive-definite tridiagonal matrix as L D L^T; return ``solve(b)``.
+def x_layout(k: np.ndarray) -> tuple:
+    """(k, identity rows, coupled, moved) of every x-system on the grid whose
+    k = z*x^2/dx^2 is given flat, slice after slice: the rows where k is
+    zero, whether rows i and i + 1 both have k > 0, and the pairs (regular
+    row, identity row) for the regular rows after, then before, one."""
+    regular = k > 0.0
+    after = np.flatnonzero(regular[1:] & ~regular[:-1]) + 1
+    before = np.flatnonzero(regular[:-1] & ~regular[1:])
+    return (k, np.flatnonzero(~regular), regular[:-1] & regular[1:],
+            ((after, after - 1), (before, before + 1)))
 
-    ``main`` (n) and ``off`` (n-1) are its diagonals. LAPACK ``dpttrf``
-    overwrites them with the factor, and ``solve`` overwrites ``b`` (n)
-    with the solution by ``dpttrs`` and returns it. A pivot of D that is
-    not positive and finite raises. The residual is the caller's to check,
-    on the system it scaled into this form.
+
+class XSolver:
+    """rhs -> (I - c*A1(q))^-1 rhs, batched over the z-slices, for c > 0.
+
+    A1 = 0.5*q^2*z*x^2*d_xx, so row i of I - c*A1, flat slice after slice,
+    is (-t, 1 + 2*t, -t) with t = c*a, a = 0.5*q^2*k and the layout's k.
+    Divided by a, a row reads (-c, 1/a + 2*c, -c): the batch is symmetric
+    positive definite, and is factored once here; a pivot of D that is not
+    positive and finite raises. Rows where k is zero, the ends of every
+    slice and every z = 0 slice, are identity rows; their couplings move to
+    the right-hand side as +c*b. A row with t below 2^-54, where 1 + 2*t
+    rounds to 1, has its 1/a capped at c*2^54, so it stays an identity row
+    to rounding and its scaled right-hand side finite. ``norm`` is
+    ‖I - c*A1‖∞. Every call checks the unscaled system in difference form
+    against ``check_residual``'s rule. A solver holds no reference to its
+    caller, so one that is dropped is freed at once.
     """
-    lapack = _lapack()
-    d, e, info = lapack.dpttrf(main, off, overwrite_d=1, overwrite_e=1)
-    # dpttrf stops at the first pivot <= 0; NaN compares false and passes
-    if info > 0 or not np.isfinite(d).all():
-        row = info - 1 if info > 0 else int(np.argmax(~np.isfinite(d)))
-        raise LinearSolveError(f"symmetric tridiagonal solve: pivot {d[row]:.3e} "
-                               f"at row {row} is not positive and finite")
 
-    def solve(b: np.ndarray) -> np.ndarray:
-        return lapack.dpttrs(d, e, b, overwrite_b=1)[0]
+    def __init__(self, layout: tuple, q: np.ndarray, c: float, lin_tol: float):
+        k, identity_rows, coupled, self._moved = layout
+        self._shape, self._c, self._lin_tol = q.shape, c, lin_tol
+        # the coupling t = c*a = 0.5*c*q^2*k, flat, slice after slice, as k:
+        # zero on the identity rows, the ends of every slice
+        t = self._t = q.T.copy().reshape(-1)
+        t *= t
+        t *= k
+        t *= 0.5 * c
+        # the scaled system: each regular row divided by a, as c/(c*a), with
+        # c*a at least 2^-54; the identity rows' c/1, later set to 1, keeps
+        # a huge c from overflowing as c*2^54 there
+        scale = self._scale = np.maximum(t, 2.0 ** -54)
+        scale[identity_rows] = 1.0
+        np.divide(c, scale, out=scale)
+        d = scale + 2.0 * c
+        d[identity_rows] = 1.0
+        scale[identity_rows] = 1.0
+        self._lapack = _lapack()
+        # -c where two regular rows couple, and -0.0, as 0*(-c), elsewhere
+        d, self._e, info = self._lapack.dpttrf(d, np.where(coupled, -c, -0.0),
+                                               overwrite_d=1, overwrite_e=1)
+        # dpttrf stops at the first pivot <= 0; NaN compares false and passes
+        if info > 0 or not np.isfinite(d).all():
+            row = info - 1 if info > 0 else int(np.argmax(~np.isfinite(d)))
+            raise LinearSolveError(f"symmetric tridiagonal solve: pivot {d[row]:.3e} "
+                                   f"at row {row} is not positive and finite")
+        self._d = d
+        self.norm = 1.0 + 4.0 * float(t.max())
 
-    return solve
+    def __call__(self, rhs: np.ndarray) -> np.ndarray:
+        b = rhs.T.copy().reshape(-1)
+        del rhs  # frees a temporary passed to the bound method (``_Scheme.solve``)
+        r = b * self._scale
+        for row, identity_row in self._moved:
+            r[row] += self._c * b[identity_row]
+        x = self._lapack.dpttrs(self._d, self._e, r, overwrite_b=1)[0]
+        # the unscaled residual x - t*(x[i-1] - 2*x[i] + x[i+1]) - b; t is
+        # zero at the ends of every slice, so the shifts couple no two slices
+        resid = np.multiply(-2.0, x)
+        resid[1:] += x[:-1]
+        resid[:-1] += x[1:]
+        resid *= self._t
+        np.subtract(x, resid, out=resid)
+        resid -= b
+        check_residual(resid, b, self._lin_tol, "x-stage", x, self.norm)
+        del resid
+        # checked, b is spent: the solution goes back out in its buffer
+        out = b.reshape(self._shape)
+        out[...] = x.reshape(self._shape[::-1]).T
+        return out

@@ -12,16 +12,8 @@ step at the weight theta. The generator splits into the cross term A0
     Zj = Z(j-1) + theta*dt*Aj (Zj - U),              j = 1, 2
 
 and the new level is Z2. Both implicit stages take their matrices by
-probing the values-form operators. The x-stage is a batch of
-tridiagonal systems, one per z-slice, factored once per step for both
-stages. Each row where A1 is nonzero is divided by its coefficient, which
-makes the batch symmetric positive definite, so LAPACK ``dpttrf``/``dpttrs``
-solve it as L D L^T without pivoting (``_Scheme``); the rows where A1 is
-zero are identity rows. Its unscaled residual is checked in difference form.
-In-process, a ``sweep-error`` on ``paper.cfg`` spent 0.10 s in x-stage
-factors and 0.19 s in x-stage solves, against 0.16 s and 0.33 s by
-general tridiagonal LU (medians of 9, 2-core x86-64 host, one BLAS
-thread).
+probing the values-form operators. The x-stage's systems, one per
+z-slice, are factored once per step for both stages (``linsolve.XSolver``).
 The z-system M = I - theta*dt*A2 is one matrix for every x-row, so one
 solver per theta*dt (``linsolve.ZSolver``) makes its dense inverse by
 LAPACK's tridiagonal LU ``dgtsv`` on the identity, and each z-stage is one
@@ -79,7 +71,7 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from .core import GridSpec, ModelParams, SolverConfig, SolverError, Surface
-from .linsolve import LinearSolveError, ZSolver, check_residual, spd_tridiag_solver
+from .linsolve import LinearSolveError, XSolver, ZSolver, x_layout
 from .payoff import PayoffSpec, terminal_surface
 from .stencils import deadband, dx_values, dz_values, dzz_values, lxx_values, lxz_values
 
@@ -175,17 +167,9 @@ class _Scheme:
       absent when its coefficient is zero or the grid has one z-node. Zero
       on the x-boundary rows, as d_xz is: no implicit stage there damps it.
     * A1 = 0.5*q^2*z*x^2*d_xx, implicit in x with one tridiagonal system
-      per z-slice. Row i of I - c*A1 is (-c*a, 1 + 2*c*a, -c*a) with
-      a = 0.5*q^2*k and k = z*x^2/dx^2, held once (``k``), probed as -1/2
-      of z*x^2*d_xx's main diagonal. Divided by a, a row reads
-      (-c, 1/a + 2*c, -c), so the batch is symmetric positive definite and
-      solved as L D L^T (``linsolve.spd_tridiag_solver``). Rows where A1 is
-      zero, the ends of every slice and every z = 0 slice, are identity
-      rows; their couplings move to the right-hand side as +c*b. A row
-      with c*a below 2^-54, where 1 + 2*c*a rounds to 1, has its 1/a capped
-      at c*2^54, so it stays an identity row to rounding and its scaled
-      right-hand side finite. Every solve checks the unscaled system, as
-      x - c*a*(x[i-1] - 2*x[i] + x[i+1]) - b in one scratch surface.
+      per z-slice, solved by a ``linsolve.XSolver`` per (q, theta*dt). Its
+      k = z*x^2/dx^2 is held once (``k``), probed as -1/2 of z*x^2*d_xx's
+      main diagonal, and its rows are laid out once (``linsolve.x_layout``).
     * A2 = delta*(0.5*z*d_zz + kappa*(theta - z)*d_z), implicit in z with
       one tridiagonal matrix for every x-row, held once, dense and
       transposed, as the stencil form applied to the identity (``a2_t``,
@@ -243,22 +227,14 @@ class _Scheme:
         # k = z*x^2/dx^2. Comb c is 1 where the x-index is c mod 3, so of a
         # node's 3-point footprint only the node itself is on its own comb;
         # -0.5 in each term, summed in turn, keeps the signed zeros of -0.5
-        # times the diagonal. k is flat, slice after slice; the rows where it
-        # is zero are identity rows, and only two regular rows couple
+        # times the diagonal. k is flat, slice after slice
         index = np.arange(grid.n_x)[:, None] % 3
         terms = [-0.5 * comb * lxx_values(comb, grid) for comb in
                  (np.broadcast_to(index == c, (grid.n_x, grid.n_z)).astype(float)
                   for c in range(3))]
         self.k = (terms[0] + terms[1] + terms[2]).T.ravel()
-        regular = self.k > 0.0
-        self.identity_rows = np.flatnonzero(~regular)
-        self.coupled = regular[:-1] & regular[1:]
-        # (regular row, identity row) for the regular rows after, then before,
-        # an identity row
-        after = np.flatnonzero(regular[1:] & ~regular[:-1]) + 1
-        before = np.flatnonzero(regular[:-1] & ~regular[1:])
-        self.moved = ((after, after - 1), (before, before + 1))
-        self._x = None  # (q, c, solve) of the last x-system factored
+        self._x_layout = x_layout(self.k)
+        self._x = None  # (q, c, XSolver) of the last x-system factored
         self._z = {}  # theta*dt -> the ZSolver of I - theta*dt*A2
 
     def a0(self, q: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -286,8 +262,8 @@ class _Scheme:
         return p.delta * (0.5 * z * dzz_values(w, self.grid)
                           + p.kappa * (p.theta - z) * dz_values(w, self.grid))
 
-    def x_solver(self, q: np.ndarray, c: float):
-        """rhs -> (I - c*A1(q))^-1 rhs, batched over the z-slices, for c > 0.
+    def x_solver(self, q: np.ndarray, c: float) -> XSolver:
+        """The ``XSolver`` of I - c*A1(q), for c > 0.
 
         Factored once per (q, c): a repeat call with the same control array
         (by identity: control fields are never changed in place) and the
@@ -296,55 +272,8 @@ class _Scheme:
         """
         if self._x is None or self._x[0] is not q or self._x[1] != c:
             self._x = None  # the old factor's buffers go before the new one's
-            self._x = (q, c, self._factor_x(q, c))
+            self._x = (q, c, XSolver(self._x_layout, q, c, self.lin_tol))
         return self._x[2]
-
-    def _factor_x(self, q: np.ndarray, c: float):
-        n_x, n_z = self.grid.n_x, self.grid.n_z
-        # the coupling t = c*a = 0.5*c*q^2*k, flat, slice after slice, as k:
-        # zero on the identity rows, the ends of every slice
-        t = q.T.copy().reshape(-1)
-        t *= t
-        t *= self.k
-        t *= 0.5 * c
-        # the scaled system: each regular row divided by a, as c/(c*a), with
-        # c*a at least 2^-54; the identity rows' c/1, later set to 1, keeps
-        # a huge c from overflowing as c*2^54 there
-        scale = np.maximum(t, 2.0 ** -54)
-        scale[self.identity_rows] = 1.0
-        np.divide(c, scale, out=scale)
-        d = scale + 2.0 * c
-        d[self.identity_rows] = 1.0
-        scale[self.identity_rows] = 1.0
-        # -c where two regular rows couple, and -0.0, as 0*(-c), elsewhere
-        solve_scaled = spd_tridiag_solver(d, np.where(self.coupled, -c, -0.0))
-        moved, lin_tol = self.moved, self.lin_tol  # not self: the scheme holds this closure
-        # ‖I - c*A1‖∞, row i being (-t, 1 + 2*t, -t) with t >= 0
-        a_norm = 1.0 + 4.0 * float(t.max())
-
-        def solve(rhs: np.ndarray) -> np.ndarray:
-            b = rhs.T.copy().reshape(-1)
-            del rhs  # frees the caller's temporary, when it keeps no reference of its own
-            r = b * scale
-            for row, identity_row in moved:
-                r[row] += c * b[identity_row]
-            x = solve_scaled(r)
-            # the unscaled residual x - t*(x[i-1] - 2*x[i] + x[i+1]) - b; t is
-            # zero at the ends of every slice, so the shifts couple no two slices
-            resid = np.multiply(-2.0, x)
-            resid[1:] += x[:-1]
-            resid[:-1] += x[1:]
-            resid *= t
-            np.subtract(x, resid, out=resid)
-            resid -= b
-            check_residual(resid, b, lin_tol, "x-stage", x, a_norm)
-            del resid
-            # checked, b is spent: the solution goes back out in its buffer
-            out = b.reshape(n_x, n_z)
-            out[...] = x.reshape(n_z, n_x).T
-            return out
-
-        return solve
 
     def solve_z(self, rhs: np.ndarray, dt: float, theta: float) -> np.ndarray:
         """(I - theta*dt*A2)^-1 rhs along every x-row, by the one ``ZSolver``
@@ -374,8 +303,9 @@ class _Scheme:
     def solve(self, q: np.ndarray, f: _Fields, dt: float, theta: float) -> np.ndarray:
         """One Craig-Sneyd step with the control q from the surface w_next = f.w."""
         # one factor of the x-system and U + (1-theta)*dt*A1 U serve both
-        # Craig-Sneyd stages
-        solve_x = self.x_solver(q, theta * dt)
+        # Craig-Sneyd stages. A bound method, unlike the instance, frees a
+        # stage's temporary right-hand side once the solver has copied it
+        solve_x = self.x_solver(q, theta * dt).__call__
         rhs_x = f.w + (1.0 - theta) * dt * (0.5 * q * q * f.lxx)
 
         def stages(explicit):

@@ -229,6 +229,25 @@ def test_mismatch_width_shrinks_with_delta():
     assert thin.width_at(PARAMS.z0) <= wide.width_at(PARAMS.z0) + MID.dx
 
 
+def test_mismatch_is_counted_inside_the_window_only():
+    # over all x the mismatch also flags nodes next to x_max, where P^delta
+    # bends down to the pinned boundary row; the default window is the
+    # sweep's [60, 140], and the crossings do not depend on it
+    p0, _ = solve_p0p1(BF, PARAMS, SMALL)
+    p_delta = solve_pdelta(BF, PARAMS.replace(delta=0.05), SMALL)
+    every = gamma_diagnostics(p0, p_delta, GAMMA_EPS, window=(SMALL.x_min, SMALL.x_max))
+    diag = gamma_diagnostics(p0, p_delta, GAMMA_EPS)
+    x = SMALL.x_nodes()
+    inside = (x >= 60.0) & (x <= 140.0)
+    assert every.mismatch_mask[~inside].any()
+    assert not diag.mismatch_mask[~inside].any()
+    np.testing.assert_array_equal(diag.mismatch_mask[inside], every.mismatch_mask[inside])
+    np.testing.assert_array_equal(diag.mismatch_width, diag.mismatch_mask.sum(axis=0) * SMALL.dx)
+    assert diag.crossings == every.crossings
+    with pytest.raises(ValueError, match="contains no grid nodes"):
+        gamma_diagnostics(p0, p_delta, GAMMA_EPS, window=(300.0, 400.0))
+
+
 def _gamma_fields(rng, grid, eps):
     """Smooth random gamma fields, salted with values at the deadband's edge."""
     x = grid.x_nodes()[:, None] / (grid.x_max - grid.x_min)

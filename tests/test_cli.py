@@ -893,6 +893,21 @@ def test_lazy_names_and_the_manifest_scipy_version(api_process):
     assert linsolve.scipy_version() == scipy.__version__
 
 
+def test_every_submodule_all_resolves():
+    # a name left in a submodule's __all__ after its definition went would
+    # fail a star import; the package's own __all__ is checked above
+    import importlib
+    import pkgutil
+
+    import uvbounds
+
+    stale = {}
+    for info in pkgutil.iter_modules(uvbounds.__path__):
+        module = importlib.import_module(f"uvbounds.{info.name}")
+        stale[info.name] = [name for name in module.__all__ if not hasattr(module, name)]
+    assert len(stale) >= 10 and not any(stale.values()), stale
+
+
 def test_solves_load_one_openblas(api_process):
     # where numpy's extension exports them, the routines a solve calls are
     # those of numpy's OpenBLAS: scipy's wrappers do not load, nor the

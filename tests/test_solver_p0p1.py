@@ -316,17 +316,17 @@ def test_solve_failure_carries_time_level_context():
 def test_p1_step_reuses_the_p0_factor(monkeypatch):
     # one x-system factor per P0 solve; every P1 step reuses the last one
     n_factors, n_solves = [0], [0]
-    factor, solve = solver_pdelta.spd_tridiag_solver, _Scheme.solve
+    x_solver, solve = solver_pdelta.XSolver, _Scheme.solve
 
-    def counting_factor(*args):
+    def counting_x_solver(*args):
         n_factors[0] += 1
-        return factor(*args)
+        return x_solver(*args)
 
     def counting_solve(*args):
         n_solves[0] += 1
         return solve(*args)
 
-    monkeypatch.setattr(solver_pdelta, "spd_tridiag_solver", counting_factor)
+    monkeypatch.setattr(solver_pdelta, "XSolver", counting_x_solver)
     monkeypatch.setattr(_Scheme, "solve", counting_solve)
     solve_p0p1(BF, PARAMS, SMALL)
     assert n_factors[0] == n_solves[0] >= SMALL.n_t

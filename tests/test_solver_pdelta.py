@@ -1,5 +1,7 @@
+import gc
 import sys
 import tracemalloc
+import weakref
 from types import SimpleNamespace
 
 import numpy as np
@@ -632,27 +634,27 @@ def test_each_matrix_factored_once(monkeypatch, cfg, n_z_factors):
     # slice, is factored once per Craig-Sneyd step
     grid = GridSpec(0, 200, 60, 0, 0.12, 30, 20)  # n_x != n_z tells the systems apart
     shapes, x_factors, n_solves = [], [], [0]
-    z_solver, spd_factor = solver_pdelta.ZSolver, solver_pdelta.spd_tridiag_solver
+    z_solver, x_solver = solver_pdelta.ZSolver, solver_pdelta.XSolver
     solve = _Scheme.solve
 
     def counting_z_solver(a2_t, c, lin_tol):
         shapes.append(np.shape(a2_t))
         return z_solver(a2_t, c, lin_tol)
 
-    def counting_spd_factor(main, off):
-        x_factors.append(np.shape(main))
-        return spd_factor(main, off)
+    def counting_x_solver(layout, q, c, lin_tol):
+        x_factors.append(np.shape(q))
+        return x_solver(layout, q, c, lin_tol)
 
     def counting_solve(*args):
         n_solves[0] += 1
         return solve(*args)
 
     monkeypatch.setattr(solver_pdelta, "ZSolver", counting_z_solver)
-    monkeypatch.setattr(solver_pdelta, "spd_tridiag_solver", counting_spd_factor)
+    monkeypatch.setattr(solver_pdelta, "XSolver", counting_x_solver)
     monkeypatch.setattr(_Scheme, "solve", counting_solve)
     solve_pdelta(BF, PARAMS, grid, cfg)
     assert shapes == [(grid.n_z, grid.n_z)] * n_z_factors
-    assert x_factors.count((grid.n_x * grid.n_z,)) == len(x_factors) == n_solves[0] >= grid.n_t
+    assert x_factors.count((grid.n_x, grid.n_z)) == len(x_factors) == n_solves[0] >= grid.n_t
 
 
 @pytest.mark.parametrize("passes", [1, 2])
@@ -768,6 +770,20 @@ def test_solve_pdelta_working_set_is_bounded():
         tracemalloc.stop()
     surfaces = peak / (grid.n_x * grid.n_z * 8)
     assert surfaces <= (19.0 if sys.version_info >= (3, 11) else 22.0), surfaces
+
+
+def test_dropped_x_factor_is_freed_without_the_collector():
+    # the march drops the control and its x-factor after each sub-step's
+    # hook; with no reference cycle through the scheme, reference counting
+    # frees the factor's four flat surfaces there, not at the next collection
+    scheme = _Scheme(PARAMS, SMALL)
+    solver = weakref.ref(scheme.x_solver(np.full((SMALL.n_x, SMALL.n_z), PARAMS.u), 0.01))
+    gc.disable()
+    try:
+        scheme._x = None
+        assert solver() is None
+    finally:
+        gc.enable()
 
 
 def test_delta_zero_solves_never_build_a2(monkeypatch):
